@@ -6,12 +6,7 @@ random-projection statistic of the update stays under an L2-derived
 bound; the server aggregates exactly the updates that check out.
 """
 
-from .commit import (
-    CommitmentBundle,
-    aggregate_commitments,
-    commit_update,
-    commit_update_shared_blinds,
-)
+from .commit import CommitmentBundle, aggregate_commitments, commit_update
 from .group import GROUP_ORDER, GeneratorSet, make_backend
 from .rng import DeterministicRng, SystemRng
 from .sampling import (
@@ -66,7 +61,6 @@ __all__ = [
     "chi_square_quantile",
     "combine_check_strings",
     "commit_update",
-    "commit_update_shared_blinds",
     "compute_b0",
     "derive_seed",
     "gen_integrity_proof",

@@ -47,27 +47,6 @@ def aggregate_commitments(
     return total
 
 
-def commit_update_shared_blinds(
-    u: Sequence[int], r_vec: Sequence[int], bases: Sequence[Point]
-) -> list[Point]:
-    """Commitment layout with e = len(r_vec) blinds over d/e shared bases.
-
-    Coordinate ep + q is committed under base P_p with blind r_{q+1}:
-    y[ep+q] = u[ep+q] g + r_vec[q] bases[p].  With e = d and a single
-    base this degenerates to the one-blind-per-coordinate layout.
-    """
-    e = len(r_vec)
-    if e == 0 or len(u) % e != 0:
-        raise ValueError("blind count must divide the dimension")
-    if len(u) != e * len(bases):
-        raise ValueError("need exactly d/e shared bases")
-    g = bases[0].backend.base()
-    return [
-        multiexp([g, bases[l // e]], [u_l, r_vec[l % e]])
-        for l, u_l in enumerate(u)
-    ]
-
-
 @dataclass(frozen=True)
 class CommitmentBundle:
     """Everything a client publishes in the commit round.

@@ -36,16 +36,8 @@ class OpCounter:
         self.add = 0
         self.from_hash = 0
 
-    def reset(self) -> None:
-        self.mul = 0
-        self.add = 0
-        self.from_hash = 0
-
     def snapshot(self) -> dict[str, int]:
         return {"mul": self.mul, "add": self.add, "from_hash": self.from_hash}
-
-    def total(self) -> int:
-        return self.mul + self.add + self.from_hash
 
 
 class GroupBackend(ABC):
@@ -57,11 +49,6 @@ class GroupBackend(ABC):
     """
 
     name: str
-    # Whether multiexp should use Pippenger bucketing.  For libsodium a
-    # point addition costs nearly as much as a scalar multiplication
-    # (both are dominated by encode/decode), so bucketing never wins and
-    # the naive loop is used instead.
-    use_pippenger: bool
 
     def __init__(self) -> None:
         self.counter = OpCounter()

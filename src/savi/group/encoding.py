@@ -5,9 +5,10 @@ occupying the low range {0 .. 2^(bits-1)-1} for nonnegative values and
 the top range {p-2^(bits-1)+1 .. p-1} for negative ones.  Reals carry
 ``frac_bits`` fractional bits: x maps to round(x * 2^frac_bits).
 
-Rounding is floor(x + 1/2), i.e. n + alpha -> n for -1/2 <= alpha < 1/2,
-matching the rounding rule used for the projection matrix so the same
-error bound |rounded - exact| <= 1/2 applies everywhere.
+Rounding is floor(x + 1/2), i.e. n + alpha -> n for -1/2 <= alpha < 1/2:
+ties go up.  The projection matrix instead rounds half away from zero;
+the two differ only on ties, and the error bound |rounded - exact| <= 1/2
+holds for both.
 """
 
 from __future__ import annotations

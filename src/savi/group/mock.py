@@ -26,7 +26,6 @@ class MockBackend(GroupBackend):
     """Insecure stand-in group with the same order as ristretto255."""
 
     name = "mock"
-    use_pippenger = True
 
     def identity_data(self) -> int:
         return 0

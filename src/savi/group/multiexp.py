@@ -1,11 +1,10 @@
 """Multi-scalar multiplication.
 
-The naive per-term loop is used on the libsodium backend: there a point
+One naive per-term loop serves both backends.  On libsodium a point
 addition costs almost as much as a scalar multiplication (both pay the
-ristretto decode/encode), so Pippenger bucketing can never amortize.
-On the mock backend additions are cheap integer ops and the bucket
-method gives the expected ~b/log(n) group-operation cost per term,
-which is what the bench counters are meant to exhibit.
+ristretto decode/encode), so bucketing methods cannot amortize; running
+the same loop on the mock backend keeps its op counts equal to the work
+ristretto255 does.
 """
 
 from __future__ import annotations
@@ -27,49 +26,6 @@ def sum_points(points: Sequence[Point], backend: GroupBackend | None = None) -> 
     return acc
 
 
-def _pick_window(n_terms: int, max_bits: int) -> int:
-    best_c, best_cost = 1, None
-    for c in range(1, 25):
-        windows = -(-max_bits // c)
-        cost = windows * (n_terms + (1 << c) + c)
-        if best_cost is None or cost < best_cost:
-            best_c, best_cost = c, cost
-    return best_c
-
-
-def _pippenger(backend: GroupBackend, points: list, scalars: list[int]) -> Point:
-    max_bits = max(s.bit_length() for s in scalars)
-    c = _pick_window(len(points), max_bits)
-    mask = (1 << c) - 1
-    windows = -(-max_bits // c)
-    ident = backend.identity_data()
-
-    result = ident
-    for w in range(windows - 1, -1, -1):
-        shift = w * c
-        if result != ident:
-            for _ in range(c):
-                result = backend.add_data(result, result)
-        buckets: dict[int, object] = {}
-        for p, s in zip(points, scalars):
-            digit = (s >> shift) & mask
-            if digit == 0:
-                continue
-            cur = buckets.get(digit)
-            buckets[digit] = p if cur is None else backend.add_data(cur, p)
-        if not buckets:
-            continue
-        acc = ident
-        total = ident
-        for digit in range(max(buckets), 0, -1):
-            b = buckets.get(digit)
-            if b is not None:
-                acc = backend.add_data(acc, b)
-            total = backend.add_data(total, acc)
-        result = backend.add_data(result, total)
-    return Point(backend, result)
-
-
 def multiexp(
     points: Sequence[Point],
     scalars: Sequence[int],
@@ -77,8 +33,7 @@ def multiexp(
 ) -> Point:
     """Compute sum_i scalars[i] * points[i].
 
-    Zero scalars and identity points contribute nothing and are skipped
-    before dispatch.
+    Zero scalars and identity points contribute nothing and are skipped.
     """
     if len(points) != len(scalars):
         raise ValueError("multiexp needs equally many points and scalars")
@@ -88,22 +43,11 @@ def multiexp(
         backend = points[0].backend
 
     ident = backend.identity_data()
-    live_points: list = []
-    live_scalars: list[int] = []
+    acc = None
     for p, s in zip(points, scalars):
         s %= GROUP_ORDER
         if s == 0 or p.data == ident:
             continue
-        live_points.append(p.data)
-        live_scalars.append(s)
-
-    if not live_points:
-        return backend.identity()
-
-    if backend.use_pippenger and len(live_points) >= 8:
-        return _pippenger(backend, live_points, live_scalars)
-
-    acc = backend.mul_data(live_points[0], live_scalars[0])
-    for p, s in zip(live_points[1:], live_scalars[1:]):
-        acc = backend.add_data(acc, backend.mul_data(p, s))
-    return Point(backend, acc)
+        term = backend.mul_data(p.data, s)
+        acc = term if acc is None else backend.add_data(acc, term)
+    return backend.identity() if acc is None else Point(backend, acc)

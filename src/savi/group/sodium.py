@@ -57,7 +57,6 @@ class RistrettoBackend(GroupBackend):
     """The real group: ristretto255, ~126-bit security, 32-byte encodings."""
 
     name = "ristretto255"
-    use_pippenger = False
 
     def __init__(self) -> None:
         super().__init__()

@@ -1,5 +1,5 @@
 from .attacks import AttackSpec, apply_attack, generate_updates
-from .bench import CommReport, CostRow, measure_communication, probe_costs, sweep_d, sweep_k
+from .bench import CommReport, CostRow, measure_communication, probe_costs, sweep_d
 from .config import SimulationConfig, desk_preset, deployment_preset
 from .report import emit_report, emit_transcripts
 from .simulate import RoundReport, Simulation, run_simulation
@@ -21,5 +21,4 @@ __all__ = [
     "probe_costs",
     "run_simulation",
     "sweep_d",
-    "sweep_k",
 ]

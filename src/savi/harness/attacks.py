@@ -53,12 +53,8 @@ class AttackSpec:
         return 1.0
 
 
-def generate_updates(
-    seed: int, n: int, d: int, B: float, distribution: str = "ball"
-) -> list[np.ndarray]:
+def generate_updates(seed: int, n: int, d: int, B: float) -> list[np.ndarray]:
     """Honest float updates: uniform direction, norm uniform on (0, B]."""
-    if distribution != "ball":
-        raise ValueError("only the uniform-norm ball distribution is implemented")
     rng = np.random.default_rng(np.random.SeedSequence([seed, n, d]))
     out = []
     for _ in range(n):

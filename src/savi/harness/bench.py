@@ -15,7 +15,6 @@ from typing import Sequence
 
 from ..commit import CommitmentBundle, commit_update
 from ..group import make_backend
-from ..group.base import GROUP_ORDER
 from ..group.generators import GeneratorSet
 from ..group.multiexp import multiexp
 from ..rng import DeterministicRng
@@ -24,6 +23,7 @@ from ..protocol.pairwise import keygen, pairwise_key, seal_share
 from ..vsss import Share, ss_share
 from ..zkp import gen_integrity_proof, ver_integrity_proof
 from ..zkp.vercrt import ver_crt
+from .simulate import _StageMeter
 
 PROBE_STAGES = ("commit", "server_prep", "client_proof", "server_verify")
 
@@ -61,48 +61,34 @@ def probe_costs(d: int, k: int, backend_name: str = "mock", seed: int = 7) -> Co
     backend = make_backend(backend_name)
     gens = GeneratorSet.derive(backend, d, params.range_slots)
     rng = DeterministicRng(seed).child("bench")
-    counter = backend.counter
+    meter = _StageMeter(backend)
 
     u = [0] * d
     u[0] = 1 << params.frac_bits
     r = rng.scalar()
-    ops: dict[str, dict[str, int]] = {}
-
-    def staged(stage: str, fn):
-        before = counter.snapshot()
-        result = fn()
-        after = counter.snapshot()
-        ops[stage] = {key: after[key] - before[key] for key in after}
-        return result
-
-    y, z = staged("commit", lambda: commit_update(u, r, gens))
+    y, z = meter.run("commit", lambda: commit_update(u, r, gens))
     matrix = sample_matrix(rng.take(32), k, d, params.M)
-    rows = [[a % GROUP_ORDER for a in matrix.a0]] + [
-        [int(x) % GROUP_ORDER for x in row] for row in matrix.rows
-    ]
-    h = staged("server_prep", lambda: [multiexp(gens.w, row) for row in rows])
+    h = meter.run(
+        "server_prep", lambda: [multiexp(gens.w, row) for row in matrix.scalar_rows()]
+    )
 
     def prove():
         if not ver_crt(gens.w, h, matrix, rng):
             raise AssertionError("h inconsistent in bench probe")
         return gen_integrity_proof(params, gens, matrix, h, z, r, u, rng)
 
-    proof = staged("client_proof", prove)
-    ok, reason = staged(
+    proof = meter.run("client_proof", prove)
+    ok, reason = meter.run(
         "server_verify",
         lambda: ver_integrity_proof(params, gens, matrix, h, z, y, proof, rng),
     )
     if not ok:
         raise AssertionError(f"bench probe proof rejected: {reason}")
-    return CostRow(d=d, k=k, ops=ops)
+    return CostRow(d=d, k=k, ops=meter.ops)
 
 
 def sweep_d(d_values: Sequence[int], k: int, backend_name: str = "mock") -> list[CostRow]:
     return [probe_costs(d, k, backend_name) for d in d_values]
-
-
-def sweep_k(k_values: Sequence[int], d: int, backend_name: str = "mock") -> list[CostRow]:
-    return [probe_costs(d, k, backend_name) for k in k_values]
 
 
 @dataclass(frozen=True)
@@ -185,10 +171,7 @@ def measure_communication(d: int, k: int, n: int = 8, m: int = 1, seed: int = 11
         params = _deployment_params(d_small, k, n, m)
         gens = GeneratorSet.derive(backend, d_small, params.range_slots)
         matrix = sample_matrix(rng.take(32), k, d_small, params.M)
-        rows = [[a % GROUP_ORDER for a in matrix.a0]] + [
-            [int(x) % GROUP_ORDER for x in row] for row in matrix.rows
-        ]
-        h = [multiexp(gens.w, row) for row in rows]
+        h = [multiexp(gens.w, row) for row in matrix.scalar_rows()]
         u_small = [0] * d_small
         u_small[0] = 1 << params.frac_bits
         r_small = rng.scalar()

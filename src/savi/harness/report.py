@@ -81,31 +81,25 @@ def summary_row(rows: Sequence[dict]) -> dict:
 
 
 def emit_report(
-    reports: Sequence[RoundReport],
-    config: SimulationConfig,
-    out_dir: str | Path,
-    formats: Sequence[str] | None = None,
-    prefix: str = "simulation",
+    reports: Sequence[RoundReport], config: SimulationConfig, out_dir: str | Path
 ) -> list[Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [report_row(r) for r in reports]
     rows.append(summary_row(rows))
     written = []
-    for fmt in formats if formats is not None else config.formats:
-        path = out_dir / f"{prefix}.{fmt}"
+    for fmt in config.formats:
+        path = out_dir / f"simulation.{fmt}"
         if fmt == "csv":
             with open(path, "w", newline="") as fh:
                 writer = csv.DictWriter(fh, fieldnames=COLUMNS)
                 writer.writeheader()
                 writer.writerows(rows)
-        elif fmt == "json":
+        else:  # json; SimulationConfig admits no other format
             doc = {"config": _config_doc(config), "rounds": rows[:-1], "summary": rows[-1]}
             with open(path, "w") as fh:
                 json.dump(doc, fh, indent=2)
                 fh.write("\n")
-        else:
-            raise ValueError(f"unknown report format {fmt!r}")
         written.append(path)
     return written
 

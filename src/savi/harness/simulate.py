@@ -33,6 +33,9 @@ class RoundReport:
     aggregate: tuple[int, ...]
     expected: tuple[int, ...]
     aggregate_ok: bool
+    # honest-set clients whose aggregated blind share failed verification
+    # and was left out of the recovery
+    bad_blind_shares: tuple[int, ...] = ()
     timings_s: dict[str, float] = field(default_factory=dict)
     bytes_sent: dict[int, int] = field(default_factory=dict)
     group_ops: dict[str, dict[str, int]] = field(default_factory=dict)
@@ -215,6 +218,7 @@ class Simulation:
             aggregate=tuple(aggregate),
             expected=tuple(expected),
             aggregate_ok=list(aggregate) == expected,
+            bad_blind_shares=tuple(self.server.bad_blind_shares),
             timings_s=meter.timings,
             bytes_sent={i: len(b) for i, b in transcripts.items()},
             group_ops=meter.ops,

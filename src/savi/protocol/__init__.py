@@ -1,5 +1,4 @@
 from .client import Client
-from .defense import DefensePredicate, convert_defense
 from .errors import (
     AbortServerMaliciousError,
     DlogOutOfRangeError,
@@ -11,11 +10,9 @@ from .server import Server
 __all__ = [
     "AbortServerMaliciousError",
     "Client",
-    "DefensePredicate",
     "DlogOutOfRangeError",
     "Server",
     "ShareVerifyFailedError",
-    "convert_defense",
     "keygen",
     "open_share",
     "pairwise_key",

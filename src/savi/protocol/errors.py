@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
+from ..vsss import InsufficientSharesError
+
 
 class AbortServerMaliciousError(Exception):
     """A client detected server misbehavior (bad h vector, or more than
     m clear-share requests) and quits the round."""
 
 
-class ShareVerifyFailedError(Exception):
-    """An aggregated blind share failed verification against the
-    combined check string."""
+class ShareVerifyFailedError(InsufficientSharesError):
+    """Too few aggregated blind shares remain once those failing
+    verification against the combined check string are dropped."""
 
-    def __init__(self, client_id: int) -> None:
-        super().__init__(f"aggregated share from client {client_id} failed verification")
-        self.client_id = client_id
+    def __init__(self, client_ids: Sequence[int], valid: int, threshold: int) -> None:
+        super().__init__(
+            f"aggregated shares from clients {list(client_ids)} failed verification; "
+            f"{valid} valid, need {threshold}"
+        )
+        self.client_ids = tuple(client_ids)
 
 
 class DlogOutOfRangeError(Exception):

@@ -46,6 +46,7 @@ class Server:
         self.cleared_shares: dict[int, list[Share]] = {}
         self.honest: list[int] = []
         self.proof_reasons: dict[int, str] = {}
+        self.bad_blind_shares: list[int] = []
         self.seed: bytes = b""
         self.matrix: Optional[SampleMatrix] = None
         self.h: list[Point] = []
@@ -173,10 +174,7 @@ class Server:
         self.seed = derive_seed(self.seed_nonce, ordered)
         p = self.params
         self.matrix = sample_matrix(self.seed, p.k, p.d, p.M)
-        rows = [[a % _Q for a in self.matrix.a0]] + [
-            [int(x) % _Q for x in row] for row in self.matrix.rows
-        ]
-        self.h = [multiexp(self.gens.w, row) for row in rows]
+        self.h = [multiexp(self.gens.w, row) for row in self.matrix.scalar_rows()]
         return self.seed_nonce, list(self.h)
 
     def receive_proofs(
@@ -216,8 +214,11 @@ class Server:
 
         Each responding client i supplies r'_i = sum of its received
         shares over H, i.e. a share (at index i) of the combined blind;
-        t of them recover it.  Coordinates come back through a bounded
-        discrete log sized to |H| full-width updates."""
+        t of them recover it.  Shares failing the combined check string
+        are dropped and their senders listed in ``bad_blind_shares``;
+        recovery aborts only when fewer than t valid shares remain.
+        Coordinates come back through a bounded discrete log sized to |H|
+        full-width updates."""
         p = self.params
         if not self.honest:
             return [0] * p.d
@@ -225,14 +226,19 @@ class Server:
             [self.bundles[i].check_string for i in self.honest]
         )
         valid: list[Share] = []
+        bad: list[int] = []
         for i, value in r_primes.items():
             if value is None:
                 continue
             share = Share(index=i, value=value % _Q)
-            if not ss_verify(share, combined):
-                raise ShareVerifyFailedError(i)
-            valid.append(share)
+            if ss_verify(share, combined):
+                valid.append(share)
+            else:
+                bad.append(i)
+        self.bad_blind_shares = bad
         if len(valid) < p.threshold:
+            if bad:
+                raise ShareVerifyFailedError(bad, len(valid), p.threshold)
             raise InsufficientSharesError(
                 f"{len(valid)} aggregated shares, need {p.threshold}"
             )

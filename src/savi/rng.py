@@ -57,10 +57,6 @@ class DeterministicRng:
         """Independent stream derived from this seed and a label."""
         return DeterministicRng(self._seed + b"|child|" + label.encode())
 
-    def key256(self) -> int:
-        """256-bit integer, e.g. a key for a counter-based bit generator."""
-        return int.from_bytes(self.take(32), "little")
-
 
 class SystemRng:
     """Same interface, backed by the operating system csprng."""
@@ -85,9 +81,6 @@ class SystemRng:
 
     def child(self, label: str) -> "SystemRng":
         return self
-
-    def key256(self) -> int:
-        return int.from_bytes(self.take(32), "little")
 
 
 Rng = DeterministicRng | SystemRng

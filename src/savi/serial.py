@@ -1,6 +1,6 @@
 """Length-prefixed deterministic serialization.
 
-Wire format building blocks: little-endian u32/u64 integers, 32-byte
+Wire format building blocks: little-endian u32 integers, 32-byte
 scalars, 32-byte point encodings, and u32-length-prefixed vectors.
 Serialization is canonical — equal messages produce equal bytes — so
 transcript hashing and byte-count accounting can both use it.
@@ -9,7 +9,7 @@ transcript hashing and byte-count accounting can both use it.
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .group.base import GroupBackend, Point
 from .group.scalars import scalar_from_bytes, scalar_to_bytes
@@ -25,12 +25,6 @@ class ByteWriter:
 
     def u32(self, v: int) -> "ByteWriter":
         return self.raw(struct.pack("<I", v))
-
-    def u64(self, v: int) -> "ByteWriter":
-        return self.raw(struct.pack("<Q", v))
-
-    def i64(self, v: int) -> "ByteWriter":
-        return self.raw(struct.pack("<q", v))
 
     def scalar(self, x: int) -> "ByteWriter":
         return self.raw(scalar_to_bytes(x))
@@ -53,13 +47,6 @@ class ByteWriter:
             self.point(p)
         return self
 
-    def i64_vec(self, xs: Iterable[int]) -> "ByteWriter":
-        xs = list(xs)
-        self.u32(len(xs))
-        for x in xs:
-            self.i64(x)
-        return self
-
     def getvalue(self) -> bytes:
         return b"".join(self._parts)
 
@@ -79,12 +66,6 @@ class ByteReader:
     def u32(self) -> int:
         return struct.unpack("<I", self.raw(4))[0]
 
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.raw(8))[0]
-
-    def i64(self) -> int:
-        return struct.unpack("<q", self.raw(8))[0]
-
     def scalar(self) -> int:
         return scalar_from_bytes(self.raw(32))
 
@@ -99,9 +80,6 @@ class ByteReader:
 
     def point_vec(self, backend: GroupBackend) -> list[Point]:
         return [self.point(backend) for _ in range(self.u32())]
-
-    def i64_vec(self) -> list[int]:
-        return [self.i64() for _ in range(self.u32())]
 
     def expect_end(self) -> None:
         if self._pos != len(self._data):

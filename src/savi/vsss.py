@@ -43,10 +43,6 @@ class CheckString:
     def threshold(self) -> int:
         return len(self.points)
 
-    def secret_commitment(self) -> Point:
-        """g * f(0), the commitment to the shared secret."""
-        return self.points[0]
-
 
 def share_with_polynomial(
     coeffs: Sequence[int], n: int, g: Point

@@ -36,9 +36,6 @@ class Transcript:
     def absorb_scalar(self, label: str, x: int) -> None:
         self._absorb_frame(label.encode(), scalar_to_bytes(x))
 
-    def absorb_scalars(self, label: str, xs: Iterable[int]) -> None:
-        self._absorb_frame(label.encode(), b"".join(scalar_to_bytes(x) for x in xs))
-
     def absorb_point(self, label: str, p: Point) -> None:
         self._absorb_frame(label.encode(), p.encode())
 

@@ -1,11 +1,6 @@
 import pytest
 
-from savi.commit import (
-    CommitmentBundle,
-    aggregate_commitments,
-    commit_update,
-    commit_update_shared_blinds,
-)
+from savi.commit import CommitmentBundle, aggregate_commitments, commit_update
 from savi.group import GROUP_ORDER, GeneratorSet, make_backend
 from savi.group.generators import RangeGenerators, derive_generators
 from savi.group.multiexp import multiexp
@@ -95,19 +90,6 @@ def test_additive_homomorphism_random_pairs():
         )
         assert [a + b for a, b in zip(y1, y2)] == ys
         assert z1 + z2 == zs
-
-
-def test_shared_blind_indexing(backend):
-    # d=4, e=2: blinds cycle l mod e, bases advance every e coordinates
-    g = backend.base()
-    bases = [2 * g, 5 * g]
-    u = [1, 1, 1, 1]
-    r_vec = [10, 20]
-    y = commit_update_shared_blinds(u, r_vec, bases)
-    assert y[1] == multiexp([g, bases[0]], [u[1], r_vec[1]])  # P0 with r2
-    assert y[2] == multiexp([g, bases[1]], [u[2], r_vec[0]])  # P1 with r1
-    assert y[0] == multiexp([g, bases[0]], [u[0], r_vec[0]])
-    assert y[3] == multiexp([g, bases[1]], [u[3], r_vec[1]])
 
 
 def test_bundle_z_is_check_string_constant():

@@ -50,6 +50,7 @@ def test_honest_round_exact_aggregate():
     assert rep.aggregate_ok
     assert rep.aggregate == rep.expected
     assert rep.honest_dropouts == ()
+    assert rep.bad_blind_shares == ()
 
 
 def test_multi_round_exact():
@@ -94,8 +95,6 @@ def test_generate_updates_shape_and_norms():
     norms = [float(np.linalg.norm(u)) for u in ups]
     assert all(0.0 < x <= 2.5 for x in norms)
     assert generate_updates(5, 40, 32, 2.5)[0].tolist() == ups[0].tolist()
-    with pytest.raises(ValueError):
-        generate_updates(5, 4, 8, 1.0, distribution="cube")
 
 
 def test_generate_updates_norms_uniform():
@@ -269,6 +268,13 @@ def test_commit_linear_proof_sublinear_in_d():
     assert proof_growth < commit_growth
 
 
+@pytest.mark.parametrize("d,k", [(32, 2), (64, 4)])
+def test_mock_op_counts_equal_ristretto(d, k):
+    # both backends run the same multiexp loop, so mock counts are the
+    # work ristretto255 does
+    assert probe_costs(d, k, "mock").ops == probe_costs(d, k, "ristretto255").ops
+
+
 def test_proof_cost_grows_with_k():
     small, big = probe_costs(d=64, k=8), probe_costs(d=64, k=32)
     assert big.stage_total("client_proof") > 1.5 * small.stage_total("client_proof")
@@ -290,7 +296,6 @@ def test_config_yaml_roundtrip(tmp_path):
     assert cfg.rounds == 2
     assert cfg.attack == AttackSpec("scaling", scale=2.0, malicious_ids=(2,))
     assert cfg.formats == ("json",)
-    assert cfg.with_seed(77).seed == 77
 
 
 def test_config_rejects_unknown_keys(tmp_path):

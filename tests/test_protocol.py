@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,10 +5,8 @@ from savi.group import GeneratorSet, make_backend
 from savi.protocol import (
     AbortServerMaliciousError,
     Client,
-    DefensePredicate,
     Server,
     ShareVerifyFailedError,
-    convert_defense,
 )
 from savi.protocol.pairwise import keygen, open_share, pairwise_key, seal_share
 from savi.rng import DeterministicRng
@@ -52,7 +48,7 @@ def _small_updates(params, seed, scale=0.3):
     return out
 
 
-def _run_round(server, clients, updates, round_no=1, drop_rprime=()):
+def _run_round(server, clients, updates, round_no=1, drop_rprime=(), corrupt_rprime=()):
     server.begin_round(round_no)
     bundles = {i: c.commit_round(round_no, updates[i]) for i, c in clients.items()}
     server.receive_bundles(bundles)
@@ -73,6 +69,8 @@ def _run_round(server, clients, updates, round_no=1, drop_rprime=()):
         i: (None if i in drop_rprime else clients[i].aggregate_round(honest))
         for i in honest
     }
+    for i in corrupt_rprime:
+        r_primes[i] += 1
     return server.aggregate(r_primes), honest
 
 
@@ -403,25 +401,26 @@ def test_aggregate_below_threshold_fails():
 
 
 def test_corrupted_r_prime_identified():
+    # one bad share of five, threshold 3: recovery drops it and completes
     params = _params(n=5, m=2)
     server, clients = _network(params, seed=b"badr")
     updates = _small_updates(params, seed=15)
-    server.begin_round(1)
-    bundles = {i: c.commit_round(1, updates[i]) for i, c in clients.items()}
-    server.receive_bundles(bundles)
-    flags = {
-        i: c.verify_shares({j: b for j, b in bundles.items() if j != i})
-        for i, c in clients.items()
-    }
-    server.resolve_flags(flags)
-    nonce, h = server.proof_round()
-    proofs = {i: clients[i].proof_round(nonce, h) for i in server.surviving}
-    honest = server.receive_proofs(proofs)
-    r_primes = {i: clients[i].aggregate_round(honest) for i in honest}
-    r_primes[2] += 1
+    total, honest = _run_round(server, clients, updates, corrupt_rprime=(2,))
+    assert honest == [1, 2, 3, 4, 5]
+    assert total == [sum(updates[i][l] for i in honest) for l in range(params.d)]
+    assert server.bad_blind_shares == [2]
+
+
+def test_too_few_valid_r_primes_fails():
+    # three bad shares of five leave two valid, below threshold 3
+    params = _params(n=5, m=2)
+    server, clients = _network(params, seed=b"badr3")
+    updates = _small_updates(params, seed=16)
     with pytest.raises(ShareVerifyFailedError) as exc:
-        server.aggregate(r_primes)
-    assert exc.value.client_id == 2
+        _run_round(server, clients, updates, corrupt_rprime=(2, 3, 4))
+    assert exc.value.client_ids == (2, 3, 4)
+    assert isinstance(exc.value, InsufficientSharesError)
+    assert server.bad_blind_shares == [2, 3, 4]
 
 
 def test_empty_honest_set_aggregates_to_zero():
@@ -479,81 +478,3 @@ def test_malformed_bundle_marked():
     server.receive_bundles(bundles)
     assert server.malicious == {2: "malformed_bundle", 3: "no_commitment"}
     assert server.surviving == [1]
-
-
-# -- defense conversions ----------------------------------------------------------
-
-
-def test_convert_l2_is_identity():
-    shift, bound = convert_defense(DefensePredicate.l2(3.5), d=6)
-    assert shift == [0.0] * 6
-    assert bound == 3.5
-
-
-def test_convert_sphere_zero_center_equals_l2():
-    assert convert_defense(DefensePredicate.sphere([0.0] * 4, 2.0), 4) == (
-        [0.0] * 4,
-        2.0,
-    )
-
-
-def test_convert_zeno_known_point():
-    # gamma=2, rho=1, eps=0, v=e1: shift = v, bound = |v| exactly
-    shift, bound = convert_defense(
-        DefensePredicate.zeno([1.0, 0.0, 0.0], rho=1.0, gamma=2.0, eps=0.0), 3
-    )
-    assert shift == [1.0, 0.0, 0.0]
-    assert math.isclose(bound, 1.0)
-
-
-def test_convert_zeno_general():
-    v = [3.0, 4.0]  # |v| = 5
-    rho, gamma, eps = 2.0, 1.0, 8.0
-    shift, bound = convert_defense(DefensePredicate.zeno(v, rho, gamma, eps), 2)
-    ratio = gamma / (2 * rho)
-    assert shift == [ratio * x for x in v]
-    assert math.isclose(bound, math.sqrt((gamma / rho) * eps + ratio * ratio * 25.0))
-
-
-def test_convert_cosine_norm_component_only():
-    # only the ball part converts; the directional half is not provable here
-    shift, bound = convert_defense(
-        DefensePredicate.cosine([1.0, 2.0], bound=4.0, alpha=0.5), 2
-    )
-    assert shift == [1.0, 2.0]
-    assert bound == 4.0
-
-
-def test_convert_defense_validation():
-    with pytest.raises(ValueError):
-        convert_defense(DefensePredicate.l2(0.0), 4)
-    with pytest.raises(ValueError):
-        convert_defense(DefensePredicate.sphere([1.0], 2.0), 4)  # wrong dim
-    with pytest.raises(ValueError):
-        convert_defense(DefensePredicate.cosine([1.0] * 4, 2.0, alpha=2.0), 4)
-    with pytest.raises(ValueError):
-        convert_defense(DefensePredicate.zeno([1.0] * 4, rho=0.0, gamma=1.0, eps=1.0), 4)
-    with pytest.raises(ValueError):
-        convert_defense(DefensePredicate(kind="median"), 4)
-
-
-def test_sphere_defense_end_to_end():
-    # commit u - v, aggregate, add |H| * v back: exact recentered sum
-    params = _params(n=3, m=1)
-    server, clients = _network(params, seed=b"sphere")
-    center = [2.0, -1.0, 0.0, 0.5, 0.0, 0.0, 0.0, 1.0]
-    pred = DefensePredicate.sphere(center, bound=2.0)
-    shift_f, bound = convert_defense(pred, params.d)
-    scale = 1 << params.frac_bits
-    shift = [round(x * scale) for x in shift_f]
-    rng = np.random.default_rng(20)
-    updates, shifted = {}, {}
-    for i in clients:
-        x = rng.standard_normal(params.d)
-        x *= 0.3 * bound * scale / np.linalg.norm(x)
-        delta = [int(round(v)) for v in x]
-        updates[i] = [s + dl for s, dl in zip(shift, delta)]
-        shifted[i] = delta
-    total, honest = _run_round(server, clients, shifted)
-    recovered = [t + len(honest) * s for t, s in zip(total, shift)]
-    assert recovered == [sum(updates[i][l] for i in honest) for l in range(params.d)]
