@@ -14,16 +14,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..group.base import GROUP_ORDER
 from ..group.generators import GeneratorSet
-from ..group.multiexp import multiexp, sum_points
 from ..rng import Rng
 from ..sampling import CheckParameters, SampleMatrix
 from ..zkp import IntegrityProof
-from ..zkp.rangeproof import gen_range_proof
-from ..zkp.sigma import gen_prf_sq, gen_prf_wf
-
-_Q = GROUP_ORDER
+from ..zkp.integrity import _prove
 
 ATTACK_KINDS = ("none", "sign_flip", "scaling", "additive_noise", "oversized_norm")
 
@@ -98,8 +93,11 @@ def forge_integrity_proof(
     matrix: SampleMatrix,
     h: Sequence,
     z,
+    y: Sequence,
     r: int,
     u: Sequence[int],
+    round_no: int,
+    client_id: int,
     rng: Rng,
 ) -> IntegrityProof:
     """What a rational cheater sends when the bound check would fail.
@@ -110,46 +108,6 @@ def forge_integrity_proof(
     every other sub-proof internally valid.  The well-formedness check,
     which ties e_star's secrets to o's, is where verification fails.
     """
-    k = params.k
-    g, q = gens.g, gens.q
     v = matrix.row_inner(u)
-    v_mod = [v[0]] + [x % _Q for x in v[1:]]
-    fake_v = [v[0]] + [0] * k
-
-    s = [rng.scalar() for _ in range(k)]
-    s_prime = [rng.scalar() for _ in range(k)]
-    e_star = [multiexp([g, h[t]], [v_mod[t], r]) for t in range(k + 1)]
-    o = [multiexp([g, q], [0, s[t]]) for t in range(k)]
-    o_prime = [multiexp([g, q], [0, s_prime[t]]) for t in range(k)]
-    p_commit = (params.b0 % _Q) * g - sum_points(o_prime, backend=gens.backend)
-
-    rho = gen_prf_wf(g, q, h, z, e_star, o, r, fake_v, s, rng)
-    tau = gen_prf_sq(g, q, o, o_prime, fake_v[1:], s, s_prime, rng)
-    shift = 1 << (params.b_ip - 1)
-    pad = params.k_padded - k
-    sigma = gen_range_proof(
-        gens,
-        params.b_ip,
-        [shift] * k + [0] * pad,
-        list(s) + [0] * pad,
-        rng,
-        label="shifted-projections",
-    )
-    mu = gen_range_proof(
-        gens,
-        params.b_max,
-        [params.b0],
-        [-sum(s_prime) % _Q],
-        rng,
-        label="norm-slack",
-    )
-    return IntegrityProof(
-        e_star=tuple(e_star),
-        o=tuple(o),
-        o_prime=tuple(o_prime),
-        p_commit=p_commit,
-        rho=rho,
-        tau=tau,
-        sigma=sigma,
-        mu=mu,
-    )
+    claims = [0] * params.k
+    return _prove(params, gens, matrix, h, z, y, r, v, claims, round_no, client_id, rng)

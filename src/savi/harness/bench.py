@@ -75,12 +75,12 @@ def probe_costs(d: int, k: int, backend_name: str = "mock", seed: int = 7) -> Co
     def prove():
         if not ver_crt(gens.w, h, matrix, rng):
             raise AssertionError("h inconsistent in bench probe")
-        return gen_integrity_proof(params, gens, matrix, h, z, r, u, rng)
+        return gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
 
     proof = meter.run("client_proof", prove)
     ok, reason = meter.run(
         "server_verify",
-        lambda: ver_integrity_proof(params, gens, matrix, h, z, y, proof, rng),
+        lambda: ver_integrity_proof(params, gens, matrix, h, z, y, proof, 1, 1, rng),
     )
     if not ok:
         raise AssertionError(f"bench probe proof rejected: {reason}")
@@ -175,9 +175,9 @@ def measure_communication(d: int, k: int, n: int = 8, m: int = 1, seed: int = 11
         u_small = [0] * d_small
         u_small[0] = 1 << params.frac_bits
         r_small = rng.scalar()
-        z_small = r_small * gens.g
+        y_small, z_small = commit_update(u_small, r_small, gens)
         proof = gen_integrity_proof(
-            params, gens, matrix, h, z_small, r_small, u_small, rng
+            params, gens, matrix, h, z_small, y_small, r_small, u_small, 1, 1, rng
         )
         proof_sizes.append(len(proof.to_bytes()))
     if proof_sizes[0] != proof_sizes[1]:

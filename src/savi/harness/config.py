@@ -45,6 +45,8 @@ class SimulationConfig:
             raise ValueError("rounds must be positive")
         if self.workers < 1:
             raise ValueError("workers must be positive")
+        if not 0 <= self.seed < 1 << 128:
+            raise ValueError("seed must be in [0, 2^128)")
         if self.backend not in ("mock", "ristretto255"):
             raise ValueError(f"unknown backend {self.backend!r}")
         bad = [f for f in self.formats if f not in _FORMATS]

@@ -236,9 +236,12 @@ class Simulation:
             self.gens,
             matrix,
             h,
-            client.r * self.gens.g,
+            client.z,
+            client.y,
             client.r,
             client.u,
+            client.round_no,
+            client.id,
             client.rng,
         )
 

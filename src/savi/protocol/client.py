@@ -43,6 +43,8 @@ class Client:
     def _reset_round_state(self) -> None:
         self.u: list[int] = []
         self.r = 0
+        self.y: list[Point] = []
+        self.z: Point | None = None
         self.dealt_shares: dict[int, Share] = {}
         self.received_shares: dict[int, Share] = {}
         self.peer_checks: dict[int, CheckString] = {}
@@ -79,7 +81,7 @@ class Client:
         )
         self.dealt_shares = {sh.index: sh for sh in shares}
         self.received_shares = {self.id: self.dealt_shares[self.id]}
-        y, z = commit_update(self.u, self.r, self.gens)
+        self.y, self.z = commit_update(self.u, self.r, self.gens)
         sealed = tuple(
             b""
             if j == self.id
@@ -90,7 +92,7 @@ class Client:
         )
         self._advance("committed")
         return CommitmentBundle(
-            y=tuple(y), z=z, encrypted_shares=sealed, check_string=check
+            y=tuple(self.y), z=self.z, encrypted_shares=sealed, check_string=check
         )
 
     # -- stage 2: share verification and flagging ---------------------------
@@ -148,7 +150,8 @@ class Client:
         if not ver_crt(self.gens.w, h, matrix, self.rng):
             raise AbortServerMaliciousError("server h vector inconsistent with seed")
         proof = gen_integrity_proof(
-            self.params, self.gens, matrix, h, self.r * self.gens.g, self.r, self.u, self.rng
+            self.params, self.gens, matrix, h, self.z, self.y, self.r, self.u,
+            self.round_no, self.id, self.rng,
         )
         self._advance("proved")
         return proof

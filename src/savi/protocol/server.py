@@ -197,6 +197,8 @@ class Server:
                 bundle.z,
                 bundle.y,
                 proof,
+                self.round_no,
+                i,
                 self.rng,
             )
             if not ok:

@@ -11,8 +11,11 @@ blind commitment z shows, without revealing u:
   * each shifted v_t + 2^(b_ip-1) lies in [0, 2^b_ip) (range proof on
     2^(b_ip-1) g + o_t);
   * B0 - sum v_t^2 lies in [0, 2^b_max) (range proof on
-    p_commit = B0 g - sum o_prime_t), i.e. the projected norm is bounded.
+    B0 g - sum o_prime_t, which the verifier derives), i.e. the projected
+    norm is bounded.
 
+All four sub-proofs draw their challenges from one transcript bound to
+the check parameters, the round and the client's commitments.
 Verification reports which sub-check failed so the simulator can
 attribute rejections.
 """
@@ -36,15 +39,13 @@ from .sigma import (
     ver_prf_sq,
     ver_prf_wf,
 )
+from .transcript import Transcript
 from .vercrt import ver_crt
 
 if TYPE_CHECKING:
     from ..sampling import CheckParameters, SampleMatrix
 
 _Q = GROUP_ORDER
-
-_PROJECTION_RANGE_LABEL = "shifted-projections"
-_SLACK_RANGE_LABEL = "norm-slack"
 
 
 class BoundExceededError(Exception):
@@ -63,7 +64,6 @@ class IntegrityProof:
     e_star: tuple[Point, ...]
     o: tuple[Point, ...]
     o_prime: tuple[Point, ...]
-    p_commit: Point
     rho: WellFormedProof
     tau: SquareProof
     sigma: RangeProof
@@ -72,7 +72,6 @@ class IntegrityProof:
     def to_bytes(self) -> bytes:
         w = ByteWriter()
         w.point_vec(self.e_star).point_vec(self.o).point_vec(self.o_prime)
-        w.point(self.p_commit)
         w.var_bytes(self.rho.to_bytes())
         w.var_bytes(self.tau.to_bytes())
         w.var_bytes(self.sigma.to_bytes())
@@ -86,7 +85,6 @@ class IntegrityProof:
             e_star=tuple(r.point_vec(backend)),
             o=tuple(r.point_vec(backend)),
             o_prime=tuple(r.point_vec(backend)),
-            p_commit=r.point(backend),
             rho=WellFormedProof.from_bytes(r.var_bytes(), backend),
             tau=SquareProof.from_bytes(r.var_bytes(), backend),
             sigma=RangeProof.from_bytes(r.var_bytes(), backend),
@@ -100,68 +98,97 @@ def _padded(values: list[int], pad_to: int) -> list[int]:
     return values + [0] * (pad_to - len(values))
 
 
+def _transcript(
+    params: "CheckParameters", matrix: "SampleMatrix", round_no: int, client_id: int,
+    y: Sequence[Point], z: Point,
+) -> Transcript:
+    """The one Fiat–Shamir transcript of a client's proof in a round."""
+    tr = Transcript("integrity-proof")
+    for label in ("d", "k", "M", "b_ip", "b_max"):
+        tr.absorb_u64(label, getattr(params, label))
+    tr.absorb_bytes("B0", params.b0.to_bytes((params.b_max + 7) // 8, "little"))
+    tr.absorb_bytes("seed", matrix.seed)
+    tr.absorb_u64("round", round_no)
+    tr.absorb_u64("client", client_id)
+    tr.absorb_points("y", y)
+    tr.absorb_point("z", z)
+    return tr
+
+
 def gen_integrity_proof(
     params: "CheckParameters",
     gens: GeneratorSet,
     matrix: "SampleMatrix",
     h: Sequence[Point],
     z: Point,
+    y: Sequence[Point],
     r: int,
     u: Sequence[int],
+    round_no: int,
+    client_id: int,
     rng: Rng,
 ) -> IntegrityProof:
     """Produce the full proof for update u under blind r.
 
     Preconditions (the protocol layer guarantees them): the caller has
     checked h against the matrix with ver_crt, u is the committed
-    update, z = r g.  Raises BoundExceededError when the projections
-    genuinely exceed B0 — the honest response is to sit the round out.
+    update, (y, z) = commit_update(u, r).  Raises BoundExceededError
+    when the projections genuinely exceed B0 — the honest response is
+    to sit the round out.
     """
-    k = params.k
-    if len(u) != params.d or matrix.k != k or len(h) != k + 1:
+    if len(u) != params.d or matrix.k != params.k or len(h) != params.k + 1:
         raise ValueError("dimension mismatch between update, matrix and h")
-    g, q = gens.g, gens.q
-
     v = matrix.row_inner(u)  # v[0] already reduced; v[1:] signed ints
     total = sum(x * x for x in v[1:])
     if total > params.b0:
         raise BoundExceededError(total, params.b0)
+    return _prove(params, gens, matrix, h, z, y, r, v, v[1:], round_no, client_id, rng)
+
+
+def _prove(
+    params: "CheckParameters", gens: GeneratorSet, matrix: "SampleMatrix",
+    h: Sequence[Point], z: Point, y: Sequence[Point], r: int, v: Sequence[int],
+    claims: Sequence[int], round_no: int, client_id: int, rng: Rng,
+) -> IntegrityProof:
+    """Prove that e_star opens the true projections v and that the
+    claimed projections (v[1:] for an honest client) pass the norm
+    check.  Only an honest claim yields a proof that verifies."""
+    k = params.k
+    g, q = gens.g, gens.q
+    tr = _transcript(params, matrix, round_no, client_id, y, z)
 
     v_mod = [v[0]] + [x % _Q for x in v[1:]]
+    claims_mod = [x % _Q for x in claims]
     s = [rng.scalar() for _ in range(k)]
     s_prime = [rng.scalar() for _ in range(k)]
     e_star = [multiexp([g, h[t]], [v_mod[t], r]) for t in range(k + 1)]
-    o = [multiexp([g, q], [v_mod[1 + t], s[t]]) for t in range(k)]
-    o_prime = [
-        multiexp([g, q], [v[1 + t] * v[1 + t] % _Q, s_prime[t]]) for t in range(k)
-    ]
-    p_commit = (params.b0 % _Q) * g - sum_points(o_prime, backend=gens.backend)
+    o = [multiexp([g, q], [claims_mod[t], s[t]]) for t in range(k)]
+    o_prime = [multiexp([g, q], [c * c % _Q, sp]) for c, sp in zip(claims, s_prime)]
 
-    rho = gen_prf_wf(g, q, h, z, e_star, o, r, v_mod, s, rng)
-    tau = gen_prf_sq(g, q, o, o_prime, v_mod[1:], s, s_prime, rng)
+    rho = gen_prf_wf(g, q, h, z, e_star, o, r, [v[0]] + claims_mod, s, rng, tr)
+    tau = gen_prf_sq(g, q, o, o_prime, claims_mod, s, s_prime, rng, tr)
 
     shift = 1 << (params.b_ip - 1)
     sigma = gen_range_proof(
         gens,
         params.b_ip,
-        _padded([x + shift for x in v[1:]], params.k_padded),
-        _padded(list(s), params.k_padded),
+        _padded([x + shift for x in claims], params.k_padded),
+        _padded(s, params.k_padded),
         rng,
-        label=_PROJECTION_RANGE_LABEL,
+        tr,
     )
     mu = gen_range_proof(
         gens,
         params.b_max,
-        [params.b0 - total],
+        [params.b0 - sum(x * x for x in claims)],
         [-sum(s_prime) % _Q],
         rng,
-        label=_SLACK_RANGE_LABEL,
+        tr,
     )
     return IntegrityProof(
         e_star=tuple(e_star),
         o=tuple(o),
         o_prime=tuple(o_prime),
-        p_commit=p_commit,
         rho=rho,
         tau=tau,
         sigma=sigma,
@@ -177,13 +204,15 @@ def ver_integrity_proof(
     z: Point,
     y: Sequence[Point],
     proof: IntegrityProof,
+    round_no: int,
+    client_id: int,
     rng: Rng,
 ) -> tuple[bool, str | None]:
     """Check all sub-proofs; returns (verdict, failed-check label).
 
-    The labels ("consistency", "wellformed", "square", "range_ip",
-    "sum_structure", "range_sum") feed the simulator's rejection
-    report; honest proofs return (True, None).
+    The labels ("malformed", "consistency", "wellformed", "square",
+    "range_ip", "range_sum") feed the simulator's rejection report;
+    honest proofs return (True, None).
     """
     k = params.k
     if (
@@ -198,24 +227,19 @@ def ver_integrity_proof(
 
     if not ver_crt(y, proof.e_star, matrix, rng):
         return False, "consistency"
-    if not ver_prf_wf(g, q, h, z, proof.e_star, proof.o, proof.rho, rng):
+    tr = _transcript(params, matrix, round_no, client_id, y, z)
+    if not ver_prf_wf(g, q, h, z, proof.e_star, proof.o, proof.rho, rng, tr):
         return False, "wellformed"
-    if not ver_prf_sq(g, q, proof.o, proof.o_prime, proof.tau, rng):
+    if not ver_prf_sq(g, q, proof.o, proof.o_prime, proof.tau, rng, tr):
         return False, "square"
 
     shift_point = (1 << (params.b_ip - 1)) * g
     shifted = [shift_point + o_t for o_t in proof.o]
     shifted += [gens.backend.identity()] * (params.k_padded - k)
-    if not ver_range_proof(
-        gens, params.b_ip, shifted, proof.sigma, label=_PROJECTION_RANGE_LABEL
-    ):
+    if not ver_range_proof(gens, params.b_ip, shifted, proof.sigma, tr):
         return False, "range_ip"
 
-    expected_p = (params.b0 % _Q) * g - sum_points(proof.o_prime, backend=gens.backend)
-    if proof.p_commit != expected_p:
-        return False, "sum_structure"
-    if not ver_range_proof(
-        gens, params.b_max, [proof.p_commit], proof.mu, label=_SLACK_RANGE_LABEL
-    ):
+    slack = (params.b0 % _Q) * g - sum_points(proof.o_prime, backend=gens.backend)
+    if not ver_range_proof(gens, params.b_max, [slack], proof.mu, tr):
         return False, "range_sum"
     return True, None

@@ -80,14 +80,6 @@ def _powers(y: int, n: int) -> list[int]:
     return out
 
 
-def _start_transcript(label: str, n_bits: int, commitments: Sequence[Point]) -> Transcript:
-    tr = Transcript(f"range-proof/{label}")
-    tr.absorb_u64("bits", n_bits)
-    tr.absorb_u64("values", len(commitments))
-    tr.absorb_points("V", commitments)
-    return tr
-
-
 def _check_sizes(gens: GeneratorSet, n_bits: int, m: int) -> int:
     nm = n_bits * m
     if nm <= 0 or nm & (nm - 1):
@@ -103,9 +95,10 @@ def gen_range_proof(
     values: Sequence[int],
     blinds: Sequence[int],
     rng: Rng,
-    label: str = "",
+    tr: Transcript,
 ) -> RangeProof:
-    """Prove values[j] in [0, 2^n_bits) under blinds[j].
+    """Prove values[j] in [0, 2^n_bits) under blinds[j], drawing the
+    challenges from ``tr`` after absorbing the statement.
 
     Raises ValueError when a value is outside the range — an honest
     caller must not be able to produce an unprovable statement.
@@ -122,7 +115,9 @@ def gen_range_proof(
     gs = list(gens.range_gens.gs[:nm])
     hs = list(gens.range_gens.hs[:nm])
     commitments = [multiexp([g, q], [v, gamma]) for v, gamma in zip(values, blinds)]
-    tr = _start_transcript(label, n_bits, commitments)
+    tr.absorb_u64("bits", n_bits)
+    tr.absorb_u64("values", m)
+    tr.absorb_points("V", commitments)
 
     a_l = [0] * nm
     for j, v in enumerate(values):
@@ -224,7 +219,7 @@ def ver_range_proof(
     n_bits: int,
     commitments: Sequence[Point],
     proof: RangeProof,
-    label: str = "",
+    tr: Transcript,
 ) -> bool:
     m = len(commitments)
     try:
@@ -240,7 +235,9 @@ def ver_range_proof(
     gs = list(gens.range_gens.gs[:nm])
     hs = list(gens.range_gens.hs[:nm])
 
-    tr = _start_transcript(label, n_bits, commitments)
+    tr.absorb_u64("bits", n_bits)
+    tr.absorb_u64("values", m)
+    tr.absorb_points("V", commitments)
     tr.absorb_point("A", proof.a_commit)
     tr.absorb_point("S", proof.s_commit)
     y = tr.nonzero_challenge("y")

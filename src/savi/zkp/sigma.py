@@ -1,4 +1,5 @@
-"""Sigma protocols for the commitment relations, Fiat–Shamir transformed.
+"""Sigma protocols for the commitment relations, Fiat–Shamir transformed
+on the caller's transcript (the challenge binds all absorbed before it).
 
 Two statements are proven about vectors of Pedersen-style commitments
 (written additively; g is the value base):
@@ -58,10 +59,9 @@ class SquareProof:
 
 
 def _square_challenge(
-    g: Point, h: Point, y1: Sequence[Point], y2: Sequence[Point],
+    tr: Transcript, g: Point, h: Point, y1: Sequence[Point], y2: Sequence[Point],
     t1: Sequence[Point], t2: Sequence[Point],
 ) -> int:
-    tr = Transcript("square-proof")
     tr.absorb_point("g", g)
     tr.absorb_point("h", h)
     tr.absorb_points("y1", y1)
@@ -80,6 +80,7 @@ def gen_prf_sq(
     r1: Sequence[int],
     r2: Sequence[int],
     rng: Rng,
+    tr: Transcript,
 ) -> SquareProof:
     k = len(x)
     if not (len(y1) == len(y2) == len(r1) == len(r2) == k):
@@ -89,7 +90,7 @@ def gen_prf_sq(
     v3 = [rng.scalar() for _ in range(k)]
     t1 = tuple(multiexp([g, h], [v1[i], v2[i]]) for i in range(k))
     t2 = tuple(multiexp([y1[i], h], [v1[i], v3[i]]) for i in range(k))
-    c = _square_challenge(g, h, y1, y2, t1, t2)
+    c = _square_challenge(tr, g, h, y1, y2, t1, t2)
     s1 = tuple((v1[i] - c * x[i]) % _Q for i in range(k))
     s2 = tuple((v2[i] - c * r1[i]) % _Q for i in range(k))
     s3 = tuple((v3[i] - c * (r2[i] - r1[i] * x[i])) % _Q for i in range(k))
@@ -103,6 +104,7 @@ def ver_prf_sq(
     y2: Sequence[Point],
     proof: SquareProof,
     rng: Rng,
+    tr: Transcript,
 ) -> bool:
     k = len(y1)
     if not (
@@ -111,7 +113,7 @@ def ver_prf_sq(
         and len(proof.s1) == len(proof.s2) == len(proof.s3) == k
     ):
         return False
-    c = _square_challenge(g, h, y1, y2, proof.t1, proof.t2)
+    c = _square_challenge(tr, g, h, y1, y2, proof.t1, proof.t2)
     alpha = [rng.nonzero_scalar() for _ in range(k)]
     beta = [rng.nonzero_scalar() for _ in range(k)]
 
@@ -172,11 +174,10 @@ class WellFormedProof:
 
 
 def _wellformed_challenge(
-    g: Point, q: Point, h: Sequence[Point], z: Point,
+    tr: Transcript, g: Point, q: Point, h: Sequence[Point], z: Point,
     e: Sequence[Point], o: Sequence[Point],
     u: Point, t: Sequence[Point], t_star: Sequence[Point],
 ) -> int:
-    tr = Transcript("wellformed-proof")
     tr.absorb_point("g", g)
     tr.absorb_point("q", q)
     tr.absorb_points("h", h)
@@ -200,6 +201,7 @@ def gen_prf_wf(
     v: Sequence[int],
     s: Sequence[int],
     rng: Rng,
+    tr: Transcript,
 ) -> WellFormedProof:
     """Prove z, e_0..e_k, o_1..o_k are well formed over secrets (r, v, s).
 
@@ -214,7 +216,7 @@ def gen_prf_wf(
     u = w_nonce * g
     t = tuple(multiexp([g, h[i]], [xs[i], w_nonce]) for i in range(k + 1))
     t_star = tuple(multiexp([g, q], [xs[i + 1], x_star[i]]) for i in range(k))
-    c = _wellformed_challenge(g, q, h, z, e, o, u, t, t_star)
+    c = _wellformed_challenge(tr, g, q, h, z, e, o, u, t, t_star)
     y = (w_nonce - c * r) % _Q
     y_vec = tuple((xs[i] - c * v[i]) % _Q for i in range(k + 1))
     y_star = tuple((x_star[i] - c * s[i]) % _Q for i in range(k))
@@ -230,6 +232,7 @@ def ver_prf_wf(
     o: Sequence[Point],
     proof: WellFormedProof,
     rng: Rng,
+    tr: Transcript,
 ) -> bool:
     k = len(o)
     if not (
@@ -241,7 +244,7 @@ def ver_prf_wf(
         and len(proof.y_star) == k
     ):
         return False
-    c = _wellformed_challenge(g, q, h, z, e, o, proof.u, proof.t, proof.t_star)
+    c = _wellformed_challenge(tr, g, q, h, z, e, o, proof.u, proof.t, proof.t_star)
     alpha = rng.nonzero_scalar()
     beta = [rng.nonzero_scalar() for _ in range(k + 1)]
     gamma = [rng.nonzero_scalar() for _ in range(k)]

@@ -36,6 +36,7 @@ from savi.sampling import (
 )
 from savi.vsss import Share, combine_check_strings, ss_recover, ss_share, ss_verify
 from savi.zkp import (
+    Transcript,
     gen_integrity_proof,
     gen_prf_sq,
     gen_prf_wf,
@@ -173,7 +174,7 @@ def _integrity_instance(params, u, seed):
     rng = DeterministicRng(seed + b"/c")
     r = rng.scalar()
     y, z = commit_update(u, r, gens)
-    proof = gen_integrity_proof(params, gens, matrix, h, z, r, u, rng)
+    proof = gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
     return gens, matrix, h, y, z, proof, rng
 
 
@@ -184,7 +185,6 @@ def _mutations(proof, g):
         rep(proof, e_star=proof.e_star[:-1] + (proof.e_star[-1] + g,)),
         rep(proof, o=(proof.o[0] + g,) + proof.o[1:]),
         rep(proof, o_prime=proof.o_prime[:-1] + (proof.o_prime[-1] + g,)),
-        rep(proof, p_commit=proof.p_commit + g),
         rep(proof, rho=rep(proof.rho, y=(proof.rho.y + 1) % Q)),
         rep(proof, rho=rep(proof.rho, u=proof.rho.u + g)),
         rep(proof, tau=rep(proof.tau, s1=((proof.tau.s1[0] + 1) % Q,) + proof.tau.s1[1:])),
@@ -210,17 +210,17 @@ def test_criterion_06_zkp_roundtrip_and_tamper_matrix():
         gens, matrix, h, y, z, proof, rng = _integrity_instance(
             params, u, seed=f"tamper/{i}".encode()
         )
-        ok, reason = ver_integrity_proof(params, gens, matrix, h, z, y, proof, rng)
+        ok, reason = ver_integrity_proof(params, gens, matrix, h, z, y, proof, 1, 1, rng)
         assert ok and reason is None
         honest_ok += 1
         for bad in _mutations(proof, gens.g):
-            ok, reason = ver_integrity_proof(params, gens, matrix, h, z, y, bad, rng)
+            ok, reason = ver_integrity_proof(params, gens, matrix, h, z, y, bad, 1, 1, rng)
             assert not ok and reason is not None
             rejected += 1
             total_cases += 1
         # commitment-side flips count too: y and z are proof inputs
         y_bad = [y[0] + gens.g] + list(y[1:])
-        ok, _ = ver_integrity_proof(params, gens, matrix, h, z, y_bad, proof, rng)
+        ok, _ = ver_integrity_proof(params, gens, matrix, h, z, y_bad, proof, 1, 1, rng)
         assert not ok
         rejected += 1
         total_cases += 1
@@ -231,13 +231,13 @@ def test_criterion_06_zkp_roundtrip_and_tamper_matrix():
 # -- 7. batch-verifier equivalence ------------------------------------------------
 
 
-def _naive_sq(g, q, o, o_prime, proof):
+def _naive_sq(g, q, o, o_prime, proof, tr):
     from savi.zkp.sigma import _square_challenge
 
     k = len(o)
     if not (len(proof.t1) == len(proof.t2) == len(proof.s1) == len(proof.s2) == len(proof.s3) == k):
         return False
-    c = _square_challenge(g, q, o, o_prime, proof.t1, proof.t2)
+    c = _square_challenge(tr, g, q, o, o_prime, proof.t1, proof.t2)
     for t in range(k):
         # t1 = s1 g + s2 q + c o ; t2 = s1 o + s3 q + c o' (responses use x - c w).
         if proof.t1[t] != multiexp([g, q, o[t]], [proof.s1[t], proof.s2[t], c]):
@@ -247,13 +247,13 @@ def _naive_sq(g, q, o, o_prime, proof):
     return True
 
 
-def _naive_wf(g, q, h, z, e, o, proof):
+def _naive_wf(g, q, h, z, e, o, proof, tr):
     from savi.zkp.sigma import _wellformed_challenge
 
     k = len(o)
     if len(e) != k + 1 or len(proof.t) != k + 1 or len(proof.t_star) != k:
         return False
-    c = _wellformed_challenge(g, q, h, z, e, o, proof.u, proof.t, proof.t_star)
+    c = _wellformed_challenge(tr, g, q, h, z, e, o, proof.u, proof.t, proof.t_star)
     if proof.u != multiexp([g, z], [proof.y, c]):
         return False
     for t in range(k + 1):
@@ -276,16 +276,19 @@ def test_criterion_07_batch_equals_naive():
         rng = root.child(f"i/{i}")
         tamper = i % 3 == 1
 
+        def tr():  # prover, batch and naive verifier replay one transcript state
+            return Transcript(f"b7/{i}")
+
         # square proof instance
         v = [rng.scalar() % 97 - 48 for _ in range(k)]
         s = [rng.scalar() for _ in range(k)]
         s_p = [rng.scalar() for _ in range(k)]
         o = [multiexp([g, q], [x % Q, si]) for x, si in zip(v, s)]
         o_p = [multiexp([g, q], [x * x % Q, si]) for x, si in zip(v, s_p)]
-        tau = gen_prf_sq(g, q, o, o_p, [x % Q for x in v], s, s_p, rng)
+        tau = gen_prf_sq(g, q, o, o_p, [x % Q for x in v], s, s_p, rng, tr())
         if tamper:
             tau = dataclasses.replace(tau, s2=((tau.s2[0] + 1) % Q,) + tau.s2[1:])
-        assert ver_prf_sq(g, q, o, o_p, tau, rng) == _naive_sq(g, q, o, o_p, tau)
+        assert ver_prf_sq(g, q, o, o_p, tau, rng, tr()) == _naive_sq(g, q, o, o_p, tau, tr())
         sq_agree += 1
 
         # wellformed proof instance
@@ -300,10 +303,12 @@ def test_criterion_07_batch_equals_naive():
         vm = [vm[0]] + [x % Q for x in vm[1:]]
         e = [multiexp([g, h[t]], [vm[t], r]) for t in range(k + 1)]
         o2 = [multiexp([g, q], [vm[1 + t], s[t]]) for t in range(k)]
-        rho = gen_prf_wf(g, q, h, z := r * g, e, o2, r, vm, s, rng)
+        rho = gen_prf_wf(g, q, h, z := r * g, e, o2, r, vm, s, rng, tr())
         if tamper:
             rho = dataclasses.replace(rho, y=(rho.y + 1) % Q)
-        assert ver_prf_wf(g, q, h, z, e, o2, rho, rng) == _naive_wf(g, q, h, z, e, o2, rho)
+        assert ver_prf_wf(g, q, h, z, e, o2, rho, rng, tr()) == _naive_wf(
+            g, q, h, z, e, o2, rho, tr()
+        )
         wf_agree += 1
 
         # consistency batch

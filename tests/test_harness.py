@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -74,6 +75,38 @@ def test_deterministic_given_seed():
         # timings are explicitly not part of the deterministic surface
     c = run_simulation(_tiny(rounds=2, seed=4))
     assert c[0].aggregate != a[0].aggregate
+
+
+# The uplink of a fixed-seed round, proofs included, is pinned byte for
+# byte.  Changing these bytes changes the wire format or the proofs, and
+# requires a bump of the transcript domain (savi/vN/transcript).
+_PINNED_ROUNDS = [
+    (
+        dict(n=5, m=2, d=16, k=4, M=16, b_ip=32, b_max=64, epsilon_log2=-16, seed=3,
+             attack=AttackSpec("oversized_norm", scale=10.0, malicious_ids=(2, 4))),
+        "475d4fc747b1f94fcc9fac677bae8be3476fbd18b365728595f9fd6869962e2d",
+        (1, 3, 5),
+        {2: "proof_wellformed", 4: "proof_wellformed"},
+    ),
+    (
+        dict(n=3, m=1, d=4, k=1, M=1, b_ip=16, b_max=32, epsilon_log2=-16, seed=3,
+             backend="ristretto255",
+             attack=AttackSpec("oversized_norm", scale=10.0, malicious_ids=(3,))),
+        "419b55a28f738ea8a8e337bdc52a9fb5133e1b318483424aa416ec6f263bc0ba",
+        (1, 2),
+        {3: "proof_wellformed"},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "fields,digest,honest,excluded", _PINNED_ROUNDS, ids=["mock", "ristretto255"]
+)
+def test_fixed_seed_uplink_pinned(fields, digest, honest, excluded):
+    (rep,) = run_simulation(SimulationConfig(**fields))
+    uplink = b"".join(rep.transcripts[i] for i in sorted(rep.transcripts))
+    assert hashlib.sha256(uplink).hexdigest() == digest
+    assert (rep.honest, rep.excluded, rep.aggregate_ok) == (honest, excluded, True)
 
 
 def test_workers_do_not_change_verdicts():
@@ -308,6 +341,10 @@ def test_config_validation_errors():
         _tiny(rounds=0)
     with pytest.raises(ValueError):
         _tiny(workers=0)
+    with pytest.raises(ValueError, match="seed"):
+        _tiny(seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        _tiny(seed=1 << 128)
     with pytest.raises(ValueError):
         _tiny(backend="gpu")
     with pytest.raises(ValueError):

@@ -50,8 +50,8 @@ def test_zero_update_roundtrip():
     params = _params(k=4, d=8)
     u = [0] * params.d
     gens, matrix, h, y, z, r, rng = _instance(params, u)
-    proof = gen_integrity_proof(params, gens, matrix, h, z, r, u, rng)
-    ok, reason = ver_integrity_proof(params, gens, matrix, h, z, y, proof, rng)
+    proof = gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
+    ok, reason = ver_integrity_proof(params, gens, matrix, h, z, y, proof, 1, 1, rng)
     assert ok and reason is None
 
 
@@ -60,8 +60,8 @@ def test_half_bound_update_roundtrip():
     u = _scaled_update(params, 0.5, np.random.default_rng(5))
     assert plaintext_check(u, sample_matrix(b"itest", 16, 32, 16), b0=params.b0)
     gens, matrix, h, y, z, r, rng = _instance(params, u)
-    proof = gen_integrity_proof(params, gens, matrix, h, z, r, u, rng)
-    ok, reason = ver_integrity_proof(params, gens, matrix, h, z, y, proof, rng)
+    proof = gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
+    ok, reason = ver_integrity_proof(params, gens, matrix, h, z, y, proof, 1, 1, rng)
     assert ok and reason is None
 
 
@@ -70,7 +70,7 @@ def test_bound_exceeded_raises_with_totals():
     u = _scaled_update(params, 50.0, np.random.default_rng(6))
     gens, matrix, h, y, z, r, rng = _instance(params, u)
     with pytest.raises(BoundExceededError) as exc:
-        gen_integrity_proof(params, gens, matrix, h, z, r, u, rng)
+        gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
     assert exc.value.total > exc.value.b0 == params.b0
 
 
@@ -79,21 +79,21 @@ def test_dimension_mismatch_refused():
     u = [1] * params.d
     gens, matrix, h, y, z, r, rng = _instance(params, u)
     with pytest.raises(ValueError):
-        gen_integrity_proof(params, gens, matrix, h[:-1], z, r, u, rng)
+        gen_integrity_proof(params, gens, matrix, h[:-1], z, y, r, u, 1, 1, rng)
     with pytest.raises(ValueError):
-        gen_integrity_proof(params, gens, matrix, h, z, r, u + [0], rng)
+        gen_integrity_proof(params, gens, matrix, h, z, y, r, u + [0], 1, 1, rng)
 
 
 def test_each_tampered_component_names_its_check():
     params = _params(k=4, d=8)
     u = _scaled_update(params, 0.4, np.random.default_rng(7))
     gens, matrix, h, y, z, r, rng = _instance(params, u)
-    proof = gen_integrity_proof(params, gens, matrix, h, z, r, u, rng)
+    proof = gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
     g = gens.g
 
     def verdict(p, y_=None, h_=None):
         return ver_integrity_proof(
-            params, gens, matrix, h_ or h, z, y_ or y, p, rng
+            params, gens, matrix, h_ or h, z, y_ or y, p, 1, 1, rng
         )
 
     assert verdict(proof) == (True, None)
@@ -133,7 +133,6 @@ def test_each_tampered_component_names_its_check():
             ),
             "range_ip",
         ),
-        (dataclasses.replace(proof, p_commit=proof.p_commit + g), "sum_structure"),
         (
             dataclasses.replace(
                 proof, mu=dataclasses.replace(proof.mu, b=(proof.mu.b + 1) % Q)
@@ -162,15 +161,48 @@ def test_tampering_o_flips_wellformed_then_square():
     params = _params(k=4, d=8)
     u = [1, 0, -2, 1, 0, 0, 3, -1]
     gens, matrix, h, y, z, r, rng = _instance(params, u)
-    proof = gen_integrity_proof(params, gens, matrix, h, z, r, u, rng)
+    proof = gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
     bad_o = dataclasses.replace(proof, o=(proof.o[0] + gens.g,) + proof.o[1:])
-    ok, reason = ver_integrity_proof(params, gens, matrix, h, z, y, bad_o, rng)
+    ok, reason = ver_integrity_proof(params, gens, matrix, h, z, y, bad_o, 1, 1, rng)
     assert (ok, reason) == (False, "wellformed")
     bad_op = dataclasses.replace(
         proof, o_prime=(proof.o_prime[0] + gens.g,) + proof.o_prime[1:]
     )
-    ok, reason = ver_integrity_proof(params, gens, matrix, h, z, y, bad_op, rng)
+    ok, reason = ver_integrity_proof(params, gens, matrix, h, z, y, bad_op, 1, 1, rng)
     assert (ok, reason) == (False, "square")
+
+
+def test_proof_bound_to_round_and_client():
+    # one transcript binds the session: replaying a proof in another
+    # round or under another client id fails the first transcript check
+    params = _params(k=4, d=8)
+    u = [1, 0, -2, 1, 0, 0, 3, -1]
+    gens, matrix, h, y, z, r, rng = _instance(params, u)
+    proof = gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
+    for round_no, client_id, expected in [
+        (1, 1, (True, None)),
+        (2, 1, (False, "wellformed")),
+        (1, 2, (False, "wellformed")),
+    ]:
+        verdict = ver_integrity_proof(
+            params, gens, matrix, h, z, y, proof, round_no, client_id, rng
+        )
+        assert verdict == expected
+
+
+def test_forgery_of_zero_update_is_the_honest_proof():
+    # honest and forged proofs come from one prover: with zero
+    # projections the claims coincide, and so do the bytes
+    params = _params(k=4, d=8)
+    u = [0] * params.d
+    gens, matrix, h, y, z, r, _ = _instance(params, u)
+    honest = gen_integrity_proof(
+        params, gens, matrix, h, z, y, r, u, 3, 2, DeterministicRng(b"same")
+    )
+    forged = forge_integrity_proof(
+        params, gens, matrix, h, z, y, r, u, 3, 2, DeterministicRng(b"same")
+    )
+    assert forged.to_bytes() == honest.to_bytes()
 
 
 @pytest.mark.parametrize("k,d", [(4, 8), (16, 32), (64, 128)])
@@ -183,14 +215,14 @@ def test_completeness_across_scales(k, d):
         seed = f"scale/{k}/{d}/{trial}".encode()
         gens, matrix, h, y, z, r, rng = _instance(params, u, seed=seed)
         try:
-            proof = gen_integrity_proof(params, gens, matrix, h, z, r, u, rng)
+            proof = gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
         except BoundExceededError:
             # the probabilistic check may fire near c ~ 0.9; plaintext
             # path must agree that it fired
             assert not plaintext_check(u, matrix, b0=params.b0)
             continue
         assert plaintext_check(u, matrix, b0=params.b0)
-        ok, reason = ver_integrity_proof(params, gens, matrix, h, z, y, proof, rng)
+        ok, reason = ver_integrity_proof(params, gens, matrix, h, z, y, proof, 1, 1, rng)
         assert ok and reason is None
 
 
@@ -198,12 +230,12 @@ def test_serialization_roundtrip():
     params = _params(k=4, d=8)
     u = [2, -1, 0, 3, 0, 0, -2, 1]
     gens, matrix, h, y, z, r, rng = _instance(params, u)
-    proof = gen_integrity_proof(params, gens, matrix, h, z, r, u, rng)
+    proof = gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
     from savi.zkp import IntegrityProof
 
     back = IntegrityProof.from_bytes(proof.to_bytes(), backend)
     assert back == proof
-    ok, reason = ver_integrity_proof(params, gens, matrix, h, z, y, back, rng)
+    ok, reason = ver_integrity_proof(params, gens, matrix, h, z, y, back, 1, 1, rng)
     assert ok
     with pytest.raises(ValueError):
         IntegrityProof.from_bytes(proof.to_bytes() + b"\x00", backend)
@@ -220,9 +252,9 @@ def test_forged_proof_for_oversized_update_rejected():
         seed = f"forge/{trial}".encode()
         gens, matrix, h, y, z, r, rng = _instance(params, u, seed=seed)
         with pytest.raises(BoundExceededError):
-            gen_integrity_proof(params, gens, matrix, h, z, r, u, rng)
-        forged = forge_integrity_proof(params, gens, matrix, h, z, r, u, rng)
-        ok, reason = ver_integrity_proof(params, gens, matrix, h, z, y, forged, rng)
+            gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
+        forged = forge_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
+        ok, reason = ver_integrity_proof(params, gens, matrix, h, z, y, forged, 1, 1, rng)
         assert (ok, reason) == (False, "wellformed")
 
 
@@ -241,14 +273,14 @@ def test_zkp_agrees_with_plaintext_near_boundary():
         gens, matrix, h, y, z, r, rng = _instance(params, u, seed=seed)
         reference = plaintext_check(u, matrix, b0=params.b0)
         try:
-            proof = gen_integrity_proof(params, gens, matrix, h, z, r, u, rng)
+            proof = gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
         except BoundExceededError:
             raised += 1
             assert not reference
             continue
         passed += 1
         assert reference
-        ok, _ = ver_integrity_proof(params, gens, matrix, h, z, y, proof, rng)
+        ok, _ = ver_integrity_proof(params, gens, matrix, h, z, y, proof, 1, 1, rng)
         assert ok
     # the band genuinely straddles the threshold
     assert raised >= 3 and passed >= 3

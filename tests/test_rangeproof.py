@@ -3,7 +3,7 @@ import pytest
 from savi.group import GROUP_ORDER, GeneratorSet, make_backend
 from savi.group.multiexp import multiexp
 from savi.rng import DeterministicRng
-from savi.zkp import gen_range_proof, ver_range_proof
+from savi.zkp import Transcript, gen_range_proof, ver_range_proof
 from savi.zkp.rangeproof import RangeProof
 
 Q = GROUP_ORDER
@@ -16,18 +16,24 @@ def _commit(value, blind):
     return multiexp([GENS.g, GENS.q], [value % Q, blind % Q])
 
 
-def _prove(values, blinds, n_bits, label=""):
-    return gen_range_proof(GENS, n_bits, values, blinds, DeterministicRng(b"rp"), label=label)
+def _tr(context="range-test"):
+    return Transcript(context)
+
+
+def _prove(values, blinds, n_bits, context="range-test"):
+    return gen_range_proof(
+        GENS, n_bits, values, blinds, DeterministicRng(b"rp"), _tr(context)
+    )
 
 
 def test_value_zero_verifies():
     proof = _prove([0], [5], 8)
-    assert ver_range_proof(GENS, 8, [_commit(0, 5)], proof)
+    assert ver_range_proof(GENS, 8, [_commit(0, 5)], proof, _tr())
 
 
 def test_max_value_verifies():
     proof = _prove([255], [7], 8)
-    assert ver_range_proof(GENS, 8, [_commit(255, 7)], proof)
+    assert ver_range_proof(GENS, 8, [_commit(255, 7)], proof, _tr())
 
 
 def test_value_at_bound_refused_at_generation():
@@ -42,7 +48,7 @@ def test_forged_commitment_off_by_2_to_b():
     blind = 11
     proof = _prove([3], [blind], 8)
     forged = _commit((1 << 8) + 3, blind)
-    assert not ver_range_proof(GENS, 8, [forged], proof)
+    assert not ver_range_proof(GENS, 8, [forged], proof, _tr())
 
 
 def test_aggregated_values():
@@ -50,16 +56,18 @@ def test_aggregated_values():
     blinds = [1, 2, 3, 4]
     proof = _prove(values, blinds, 8)
     comms = [_commit(v, b) for v, b in zip(values, blinds)]
-    assert ver_range_proof(GENS, 8, comms, proof)
+    assert ver_range_proof(GENS, 8, comms, proof, _tr())
     # swapping two commitments breaks it
-    assert not ver_range_proof(GENS, 8, [comms[1], comms[0]] + comms[2:], proof)
+    swapped = [comms[1], comms[0]] + comms[2:]
+    assert not ver_range_proof(GENS, 8, swapped, proof, _tr())
 
 
 def test_wider_range_16_bits():
     values = [65535, 0]
     blinds = [9, 10]
     proof = _prove(values, blinds, 16)
-    assert ver_range_proof(GENS, 16, [_commit(v, b) for v, b in zip(values, blinds)], proof)
+    comms = [_commit(v, b) for v, b in zip(values, blinds)]
+    assert ver_range_proof(GENS, 16, comms, proof, _tr())
 
 
 def test_mismatched_slot_count_rejected():
@@ -71,7 +79,7 @@ def test_tamper_matrix_every_component():
     values, blinds = [44, 200], [13, 14]
     proof = _prove(values, blinds, 8)
     comms = [_commit(v, b) for v, b in zip(values, blinds)]
-    assert ver_range_proof(GENS, 8, comms, proof)
+    assert ver_range_proof(GENS, 8, comms, proof, _tr())
 
     def mutated(**kw):
         fields = {f: getattr(proof, f) for f in (
@@ -95,14 +103,18 @@ def test_tamper_matrix_every_component():
         mutated(b=(proof.b + 1) % Q),
     ]
     for bad in bads:
-        assert not ver_range_proof(GENS, 8, comms, bad)
+        assert not ver_range_proof(GENS, 8, comms, bad, _tr())
 
 
 def test_label_domain_separation():
-    proof = _prove([9], [3], 8, label="alpha")
+    # the proof's challenges bind everything the transcript held before it
+    proof = _prove([9], [3], 8, context="alpha")
     comm = [_commit(9, 3)]
-    assert ver_range_proof(GENS, 8, comm, proof, label="alpha")
-    assert not ver_range_proof(GENS, 8, comm, proof, label="beta")
+    assert ver_range_proof(GENS, 8, comm, proof, _tr("alpha"))
+    assert not ver_range_proof(GENS, 8, comm, proof, _tr("beta"))
+    prefixed = _tr("alpha")
+    prefixed.absorb_u64("round", 2)
+    assert not ver_range_proof(GENS, 8, comm, proof, prefixed)
 
 
 def test_serialization_roundtrip():
@@ -111,7 +123,7 @@ def test_serialization_roundtrip():
     back = RangeProof.from_bytes(proof.to_bytes(), backend)
     assert back == proof
     comms = [_commit(v, b) for v, b in zip(values, blinds)]
-    assert ver_range_proof(GENS, 8, comms, back)
+    assert ver_range_proof(GENS, 8, comms, back, _tr())
 
 
 def test_proof_size_logarithmic_in_slots():

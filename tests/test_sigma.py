@@ -14,6 +14,12 @@ G = backend.base()
 (H,) = derive_generators("sigma-h", 1, backend)
 
 
+def _tr():
+    """A fresh transcript: prover, verifier and naive check each replay
+    the same state."""
+    return Transcript("sigma-test")
+
+
 def _square_instance(rng, k):
     x = [rng.scalar() for _ in range(k)]
     r1 = [rng.scalar() for _ in range(k)]
@@ -27,7 +33,7 @@ def naive_ver_prf_sq(y1, y2, proof):
     """Unbatched conjunction: both equations per index, no random
     weights."""
     k = len(y1)
-    c = _square_challenge(G, H, y1, y2, proof.t1, proof.t2)
+    c = _square_challenge(_tr(), G, H, y1, y2, proof.t1, proof.t2)
     for i in range(k):
         lhs1 = multiexp([G, H, y1[i]], [proof.s1[i], proof.s2[i], c])
         if lhs1 != proof.t1[i]:
@@ -41,8 +47,8 @@ def naive_ver_prf_sq(y1, y2, proof):
 def test_square_roundtrip_k3():
     rng = DeterministicRng(b"sq-k3")
     x, r1, r2, y1, y2 = _square_instance(rng, 3)
-    proof = gen_prf_sq(G, H, y1, y2, x, r1, r2, rng)
-    assert ver_prf_sq(G, H, y1, y2, proof, rng)
+    proof = gen_prf_sq(G, H, y1, y2, x, r1, r2, rng, _tr())
+    assert ver_prf_sq(G, H, y1, y2, proof, rng, _tr())
     assert naive_ver_prf_sq(y1, y2, proof)
 
 
@@ -52,14 +58,14 @@ def test_square_rejects_shifted_square():
     for _ in range(1000):
         x, r1, r2, y1, y2 = _square_instance(rng, 1)
         y2_bad = [y2[0] + G]
-        proof = gen_prf_sq(G, H, y1, y2_bad, x, r1, r2, rng)
-        assert not ver_prf_sq(G, H, y1, y2_bad, proof, rng)
+        proof = gen_prf_sq(G, H, y1, y2_bad, x, r1, r2, rng, _tr())
+        assert not ver_prf_sq(G, H, y1, y2_bad, proof, rng, _tr())
 
 
 def test_square_tamper_each_component():
     rng = DeterministicRng(b"sq-tamper")
     x, r1, r2, y1, y2 = _square_instance(rng, 2)
-    proof = gen_prf_sq(G, H, y1, y2, x, r1, r2, rng)
+    proof = gen_prf_sq(G, H, y1, y2, x, r1, r2, rng, _tr())
     mutations = [
         proof.__class__(
             t1=(proof.t1[0] + G, proof.t1[1]), t2=proof.t2,
@@ -83,7 +89,7 @@ def test_square_tamper_each_component():
         ),
     ]
     for bad in mutations:
-        assert not ver_prf_sq(G, H, y1, y2, bad, rng)
+        assert not ver_prf_sq(G, H, y1, y2, bad, rng, _tr())
         assert not naive_ver_prf_sq(y1, y2, bad)
 
 
@@ -92,12 +98,14 @@ def test_square_batch_equals_naive_conjunction():
     for trial in range(100):
         k = 1 + rng.below(4)
         x, r1, r2, y1, y2 = _square_instance(rng, k)
-        proof = gen_prf_sq(G, H, y1, y2, x, r1, r2, rng)
+        proof = gen_prf_sq(G, H, y1, y2, x, r1, r2, rng, _tr())
         if trial % 3 == 0:  # tamper one random coordinate
             i = rng.below(k)
             y1 = list(y1)
             y1[i] = y1[i] + G
-        assert ver_prf_sq(G, H, y1, y2, proof, rng) == naive_ver_prf_sq(y1, y2, proof)
+        assert ver_prf_sq(G, H, y1, y2, proof, rng, _tr()) == naive_ver_prf_sq(
+            y1, y2, proof
+        )
 
 
 def _wf_instance(rng, k):
@@ -113,7 +121,7 @@ def _wf_instance(rng, k):
 
 def naive_ver_prf_wf(h, z, e, o, proof):
     k = len(o)
-    c = _wellformed_challenge(G, H, h, z, e, o, proof.u, proof.t, proof.t_star)
+    c = _wellformed_challenge(_tr(), G, H, h, z, e, o, proof.u, proof.t, proof.t_star)
     if proof.u != multiexp([G, z], [proof.y, c]):
         return False
     for i in range(k + 1):
@@ -131,15 +139,15 @@ def test_wellformed_k0_degenerate():
     # no projections: the statement collapses to knowledge of (v0, r)
     rng = DeterministicRng(b"wf-k0")
     h, z, e, o, r, v, s = _wf_instance(rng, 0)
-    proof = gen_prf_wf(G, H, h, z, e, o, r, v, s, rng)
-    assert ver_prf_wf(G, H, h, z, e, o, proof, rng)
+    proof = gen_prf_wf(G, H, h, z, e, o, r, v, s, rng, _tr())
+    assert ver_prf_wf(G, H, h, z, e, o, proof, rng, _tr())
 
 
 def test_wellformed_roundtrip():
     rng = DeterministicRng(b"wf-rt")
     h, z, e, o, r, v, s = _wf_instance(rng, 4)
-    proof = gen_prf_wf(G, H, h, z, e, o, r, v, s, rng)
-    assert ver_prf_wf(G, H, h, z, e, o, proof, rng)
+    proof = gen_prf_wf(G, H, h, z, e, o, r, v, s, rng, _tr())
+    assert ver_prf_wf(G, H, h, z, e, o, proof, rng, _tr())
     assert naive_ver_prf_wf(h, z, e, o, proof)
 
 
@@ -149,8 +157,8 @@ def test_wellformed_detects_e_o_mismatch():
     h, z, e, o, r, v, s = _wf_instance(rng, 3)
     o = list(o)
     o[0] = o[0] + G
-    proof = gen_prf_wf(G, H, h, z, e, o, r, v, s, rng)
-    assert not ver_prf_wf(G, H, h, z, e, o, proof, rng)
+    proof = gen_prf_wf(G, H, h, z, e, o, r, v, s, rng, _tr())
+    assert not ver_prf_wf(G, H, h, z, e, o, proof, rng, _tr())
 
 
 def test_wellformed_batch_equals_naive_conjunction():
@@ -158,12 +166,12 @@ def test_wellformed_batch_equals_naive_conjunction():
     for trial in range(100):
         k = rng.below(4)
         h, z, e, o, r, v, s = _wf_instance(rng, k)
-        proof = gen_prf_wf(G, H, h, z, e, o, r, v, s, rng)
+        proof = gen_prf_wf(G, H, h, z, e, o, r, v, s, rng, _tr())
         if trial % 3 == 1:
             e = list(e)
             i = rng.below(k + 1)
             e[i] = e[i] + G
-        assert ver_prf_wf(G, H, h, z, e, o, proof, rng) == naive_ver_prf_wf(
+        assert ver_prf_wf(G, H, h, z, e, o, proof, rng, _tr()) == naive_ver_prf_wf(
             h, z, e, o, proof
         )
 
@@ -225,7 +233,7 @@ def test_proof_components_vary_between_reproofs():
     first_bytes = []
     seen = set()
     for _ in range(200):
-        proof = gen_prf_sq(G, H, y1, y2, x, r1, r2, rng)
+        proof = gen_prf_sq(G, H, y1, y2, x, r1, r2, rng, _tr())
         enc = proof.t1[0].encode()
         assert enc not in seen
         seen.add(enc)
