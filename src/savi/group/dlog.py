@@ -34,12 +34,17 @@ class BabyStepTable:
             cur = backend.add_data(cur, base.data)
             table[cur] = j
         self._table = table
+        self._shifts: dict[int, Point] = {}  # lo -> lo * base
 
     def solve(self, target: Point, lo: int, hi: int) -> int:
         """Return e in [lo, hi] with e * base == target, else raise."""
         if lo > hi:
             raise ValueError("empty search interval")
-        y = target if lo == 0 else target - lo * self.base
+        y = target
+        if lo:
+            if lo not in self._shifts:
+                self._shifts[lo] = lo * self.base
+            y = target - self._shifts[lo]
         span = hi - lo + 1
         for i in range(-(-span // self.size)):
             j = self._table.get(y.data)

@@ -15,9 +15,10 @@ from typing import Sequence
 import numpy as np
 
 from ..group.generators import GeneratorSet
+from ..protocol import Client
 from ..rng import Rng
 from ..sampling import CheckParameters, SampleMatrix
-from ..zkp import IntegrityProof
+from ..zkp import BoundExceededError, IntegrityProof
 from ..zkp.integrity import _prove
 
 ATTACK_KINDS = ("none", "sign_flip", "scaling", "additive_noise", "oversized_norm")
@@ -111,3 +112,17 @@ def forge_integrity_proof(
     v = matrix.row_inner(u)
     claims = [0] * params.k
     return _prove(params, gens, matrix, h, z, y, r, v, claims, round_no, client_id, rng)
+
+
+class ForgingClient(Client):
+    """A malicious client: honest until its update fails the bound check,
+    then it sends ``forge_integrity_proof`` instead of dropping out."""
+
+    def _prove(self, matrix: SampleMatrix, h: Sequence) -> IntegrityProof:
+        try:
+            return super()._prove(matrix, h)
+        except BoundExceededError:
+            return forge_integrity_proof(
+                self.params, self.gens, matrix, h, self.z, self.y, self.r, self.u,
+                self.round_no, self.id, self.rng,
+            )

@@ -2,10 +2,11 @@
 per-client wire bytes.
 
 Counts come from running the real primitives against an instrumented
-backend, not from formulas.  The communication probe exploits one
-structural fact (asserted, not assumed): proof size depends on k and
-the range widths but not on d, so the proof can be generated against a
-small matrix while the commitment vector is built at full dimension.
+backend, not from formulas.  The communication probe measures the
+messages a real client sends: the bundle a client commits at full
+dimension, and the proof a client sends in a simulated round.  It
+exploits one structural fact (asserted, not assumed): proof size depends
+on k and the range widths but not on d, so that round runs at a small d.
 """
 
 from __future__ import annotations
@@ -13,17 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..commit import CommitmentBundle, commit_update
+from ..commit import commit_update
 from ..group import make_backend
 from ..group.generators import GeneratorSet
 from ..group.multiexp import multiexp
+from ..protocol import Client
 from ..rng import DeterministicRng
 from ..sampling import CheckParameters, sample_matrix
-from ..protocol.pairwise import keygen, pairwise_key, seal_share
-from ..vsss import Share, ss_share
 from ..zkp import gen_integrity_proof, ver_integrity_proof
 from ..zkp.vercrt import ver_crt
-from .simulate import _StageMeter
+from .config import deployment_preset
+from .simulate import MSG_PROOF, Simulation, _StageMeter
 
 PROBE_STAGES = ("commit", "server_prep", "client_proof", "server_verify")
 
@@ -56,7 +57,12 @@ def _probe_params(d: int, k: int) -> CheckParameters:
 
 def probe_costs(d: int, k: int, backend_name: str = "mock", seed: int = 7) -> CostRow:
     """Run one client's commit/prove cycle and the server's prep/verify
-    against an op-counted backend."""
+    against an op-counted backend.
+
+    The cycle is built by hand rather than run through ``Simulation``: a
+    round's matrix is derived from the parties' public keys, which differ
+    between backends, and the op counts must come from identical data on
+    mock and ristretto255 (``test_mock_op_counts_equal_ristretto``)."""
     params = _probe_params(d, k)
     backend = make_backend(backend_name)
     gens = GeneratorSet.derive(backend, d, params.range_slots)
@@ -114,72 +120,31 @@ class CommReport:
         return self.total_bytes / self.baseline_bytes
 
 
-def _deployment_params(d: int, k: int, n: int, m: int) -> CheckParameters:
-    return CheckParameters(
-        n=n,
-        m=m,
-        d=d,
-        k=k,
-        epsilon=2.0**-128,
-        M=1 << 24,
-        B=1.0,
-        b_ip=64,
-        b_max=128,
-        frac_bits=8,
-        b_coord=16,
-    )
-
-
-def _sealed_share_blobs(backend, rng, shares: Sequence[Share], round_no: int) -> tuple[bytes, ...]:
-    """Encrypt shares exactly as client 1 would for its peers (its own
-    slot travels empty)."""
-    sk, _ = keygen(backend, rng)
-    _, pk_peer = keygen(backend, rng)
-    key = pairwise_key(sk, pk_peer)
-    return tuple(
-        b"" if share.index == 1 else seal_share(key, round_no, 1, share.index, share)
-        for share in shares
-    )
-
-
 def measure_communication(d: int, k: int, n: int = 8, m: int = 1, seed: int = 11) -> CommReport:
     """Exact upload bytes for one client in a round at dimension d.
 
-    The commitment bundle is built at full dimension.  The integrity
-    proof is generated against small matrices (d'=16 and d'=32); the
-    probe asserts both serializations have equal length before trusting
-    that size for dimension d.
+    The bundle is the one client 1 of an n-client deployment sends at
+    full dimension.  The proof is the one a client sends in a one-client
+    round at d'=16 and at d'=32; the probe asserts both have equal length
+    before trusting that size for dimension d.
     """
     backend = make_backend("mock")
     rng = DeterministicRng(seed).child("comm-probe")
 
-    params_big = _deployment_params(d, k, n, m)
-    gens_commit = GeneratorSet.derive(backend, d, params_big.b_max)
+    params = deployment_preset(n=n, m=m, d=d, k=k).check_parameters()
+    gens = GeneratorSet.derive(backend, d, params.b_max)
+    clients = [Client(i, params, gens, rng.child(f"client/{i}")) for i in range(1, n + 1)]
+    clients[0].register_peers({c.id: c.pk for c in clients})
     u = [0] * d
-    u[0] = 1 << params_big.frac_bits
-    r = rng.scalar()
-    y, z = commit_update(u, r, gens_commit)
-    shares, check = ss_share(r, n, params_big.threshold, gens_commit.g, rng)
-    sealed = _sealed_share_blobs(backend, rng, shares, round_no=1)
-    bundle = CommitmentBundle(
-        y=tuple(y), z=z, encrypted_shares=sealed, check_string=check
-    )
-    bundle_bytes = len(bundle.to_bytes())
+    u[0] = 1 << params.frac_bits
+    bundle_bytes = len(clients[0].commit_round(1, u).to_bytes())
 
     proof_sizes = []
     for d_small in (16, 32):
-        params = _deployment_params(d_small, k, n, m)
-        gens = GeneratorSet.derive(backend, d_small, params.range_slots)
-        matrix = sample_matrix(rng.take(32), k, d_small, params.M)
-        h = [multiexp(gens.w, row) for row in matrix.scalar_rows()]
-        u_small = [0] * d_small
-        u_small[0] = 1 << params.frac_bits
-        r_small = rng.scalar()
-        y_small, z_small = commit_update(u_small, r_small, gens)
-        proof = gen_integrity_proof(
-            params, gens, matrix, h, z_small, y_small, r_small, u_small, 1, 1, rng
-        )
-        proof_sizes.append(len(proof.to_bytes()))
+        config = deployment_preset(n=1, m=0, d=d_small, k=k, backend="mock", seed=seed)
+        messages = Simulation(config).run_round(1).messages
+        (proof,) = [payload for kind, _, payload in messages if kind == MSG_PROOF]
+        proof_sizes.append(len(proof))
     if proof_sizes[0] != proof_sizes[1]:
         raise AssertionError(
             f"proof size varies with d ({proof_sizes}); cannot extrapolate"

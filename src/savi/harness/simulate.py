@@ -1,6 +1,8 @@
 """Round orchestration: drives Client/Server objects through the four
-protocol stages, injecting attacks and recording what an observer of
-the wire would see (bytes, timings, group-operation counts, verdicts).
+protocol stages and records what an observer of the wire would see
+(bytes, timings, group-operation counts, verdicts).  Attacked updates go
+to the malicious clients, which are ``ForgingClient``s: they send a
+forged proof where an honest client would drop out.
 
 Everything except wall-clock timings is deterministic in the seed.
 """
@@ -15,10 +17,11 @@ from dataclasses import dataclass, field
 from ..group import make_backend
 from ..group.encoding import quantize_vector
 from ..group.generators import GeneratorSet
+from ..protocol import Client, Server
 from ..rng import DeterministicRng
-from ..sampling import CheckParameters, derive_seed, sample_matrix
+from ..sampling import CheckParameters
 from ..zkp import BoundExceededError
-from .attacks import apply_attack, forge_integrity_proof, generate_updates
+from .attacks import ForgingClient, apply_attack, generate_updates
 from .config import SimulationConfig
 
 
@@ -37,12 +40,21 @@ class RoundReport:
     # and was left out of the recovery
     bad_blind_shares: tuple[int, ...] = ()
     timings_s: dict[str, float] = field(default_factory=dict)
-    bytes_sent: dict[int, int] = field(default_factory=dict)
     group_ops: dict[str, dict[str, int]] = field(default_factory=dict)
-    # raw client->server uplink, exactly the bytes counted above
-    transcripts: dict[int, bytes] = field(default_factory=dict, repr=False)
     # (message type, sender, payload) triples in send order, for replay
     messages: list[tuple[int, int, bytes]] = field(default_factory=list, repr=False)
+
+    @property
+    def transcripts(self) -> dict[int, bytes]:
+        """Each sender's raw uplink: its payloads joined in send order."""
+        parts: dict[int, list[bytes]] = {}
+        for _, sender, payload in self.messages:
+            parts.setdefault(sender, []).append(payload)
+        return {i: b"".join(p) for i, p in parts.items()}
+
+    @property
+    def bytes_sent(self) -> dict[int, int]:
+        return {i: len(b) for i, b in self.transcripts.items()}
 
 
 MSG_BUNDLE = 1
@@ -82,11 +94,11 @@ class Simulation:
         backend = make_backend(config.backend)
         self.gens = GeneratorSet.derive(backend, config.d, self.params.range_slots)
         root = DeterministicRng(config.seed).child("simulation")
-        from ..protocol import Client, Server  # local import avoids a cycle
-
         self.server = Server(self.params, self.gens, root.child("server"))
         self.clients = {
-            i: Client(i, self.params, self.gens, root.child(f"client/{i}"))
+            i: (ForgingClient if i in config.attack.malicious_ids else Client)(
+                i, self.params, self.gens, root.child(f"client/{i}")
+            )
             for i in range(1, config.n + 1)
         }
         pks = {i: c.pk for i, c in self.clients.items()}
@@ -109,12 +121,9 @@ class Simulation:
     def run_round(self, round_no: int) -> RoundReport:
         cfg = self.config
         meter = _StageMeter(self.gens.backend)
-        sent: dict[int, list[bytes]] = {i: [] for i in self.clients}
         messages: list[tuple[int, int, bytes]] = []
-        malicious = set(cfg.attack.malicious_ids)
 
         def record(kind: int, sender: int, payload: bytes) -> None:
-            sent[sender].append(payload)
             messages.append((kind, sender, payload))
 
         floats = generate_updates(
@@ -176,12 +185,9 @@ class Simulation:
         dropouts: list[int] = []
 
         def prove_one(i: int):
-            client = self.clients[i]
             try:
-                return client.proof_round(nonce, h)
+                return self.clients[i].proof_round(nonce, h)
             except BoundExceededError:
-                if i in malicious:
-                    return self._forge(client, nonce, h)
                 dropouts.append(i)  # tail event: sit the round out
                 return None
 
@@ -207,7 +213,6 @@ class Simulation:
             for l, x in enumerate(updates[i]):
                 expected[l] += x
 
-        transcripts = {i: b"".join(parts) for i, parts in sent.items()}
         return RoundReport(
             round_no=round_no,
             honest=tuple(honest),
@@ -220,29 +225,8 @@ class Simulation:
             aggregate_ok=list(aggregate) == expected,
             bad_blind_shares=tuple(self.server.bad_blind_shares),
             timings_s=meter.timings,
-            bytes_sent={i: len(b) for i, b in transcripts.items()},
             group_ops=meter.ops,
-            transcripts=transcripts,
             messages=messages,
-        )
-
-    def _forge(self, client, nonce: bytes, h):
-        """A cheating client whose update fails the bound still sends a
-        structurally complete proof; verification rejects it."""
-        seed = derive_seed(nonce, client.ordered_pks)
-        matrix = sample_matrix(seed, self.params.k, self.params.d, self.params.M)
-        return forge_integrity_proof(
-            self.params,
-            self.gens,
-            matrix,
-            h,
-            client.z,
-            client.y,
-            client.r,
-            client.u,
-            client.round_no,
-            client.id,
-            client.rng,
         )
 
 

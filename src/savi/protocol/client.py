@@ -13,7 +13,7 @@ from ..commit import CommitmentBundle, commit_update
 from ..group.base import GROUP_ORDER, Point
 from ..group.generators import GeneratorSet
 from ..rng import Rng
-from ..sampling import CheckParameters, derive_seed, sample_matrix
+from ..sampling import CheckParameters, SampleMatrix, derive_seed, sample_matrix
 from ..vsss import CheckString, Share, ss_share, ss_verify
 from ..zkp import IntegrityProof, gen_integrity_proof
 from ..zkp.vercrt import ver_crt
@@ -149,12 +149,16 @@ class Client:
         matrix = sample_matrix(seed, self.params.k, self.params.d, self.params.M)
         if not ver_crt(self.gens.w, h, matrix, self.rng):
             raise AbortServerMaliciousError("server h vector inconsistent with seed")
-        proof = gen_integrity_proof(
+        proof = self._prove(matrix, h)
+        self._advance("proved")
+        return proof
+
+    def _prove(self, matrix: SampleMatrix, h: Sequence[Point]) -> IntegrityProof:
+        """The proof this client sends once h has checked out."""
+        return gen_integrity_proof(
             self.params, self.gens, matrix, h, self.z, self.y, self.r, self.u,
             self.round_no, self.id, self.rng,
         )
-        self._advance("proved")
-        return proof
 
     # -- stage 4: aggregation -----------------------------------------------
 

@@ -220,7 +220,8 @@ class Server:
         are dropped and their senders listed in ``bad_blind_shares``;
         recovery aborts only when fewer than t valid shares remain.
         Coordinates come back through a bounded discrete log sized to |H|
-        full-width updates."""
+        full-width updates: each coordinate is below 2^(b_coord-1) in
+        magnitude, as ``Client.commit_round`` enforces."""
         p = self.params
         if not self.honest:
             return [0] * p.d
@@ -249,7 +250,7 @@ class Server:
         totals = aggregate_commitments(
             [self.bundles[i].y for i in self.honest], self.gens
         )
-        bound = len(self.honest) * ((1 << p.b_coord) - 1)
+        bound = len(self.honest) * ((1 << (p.b_coord - 1)) - 1)
         table = amortized_table(self.gens.g, bound, n_solves=p.d)
         out = []
         for l, (y_l, w_l) in enumerate(zip(totals, self.gens.w)):

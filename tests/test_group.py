@@ -176,6 +176,18 @@ def test_baby_step_table_window():
     assert table.solve(300 * g, 0, 1024) == 300
 
 
+def test_dlog_shift_computed_once_per_table():
+    backend = make_backend("mock")
+    g = backend.base()
+    bound = 1 << 12
+    table = amortized_table(g, bound, n_solves=50)
+    targets = [(v, v * g) for v in range(-25, 25)]
+    before = backend.counter.mul
+    for v, target in targets:
+        assert dlog_bounded(target, g, bound, table=table) == v
+    assert backend.counter.mul - before == 1
+
+
 def test_scalar_inverse():
     rng = DeterministicRng(b"inv")
     xs = [rng.nonzero_scalar() for _ in range(32)]

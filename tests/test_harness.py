@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from savi.harness import (
     probe_costs,
     run_simulation,
 )
+from savi.harness.attacks import ForgingClient
 from savi.harness.cli import main as cli_main
 from savi.harness.report import parse_message_log, report_row, summary_row
 from savi.harness.simulate import (
@@ -29,7 +31,7 @@ from savi.harness.simulate import (
     MSG_PROOF,
     Simulation,
 )
-from savi.sampling import pass_rate_F
+from savi.sampling import pass_rate_F, sample_matrix
 
 
 def _tiny(**overrides):
@@ -107,6 +109,25 @@ def test_fixed_seed_uplink_pinned(fields, digest, honest, excluded):
     uplink = b"".join(rep.transcripts[i] for i in sorted(rep.transcripts))
     assert hashlib.sha256(uplink).hexdigest() == digest
     assert (rep.honest, rep.excluded, rep.aggregate_ok) == (honest, excluded, True)
+
+
+def test_round_with_forgers_samples_the_matrix_once_per_party(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return sample_matrix(*args)
+
+    # every savi module that holds the function by name, not only the parties
+    for name, module in list(sys.modules.items()):
+        if name.startswith("savi") and getattr(module, "sample_matrix", None) is sample_matrix:
+            monkeypatch.setattr(module, "sample_matrix", counted)
+    fields = _PINNED_ROUNDS[0][0]
+    sim = Simulation(SimulationConfig(**fields))
+    assert {i for i, c in sim.clients.items() if isinstance(c, ForgingClient)} == {2, 4}
+    rep = sim.run_round(1)
+    assert rep.excluded == {2: "proof_wellformed", 4: "proof_wellformed"}
+    assert len(calls) == fields["n"] + 1
 
 
 def test_workers_do_not_change_verdicts():

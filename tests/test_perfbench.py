@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from savi.harness import SimulationConfig
 from savi.protocol import Client, Server
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -30,3 +31,9 @@ def test_every_traced_target_exists():
 def test_every_timed_party_method_exists(cls, attr):
     for method in getattr(_load("workloads"), attr):
         assert callable(getattr(cls, method)), method
+
+
+def test_every_workload_builds_a_valid_config():
+    workloads = _load("workloads")
+    for shape in [*workloads.SHAPES.values(), workloads.WARMUP_SHAPE]:
+        assert isinstance(workloads.make_config(shape, 1), SimulationConfig)

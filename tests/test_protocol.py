@@ -139,6 +139,19 @@ def test_two_rounds_same_parties():
     assert t1 != t2
 
 
+def test_aggregate_at_the_edge_of_the_dlog_window():
+    # Every client holds the widest coordinate commit_round admits, so the
+    # sum sits exactly on the server's dlog bound, on either side.
+    params = _params(n=3, m=1, B=8191.5)
+    server, clients = _network(params, seed=b"edge")
+    top = (1 << (params.b_coord - 1)) - 1
+    for round_no, sign in ((1, 1), (2, -1)):
+        updates = {i: [sign * top] + [0] * (params.d - 1) for i in clients}
+        total, honest = _run_round(server, clients, updates, round_no=round_no)
+        assert honest == [1, 2, 3]
+        assert total == [3 * sign * top] + [0] * (params.d - 1)
+
+
 def test_ristretto_end_to_end():
     params = _params(n=3, m=1, d=4, k=4, B=2.0)
     server, clients = _network(params, seed=b"rist", backend=make_backend("ristretto255"))
