@@ -8,7 +8,7 @@ bound; the server aggregates exactly the updates that check out.
 
 from .commit import CommitmentBundle, aggregate_commitments, commit_update
 from .group import GROUP_ORDER, GeneratorSet, make_backend
-from .rng import DeterministicRng, SystemRng
+from .rng import DeterministicRng
 from .sampling import (
     CheckParameters,
     SampleMatrix,
@@ -56,7 +56,6 @@ __all__ = [
     "IntegrityProof",
     "SampleMatrix",
     "Share",
-    "SystemRng",
     "aggregate_commitments",
     "chi_square_quantile",
     "combine_check_strings",

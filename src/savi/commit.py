@@ -53,13 +53,25 @@ class CommitmentBundle:
 
     The shares are ciphertexts (one per peer, addressed by index order);
     z is redundant with check_string.points[0] but is sent explicitly,
-    and the server rejects bundles where the two disagree.
+    and bundles where the two disagree are not ``well_formed``.
     """
 
     y: tuple[Point, ...]
     z: Point
     encrypted_shares: tuple[bytes, ...]
     check_string: CheckString
+
+    def well_formed(self, d: int, n: int, threshold: int) -> bool:
+        """The shape a bundle must have before anyone indexes into it:
+        d coordinate commitments, one sealed share per client, a check
+        string of ``threshold`` points, and z equal to its first point."""
+        points = self.check_string.points
+        return (
+            len(self.y) == d
+            and len(self.encrypted_shares) == n
+            and len(points) == threshold
+            and self.z == points[0]
+        )
 
     def to_bytes(self) -> bytes:
         w = ByteWriter()

@@ -2,19 +2,11 @@
 
 from .base import GROUP_ORDER, POINT_BYTES, SCALAR_BYTES, GroupBackend, OpCounter, Point
 from .dlog import BabyStepTable, DlogNotFoundError, amortized_table, dlog_bounded
-from .encoding import (
-    decode_fixed,
-    dequantize_vector,
-    encode_fixed,
-    quantize_vector,
-    round_half_up,
-    scalar_to_signed,
-    signed_to_scalar,
-)
+from .encoding import quantize_vector, round_half_up
 from .generators import GeneratorSet, RangeGenerators, derive_generators
 from .mock import MockBackend
 from .multiexp import multiexp, sum_points
-from .scalars import batch_inv, inv, reduce_wide, scalar_from_bytes, scalar_to_bytes
+from .scalars import inv, reduce_wide, scalar_from_bytes, scalar_to_bytes
 from .sodium import RistrettoBackend
 
 _BACKENDS = {"ristretto255": RistrettoBackend, "mock": MockBackend}
@@ -39,20 +31,14 @@ __all__ = [
     "DlogNotFoundError",
     "amortized_table",
     "dlog_bounded",
-    "decode_fixed",
-    "dequantize_vector",
-    "encode_fixed",
     "quantize_vector",
     "round_half_up",
-    "scalar_to_signed",
-    "signed_to_scalar",
     "GeneratorSet",
     "RangeGenerators",
     "derive_generators",
     "MockBackend",
     "multiexp",
     "sum_points",
-    "batch_inv",
     "inv",
     "reduce_wide",
     "scalar_from_bytes",

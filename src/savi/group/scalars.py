@@ -27,23 +27,3 @@ def reduce_wide(raw64: bytes) -> int:
 def inv(x: int) -> int:
     """Multiplicative inverse mod the group order."""
     return pow(x, -1, GROUP_ORDER)
-
-
-def batch_inv(xs: list[int]) -> list[int]:
-    """Montgomery batch inversion: one modular inverse for the whole list."""
-    n = len(xs)
-    if n == 0:
-        return []
-    prefix = [0] * n
-    acc = 1
-    for i, x in enumerate(xs):
-        if x % GROUP_ORDER == 0:
-            raise ZeroDivisionError("cannot invert zero scalar")
-        prefix[i] = acc
-        acc = acc * x % GROUP_ORDER
-    acc_inv = pow(acc, -1, GROUP_ORDER)
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        out[i] = prefix[i] * acc_inv % GROUP_ORDER
-        acc_inv = acc_inv * xs[i] % GROUP_ORDER
-    return out

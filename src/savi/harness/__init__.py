@@ -1,7 +1,7 @@
 from .attacks import AttackSpec, apply_attack, generate_updates
 from .bench import CommReport, CostRow, measure_communication, probe_costs, sweep_d
 from .config import SimulationConfig, desk_preset, deployment_preset
-from .report import emit_report, emit_transcripts
+from .report import emit_report
 from .simulate import RoundReport, Simulation, run_simulation
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "apply_attack",
     "desk_preset",
     "emit_report",
-    "emit_transcripts",
     "generate_updates",
     "measure_communication",
     "deployment_preset",

@@ -4,9 +4,10 @@ per-client wire bytes.
 Counts come from running the real primitives against an instrumented
 backend, not from formulas.  The communication probe measures the
 messages a real client sends: the bundle a client commits at full
-dimension, and the proof a client sends in a simulated round.  It
-exploits one structural fact (asserted, not assumed): proof size depends
-on k and the range widths but not on d, so that round runs at a small d.
+dimension, and the flag report, proof and blind share a client sends in
+a simulated round.  It exploits one structural fact (asserted, not
+assumed): those three depend on k and the range widths but not on d, so
+that round runs at a small d.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from ..sampling import CheckParameters, sample_matrix
 from ..zkp import gen_integrity_proof, ver_integrity_proof
 from ..zkp.vercrt import ver_crt
 from .config import deployment_preset
-from .simulate import MSG_PROOF, Simulation, _StageMeter
+from .simulate import MSG_BUNDLE, MSG_PROOF, Simulation, _StageMeter
 
 PROBE_STAGES = ("commit", "server_prep", "client_proof", "server_verify")
 
@@ -93,8 +94,8 @@ def probe_costs(d: int, k: int, backend_name: str = "mock", seed: int = 7) -> Co
     return CostRow(d=d, k=k, ops=meter.ops)
 
 
-def sweep_d(d_values: Sequence[int], k: int, backend_name: str = "mock") -> list[CostRow]:
-    return [probe_costs(d, k, backend_name) for d in d_values]
+def sweep_d(d_values: Sequence[int], k: int) -> list[CostRow]:
+    return [probe_costs(d, k) for d in d_values]
 
 
 @dataclass(frozen=True)
@@ -104,11 +105,11 @@ class CommReport:
     n: int
     bundle_bytes: int
     proof_bytes: int
-    blind_share_bytes: int
+    other_bytes: int  # the flag report and the blind share
 
     @property
     def total_bytes(self) -> int:
-        return self.bundle_bytes + self.proof_bytes + self.blind_share_bytes
+        return self.bundle_bytes + self.proof_bytes + self.other_bytes
 
     @property
     def baseline_bytes(self) -> int:
@@ -121,12 +122,13 @@ class CommReport:
 
 
 def measure_communication(d: int, k: int, n: int = 8, m: int = 1, seed: int = 11) -> CommReport:
-    """Exact upload bytes for one client in a round at dimension d.
+    """Exact upload bytes for one client in an honest round at dimension d.
 
     The bundle is the one client 1 of an n-client deployment sends at
-    full dimension.  The proof is the one a client sends in a one-client
-    round at d'=16 and at d'=32; the probe asserts both have equal length
-    before trusting that size for dimension d.
+    full dimension.  The other payloads (flag report, proof, blind share)
+    are the ones a client sends in a one-client round at d'=16 and at
+    d'=32; the probe asserts both rounds send equal lengths before
+    trusting them for dimension d.
     """
     backend = make_backend("mock")
     rng = DeterministicRng(seed).child("comm-probe")
@@ -139,22 +141,26 @@ def measure_communication(d: int, k: int, n: int = 8, m: int = 1, seed: int = 11
     u[0] = 1 << params.frac_bits
     bundle_bytes = len(clients[0].commit_round(1, u).to_bytes())
 
-    proof_sizes = []
+    sizes = []
     for d_small in (16, 32):
         config = deployment_preset(n=1, m=0, d=d_small, k=k, backend="mock", seed=seed)
         messages = Simulation(config).run_round(1).messages
-        (proof,) = [payload for kind, _, payload in messages if kind == MSG_PROOF]
-        proof_sizes.append(len(proof))
-    if proof_sizes[0] != proof_sizes[1]:
-        raise AssertionError(
-            f"proof size varies with d ({proof_sizes}); cannot extrapolate"
+        (proof,) = [len(payload) for kind, _, payload in messages if kind == MSG_PROOF]
+        other = sum(
+            len(payload) for kind, _, payload in messages if kind not in (MSG_BUNDLE, MSG_PROOF)
         )
+        sizes.append((proof, other))
+    if sizes[0] != sizes[1]:
+        raise AssertionError(
+            f"(proof, other) bytes vary with d ({sizes}); cannot extrapolate"
+        )
+    proof_bytes, other_bytes = sizes[0]
 
     return CommReport(
         d=d,
         k=k,
         n=n,
         bundle_bytes=bundle_bytes,
-        proof_bytes=proof_sizes[0],
-        blind_share_bytes=32,
+        proof_bytes=proof_bytes,
+        other_bytes=other_bytes,
     )

@@ -2,19 +2,18 @@
 
 from __future__ import annotations
 
-import math
-
 import click
 
 from ..sampling import (
     chi_square_quantile,
     compute_b0,
+    encoded_bound,
     max_expected_damage,
     pass_rate_F,
 )
 from .bench import PROBE_STAGES, measure_communication, probe_costs
 from .config import SimulationConfig, desk_preset, deployment_preset
-from .report import emit_message_log, emit_report, emit_transcripts, report_row, summary_row
+from .report import emit_message_log, emit_report, report_row, summary_row
 from .simulate import run_simulation
 
 _SUFFIX = {"k": 1_000, "m": 1_000_000}
@@ -51,10 +50,11 @@ def main() -> None:
 @click.option("--deployment-scale", is_flag=True, help="Deployment-scale preset (slow).")
 @click.option(
     "--transcripts",
+    "write_log",
     is_flag=True,
-    help="Also dump raw wire transcripts and the replayable message log.",
+    help="Also write messages.log, the replayable log of every client message.",
 )
-def simulate(config_path, seed, rounds, out_dir, deployment_scale, transcripts) -> None:
+def simulate(config_path, seed, rounds, out_dir, deployment_scale, write_log) -> None:
     """Run aggregation rounds and write per-round reports."""
     from dataclasses import replace
 
@@ -72,8 +72,7 @@ def simulate(config_path, seed, rounds, out_dir, deployment_scale, transcripts) 
     reports = run_simulation(config)
     target = config.resolved_out_dir()
     written = emit_report(reports, config, target)
-    if transcripts:
-        written += emit_transcripts(reports, target)
+    if write_log:
         written.append(emit_message_log(reports, target))
 
     summary = summary_row([report_row(r) for r in reports])
@@ -90,9 +89,8 @@ def simulate(config_path, seed, rounds, out_dir, deployment_scale, transcripts) 
 @click.option("--sweep", required=True, help="e.g. d=1k,10k,100k or k=16,32,64")
 @click.option("--k", "k_fixed", type=int, default=64, show_default=True)
 @click.option("--d", "d_fixed", type=int, default=256, show_default=True)
-@click.option("--backend", type=click.Choice(["mock", "ristretto255"]), default="mock")
 @click.option("--comm", is_flag=True, help="Also report exact per-client bytes.")
-def bench(sweep, k_fixed, d_fixed, backend, comm) -> None:
+def bench(sweep, k_fixed, d_fixed, comm) -> None:
     """Group-operation counts per stage across a parameter sweep."""
     var, values = _parse_sweep(sweep)
     header = f"{'d':>10} {'k':>6} " + " ".join(f"{s:>16}" for s in PROBE_STAGES)
@@ -100,7 +98,7 @@ def bench(sweep, k_fixed, d_fixed, backend, comm) -> None:
     for v in values:
         d = v if var == "d" else d_fixed
         k = v if var == "k" else k_fixed
-        row = probe_costs(d, k, backend_name=backend)
+        row = probe_costs(d, k)
         cells = " ".join(f"{row.stage_total(s):>16}" for s in PROBE_STAGES)
         click.echo(f"{d:>10} {k:>6} {cells}")
         if comm:
@@ -124,7 +122,7 @@ def params(k, epsilon_log2, d, m_log2, bound, frac_bits) -> None:
     epsilon = 2.0**epsilon_log2
     M = 1 << m_log2
     gamma = chi_square_quantile(k, epsilon)
-    b_enc = math.ceil(bound * (1 << frac_bits) + math.sqrt(d) / 2.0)
+    b_enc = encoded_bound(bound, frac_bits, d)
     b0 = compute_b0(b_enc, M, k, d, epsilon)
     click.echo(f"k={k}  epsilon=2^{epsilon_log2}  d={d}  M=2^{m_log2}")
     click.echo(f"gamma  = {gamma:.6g}")

@@ -16,8 +16,6 @@ from .attacks import AttackSpec
 # else must be pinned in the config file so runs stay reproducible.
 OUT_DIR_ENV = "SAVI_OUT_DIR"
 
-_FORMATS = ("csv", "json")
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -38,7 +36,6 @@ class SimulationConfig:
     workers: int = 1  # thread pool width for the party loops
     attack: AttackSpec = field(default_factory=AttackSpec)
     out_dir: str = "out"
-    formats: tuple[str, ...] = ("csv", "json")
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
@@ -49,9 +46,6 @@ class SimulationConfig:
             raise ValueError("seed must be in [0, 2^128)")
         if self.backend not in ("mock", "ristretto255"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        bad = [f for f in self.formats if f not in _FORMATS]
-        if bad:
-            raise ValueError(f"unknown report formats: {bad}")
         ids = self.attack.malicious_ids
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate malicious ids")
@@ -97,8 +91,6 @@ class SimulationConfig:
             attack_raw = dict(attack_raw)
             ids = attack_raw.pop("malicious_ids", ())
             data["attack"] = AttackSpec(malicious_ids=tuple(ids), **attack_raw)
-        if "formats" in data:
-            data["formats"] = tuple(data["formats"])
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -130,11 +122,6 @@ def deployment_preset(**overrides: Any) -> SimulationConfig:
         k=1_000,
         epsilon_log2=-128,
         M=1 << 24,
-        B=1.0,
-        b_ip=64,
-        b_max=128,
-        frac_bits=8,
-        b_coord=16,
         backend="ristretto255",
     )
     return replace(base, **overrides) if overrides else base

@@ -1,8 +1,11 @@
-"""Round reports to CSV/JSON with a stable column order.
+"""Round reports to CSV and JSON with a stable column order, and the
+message log of every client message.
 
-Both formats serialize the same row dictionaries, so a JSON record and
-its CSV line always agree field for field (CSV stringifies, JSON keeps
-types).  The final row holds means of the numeric columns.
+Both report files serialize the same row dictionaries, so a JSON record
+and its CSV line always agree field for field (CSV stringifies, JSON
+keeps types).  The final row holds means of the numeric columns.  The
+message log is the one record of a round's traffic: the byte columns of
+the report are sums over its payloads.
 """
 
 from __future__ import annotations
@@ -87,49 +90,28 @@ def emit_report(
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [report_row(r) for r in reports]
     rows.append(summary_row(rows))
-    written = []
-    for fmt in config.formats:
-        path = out_dir / f"simulation.{fmt}"
-        if fmt == "csv":
-            with open(path, "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=COLUMNS)
-                writer.writeheader()
-                writer.writerows(rows)
-        else:  # json; SimulationConfig admits no other format
-            doc = {"config": _config_doc(config), "rounds": rows[:-1], "summary": rows[-1]}
-            with open(path, "w") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
-        written.append(path)
-    return written
-
-
-def emit_transcripts(
-    reports: Sequence[RoundReport], out_dir: str | Path
-) -> list[Path]:
-    """Dump each round's raw client uplink bytes; the byte-count column
-    in the report must equal these files' sizes exactly."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for rep in reports:
-        path = out_dir / f"transcript_round_{rep.round_no:04d}.bin"
-        with open(path, "wb") as fh:
-            for i in sorted(rep.transcripts):
-                fh.write(rep.transcripts[i])
-        written.append(path)
-    return written
+    csv_path = out_dir / "simulation.csv"
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows)
+    json_path = out_dir / "simulation.json"
+    doc = {"config": _config_doc(config), "rounds": rows[:-1], "summary": rows[-1]}
+    with open(json_path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    return [csv_path, json_path]
 
 
 def emit_message_log(
-    reports: Sequence[RoundReport], out_dir: str | Path, name: str = "messages.log"
+    reports: Sequence[RoundReport], out_dir: str | Path
 ) -> Path:
     """Self-describing binary log: every client message framed as
     (u8 kind, u32 round, u32 sender, u32 length, payload), replayable
     without the config that produced it."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
+    path = out_dir / "messages.log"
     with open(path, "wb") as fh:
         for rep in reports:
             for kind, sender, payload in rep.messages:
@@ -156,6 +138,5 @@ def parse_message_log(path: str | Path) -> Iterator[tuple[int, int, int, bytes]]
 def _config_doc(config: SimulationConfig) -> dict:
     doc = asdict(config)
     doc["attack"] = asdict(config.attack)
-    doc["formats"] = list(config.formats)
     doc["attack"]["malicious_ids"] = list(config.attack.malicious_ids)
     return doc

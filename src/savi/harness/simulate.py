@@ -45,16 +45,12 @@ class RoundReport:
     messages: list[tuple[int, int, bytes]] = field(default_factory=list, repr=False)
 
     @property
-    def transcripts(self) -> dict[int, bytes]:
-        """Each sender's raw uplink: its payloads joined in send order."""
-        parts: dict[int, list[bytes]] = {}
-        for _, sender, payload in self.messages:
-            parts.setdefault(sender, []).append(payload)
-        return {i: b"".join(p) for i, p in parts.items()}
-
-    @property
     def bytes_sent(self) -> dict[int, int]:
-        return {i: len(b) for i, b in self.transcripts.items()}
+        """Each sender's uplink bytes: the summed lengths of its payloads."""
+        sent: dict[int, int] = {}
+        for _, sender, payload in self.messages:
+            sent[sender] = sent.get(sender, 0) + len(payload)
+        return sent
 
 
 MSG_BUNDLE = 1

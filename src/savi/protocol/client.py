@@ -98,12 +98,17 @@ class Client:
     # -- stage 2: share verification and flagging ---------------------------
 
     def verify_shares(self, bundles: Mapping[int, CommitmentBundle]) -> list[int]:
-        """Decrypt each peer's share for me; flag senders whose share
-        fails authentication or Feldman verification."""
-        if sorted(bundles) != [j for j in range(1, self.params.n + 1) if j != self.id]:
+        """Decrypt each peer's share for me; flag senders whose bundle is
+        malformed or whose share fails authentication or Feldman
+        verification."""
+        p = self.params
+        if sorted(bundles) != [j for j in range(1, p.n + 1) if j != self.id]:
             raise ValueError("need material from every peer")
         flags = []
         for j, bundle in bundles.items():
+            if not bundle.well_formed(p.d, p.n, p.threshold):
+                flags.append(j)
+                continue
             self.peer_checks[j] = bundle.check_string
             share = open_share(
                 self.peer_keys[j],
@@ -123,10 +128,15 @@ class Client:
     def respond_clear_shares(self, flagger_ids: Sequence[int]) -> list[Share]:
         """Reveal the shares dealt to my accusers; abort if the server
         asks for more than m of them (it could otherwise collect enough
-        to recover r)."""
+        to recover r) or names a client that does not exist."""
         if len(set(flagger_ids)) > self.params.m:
             raise AbortServerMaliciousError(
                 f"server requested {len(set(flagger_ids))} clear shares, limit {self.params.m}"
+            )
+        unknown = sorted(j for j in set(flagger_ids) if not 1 <= j <= self.params.n)
+        if unknown:
+            raise AbortServerMaliciousError(
+                f"server requested clear shares for unknown clients {unknown}"
             )
         return [self.dealt_shares[j] for j in flagger_ids]
 

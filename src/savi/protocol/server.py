@@ -81,12 +81,7 @@ class Server:
             if bundle is None:
                 self._mark(i, "no_commitment")
                 continue
-            if (
-                len(bundle.y) != p.d
-                or len(bundle.encrypted_shares) != p.n
-                or len(bundle.check_string.points) != p.threshold
-                or bundle.z != bundle.check_string.points[0]
-            ):
+            if not bundle.well_formed(p.d, p.n, p.threshold):
                 self._mark(i, "malformed_bundle")
                 continue
             self.bundles[i] = bundle

@@ -1,16 +1,17 @@
-"""Deterministic and system randomness with one interface.
+"""The protocol's one source of randomness.
 
 Simulations must be bit-reproducible from a master seed, so every
 random draw in the protocol (blinds, polynomial coefficients, proof
-nonces, verifier batch weights) goes through an injected rng object.
-``DeterministicRng`` is a SHAKE-256 counter-mode generator;
-``SystemRng`` wraps the OS csprng for non-simulated use.
+nonces, verifier batch weights) goes through an injected rng object,
+a ``DeterministicRng``: a SHAKE-256 counter-mode generator.  Outside a
+simulation, seed it from the operating system,
+``DeterministicRng(secrets.token_bytes(32))``, to get fresh randomness
+through the same interface.
 """
 
 from __future__ import annotations
 
 import hashlib
-import secrets
 import struct
 
 from .group.base import GROUP_ORDER
@@ -58,29 +59,5 @@ class DeterministicRng:
         return DeterministicRng(self._seed + b"|child|" + label.encode())
 
 
-class SystemRng:
-    """Same interface, backed by the operating system csprng."""
-
-    def take(self, n: int) -> bytes:
-        return secrets.token_bytes(n)
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def scalar(self) -> int:
-        return int.from_bytes(self.take(64), "little") % GROUP_ORDER
-
-    def nonzero_scalar(self) -> int:
-        while True:
-            s = self.scalar()
-            if s != 0:
-                return s
-
-    def below(self, n: int) -> int:
-        return secrets.randbelow(n)
-
-    def child(self, label: str) -> "SystemRng":
-        return self
-
-
-Rng = DeterministicRng | SystemRng
+# The rng type the protocol objects take.
+Rng = DeterministicRng

@@ -169,6 +169,15 @@ def chi_square_quantile(k: int, epsilon: float) -> float:
     return float(2.0 * special.gammainccinv(k / 2.0, epsilon))
 
 
+def encoded_bound(B: float, frac_bits: int, d: int) -> int:
+    """The L2 bound B in encoded integer units, with quantization slack.
+
+    Rounding each coordinate moves the vector by at most sqrt(d)/2, so
+    honest floats with norm <= B always encode within this bound.
+    """
+    return math.ceil(B * (1 << frac_bits) + math.sqrt(d) / 2.0)
+
+
 def compute_b0(b_enc: int, M: int, k: int, d: int, epsilon: float) -> int:
     """Integer threshold for the rounded check: sum_t <a_t,u>^2 <= B0.
 
@@ -305,12 +314,7 @@ class CheckParameters:
 
     @cached_property
     def b_enc(self) -> int:
-        """The L2 bound in encoded integer units, with quantization slack.
-
-        Rounding each coordinate moves the vector by at most sqrt(d)/2,
-        so honest floats with norm <= B always encode within b_enc.
-        """
-        return math.ceil(self.B * (1 << self.frac_bits) + math.sqrt(self.d) / 2.0)
+        return encoded_bound(self.B, self.frac_bits, self.d)
 
     @cached_property
     def b0(self) -> int:

@@ -18,7 +18,7 @@ from typing import Sequence
 from ..group.base import GROUP_ORDER, GroupBackend, Point
 from ..group.generators import GeneratorSet
 from ..group.multiexp import multiexp
-from ..group.scalars import batch_inv, inv
+from ..group.scalars import inv
 from ..rng import Rng
 from ..serial import ByteReader, ByteWriter
 from .transcript import Transcript
@@ -254,7 +254,7 @@ def ver_range_proof(
         tr.absorb_point("L", proof.ls[j])
         tr.absorb_point("R", proof.rs[j])
         challenges.append(tr.nonzero_challenge("x-fold"))
-    challenges_inv = batch_inv(challenges)
+    challenges_inv = [inv(c) for c in challenges]
 
     y_pow = _powers(y, nm)
     zz = _powers(z, m + 2)[2:]

@@ -9,17 +9,10 @@ from savi.group.dlog import (
     amortized_table,
     dlog_bounded,
 )
-from savi.group.encoding import (
-    decode_fixed,
-    dequantize_vector,
-    encode_fixed,
-    quantize_vector,
-    scalar_to_signed,
-    signed_to_scalar,
-)
+from savi.group.encoding import quantize_vector
 from savi.group.generators import derive_generators
 from savi.group.multiexp import multiexp, sum_points
-from savi.group.scalars import batch_inv, inv, reduce_wide
+from savi.group.scalars import inv, reduce_wide
 from savi.rng import DeterministicRng
 
 Q = GROUP_ORDER
@@ -99,36 +92,16 @@ def test_sum_points_empty(backend):
     assert sum_points([], backend=backend) == backend.identity()
 
 
-def test_encode_fixed_zero_roundtrip():
-    assert encode_fixed(0.0, 8, 16) == 0
-    assert decode_fixed(encode_fixed(0.0, 8, 16), 8, 16) == 0.0
-
-
-def test_encode_fixed_known_values():
-    assert encode_fixed(1.5, 8, 16) == 384  # 1.5 * 2^8
-    # -1 encodes to 2^8 below zero, i.e. p - 256 once embedded mod p
-    assert signed_to_scalar(encode_fixed(-1.0, 8, 16)) == Q - 256
-
-
-def test_signed_scalar_window():
-    assert scalar_to_signed(signed_to_scalar(-5), 16) == -5
-    assert scalar_to_signed(signed_to_scalar(5), 16) == 5
-    with pytest.raises(ValueError):
-        scalar_to_signed(1 << 20, 16)
-
-
 def test_encode_decode_bulk_roundtrip():
     rng = DeterministicRng(b"encode-bulk")
-    for _ in range(10_000):
-        x = (rng.u64() / 2**64 - 0.5) * 200.0
-        s = encode_fixed(x, 8, 16)
-        back = decode_fixed(s, 8, 16)
-        assert abs(back - x) <= 2**-9 + 1e-12
+    xs = [(rng.u64() / 2**64 - 0.5) * 200.0 for _ in range(10_000)]
+    for x, v in zip(xs, quantize_vector(xs, 8, 16)):
+        assert abs(v / 2**8 - x) <= 2**-9 + 1e-12
 
 
 def test_encode_fixed_out_of_range_errors():
     with pytest.raises(ValueError):
-        encode_fixed(200.0, 8, 16)  # 200*256 > 2^15
+        quantize_vector([200.0], 8, 16)  # 200*256 > 2^15
     with pytest.raises(ValueError):
         quantize_vector([0.0, -200.0], 8, 16)
 
@@ -137,7 +110,7 @@ def test_quantize_dequantize_vector():
     xs = [0.25, -1.5, 3.0]
     vs = quantize_vector(xs, 8, 16)
     assert vs == [64, -384, 768]
-    back = dequantize_vector(vs, 8)
+    back = [v / 2**8 for v in vs]
     assert back == pytest.approx(xs)
 
 
@@ -193,8 +166,6 @@ def test_scalar_inverse():
     xs = [rng.nonzero_scalar() for _ in range(32)]
     for x in xs:
         assert x * inv(x) % Q == 1
-    for x, ix in zip(xs, batch_inv(xs)):
-        assert x * ix % Q == 1
 
 
 def test_reduce_wide_uniformity_shape():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from savi.protocol import (
 from savi.protocol.pairwise import keygen, open_share, pairwise_key, seal_share
 from savi.rng import DeterministicRng
 from savi.sampling import CheckParameters, sample_matrix
-from savi.vsss import InsufficientSharesError, Share
+from savi.vsss import CheckString, InsufficientSharesError, Share
 
 mock = make_backend("mock")
 
@@ -297,6 +299,10 @@ def test_clear_share_request_limit():
         c.respond_clear_shares([4, 7, 9])  # m + 1 would rebuild r
     # duplicates collapse: still just m distinct accusers
     assert len(c.respond_clear_shares([4, 4, 7])) == 3
+    # ids the server invents are refused, not looked up
+    for invented in ([11], [0], [4, 11]):
+        with pytest.raises(AbortServerMaliciousError):
+            c.respond_clear_shares(invented)
 
 
 def test_forged_clear_share_marks_target():
@@ -491,3 +497,14 @@ def test_malformed_bundle_marked():
     server.receive_bundles(bundles)
     assert server.malicious == {2: "malformed_bundle", 3: "no_commitment"}
     assert server.surviving == [1]
+
+
+def test_malformed_bundle_flagged_by_peers():
+    params = _params(n=5, m=2)
+    _, clients = _network(params, seed=b"malformed-peer")
+    bundles = {i: c.commit_round(1, [0] * params.d) for i, c in clients.items()}
+    bundles[2] = replace(bundles[2], encrypted_shares=bundles[2].encrypted_shares[:1])
+    bundles[3] = replace(bundles[3], check_string=CheckString(points=()))
+    for i in (1, 4, 5):
+        flags = clients[i].verify_shares({j: b for j, b in bundles.items() if j != i})
+        assert flags == [2, 3]
