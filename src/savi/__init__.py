@@ -36,8 +36,10 @@ from .zkp import (
     gen_prf_sq,
     gen_prf_wf,
     gen_range_proof,
+    range_terms,
     ver_crt,
     ver_integrity_proof,
+    ver_integrity_proofs,
     ver_prf_sq,
     ver_prf_wf,
     ver_range_proof,
@@ -70,6 +72,7 @@ __all__ = [
     "max_expected_damage",
     "pass_rate_F",
     "plaintext_check",
+    "range_terms",
     "sample_matrix",
     "ss_combine",
     "ss_recover",
@@ -77,6 +80,7 @@ __all__ = [
     "ss_verify",
     "ver_crt",
     "ver_integrity_proof",
+    "ver_integrity_proofs",
     "ver_prf_sq",
     "ver_prf_wf",
     "ver_range_proof",

@@ -100,6 +100,7 @@ def forge_integrity_proof(
     round_no: int,
     client_id: int,
     rng: Rng,
+    projections: list[int] | None = None,
 ) -> IntegrityProof:
     """What a rational cheater sends when the bound check would fail.
 
@@ -108,8 +109,10 @@ def forge_integrity_proof(
     goes into the o commitments: they open to zero projections, making
     every other sub-proof internally valid.  The well-formedness check,
     which ties e_star's secrets to o's, is where verification fails.
+    ``projections`` is ``matrix.row_inner(u)`` when the caller already
+    has it from a failed bound check.
     """
-    v = matrix.row_inner(u)
+    v = matrix.row_inner(u) if projections is None else projections
     claims = [0] * params.k
     return _prove(params, gens, matrix, h, z, y, r, v, claims, round_no, client_id, rng)
 
@@ -121,8 +124,8 @@ class ForgingClient(Client):
     def _prove(self, matrix: SampleMatrix, h: Sequence) -> IntegrityProof:
         try:
             return super()._prove(matrix, h)
-        except BoundExceededError:
+        except BoundExceededError as err:
             return forge_integrity_proof(
                 self.params, self.gens, matrix, h, self.z, self.y, self.r, self.u,
-                self.round_no, self.id, self.rng,
+                self.round_no, self.id, self.rng, projections=err.projections,
             )

@@ -100,12 +100,19 @@ class Client:
     def verify_shares(self, bundles: Mapping[int, CommitmentBundle]) -> list[int]:
         """Decrypt each peer's share for me; flag senders whose bundle is
         malformed or whose share fails authentication or Feldman
-        verification."""
+        verification.
+
+        A peer that sent no bundle is skipped, not flagged: the server
+        already excludes it as ``no_commitment``, and flagging more than
+        m silent peers would make this client an over-flagger."""
         p = self.params
-        if sorted(bundles) != [j for j in range(1, p.n + 1) if j != self.id]:
-            raise ValueError("need material from every peer")
+        unknown = sorted(j for j in bundles if not 1 <= j <= p.n)
+        if unknown:
+            raise ValueError(f"bundles from unknown clients {unknown}")
         flags = []
         for j, bundle in bundles.items():
+            if j == self.id:
+                continue
             if not bundle.well_formed(p.d, p.n, p.threshold):
                 flags.append(j)
                 continue

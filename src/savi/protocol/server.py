@@ -24,7 +24,7 @@ from ..vsss import (
     ss_recover,
     ss_verify,
 )
-from ..zkp import IntegrityProof, ver_integrity_proof
+from ..zkp import IntegrityProof, ver_integrity_proofs
 from .errors import DlogOutOfRangeError, ShareVerifyFailedError
 
 _Q = GROUP_ORDER
@@ -175,32 +175,30 @@ class Server:
     def receive_proofs(
         self, proofs: Mapping[int, Optional[IntegrityProof]]
     ) -> list[int]:
-        """Verify every surviving client's proof; build the honest set."""
+        """Verify every surviving client's proof; build the honest set.
+
+        The proofs are verified as one batch (``ver_integrity_proofs``):
+        the range proofs of every client that passes its per-client
+        checks share one multiexp, bisected on failure to name the
+        clients whose range proofs fail."""
         assert self.matrix is not None, "proof_round must run first"
+        submitted = {
+            i: (self.bundles[i].z, self.bundles[i].y, proofs[i])
+            for i in self.surviving
+            if proofs.get(i) is not None
+        }
+        verdicts = ver_integrity_proofs(
+            self.params, self.gens, self.matrix, self.h, submitted, self.round_no, self.rng
+        )
         honest = []
         for i in self.surviving:
-            proof = proofs.get(i)
-            if proof is None:
+            if i not in verdicts:
                 self._mark(i, "no_proof")
-                continue
-            bundle = self.bundles[i]
-            ok, reason = ver_integrity_proof(
-                self.params,
-                self.gens,
-                self.matrix,
-                self.h,
-                bundle.z,
-                bundle.y,
-                proof,
-                self.round_no,
-                i,
-                self.rng,
-            )
-            if not ok:
-                self.proof_reasons[i] = reason or "unknown"
-                self._mark(i, f"proof_{reason}")
-                continue
-            honest.append(i)
+            elif verdicts[i] is not None:
+                self.proof_reasons[i] = verdicts[i]
+                self._mark(i, f"proof_{verdicts[i]}")
+            else:
+                honest.append(i)
         self.honest = honest
         return list(honest)
 

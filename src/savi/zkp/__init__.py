@@ -3,8 +3,9 @@ from .integrity import (
     IntegrityProof,
     gen_integrity_proof,
     ver_integrity_proof,
+    ver_integrity_proofs,
 )
-from .rangeproof import RangeProof, gen_range_proof, ver_range_proof
+from .rangeproof import RangeProof, gen_range_proof, range_terms, ver_range_proof
 from .sigma import (
     SquareProof,
     WellFormedProof,
@@ -28,8 +29,10 @@ __all__ = [
     "gen_prf_sq",
     "gen_prf_wf",
     "gen_range_proof",
+    "range_terms",
     "ver_crt",
     "ver_integrity_proof",
+    "ver_integrity_proofs",
     "ver_prf_sq",
     "ver_prf_wf",
     "ver_range_proof",

@@ -17,20 +17,28 @@ blind commitment z shows, without revealing u:
 All four sub-proofs draw their challenges from one transcript bound to
 the check parameters, the round and the client's commitments.
 Verification reports which sub-check failed so the simulator can
-attribute rejections.
+attribute rejections.  The proofs of a round are verified as one batch:
+after the per-client checks, every client's range proofs share one
+weighted multiexp, which is bisected on failure to name the cheaters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..group.base import GROUP_ORDER, GroupBackend, Point
 from ..group.generators import GeneratorSet
 from ..group.multiexp import multiexp, sum_points
 from ..rng import Rng
 from ..serial import ByteReader, ByteWriter
-from .rangeproof import RangeProof, gen_range_proof, ver_range_proof
+from .rangeproof import (
+    RangeProof,
+    RangeTerms,
+    gen_range_proof,
+    range_terms,
+    ver_range_proof,
+)
 from .sigma import (
     SquareProof,
     WellFormedProof,
@@ -51,12 +59,14 @@ _Q = GROUP_ORDER
 class BoundExceededError(Exception):
     """The projected squared norm exceeds B0 — an honest client's
     update failed the probabilistic check (probability <= epsilon when
-    the norm is truly within B)."""
+    the norm is truly within B).  ``projections`` is the row_inner
+    vector the check computed, for a cheater that proves anyway."""
 
-    def __init__(self, total: int, b0: int) -> None:
+    def __init__(self, total: int, b0: int, projections: list[int]) -> None:
         super().__init__(f"sum of squared projections {total} exceeds bound {b0}")
         self.total = total
         self.b0 = b0
+        self.projections = projections
 
 
 @dataclass(frozen=True)
@@ -141,7 +151,7 @@ def gen_integrity_proof(
     v = matrix.row_inner(u)  # v[0] already reduced; v[1:] signed ints
     total = sum(x * x for x in v[1:])
     if total > params.b0:
-        raise BoundExceededError(total, params.b0)
+        raise BoundExceededError(total, params.b0, v)
     return _prove(params, gens, matrix, h, z, y, r, v, v[1:], round_no, client_id, rng)
 
 
@@ -208,12 +218,65 @@ def ver_integrity_proof(
     client_id: int,
     rng: Rng,
 ) -> tuple[bool, str | None]:
-    """Check all sub-proofs; returns (verdict, failed-check label).
+    """Check one client's proof; returns (verdict, failed-check label).
 
-    The labels ("malformed", "consistency", "wellformed", "square",
-    "range_ip", "range_sum") feed the simulator's rejection report;
-    honest proofs return (True, None).
+    A batch of one for ``ver_integrity_proofs``, which documents the
+    labels; honest proofs return (True, None).
     """
+    reason = ver_integrity_proofs(
+        params, gens, matrix, h, {client_id: (z, y, proof)}, round_no, rng
+    )[client_id]
+    return reason is None, reason
+
+
+def ver_integrity_proofs(
+    params: "CheckParameters",
+    gens: GeneratorSet,
+    matrix: "SampleMatrix",
+    h: Sequence[Point],
+    proofs: Mapping[int, tuple[Point, Sequence[Point], IntegrityProof]],
+    round_no: int,
+    rng: Rng,
+) -> dict[int, str | None]:
+    """Check the proofs of a round, given as client id -> (z, y, proof).
+
+    Returns client id -> the label of the first failed check, or None
+    for a proof that verifies.  The labels ("malformed", "consistency",
+    "wellformed", "square", "range_ip", "range_sum") feed the simulator's
+    rejection report.
+
+    The per-client checks (shape, ver_crt, the two sigma proofs) run in
+    client-id order and draw from ``rng``.  The range proofs of every
+    client that passes them are then verified as one batch: a single
+    weighted multiexp, with weights from the child stream
+    ``range-batch/<round_no>`` so that ``rng`` itself draws nothing more.
+    A failing batch is bisected down to single clients, each named by
+    its first failing range proof.
+    """
+    weights = rng.child(f"range-batch/{round_no}")
+    verdicts: dict[int, str | None] = {}
+    batch: dict[int, tuple[RangeTerms, RangeTerms]] = {}
+    for client_id in sorted(proofs):
+        z, y, proof = proofs[client_id]
+        checked = _cheap_checks(
+            params, gens, matrix, h, z, y, proof, round_no, client_id, rng, weights
+        )
+        if isinstance(checked, str):
+            verdicts[client_id] = checked
+        else:
+            verdicts[client_id] = None
+            batch[client_id] = checked
+    _bisect(gens, sorted(batch), batch, weights, verdicts)
+    return verdicts
+
+
+def _cheap_checks(
+    params: "CheckParameters", gens: GeneratorSet, matrix: "SampleMatrix",
+    h: Sequence[Point], z: Point, y: Sequence[Point], proof: IntegrityProof,
+    round_no: int, client_id: int, rng: Rng, weights: Rng,
+) -> str | tuple[RangeTerms, RangeTerms]:
+    """Everything but the range proofs' identities: the failed-check
+    label, or the terms of the sigma and mu range proofs."""
     k = params.k
     if (
         len(proof.e_star) != k + 1
@@ -222,24 +285,50 @@ def ver_integrity_proof(
         or len(h) != k + 1
         or len(y) != params.d
     ):
-        return False, "malformed"
+        return "malformed"
     g, q = gens.g, gens.q
 
     if not ver_crt(y, proof.e_star, matrix, rng):
-        return False, "consistency"
+        return "consistency"
     tr = _transcript(params, matrix, round_no, client_id, y, z)
     if not ver_prf_wf(g, q, h, z, proof.e_star, proof.o, proof.rho, rng, tr):
-        return False, "wellformed"
+        return "wellformed"
     if not ver_prf_sq(g, q, proof.o, proof.o_prime, proof.tau, rng, tr):
-        return False, "square"
+        return "square"
 
     shift_point = (1 << (params.b_ip - 1)) * g
     shifted = [shift_point + o_t for o_t in proof.o]
     shifted += [gens.backend.identity()] * (params.k_padded - k)
-    if not ver_range_proof(gens, params.b_ip, shifted, proof.sigma, tr):
-        return False, "range_ip"
+    sigma = range_terms(gens, params.b_ip, shifted, proof.sigma, tr)
+    if sigma is None:
+        return "range_ip"
 
     slack = (params.b0 % _Q) * g - sum_points(proof.o_prime, backend=gens.backend)
-    if not ver_range_proof(gens, params.b_max, [slack], proof.mu, tr):
-        return False, "range_sum"
-    return True, None
+    mu = range_terms(gens, params.b_max, [slack], proof.mu, tr)
+    if mu is None:
+        # a bad sigma proof is still the first failure
+        return "range_sum" if ver_range_proof(gens, [sigma], weights) else "range_ip"
+    return sigma, mu
+
+
+def _bisect(
+    gens: GeneratorSet,
+    ids: list[int],
+    batch: Mapping[int, tuple[RangeTerms, RangeTerms]],
+    weights: Rng,
+    verdicts: dict[int, str | None],
+) -> None:
+    """Name the clients in ``ids`` whose range proofs fail: check them
+    together, and on failure recheck each half, down to one client."""
+    if ver_range_proof(gens, [terms for i in ids for terms in batch[i]], weights):
+        return
+    if len(ids) > 1:
+        half = len(ids) // 2
+        _bisect(gens, ids[:half], batch, weights, verdicts)
+        _bisect(gens, ids[half:], batch, weights, verdicts)
+        return
+    sigma, mu = batch[ids[0]]
+    if not ver_range_proof(gens, [sigma], weights):
+        verdicts[ids[0]] = "range_ip"
+    elif not ver_range_proof(gens, [mu], weights):
+        verdicts[ids[0]] = "range_sum"

@@ -3,8 +3,12 @@
 Proves that each of m Pedersen commitments V_j = v_j g + gamma_j q
 hides a value in [0, 2^n).  The m*n bit commitments are folded through
 the recursive inner-product argument, so the proof carries 2*log2(m*n)
-points plus a constant number of elements, and verification is two
-multiexp identities (one of length O(m*n), one of length m).
+points plus a constant number of elements.  Verification replays a
+proof's transcript into two identities, a polynomial one of length m and
+the unrolled inner-product argument of length O(m*n), as scalar terms
+(``range_terms``); ``ver_range_proof`` checks the identities of any
+number of proofs together in one weighted multiexp whose G_i/H_i part
+is shared by all of them.
 
 m*n must be a power of two; callers pad with zero-valued, zero-blinded
 commitments (the identity point) to reach one.
@@ -214,26 +218,48 @@ def gen_range_proof(
     )
 
 
-def ver_range_proof(
+@dataclass(frozen=True)
+class Identity:
+    """One verification identity as scalar terms: it holds exactly when
+
+        fixed[0] g + fixed[1] q + fixed[2] u
+          + sum_i gs[i] G_i + sum_i hs[i] H_i + sum_j scalars[j] points[j]
+
+    is the identity point, where G_i, H_i, u are the range generators.
+    """
+
+    fixed: tuple[int, int, int]
+    gs: list[int]
+    hs: list[int]
+    points: list[Point]
+    scalars: list[int]
+
+
+# A proof's polynomial identity and its unrolled inner-product argument.
+RangeTerms = tuple[Identity, Identity]
+
+
+def range_terms(
     gens: GeneratorSet,
     n_bits: int,
     commitments: Sequence[Point],
     proof: RangeProof,
     tr: Transcript,
-) -> bool:
+) -> RangeTerms | None:
+    """Replay the proof's transcript into the terms of its two identities.
+
+    Returns None for a proof whose shape does not fit the statement (a
+    slot count that is not a power of two, too few range generators, or
+    the wrong number of folding rounds).  Costs no group operation.
+    """
     m = len(commitments)
     try:
         nm = _check_sizes(gens, n_bits, m)
     except ValueError:
-        return False
+        return None
     rounds = nm.bit_length() - 1
     if len(proof.ls) != rounds or len(proof.rs) != rounds:
-        return False
-
-    backend = gens.backend
-    g, q = gens.g, gens.q
-    gs = list(gens.range_gens.gs[:nm])
-    hs = list(gens.range_gens.hs[:nm])
+        return None
 
     tr.absorb_u64("bits", n_bits)
     tr.absorb_u64("values", m)
@@ -264,17 +290,15 @@ def ver_range_proof(
     delta = ((z - z * z % _Q) * sum(y_pow)) % _Q
     two_n = ((1 << n_bits) - 1) % _Q
     delta = (delta - sum(zz[j] * z for j in range(m)) % _Q * two_n) % _Q
-    eq1_points = [g, q, proof.t1_commit, proof.t2_commit] + list(commitments)
-    eq1_scalars = [
-        (delta - proof.t_hat) % _Q,
-        -proof.tau_x % _Q,
-        x,
-        x * x % _Q,
-    ] + [zz[j] for j in range(m)]
-    if not multiexp(eq1_points, eq1_scalars, backend=backend).is_identity():
-        return False
+    poly = Identity(
+        fixed=((delta - proof.t_hat) % _Q, -proof.tau_x % _Q, 0),
+        gs=[],
+        hs=[],
+        points=[proof.t1_commit, proof.t2_commit] + list(commitments),
+        scalars=[x, x * x % _Q] + zz,
+    )
 
-    # Inner-product argument check, unrolled into one multiexp.
+    # Inner-product argument check, unrolled.
     s = [0] * nm
     s[0] = 1
     for c_inv in challenges_inv:
@@ -284,30 +308,58 @@ def ver_range_proof(
         s[i] = s[i - (1 << lg)] * challenges[rounds - 1 - lg] ** 2 % _Q
     y_inv_pow = _powers(inv(y), nm)
 
+    gs = [(-z - proof.a * s[i]) % _Q for i in range(nm)]
+    # s_i^{-1} equals the mirrored product s_{nm-1-i}
+    hs = [
+        (z * y_pow[i] + zz[i // n_bits] * (1 << (i % n_bits)) - proof.b * s[nm - 1 - i])
+        * y_inv_pow[i]
+        % _Q
+        for i in range(nm)
+    ]
+    points = [proof.a_commit, proof.s_commit]
+    scalars = [1, x]
+    for j in range(rounds):
+        points += [proof.ls[j], proof.rs[j]]
+        scalars += [challenges[j] ** 2 % _Q, challenges_inv[j] ** 2 % _Q]
+    ipa = Identity(
+        fixed=(0, -proof.mu % _Q, w * (proof.t_hat - proof.a * proof.b) % _Q),
+        gs=gs,
+        hs=hs,
+        points=points,
+        scalars=scalars,
+    )
+    return poly, ipa
+
+
+def ver_range_proof(
+    gens: GeneratorSet, statements: Sequence[RangeTerms], rng: Rng
+) -> bool:
+    """Check every identity of every statement in one multiexp.
+
+    Each identity is weighted by a fresh nonzero scalar from ``rng``, the
+    G_i and H_i scalars are summed slot by slot (a narrower proof uses a
+    prefix of the same range generators) and the g, q, u terms merged.
+    A batch holding a false identity passes only if the weights happen
+    to cancel it (probability about 1/order), so the result is the AND
+    of the proofs' own verdicts; a single proof is a batch of one.
+    """
+    rg = gens.range_gens
+    width = max((len(ipa.gs) for _, ipa in statements), default=0)
+    fixed = [0, 0, 0]
+    gs = [0] * width
+    hs = [0] * width
     points: list[Point] = []
     scalars: list[int] = []
-    for i in range(nm):
-        points.append(gs[i])
-        scalars.append((-z - proof.a * s[i]) % _Q)
-        # s_i^{-1} equals the mirrored product s_{nm-1-i}
-        h_coef = (
-            z * y_pow[i]
-            + zz[i // n_bits] * (1 << (i % n_bits))
-            - proof.b * s[nm - 1 - i]
-        ) % _Q
-        points.append(hs[i])
-        scalars.append(h_coef * y_inv_pow[i] % _Q)
-    points.append(q)
-    scalars.append(-proof.mu % _Q)
-    points.append(gens.range_gens.u)
-    scalars.append(w * (proof.t_hat - proof.a * proof.b) % _Q)
-    points.append(proof.a_commit)
-    scalars.append(1)
-    points.append(proof.s_commit)
-    scalars.append(x)
-    for j in range(rounds):
-        points.append(proof.ls[j])
-        scalars.append(challenges[j] ** 2 % _Q)
-        points.append(proof.rs[j])
-        scalars.append(challenges_inv[j] ** 2 % _Q)
-    return multiexp(points, scalars, backend=backend).is_identity()
+    # sums stay unreduced: multiexp reduces every scalar
+    for terms in statements:
+        for ident in terms:
+            c = rng.nonzero_scalar()
+            for j in range(3):
+                fixed[j] += c * ident.fixed[j]
+            for i, (sg, sh) in enumerate(zip(ident.gs, ident.hs)):
+                gs[i] += c * sg
+                hs[i] += c * sh
+            points += ident.points
+            scalars += [c * sc for sc in ident.scalars]
+    bases = [gens.g, gens.q, rg.u] + list(rg.gs[:width]) + list(rg.hs[:width]) + points
+    return multiexp(bases, fixed + gs + hs + scalars, backend=gens.backend).is_identity()

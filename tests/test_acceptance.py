@@ -40,10 +40,13 @@ from savi.zkp import (
     gen_integrity_proof,
     gen_prf_sq,
     gen_prf_wf,
+    gen_range_proof,
+    range_terms,
     ver_crt,
     ver_integrity_proof,
     ver_prf_sq,
     ver_prf_wf,
+    ver_range_proof,
 )
 
 Q = GROUP_ORDER
@@ -265,6 +268,55 @@ def _naive_wf(g, q, h, z, e, o, proof, tr):
     return True
 
 
+def _naive_range(gens, n_bits, comms, proof, tr):
+    """Both range-proof identities checked on their own, the inner-product
+    argument by folding the generators round by round."""
+    from savi.group.scalars import inv
+
+    m, nm = len(comms), n_bits * len(comms)
+    rounds = nm.bit_length() - 1
+    if len(proof.ls) != rounds or len(proof.rs) != rounds:
+        return False
+    g, q, rg = gens.g, gens.q, gens.range_gens
+    tr.absorb_u64("bits", n_bits)
+    tr.absorb_u64("values", m)
+    tr.absorb_points("V", comms)
+    tr.absorb_point("A", proof.a_commit)
+    tr.absorb_point("S", proof.s_commit)
+    y, z = tr.nonzero_challenge("y"), tr.nonzero_challenge("z")
+    tr.absorb_point("T1", proof.t1_commit)
+    tr.absorb_point("T2", proof.t2_commit)
+    x = tr.nonzero_challenge("x")
+    for label in ("tau_x", "mu", "t_hat"):
+        tr.absorb_scalar(label, getattr(proof, label))
+    u_pt = tr.nonzero_challenge("w") * rg.u
+
+    y_pow = [pow(y, i, Q) for i in range(nm)]
+    zz = [pow(z, 2 + j, Q) for j in range(m)]
+    delta = ((z - z * z) * sum(y_pow) - z * sum(zz) * ((1 << n_bits) - 1)) % Q
+    lhs = multiexp([g, q], [proof.t_hat, proof.tau_x])
+    rhs = multiexp([g] + list(comms) + [proof.t1_commit, proof.t2_commit],
+                   [delta] + zz + [x, x * x % Q])
+    if lhs != rhs:
+        return False
+
+    gs = list(rg.gs[:nm])
+    hs = [inv(y_pow[i]) * rg.hs[i] for i in range(nm)]
+    p_pt = proof.a_commit + x * proof.s_commit + (-proof.mu % Q) * q + proof.t_hat * u_pt
+    p_pt = p_pt + multiexp(gs + hs, [-z % Q] * nm + [
+        (z * y_pow[i] + zz[i // n_bits] * (1 << (i % n_bits))) % Q for i in range(nm)
+    ])
+    for left, right in zip(proof.ls, proof.rs):
+        tr.absorb_point("L", left)
+        tr.absorb_point("R", right)
+        c = tr.nonzero_challenge("x-fold")
+        c_inv, half = inv(c), len(gs) // 2
+        p_pt = (c * c % Q) * left + p_pt + (c_inv * c_inv % Q) * right
+        gs = [c_inv * gs[i] + c * gs[half + i] for i in range(half)]
+        hs = [c * hs[i] + c_inv * hs[half + i] for i in range(half)]
+    return p_pt == multiexp([gs[0], hs[0], u_pt], [proof.a, proof.b, proof.a * proof.b % Q])
+
+
 def test_criterion_07_batch_equals_naive():
     gens = GeneratorSet.derive(mock, 6, 4)
     g, q = gens.g, gens.q
@@ -272,6 +324,8 @@ def test_criterion_07_batch_equals_naive():
     k, d = 3, 6
 
     sq_agree = wf_agree = crt_agree = 0
+    range_gens = GeneratorSet.derive(mock, 1, 32)
+    range_batch = []
     for i in range(100):
         rng = root.child(f"i/{i}")
         tamper = i % 3 == 1
@@ -321,7 +375,29 @@ def test_criterion_07_batch_equals_naive():
         assert ver_crt(gens.w, claimed, matrix, rng) == naive
         crt_agree += 1
 
-    assert sq_agree == wf_agree == crt_agree == 100
+        # range proof instance: 8 or 32 slots, one multiexp per check
+        n_bits, m = (8, 1) if i % 2 else (16, 2)
+        vals = [rng.below(1 << n_bits) for _ in range(m)]
+        blinds = [rng.scalar() for _ in range(m)]
+        comms = [multiexp([g, q], [v_, b_]) for v_, b_ in zip(vals, blinds)]
+        rp = gen_range_proof(range_gens, n_bits, vals, blinds, rng, tr())
+        if tamper:
+            field = ("t_hat", "tau_x", "mu", "a", "b")[(i // 3) % 5]
+            rp = dataclasses.replace(rp, **{field: (getattr(rp, field) + 1) % Q})
+        terms = range_terms(range_gens, n_bits, comms, rp, tr())
+        naive = _naive_range(range_gens, n_bits, comms, rp, tr())
+        assert ver_range_proof(range_gens, [terms], rng) == naive == (not tamper)
+        range_batch.append((terms, naive))
+
+    assert sq_agree == wf_agree == crt_agree == len(range_batch) == 100
+    # a batch (of proofs of two widths) is the AND of their own verdicts
+    for lo in range(0, 96, 3):
+        for window in (range_batch[lo:lo + 3], range_batch[lo + 2:lo + 4]):
+            assert ver_range_proof(range_gens, [t for t, _ in window], root) == all(
+                ok for _, ok in window
+            )
+    assert ver_range_proof(range_gens, [t for t, ok in range_batch if ok], root)
+    assert not ver_range_proof(range_gens, [t for t, _ in range_batch], root)
 
 
 # -- 8. chi-square law and rounding lemmas ----------------------------------------

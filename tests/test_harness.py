@@ -33,7 +33,7 @@ from savi.harness.simulate import (
     MSG_PROOF,
     Simulation,
 )
-from savi.sampling import pass_rate_F, sample_matrix
+from savi.sampling import SampleMatrix, pass_rate_F, sample_matrix
 
 
 def _tiny(**overrides):
@@ -130,6 +130,44 @@ def test_round_with_forgers_samples_the_matrix_once_per_party(monkeypatch):
     rep = sim.run_round(1)
     assert rep.excluded == {2: "proof_wellformed", 4: "proof_wellformed"}
     assert len(calls) == fields["n"] + 1
+
+
+def test_round_with_forgers_projects_each_update_once(monkeypatch):
+    calls = []
+    row_inner = SampleMatrix.row_inner
+
+    def counted(matrix, u):
+        calls.append(id(matrix))
+        return row_inner(matrix, u)
+
+    monkeypatch.setattr(SampleMatrix, "row_inner", counted)
+    fields = _PINNED_ROUNDS[0][0]
+    rep = Simulation(SimulationConfig(**fields)).run_round(1)
+    assert rep.excluded == {2: "proof_wellformed", 4: "proof_wellformed"}
+    # one call per client, each on the matrix that client sampled
+    assert len(calls) == len(set(calls)) == fields["n"]
+
+
+def test_two_round_uplink_pinned():
+    # round 2's proofs hash the server's round-2 nonce, which follows
+    # every draw the server made in round 1: verification included
+    fields = dict(_PINNED_ROUNDS[0][0], rounds=2)
+    reps = run_simulation(SimulationConfig(**fields))
+    uplink = b"".join(
+        payload for rep in reps for _, _, payload in sorted(rep.messages, key=lambda m: m[1])
+    )
+    assert hashlib.sha256(uplink).hexdigest() == (
+        "b5afc3fe326bdabe39779f1d40fe50af73cdc5a0db78bdea773d9c8c301d22f4"
+    )
+
+
+def test_proof_verification_op_count_pinned():
+    # every client's range proofs share one multiexp over the slot bases;
+    # checked one proof at a time this round cost 14,930 muls
+    (rep,) = run_simulation(SimulationConfig(n=10, m=4, d=64, k=8, seed=1, backend="mock"))
+    assert rep.honest == tuple(range(1, 11))
+    assert rep.group_ops["proof_ver"] == {"mul": 3077, "add": 3176, "from_hash": 0}
+    assert rep.group_ops["proof_ver"]["mul"] <= 4000
 
 
 def test_workers_do_not_change_verdicts():

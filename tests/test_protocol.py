@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from savi.group import GeneratorSet, make_backend
+from savi.group import GROUP_ORDER, GeneratorSet, make_backend
 from savi.protocol import (
     AbortServerMaliciousError,
     Client,
@@ -14,6 +14,7 @@ from savi.protocol.pairwise import keygen, open_share, pairwise_key, seal_share
 from savi.rng import DeterministicRng
 from savi.sampling import CheckParameters, sample_matrix
 from savi.vsss import CheckString, InsufficientSharesError, Share
+from savi.zkp import ver_integrity_proof
 
 mock = make_backend("mock")
 
@@ -287,6 +288,31 @@ def test_missing_flag_report_is_dropout():
     assert server.malicious.get(4) == "no_flag_report"
 
 
+def test_silent_client_is_excluded_without_aborting_its_peers():
+    params = _params(n=5, m=2)
+    server, clients = _network(params, seed=b"withheld")
+    updates = _small_updates(params, seed=12)
+    server.begin_round(1)
+    bundles = {i: c.commit_round(1, updates[i]) for i, c in clients.items()}
+    del bundles[3]  # client 3 committed but its bundle never arrives
+    server.receive_bundles(bundles)
+    live = [1, 2, 4, 5]
+    flags = {
+        i: clients[i].verify_shares({j: b for j, b in bundles.items() if j != i})
+        for i in live
+    }
+    assert flags == {i: [] for i in live}
+    assert server.resolve_flags(flags) == {}
+    nonce, h = server.proof_round()
+    honest = server.receive_proofs({i: clients[i].proof_round(nonce, h) for i in live})
+    assert honest == live
+    assert server.malicious == {3: "no_commitment"}
+    total = server.aggregate({i: clients[i].aggregate_round(honest) for i in honest})
+    assert total == [sum(updates[i][l] for i in live) for l in range(params.d)]
+    with pytest.raises(ValueError, match="unknown clients"):
+        clients[1].verify_shares({6: bundles[2]})
+
+
 def test_clear_share_request_limit():
     params = _params(n=10, m=2)
     _, clients = _network(params, seed=b"limit")
@@ -450,6 +476,63 @@ def test_empty_honest_set_aggregates_to_zero():
     assert server.surviving == []
     server.honest = []
     assert server.aggregate({}) == [0] * params.d
+
+
+# -- batched proof verification ----------------------------------------------------
+
+
+def _short_ls(rp):
+    return replace(rp, ls=rp.ls[:-1])
+
+
+def _bump(rp, field):
+    return replace(rp, **{field: (getattr(rp, field) + 1) % GROUP_ORDER})
+
+
+# range-proof-only cheats, with the label each must be named by
+_RANGE_CHEATS = [
+    (lambda p: replace(p, sigma=_bump(p.sigma, "t_hat")), "range_ip"),
+    (lambda p: replace(p, mu=_bump(p.mu, "a")), "range_sum"),
+    (lambda p: replace(p, sigma=_short_ls(p.sigma)), "range_ip"),
+    (lambda p: replace(p, mu=_short_ls(p.mu)), "range_sum"),
+    # a bad sigma proof is named before a malformed mu proof
+    (lambda p: replace(p, sigma=_bump(p.sigma, "t_hat"), mu=_short_ls(p.mu)), "range_ip"),
+]
+
+
+# client id -> index into _RANGE_CHEATS
+@pytest.mark.parametrize("cheaters", [{3: 0}, {2: 1, 5: 0}, {1: 0, 2: 1, 3: 2, 4: 3, 5: 4}])
+def test_batch_names_exactly_the_range_proof_cheaters(cheaters):
+    params = _params(n=5, m=2)
+    server, clients = _network(params, seed=b"batch")
+    updates = _small_updates(params, seed=5)
+    server.begin_round(1)
+    bundles = {i: c.commit_round(1, updates[i]) for i, c in clients.items()}
+    server.receive_bundles(bundles)
+    server.resolve_flags({
+        i: c.verify_shares({j: b for j, b in bundles.items() if j != i})
+        for i, c in clients.items()
+    })
+    nonce, h = server.proof_round()
+    proofs = {i: c.proof_round(nonce, h) for i, c in clients.items()}
+    expected = {}
+    for i, which in cheaters.items():
+        cheat, reason = _RANGE_CHEATS[which]
+        proofs[i] = cheat(proofs[i])
+        expected[i] = reason
+
+    alone = {
+        i: ver_integrity_proof(
+            params, server.gens, server.matrix, server.h, bundles[i].z, bundles[i].y,
+            proof, 1, i, DeterministicRng(b"alone"),
+        )
+        for i, proof in proofs.items()
+    }
+    assert alone == {i: (i not in expected, expected.get(i)) for i in proofs}
+    honest = server.receive_proofs(proofs)
+    assert honest == [i for i in clients if i not in expected]
+    assert server.proof_reasons == expected
+    assert server.malicious == {i: f"proof_{r}" for i, r in expected.items()}
 
 
 # -- stage machine ---------------------------------------------------------------

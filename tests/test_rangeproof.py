@@ -3,13 +3,14 @@ import pytest
 from savi.group import GROUP_ORDER, GeneratorSet, make_backend
 from savi.group.multiexp import multiexp
 from savi.rng import DeterministicRng
-from savi.zkp import Transcript, gen_range_proof, ver_range_proof
+from savi.zkp import Transcript, gen_range_proof, range_terms, ver_range_proof
 from savi.zkp.rangeproof import RangeProof
 
 Q = GROUP_ORDER
 
 backend = make_backend("mock")
 GENS = GeneratorSet.derive(backend, 2, 64)  # up to 64 bit-slots
+_WEIGHTS = DeterministicRng(b"rp-weights")  # the verifier's batch weights
 
 
 def _commit(value, blind):
@@ -28,12 +29,12 @@ def _prove(values, blinds, n_bits, context="range-test"):
 
 def test_value_zero_verifies():
     proof = _prove([0], [5], 8)
-    assert ver_range_proof(GENS, 8, [_commit(0, 5)], proof, _tr())
+    assert ver_range_proof(GENS, [range_terms(GENS, 8, [_commit(0, 5)], proof, _tr())], _WEIGHTS)
 
 
 def test_max_value_verifies():
     proof = _prove([255], [7], 8)
-    assert ver_range_proof(GENS, 8, [_commit(255, 7)], proof, _tr())
+    assert ver_range_proof(GENS, [range_terms(GENS, 8, [_commit(255, 7)], proof, _tr())], _WEIGHTS)
 
 
 def test_value_at_bound_refused_at_generation():
@@ -48,7 +49,7 @@ def test_forged_commitment_off_by_2_to_b():
     blind = 11
     proof = _prove([3], [blind], 8)
     forged = _commit((1 << 8) + 3, blind)
-    assert not ver_range_proof(GENS, 8, [forged], proof, _tr())
+    assert not ver_range_proof(GENS, [range_terms(GENS, 8, [forged], proof, _tr())], _WEIGHTS)
 
 
 def test_aggregated_values():
@@ -56,10 +57,10 @@ def test_aggregated_values():
     blinds = [1, 2, 3, 4]
     proof = _prove(values, blinds, 8)
     comms = [_commit(v, b) for v, b in zip(values, blinds)]
-    assert ver_range_proof(GENS, 8, comms, proof, _tr())
+    assert ver_range_proof(GENS, [range_terms(GENS, 8, comms, proof, _tr())], _WEIGHTS)
     # swapping two commitments breaks it
     swapped = [comms[1], comms[0]] + comms[2:]
-    assert not ver_range_proof(GENS, 8, swapped, proof, _tr())
+    assert not ver_range_proof(GENS, [range_terms(GENS, 8, swapped, proof, _tr())], _WEIGHTS)
 
 
 def test_wider_range_16_bits():
@@ -67,7 +68,7 @@ def test_wider_range_16_bits():
     blinds = [9, 10]
     proof = _prove(values, blinds, 16)
     comms = [_commit(v, b) for v, b in zip(values, blinds)]
-    assert ver_range_proof(GENS, 16, comms, proof, _tr())
+    assert ver_range_proof(GENS, [range_terms(GENS, 16, comms, proof, _tr())], _WEIGHTS)
 
 
 def test_mismatched_slot_count_rejected():
@@ -79,7 +80,7 @@ def test_tamper_matrix_every_component():
     values, blinds = [44, 200], [13, 14]
     proof = _prove(values, blinds, 8)
     comms = [_commit(v, b) for v, b in zip(values, blinds)]
-    assert ver_range_proof(GENS, 8, comms, proof, _tr())
+    assert ver_range_proof(GENS, [range_terms(GENS, 8, comms, proof, _tr())], _WEIGHTS)
 
     def mutated(**kw):
         fields = {f: getattr(proof, f) for f in (
@@ -103,18 +104,18 @@ def test_tamper_matrix_every_component():
         mutated(b=(proof.b + 1) % Q),
     ]
     for bad in bads:
-        assert not ver_range_proof(GENS, 8, comms, bad, _tr())
+        assert not ver_range_proof(GENS, [range_terms(GENS, 8, comms, bad, _tr())], _WEIGHTS)
 
 
 def test_label_domain_separation():
     # the proof's challenges bind everything the transcript held before it
     proof = _prove([9], [3], 8, context="alpha")
     comm = [_commit(9, 3)]
-    assert ver_range_proof(GENS, 8, comm, proof, _tr("alpha"))
-    assert not ver_range_proof(GENS, 8, comm, proof, _tr("beta"))
+    assert ver_range_proof(GENS, [range_terms(GENS, 8, comm, proof, _tr("alpha"))], _WEIGHTS)
+    assert not ver_range_proof(GENS, [range_terms(GENS, 8, comm, proof, _tr("beta"))], _WEIGHTS)
     prefixed = _tr("alpha")
     prefixed.absorb_u64("round", 2)
-    assert not ver_range_proof(GENS, 8, comm, proof, prefixed)
+    assert not ver_range_proof(GENS, [range_terms(GENS, 8, comm, proof, prefixed)], _WEIGHTS)
 
 
 def test_serialization_roundtrip():
@@ -123,7 +124,7 @@ def test_serialization_roundtrip():
     back = RangeProof.from_bytes(proof.to_bytes(), backend)
     assert back == proof
     comms = [_commit(v, b) for v, b in zip(values, blinds)]
-    assert ver_range_proof(GENS, 8, comms, back, _tr())
+    assert ver_range_proof(GENS, [range_terms(GENS, 8, comms, back, _tr())], _WEIGHTS)
 
 
 def test_proof_size_logarithmic_in_slots():
@@ -133,3 +134,38 @@ def test_proof_size_logarithmic_in_slots():
     assert len(p64.ls) == 6
     # fold vectors grow by 3 entries while slot count grows 8x
     assert len(p64.to_bytes()) - len(p8.to_bytes()) == 6 * 32
+
+
+def test_batch_weights_stop_errors_cancelling():
+    # a+1 in one copy and a-1 in another cancel in an unweighted sum of
+    # the two identities; each identity's own weight keeps both visible
+    values, blinds = [5, 6], [7, 8]
+    proof = _prove(values, blinds, 8)
+    comms = [_commit(v, b) for v, b in zip(values, blinds)]
+    up = RangeProof(**{**proof.__dict__, "a": (proof.a + 1) % Q})
+    down = RangeProof(**{**proof.__dict__, "a": (proof.a - 1) % Q})
+    batch = [range_terms(GENS, 8, comms, p, _tr()) for p in (up, down)]
+    assert not ver_range_proof(GENS, batch, _WEIGHTS)
+    honest = [range_terms(GENS, 8, comms, proof, _tr()) for _ in range(2)]
+    assert ver_range_proof(GENS, honest, _WEIGHTS)
+
+
+def test_batch_of_two_widths_verifies():
+    # an 8-slot and a 32-slot proof share the first 8 G_i/H_i bases
+    narrow = _prove([3], [4], 8)
+    wide = _prove([1, 2], [5, 6], 16)
+    statements = [
+        range_terms(GENS, 8, [_commit(3, 4)], narrow, _tr()),
+        range_terms(GENS, 16, [_commit(1, 5), _commit(2, 6)], wide, _tr()),
+    ]
+    assert ver_range_proof(GENS, statements, _WEIGHTS)
+    assert ver_range_proof(GENS, [], _WEIGHTS)
+
+
+def test_misshapen_proof_has_no_terms():
+    proof = _prove([9], [3], 8)
+    comm = [_commit(9, 3)]
+    short = RangeProof(**{**proof.__dict__, "ls": proof.ls[:-1]})
+    assert range_terms(GENS, 8, comm, short, _tr()) is None
+    assert range_terms(GENS, 8, comm * 3, proof, _tr()) is None  # 24 slots
+    assert range_terms(GENS, 128, comm, proof, _tr()) is None  # too few generators
