@@ -39,10 +39,14 @@ def aggregate_commitments(
     their reports rather than treating it as an error).
     """
     d = len(gens.w)
-    total = [gens.backend.identity() for _ in range(d)]
-    for vec in vectors:
-        if len(vec) != d:
-            raise ValueError("commitment vector length mismatch")
+    if any(len(vec) != d for vec in vectors):
+        raise ValueError("commitment vector length mismatch")
+    if not vectors:
+        return [gens.backend.identity() for _ in range(d)]
+    # start from the first vector: adding it to identities would count
+    # d additions that ristretto255 short-circuits
+    total = list(vectors[0])
+    for vec in vectors[1:]:
         total = [acc + y_l for acc, y_l in zip(total, vec)]
     return total
 

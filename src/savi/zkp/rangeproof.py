@@ -1,14 +1,25 @@
 """Aggregated range proof with a logarithmic inner-product argument.
 
 Proves that each of m Pedersen commitments V_j = v_j g + gamma_j q
-hides a value in [0, 2^n).  The m*n bit commitments are folded through
-the recursive inner-product argument, so the proof carries 2*log2(m*n)
-points plus a constant number of elements.  Verification replays a
-proof's transcript into two identities, a polynomial one of length m and
-the unrolled inner-product argument of length O(m*n), as scalar terms
+hides a value in [0, 2^n) (Bünz et al., "Bulletproofs", IEEE S&P 2018,
+§3–4).  The m*n bit commitments are folded through the recursive
+inner-product argument, so the proof carries 2*log2(m*n) points plus a
+constant number of elements.  Verification replays a proof's transcript
+into two identities, a polynomial one of length m and the unrolled
+inner-product argument of length O(m*n), as scalar terms
 (``range_terms``); ``ver_range_proof`` checks the identities of any
 number of proofs together in one weighted multiexp whose G_i/H_i part
 is shared by all of them.
+
+The prover costs about 8*m*n scalar multiplications, with the paper's
+arithmetic reordered and its points unchanged, so proofs are byte for
+byte those of a prover that folds its bases explicitly.  The bit
+commitment A has only scalars 1 and -1 on G_i and H_i, which
+``multiexp`` turns into additions.  The inner-product argument carries
+each base's scalar factor into the L and R scalars instead of
+multiplying it in: H is never rescaled by y^{-i}, a fold stores one
+bracket per pair (one multiplication), and the last round folds no
+bases, since nothing reads them.
 
 m*n must be a power of two; callers pad with zero-valued, zero-blinded
 commitments (the identity point) to reach one.
@@ -172,25 +183,38 @@ def gen_range_proof(
     w = tr.nonzero_challenge("w")
     u_pt = w * gens.range_gens.u
 
-    # Fold the h bases by y^{-i} so the inner product is plain.
+    # The inner product runs over G_i and y^{-i} H_i.  Neither is ever
+    # built: bases are kept as f_g PG_i and f_h[i] PH_i, with f_g one
+    # scalar for every slot and f_h[i] = c y^{-i} for one c per round, and
+    # the factors are carried into the L and R scalars.  Folding
+    #   G'_i = x^-1 G_i + x G_{half+i} = x^-1 f_g (PG_i + x^2 PG_{half+i})
+    #   H'_i = x H_i + x^-1 H_{half+i}
+    #        = x f_h[i] (PH_i + x^-2 y^-half PH_{half+i})
+    # stores only the brackets (one mul and one add per pair) and moves
+    # x^-1 and x into the factors.
     y_inv_pow = _powers(inv(y), nm)
-    hs = [y_inv_pow[i] * hs[i] for i in range(nm)]
+    pg, ph = gs, hs
+    f_g, f_h = 1, y_inv_pow
 
     ls: list[Point] = []
     rs: list[Point] = []
     a_cur, b_cur = l_vec, r_vec
-    g_cur, h_cur = gs, hs
     while len(a_cur) > 1:
         half = len(a_cur) // 2
         c_l = _ip(a_cur[:half], b_cur[half:])
         c_r = _ip(a_cur[half:], b_cur[:half])
+        # scalars stay unreduced: multiexp reduces every scalar
         left = multiexp(
-            g_cur[half:] + h_cur[:half] + [u_pt],
-            a_cur[:half] + b_cur[half:] + [c_l],
+            pg[half:] + ph[:half] + [u_pt],
+            [a * f_g for a in a_cur[:half]]
+            + [b * f for b, f in zip(b_cur[half:], f_h)]
+            + [c_l],
         )
         right = multiexp(
-            g_cur[:half] + h_cur[half:] + [u_pt],
-            a_cur[half:] + b_cur[:half] + [c_r],
+            pg[:half] + ph[half:] + [u_pt],
+            [a * f_g for a in a_cur[half:]]
+            + [b * f for b, f in zip(b_cur[:half], f_h[half:])]
+            + [c_r],
         )
         ls.append(left)
         rs.append(right)
@@ -200,8 +224,14 @@ def gen_range_proof(
         x_r_inv = inv(x_r)
         a_cur = [(a_cur[i] * x_r + a_cur[half + i] * x_r_inv) % _Q for i in range(half)]
         b_cur = [(b_cur[i] * x_r_inv + b_cur[half + i] * x_r) % _Q for i in range(half)]
-        g_cur = [x_r_inv * g_cur[i] + x_r * g_cur[half + i] for i in range(half)]
-        h_cur = [x_r * h_cur[i] + x_r_inv * h_cur[half + i] for i in range(half)]
+        if half == 1:
+            break  # the last round's folded bases would never be read
+        g_hi = x_r * x_r % _Q
+        h_hi = x_r_inv * x_r_inv * y_inv_pow[half] % _Q
+        pg = [pg[i] + g_hi * pg[half + i] for i in range(half)]
+        ph = [ph[i] + h_hi * ph[half + i] for i in range(half)]
+        f_g = f_g * x_r_inv % _Q
+        f_h = [f * x_r % _Q for f in f_h[:half]]
 
     return RangeProof(
         a_commit=a_commit,

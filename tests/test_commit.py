@@ -75,6 +75,19 @@ def test_aggregate_empty_is_identity(backend):
     assert aggregate_commitments([], gens) == [backend.identity()] * 2
 
 
+def test_aggregate_adds_only_between_vectors(backend):
+    # three vectors of d=2 take (3 - 1) * 2 additions, none against identities
+    gens = _tiny_gens(backend, [3, 4])
+    vectors = [commit_update([i, i + 1], i, gens)[0] for i in (1, 2, 3)]
+    before = backend.counter.snapshot()
+    total = aggregate_commitments(vectors, gens)
+    after = backend.counter.snapshot()
+    assert total == commit_update([6, 9], 6, gens)[0]
+    assert (after["add"] - before["add"], after["mul"] - before["mul"]) == (4, 0)
+    with pytest.raises(ValueError):
+        aggregate_commitments([vectors[0], vectors[1][:1]], gens)
+
+
 def test_additive_homomorphism_random_pairs():
     backend = make_backend("mock")
     rng = DeterministicRng(b"homomorphism")

@@ -88,6 +88,33 @@ def test_multiexp_equals_sequential_fold(n, seed):
     assert multiexp(points, scalars) == folded
 
 
+@pytest.mark.parametrize(
+    "scalars",
+    [
+        [Q - 1, 1, 0, "r", Q - 1],  # -1 first: the accumulator is still empty
+        [1, Q - 1, "r", 0, 1],
+        ["r", Q - 1, 1, "r", Q - 1],
+        [0, 0, Q - 1, 1, 0],
+        [1, 1 + Q, -1, "r", 0],  # scalars reduce before the +-1 test
+        [Q - 1, 0],  # only -1 terms: subtracted from the identity
+    ],
+)
+def test_multiexp_plus_minus_one_terms(backend, scalars):
+    rng = DeterministicRng(b"multiexp-pm1")
+    ident = backend.identity()
+    points = [rng.scalar() * backend.base() for _ in scalars] + [ident, ident]
+    scalars = [rng.scalar() if s == "r" else s for s in scalars] + [1, Q - 1]
+    expected = backend.identity()
+    for p, s in zip(points, scalars):
+        expected = expected + s * p
+    before = backend.counter.snapshot()
+    got = multiexp(points, scalars)
+    muls = backend.counter.mul - before["mul"]
+    assert got == expected
+    # only the random scalars on real points cost a multiplication
+    assert muls == sum(1 for p, s in zip(points, scalars) if p != ident and 1 < s % Q < Q - 1)
+
+
 def test_sum_points_empty(backend):
     assert sum_points([], backend=backend) == backend.identity()
 

@@ -170,6 +170,19 @@ def test_proof_verification_op_count_pinned():
     assert rep.group_ops["proof_ver"]["mul"] <= 4000
 
 
+def test_proof_generation_op_count_pinned():
+    # the range prover carries its fold factors and builds A from +-1
+    # additions; folding explicitly, this round cost 79,180 muls and
+    # 58,900 adds
+    (rep,) = run_simulation(SimulationConfig(n=10, m=4, d=64, k=8, seed=1, backend="mock"))
+    assert rep.honest == tuple(range(1, 11))
+    assert rep.group_ops["proof_gen"] == {"mul": 53580, "add": 58860, "from_hash": 0}
+    assert rep.group_ops["proof_gen"]["mul"] <= 56_000
+    # the sum of the honest commitments starts from the first vector, not
+    # from d identities (this stage counted 9,976 adds when it did)
+    assert rep.group_ops["aggregate"] == {"mul": 112, "add": 9912, "from_hash": 0}
+
+
 def test_workers_do_not_change_verdicts():
     a = run_simulation(_tiny(rounds=2, n=6))
     b = run_simulation(_tiny(rounds=2, n=6, workers=3))
@@ -352,6 +365,13 @@ def test_mock_op_counts_equal_ristretto(d, k):
     # both backends run the same multiexp loop, so mock counts are the
     # work ristretto255 does
     assert probe_costs(d, k, "mock").ops == probe_costs(d, k, "ristretto255").ops
+
+
+def test_client_proof_probe_op_count_pinned():
+    # folding explicitly, with one mul per bit of A, this cost 7,476 muls
+    ops = probe_costs(256, 16).ops["client_proof"]
+    assert ops == {"mul": 5172, "add": 5574, "from_hash": 0}
+    assert ops["mul"] <= 5_600
 
 
 def test_comm_probe_equals_bytes_a_client_sends():

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from savi.group import GROUP_ORDER, GeneratorSet, make_backend
 from savi.group.multiexp import multiexp
+from savi.group.scalars import inv
 from savi.rng import DeterministicRng
 from savi.zkp import Transcript, gen_range_proof, range_terms, ver_range_proof
 from savi.zkp.rangeproof import RangeProof
@@ -169,3 +172,120 @@ def test_misshapen_proof_has_no_terms():
     assert range_terms(GENS, 8, comm, short, _tr()) is None
     assert range_terms(GENS, 8, comm * 3, proof, _tr()) is None  # 24 slots
     assert range_terms(GENS, 128, comm, proof, _tr()) is None  # too few generators
+
+
+# -- reference prover ------------------------------------------------------------
+
+
+def _naive_msm(points, scalars):
+    """sum s*P with one scalar multiplication per term, even for s = +-1."""
+    acc = points[0].backend.identity()
+    for pt, sc in zip(points, scalars):
+        acc = acc + sc * pt
+    return acc
+
+
+def _reference_prove(gens, n_bits, values, blinds, rng, tr):
+    """The textbook prover: A with one mul per slot, H rescaled by y^-i,
+    both bases folded explicitly in every round, the last one included."""
+    m, nm = len(values), n_bits * len(values)
+    g, q, u = gens.g, gens.q, gens.range_gens.u
+    gs, hs = list(gens.range_gens.gs[:nm]), list(gens.range_gens.hs[:nm])
+    commitments = [_naive_msm([g, q], [v, gamma]) for v, gamma in zip(values, blinds)]
+    tr.absorb_u64("bits", n_bits)
+    tr.absorb_u64("values", m)
+    tr.absorb_points("V", commitments)
+    a_l = [(values[i // n_bits] >> (i % n_bits)) & 1 for i in range(nm)]
+    a_r = [(bit - 1) % Q for bit in a_l]
+    alpha = rng.scalar()
+    a_commit = _naive_msm([q] + gs + hs, [alpha] + a_l + a_r)
+    s_l = [rng.scalar() for _ in range(nm)]
+    s_r = [rng.scalar() for _ in range(nm)]
+    rho = rng.scalar()
+    s_commit = _naive_msm([q] + gs + hs, [rho] + s_l + s_r)
+    tr.absorb_point("A", a_commit)
+    tr.absorb_point("S", s_commit)
+    y, z = tr.nonzero_challenge("y"), tr.nonzero_challenge("z")
+    y_pow = [pow(y, i, Q) for i in range(nm)]
+    zz = [pow(z, 2 + j, Q) for j in range(m)]
+    two = [zz[i // n_bits] * (1 << (i % n_bits)) for i in range(nm)]
+    l0 = [(a_l[i] - z) % Q for i in range(nm)]
+    r0 = [(y_pow[i] * (a_r[i] + z) + two[i]) % Q for i in range(nm)]
+    r1 = [y_pow[i] * s_r[i] % Q for i in range(nm)]
+
+    def ip(a, b):
+        return sum(x * w for x, w in zip(a, b)) % Q
+
+    tau1, tau2 = rng.scalar(), rng.scalar()
+    t1_commit = _naive_msm([g, q], [(ip(l0, r1) + ip(s_l, r0)) % Q, tau1])
+    t2_commit = _naive_msm([g, q], [ip(s_l, r1), tau2])
+    tr.absorb_point("T1", t1_commit)
+    tr.absorb_point("T2", t2_commit)
+    x = tr.nonzero_challenge("x")
+    a_cur = [(l0[i] + x * s_l[i]) % Q for i in range(nm)]
+    b_cur = [(r0[i] + x * r1[i]) % Q for i in range(nm)]
+    t_hat = ip(a_cur, b_cur)
+    tau_x = (tau2 * x * x + tau1 * x + sum(c * b for c, b in zip(zz, blinds))) % Q
+    mu = (alpha + rho * x) % Q
+    tr.absorb_scalar("tau_x", tau_x)
+    tr.absorb_scalar("mu", mu)
+    tr.absorb_scalar("t_hat", t_hat)
+    u_pt = tr.nonzero_challenge("w") * u
+    h_cur = [pow(inv(y), i, Q) * hs[i] for i in range(nm)]
+    g_cur, ls, rs = gs, [], []
+    while len(a_cur) > 1:
+        half = len(a_cur) // 2
+        ls.append(_naive_msm(
+            g_cur[half:] + h_cur[:half] + [u_pt],
+            a_cur[:half] + b_cur[half:] + [ip(a_cur[:half], b_cur[half:])],
+        ))
+        rs.append(_naive_msm(
+            g_cur[:half] + h_cur[half:] + [u_pt],
+            a_cur[half:] + b_cur[:half] + [ip(a_cur[half:], b_cur[:half])],
+        ))
+        tr.absorb_point("L", ls[-1])
+        tr.absorb_point("R", rs[-1])
+        c = tr.nonzero_challenge("x-fold")
+        ci = inv(c)
+        a_cur = [(a_cur[i] * c + a_cur[half + i] * ci) % Q for i in range(half)]
+        b_cur = [(b_cur[i] * ci + b_cur[half + i] * c) % Q for i in range(half)]
+        g_cur = [ci * g_cur[i] + c * g_cur[half + i] for i in range(half)]
+        h_cur = [c * h_cur[i] + ci * h_cur[half + i] for i in range(half)]
+    return RangeProof(
+        a_commit, s_commit, t1_commit, t2_commit, tau_x, mu, t_hat,
+        tuple(ls), tuple(rs), a_cur[0], b_cur[0],
+    )
+
+
+def _assert_matches_reference(gens, n_bits, values, seed):
+    blinds = [DeterministicRng(seed).child(f"blind/{j}").scalar() for j in range(len(values))]
+    args = (gens, n_bits, values, blinds)
+    fast = gen_range_proof(*args, DeterministicRng(seed), _tr())
+    slow = _reference_prove(*args, DeterministicRng(seed), _tr())
+    assert fast.to_bytes() == slow.to_bytes()
+
+
+@st.composite
+def _statements(draw):
+    n_bits = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    m = draw(st.sampled_from([1, 2, 4]))
+    top = (1 << n_bits) - 1
+    value = st.one_of(st.sampled_from([0, top]), st.integers(0, top))
+    return n_bits, draw(st.lists(value, min_size=m, max_size=m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_statements(), st.integers(0, 2**32))
+@example((1, [1]), 0)  # nm = 1: no folding round
+@example((1, [0]), 1)
+@example((2, [3]), 2)  # nm = 2: one round, which is also the last
+@example((1, [1, 0]), 3)
+@example((16, [0, 65535, 0, 65535]), 4)  # 64 slots, both edge values
+def test_prover_matches_explicit_folding_reference(statement, seed):
+    n_bits, values = statement
+    _assert_matches_reference(GENS, n_bits, values, seed)
+
+
+@pytest.mark.parametrize("n_bits,values", [(1, [1]), (2, [2]), (8, [0, 255, 7, 128])])
+def test_prover_matches_reference_on_ristretto255(gens_factory, n_bits, values):
+    _assert_matches_reference(gens_factory("ristretto255", 1, 32), n_bits, values, 9)
