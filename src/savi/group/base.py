@@ -85,6 +85,30 @@ class GroupBackend(ABC):
     def from_uniform_data(self, raw64: bytes):
         """Map 64 uniform bytes onto the group (hash-to-group)."""
 
+    # -- Lifted form: what ``bucket_multiexp`` adds ---------------------
+    #
+    # A point decoded once into a form that Python adds cheaply.  These
+    # operations are not counted here; ``bucket_multiexp`` counts its
+    # additions on both backends alike.
+
+    @abstractmethod
+    def lift_data(self, p):
+        """The lifted form of a point."""
+
+    @abstractmethod
+    def lower_data(self, lifted):
+        """The canonical representation of a lifted point."""
+
+    @staticmethod
+    @abstractmethod
+    def lifted_add(a, b):
+        """a + b on lifted points; also doubles (a is b)."""
+
+    @staticmethod
+    @abstractmethod
+    def lifted_neg(a):
+        """-a on a lifted point."""
+
     # -- Point-level conveniences -------------------------------------
 
     def identity(self) -> "Point":

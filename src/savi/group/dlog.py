@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .base import GroupBackend, Point
@@ -12,12 +13,13 @@ class DlogNotFoundError(Exception):
 
 
 class BabyStepTable:
-    """Precomputed baby steps ``{j * base : j}`` for ``0 <= j < size``.
+    """Precomputed baby steps ``{j * base : j}`` for j in a window of
+    ``size`` integers centered on 0: -(size // 2) <= j < size - size // 2.
 
-    Building costs ``size`` additions; afterwards any number of lookups
-    can share it.  When many discrete logs over the same base are
-    needed (one per coordinate of an aggregate), build one table sized
-    for the amortized optimum and reuse it.
+    Building costs ``size - 1`` additions; afterwards any number of
+    lookups can share it.  When many discrete logs over the same base
+    are needed (one per coordinate of an aggregate), build one table
+    sized for the amortized optimum and reuse it.
     """
 
     def __init__(self, base: Point, size: int) -> None:
@@ -25,36 +27,64 @@ class BabyStepTable:
             raise ValueError("table size must be positive")
         self.base = base
         self.size = size
-        self._giant = (-size) * base
-        table: dict[object, int] = {}
+        self._low = -(size // 2)
         backend = base.backend
-        cur = backend.identity_data()
-        table[cur] = 0
-        for j in range(1, size):
+        ident = backend.identity_data()
+        table: dict[object, int] = {ident: 0}
+        cur = ident
+        for j in range(1, size + self._low):
             cur = backend.add_data(cur, base.data)
             table[cur] = j
+        cur = ident
+        for j in range(-1, self._low - 1, -1):
+            cur = backend.sub_data(cur, base.data)
+            table[cur] = j
         self._table = table
-        self._shifts: dict[int, Point] = {}  # lo -> lo * base
+        self._multiples: dict[int, Point] = {}  # e -> e * base
+
+    def _multiple(self, e: int) -> Point:
+        if e not in self._multiples:
+            self._multiples[e] = e * self.base
+        return self._multiples[e]
 
     def solve(self, target: Point, lo: int, hi: int) -> int:
-        """Return e in [lo, hi] with e * base == target, else raise."""
+        """Return e in [lo, hi] with e * base == target, else raise.
+
+        The search starts at the point c of [lo, hi] nearest 0 and steps
+        outward one giant step at a time, alternating up and down, so a
+        small |e| costs one lookup and no addition.
+        """
         if lo > hi:
             raise ValueError("empty search interval")
-        y = target
-        if lo:
-            if lo not in self._shifts:
-                self._shifts[lo] = lo * self.base
-            y = target - self._shifts[lo]
-        span = hi - lo + 1
-        for i in range(-(-span // self.size)):
-            j = self._table.get(y.data)
+        c = min(max(lo, 0), hi)
+        y = target - self._multiple(c) if c else target
+        for i, point in self._steps(y, c, lo, hi):
+            j = self._table.get(point.data)
             if j is not None:
-                e = lo + i * self.size + j
-                if e <= hi:
+                e = c + i * self.size + j
+                if lo <= e <= hi:
                     return e
-                break
-            y = y + self._giant
+                break  # the only small discrete log lies outside [lo, hi]
         raise DlogNotFoundError(f"no discrete log in [{lo}, {hi}]")
+
+    def _steps(self, y: Point, c: int, lo: int, hi: int):
+        """Yield (i, y - i * size * base) for the steps i = 0, 1, -1, 2, -2,
+        ... whose windows c + i * size + [low, low + size) meet [lo, hi]."""
+        size, low = self.size, self._low
+        giant = self._multiple(size)
+        yield 0, y
+        up = down = y
+        for n in itertools.count(1):
+            step_up = c + n * size + low <= hi
+            step_down = c - n * size + low + size > lo
+            if not (step_up or step_down):
+                return
+            if step_up:
+                up = up - giant
+                yield n, up
+            if step_down:
+                down = down + giant
+                yield -n, down
 
 
 def dlog_bounded(

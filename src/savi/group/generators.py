@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 from .base import GroupBackend, Point
 
@@ -65,6 +66,14 @@ class GeneratorSet:
     @property
     def dimension(self) -> int:
         return len(self.w)
+
+    @cached_property
+    def lifted_w(self) -> tuple:
+        """``w`` in the backend's lifted form, for ``bucket_multiexp``.
+
+        Decoded on first use, by the server's first ``h``: clients and
+        ``derive`` never pay for it (about 0.2 ms a point on ristretto255)."""
+        return tuple(self.backend.lift_data(p.data) for p in self.w)
 
     @staticmethod
     def derive(backend: GroupBackend, dimension: int, range_slots: int) -> "GeneratorSet":

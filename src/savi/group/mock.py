@@ -61,3 +61,17 @@ class MockBackend(GroupBackend):
             raise ValueError("hash-to-group input must be 64 bytes")
         self.counter.from_hash += 1
         return int.from_bytes(raw64, "little") % GROUP_ORDER
+
+    def lift_data(self, p: int) -> int:
+        return p
+
+    def lower_data(self, lifted: int) -> int:
+        return lifted
+
+    @staticmethod
+    def lifted_add(a: int, b: int) -> int:
+        return (a + b) % GROUP_ORDER
+
+    @staticmethod
+    def lifted_neg(a: int) -> int:
+        return -a % GROUP_ORDER

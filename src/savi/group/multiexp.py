@@ -4,6 +4,12 @@ One naive per-term loop serves both backends.  On libsodium a point
 addition costs almost as much as a scalar multiplication (both pay the
 ristretto decode/encode), so bucketing methods cannot amortize.
 
+The one exception is ``bucket_multiexp``: small public scalars on fixed
+bases that are decoded once (the server's ``h``, see
+``GeneratorSet.lifted_w``).  There a Python addition over decoded
+coordinates costs about a twentieth of a libsodium mul, and a 24-bit
+scalar needs a few additions per base instead of one 253-bit mul.
+
 A term whose scalar is 1 is added and one whose scalar is order - 1 is
 subtracted, with no scalar multiplication: a range proof's bit commitment
 A and a Feldman check's constant term are made of such terms.  The mock
@@ -64,3 +70,73 @@ def multiexp(
     for data in negated:
         acc = backend.sub_data(ident if acc is None else acc, data)
     return backend.identity() if acc is None else Point(backend, acc)
+
+
+def _window_bits(terms: int, bits: int) -> int:
+    """Signed-digit window c for ``terms`` scalars of at most ``bits`` bits.
+
+    Each of the ceil(bits / c) windows costs up to one addition per term
+    and 2^c to sum its 2^(c-1) buckets; c minimizes their product.  (A
+    signed digit can carry into one window more, which few terms reach.)
+    """
+    return min(range(1, bits + 1), key=lambda c: -(-bits // c) * (terms + (1 << c)))
+
+
+def bucket_multiexp(bases: Sequence, scalars: Sequence[int], backend: GroupBackend) -> Point:
+    """Compute sum_i scalars[i] * bases[i] for small signed int scalars.
+
+    ``bases`` are in the backend's lifted form (``GroupBackend.lift_data``),
+    and every addition runs on lifted points: Pippenger's bucket method
+    with signed digits in (-2^(c-1), 2^(c-1)].  Each addition counts as
+    one ``add`` on both backends, so mock counts stay equal to
+    ristretto255's.  The scalars must be exact ints, not reduced mod the
+    order: a reduced negative scalar is 253 bits wide.
+    """
+    if len(bases) != len(scalars):
+        raise ValueError("bucket_multiexp needs equally many bases and scalars")
+    bits = max(map(abs, scalars), default=0).bit_length()
+    if not bits:
+        return backend.identity()
+    add, neg = backend.lifted_add, backend.lifted_neg
+    adds = 0
+
+    def plus(a, b):  # None is the empty sum
+        nonlocal adds
+        if a is None or b is None:
+            return b if a is None else a
+        adds += 1
+        return add(a, b)
+
+    c = _window_bits(len(bases), bits)
+    half, full = 1 << (c - 1), 1 << c
+    buckets = [[None] * (half + 1) for _ in range(bits // c + 1)]
+    for base, s in zip(bases, scalars):
+        m = abs(s)
+        negated = None
+        j = 0
+        while m:
+            v = m & (full - 1)
+            m >>= c
+            if v > half:
+                v, m = v - full, m + 1
+            if v:
+                if (v < 0) != (s < 0):
+                    if negated is None:
+                        negated = neg(base)
+                    term = negated
+                else:
+                    term = base
+                row = buckets[j]
+                row[abs(v)] = plus(row[abs(v)], term)
+            j += 1
+    acc = None
+    for row in reversed(buckets):
+        for _ in range(c):
+            acc = plus(acc, acc)
+        running = total = None
+        for b in row[:0:-1]:  # buckets half .. 1
+            running = plus(running, b)
+            total = plus(total, running)
+        acc = plus(acc, total)
+    backend.counter.add += adds
+    return Point(backend, backend.lower_data(acc))

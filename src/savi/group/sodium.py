@@ -16,6 +16,7 @@ from __future__ import annotations
 import ctypes
 import ctypes.util
 
+from . import edwards
 from .base import GROUP_ORDER, GroupBackend
 
 _IDENTITY = bytes(32)
@@ -120,3 +121,12 @@ class RistrettoBackend(GroupBackend):
         buf = ctypes.create_string_buffer(32)
         self._lib.crypto_core_ristretto255_from_hash(buf, raw64)
         return buf.raw
+
+    def lift_data(self, p: bytes) -> tuple[int, int, int, int]:
+        return edwards.decode(p)
+
+    def lower_data(self, lifted: tuple[int, int, int, int]) -> bytes:
+        return edwards.encode(lifted)
+
+    lifted_add = staticmethod(edwards.add)
+    lifted_neg = staticmethod(edwards.neg)

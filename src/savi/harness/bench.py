@@ -18,8 +18,8 @@ from typing import Sequence
 from ..commit import commit_update
 from ..group import make_backend
 from ..group.generators import GeneratorSet
-from ..group.multiexp import multiexp
 from ..protocol import Client
+from ..protocol.server import compute_h
 from ..rng import DeterministicRng
 from ..sampling import CheckParameters, sample_matrix
 from ..zkp import gen_integrity_proof, ver_integrity_proof
@@ -75,9 +75,7 @@ def probe_costs(d: int, k: int, backend_name: str = "mock", seed: int = 7) -> Co
     r = rng.scalar()
     y, z = meter.run("commit", lambda: commit_update(u, r, gens))
     matrix = sample_matrix(rng.take(32), k, d, params.M)
-    h = meter.run(
-        "server_prep", lambda: [multiexp(gens.w, row) for row in matrix.scalar_rows()]
-    )
+    h = meter.run("server_prep", lambda: compute_h(matrix, gens))
 
     def prove():
         if not ver_crt(gens.w, h, matrix, rng):

@@ -14,7 +14,7 @@ from ..commit import CommitmentBundle, aggregate_commitments
 from ..group.base import GROUP_ORDER, Point
 from ..group.dlog import DlogNotFoundError, amortized_table, dlog_bounded
 from ..group.generators import GeneratorSet
-from ..group.multiexp import multiexp
+from ..group.multiexp import bucket_multiexp, multiexp
 from ..rng import Rng
 from ..sampling import CheckParameters, SampleMatrix, derive_seed, sample_matrix
 from ..vsss import (
@@ -28,6 +28,17 @@ from ..zkp import IntegrityProof, ver_integrity_proofs
 from .errors import DlogOutOfRangeError, ShareVerifyFailedError
 
 _Q = GROUP_ORDER
+
+
+def compute_h(matrix: SampleMatrix, gens: GeneratorSet) -> list[Point]:
+    """h = A w, the points the server publishes in stage 3.
+
+    a_0's full-width scalars go through ``multiexp``.  The k rounded
+    Gaussian rows are small public ints, so they go through
+    ``bucket_multiexp`` over the once-decoded ``gens.lifted_w``.
+    """
+    rows = [bucket_multiexp(gens.lifted_w, row, gens.backend) for row in matrix.rows.tolist()]
+    return [multiexp(gens.w, matrix.a0)] + rows
 
 
 class Server:
@@ -169,7 +180,7 @@ class Server:
         self.seed = derive_seed(self.seed_nonce, ordered)
         p = self.params
         self.matrix = sample_matrix(self.seed, p.k, p.d, p.M)
-        self.h = [multiexp(self.gens.w, row) for row in self.matrix.scalar_rows()]
+        self.h = compute_h(self.matrix, self.gens)
         return self.seed_nonce, list(self.h)
 
     def receive_proofs(

@@ -1,8 +1,10 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from savi.group import GROUP_ORDER, make_backend
+from savi.group import GROUP_ORDER, edwards, make_backend
 from savi.group.dlog import (
     BabyStepTable,
     DlogNotFoundError,
@@ -186,6 +188,84 @@ def test_dlog_shift_computed_once_per_table():
     for v, target in targets:
         assert dlog_bounded(target, g, bound, table=table) == v
     assert backend.counter.mul - before == 1
+
+
+def test_centered_dlog_near_zero_costs_no_additions():
+    # three honest sums of 16-bit coordinates: the aggregate's bound;
+    # searched from -bound, these solves cost 20,480 additions
+    backend = make_backend("mock")
+    g = backend.base()
+    bound = 3 * ((1 << 15) - 1)
+    table = amortized_table(g, bound, n_solves=4096)
+    targets = [(v, v * g) for v in list(range(-15, 16)) * 133][:4096]
+    before = backend.counter.add
+    for v, target in targets:
+        assert dlog_bounded(target, g, bound, table=table) == v
+    assert backend.counter.add - before == 0
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(-20, 20), (-23, 18), (0, 0), (3, 36), (-36, -3), (-2, 31), (-31, 2), (9, 9)]
+)
+def test_dlog_window_search_is_exact(lo, hi):
+    # a 5-entry table: each interval spans several giant steps, and most
+    # end where a last step holds one entry of the interval
+    backend = make_backend("mock")
+    g = backend.base()
+    table = BabyStepTable(g, 5)
+    for e in range(lo - 12, hi + 13):
+        if lo <= e <= hi:
+            assert table.solve(e * g, lo, hi) == e
+        else:
+            with pytest.raises(DlogNotFoundError):
+                table.solve(e * g, lo, hi)
+
+
+# -- extended Edwards coordinates, against libsodium ----------------------
+
+
+def _hashed_points(backend, count):
+    return [backend.from_uniform(hashlib.sha512(b"edwards/%d" % i).digest()) for i in range(count)]
+
+
+def test_edwards_decode_encode_roundtrip():
+    sodium = make_backend("ristretto255")
+    points = _hashed_points(sodium, 64) + [sodium.identity()]
+    for p in points:
+        assert edwards.encode(edwards.decode(p.data)) == p.data
+    assert edwards.decode(bytes(32)) == (0, 1, 1, 0)
+
+
+def test_edwards_add_and_neg_match_libsodium():
+    sodium = make_backend("ristretto255")
+    points = _hashed_points(sodium, 16) + [sodium.identity()]
+    pairs = list(zip(points, points[1:] + points[:1])) + [(p, p) for p in points[:4]]
+    for p, q in pairs:
+        lp, lq = edwards.decode(p.data), edwards.decode(q.data)
+        assert edwards.encode(edwards.add(lp, lq)) == (p + q).data
+        assert edwards.encode(edwards.add(lp, edwards.neg(lq))) == (p - q).data
+        assert edwards.encode(edwards.neg(lq)) == (-q).data
+
+
+@pytest.mark.parametrize(
+    "s", [edwards.P, edwards.P + 2, 2**255 - 2, 2**256 - 2, 1, 3, edwards.P - 2]
+)
+def test_edwards_decode_rejects_noncanonical_and_negative(s):
+    with pytest.raises(ValueError):
+        edwards.decode(s.to_bytes(32, "little"))
+
+
+def test_edwards_decode_rejects_what_libsodium_rejects():
+    sodium = make_backend("ristretto255")
+    for s in range(0, 200, 2):
+        raw = s.to_bytes(32, "little")
+        try:
+            sodium.decode(raw)
+        except ValueError:
+            with pytest.raises(ValueError):
+                edwards.decode(raw)
+        else:
+            assert edwards.encode(edwards.decode(raw)) == raw
 
 
 def test_scalar_inverse():

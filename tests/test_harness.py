@@ -137,7 +137,7 @@ def test_round_with_forgers_projects_each_update_once(monkeypatch):
     row_inner = SampleMatrix.row_inner
 
     def counted(matrix, u):
-        calls.append(id(matrix))
+        calls.append(matrix)  # held, so no two matrices share an id
         return row_inner(matrix, u)
 
     monkeypatch.setattr(SampleMatrix, "row_inner", counted)
@@ -145,7 +145,7 @@ def test_round_with_forgers_projects_each_update_once(monkeypatch):
     rep = Simulation(SimulationConfig(**fields)).run_round(1)
     assert rep.excluded == {2: "proof_wellformed", 4: "proof_wellformed"}
     # one call per client, each on the matrix that client sampled
-    assert len(calls) == len(set(calls)) == fields["n"]
+    assert len(calls) == len({id(m) for m in calls}) == fields["n"]
 
 
 def test_two_round_uplink_pinned():
@@ -179,8 +179,27 @@ def test_proof_generation_op_count_pinned():
     assert rep.group_ops["proof_gen"] == {"mul": 53580, "add": 58860, "from_hash": 0}
     assert rep.group_ops["proof_gen"]["mul"] <= 56_000
     # the sum of the honest commitments starts from the first vector, not
-    # from d identities (this stage counted 9,976 adds when it did)
-    assert rep.group_ops["aggregate"] == {"mul": 112, "add": 9912, "from_hash": 0}
+    # from d identities (this stage counted 9,976 adds when it did), and
+    # each dlog starts its search at 0 (from -bound: 112 muls, 9,912 adds)
+    assert rep.group_ops["aggregate"] == {"mul": 111, "add": 5304, "from_hash": 0}
+
+
+def test_server_decodes_w_once(monkeypatch):
+    from savi.group import edwards
+
+    decoded = []
+    decode = edwards.decode
+
+    def counted(raw):
+        decoded.append(raw)
+        return decode(raw)
+
+    monkeypatch.setattr(edwards, "decode", counted)
+    sim = Simulation(_tiny(n=3, m=1, d=6, k=2, backend="ristretto255"))
+    assert decoded == []
+    sim.run_round(1)
+    sim.run_round(2)
+    assert decoded == [p.data for p in sim.gens.w]
 
 
 def test_workers_do_not_change_verdicts():

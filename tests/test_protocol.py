@@ -1,9 +1,13 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from savi.group import GROUP_ORDER, GeneratorSet, make_backend
+from savi.group.multiexp import multiexp
 from savi.protocol import (
     AbortServerMaliciousError,
     Client,
@@ -11,8 +15,9 @@ from savi.protocol import (
     ShareVerifyFailedError,
 )
 from savi.protocol.pairwise import keygen, open_share, pairwise_key, seal_share
+from savi.protocol.server import compute_h
 from savi.rng import DeterministicRng
-from savi.sampling import CheckParameters, sample_matrix
+from savi.sampling import CheckParameters, SampleMatrix, sample_matrix
 from savi.vsss import CheckString, InsufficientSharesError, Share
 from savi.zkp import ver_integrity_proof
 
@@ -161,6 +166,40 @@ def test_ristretto_end_to_end():
     updates = {1: [1, -2, 0, 3], 2: [0, 1, 1, -1], 3: [2, 0, -1, 0]}
     total, honest = _run_round(server, clients, updates)
     assert total == [3, -1, 0, 2]
+
+
+_EDGE = 1 << 28
+_ENTRIES = st.one_of(
+    st.sampled_from([0, 0, 1, -1, 2, -2, _EDGE, -_EDGE, _EDGE - 1, 1 - _EDGE]),
+    st.integers(-_EDGE, _EDGE),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    backend_name=st.sampled_from(["mock", "ristretto255"]),
+    rows=st.sampled_from([1, 2, 3, 64]).flatmap(
+        lambda d: st.lists(st.lists(_ENTRIES, min_size=d, max_size=d), min_size=1, max_size=3)
+    ),
+    seed=st.binary(min_size=8, max_size=8),
+)
+def test_h_equals_naive_multiexp(gens_factory, backend_name, rows, seed):
+    d = len(rows[0])
+    gens = gens_factory(backend_name, d, 8)
+    a0 = tuple(int.from_bytes(hashlib.sha512(seed + bytes([l])).digest(), "little") % GROUP_ORDER
+               for l in range(d))
+    matrix = SampleMatrix(seed=seed, M=1, a0=a0, rows=np.array(rows, dtype=np.int64))
+    h = compute_h(matrix, gens)
+    assert [p.encode() for p in h] == [
+        multiexp(gens.w, row, gens.backend).encode() for row in matrix.scalar_rows()
+    ]
+
+
+@pytest.mark.parametrize("backend_name", ["mock", "ristretto255"])
+def test_h_of_zero_rows_is_the_identity(gens_factory, backend_name):
+    gens = gens_factory(backend_name, 3, 8)
+    matrix = SampleMatrix(seed=b"", M=1, a0=(0, 0, 0), rows=np.zeros((2, 3), dtype=np.int64))
+    assert compute_h(matrix, gens) == [gens.backend.identity()] * 3
 
 
 # -- share flagging and clear-share recovery -----------------------------------
