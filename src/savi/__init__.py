@@ -24,7 +24,6 @@ from .vsss import (
     CheckString,
     Share,
     combine_check_strings,
-    ss_combine,
     ss_recover,
     ss_share,
     ss_verify,
@@ -74,7 +73,6 @@ __all__ = [
     "plaintext_check",
     "range_terms",
     "sample_matrix",
-    "ss_combine",
     "ss_recover",
     "ss_share",
     "ss_verify",

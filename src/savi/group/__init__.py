@@ -1,7 +1,7 @@
 """Prime-order group layer: backends, multiexp, bounded dlog, encodings."""
 
 from .base import GROUP_ORDER, POINT_BYTES, SCALAR_BYTES, GroupBackend, OpCounter, Point
-from .dlog import BabyStepTable, DlogNotFoundError, amortized_table, dlog_bounded
+from .dlog import BabyStepTable, DlogNotFoundError, dlog_bounded
 from .encoding import quantize_vector, round_half_up
 from .generators import GeneratorSet, RangeGenerators, derive_generators
 from .mock import MockBackend
@@ -29,7 +29,6 @@ __all__ = [
     "Point",
     "BabyStepTable",
     "DlogNotFoundError",
-    "amortized_table",
     "dlog_bounded",
     "quantize_vector",
     "round_half_up",

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 
-from .base import GroupBackend, Point
+from .base import Point
 
 
 class DlogNotFoundError(Exception):
@@ -19,7 +20,7 @@ class BabyStepTable:
     Building costs ``size - 1`` additions; afterwards any number of
     lookups can share it.  When many discrete logs over the same base
     are needed (one per coordinate of an aggregate), build one table
-    sized for the amortized optimum and reuse it.
+    with ``for_bound`` and reuse it.
     """
 
     def __init__(self, base: Point, size: int) -> None:
@@ -40,50 +41,50 @@ class BabyStepTable:
             cur = backend.sub_data(cur, base.data)
             table[cur] = j
         self._table = table
-        self._multiples: dict[int, Point] = {}  # e -> e * base
 
-    def _multiple(self, e: int) -> Point:
-        if e not in self._multiples:
-            self._multiples[e] = e * self.base
-        return self._multiples[e]
+    @classmethod
+    def for_bound(cls, base: Point, bound: int) -> BabyStepTable:
+        """The table for exponents |e| <= bound: floor(sqrt(2*bound + 1)) + 1
+        entries, so a search over the whole bound takes about as many
+        giant steps as the table has entries."""
+        return cls(base, math.isqrt(2 * bound + 1) + 1)
 
-    def solve(self, target: Point, lo: int, hi: int) -> int:
-        """Return e in [lo, hi] with e * base == target, else raise.
+    @cached_property
+    def _giant(self) -> Point:
+        return self.size * self.base
 
-        The search starts at the point c of [lo, hi] nearest 0 and steps
-        outward one giant step at a time, alternating up and down, so a
-        small |e| costs one lookup and no addition.
+    def solve(self, target: Point, bound: int) -> int:
+        """Return e with |e| <= bound and e * base == target, else raise.
+
+        The search starts at 0 and steps outward one giant step at a
+        time, alternating up and down, so a small |e| costs one lookup
+        and no group operation.
         """
-        if lo > hi:
-            raise ValueError("empty search interval")
-        c = min(max(lo, 0), hi)
-        y = target - self._multiple(c) if c else target
-        for i, point in self._steps(y, c, lo, hi):
+        for i, point in self._steps(target, bound):
             j = self._table.get(point.data)
             if j is not None:
-                e = c + i * self.size + j
-                if lo <= e <= hi:
+                e = i * self.size + j
+                if abs(e) <= bound:
                     return e
-                break  # the only small discrete log lies outside [lo, hi]
-        raise DlogNotFoundError(f"no discrete log in [{lo}, {hi}]")
+                break  # the only small discrete log lies outside the bound
+        raise DlogNotFoundError(f"no discrete log with |e| <= {bound}")
 
-    def _steps(self, y: Point, c: int, lo: int, hi: int):
+    def _steps(self, y: Point, bound: int):
         """Yield (i, y - i * size * base) for the steps i = 0, 1, -1, 2, -2,
-        ... whose windows c + i * size + [low, low + size) meet [lo, hi]."""
+        ... whose windows i * size + [low, low + size) meet [-bound, bound]."""
         size, low = self.size, self._low
-        giant = self._multiple(size)
         yield 0, y
         up = down = y
         for n in itertools.count(1):
-            step_up = c + n * size + low <= hi
-            step_down = c - n * size + low + size > lo
+            step_up = n * size + low <= bound
+            step_down = -n * size + low + size > -bound
             if not (step_up or step_down):
                 return
             if step_up:
-                up = up - giant
+                up = up - self._giant
                 yield n, up
             if step_down:
-                down = down + giant
+                down = down + self._giant
                 yield -n, down
 
 
@@ -95,27 +96,16 @@ def dlog_bounded(
 ) -> int:
     """Recover e with |e| <= bound and e * base == target.
 
-    Without a caller-provided table this runs classic BSGS with a baby
-    table of about sqrt(2*bound) entries, i.e. O(sqrt(bound)) group
-    operations per call.
+    One rule sizes the table, ``BabyStepTable.for_bound``: floor(sqrt(2*bound
+    + 1)) + 1 baby steps, built here unless the caller passes a table to
+    share between solves.  A solve at |e| costs about 2|e| / size giant
+    steps: one lookup for |e| near 0, about sqrt(2*bound) additions at
+    worst.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     if table is None:
-        table = BabyStepTable(base, max(1, math.isqrt(2 * bound + 1) + 1))
+        table = BabyStepTable.for_bound(base, bound)
     elif table.base != base:
         raise ValueError("table was built for a different base")
-    return table.solve(target, -bound, bound)
-
-
-def amortized_table(base: Point, bound: int, n_solves: int) -> BabyStepTable:
-    """Baby table sized to minimize total work over ``n_solves`` lookups.
-
-    Total additions ~ size + n_solves * span / (2 * size), minimized at
-    size = sqrt(n_solves * span / 2) where span = 2*bound + 1.
-    """
-    span = 2 * bound + 1
-    size = math.isqrt(max(1, n_solves * span // 2)) + 1
-    # Never build beyond what a full unamortized search would need.
-    size = min(size, span)
-    return BabyStepTable(base, max(1, size))
+    return table.solve(target, bound)

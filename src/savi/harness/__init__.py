@@ -1,5 +1,5 @@
 from .attacks import AttackSpec, apply_attack, generate_updates
-from .bench import CommReport, CostRow, measure_communication, probe_costs, sweep_d
+from .bench import CommReport, CostRow, measure_communication, probe_costs
 from .config import SimulationConfig, desk_preset, deployment_preset
 from .report import emit_report
 from .simulate import RoundReport, Simulation, run_simulation
@@ -19,5 +19,4 @@ __all__ = [
     "deployment_preset",
     "probe_costs",
     "run_simulation",
-    "sweep_d",
 ]

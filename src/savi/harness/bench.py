@@ -13,7 +13,6 @@ that round runs at a small d.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from ..commit import commit_update
 from ..group import make_backend
@@ -90,10 +89,6 @@ def probe_costs(d: int, k: int, backend_name: str = "mock", seed: int = 7) -> Co
     if not ok:
         raise AssertionError(f"bench probe proof rejected: {reason}")
     return CostRow(d=d, k=k, ops=meter.ops)
-
-
-def sweep_d(d_values: Sequence[int], k: int) -> list[CostRow]:
-    return [probe_costs(d, k) for d in d_values]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from typing import Mapping, Optional, Sequence
 
 from ..commit import CommitmentBundle, aggregate_commitments
 from ..group.base import GROUP_ORDER, Point
-from ..group.dlog import DlogNotFoundError, amortized_table, dlog_bounded
+from ..group.dlog import BabyStepTable, DlogNotFoundError, dlog_bounded
 from ..group.generators import GeneratorSet
 from ..group.multiexp import bucket_multiexp, multiexp
 from ..rng import Rng
@@ -220,12 +220,21 @@ class Server:
 
         Each responding client i supplies r'_i = sum of its received
         shares over H, i.e. a share (at index i) of the combined blind;
-        t of them recover it.  Shares failing the combined check string
-        are dropped and their senders listed in ``bad_blind_shares``;
-        recovery aborts only when fewer than t valid shares remain.
-        Coordinates come back through a bounded discrete log sized to |H|
-        full-width updates: each coordinate is below 2^(b_coord-1) in
-        magnitude, as ``Client.commit_round`` enforces."""
+        t of them recover it.  Shares from ids outside 1..n or failing
+        the combined check string are dropped and their senders listed
+        in ``bad_blind_shares``; recovery aborts only when fewer than t
+        valid shares remain.
+
+        Coordinates come back through a bounded discrete log whose bound
+        allows |H| full-width updates: each coordinate is below
+        2^(b_coord-1) in magnitude, as ``Client.commit_round`` enforces.
+        One table of about sqrt(2*bound) baby steps serves every
+        coordinate, and each search starts at 0.  Giant steps stay few
+        because every accepted update passed the norm check, so its L2
+        norm is about ``b_enc`` at most: the |e_l| of the aggregate sum
+        to at most |H| * sqrt(d) * b_enc, and the d solves together take
+        about 2 * |H| * sqrt(d) * b_enc / size giant steps (some 2,400
+        at n=100, d=10^4)."""
         p = self.params
         if not self.honest:
             return [0] * p.d
@@ -237,8 +246,7 @@ class Server:
         for i, value in r_primes.items():
             if value is None:
                 continue
-            share = Share(index=i, value=value % _Q)
-            if ss_verify(share, combined):
+            if 1 <= i <= p.n and ss_verify(share := Share(i, value % _Q), combined):
                 valid.append(share)
             else:
                 bad.append(i)
@@ -255,7 +263,7 @@ class Server:
             [self.bundles[i].y for i in self.honest], self.gens
         )
         bound = len(self.honest) * ((1 << (p.b_coord - 1)) - 1)
-        table = amortized_table(self.gens.g, bound, n_solves=p.d)
+        table = BabyStepTable.for_bound(self.gens.g, bound)
         out = []
         for l, (y_l, w_l) in enumerate(zip(totals, self.gens.w)):
             target = y_l - blind * w_l

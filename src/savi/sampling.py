@@ -89,12 +89,6 @@ class SampleMatrix:
         """Regenerate the unrounded rows (tests compare against these)."""
         return _gaussian_rows(self.seed, self.k, self.d, self.M)
 
-    def scalar_rows(self) -> list[list[int]]:
-        """[a_0, a_1, ..., a_k] reduced mod p, the exponents of h = A w."""
-        return [[a % _Q for a in self.a0]] + [
-            [int(x) % _Q for x in row] for row in self.rows
-        ]
-
     def row_inner(self, u: Sequence[int]) -> list[int]:
         """[<a_0,u> mod p, <a_1,u>, ..., <a_k,u>], the latter exact ints."""
         if len(u) != self.d:

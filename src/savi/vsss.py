@@ -126,21 +126,3 @@ def combine_check_strings(checks: Sequence[CheckString]) -> CheckString:
     for c in checks[1:]:
         points = [acc + p for acc, p in zip(points, c.points)]
     return CheckString(points=tuple(points))
-
-
-def ss_combine(
-    checks: Sequence[CheckString], shares: Sequence[Share]
-) -> tuple[CheckString, Share]:
-    """Combine parallel sharings held at one evaluation point.
-
-    All shares must sit at the same index; the result verifies against
-    the combined check string and recovers the sum of the secrets.
-    """
-    if len(checks) != len(shares):
-        raise ValueError("need one share per sharing")
-    indices = {s.index for s in shares}
-    if len(indices) != 1:
-        raise ValueError("shares from different evaluation points cannot combine")
-    combined = combine_check_strings(checks)
-    value = sum(s.value for s in shares) % GROUP_ORDER
-    return combined, Share(index=indices.pop(), value=value)

@@ -22,8 +22,8 @@ from savi.harness import (
     AttackSpec,
     desk_preset,
     measure_communication,
+    probe_costs,
     run_simulation,
-    sweep_d,
 )
 from savi.rng import DeterministicRng
 from savi.sampling import (
@@ -509,7 +509,7 @@ def test_criterion_09_exhaustive_adversarial_flagging():
 
 
 def test_criterion_10a_proof_cost_sublinear_in_d():
-    rows = sweep_d([256, 1024, 4096], k=16)
+    rows = [probe_costs(d, k=16) for d in (256, 1024, 4096)]
     proof_ops = [r.stage_total("client_proof") for r in rows]
     commit_ops = [r.stage_total("commit") for r in rows]
     # d grows 16x; proof work may creep (dlog-free h terms) but must

@@ -1,16 +1,12 @@
 import hashlib
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from savi.group import GROUP_ORDER, edwards, make_backend
-from savi.group.dlog import (
-    BabyStepTable,
-    DlogNotFoundError,
-    amortized_table,
-    dlog_bounded,
-)
+from savi.group.dlog import BabyStepTable, DlogNotFoundError, dlog_bounded
 from savi.group.encoding import quantize_vector
 from savi.group.generators import derive_generators
 from savi.group.multiexp import multiexp, sum_points
@@ -158,7 +154,7 @@ def test_dlog_signed_sweep():
     g = backend.base()
     rng = DeterministicRng(b"dlog-sweep")
     bound = 1 << 20
-    table = amortized_table(g, bound, n_solves=50)
+    table = BabyStepTable.for_bound(g, bound)
     for _ in range(50):
         v = rng.below(2 * bound + 1) - bound
         assert dlog_bounded(v * g, g, bound, table=table) == v
@@ -175,19 +171,23 @@ def test_baby_step_table_window():
     backend = make_backend("mock")
     g = backend.base()
     table = BabyStepTable(g, 64)
-    assert table.solve(300 * g, 0, 1024) == 300
+    assert table.solve(300 * g, 1024) == 300
+    assert table.solve(-300 * g, 1024) == -300
 
 
 def test_dlog_shift_computed_once_per_table():
+    # targets inside the window need no giant step; the first one beyond
+    # it computes size * g, and later ones reuse it
     backend = make_backend("mock")
     g = backend.base()
     bound = 1 << 12
-    table = amortized_table(g, bound, n_solves=50)
-    targets = [(v, v * g) for v in range(-25, 25)]
-    before = backend.counter.mul
-    for v, target in targets:
-        assert dlog_bounded(target, g, bound, table=table) == v
-    assert backend.counter.mul - before == 1
+    table = BabyStepTable.for_bound(g, bound)
+    for values, muls in ((range(-25, 25), 0), ((-bound, -1000, 100, 1000, bound), 1)):
+        targets = [(v, v * g) for v in values]
+        before = backend.counter.mul
+        for v, target in targets:
+            assert dlog_bounded(target, g, bound, table=table) == v
+        assert backend.counter.mul - before == muls
 
 
 def test_centered_dlog_near_zero_costs_no_additions():
@@ -196,29 +196,69 @@ def test_centered_dlog_near_zero_costs_no_additions():
     backend = make_backend("mock")
     g = backend.base()
     bound = 3 * ((1 << 15) - 1)
-    table = amortized_table(g, bound, n_solves=4096)
+    table = BabyStepTable.for_bound(g, bound)
     targets = [(v, v * g) for v in list(range(-15, 16)) * 133][:4096]
-    before = backend.counter.add
+    before = backend.counter.snapshot()
     for v, target in targets:
         assert dlog_bounded(target, g, bound, table=table) == v
-    assert backend.counter.add - before == 0
+    assert backend.counter.add - before["add"] == 0
+    assert backend.counter.mul - before["mul"] == 0
 
 
 @pytest.mark.parametrize(
     "lo, hi", [(-20, 20), (-23, 18), (0, 0), (3, 36), (-36, -3), (-2, 31), (-31, 2), (9, 9)]
 )
 def test_dlog_window_search_is_exact(lo, hi):
-    # a 5-entry table: each interval spans several giant steps, and most
-    # end where a last step holds one entry of the interval
+    # a 5-entry table searched over [-bound, bound] with bound = max(-lo,
+    # hi): each search spans several giant steps, and most end where a
+    # last step holds one entry inside the bound
     backend = make_backend("mock")
     g = backend.base()
     table = BabyStepTable(g, 5)
+    bound = max(-lo, hi)
     for e in range(lo - 12, hi + 13):
-        if lo <= e <= hi:
-            assert table.solve(e * g, lo, hi) == e
+        if abs(e) <= bound:
+            assert table.solve(e * g, bound) == e
         else:
             with pytest.raises(DlogNotFoundError):
-                table.solve(e * g, lo, hi)
+                table.solve(e * g, bound)
+
+
+@pytest.mark.parametrize("bound", range(13))
+def test_dlog_symmetric_search_is_exact(bound):
+    # a 5-entry table: bounds 0..12 end at every offset of a window of 5
+    backend = make_backend("mock")
+    g = backend.base()
+    table = BabyStepTable(g, 5)
+    for e in range(-bound, bound + 1):
+        assert table.solve(e * g, bound) == e
+    for e in (-bound - 1, bound + 1):
+        with pytest.raises(DlogNotFoundError):
+            table.solve(e * g, bound)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 98_301, 327_670])
+def test_dlog_bound_edges_and_table_size(backend, bound):
+    g = backend.base()
+    table = BabyStepTable.for_bound(g, bound)
+    assert table.size == len(table._table) == math.isqrt(2 * bound + 1) + 1
+    for e in (-bound, bound):
+        assert dlog_bounded(e * g, g, bound, table=table) == e
+    for e in (-bound - 1, bound + 1):
+        with pytest.raises(DlogNotFoundError):
+            dlog_bounded(e * g, g, bound, table=table)
+
+
+def test_dlog_giant_step_computed_once_per_table(backend):
+    g = backend.base()
+    bound = 1000
+    targets = [(v, v * g) for v in (bound, -bound, 500, -77, 45)]
+    for _ in range(2):
+        table = BabyStepTable.for_bound(g, bound)
+        before = backend.counter.mul
+        for v, target in targets:
+            assert table.solve(target, bound) == v
+        assert backend.counter.mul - before == 1
 
 
 # -- extended Edwards coordinates, against libsodium ----------------------

@@ -181,7 +181,9 @@ def test_proof_generation_op_count_pinned():
     # the sum of the honest commitments starts from the first vector, not
     # from d identities (this stage counted 9,976 adds when it did), and
     # each dlog starts its search at 0 (from -bound: 112 muls, 9,912 adds)
-    assert rep.group_ops["aggregate"] == {"mul": 111, "add": 5304, "from_hash": 0}
+    # over a table of sqrt(2*bound) entries (sized for targets spread over
+    # the whole bound: 111 muls, 5,304 adds)
+    assert rep.group_ops["aggregate"] == {"mul": 110, "add": 1534, "from_hash": 0}
 
 
 def test_server_decodes_w_once(monkeypatch):

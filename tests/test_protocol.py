@@ -56,7 +56,8 @@ def _small_updates(params, seed, scale=0.3):
     return out
 
 
-def _run_round(server, clients, updates, round_no=1, drop_rprime=(), corrupt_rprime=()):
+def _run_round(server, clients, updates, round_no=1, drop_rprime=(), corrupt_rprime=(),
+               extra_rprime=None):
     server.begin_round(round_no)
     bundles = {i: c.commit_round(round_no, updates[i]) for i, c in clients.items()}
     server.receive_bundles(bundles)
@@ -79,6 +80,7 @@ def _run_round(server, clients, updates, round_no=1, drop_rprime=(), corrupt_rpr
     }
     for i in corrupt_rprime:
         r_primes[i] += 1
+    r_primes.update(extra_rprime or {})
     return server.aggregate(r_primes), honest
 
 
@@ -190,8 +192,12 @@ def test_h_equals_naive_multiexp(gens_factory, backend_name, rows, seed):
                for l in range(d))
     matrix = SampleMatrix(seed=seed, M=1, a0=a0, rows=np.array(rows, dtype=np.int64))
     h = compute_h(matrix, gens)
+    # the exponents of h = A w, negative entries wrapped mod p
+    exponents = [[a % GROUP_ORDER for a in matrix.a0]] + [
+        [int(x) % GROUP_ORDER for x in row] for row in matrix.rows
+    ]
     assert [p.encode() for p in h] == [
-        multiexp(gens.w, row, gens.backend).encode() for row in matrix.scalar_rows()
+        multiexp(gens.w, row, gens.backend).encode() for row in exponents
     ]
 
 
@@ -493,6 +499,17 @@ def test_corrupted_r_prime_identified():
     assert honest == [1, 2, 3, 4, 5]
     assert total == [sum(updates[i][l] for i in honest) for l in range(params.d)]
     assert server.bad_blind_shares == [2]
+
+
+def test_r_prime_from_impossible_id_is_named():
+    # ids 0 and n+1 name no client: their r' are listed, not a crash
+    params = _params(n=3, m=1)
+    server, clients = _network(params, seed=b"badid")
+    updates = _small_updates(params, seed=17)
+    total, honest = _run_round(server, clients, updates, extra_rprime={0: 5, 4: 7})
+    assert honest == [1, 2, 3]
+    assert total == [sum(updates[i][l] for i in honest) for l in range(params.d)]
+    assert server.bad_blind_shares == [0, 4]
 
 
 def test_too_few_valid_r_primes_fails():

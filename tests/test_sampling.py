@@ -95,13 +95,6 @@ def test_row_inner_huge_coordinates_exact():
         assert v[1 + t] == sum(int(a) * x for a, x in zip(m.rows[t], u))
 
 
-def test_scalar_rows_reduce_signed_entries():
-    m = sample_matrix(b"rows", 4, 6, 1 << 10)
-    want = [[a % Q for a in m.a0]] + [[int(x) % Q for x in row] for row in m.rows]
-    assert m.scalar_rows() == want
-    assert any(x > Q // 2 for row in want[1:] for x in row)  # negatives wrapped
-
-
 def test_weighted_combination_matches_naive():
     m = sample_matrix(b"wc", 6, 10, 1 << 10)
     rng = np.random.default_rng(3)

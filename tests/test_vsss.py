@@ -11,7 +11,6 @@ from savi.vsss import (
     combine_check_strings,
     lagrange_at_zero,
     share_with_polynomial,
-    ss_combine,
     ss_recover,
     ss_share,
     ss_verify,
@@ -97,18 +96,22 @@ def test_lagrange_weights_sum_property():
         assert sum(lagrange_at_zero(indices)) % Q == 1
 
 
+def _summed(a, b):
+    """Two shares at one index add to a share of the summed secrets, as
+    a client's r' is the sum of the blind shares it received."""
+    assert a.index == b.index
+    return Share(a.index, (a.value + b.value) % Q)
+
+
 def test_combine_with_zero_sharing(g):
     rng = DeterministicRng(b"combine-zero")
     r = rng.scalar()
     shares_r, check_r = ss_share(r, 3, 2, g, rng)
     shares_0, check_0 = ss_share(0, 3, 2, g, rng)
-    check, combined = ss_combine([check_r, check_0], [shares_r[0], shares_0[0]])
-    assert ss_verify(combined, check)
-    all_combined = [
-        ss_combine([check_r, check_0], [a, b])[1]
-        for a, b in zip(shares_r, shares_0)
-    ]
-    assert ss_recover(all_combined[:2], 2) == r
+    check = combine_check_strings([check_r, check_0])
+    combined = [_summed(a, b) for a, b in zip(shares_r, shares_0)]
+    assert all(ss_verify(s, check) for s in combined)
+    assert ss_recover(combined[:2], 2) == r
 
 
 def test_combine_two_random_sharings(g):
@@ -116,19 +119,8 @@ def test_combine_two_random_sharings(g):
     r, s = rng.scalar(), rng.scalar()
     shares_r, check_r = ss_share(r, 4, 2, g, rng)
     shares_s, check_s = ss_share(s, 4, 2, g, rng)
-    combined = [
-        ss_combine([check_r, check_s], [a, b])[1]
-        for a, b in zip(shares_r, shares_s)
-    ]
+    combined = [_summed(a, b) for a, b in zip(shares_r, shares_s)]
     assert ss_recover(combined[1:3], 2) == (r + s) % Q
-
-
-def test_combine_requires_matching_indices(g):
-    rng = DeterministicRng(b"combine-mismatch")
-    shares_r, check_r = ss_share(1, 3, 2, g, rng)
-    shares_s, check_s = ss_share(2, 3, 2, g, rng)
-    with pytest.raises(ValueError):
-        ss_combine([check_r, check_s], [shares_r[0], shares_s[1]])
 
 
 def test_homomorphic_verify_many_instances(g):
@@ -138,10 +130,8 @@ def test_homomorphic_verify_many_instances(g):
         shares_r, check_r = ss_share(r, 3, 2, g, rng)
         shares_s, check_s = ss_share(s, 3, 2, g, rng)
         i = rng.below(3)
-        check, combined = ss_combine(
-            [check_r, check_s], [shares_r[i], shares_s[i]]
-        )
-        assert ss_verify(combined, check)
+        check = combine_check_strings([check_r, check_s])
+        assert ss_verify(_summed(shares_r[i], shares_s[i]), check)
 
 
 def test_combined_check_string_is_pointwise_sum(g):
