@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .group.base import GroupBackend, Point
+from .group.base import Point
 from .group.generators import GeneratorSet
 from .group.multiexp import multiexp
-from .serial import ByteReader, ByteWriter
+from .serial import Message
 from .vsss import CheckString
 
 
@@ -52,7 +52,7 @@ def aggregate_commitments(
 
 
 @dataclass(frozen=True)
-class CommitmentBundle:
+class CommitmentBundle(Message):
     """Everything a client publishes in the commit round.
 
     The shares are ciphertexts (one per peer, addressed by index order);
@@ -76,22 +76,3 @@ class CommitmentBundle:
             and len(points) == threshold
             and self.z == points[0]
         )
-
-    def to_bytes(self) -> bytes:
-        w = ByteWriter()
-        w.point_vec(self.y).point(self.z)
-        w.u32(len(self.encrypted_shares))
-        for blob in self.encrypted_shares:
-            w.var_bytes(blob)
-        w.point_vec(self.check_string.points)
-        return w.getvalue()
-
-    @staticmethod
-    def from_bytes(data: bytes, backend: GroupBackend) -> "CommitmentBundle":
-        r = ByteReader(data)
-        y = tuple(r.point_vec(backend))
-        z = r.point(backend)
-        shares = tuple(r.var_bytes() for _ in range(r.u32()))
-        check = CheckString(points=tuple(r.point_vec(backend)))
-        r.expect_end()
-        return CommitmentBundle(y=y, z=z, encrypted_shares=shares, check_string=check)

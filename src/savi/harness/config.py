@@ -88,12 +88,13 @@ class SimulationConfig:
         if attack_raw is not None:
             if not isinstance(attack_raw, dict):
                 raise ValueError("attack must be a mapping")
+            _reject_unknown_keys(attack_raw, AttackSpec, "attack")
             attack_raw = dict(attack_raw)
             ids = attack_raw.pop("malicious_ids", ())
+            if not isinstance(ids, (list, tuple)):
+                raise ValueError(f"attack.malicious_ids must be a list, got {ids!r}")
             data["attack"] = AttackSpec(malicious_ids=tuple(ids), **attack_raw)
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        _reject_unknown_keys(data, cls, "config")
         return cls(**data)
 
     @classmethod
@@ -105,6 +106,12 @@ class SimulationConfig:
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: expected a mapping at top level")
         return cls.from_dict(raw)
+
+
+def _reject_unknown_keys(raw: dict[Any, Any], cls: type, what: str) -> None:
+    unknown = set(raw) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown, key=str)}")
 
 
 def desk_preset(**overrides: Any) -> SimulationConfig:

@@ -9,7 +9,6 @@ Everything except wall-clock timings is deterministic in the seed.
 
 from __future__ import annotations
 
-import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -20,6 +19,8 @@ from ..group.generators import GeneratorSet
 from ..protocol import Client, Server
 from ..rng import DeterministicRng
 from ..sampling import CheckParameters
+from ..serial import U32, encode
+from ..vsss import Share
 from ..zkp import BoundExceededError
 from .attacks import ForgingClient, apply_attack, generate_updates
 from .config import SimulationConfig
@@ -153,7 +154,7 @@ class Simulation:
             "share_verify", lambda: self._client_map(self.clients, verify_one)
         )
         for i, report in flags.items():
-            record(MSG_FLAG_REPORT, i, struct.pack(f"<I{len(report)}I", len(report), *report))
+            record(MSG_FLAG_REPORT, i, encode(tuple[U32, ...], report))
 
         def settle_flags() -> dict[int, tuple[int, ...]]:
             requests = self.server.resolve_flags(flags)
@@ -162,11 +163,7 @@ class Simulation:
                 for t, fl in requests.items()
             }
             for t, resp in responses.items():
-                payload = struct.pack("<I", len(resp)) + b"".join(
-                    struct.pack("<I", sh.index) + sh.value.to_bytes(32, "little")
-                    for sh in resp
-                )
-                record(MSG_CLEAR_SHARES, t, payload)
+                record(MSG_CLEAR_SHARES, t, encode(tuple[Share, ...], resp))
             forward = self.server.receive_clear_shares(requests, responses)
             for target, shares in forward.items():
                 for share in shares:
@@ -199,7 +196,7 @@ class Simulation:
         def open_sum():
             r_primes = {i: self.clients[i].aggregate_round(honest) for i in honest}
             for i, value in r_primes.items():
-                record(MSG_BLIND_SHARE, i, value.to_bytes(32, "little"))
+                record(MSG_BLIND_SHARE, i, encode(int, value))
             return self.server.aggregate(r_primes)
 
         aggregate = meter.run("aggregate", open_sum)

@@ -16,7 +16,7 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from ..group.base import GroupBackend, Point
 from ..rng import Rng
-from ..serial import ByteReader, ByteWriter
+from ..serial import decode, encode
 from ..vsss import Share
 
 _KEY_TAG = b"savi/v1/pairwise-key"
@@ -42,7 +42,7 @@ def _nonce(round_no: int, sender: int, receiver: int) -> bytes:
 
 
 def seal_share(key: bytes, round_no: int, sender: int, receiver: int, share: Share) -> bytes:
-    plain = ByteWriter().u32(share.index).scalar(share.value).getvalue()
+    plain = encode(Share, share)
     aad = _nonce(round_no, sender, receiver)
     return ChaCha20Poly1305(key).encrypt(aad, plain, aad)
 
@@ -53,10 +53,6 @@ def open_share(
     """Decrypt and parse; None signals a flag-worthy ciphertext."""
     aad = _nonce(round_no, sender, receiver)
     try:
-        plain = ChaCha20Poly1305(key).decrypt(aad, blob, aad)
-        r = ByteReader(plain)
-        share = Share(index=r.u32(), value=r.scalar())
-        r.expect_end()
+        return decode(Share, ChaCha20Poly1305(key).decrypt(aad, blob, aad))
     except (InvalidTag, ValueError):
         return None
-    return share

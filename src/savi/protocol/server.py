@@ -54,7 +54,6 @@ class Server:
         self.bundles: dict[int, CommitmentBundle] = {}
         self.malicious: dict[int, str] = {}
         self.exposure: dict[int, int] = {}
-        self.cleared_shares: dict[int, list[Share]] = {}
         self.honest: list[int] = []
         self.proof_reasons: dict[int, str] = {}
         self.bad_blind_shares: list[int] = []
@@ -168,20 +167,19 @@ class Server:
                 self._mark(target, "bad_clear_share")
                 continue
             forward[target] = [by_index[f] for f in flaggers]
-            self.cleared_shares[target] = forward[target]
         return forward
 
     # -- stage 3 -------------------------------------------------------------
 
     def proof_round(self) -> tuple[bytes, list[Point]]:
         """Pick the round nonce, derive the matrix, publish h."""
-        self.seed_nonce = self.rng.take(32)
+        nonce = self.rng.take(32)
         ordered = [self.client_pks[i] for i in sorted(self.client_pks)]
-        self.seed = derive_seed(self.seed_nonce, ordered)
+        self.seed = derive_seed(nonce, ordered)
         p = self.params
         self.matrix = sample_matrix(self.seed, p.k, p.d, p.M)
         self.h = compute_h(self.matrix, self.gens)
-        return self.seed_nonce, list(self.h)
+        return nonce, list(self.h)
 
     def receive_proofs(
         self, proofs: Mapping[int, Optional[IntegrityProof]]

@@ -1,86 +1,142 @@
-"""Length-prefixed deterministic serialization.
+"""One wire codec: a message's bytes follow from its dataclass declaration.
 
-Wire format building blocks: little-endian u32 integers, 32-byte
-scalars, 32-byte point encodings, and u32-length-prefixed vectors.
+``encode(tp, value)`` writes the fields of a dataclass in declaration
+order and ``decode(tp, data, backend)`` reads them back.  The declared
+type of each field sets its encoding:
+
+  Point            32-byte encoding
+  int              32-byte canonical scalar
+  U32              4-byte little-endian count or index
+  bytes            u32 length, then the bytes
+  tuple[X, ...]    u32 count, then the items
+  a ``Message``    u32 length, then its bytes
+  other dataclass  its fields inline
+
 Serialization is canonical — equal messages produce equal bytes — so
-transcript hashing and byte-count accounting can both use it.
+transcript hashing and byte-count accounting can both use it.  A
+malformed payload raises ``ValueError`` and nothing else.
 """
 
 from __future__ import annotations
 
-import struct
-from typing import Sequence
+import dataclasses
+import functools
+import typing
+from typing import Any, NewType, Optional
 
 from .group.base import GroupBackend, Point
 from .group.scalars import scalar_from_bytes, scalar_to_bytes
 
-
-class ByteWriter:
-    def __init__(self) -> None:
-        self._parts: list[bytes] = []
-
-    def raw(self, data: bytes) -> "ByteWriter":
-        self._parts.append(data)
-        return self
-
-    def u32(self, v: int) -> "ByteWriter":
-        return self.raw(struct.pack("<I", v))
-
-    def scalar(self, x: int) -> "ByteWriter":
-        return self.raw(scalar_to_bytes(x))
-
-    def point(self, p: Point) -> "ByteWriter":
-        return self.raw(p.encode())
-
-    def var_bytes(self, data: bytes) -> "ByteWriter":
-        return self.u32(len(data)).raw(data)
-
-    def scalar_vec(self, xs: Sequence[int]) -> "ByteWriter":
-        self.u32(len(xs))
-        for x in xs:
-            self.scalar(x)
-        return self
-
-    def point_vec(self, ps: Sequence[Point]) -> "ByteWriter":
-        self.u32(len(ps))
-        for p in ps:
-            self.point(p)
-        return self
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._parts)
+U32 = NewType("U32", int)
+"""Field marker for counts and indices: 4 bytes on the wire, not 32."""
 
 
-class ByteReader:
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
+def _u32(v: int) -> bytes:
+    return v.to_bytes(4, "little")
 
-    def raw(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise ValueError("truncated message")
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.raw(4))[0]
+@functools.cache
+def _fields(tp: type) -> tuple[tuple[str, Any], ...]:
+    hints = typing.get_type_hints(tp)
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(tp))
 
-    def scalar(self) -> int:
-        return scalar_from_bytes(self.raw(32))
 
-    def point(self, backend: GroupBackend) -> Point:
-        return backend.decode(self.raw(32))
+def _is_message(tp: Any) -> bool:
+    return isinstance(tp, type) and issubclass(tp, Message)
 
-    def var_bytes(self) -> bytes:
-        return self.raw(self.u32())
 
-    def scalar_vec(self) -> list[int]:
-        return [self.scalar() for _ in range(self.u32())]
+def encode(tp: Any, value: Any) -> bytes:
+    """The bytes of ``value`` as a ``tp``; a message is its fields, unprefixed."""
+    out: list[bytes] = []
+    (_write_fields if _is_message(tp) else _write)(tp, value, out)
+    return b"".join(out)
 
-    def point_vec(self, backend: GroupBackend) -> list[Point]:
-        return [self.point(backend) for _ in range(self.u32())]
 
-    def expect_end(self) -> None:
-        if self._pos != len(self._data):
-            raise ValueError("trailing bytes after message")
+def _write(tp: Any, value: Any, out: list[bytes]) -> None:
+    if tp is Point:
+        out.append(value.encode())
+    elif tp is U32:
+        out.append(_u32(value))
+    elif tp is int:
+        out.append(scalar_to_bytes(value))
+    elif tp is bytes:
+        out += (_u32(len(value)), value)
+    elif typing.get_origin(tp) is tuple:
+        item = typing.get_args(tp)[0]
+        out.append(_u32(len(value)))
+        for x in value:
+            _write(item, x, out)
+    elif _is_message(tp):
+        raw = encode(tp, value)
+        out += (_u32(len(raw)), raw)
+    else:
+        _write_fields(tp, value, out)
+
+
+def _write_fields(tp: type, value: Any, out: list[bytes]) -> None:
+    for name, ftp in _fields(tp):
+        _write(ftp, getattr(value, name), out)
+
+
+def decode(tp: Any, data: bytes, backend: Optional[GroupBackend] = None) -> Any:
+    """Parse ``data`` as one ``tp``; it must be consumed exactly."""
+    value, end = (_read_fields if _is_message(tp) else _read)(tp, data, 0, backend)
+    if end != len(data):
+        raise ValueError("trailing bytes after message")
+    return value
+
+
+def _take(data: bytes, pos: int, n: int) -> tuple[bytes, int]:
+    end = pos + n
+    if end > len(data):
+        raise ValueError("truncated message")
+    return data[pos:end], end
+
+
+def _read(tp: Any, data: bytes, pos: int, backend: Optional[GroupBackend]) -> tuple[Any, int]:
+    if tp is Point:
+        raw, pos = _take(data, pos, 32)
+        return backend.decode(raw), pos
+    if tp is U32:
+        raw, pos = _take(data, pos, 4)
+        return int.from_bytes(raw, "little"), pos
+    if tp is int:
+        raw, pos = _take(data, pos, 32)
+        return scalar_from_bytes(raw), pos
+    if tp is bytes:
+        n, pos = _read(U32, data, pos, backend)
+        return _take(data, pos, n)
+    if typing.get_origin(tp) is tuple:
+        item = typing.get_args(tp)[0]
+        n, pos = _read(U32, data, pos, backend)
+        items = []
+        for _ in range(n):
+            x, pos = _read(item, data, pos, backend)
+            items.append(x)
+        return tuple(items), pos
+    if _is_message(tp):
+        raw, pos = _read(bytes, data, pos, backend)
+        return decode(tp, raw, backend), pos
+    return _read_fields(tp, data, pos, backend)
+
+
+def _read_fields(tp: type, data: bytes, pos: int, backend: Optional[GroupBackend]) -> tuple[Any, int]:
+    fields = {}
+    for name, ftp in _fields(tp):
+        fields[name], pos = _read(ftp, data, pos, backend)
+    return tp(**fields), pos
+
+
+class Message:
+    """A dataclass sent whole on the wire.
+
+    Field order is the wire order: reordering, adding or retyping a
+    field changes the bytes.  Nested in another message, a message is
+    sent as u32 length, then its bytes."""
+
+    def to_bytes(self) -> bytes:
+        return encode(type(self), self)
+
+    @classmethod
+    def from_bytes(cls, data: bytes, backend: GroupBackend) -> Any:
+        return decode(cls, data, backend)

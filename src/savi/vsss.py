@@ -19,6 +19,7 @@ from typing import Sequence
 from .group.base import GROUP_ORDER, Point
 from .group.multiexp import multiexp
 from .rng import Rng
+from .serial import U32
 
 
 class InsufficientSharesError(Exception):
@@ -27,7 +28,7 @@ class InsufficientSharesError(Exception):
 
 @dataclass(frozen=True)
 class Share:
-    index: int
+    index: U32
     value: int
 
     def __post_init__(self) -> None:

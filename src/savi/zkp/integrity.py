@@ -27,11 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ..group.base import GROUP_ORDER, GroupBackend, Point
+from ..group.base import GROUP_ORDER, Point
 from ..group.generators import GeneratorSet
 from ..group.multiexp import multiexp, sum_points
 from ..rng import Rng
-from ..serial import ByteReader, ByteWriter
+from ..serial import Message
 from .rangeproof import (
     RangeProof,
     RangeTerms,
@@ -70,7 +70,7 @@ class BoundExceededError(Exception):
 
 
 @dataclass(frozen=True)
-class IntegrityProof:
+class IntegrityProof(Message):
     e_star: tuple[Point, ...]
     o: tuple[Point, ...]
     o_prime: tuple[Point, ...]
@@ -78,30 +78,6 @@ class IntegrityProof:
     tau: SquareProof
     sigma: RangeProof
     mu: RangeProof
-
-    def to_bytes(self) -> bytes:
-        w = ByteWriter()
-        w.point_vec(self.e_star).point_vec(self.o).point_vec(self.o_prime)
-        w.var_bytes(self.rho.to_bytes())
-        w.var_bytes(self.tau.to_bytes())
-        w.var_bytes(self.sigma.to_bytes())
-        w.var_bytes(self.mu.to_bytes())
-        return w.getvalue()
-
-    @staticmethod
-    def from_bytes(data: bytes, backend: GroupBackend) -> "IntegrityProof":
-        r = ByteReader(data)
-        proof = IntegrityProof(
-            e_star=tuple(r.point_vec(backend)),
-            o=tuple(r.point_vec(backend)),
-            o_prime=tuple(r.point_vec(backend)),
-            rho=WellFormedProof.from_bytes(r.var_bytes(), backend),
-            tau=SquareProof.from_bytes(r.var_bytes(), backend),
-            sigma=RangeProof.from_bytes(r.var_bytes(), backend),
-            mu=RangeProof.from_bytes(r.var_bytes(), backend),
-        )
-        r.expect_end()
-        return proof
 
 
 def _padded(values: list[int], pad_to: int) -> list[int]:

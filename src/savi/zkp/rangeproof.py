@@ -30,19 +30,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..group.base import GROUP_ORDER, GroupBackend, Point
+from ..group.base import GROUP_ORDER, Point
 from ..group.generators import GeneratorSet
 from ..group.multiexp import multiexp
 from ..group.scalars import inv
 from ..rng import Rng
-from ..serial import ByteReader, ByteWriter
+from ..serial import Message
 from .transcript import Transcript
 
 _Q = GROUP_ORDER
 
 
 @dataclass(frozen=True)
-class RangeProof:
+class RangeProof(Message):
     a_commit: Point
     s_commit: Point
     t1_commit: Point
@@ -54,34 +54,6 @@ class RangeProof:
     rs: tuple[Point, ...]
     a: int
     b: int
-
-    def to_bytes(self) -> bytes:
-        w = ByteWriter()
-        w.point(self.a_commit).point(self.s_commit)
-        w.point(self.t1_commit).point(self.t2_commit)
-        w.scalar(self.tau_x).scalar(self.mu).scalar(self.t_hat)
-        w.point_vec(self.ls).point_vec(self.rs)
-        w.scalar(self.a).scalar(self.b)
-        return w.getvalue()
-
-    @staticmethod
-    def from_bytes(data: bytes, backend: GroupBackend) -> "RangeProof":
-        r = ByteReader(data)
-        proof = RangeProof(
-            a_commit=r.point(backend),
-            s_commit=r.point(backend),
-            t1_commit=r.point(backend),
-            t2_commit=r.point(backend),
-            tau_x=r.scalar(),
-            mu=r.scalar(),
-            t_hat=r.scalar(),
-            ls=tuple(r.point_vec(backend)),
-            rs=tuple(r.point_vec(backend)),
-            a=r.scalar(),
-            b=r.scalar(),
-        )
-        r.expect_end()
-        return proof
 
 
 def _ip(a: Sequence[int], b: Sequence[int]) -> int:

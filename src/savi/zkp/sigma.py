@@ -21,41 +21,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..group.base import GROUP_ORDER, GroupBackend, Point
+from ..group.base import GROUP_ORDER, Point
 from ..group.multiexp import multiexp
 from ..rng import Rng
-from ..serial import ByteReader, ByteWriter
+from ..serial import Message
 from .transcript import Transcript
 
 _Q = GROUP_ORDER
 
 
 @dataclass(frozen=True)
-class SquareProof:
+class SquareProof(Message):
     t1: tuple[Point, ...]
     t2: tuple[Point, ...]
     s1: tuple[int, ...]
     s2: tuple[int, ...]
     s3: tuple[int, ...]
-
-    def to_bytes(self) -> bytes:
-        w = ByteWriter()
-        w.point_vec(self.t1).point_vec(self.t2)
-        w.scalar_vec(self.s1).scalar_vec(self.s2).scalar_vec(self.s3)
-        return w.getvalue()
-
-    @staticmethod
-    def from_bytes(data: bytes, backend: GroupBackend) -> "SquareProof":
-        r = ByteReader(data)
-        proof = SquareProof(
-            t1=tuple(r.point_vec(backend)),
-            t2=tuple(r.point_vec(backend)),
-            s1=tuple(r.scalar_vec()),
-            s2=tuple(r.scalar_vec()),
-            s3=tuple(r.scalar_vec()),
-        )
-        r.expect_end()
-        return proof
 
 
 def _square_challenge(
@@ -144,33 +125,13 @@ def ver_prf_sq(
 
 
 @dataclass(frozen=True)
-class WellFormedProof:
+class WellFormedProof(Message):
     u: Point
     t: tuple[Point, ...]       # one per e_i, i in 0..k
     t_star: tuple[Point, ...]  # one per o_i, i in 1..k
     y: int
     y_vec: tuple[int, ...]
     y_star: tuple[int, ...]
-
-    def to_bytes(self) -> bytes:
-        w = ByteWriter()
-        w.point(self.u).point_vec(self.t).point_vec(self.t_star)
-        w.scalar(self.y).scalar_vec(self.y_vec).scalar_vec(self.y_star)
-        return w.getvalue()
-
-    @staticmethod
-    def from_bytes(data: bytes, backend: GroupBackend) -> "WellFormedProof":
-        r = ByteReader(data)
-        proof = WellFormedProof(
-            u=r.point(backend),
-            t=tuple(r.point_vec(backend)),
-            t_star=tuple(r.point_vec(backend)),
-            y=r.scalar(),
-            y_vec=tuple(r.scalar_vec()),
-            y_star=tuple(r.scalar_vec()),
-        )
-        r.expect_end()
-        return proof
 
 
 def _wellformed_challenge(

@@ -33,7 +33,11 @@ from savi.harness.simulate import (
     MSG_PROOF,
     Simulation,
 )
+from savi.commit import CommitmentBundle
+from savi.group import make_backend
 from savi.sampling import SampleMatrix, pass_rate_F, sample_matrix
+from savi.serial import U32, decode, encode
+from savi.zkp import IntegrityProof
 
 
 def _tiny(**overrides):
@@ -344,10 +348,21 @@ def test_message_log_replay(tmp_path):
     per_client = {}
     kinds = set()
     rounds_seen = set()
+    wire_type = {
+        MSG_BUNDLE: CommitmentBundle,
+        MSG_FLAG_REPORT: tuple[U32, ...],
+        MSG_PROOF: IntegrityProof,
+        MSG_BLIND_SHARE: int,
+    }
+    backend = make_backend(cfg.backend)
     for kind, round_no, sender, payload in parse_message_log(log):
         kinds.add(kind)
         rounds_seen.add(round_no)
         per_client[(round_no, sender)] = per_client.get((round_no, sender), 0) + len(payload)
+        value = decode(wire_type[kind], payload, backend)
+        assert encode(wire_type[kind], value) == payload
+        if kind == MSG_FLAG_REPORT:
+            assert value == ()
     assert rounds_seen == {1, 2}
     assert kinds == {MSG_BUNDLE, MSG_FLAG_REPORT, MSG_PROOF, MSG_BLIND_SHARE}
     for rep in reports:
@@ -427,6 +442,12 @@ def test_config_yaml_roundtrip(tmp_path):
 def test_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ValueError, match="unknown config keys"):
         SimulationConfig.from_dict({"n": 4, "m": 0, "d": 8, "k": 4, "banana": 1})
+    with pytest.raises(ValueError, match="bogus"):
+        SimulationConfig.from_dict({"n": 4, "m": 0, "d": 8, "k": 4, "attack": {"bogus": 1}})
+    with pytest.raises(ValueError, match="malicious_ids"):
+        SimulationConfig.from_dict(
+            {"n": 4, "m": 1, "d": 8, "k": 4, "attack": {"kind": "scaling", "malicious_ids": 3}}
+        )
 
 
 def test_config_validation_errors():

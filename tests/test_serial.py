@@ -1,0 +1,96 @@
+"""The wire codec: legacy byte layouts and hostile-byte decoding."""
+
+import functools
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from savi.commit import CommitmentBundle
+from savi.group import GROUP_ORDER, make_backend
+from savi.harness import desk_preset
+from savi.harness.simulate import MSG_BLIND_SHARE, MSG_BUNDLE, MSG_PROOF, Simulation
+from savi.serial import U32, decode, encode
+from savi.vsss import Share
+from savi.zkp import IntegrityProof
+
+
+def _legacy_flag_report(report):
+    return struct.pack(f"<I{len(report)}I", len(report), *report)
+
+
+def _legacy_clear_shares(shares):
+    return struct.pack("<I", len(shares)) + b"".join(
+        struct.pack("<I", sh.index) + sh.value.to_bytes(32, "little") for sh in shares
+    )
+
+
+@pytest.mark.parametrize("report", [(), (3,), (1, 2, 7), (2**32 - 1,)])
+def test_flag_report_matches_legacy_layout(report):
+    raw = encode(tuple[U32, ...], report)
+    assert raw == _legacy_flag_report(report)
+    assert decode(tuple[U32, ...], raw) == report
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_clear_shares_match_legacy_layout(n):
+    shares = tuple(Share(index=i + 1, value=(i * 0x9E3779B97F4A7C15) ** 3 % GROUP_ORDER)
+                   for i in range(n))
+    raw = encode(tuple[Share, ...], shares)
+    assert raw == _legacy_clear_shares(shares)
+    assert decode(tuple[Share, ...], raw) == shares
+
+
+@functools.cache
+def _payloads(backend_name):
+    """(wire type, real payload) for every decoded message kind."""
+    cfg = desk_preset(n=3, m=0, d=8, k=4, epsilon_log2=-16, M=16, b_ip=32, b_max=64,
+                      seed=3, backend=backend_name)
+    first = {}
+    for kind, _, payload in Simulation(cfg).run_round(1).messages:
+        first.setdefault(kind, payload)
+    shares = (Share(index=2, value=GROUP_ORDER - 5), Share(index=3, value=1))
+    return {
+        "bundle": (CommitmentBundle, first[MSG_BUNDLE]),
+        "proof": (IntegrityProof, first[MSG_PROOF]),
+        "blind_share": (int, first[MSG_BLIND_SHARE]),
+        "flag_report": (tuple[U32, ...], encode(tuple[U32, ...], (2, 3))),
+        "clear_shares": (tuple[Share, ...], encode(tuple[Share, ...], shares)),
+        "sealed_share_plaintext": (Share, encode(Share, shares[0])),
+    }
+
+
+_mutation = st.one_of(
+    st.tuples(st.just("truncate"), st.floats(0, 1, exclude_max=True)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=40)),
+    st.tuples(st.just("flip"), st.floats(0, 1, exclude_max=True), st.integers(1, 255)),
+)
+
+
+def _mutate(data, mutation):
+    op, arg, *rest = mutation
+    if op == "extend":
+        return data + arg
+    pos = int(arg * len(data))
+    if op == "truncate":
+        return data[:pos]
+    return data[:pos] + bytes([data[pos] ^ rest[0]]) + data[pos + 1:]
+
+
+@pytest.mark.parametrize("backend_name", ["mock", "ristretto255"])
+@pytest.mark.parametrize("kind", ["bundle", "proof", "blind_share", "flag_report",
+                                  "clear_shares", "sealed_share_plaintext"])
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(mutation=_mutation)
+def test_decode_mutated_payload_returns_or_raises_value_error(backend_name, kind, mutation):
+    tp, payload = _payloads(backend_name)[kind]
+    backend = make_backend(backend_name)
+    assert encode(tp, decode(tp, payload, backend)) == payload
+    data = _mutate(payload, mutation)
+    try:
+        value = decode(tp, data, backend)
+    except ValueError:
+        return
+    # whatever parses is canonical: it re-encodes to the bytes it came from
+    assert encode(tp, value) == data
