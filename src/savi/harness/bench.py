@@ -20,7 +20,7 @@ from ..group.generators import GeneratorSet
 from ..protocol import Client
 from ..protocol.server import compute_h
 from ..rng import DeterministicRng
-from ..sampling import CheckParameters, sample_matrix
+from ..sampling import sample_matrix
 from ..zkp import gen_integrity_proof, ver_integrity_proof
 from ..zkp.vercrt import ver_crt
 from .config import deployment_preset
@@ -39,31 +39,17 @@ class CostRow:
         return sum(self.ops[stage].values())
 
 
-def _probe_params(d: int, k: int) -> CheckParameters:
-    return CheckParameters(
-        n=2,
-        m=0,
-        d=d,
-        k=k,
-        epsilon=2.0**-16,
-        M=16,
-        B=1.0,
-        b_ip=32,
-        b_max=64,
-        frac_bits=2,
-        b_coord=16,
-    )
-
-
 def probe_costs(d: int, k: int, backend_name: str = "mock", seed: int = 7) -> CostRow:
     """Run one client's commit/prove cycle and the server's prep/verify
-    against an op-counted backend.
+    against an op-counted backend, at the deployment preset's check
+    parameters (with its derived range widths) for dimension d and k
+    projections.
 
     The cycle is built by hand rather than run through ``Simulation``: a
     round's matrix is derived from the parties' public keys, which differ
     between backends, and the op counts must come from identical data on
     mock and ristretto255 (``test_mock_op_counts_equal_ristretto``)."""
-    params = _probe_params(d, k)
+    params = deployment_preset(n=2, m=0, d=d, k=k).check_parameters()
     backend = make_backend(backend_name)
     gens = GeneratorSet.derive(backend, d, params.range_slots)
     rng = DeterministicRng(seed).child("bench")

@@ -4,13 +4,8 @@ from __future__ import annotations
 
 import click
 
-from ..sampling import (
-    chi_square_quantile,
-    compute_b0,
-    encoded_bound,
-    max_expected_damage,
-    pass_rate_F,
-)
+from ..sampling import CheckParameters, max_expected_damage, pass_rate_F
+from ..zkp.rangeproof import slot_shape
 from .bench import PROBE_STAGES, measure_communication, probe_costs
 from .config import SimulationConfig, desk_preset, deployment_preset
 from .report import emit_message_log, emit_report, report_row, summary_row
@@ -24,6 +19,11 @@ def _parse_size(token: str) -> int:
     if token and token[-1] in _SUFFIX:
         return int(float(token[:-1]) * _SUFFIX[token[-1]])
     return int(token)
+
+
+def _slots(n: int) -> str:
+    c, r = slot_shape(n)
+    return f"{n} = {c}·2^{r}"
 
 
 def _parse_sweep(text: str) -> tuple[str, list[int]]:
@@ -118,15 +118,23 @@ def bench(sweep, k_fixed, d_fixed, comm) -> None:
 @click.option("--B", "bound", type=float, default=1.0, show_default=True)
 @click.option("--frac-bits", type=int, default=8, show_default=True)
 def params(k, epsilon_log2, d, m_log2, bound, frac_bits) -> None:
-    """Derived check parameters: gamma, B0, pass-rate table, worst damage."""
+    """Derived check parameters: gamma, B0, range widths and proof shapes,
+    pass-rate table, worst damage."""
     epsilon = 2.0**epsilon_log2
     M = 1 << m_log2
-    gamma = chi_square_quantile(k, epsilon)
-    b_enc = encoded_bound(bound, frac_bits, d)
-    b0 = compute_b0(b_enc, M, k, d, epsilon)
+    try:
+        p = CheckParameters(
+            n=1, m=0, d=d, k=k, epsilon=epsilon, M=M, B=bound, frac_bits=frac_bits
+        )
+    except ValueError as err:
+        raise click.UsageError(str(err)) from None
     click.echo(f"k={k}  epsilon=2^{epsilon_log2}  d={d}  M=2^{m_log2}")
-    click.echo(f"gamma  = {gamma:.6g}")
-    click.echo(f"B0     = {b0}  ({b0.bit_length()} bits; b_enc={b_enc})")
+    click.echo(f"gamma  = {p.gamma:.6g}")
+    click.echo(f"B0     = {p.b0}  ({p.b0.bit_length()} bits; b_enc={p.b_enc})")
+    click.echo(f"b_ip   = {p.b_ip}  b_max = {p.b_max}  (derived from B0)")
+    click.echo(
+        f"range slots: sigma {_slots(p.b_ip * p.k_padded)}, mu {_slots(p.b_max)}"
+    )
     click.echo("pass rate F(c):")
     for c in (1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 2.0):
         click.echo(f"  c={c:<4} F={pass_rate_F(c, k, epsilon, d, M):.3e}")

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import numbers
 import os
+import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -26,8 +28,8 @@ class SimulationConfig:
     epsilon_log2: int = -40
     M: int = 1 << 20
     B: float = 1.0
-    b_ip: int = 64
-    b_max: int = 128
+    b_ip: int | None = None  # None: derived from B0 (see CheckParameters)
+    b_max: int | None = None
     frac_bits: int = 8
     b_coord: int = 16
     seed: int = 1
@@ -38,6 +40,8 @@ class SimulationConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
+        _check_types(self, "")
+        _check_types(self.attack, "attack.")
         if self.rounds < 1:
             raise ValueError("rounds must be positive")
         if self.workers < 1:
@@ -106,6 +110,33 @@ class SimulationConfig:
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: expected a mapping at top level")
         return cls.from_dict(raw)
+
+
+def _fits(tp: Any, value: Any) -> bool:
+    """Whether ``value`` has the declared type ``tp``: an int field takes
+    no bool, float or str, and a float field takes ints but no bool."""
+    if isinstance(value, bool):
+        return tp is bool
+    if tp is int:
+        return isinstance(value, numbers.Integral)
+    if tp is float:
+        return isinstance(value, numbers.Real)
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
+        return isinstance(value, tuple) and all(_fits(args[0], x) for x in value)
+    if args:  # a union such as int | None
+        return any(_fits(arg, value) for arg in args)
+    return value is None if tp is type(None) else isinstance(value, tp)
+
+
+def _check_types(obj: Any, prefix: str) -> None:
+    """Raise ValueError naming the first field of ``obj`` whose value does
+    not have its declared type."""
+    for name, tp in typing.get_type_hints(type(obj)).items():
+        value = getattr(obj, name)
+        if not _fits(tp, value):
+            expected = tp.__name__ if isinstance(tp, type) else tp
+            raise ValueError(f"{prefix}{name} must be {expected}, got {value!r}")
 
 
 def _reject_unknown_keys(raw: dict[Any, Any], cls: type, what: str) -> None:

@@ -22,6 +22,7 @@ from scipy import optimize, special, stats
 
 from .group.base import GROUP_ORDER, Point
 from .group.scalars import reduce_wide
+from .zkp.rangeproof import MAX_ODD_PART, range_width, slot_shape
 
 _Q = GROUP_ORDER
 
@@ -259,6 +260,12 @@ class CheckParameters:
     b_ip bounds each projection <a_t, u> (via a shifted range proof),
     b_max bounds the slack B0 - sum of squares, b_coord is the signed
     fixed-point width of one update coordinate.
+
+    Left as None, b_ip and b_max are derived from B0 by ``range_width``:
+    the smallest widths B0 needs (B0 < 2^(2(b_ip-1)) and B0 < 2^b_max)
+    whose odd part is at most 7, so that b_ip * k_padded and b_max are
+    slot counts the range proof accepts.  An explicit width must meet
+    the same conditions.
     """
 
     n: int
@@ -268,8 +275,8 @@ class CheckParameters:
     epsilon: float
     M: int
     B: float
-    b_ip: int
-    b_max: int
+    b_ip: int | None = None
+    b_max: int | None = None
     frac_bits: int = 8
     b_coord: int = 16
 
@@ -284,18 +291,21 @@ class CheckParameters:
             raise ValueError("epsilon must be in (0, 1)")
         if self.M < 1 or self.B <= 0:
             raise ValueError("M and B must be positive")
-        for name in ("b_ip", "b_max"):
-            width = getattr(self, name)
-            if width < 2 or width & (width - 1):
-                raise ValueError(f"{name} must be a power of two (range proof slots)")
-        if self.b_ip >= self.b_max:
-            raise ValueError("b_ip must be smaller than b_max")
         if self.B * (1 << self.frac_bits) + 0.5 >= 1 << (self.b_coord - 1):
             raise ValueError("bound B does not fit the b_coord fixed-point window")
+        needs = {"b_ip": 1 + (self.b0.bit_length() + 1) // 2, "b_max": self.b0.bit_length()}
+        for name, need in needs.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, range_width(need))
+            width = getattr(self, name)
+            if width < 1 or slot_shape(width)[0] > MAX_ODD_PART:
+                raise ValueError(f"{name}={width} needs an odd part of at most {MAX_ODD_PART}")
         if self.b0 >= 1 << self.b_max:
             raise ValueError("B0 overflows b_max bits")
         if self.b0 >= 1 << (2 * (self.b_ip - 1)):
             raise ValueError("b_ip too narrow: a passing projection may overflow it")
+        if (self.k_padded << (2 * (self.b_ip - 1))) + (1 << self.b_max) >= _Q:
+            raise ValueError("k_padded 2^(2(b_ip-1)) + 2^b_max wraps the group order")
 
     @property
     def threshold(self) -> int:

@@ -8,11 +8,18 @@ blind commitment z shows, without revealing u:
   * o_t / o_prime_t commit to v_t and v_t^2 under the auxiliary base q
     (same v_t as e_t via the well-formedness proof, squares via the
     square proof);
-  * each shifted v_t + 2^(b_ip-1) lies in [0, 2^b_ip) (range proof on
-    2^(b_ip-1) g + o_t);
+  * each shifted v_t + 2^(b_ip-1) lies in [0, 2^b_ip) (one range proof
+    on the 2^(b_ip-1) g + o_t, padded with identity points to k_padded
+    values), so |v_t| < 2^(b_ip-1) and v_t^2 <= 2^(2(b_ip-1));
   * B0 - sum v_t^2 lies in [0, 2^b_max) (range proof on
     B0 g - sum o_prime_t, which the verifier derives), i.e. the projected
-    norm is bounded.
+    norm is bounded.  ``CheckParameters`` keeps
+    k_padded 2^(2(b_ip-1)) + 2^b_max below the group order, so the sum
+    of squares cannot wrap around it.
+
+Both range widths follow from B0 (``CheckParameters``), and each range
+proof's slot count is c * 2^r with c odd and at most 7: b_ip * k_padded
+for the projections and b_max for the slack.
 
 All four sub-proofs draw their challenges from one transcript bound to
 the check parameters, the round and the client's commitments.
@@ -82,6 +89,19 @@ class IntegrityProof(Message):
 
 def _padded(values: list[int], pad_to: int) -> list[int]:
     return values + [0] * (pad_to - len(values))
+
+
+def _shifted(params: "CheckParameters", gens: GeneratorSet, o: Sequence[Point]) -> list[Point]:
+    """The sigma range proof's value commitments 2^(b_ip-1) g + o_t,
+    padded with identity points to k_padded."""
+    shift = (1 << (params.b_ip - 1)) * gens.g
+    pad = [gens.backend.identity()] * (params.k_padded - len(o))
+    return [shift + o_t for o_t in o] + pad
+
+
+def _slack(params: "CheckParameters", gens: GeneratorSet, o_prime: Sequence[Point]) -> Point:
+    """The mu range proof's value commitment B0 g - sum o_prime_t."""
+    return (params.b0 % _Q) * gens.g - sum_points(o_prime, backend=gens.backend)
 
 
 def _transcript(
@@ -160,6 +180,7 @@ def _prove(
         params.b_ip,
         _padded([x + shift for x in claims], params.k_padded),
         _padded(s, params.k_padded),
+        _shifted(params, gens, o),
         rng,
         tr,
     )
@@ -168,6 +189,7 @@ def _prove(
         params.b_max,
         [params.b0 - sum(x * x for x in claims)],
         [-sum(s_prime) % _Q],
+        [_slack(params, gens, o_prime)],
         rng,
         tr,
     )
@@ -272,15 +294,11 @@ def _cheap_checks(
     if not ver_prf_sq(g, q, proof.o, proof.o_prime, proof.tau, rng, tr):
         return "square"
 
-    shift_point = (1 << (params.b_ip - 1)) * g
-    shifted = [shift_point + o_t for o_t in proof.o]
-    shifted += [gens.backend.identity()] * (params.k_padded - k)
-    sigma = range_terms(gens, params.b_ip, shifted, proof.sigma, tr)
+    sigma = range_terms(gens, params.b_ip, _shifted(params, gens, proof.o), proof.sigma, tr)
     if sigma is None:
         return "range_ip"
 
-    slack = (params.b0 % _Q) * g - sum_points(proof.o_prime, backend=gens.backend)
-    mu = range_terms(gens, params.b_max, [slack], proof.mu, tr)
+    mu = range_terms(gens, params.b_max, [_slack(params, gens, proof.o_prime)], proof.mu, tr)
     if mu is None:
         # a bad sigma proof is still the first failure
         return "range_sum" if ver_range_proof(gens, [sigma], weights) else "range_ip"

@@ -2,16 +2,21 @@
 
 Proves that each of m Pedersen commitments V_j = v_j g + gamma_j q
 hides a value in [0, 2^n) (Bünz et al., "Bulletproofs", IEEE S&P 2018,
-§3–4).  The m*n bit commitments are folded through the recursive
-inner-product argument, so the proof carries 2*log2(m*n) points plus a
-constant number of elements.  Verification replays a proof's transcript
-into two identities, a polynomial one of length m and the unrolled
-inner-product argument of length O(m*n), as scalar terms
-(``range_terms``); ``ver_range_proof`` checks the identities of any
-number of proofs together in one weighted multiexp whose G_i/H_i part
-is shared by all of them.
+§3–4).  The N = m*n bit slots must have the shape N = c * 2^r with c
+odd and at most ``MAX_ODD_PART``.  The inner-product argument folds
+while the vectors have even length, r rounds, and then sends the two
+c-vectors in the clear, as the recursion of Bootle et al. (EUROCRYPT
+2016) ends; Bünz et al. fold on to length 1.  A proof carries 2r points
+plus 2c scalars and a constant number of elements.  ``range_width``
+picks the widths of this shape.
 
-The prover costs about 8*m*n scalar multiplications, with the paper's
+Verification replays a proof's transcript into two identities, a
+polynomial one of length m and the unrolled inner-product argument of
+length N, as scalar terms (``range_terms``); ``ver_range_proof`` checks
+the identities of any number of proofs together in one weighted
+multiexp whose G_i/H_i part is shared by all of them.
+
+The prover costs about 8N scalar multiplications, with the paper's
 arithmetic reordered and its points unchanged, so proofs are byte for
 byte those of a prover that folds its bases explicitly.  The bit
 commitment A has only scalars 1 and -1 on G_i and H_i, which
@@ -21,8 +26,9 @@ multiplying it in: H is never rescaled by y^{-i}, a fold stores one
 bracket per pair (one multiplication), and the last round folds no
 bases, since nothing reads them.
 
-m*n must be a power of two; callers pad with zero-valued, zero-blinded
-commitments (the identity point) to reach one.
+The caller passes the value commitments it already holds, and pads the
+value count with zero-valued, zero-blinded commitments (the identity
+point) when it needs a slot count of the right shape.
 """
 
 from __future__ import annotations
@@ -52,8 +58,8 @@ class RangeProof(Message):
     t_hat: int
     ls: tuple[Point, ...]
     rs: tuple[Point, ...]
-    a: int
-    b: int
+    a: tuple[int, ...]
+    b: tuple[int, ...]
 
 
 def _ip(a: Sequence[int], b: Sequence[int]) -> int:
@@ -67,10 +73,34 @@ def _powers(y: int, n: int) -> list[int]:
     return out
 
 
+# The largest odd length at which the inner-product argument stops.  The
+# widths it admits (2^j times 4, 5, 6, 7 or 8) lie at most 25% apart, and
+# the final vectors hold at most 14 scalars.
+MAX_ODD_PART = 7
+
+
+def slot_shape(nm: int) -> tuple[int, int]:
+    """(c, r) with nm = c * 2^r and c odd, for nm > 0."""
+    r = (nm & -nm).bit_length() - 1
+    return nm >> r, r
+
+
+def range_width(need: int) -> int:
+    """The smallest width w >= need whose odd part is at most
+    ``MAX_ODD_PART``: w bit slots times a power-of-two value count is
+    then a slot count a proof accepts."""
+    w = need
+    while slot_shape(w)[0] > MAX_ODD_PART:
+        w += 1
+    return w
+
+
 def _check_sizes(gens: GeneratorSet, n_bits: int, m: int) -> int:
     nm = n_bits * m
-    if nm <= 0 or nm & (nm - 1):
-        raise ValueError("total bit count must be a power of two (pad the values)")
+    if nm <= 0 or slot_shape(nm)[0] > MAX_ODD_PART:
+        raise ValueError(
+            f"{nm} bit slots are not c * 2^r with odd c <= {MAX_ODD_PART} (pad the values)"
+        )
     if gens.range_gens.slots() < nm:
         raise ValueError("generator set has too few range slots")
     return nm
@@ -81,18 +111,21 @@ def gen_range_proof(
     n_bits: int,
     values: Sequence[int],
     blinds: Sequence[int],
+    commitments: Sequence[Point],
     rng: Rng,
     tr: Transcript,
 ) -> RangeProof:
     """Prove values[j] in [0, 2^n_bits) under blinds[j], drawing the
     challenges from ``tr`` after absorbing the statement.
 
-    Raises ValueError when a value is outside the range — an honest
-    caller must not be able to produce an unprovable statement.
+    ``commitments[j]`` must be values[j] g + blinds[j] q; the caller
+    holds them already, so they are not recomputed.  Raises ValueError
+    when a value is outside the range — an honest caller must not be
+    able to produce an unprovable statement.
     """
     m = len(values)
-    if len(blinds) != m:
-        raise ValueError("one blind per value required")
+    if len(blinds) != m or len(commitments) != m:
+        raise ValueError("one blind and one commitment per value required")
     nm = _check_sizes(gens, n_bits, m)
     for v in values:
         if not 0 <= v < (1 << n_bits):
@@ -101,7 +134,6 @@ def gen_range_proof(
     g, q = gens.g, gens.q
     gs = list(gens.range_gens.gs[:nm])
     hs = list(gens.range_gens.hs[:nm])
-    commitments = [multiexp([g, q], [v, gamma]) for v, gamma in zip(values, blinds)]
     tr.absorb_u64("bits", n_bits)
     tr.absorb_u64("values", m)
     tr.absorb_points("V", commitments)
@@ -171,7 +203,7 @@ def gen_range_proof(
     ls: list[Point] = []
     rs: list[Point] = []
     a_cur, b_cur = l_vec, r_vec
-    while len(a_cur) > 1:
+    while len(a_cur) % 2 == 0:
         half = len(a_cur) // 2
         c_l = _ip(a_cur[:half], b_cur[half:])
         c_r = _ip(a_cur[half:], b_cur[:half])
@@ -196,7 +228,7 @@ def gen_range_proof(
         x_r_inv = inv(x_r)
         a_cur = [(a_cur[i] * x_r + a_cur[half + i] * x_r_inv) % _Q for i in range(half)]
         b_cur = [(b_cur[i] * x_r_inv + b_cur[half + i] * x_r) % _Q for i in range(half)]
-        if half == 1:
+        if half % 2:
             break  # the last round's folded bases would never be read
         g_hi = x_r * x_r % _Q
         h_hi = x_r_inv * x_r_inv * y_inv_pow[half] % _Q
@@ -215,8 +247,8 @@ def gen_range_proof(
         t_hat=t_hat,
         ls=tuple(ls),
         rs=tuple(rs),
-        a=a_cur[0],
-        b=b_cur[0],
+        a=tuple(a_cur),
+        b=tuple(b_cur),
     )
 
 
@@ -251,16 +283,17 @@ def range_terms(
     """Replay the proof's transcript into the terms of its two identities.
 
     Returns None for a proof whose shape does not fit the statement (a
-    slot count that is not a power of two, too few range generators, or
-    the wrong number of folding rounds).  Costs no group operation.
+    slot count not of the shape c * 2^r, too few range generators, other
+    than r L/R pairs, or final vectors not of length c).  Costs no group
+    operation.
     """
     m = len(commitments)
     try:
         nm = _check_sizes(gens, n_bits, m)
     except ValueError:
         return None
-    rounds = nm.bit_length() - 1
-    if len(proof.ls) != rounds or len(proof.rs) != rounds:
+    c, rounds = slot_shape(nm)
+    if not len(proof.ls) == len(proof.rs) == rounds or not len(proof.a) == len(proof.b) == c:
         return None
 
     tr.absorb_u64("bits", n_bits)
@@ -300,20 +333,27 @@ def range_terms(
         scalars=[x, x * x % _Q] + zz,
     )
 
-    # Inner-product argument check, unrolled.
-    s = [0] * nm
+    # Inner-product argument check, unrolled.  Slot i = t + c*j ends in
+    # entry t of the final vectors, its base scaled by the fold product
+    # s_j over the r rounds.
+    folds = 1 << rounds
+    s = [0] * folds
     s[0] = 1
-    for c_inv in challenges_inv:
-        s[0] = s[0] * c_inv % _Q
-    for i in range(1, nm):
-        lg = i.bit_length() - 1
-        s[i] = s[i - (1 << lg)] * challenges[rounds - 1 - lg] ** 2 % _Q
+    for x_inv in challenges_inv:
+        s[0] = s[0] * x_inv % _Q
+    for j in range(1, folds):
+        lg = j.bit_length() - 1
+        s[j] = s[j - (1 << lg)] * challenges[rounds - 1 - lg] ** 2 % _Q
     y_inv_pow = _powers(inv(y), nm)
 
-    gs = [(-z - proof.a * s[i]) % _Q for i in range(nm)]
-    # s_i^{-1} equals the mirrored product s_{nm-1-i}
+    gs = [(-z - proof.a[i % c] * s[i // c]) % _Q for i in range(nm)]
+    # s_j^{-1} equals the mirrored product s_{folds-1-j}
     hs = [
-        (z * y_pow[i] + zz[i // n_bits] * (1 << (i % n_bits)) - proof.b * s[nm - 1 - i])
+        (
+            z * y_pow[i]
+            + zz[i // n_bits] * (1 << (i % n_bits))
+            - proof.b[i % c] * s[folds - 1 - i // c]
+        )
         * y_inv_pow[i]
         % _Q
         for i in range(nm)
@@ -324,7 +364,7 @@ def range_terms(
         points += [proof.ls[j], proof.rs[j]]
         scalars += [challenges[j] ** 2 % _Q, challenges_inv[j] ** 2 % _Q]
     ipa = Identity(
-        fixed=(0, -proof.mu % _Q, w * (proof.t_hat - proof.a * proof.b) % _Q),
+        fixed=(0, -proof.mu % _Q, w * (proof.t_hat - _ip(proof.a, proof.b)) % _Q),
         gs=gs,
         hs=hs,
         points=points,

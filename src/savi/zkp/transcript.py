@@ -19,7 +19,7 @@ from ..group.scalars import scalar_to_bytes
 class Transcript:
     def __init__(self, context: str) -> None:
         self._h = hashlib.sha256()
-        self._absorb_frame(b"savi/v2/transcript", context.encode())
+        self._absorb_frame(b"savi/v3/transcript", context.encode())
 
     def _absorb_frame(self, label: bytes, data: bytes) -> None:
         self._h.update(struct.pack("<I", len(label)))

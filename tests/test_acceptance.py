@@ -35,6 +35,7 @@ from savi.sampling import (
     sample_matrix,
 )
 from savi.vsss import Share, combine_check_strings, ss_recover, ss_share, ss_verify
+from savi.zkp.rangeproof import slot_shape
 from savi.zkp import (
     Transcript,
     gen_integrity_proof,
@@ -270,12 +271,13 @@ def _naive_wf(g, q, h, z, e, o, proof, tr):
 
 def _naive_range(gens, n_bits, comms, proof, tr):
     """Both range-proof identities checked on their own, the inner-product
-    argument by folding the generators round by round."""
+    argument by folding the generators round by round, down to the odd
+    length c of nm = c * 2^r."""
     from savi.group.scalars import inv
 
     m, nm = len(comms), n_bits * len(comms)
-    rounds = nm.bit_length() - 1
-    if len(proof.ls) != rounds or len(proof.rs) != rounds:
+    c, rounds = slot_shape(nm)
+    if len(proof.ls) != rounds or len(proof.rs) != rounds or len(proof.a) != c:
         return False
     g, q, rg = gens.g, gens.q, gens.range_gens
     tr.absorb_u64("bits", n_bits)
@@ -314,7 +316,8 @@ def _naive_range(gens, n_bits, comms, proof, tr):
         p_pt = (c * c % Q) * left + p_pt + (c_inv * c_inv % Q) * right
         gs = [c_inv * gs[i] + c * gs[half + i] for i in range(half)]
         hs = [c * hs[i] + c_inv * hs[half + i] for i in range(half)]
-    return p_pt == multiexp([gs[0], hs[0], u_pt], [proof.a, proof.b, proof.a * proof.b % Q])
+    ab = sum(x * y for x, y in zip(proof.a, proof.b)) % Q
+    return p_pt == multiexp(gs + hs + [u_pt], list(proof.a) + list(proof.b) + [ab])
 
 
 def test_criterion_07_batch_equals_naive():
@@ -375,22 +378,29 @@ def test_criterion_07_batch_equals_naive():
         assert ver_crt(gens.w, claimed, matrix, rng) == naive
         crt_agree += 1
 
-        # range proof instance: 8 or 32 slots, one multiexp per check
-        n_bits, m = (8, 1) if i % 2 else (16, 2)
+        # range proof instance: 8 = 1 * 2^3, 20 = 5 * 2^2, 24 = 3 * 2^3 or
+        # 28 = 7 * 2^2 slots, one multiexp per check; each shape meets
+        # each tampered field
+        n_bits, m = ((8, 1), (5, 4), (6, 4), (7, 4))[i % 4]
         vals = [rng.below(1 << n_bits) for _ in range(m)]
         blinds = [rng.scalar() for _ in range(m)]
         comms = [multiexp([g, q], [v_, b_]) for v_, b_ in zip(vals, blinds)]
-        rp = gen_range_proof(range_gens, n_bits, vals, blinds, rng, tr())
+        rp = gen_range_proof(range_gens, n_bits, vals, blinds, comms, rng, tr())
         if tamper:
             field = ("t_hat", "tau_x", "mu", "a", "b")[(i // 3) % 5]
-            rp = dataclasses.replace(rp, **{field: (getattr(rp, field) + 1) % Q})
+            old = getattr(rp, field)
+            if isinstance(old, tuple):  # a final vector: bump its first entry
+                new = ((old[0] + 1) % Q,) + old[1:]
+            else:
+                new = (old + 1) % Q
+            rp = dataclasses.replace(rp, **{field: new})
         terms = range_terms(range_gens, n_bits, comms, rp, tr())
         naive = _naive_range(range_gens, n_bits, comms, rp, tr())
         assert ver_range_proof(range_gens, [terms], rng) == naive == (not tamper)
         range_batch.append((terms, naive))
 
     assert sq_agree == wf_agree == crt_agree == len(range_batch) == 100
-    # a batch (of proofs of two widths) is the AND of their own verdicts
+    # a batch (of proofs of several widths) is the AND of their own verdicts
     for lo in range(0, 96, 3):
         for window in (range_batch[lo:lo + 3], range_batch[lo + 2:lo + 4]):
             assert ver_range_proof(range_gens, [t for t, _ in window], root) == all(

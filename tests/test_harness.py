@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -91,7 +92,7 @@ _PINNED_ROUNDS = [
     (
         dict(n=5, m=2, d=16, k=4, M=16, b_ip=32, b_max=64, epsilon_log2=-16, seed=3,
              attack=AttackSpec("oversized_norm", scale=10.0, malicious_ids=(2, 4))),
-        "475d4fc747b1f94fcc9fac677bae8be3476fbd18b365728595f9fd6869962e2d",
+        "80c576c76feb2d12301f02c3c8b97f98f690cd52c615dee92c1cdb7028e8be25",
         (1, 3, 5),
         {2: "proof_wellformed", 4: "proof_wellformed"},
     ),
@@ -99,7 +100,7 @@ _PINNED_ROUNDS = [
         dict(n=3, m=1, d=4, k=1, M=1, b_ip=16, b_max=32, epsilon_log2=-16, seed=3,
              backend="ristretto255",
              attack=AttackSpec("oversized_norm", scale=10.0, malicious_ids=(3,))),
-        "419b55a28f738ea8a8e337bdc52a9fb5133e1b318483424aa416ec6f263bc0ba",
+        "05409f9eee3a77d6dd1dbc1177bb5a46f769b6d04b279ce6043f4fda2f936172",
         (1, 2),
         {3: "proof_wellformed"},
     ),
@@ -161,26 +162,28 @@ def test_two_round_uplink_pinned():
         payload for rep in reps for _, _, payload in sorted(rep.messages, key=lambda m: m[1])
     )
     assert hashlib.sha256(uplink).hexdigest() == (
-        "b5afc3fe326bdabe39779f1d40fe50af73cdc5a0db78bdea773d9c8c301d22f4"
+        "d159d53ce5988b1806430ff500e9a193ad40ff42dce5b9e821bcbd8404de228b"
     )
 
 
 def test_proof_verification_op_count_pinned():
     # every client's range proofs share one multiexp over the slot bases;
-    # checked one proof at a time this round cost 14,930 muls
+    # checked one proof at a time this round cost 14,930 muls, and at
+    # power-of-two widths (512 + 128 slots, not 320 + 64) 3,077
     (rep,) = run_simulation(SimulationConfig(n=10, m=4, d=64, k=8, seed=1, backend="mock"))
     assert rep.honest == tuple(range(1, 11))
-    assert rep.group_ops["proof_ver"] == {"mul": 3077, "add": 3176, "from_hash": 0}
+    assert rep.group_ops["proof_ver"] == {"mul": 2613, "add": 2712, "from_hash": 0}
     assert rep.group_ops["proof_ver"]["mul"] <= 4000
 
 
 def test_proof_generation_op_count_pinned():
     # the range prover carries its fold factors and builds A from +-1
     # additions; folding explicitly, this round cost 79,180 muls and
-    # 58,900 adds
+    # 58,900 adds, and at power-of-two widths (512 + 128 slots, not
+    # 320 + 64) 53,580 muls and 58,860 adds
     (rep,) = run_simulation(SimulationConfig(n=10, m=4, d=64, k=8, seed=1, backend="mock"))
     assert rep.honest == tuple(range(1, 11))
-    assert rep.group_ops["proof_gen"] == {"mul": 53580, "add": 58860, "from_hash": 0}
+    assert rep.group_ops["proof_gen"] == {"mul": 32540, "add": 35570, "from_hash": 0}
     assert rep.group_ops["proof_gen"]["mul"] <= 56_000
     # the sum of the honest commitments starts from the first vector, not
     # from d identities (this stage counted 9,976 adds when it did), and
@@ -404,10 +407,14 @@ def test_mock_op_counts_equal_ristretto(d, k):
 
 
 def test_client_proof_probe_op_count_pinned():
-    # folding explicitly, with one mul per bit of A, this cost 7,476 muls
+    # the probe runs the deployment preset's check parameters: B0 has 72
+    # bits here, so b_ip=40 and b_max=80 (640 + 80 slots).  At that
+    # preset, the power-of-two widths 64 and 128 cost 9,784 muls.  (The
+    # probe's former private widths 32 and 64 cost 5,140 muls, and with
+    # explicit folding and one mul per bit of A, 7,476.)
     ops = probe_costs(256, 16).ops["client_proof"]
-    assert ops == {"mul": 5172, "add": 5574, "from_hash": 0}
-    assert ops["mul"] <= 5_600
+    assert ops == {"mul": 6220, "add": 6821, "from_hash": 0}
+    assert ops["mul"] <= 6_700
 
 
 def test_comm_probe_equals_bytes_a_client_sends():
@@ -448,6 +455,36 @@ def test_config_rejects_unknown_keys(tmp_path):
         SimulationConfig.from_dict(
             {"n": 4, "m": 1, "d": 8, "k": 4, "attack": {"kind": "scaling", "malicious_ids": 3}}
         )
+
+
+@pytest.mark.parametrize(
+    "raw,field",
+    [
+        ({"n": "4"}, "n"),
+        ({"seed": "3"}, "seed"),
+        ({"rounds": 1.5}, "rounds"),
+        ({"rounds": True}, "rounds"),
+        ({"b_ip": 40.0}, "b_ip"),
+        ({"b_max": "64"}, "b_max"),
+        ({"B": "1.0"}, "B"),
+        ({"B": False}, "B"),
+        ({"backend": 1}, "backend"),
+        ({"attack": {"kind": "scaling", "scale": "big", "malicious_ids": [1]}}, "attack.scale"),
+        ({"attack": {"kind": "scaling", "malicious_ids": [1, "x"]}}, "attack.malicious_ids"),
+    ],
+)
+def test_config_rejects_mistyped_values(raw, field):
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} must be"):
+        SimulationConfig.from_dict({"n": 4, "m": 1, "d": 8, "k": 4, **raw})
+
+
+def test_config_accepts_declared_types():
+    cfg = SimulationConfig.from_dict(
+        {"n": 4, "m": 1, "d": 8, "k": 4, "B": 2, "b_ip": None, "b_max": 64,
+         "attack": {"kind": "scaling", "scale": 2, "malicious_ids": [1]}}
+    )
+    assert (cfg.B, cfg.b_ip, cfg.attack.scale) == (2, None, 2)
+    assert cfg.check_parameters().b_max == 64
 
 
 def test_config_validation_errors():
@@ -540,6 +577,24 @@ def test_cli_params_table():
     assert "1.2279" in res.output  # peak expected damage
     assert "c=1.4  F=1.075e-03" in res.output
     assert "b_enc=756" in res.output
+
+
+@pytest.mark.parametrize(
+    "args,widths,slots",
+    [
+        # proof_heavy's check parameters: B0 has 64 bits
+        (["--k", "32", "--epsilon-log2", "-40", "--d", "256", "--M", "20"],
+         "b_ip   = 40  b_max = 64", "sigma 1280 = 5·2^8, mu 64 = 1·2^6"),
+        # deployment: B0 has 76 bits
+        (["--k", "1000", "--epsilon-log2", "-128", "--d", "10000", "--M", "24"],
+         "b_ip   = 40  b_max = 80", "sigma 40960 = 5·2^13, mu 80 = 5·2^4"),
+    ],
+)
+def test_cli_params_shows_range_proof_shape(args, widths, slots):
+    res = CliRunner().invoke(cli_main, ["params", *args])
+    assert res.exit_code == 0, res.output
+    assert widths in res.output
+    assert f"range slots: {slots}" in res.output
 
 
 def test_cli_rejects_bad_sweep():

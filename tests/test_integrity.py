@@ -10,7 +10,16 @@ from savi.group.multiexp import multiexp
 from savi.harness.attacks import forge_integrity_proof
 from savi.rng import DeterministicRng
 from savi.sampling import CheckParameters, plaintext_check, sample_matrix
-from savi.zkp import BoundExceededError, gen_integrity_proof, ver_integrity_proof
+from savi.zkp import (
+    BoundExceededError,
+    Transcript,
+    gen_integrity_proof,
+    gen_range_proof,
+    range_terms,
+    ver_integrity_proof,
+    ver_range_proof,
+)
+from savi.zkp.integrity import _shifted
 
 Q = GROUP_ORDER
 
@@ -129,13 +138,17 @@ def test_each_tampered_component_names_its_check():
         ),
         (
             dataclasses.replace(
-                proof, sigma=dataclasses.replace(proof.sigma, a=(proof.sigma.a + 1) % Q)
+                proof,
+                sigma=dataclasses.replace(
+                    proof.sigma, a=((proof.sigma.a[0] + 1) % Q,) + proof.sigma.a[1:]
+                ),
             ),
             "range_ip",
         ),
         (
             dataclasses.replace(
-                proof, mu=dataclasses.replace(proof.mu, b=(proof.mu.b + 1) % Q)
+                proof,
+                mu=dataclasses.replace(proof.mu, b=((proof.mu.b[0] + 1) % Q,) + proof.mu.b[1:]),
             ),
             "range_sum",
         ),
@@ -295,3 +308,43 @@ def test_b0_matches_norm_scaling():
     expected = (p2.b_enc / p1.b_enc) ** 2
     # ceil() on values ~1e6 leaves a relative wobble of ~1e-6
     assert math.isclose(ratio, expected, rel_tol=1e-5)
+
+
+def test_extreme_projections_at_the_integrity_shift():
+    # the sigma range proof's statement as the integrity proof makes it,
+    # at derived widths: claim x at index 0 (others 0) proves x + 2^(b_ip-1)
+    # in [0, 2^b_ip) under 2^(b_ip-1) g + o_0
+    params = CheckParameters.from_epsilon_log2(
+        -16, n=2, m=0, d=8, k=4, M=16, B=4.0, frac_bits=2, b_coord=16
+    )
+    gens = GeneratorSet.derive(backend, params.d, params.range_slots)
+    half = 1 << (params.b_ip - 1)
+    root = math.isqrt(params.b0)
+    rng = DeterministicRng(b"extremes")
+
+    def statement(x):
+        claims = [x] + [0] * (params.k - 1)
+        values = [c + half for c in claims] + [0] * (params.k_padded - params.k)
+        blinds = [rng.scalar() for _ in claims] + [0] * (params.k_padded - params.k)
+        o = [multiexp([gens.g, gens.q], [c % Q, s]) for c, s in zip(claims, blinds)]
+        return values, blinds, _shifted(params, gens, o)
+
+    def verifies(proof, comms):
+        terms = range_terms(gens, params.b_ip, comms, proof, Transcript("extremes"))
+        return ver_range_proof(gens, [terms], rng)
+
+    for x in (-half, half - 1, root, -root):
+        values, blinds, comms = statement(x)
+        proof = gen_range_proof(
+            gens, params.b_ip, values, blinds, comms, rng, Transcript("extremes")
+        )
+        assert verifies(proof, comms), x
+    for x in (half, -half - 1):
+        values, blinds, comms = statement(x)
+        with pytest.raises(ValueError):
+            gen_range_proof(gens, params.b_ip, values, blinds, comms, rng, Transcript("extremes"))
+        low_bits = [v % (1 << params.b_ip) for v in values]
+        proof = gen_range_proof(
+            gens, params.b_ip, low_bits, blinds, comms, rng, Transcript("extremes")
+        )
+        assert not verifies(proof, comms), x

@@ -18,6 +18,7 @@ from savi.sampling import (
     plaintext_check,
     sample_matrix,
 )
+from savi.zkp.rangeproof import range_width
 
 Q = GROUP_ORDER
 
@@ -354,9 +355,9 @@ def test_parameter_validation():
             b_ip=32, b_max=64, frac_bits=8, b_coord=16,
         )
     with pytest.raises(ValueError):
-        CheckParameters(  # b_ip not a power of two
+        CheckParameters(  # b_ip = 9 * 2: odd part above 7
             n=2, m=0, d=4, k=4, epsilon=0.01, M=16, B=1.0,
-            b_ip=24, b_max=64, frac_bits=8, b_coord=16,
+            b_ip=18, b_max=64, frac_bits=8, b_coord=16,
         )
     with pytest.raises(ValueError):
         CheckParameters.from_epsilon_log2(
@@ -374,3 +375,46 @@ def test_check_parameters_derived_fields():
     assert p.range_slots == 32 * 32
     assert p.b_enc == math.ceil(256 + 5.0)
     assert p.b0 == compute_b0(p.b_enc, p.M, p.k, p.d, p.epsilon)
+
+
+def test_range_width_rule():
+    # the smallest width at least the need whose odd part is at most 7
+    assert [range_width(w) for w in (1, 9, 33, 40, 41, 64, 65, 76)] == [
+        1, 10, 40, 40, 48, 64, 80, 80,
+    ]
+
+
+def _widths(**overrides):
+    fields = dict(n=3, m=1, d=256, k=32, epsilon=2.0**-40, M=1 << 20, B=1.0)
+    return CheckParameters(**{**fields, **overrides})
+
+
+def test_widths_derived_from_b0():
+    p = _widths()  # proof_heavy's shape: B0 has 64 bits
+    assert p.b0.bit_length() == 64
+    assert (p.b_ip, p.b_max, p.k_padded) == (40, 64, 32)
+    assert p.range_slots == 1280 == 5 << 8
+    # deployment: B0 has 76 bits, so b_ip=39 and b_max=76 are needed
+    deploy = _widths(d=10_000, k=1_000, epsilon=2.0**-128, M=1 << 24)
+    assert deploy.b0.bit_length() == 76
+    assert (deploy.b_ip, deploy.b_max, deploy.range_slots) == (40, 80, 40 * 1024)
+    # explicit widths that meet the need and the shape are kept
+    explicit = _widths(b_ip=48, b_max=96)
+    assert (explicit.b_ip, explicit.b_max) == (48, 96)
+
+
+@pytest.mark.parametrize(
+    "widths,match",
+    [
+        (dict(b_ip=32), "b_ip too narrow"),  # B0 < 2^62 fails at 64 bits
+        (dict(b_max=56), "overflows b_max"),  # 7 * 8, but B0 has 64 bits
+        (dict(b_ip=36), "odd part"),  # 9 * 4
+        (dict(b_max=72), "odd part"),  # 9 * 8
+        (dict(b_ip=0), "odd part"),
+        (dict(b_max=256), "wraps"),  # 2^256 alone exceeds the order
+        (dict(b_ip=128), "wraps"),  # 32 * 2^254
+    ],
+)
+def test_explicit_widths_rejected(widths, match):
+    with pytest.raises(ValueError, match=match):
+        _widths(**widths)
