@@ -5,6 +5,16 @@ r: the l-th coordinate commitment is y_l = u_l g + r w_l, and z = r g
 doubles as the constant term of the blind's Feldman check string.  Sums of
 commitments open to sums of updates under the summed blind, which is what
 lets the server aggregate only the surviving clients.
+
+u_l g is never a scalar multiplication.  A precomputed table of g's
+small multiples (Lim and Lee, "More flexible exponentiation with
+precomputation", CRYPTO 1994), ``GeneratorSet.g_multiples``, holds
+j 256^i g for every radix-256 digit j, so u_l g is one table entry per
+nonzero digit of |u_l|, negated for a negative u_l.  A coordinate below
+2^16 in magnitude then costs one or two additions on top of r w_l, and
+a commitment costs d muls for the r w_l plus one for z, whatever the
+update.  libsodium takes no such table for the w_l, each of which is
+used once per commitment.
 """
 
 from __future__ import annotations
@@ -12,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .group.base import Point
+from .group.base import GROUP_ORDER, Point
 from .group.generators import GeneratorSet
-from .group.multiexp import multiexp
 from .serial import Message
 from .vsss import CheckString
 
@@ -22,12 +31,23 @@ from .vsss import CheckString
 def commit_update(
     u: Sequence[int], r: int, gens: GeneratorSet
 ) -> tuple[list[Point], Point]:
-    """Commit coordinate-wise: y_l = u_l g + r w_l, plus z = r g."""
+    """Commit coordinate-wise: y_l = u_l g + r w_l, plus z = r g.
+
+    Each u_l is taken as its signed representative mod the order, so
+    -5 and (-5) % order commit alike, and a zero u_l costs no addition."""
     if len(u) != len(gens.w):
         raise ValueError(f"update has {len(u)} coordinates, generators {len(gens.w)}")
-    g = gens.g
-    y = [multiexp([g, w_l], [u_l, r]) for u_l, w_l in zip(u, gens.w)]
-    return y, r * g
+    table = gens.g_multiples
+    y = []
+    for u_l, w_l in zip(u, gens.w):
+        y_l = r * w_l
+        s = u_l % GROUP_ORDER
+        if s > GROUP_ORDER // 2:
+            y_l = y_l - table.multiple(GROUP_ORDER - s)
+        elif s:
+            y_l = y_l + table.multiple(s)
+        y.append(y_l)
+    return y, r * gens.g
 
 
 def aggregate_commitments(

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .base import GroupBackend, Point
+from .multiexp import RadixTable
 
 _DOMAIN = b"savi/v1/generators"
 
@@ -52,12 +53,20 @@ class GeneratorSet:
     q      blind base for the auxiliary commitments
     w      per-coordinate blind bases of the vector commitment
     range_gens  bit-slot bases for range proofs
+
+    ``g_multiples`` is g's radix-256 table for ``commit_update``.  It
+    starts empty and builds a level the first time a commitment needs
+    it, so deriving a set costs no additions.
     """
 
     g: Point
     q: Point
     w: tuple[Point, ...]
     range_gens: RangeGenerators
+    g_multiples: RadixTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "g_multiples", RadixTable(self.g))
 
     @property
     def backend(self) -> GroupBackend:

@@ -15,10 +15,16 @@ subtracted, with no scalar multiplication: a range proof's bit commitment
 A and a Feldman check's constant term are made of such terms.  The mock
 backend runs the same loop, so its op counts stay equal to the work
 ristretto255 does.
+
+``RadixTable`` is the fixed-base case: a table of a base's small
+multiples (Lim and Lee, "More flexible exponentiation with
+precomputation", CRYPTO 1994), so a multiple of g whose radix-256 digits
+are few costs one addition per nonzero digit instead of a 253-bit mul.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Sequence
 
 from .base import GROUP_ORDER, GroupBackend, Point
@@ -70,6 +76,50 @@ def multiexp(
     for data in negated:
         acc = backend.sub_data(ident if acc is None else acc, data)
     return backend.identity() if acc is None else Point(backend, acc)
+
+
+class RadixTable:
+    """Level i holds j * 256^i * base for 1 <= j <= 255.
+
+    Each level is 255 points built by additions (254 for level 0), the
+    first time a multiple needs a digit at that level, and is kept: a
+    table serves every later call, whoever makes it.  Building is
+    locked, so clients on a thread pool never build a level twice.
+    """
+
+    def __init__(self, base: Point) -> None:
+        self.base = base
+        self._levels: list[list[Point]] = []
+        self._lock = threading.Lock()
+
+    def _level(self, i: int) -> list[Point]:
+        if i >= len(self._levels):
+            with self._lock:
+                while i >= len(self._levels):
+                    # 256^i * base = 255 * 256^(i-1) * base + 256^(i-1) * base
+                    below = self._levels[-1] if self._levels else None
+                    step = self.base if below is None else below[-1] + below[0]
+                    level = [step]
+                    for _ in range(254):
+                        level.append(level[-1] + step)
+                    self._levels.append(level)  # whole, so readers never see a partial level
+        return self._levels[i]
+
+    def multiple(self, m: int) -> Point:
+        """m * base for m >= 1: one table entry per nonzero radix-256
+        digit of m, summed with one addition fewer than there are."""
+        if m < 1:
+            raise ValueError("RadixTable.multiple needs m >= 1")
+        acc = None
+        i = 0
+        while m:
+            digit = m & 255
+            m >>= 8
+            if digit:
+                term = self._level(i)[digit - 1]
+                acc = term if acc is None else acc + term
+            i += 1
+        return acc
 
 
 def _window_bits(terms: int, bits: int) -> int:

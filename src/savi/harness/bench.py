@@ -48,7 +48,14 @@ def probe_costs(d: int, k: int, backend_name: str = "mock", seed: int = 7) -> Co
     The cycle is built by hand rather than run through ``Simulation``: a
     round's matrix is derived from the parties' public keys, which differ
     between backends, and the op counts must come from identical data on
-    mock and ristretto255 (``test_mock_op_counts_equal_ristretto``)."""
+    mock and ristretto255 (``test_mock_op_counts_equal_ristretto``).
+
+    The "commit" row is one round's commitment, so it leaves out the
+    levels of g's table (``GeneratorSet.g_multiples``) that the update
+    needs.  A deployment builds those once, in its first round, and they
+    cost about 510 additions whatever d is; counted here, they would
+    swamp the d-linear cost at small d.  The probe builds them first,
+    outside the metered stages."""
     params = deployment_preset(n=2, m=0, d=d, k=k).check_parameters()
     backend = make_backend(backend_name)
     gens = GeneratorSet.derive(backend, d, params.range_slots)
@@ -58,6 +65,7 @@ def probe_costs(d: int, k: int, backend_name: str = "mock", seed: int = 7) -> Co
     u = [0] * d
     u[0] = 1 << params.frac_bits
     r = rng.scalar()
+    gens.g_multiples.multiple(max(map(abs, u)))  # the table levels, unmetered: see above
     y, z = meter.run("commit", lambda: commit_update(u, r, gens))
     matrix = sample_matrix(rng.take(32), k, d, params.M)
     h = meter.run("server_prep", lambda: compute_h(matrix, gens))

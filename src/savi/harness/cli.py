@@ -73,7 +73,7 @@ def simulate(config_path, seed, rounds, out_dir, deployment_scale, write_log) ->
     target = config.resolved_out_dir()
     written = emit_report(reports, config, target)
     if write_log:
-        written.append(emit_message_log(reports, target))
+        written.append(emit_message_log(reports, config, target))
 
     summary = summary_row([report_row(r) for r in reports])
     click.echo(

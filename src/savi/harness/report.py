@@ -13,10 +13,12 @@ from __future__ import annotations
 import csv
 import json
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
+from ..sampling import CheckParameters
+from ..zkp.transcript import DOMAIN
 from .config import SimulationConfig
 from .simulate import RoundReport
 
@@ -103,36 +105,83 @@ def emit_report(
     return [csv_path, json_path]
 
 
+_LOG_MAGIC = b"savi-messages\n"
+_RECORD = struct.Struct("<BIII")  # kind, round, sender, payload length
+
+
+@dataclass(frozen=True)
+class LogHeader:
+    """What a reader needs to decode a message log: the group backend
+    the points belong to, the proof format (the transcript domain) and
+    the check parameters every proof was made under."""
+
+    backend: str
+    domain: str
+    params: CheckParameters
+
+
 def emit_message_log(
-    reports: Sequence[RoundReport], out_dir: str | Path
+    reports: Sequence[RoundReport], config: SimulationConfig, out_dir: str | Path
 ) -> Path:
-    """Self-describing binary log: every client message framed as
-    (u8 kind, u32 round, u32 sender, u32 length, payload), replayable
-    without the config that produced it."""
+    """Self-describing binary log, decodable without the config that
+    produced it.  It opens with a ``LogHeader``: magic, u32 length, then
+    the header as JSON.  Every client message follows, framed as
+    (u8 kind, u32 round, u32 sender, u32 length, payload)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    params = config.check_parameters()
+    header = json.dumps(
+        {"backend": config.backend, "domain": DOMAIN, "params": asdict(params)},
+        sort_keys=True,
+    ).encode()
     path = out_dir / "messages.log"
     with open(path, "wb") as fh:
+        fh.write(_LOG_MAGIC + struct.pack("<I", len(header)) + header)
         for rep in reports:
             for kind, sender, payload in rep.messages:
-                fh.write(struct.pack("<BIII", kind, rep.round_no, sender, len(payload)))
+                fh.write(_RECORD.pack(kind, rep.round_no, sender, len(payload)))
                 fh.write(payload)
     return path
 
 
-def parse_message_log(path: str | Path) -> Iterator[tuple[int, int, int, bytes]]:
-    """Yield (kind, round, sender, payload) records from a message log."""
+def _read_header(fh) -> LogHeader:
+    start = fh.read(len(_LOG_MAGIC) + 4)
+    if len(start) != len(_LOG_MAGIC) + 4 or not start.startswith(_LOG_MAGIC):
+        raise ValueError("not a savi message log: bad or truncated magic")
+    (length,) = struct.unpack("<I", start[len(_LOG_MAGIC):])
+    raw = fh.read(length)
+    if len(raw) != length:
+        raise ValueError("truncated message log header")
+    try:
+        doc = json.loads(raw)
+        params = doc["params"]
+        if set(params) != {f.name for f in fields(CheckParameters)}:
+            raise ValueError("its params are not the fields of CheckParameters")
+        header = LogHeader(doc["backend"], doc["domain"], CheckParameters(**params))
+        if not (isinstance(header.backend, str) and isinstance(header.domain, str)):
+            raise ValueError("backend and domain must be strings")
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"garbled message log header: {err}") from None
+    return header
+
+
+def parse_message_log(path: str | Path) -> tuple[LogHeader, list[tuple[int, int, int, bytes]]]:
+    """The header and the (kind, round, sender, payload) records of a
+    message log.  A truncated or garbled log raises ``ValueError``."""
+    records = []
     with open(path, "rb") as fh:
-        header = fh.read(13)
-        while header:
-            if len(header) != 13:
-                raise ValueError("truncated message log header")
-            kind, round_no, sender, length = struct.unpack("<BIII", header)
+        header = _read_header(fh)
+        frame = fh.read(_RECORD.size)
+        while frame:
+            if len(frame) != _RECORD.size:
+                raise ValueError("truncated message log record")
+            kind, round_no, sender, length = _RECORD.unpack(frame)
             payload = fh.read(length)
             if len(payload) != length:
                 raise ValueError("truncated message log payload")
-            yield kind, round_no, sender, payload
-            header = fh.read(13)
+            records.append((kind, round_no, sender, payload))
+            frame = fh.read(_RECORD.size)
+    return header, records
 
 
 def _config_doc(config: SimulationConfig) -> dict:

@@ -15,11 +15,14 @@ from typing import Iterable
 from ..group.base import GROUP_ORDER, Point
 from ..group.scalars import scalar_to_bytes
 
+DOMAIN = "savi/v3"
+"""Version of the proof format: bumped whenever proof bytes change."""
+
 
 class Transcript:
     def __init__(self, context: str) -> None:
         self._h = hashlib.sha256()
-        self._absorb_frame(b"savi/v3/transcript", context.encode())
+        self._absorb_frame(f"{DOMAIN}/transcript".encode(), context.encode())
 
     def _absorb_frame(self, label: bytes, data: bytes) -> None:
         self._h.update(struct.pack("<I", len(label)))

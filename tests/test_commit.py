@@ -143,3 +143,63 @@ def test_bundle_rejects_trailing_garbage():
     ).to_bytes()
     with pytest.raises(ValueError):
         CommitmentBundle.from_bytes(blob + b"\x00", backend)
+
+
+# -- u_l g from g's radix-256 table -----------------------------------------------
+
+
+_EDGE_VALUES = [
+    0, 1, -1, 255, -255, 256, -256, 257, -257,
+    (1 << 15) - 1, -((1 << 15) - 1), 1 << 16, -(1 << 16), 1 << 20, (-5) % Q,
+]
+
+
+def test_commit_at_digit_edges_matches_multiexp(backend):
+    gens = GeneratorSet.derive(backend, len(_EDGE_VALUES), 1)
+    r = DeterministicRng(b"digit-edges").scalar()
+    y, z = commit_update(_EDGE_VALUES, r, gens)
+    for u_l, w_l, y_l in zip(_EDGE_VALUES, gens.w, y):
+        assert y_l == multiexp([gens.g, w_l], [u_l, r]), u_l
+    assert z == r * gens.g
+    # a negative value and its residue mod the order commit alike
+    assert commit_update([-5], r, GeneratorSet.derive(backend, 1, 1))[0] == (
+        commit_update([(-5) % Q], r, GeneratorSet.derive(backend, 1, 1))[0]
+    )
+
+
+def _ops(backend, fn):
+    before = backend.counter.snapshot()
+    fn()
+    after = backend.counter.snapshot()
+    return {k: after[k] - before[k] for k in ("mul", "add")}
+
+
+def _dense_update(d):
+    rng = DeterministicRng(b"dense-update")
+    return [rng.below(1 << 16) - (1 << 15) or 1 for _ in range(d)]
+
+
+def test_dense_commit_op_counts_equal_across_backends():
+    u = _dense_update(40)
+    counts = []
+    for name in ("mock", "ristretto255"):
+        backend = make_backend(name)
+        gens = GeneratorSet.derive(backend, len(u), 1)
+        counts.append(_ops(backend, lambda: commit_update(u, 7, gens)))
+    assert counts[0] == counts[1]
+    assert counts[0]["mul"] == len(u) + 1
+
+
+def test_g_table_is_built_once_per_generator_set(backend):
+    u = _dense_update(40)
+    gens = GeneratorSet.derive(backend, len(u), 1)
+    first = _ops(backend, lambda: commit_update(u, 7, gens))
+    second = _ops(backend, lambda: commit_update(u, 9, gens))
+    # one addition per nonzero radix-256 digit of |u_l|, and no mul on g
+    digits = sum((abs(x) & 255 != 0) + (abs(x) >> 8 != 0) for x in u)
+    assert second == {"mul": len(u) + 1, "add": digits}
+    # the first commitment also built levels 0 and 1: 254 + 255 additions
+    assert first == {"mul": len(u) + 1, "add": digits + 254 + 255}
+    # a fresh generator set starts with an empty table
+    fresh = GeneratorSet.derive(backend, len(u), 1)
+    assert _ops(backend, lambda: commit_update(u, 7, fresh)) == first

@@ -193,6 +193,23 @@ def test_proof_generation_op_count_pinned():
     assert rep.group_ops["aggregate"] == {"mul": 110, "add": 1534, "from_hash": 0}
 
 
+def test_commit_op_count_pinned():
+    # u_l g comes from g's radix-256 table, so a client's commitment is
+    # d + t + 1 muls: r w_l for each coordinate, z = r g and t Feldman
+    # points.  With u_l g as a mul this round cost 1,236 muls and 602
+    # adds, and round 2 1,255 muls and 611 adds.  Round 1's 254 extra
+    # adds build the table's level 0, once per deployment (every |u_l|
+    # is below 256 here, so each nonzero coordinate costs one add).
+    fields = dict(n=10, m=4, d=64, k=8, seed=1, backend="mock", rounds=2)
+    first, second = run_simulation(SimulationConfig(**fields))
+    n, d, t = 10, 64, 5
+    assert first.group_ops["commit"] == {"mul": n * (d + t + 1), "add": 602 + 254, "from_hash": 0}
+    assert second.group_ops["commit"] == {"mul": n * (d + t + 1), "add": 611, "from_hash": 0}
+    # the same muls on ristretto255 (n=3, d=4, t=2)
+    (rep,) = run_simulation(SimulationConfig(**_PINNED_ROUNDS[1][0]))
+    assert rep.group_ops["commit"]["mul"] == 3 * (4 + 2 + 1)
+
+
 def test_server_decodes_w_once(monkeypatch):
     from savi.group import edwards
 
@@ -347,7 +364,10 @@ def test_message_log_replay(tmp_path):
     cfg = _tiny(rounds=2, n=4, m=1,
                 attack=AttackSpec("oversized_norm", scale=6.0, malicious_ids=(1,)))
     reports = run_simulation(cfg)
-    log = emit_message_log(reports, tmp_path)
+    log = emit_message_log(reports, cfg, tmp_path)
+    header, records = parse_message_log(log)
+    assert header.domain == "savi/v3"
+    assert header.params == cfg.check_parameters()
     per_client = {}
     kinds = set()
     rounds_seen = set()
@@ -357,8 +377,8 @@ def test_message_log_replay(tmp_path):
         MSG_PROOF: IntegrityProof,
         MSG_BLIND_SHARE: int,
     }
-    backend = make_backend(cfg.backend)
-    for kind, round_no, sender, payload in parse_message_log(log):
+    backend = make_backend(header.backend)
+    for kind, round_no, sender, payload in records:
         kinds.add(kind)
         rounds_seen.add(round_no)
         per_client[(round_no, sender)] = per_client.get((round_no, sender), 0) + len(payload)
@@ -371,6 +391,44 @@ def test_message_log_replay(tmp_path):
     for rep in reports:
         for i, sent in rep.bytes_sent.items():
             assert per_client[(rep.round_no, i)] == sent
+
+
+def test_message_log_rejects_a_truncated_or_garbled_header(tmp_path):
+    from savi.harness.report import emit_message_log
+
+    cfg = _tiny(n=3, m=1, d=4, k=4)
+    log = emit_message_log(run_simulation(cfg), cfg, tmp_path)
+    blob = log.read_bytes()
+    start = blob.index(b"{")
+    header_end = start + int.from_bytes(blob[start - 4:start], "little")
+    doc = blob[start:header_end]
+    assert parse_message_log(log)[0].backend == "mock"
+
+    def framed(raw: bytes) -> bytes:
+        return b"savi-messages\n" + len(raw).to_bytes(4, "little") + raw
+
+    def swap(old: bytes, new: bytes) -> bytes:
+        assert old in doc
+        return framed(doc.replace(old, new))
+
+    bad = tmp_path / "bad.log"
+    for cut in range(0, header_end, 7):
+        bad.write_bytes(blob[:cut])
+        with pytest.raises(ValueError):
+            parse_message_log(bad)
+    garbled = [
+        b"savi-massages\n" + blob[14:],
+        framed(b"not json"),
+        framed(b"[1, 2]"),
+        swap(b'"backend"', b'"backnd"'),
+        swap(b'"k": 4', b'"k": "4"'),
+        swap(b'"k": 4', b'"k": 4, "z": 1'),
+        swap(b'"backend": "mock"', b'"backend": 7'),
+    ]
+    for raw in garbled:
+        bad.write_bytes(raw + blob[header_end:])
+        with pytest.raises(ValueError):
+            parse_message_log(bad)
 
 
 def test_no_clear_share_traffic_without_flags():
