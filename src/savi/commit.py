@@ -24,6 +24,8 @@ from typing import Sequence
 
 from .group.base import GROUP_ORDER, Point
 from .group.generators import GeneratorSet
+from .group.multiexp import sum_points
+from .group.pool import map_chunks
 from .serial import Message
 from .vsss import CheckString
 
@@ -38,16 +40,20 @@ def commit_update(
     if len(u) != len(gens.w):
         raise ValueError(f"update has {len(u)} coordinates, generators {len(gens.w)}")
     table = gens.g_multiples
-    y = []
-    for u_l, w_l in zip(u, gens.w):
-        y_l = r * w_l
-        s = u_l % GROUP_ORDER
-        if s > GROUP_ORDER // 2:
-            y_l = y_l - table.multiple(GROUP_ORDER - s)
-        elif s:
-            y_l = y_l + table.multiple(s)
-        y.append(y_l)
-    return y, r * gens.g
+
+    def commit_coordinates(pairs) -> list[Point]:
+        y = []
+        for u_l, w_l in pairs:
+            y_l = r * w_l
+            s = u_l % GROUP_ORDER
+            if s > GROUP_ORDER // 2:
+                y_l = y_l - table.multiple(GROUP_ORDER - s)
+            elif s:
+                y_l = y_l + table.multiple(s)
+            y.append(y_l)
+        return y
+
+    return map_chunks(commit_coordinates, list(zip(u, gens.w)), gens.backend), r * gens.g
 
 
 def aggregate_commitments(
@@ -63,12 +69,13 @@ def aggregate_commitments(
         raise ValueError("commitment vector length mismatch")
     if not vectors:
         return [gens.backend.identity() for _ in range(d)]
-    # start from the first vector: adding it to identities would count
-    # d additions that ristretto255 short-circuits
-    total = list(vectors[0])
-    for vec in vectors[1:]:
-        total = [acc + y_l for acc, y_l in zip(total, vec)]
-    return total
+    # each coordinate's sum starts from the first vector: adding it to
+    # identities would count d additions that ristretto255 short-circuits
+    return map_chunks(
+        lambda columns: [sum_points(column) for column in columns],
+        list(zip(*vectors)),
+        gens.backend,
+    )
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ Points are written additively: ``P + Q`` is the group operation and
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
 
 # Order of the ristretto255 group (and of the mock group).
@@ -21,13 +22,8 @@ POINT_BYTES = 32
 SCALAR_BYTES = 32
 
 
-class OpCounter:
-    """Counts group operations performed through a backend.
-
-    Used by the bench harness to measure asymptotic cost without
-    wall-clock noise.  Counting is not synchronized; run single-threaded
-    when exact counts matter.
-    """
+class OpCounts:
+    """One thread's cell of an ``OpCounter``: increment its fields."""
 
     __slots__ = ("mul", "add", "from_hash")
 
@@ -36,8 +32,54 @@ class OpCounter:
         self.add = 0
         self.from_hash = 0
 
+
+class OpCounter:
+    """Counts group operations performed through a backend.
+
+    Used by the bench harness to measure asymptotic cost without
+    wall-clock noise.  Each thread counts in its own cell (``cell()``),
+    so counting needs no lock; reading ``mul``, ``add``, ``from_hash``
+    or ``snapshot()`` sums every cell, which is exact once the threads
+    that did the work have finished it.
+    """
+
+    def __init__(self) -> None:
+        self._local = threading.local()
+        # keyed by thread id: a thread that reuses a finished thread's id
+        # carries on its cell, so there is one cell per id, not per thread
+        self._cells: dict[int, OpCounts] = {}
+        self._lock = threading.Lock()
+
+    def cell(self) -> OpCounts:
+        """The calling thread's cell."""
+        try:
+            return self._local.cell
+        except AttributeError:
+            with self._lock:
+                cell = self._cells.setdefault(threading.get_ident(), OpCounts())
+            self._local.cell = cell
+            return cell
+
     def snapshot(self) -> dict[str, int]:
-        return {"mul": self.mul, "add": self.add, "from_hash": self.from_hash}
+        with self._lock:
+            cells = list(self._cells.values())
+        return {
+            "mul": sum(c.mul for c in cells),
+            "add": sum(c.add for c in cells),
+            "from_hash": sum(c.from_hash for c in cells),
+        }
+
+    @property
+    def mul(self) -> int:
+        return self.snapshot()["mul"]
+
+    @property
+    def add(self) -> int:
+        return self.snapshot()["add"]
+
+    @property
+    def from_hash(self) -> int:
+        return self.snapshot()["from_hash"]
 
 
 class GroupBackend(ABC):
@@ -49,6 +91,10 @@ class GroupBackend(ABC):
     """
 
     name: str
+    # Whether operations run outside the interpreter lock, so that
+    # threads overlap them; ``group.pool`` splits runs for such a backend
+    # only, since splitting Python arithmetic just adds hand-offs.
+    releases_gil = False
 
     def __init__(self) -> None:
         self.counter = OpCounter()

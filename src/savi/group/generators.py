@@ -14,6 +14,7 @@ from functools import cached_property
 
 from .base import GroupBackend, Point
 from .multiexp import RadixTable
+from .pool import map_chunks
 
 _DOMAIN = b"savi/v1/generators"
 
@@ -26,11 +27,14 @@ def derive_generators(tag: str, count: int, backend: GroupBackend) -> list[Point
     """
     encoded_tag = tag.encode()
     prefix = _DOMAIN + struct.pack("<I", len(encoded_tag)) + encoded_tag
-    points = []
-    for i in range(count):
-        digest = hashlib.sha512(prefix + struct.pack("<Q", i)).digest()
-        points.append(backend.from_uniform(digest))
-    return points
+
+    def derive(indices) -> list[Point]:
+        return [
+            backend.from_uniform(hashlib.sha512(prefix + struct.pack("<Q", i)).digest())
+            for i in indices
+        ]
+
+    return map_chunks(derive, range(count), backend)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,13 @@
 """Multi-scalar multiplication.
 
-One naive per-term loop serves both backends.  On libsodium a point
-addition costs almost as much as a scalar multiplication (both pay the
-ristretto decode/encode), so bucketing methods cannot amortize.
+One naive per-term loop serves both backends.  A long multiexp runs
+that loop on consecutive slices of its terms at once, on the thread pool
+of ``group.pool``, and adds up the slices' partial sums.  The terms whose
+scalar is -1 are subtracted last however the terms were cut, so a
+multiexp costs the same muls and additions on one core as on many.  On
+libsodium a point addition costs almost as much as a scalar
+multiplication (both pay the ristretto decode/encode), so bucketing
+methods cannot amortize.
 
 The one exception is ``bucket_multiexp``: small public scalars on fixed
 bases that are decoded once (the server's ``h``, see
@@ -24,10 +29,12 @@ are few costs one addition per nonzero digit instead of a 253-bit mul.
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Sequence
 
 from .base import GROUP_ORDER, GroupBackend, Point
+from .pool import map_chunks
 
 _MINUS_ONE = GROUP_ORDER - 1
 
@@ -64,7 +71,25 @@ def multiexp(
     ident = backend.identity_data()
     acc = None
     negated = []  # subtracted last, so a leading -1 finds a point to subtract from
-    for p, s in zip(points, scalars):
+    partials = map_chunks(
+        functools.partial(_partial_sum, backend), list(zip(points, scalars)), backend
+    )
+    for part, part_negated in partials:
+        if part is not None:
+            acc = part if acc is None else backend.add_data(acc, part)
+        negated += part_negated
+    for data in negated:
+        acc = backend.sub_data(ident if acc is None else acc, data)
+    return backend.identity() if acc is None else Point(backend, acc)
+
+
+def _partial_sum(backend: GroupBackend, terms) -> list[tuple]:
+    """[(sum of the terms whose scalar is not -1, or None if there are
+    none; the points whose scalar is -1)] for one slice of a multiexp."""
+    ident = backend.identity_data()
+    acc = None
+    negated = []
+    for p, s in terms:
         s %= GROUP_ORDER
         if s == 0 or p.data == ident:
             continue
@@ -73,9 +98,7 @@ def multiexp(
             continue
         term = p.data if s == 1 else backend.mul_data(p.data, s)
         acc = term if acc is None else backend.add_data(acc, term)
-    for data in negated:
-        acc = backend.sub_data(ident if acc is None else acc, data)
-    return backend.identity() if acc is None else Point(backend, acc)
+    return [(acc, negated)]
 
 
 class RadixTable:
@@ -188,5 +211,5 @@ def bucket_multiexp(bases: Sequence, scalars: Sequence[int], backend: GroupBacke
             running = plus(running, b)
             total = plus(total, running)
         acc = plus(acc, total)
-    backend.counter.add += adds
+    backend.counter.cell().add += adds
     return Point(backend, backend.lower_data(acc))

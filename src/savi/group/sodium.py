@@ -58,6 +58,7 @@ class RistrettoBackend(GroupBackend):
     """The real group: ristretto255, ~126-bit security, 32-byte encodings."""
 
     name = "ristretto255"
+    releases_gil = True  # ctypes releases it around each libsodium call
 
     def __init__(self) -> None:
         super().__init__()
@@ -74,7 +75,7 @@ class RistrettoBackend(GroupBackend):
         return self._base
 
     def add_data(self, a: bytes, b: bytes) -> bytes:
-        self.counter.add += 1
+        self.counter.cell().add += 1
         if a == _IDENTITY:
             return b
         if b == _IDENTITY:
@@ -85,7 +86,7 @@ class RistrettoBackend(GroupBackend):
         return buf.raw
 
     def sub_data(self, a: bytes, b: bytes) -> bytes:
-        self.counter.add += 1
+        self.counter.cell().add += 1
         if b == _IDENTITY:
             return a
         buf = ctypes.create_string_buffer(32)
@@ -94,7 +95,7 @@ class RistrettoBackend(GroupBackend):
         return buf.raw
 
     def mul_data(self, p: bytes, e: int) -> bytes:
-        self.counter.mul += 1
+        self.counter.cell().mul += 1
         e %= GROUP_ORDER
         if e == 0 or p == _IDENTITY:
             return _IDENTITY
@@ -117,7 +118,7 @@ class RistrettoBackend(GroupBackend):
     def from_uniform_data(self, raw64: bytes) -> bytes:
         if len(raw64) != 64:
             raise ValueError("hash-to-group input must be 64 bytes")
-        self.counter.from_hash += 1
+        self.counter.cell().from_hash += 1
         buf = ctypes.create_string_buffer(32)
         self._lib.crypto_core_ristretto255_from_hash(buf, raw64)
         return buf.raw

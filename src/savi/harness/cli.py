@@ -15,10 +15,17 @@ _SUFFIX = {"k": 1_000, "m": 1_000_000}
 
 
 def _parse_size(token: str) -> int:
-    token = token.strip().lower()
-    if token and token[-1] in _SUFFIX:
-        return int(float(token[:-1]) * _SUFFIX[token[-1]])
-    return int(token)
+    text = token.strip().lower()
+    try:
+        if text and text[-1] in _SUFFIX:
+            size = int(float(text[:-1]) * _SUFFIX[text[-1]])
+        else:
+            size = int(text)
+    except ValueError:
+        raise click.BadParameter(f"{token!r} is not a size like 64, 1k or 2.5m") from None
+    if size < 1:
+        raise click.BadParameter(f"{token!r}: sizes must be positive")
+    return size
 
 
 def _slots(n: int) -> str:
@@ -58,16 +65,19 @@ def simulate(config_path, seed, rounds, out_dir, deployment_scale, write_log) ->
     """Run aggregation rounds and write per-round reports."""
     from dataclasses import replace
 
-    if config_path:
-        config = SimulationConfig.from_yaml(config_path)
-    else:
-        config = deployment_preset() if deployment_scale else desk_preset()
-    if seed is not None:
-        config = replace(config, seed=seed)
-    if rounds is not None:
-        config = replace(config, rounds=rounds)
-    if out_dir is not None:
-        config = replace(config, out_dir=out_dir)
+    try:
+        if config_path:
+            config = SimulationConfig.from_yaml(config_path)
+        else:
+            config = deployment_preset() if deployment_scale else desk_preset()
+        if seed is not None:
+            config = replace(config, seed=seed)
+        if rounds is not None:
+            config = replace(config, rounds=rounds)
+        if out_dir is not None:
+            config = replace(config, out_dir=out_dir)
+    except ValueError as err:  # SimulationConfig names the field it rejects
+        raise click.UsageError(str(err)) from None
 
     reports = run_simulation(config)
     target = config.resolved_out_dir()
@@ -87,8 +97,8 @@ def simulate(config_path, seed, rounds, out_dir, deployment_scale, write_log) ->
 
 @main.command()
 @click.option("--sweep", required=True, help="e.g. d=1k,10k,100k or k=16,32,64")
-@click.option("--k", "k_fixed", type=int, default=64, show_default=True)
-@click.option("--d", "d_fixed", type=int, default=256, show_default=True)
+@click.option("--k", "k_fixed", type=click.IntRange(min=1), default=64, show_default=True)
+@click.option("--d", "d_fixed", type=click.IntRange(min=1), default=256, show_default=True)
 @click.option("--comm", is_flag=True, help="Also report exact per-client bytes.")
 def bench(sweep, k_fixed, d_fixed, comm) -> None:
     """Group-operation counts per stage across a parameter sweep."""

@@ -104,10 +104,13 @@ class Simulation:
             c.register_peers(pks)
 
     def _client_map(self, ids, fn) -> dict:
-        """Apply fn over clients, on a thread pool when configured.
+        """Apply fn over clients, ``workers`` of them at once.
 
-        The pool models parties working concurrently; results are keyed
-        so ordering never depends on scheduling.
+        These threads model parties working concurrently, and results are
+        keyed so ordering never depends on scheduling.  Whatever
+        ``workers`` is, each party's own long loops of group operations
+        run on the process-wide pool of ``group.pool``, and the op
+        counter counts per thread, so stage counts stay exact.
         """
         ids = list(ids)
         if self.config.workers <= 1 or len(ids) <= 1:

@@ -15,6 +15,7 @@ from ..group.base import GROUP_ORDER, Point
 from ..group.dlog import BabyStepTable, DlogNotFoundError, dlog_bounded
 from ..group.generators import GeneratorSet
 from ..group.multiexp import bucket_multiexp, multiexp
+from ..group.pool import map_chunks
 from ..rng import Rng
 from ..sampling import CheckParameters, SampleMatrix, derive_seed, sample_matrix
 from ..vsss import (
@@ -262,9 +263,13 @@ class Server:
         )
         bound = len(self.honest) * ((1 << (p.b_coord - 1)) - 1)
         table = BabyStepTable.for_bound(self.gens.g, bound)
+        targets = map_chunks(
+            lambda pairs: [y_l - blind * w_l for y_l, w_l in pairs],
+            list(zip(totals, self.gens.w)),
+            self.gens.backend,
+        )
         out = []
-        for l, (y_l, w_l) in enumerate(zip(totals, self.gens.w)):
-            target = y_l - blind * w_l
+        for l, target in enumerate(targets):
             try:
                 out.append(dlog_bounded(target, self.gens.g, bound, table=table))
             except DlogNotFoundError:

@@ -39,6 +39,7 @@ from typing import Sequence
 from ..group.base import GROUP_ORDER, Point
 from ..group.generators import GeneratorSet
 from ..group.multiexp import multiexp
+from ..group.pool import map_chunks
 from ..group.scalars import inv
 from ..rng import Rng
 from ..serial import Message
@@ -232,8 +233,12 @@ def gen_range_proof(
             break  # the last round's folded bases would never be read
         g_hi = x_r * x_r % _Q
         h_hi = x_r_inv * x_r_inv * y_inv_pow[half] % _Q
-        pg = [pg[i] + g_hi * pg[half + i] for i in range(half)]
-        ph = [ph[i] + h_hi * ph[half + i] for i in range(half)]
+        pg = map_chunks(
+            lambda idx: [pg[i] + g_hi * pg[half + i] for i in idx], range(half), gens.backend
+        )
+        ph = map_chunks(
+            lambda idx: [ph[i] + h_hi * ph[half + i] for i in idx], range(half), gens.backend
+        )
         f_g = f_g * x_r_inv % _Q
         f_h = [f * x_r % _Q for f in f_h[:half]]
 

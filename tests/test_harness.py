@@ -659,3 +659,19 @@ def test_cli_rejects_bad_sweep():
     runner = CliRunner()
     res = runner.invoke(cli_main, ["bench", "--sweep", "q=1,2"])
     assert res.exit_code != 0
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["bench", "--sweep", "d=1x"], "'1x' is not a size"),
+        (["bench", "--sweep", "d=0"], "'0': sizes must be positive"),
+        (["bench", "--sweep", "d=64", "--k", "0"], "0 is not in the range"),
+        (["simulate", "--rounds", "0"], "rounds must be positive"),
+    ],
+)
+def test_cli_bad_input_is_a_usage_error(args, message):
+    res = CliRunner().invoke(cli_main, args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)  # click's usage exit, not a traceback
+    assert message in res.output
