@@ -1,10 +1,10 @@
 """Pedersen commitments to update vectors and their homomorphic aggregation.
 
 A client commits to a d-dimensional integer update u under a single blind
-r: the l-th coordinate commitment is y_l = u_l g + r w_l, and z = r g
-doubles as the constant term of the blind's Feldman check string.  Sums of
-commitments open to sums of updates under the summed blind, which is what
-lets the server aggregate only the surviving clients.
+r: the l-th coordinate commitment is y_l = u_l g + r w_l.  The blind's
+commitment z = r g is sent once, as the constant term of its Feldman check
+string.  Sums of commitments open to sums of updates under the summed
+blind, which is what lets the server aggregate only the surviving clients.
 
 u_l g is never a scalar multiplication.  A precomputed table of g's
 small multiples (Lim and Lee, "More flexible exponentiation with
@@ -12,9 +12,8 @@ precomputation", CRYPTO 1994), ``GeneratorSet.g_multiples``, holds
 j 256^i g for every radix-256 digit j, so u_l g is one table entry per
 nonzero digit of |u_l|, negated for a negative u_l.  A coordinate below
 2^16 in magnitude then costs one or two additions on top of r w_l, and
-a commitment costs d muls for the r w_l plus one for z, whatever the
-update.  libsodium takes no such table for the w_l, each of which is
-used once per commitment.
+a commitment costs d muls, whatever the update.  libsodium takes no such
+table for the w_l, each of which is used once per commitment.
 """
 
 from __future__ import annotations
@@ -30,10 +29,8 @@ from .serial import Message
 from .vsss import CheckString
 
 
-def commit_update(
-    u: Sequence[int], r: int, gens: GeneratorSet
-) -> tuple[list[Point], Point]:
-    """Commit coordinate-wise: y_l = u_l g + r w_l, plus z = r g.
+def commit_update(u: Sequence[int], r: int, gens: GeneratorSet) -> list[Point]:
+    """Commit coordinate-wise: y_l = u_l g + r w_l.
 
     Each u_l is taken as its signed representative mod the order, so
     -5 and (-5) % order commit alike, and a zero u_l costs no addition."""
@@ -53,7 +50,7 @@ def commit_update(
             y.append(y_l)
         return y
 
-    return map_chunks(commit_coordinates, list(zip(u, gens.w)), gens.backend), r * gens.g
+    return map_chunks(commit_coordinates, list(zip(u, gens.w)), gens.backend)
 
 
 def aggregate_commitments(
@@ -82,24 +79,25 @@ def aggregate_commitments(
 class CommitmentBundle(Message):
     """Everything a client publishes in the commit round.
 
-    The shares are ciphertexts (one per peer, addressed by index order);
-    z is redundant with check_string.points[0] but is sent explicitly,
-    and bundles where the two disagree are not ``well_formed``.
+    The shares are ciphertexts, one per client in index order (empty
+    for the sender itself).  z = r g is the check string's constant term.
     """
 
     y: tuple[Point, ...]
-    z: Point
     encrypted_shares: tuple[bytes, ...]
     check_string: CheckString
 
+    @property
+    def z(self) -> Point:
+        """r g; read it only from a ``well_formed`` bundle."""
+        return self.check_string.points[0]
+
     def well_formed(self, d: int, n: int, threshold: int) -> bool:
         """The shape a bundle must have before anyone indexes into it:
-        d coordinate commitments, one sealed share per client, a check
-        string of ``threshold`` points, and z equal to its first point."""
-        points = self.check_string.points
+        d coordinate commitments, one sealed share per client and a
+        check string of ``threshold`` (at least one) points."""
         return (
             len(self.y) == d
             and len(self.encrypted_shares) == n
-            and len(points) == threshold
-            and self.z == points[0]
+            and len(self.check_string.points) == threshold
         )

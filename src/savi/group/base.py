@@ -33,32 +33,31 @@ class OpCounts:
         self.from_hash = 0
 
 
+class _ThreadCell(threading.local):
+    """``cell`` is the calling thread's cell, fetched by ``__init__`` at
+    the thread's first access, so reading it costs no Python call."""
+
+    def __init__(self, cells: dict[int, OpCounts], lock: threading.Lock) -> None:
+        # keyed by thread id: a thread that reuses a finished thread's id
+        # carries on its cell, so there is one cell per id, not per thread
+        with lock:
+            self.cell = cells.setdefault(threading.get_ident(), OpCounts())
+
+
 class OpCounter:
     """Counts group operations performed through a backend.
 
     Used by the bench harness to measure asymptotic cost without
-    wall-clock noise.  Each thread counts in its own cell (``cell()``),
-    so counting needs no lock; reading ``mul``, ``add``, ``from_hash``
-    or ``snapshot()`` sums every cell, which is exact once the threads
-    that did the work have finished it.
+    wall-clock noise.  Each thread counts in its own cell
+    (``local.cell``), so counting needs no lock; reading ``mul``, ``add``,
+    ``from_hash`` or ``snapshot()`` sums every cell, which is exact once
+    the threads that did the work have finished it.
     """
 
     def __init__(self) -> None:
-        self._local = threading.local()
-        # keyed by thread id: a thread that reuses a finished thread's id
-        # carries on its cell, so there is one cell per id, not per thread
         self._cells: dict[int, OpCounts] = {}
         self._lock = threading.Lock()
-
-    def cell(self) -> OpCounts:
-        """The calling thread's cell."""
-        try:
-            return self._local.cell
-        except AttributeError:
-            with self._lock:
-                cell = self._cells.setdefault(threading.get_ident(), OpCounts())
-            self._local.cell = cell
-            return cell
+        self.local = _ThreadCell(self._cells, self._lock)
 
     def snapshot(self) -> dict[str, int]:
         with self._lock:

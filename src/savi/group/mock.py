@@ -34,15 +34,15 @@ class MockBackend(GroupBackend):
         return _BASE
 
     def add_data(self, a: int, b: int) -> int:
-        self.counter.cell().add += 1
+        self.counter.local.cell.add += 1
         return (a + b) % GROUP_ORDER
 
     def sub_data(self, a: int, b: int) -> int:
-        self.counter.cell().add += 1
+        self.counter.local.cell.add += 1
         return (a - b) % GROUP_ORDER
 
     def mul_data(self, p: int, e: int) -> int:
-        self.counter.cell().mul += 1
+        self.counter.local.cell.mul += 1
         return (p * e) % GROUP_ORDER
 
     def encode_data(self, p: int) -> bytes:
@@ -59,7 +59,7 @@ class MockBackend(GroupBackend):
     def from_uniform_data(self, raw64: bytes) -> int:
         if len(raw64) != 64:
             raise ValueError("hash-to-group input must be 64 bytes")
-        self.counter.cell().from_hash += 1
+        self.counter.local.cell.from_hash += 1
         return int.from_bytes(raw64, "little") % GROUP_ORDER
 
     def lift_data(self, p: int) -> int:

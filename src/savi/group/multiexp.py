@@ -211,5 +211,5 @@ def bucket_multiexp(bases: Sequence, scalars: Sequence[int], backend: GroupBacke
             running = plus(running, b)
             total = plus(total, running)
         acc = plus(acc, total)
-    backend.counter.cell().add += adds
+    backend.counter.local.cell.add += adds
     return Point(backend, backend.lower_data(acc))

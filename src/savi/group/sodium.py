@@ -75,7 +75,7 @@ class RistrettoBackend(GroupBackend):
         return self._base
 
     def add_data(self, a: bytes, b: bytes) -> bytes:
-        self.counter.cell().add += 1
+        self.counter.local.cell.add += 1
         if a == _IDENTITY:
             return b
         if b == _IDENTITY:
@@ -86,7 +86,7 @@ class RistrettoBackend(GroupBackend):
         return buf.raw
 
     def sub_data(self, a: bytes, b: bytes) -> bytes:
-        self.counter.cell().add += 1
+        self.counter.local.cell.add += 1
         if b == _IDENTITY:
             return a
         buf = ctypes.create_string_buffer(32)
@@ -95,7 +95,7 @@ class RistrettoBackend(GroupBackend):
         return buf.raw
 
     def mul_data(self, p: bytes, e: int) -> bytes:
-        self.counter.cell().mul += 1
+        self.counter.local.cell.mul += 1
         e %= GROUP_ORDER
         if e == 0 or p == _IDENTITY:
             return _IDENTITY
@@ -118,7 +118,7 @@ class RistrettoBackend(GroupBackend):
     def from_uniform_data(self, raw64: bytes) -> bytes:
         if len(raw64) != 64:
             raise ValueError("hash-to-group input must be 64 bytes")
-        self.counter.cell().from_hash += 1
+        self.counter.local.cell.from_hash += 1
         buf = ctypes.create_string_buffer(32)
         self._lib.crypto_core_ristretto255_from_hash(buf, raw64)
         return buf.raw

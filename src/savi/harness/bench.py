@@ -66,7 +66,8 @@ def probe_costs(d: int, k: int, backend_name: str = "mock", seed: int = 7) -> Co
     u[0] = 1 << params.frac_bits
     r = rng.scalar()
     gens.g_multiples.multiple(max(map(abs, u)))  # the table levels, unmetered: see above
-    y, z = meter.run("commit", lambda: commit_update(u, r, gens))
+    # y and z = r g, which a client sends as its check string's first point
+    y, z = meter.run("commit", lambda: (commit_update(u, r, gens), r * gens.g))
     matrix = sample_matrix(rng.take(32), k, d, params.M)
     h = meter.run("server_prep", lambda: compute_h(matrix, gens))
 

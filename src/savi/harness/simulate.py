@@ -31,7 +31,6 @@ class RoundReport:
     round_no: int
     honest: tuple[int, ...]
     excluded: dict[int, str]  # client id -> reason
-    proof_reasons: dict[int, str]
     clear_share_requests: dict[int, tuple[int, ...]]
     honest_dropouts: tuple[int, ...]  # honest clients whose update failed the bound
     aggregate: tuple[int, ...]
@@ -44,6 +43,12 @@ class RoundReport:
     group_ops: dict[str, dict[str, int]] = field(default_factory=dict)
     # (message type, sender, payload) triples in send order, for replay
     messages: list[tuple[int, int, bytes]] = field(default_factory=list, repr=False)
+
+    @property
+    def proof_reasons(self) -> dict[int, str]:
+        """The failed check of each client excluded for its proof."""
+        excluded = self.excluded.items()
+        return {i: r.removeprefix("proof_") for i, r in excluded if r.startswith("proof_")}
 
     @property
     def bytes_sent(self) -> dict[int, int]:
@@ -213,7 +218,6 @@ class Simulation:
             round_no=round_no,
             honest=tuple(honest),
             excluded=dict(self.server.malicious),
-            proof_reasons=dict(self.server.proof_reasons),
             clear_share_requests=requests,
             honest_dropouts=tuple(sorted(dropouts)),
             aggregate=tuple(aggregate),

@@ -81,19 +81,18 @@ class Client:
         )
         self.dealt_shares = {sh.index: sh for sh in shares}
         self.received_shares = {self.id: self.dealt_shares[self.id]}
-        self.y, self.z = commit_update(self.u, self.r, self.gens)
+        self.y = commit_update(self.u, self.r, self.gens)
+        self.z = check.points[0]
         sealed = tuple(
             b""
             if j == self.id
             else seal_share(
-                self.peer_keys[j], round_no, self.id, j, self.dealt_shares[j]
+                self.peer_keys[j], round_no, self.id, j, self.dealt_shares[j].value
             )
             for j in range(1, self.params.n + 1)
         )
         self._advance("committed")
-        return CommitmentBundle(
-            y=tuple(self.y), z=self.z, encrypted_shares=sealed, check_string=check
-        )
+        return CommitmentBundle(y=tuple(self.y), encrypted_shares=sealed, check_string=check)
 
     # -- stage 2: share verification and flagging ---------------------------
 
@@ -117,14 +116,14 @@ class Client:
                 flags.append(j)
                 continue
             self.peer_checks[j] = bundle.check_string
-            share = open_share(
+            value = open_share(
                 self.peer_keys[j],
                 self.round_no,
                 j,
                 self.id,
                 bundle.encrypted_shares[self.id - 1],
             )
-            if share is None or share.index != self.id or not ss_verify(share, bundle.check_string):
+            if value is None or not ss_verify(share := Share(self.id, value), bundle.check_string):
                 flags.append(j)
             else:
                 self.received_shares[j] = share

@@ -5,6 +5,8 @@ commitments live in, then seal each share with ChaCha20-Poly1305.  The
 nonce encodes (round, sender, receiver), which is unique per key since
 a key is only ever used by one ordered pair per direction-agnostic
 derivation — the sender id in the nonce disambiguates the directions.
+A share's index is its receiver, which the nonce (also the associated
+data) binds, so only its 32-byte value is sealed: 48 bytes with the tag.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from ..group.base import GroupBackend, Point
 from ..rng import Rng
 from ..serial import decode, encode
-from ..vsss import Share
 
 _KEY_TAG = b"savi/v1/pairwise-key"
 
@@ -41,18 +42,18 @@ def _nonce(round_no: int, sender: int, receiver: int) -> bytes:
     )
 
 
-def seal_share(key: bytes, round_no: int, sender: int, receiver: int, share: Share) -> bytes:
-    plain = encode(Share, share)
+def seal_share(key: bytes, round_no: int, sender: int, receiver: int, value: int) -> bytes:
+    plain = encode(int, value)
     aad = _nonce(round_no, sender, receiver)
     return ChaCha20Poly1305(key).encrypt(aad, plain, aad)
 
 
 def open_share(
     key: bytes, round_no: int, sender: int, receiver: int, blob: bytes
-) -> Share | None:
-    """Decrypt and parse; None signals a flag-worthy ciphertext."""
+) -> int | None:
+    """Decrypt and parse a share's value; None signals a flag-worthy ciphertext."""
     aad = _nonce(round_no, sender, receiver)
     try:
-        return decode(Share, ChaCha20Poly1305(key).decrypt(aad, blob, aad))
+        return decode(int, ChaCha20Poly1305(key).decrypt(aad, blob, aad))
     except (InvalidTag, ValueError):
         return None

@@ -54,9 +54,7 @@ class Server:
     def _reset_round_state(self) -> None:
         self.bundles: dict[int, CommitmentBundle] = {}
         self.malicious: dict[int, str] = {}
-        self.exposure: dict[int, int] = {}
         self.honest: list[int] = []
-        self.proof_reasons: dict[int, str] = {}
         self.bad_blind_shares: list[int] = []
         self.seed: bytes = b""
         self.matrix: Optional[SampleMatrix] = None
@@ -141,7 +139,6 @@ class Server:
             active = sorted(f for f in flaggers if f in live)
             if active:
                 requests[j] = active
-                self.exposure[j] = len(active)
         return requests
 
     def receive_clear_shares(
@@ -205,7 +202,6 @@ class Server:
             if i not in verdicts:
                 self._mark(i, "no_proof")
             elif verdicts[i] is not None:
-                self.proof_reasons[i] = verdicts[i]
                 self._mark(i, f"proof_{verdicts[i]}")
             else:
                 honest.append(i)

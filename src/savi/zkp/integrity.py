@@ -138,9 +138,9 @@ def gen_integrity_proof(
 
     Preconditions (the protocol layer guarantees them): the caller has
     checked h against the matrix with ver_crt, u is the committed
-    update, (y, z) = commit_update(u, r).  Raises BoundExceededError
-    when the projections genuinely exceed B0 — the honest response is
-    to sit the round out.
+    update, y = commit_update(u, r) and z = r g.  Raises
+    BoundExceededError when the projections genuinely exceed B0 — the
+    honest response is to sit the round out.
     """
     if len(u) != params.d or matrix.k != params.k or len(h) != params.k + 1:
         raise ValueError("dimension mismatch between update, matrix and h")
@@ -243,21 +243,20 @@ def ver_integrity_proofs(
     "wellformed", "square", "range_ip", "range_sum") feed the simulator's
     rejection report.
 
+    Every weight comes from the child stream ``verify/<round_no>``, so
+    ``rng`` draws nothing and no proof moves the caller's later draws.
     The per-client checks (shape, ver_crt, the two sigma proofs) run in
-    client-id order and draw from ``rng``.  The range proofs of every
-    client that passes them are then verified as one batch: a single
-    weighted multiexp, with weights from the child stream
-    ``range-batch/<round_no>`` so that ``rng`` itself draws nothing more.
-    A failing batch is bisected down to single clients, each named by
-    its first failing range proof.
+    client-id order.  The range proofs of every client that passes them
+    are then verified as one weighted multiexp, bisected on failure
+    down to single clients, each named by its first failing range proof.
     """
-    weights = rng.child(f"range-batch/{round_no}")
+    weights = rng.child(f"verify/{round_no}")
     verdicts: dict[int, str | None] = {}
     batch: dict[int, tuple[RangeTerms, RangeTerms]] = {}
     for client_id in sorted(proofs):
         z, y, proof = proofs[client_id]
         checked = _cheap_checks(
-            params, gens, matrix, h, z, y, proof, round_no, client_id, rng, weights
+            params, gens, matrix, h, z, y, proof, round_no, client_id, weights
         )
         if isinstance(checked, str):
             verdicts[client_id] = checked
@@ -271,7 +270,7 @@ def ver_integrity_proofs(
 def _cheap_checks(
     params: "CheckParameters", gens: GeneratorSet, matrix: "SampleMatrix",
     h: Sequence[Point], z: Point, y: Sequence[Point], proof: IntegrityProof,
-    round_no: int, client_id: int, rng: Rng, weights: Rng,
+    round_no: int, client_id: int, weights: Rng,
 ) -> str | tuple[RangeTerms, RangeTerms]:
     """Everything but the range proofs' identities: the failed-check
     label, or the terms of the sigma and mu range proofs."""
@@ -286,12 +285,12 @@ def _cheap_checks(
         return "malformed"
     g, q = gens.g, gens.q
 
-    if not ver_crt(y, proof.e_star, matrix, rng):
+    if not ver_crt(y, proof.e_star, matrix, weights):
         return "consistency"
     tr = _transcript(params, matrix, round_no, client_id, y, z)
-    if not ver_prf_wf(g, q, h, z, proof.e_star, proof.o, proof.rho, rng, tr):
+    if not ver_prf_wf(g, q, h, z, proof.e_star, proof.o, proof.rho, weights, tr):
         return "wellformed"
-    if not ver_prf_sq(g, q, proof.o, proof.o_prime, proof.tau, rng, tr):
+    if not ver_prf_sq(g, q, proof.o, proof.o_prime, proof.tau, weights, tr):
         return "square"
 
     sigma = range_terms(gens, params.b_ip, _shifted(params, gens, proof.o), proof.sigma, tr)

@@ -15,8 +15,8 @@ from typing import Iterable
 from ..group.base import GROUP_ORDER, Point
 from ..group.scalars import scalar_to_bytes
 
-DOMAIN = "savi/v3"
-"""Version of the proof format: bumped whenever proof bytes change."""
+DOMAIN = "savi/v4"
+"""Version of the wire format: bumped whenever proof or message bytes change."""
 
 
 class Transcript:

@@ -31,18 +31,16 @@ def backend(request):
 
 def test_zero_update_zero_blind(backend):
     gens = _tiny_gens(backend, [3, 4])
-    y, z = commit_update([0, 0], 0, gens)
+    y = commit_update([0, 0], 0, gens)
     assert all(p == backend.identity() for p in y)
-    assert z == backend.identity()
 
 
 def test_worked_example_u_5_1_r_10(backend):
     # w1 = g^3, w2 = g^4: committing (5,1) under r=10 lands on g^35, g^41
     gens = _tiny_gens(backend, [3, 4])
     g = backend.base()
-    y, z = commit_update([5, 1], 10, gens)
+    y = commit_update([5, 1], 10, gens)
     assert y == [35 * g, 41 * g]
-    assert z == 10 * g
 
 
 def test_commit_matches_two_term_multiexp(backend):
@@ -50,23 +48,23 @@ def test_commit_matches_two_term_multiexp(backend):
     gens = _tiny_gens(backend, [rng.nonzero_scalar() for _ in range(5)])
     u = [rng.below(1 << 16) for _ in range(5)]
     r = rng.scalar()
-    y, _ = commit_update(u, r, gens)
+    y = commit_update(u, r, gens)
     for l in range(5):
         assert y[l] == multiexp([gens.g, gens.w[l]], [u[l], r])
 
 
 def test_aggregate_single_client(backend):
     gens = _tiny_gens(backend, [3, 4])
-    y, _ = commit_update([7, 9], 5, gens)
+    y = commit_update([7, 9], 5, gens)
     assert aggregate_commitments([y], gens) == list(y)
 
 
 def test_aggregate_two_clients_opens_to_sum(backend):
     gens = _tiny_gens(backend, [11, 13])
-    y1, _ = commit_update([1, 2], 1, gens)
-    y2, _ = commit_update([3, 4], 2, gens)
+    y1 = commit_update([1, 2], 1, gens)
+    y2 = commit_update([3, 4], 2, gens)
     total = aggregate_commitments([y1, y2], gens)
-    y_sum, _ = commit_update([4, 6], 3, gens)
+    y_sum = commit_update([4, 6], 3, gens)
     assert total == y_sum
 
 
@@ -78,11 +76,11 @@ def test_aggregate_empty_is_identity(backend):
 def test_aggregate_adds_only_between_vectors(backend):
     # three vectors of d=2 take (3 - 1) * 2 additions, none against identities
     gens = _tiny_gens(backend, [3, 4])
-    vectors = [commit_update([i, i + 1], i, gens)[0] for i in (1, 2, 3)]
+    vectors = [commit_update([i, i + 1], i, gens) for i in (1, 2, 3)]
     before = backend.counter.snapshot()
     total = aggregate_commitments(vectors, gens)
     after = backend.counter.snapshot()
-    assert total == commit_update([6, 9], 6, gens)[0]
+    assert total == commit_update([6, 9], 6, gens)
     assert (after["add"] - before["add"], after["mul"] - before["mul"]) == (4, 0)
     with pytest.raises(ValueError):
         aggregate_commitments([vectors[0], vectors[1][:1]], gens)
@@ -96,23 +94,23 @@ def test_additive_homomorphism_random_pairs():
         u1 = [rng.below(1 << 20) for _ in range(4)]
         u2 = [rng.below(1 << 20) for _ in range(4)]
         r1, r2 = rng.scalar(), rng.scalar()
-        y1, z1 = commit_update(u1, r1, gens)
-        y2, z2 = commit_update(u2, r2, gens)
-        ys, zs = commit_update(
-            [(a + b) % Q for a, b in zip(u1, u2)], (r1 + r2) % Q, gens
-        )
+        y1 = commit_update(u1, r1, gens)
+        y2 = commit_update(u2, r2, gens)
+        ys = commit_update([(a + b) % Q for a, b in zip(u1, u2)], (r1 + r2) % Q, gens)
         assert [a + b for a, b in zip(y1, y2)] == ys
-        assert z1 + z2 == zs
 
 
 def test_bundle_z_is_check_string_constant():
+    # z = r g is sent once, as the check string's constant term
     backend = make_backend("mock")
     rng = DeterministicRng(b"bundle-z")
     gens = _tiny_gens(backend, [3, 4])
     r = rng.scalar()
-    y, z = commit_update([5, 6], r, gens)
-    shares, check = ss_share(r, 4, 2, gens.g, rng)
-    assert z == check.points[0]
+    y = commit_update([5, 6], r, gens)
+    _, check = ss_share(r, 4, 2, gens.g, rng)
+    bundle = CommitmentBundle(y=tuple(y), encrypted_shares=(b"",) * 4, check_string=check)
+    assert bundle.z == r * gens.g == check.points[0]
+    assert bundle.well_formed(d=2, n=4, threshold=2)
 
 
 def test_bundle_serialization_roundtrip():
@@ -120,12 +118,11 @@ def test_bundle_serialization_roundtrip():
     rng = DeterministicRng(b"bundle-serial")
     gens = _tiny_gens(backend, [3, 4, 5])
     r = rng.scalar()
-    y, z = commit_update([1, 2, 3], r, gens)
+    y = commit_update([1, 2, 3], r, gens)
     _, check = ss_share(r, 3, 2, gens.g, rng)
     bundle = CommitmentBundle(
         y=tuple(y),
-        z=z,
-        encrypted_shares=(b"", b"abc", b"\x00" * 52),
+        encrypted_shares=(b"", b"abc", b"\x00" * 48),
         check_string=check,
     )
     back = CommitmentBundle.from_bytes(bundle.to_bytes(), backend)
@@ -136,11 +133,9 @@ def test_bundle_rejects_trailing_garbage():
     backend = make_backend("mock")
     rng = DeterministicRng(b"bundle-garbage")
     gens = _tiny_gens(backend, [3])
-    y, z = commit_update([1], rng.scalar(), gens)
+    y = commit_update([1], rng.scalar(), gens)
     _, check = ss_share(1, 2, 1, gens.g, rng)
-    blob = CommitmentBundle(
-        y=tuple(y), z=z, encrypted_shares=(b"", b"x"), check_string=check
-    ).to_bytes()
+    blob = CommitmentBundle(y=tuple(y), encrypted_shares=(b"", b"x"), check_string=check).to_bytes()
     with pytest.raises(ValueError):
         CommitmentBundle.from_bytes(blob + b"\x00", backend)
 
@@ -157,13 +152,12 @@ _EDGE_VALUES = [
 def test_commit_at_digit_edges_matches_multiexp(backend):
     gens = GeneratorSet.derive(backend, len(_EDGE_VALUES), 1)
     r = DeterministicRng(b"digit-edges").scalar()
-    y, z = commit_update(_EDGE_VALUES, r, gens)
+    y = commit_update(_EDGE_VALUES, r, gens)
     for u_l, w_l, y_l in zip(_EDGE_VALUES, gens.w, y):
         assert y_l == multiexp([gens.g, w_l], [u_l, r]), u_l
-    assert z == r * gens.g
     # a negative value and its residue mod the order commit alike
-    assert commit_update([-5], r, GeneratorSet.derive(backend, 1, 1))[0] == (
-        commit_update([(-5) % Q], r, GeneratorSet.derive(backend, 1, 1))[0]
+    assert commit_update([-5], r, GeneratorSet.derive(backend, 1, 1)) == (
+        commit_update([(-5) % Q], r, GeneratorSet.derive(backend, 1, 1))
     )
 
 
@@ -187,7 +181,7 @@ def test_dense_commit_op_counts_equal_across_backends():
         gens = GeneratorSet.derive(backend, len(u), 1)
         counts.append(_ops(backend, lambda: commit_update(u, 7, gens)))
     assert counts[0] == counts[1]
-    assert counts[0]["mul"] == len(u) + 1
+    assert counts[0]["mul"] == len(u)
 
 
 def test_g_table_is_built_once_per_generator_set(backend):
@@ -197,9 +191,9 @@ def test_g_table_is_built_once_per_generator_set(backend):
     second = _ops(backend, lambda: commit_update(u, 9, gens))
     # one addition per nonzero radix-256 digit of |u_l|, and no mul on g
     digits = sum((abs(x) & 255 != 0) + (abs(x) >> 8 != 0) for x in u)
-    assert second == {"mul": len(u) + 1, "add": digits}
+    assert second == {"mul": len(u), "add": digits}
     # the first commitment also built levels 0 and 1: 254 + 255 additions
-    assert first == {"mul": len(u) + 1, "add": digits + 254 + 255}
+    assert first == {"mul": len(u), "add": digits + 254 + 255}
     # a fresh generator set starts with an empty table
     fresh = GeneratorSet.derive(backend, len(u), 1)
     assert _ops(backend, lambda: commit_update(u, 7, fresh)) == first

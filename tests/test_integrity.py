@@ -43,7 +43,7 @@ def _instance(params, u, seed=b"itest"):
     h = [multiexp(gens.w, row) for row in rows]
     rng = DeterministicRng(seed + b"/client")
     r = rng.scalar()
-    y, z = commit_update(u, r, gens)
+    y, z = commit_update(u, r, gens), r * gens.g
     return gens, matrix, h, y, z, r, rng
 
 

@@ -1,5 +1,7 @@
-"""The wire codec: legacy byte layouts and hostile-byte decoding."""
+"""The wire codec: legacy byte layouts, the pinned message layouts and
+hostile-byte decoding."""
 
+import dataclasses
 import functools
 import struct
 
@@ -11,8 +13,9 @@ from savi.commit import CommitmentBundle
 from savi.group import GROUP_ORDER, make_backend
 from savi.harness import desk_preset
 from savi.harness.simulate import MSG_BLIND_SHARE, MSG_BUNDLE, MSG_PROOF, Simulation
-from savi.serial import U32, decode, encode
-from savi.vsss import Share
+from savi.protocol.pairwise import seal_share
+from savi.serial import U32, Message, decode, encode
+from savi.vsss import CheckString, Share
 from savi.zkp import IntegrityProof
 
 
@@ -42,6 +45,35 @@ def test_clear_shares_match_legacy_layout(n):
     assert decode(tuple[Share, ...], raw) == shares
 
 
+def _message_kinds(cls=Message):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _message_kinds(sub)
+
+
+def test_wire_surface_is_pinned():
+    # a message's bytes follow from its fields, in order: changing one is
+    # a deliberate edit of this test and a bump of the transcript domain
+    fields = {
+        tp.__name__: [f.name for f in dataclasses.fields(tp)]
+        for tp in (*_message_kinds(), Share, CheckString)
+    }
+    assert fields == {
+        "CommitmentBundle": ["y", "encrypted_shares", "check_string"],
+        "IntegrityProof": ["e_star", "o", "o_prime", "rho", "tau", "sigma", "mu"],
+        "WellFormedProof": ["u", "t", "t_star", "y", "y_vec", "y_star"],
+        "SquareProof": ["t1", "t2", "s1", "s2", "s3"],
+        "RangeProof": ["a_commit", "s_commit", "t1_commit", "t2_commit", "tau_x", "mu",
+                       "t_hat", "ls", "rs", "a", "b"],
+        "Share": ["index", "value"],
+        "CheckString": ["points"],
+    }
+    # a sealed share is its 32-byte value and the 16-byte tag; the index
+    # is the receiver, bound by the nonce
+    for value in (0, GROUP_ORDER - 1):
+        assert len(seal_share(b"k" * 32, 1, 1, 2, value)) == 48
+
+
 @functools.cache
 def _payloads(backend_name):
     """(wire type, real payload) for every decoded message kind."""
@@ -57,7 +89,7 @@ def _payloads(backend_name):
         "blind_share": (int, first[MSG_BLIND_SHARE]),
         "flag_report": (tuple[U32, ...], encode(tuple[U32, ...], (2, 3))),
         "clear_shares": (tuple[Share, ...], encode(tuple[Share, ...], shares)),
-        "sealed_share_plaintext": (Share, encode(Share, shares[0])),
+        "sealed_share_plaintext": (int, encode(int, shares[0].value)),
     }
 
 

@@ -92,7 +92,7 @@ def test_projection_commitment_use():
     matrix = sample_matrix(b"proj", k, d, M=1 << 12)
     u = [3, -2, 5, 0, 1, -1, 4, 2]
     r = DeterministicRng(b"commit").scalar()
-    y, _z = commit_update(u, r, gens)
+    y = commit_update(u, r, gens)
     v = matrix.row_inner(u)
     # sum_l a_tl * y_l is the projected commitment of the same update,
     # so the y_l themselves serve as bases for the claims.
