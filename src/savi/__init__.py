@@ -35,6 +35,7 @@ from .zkp import (
     gen_prf_sq,
     gen_prf_wf,
     gen_range_proof,
+    crt_weights,
     range_terms,
     ver_crt,
     ver_integrity_proof,
@@ -62,6 +63,7 @@ __all__ = [
     "combine_check_strings",
     "commit_update",
     "compute_b0",
+    "crt_weights",
     "derive_seed",
     "gen_integrity_proof",
     "gen_prf_sq",

@@ -15,14 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..commit import commit_update
-from ..group import make_backend
+from ..group import POINT_BYTES, make_backend
 from ..group.generators import GeneratorSet
 from ..protocol import Client
 from ..protocol.server import compute_h
 from ..rng import DeterministicRng
 from ..sampling import sample_matrix
-from ..zkp import gen_integrity_proof, ver_integrity_proof
-from ..zkp.vercrt import ver_crt
+from ..zkp import IntegrityProof, gen_integrity_proof, ver_integrity_proof
+from ..zkp.vercrt import crt_weights, ver_crt
 from .config import deployment_preset
 from .simulate import MSG_BUNDLE, MSG_PROOF, Simulation, _StageMeter
 
@@ -72,7 +72,7 @@ def probe_costs(d: int, k: int, backend_name: str = "mock", seed: int = 7) -> Co
     h = meter.run("server_prep", lambda: compute_h(matrix, gens))
 
     def prove():
-        if not ver_crt(gens.w, h, matrix, rng):
+        if not ver_crt(gens.w, h, *crt_weights(matrix, rng)):
             raise AssertionError("h inconsistent in bench probe")
         return gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
 
@@ -94,6 +94,10 @@ class CommReport:
     bundle_bytes: int
     proof_bytes: int
     other_bytes: int  # the flag report and the blind share
+    # each part of the proof, without the 4-byte count or length in
+    # front of each of its seven fields: "e_star+o+o_prime", "rho",
+    # "tau", "sigma" and "mu"
+    proof_parts: dict[str, int]
 
     @property
     def total_bytes(self) -> int:
@@ -133,16 +137,16 @@ def measure_communication(d: int, k: int, n: int = 8, m: int = 1, seed: int = 11
     for d_small in (16, 32):
         config = deployment_preset(n=1, m=0, d=d_small, k=k, backend="mock", seed=seed)
         messages = Simulation(config).run_round(1).messages
-        (proof,) = [len(payload) for kind, _, payload in messages if kind == MSG_PROOF]
+        (proof,) = [payload for kind, _, payload in messages if kind == MSG_PROOF]
         other = sum(
             len(payload) for kind, _, payload in messages if kind not in (MSG_BUNDLE, MSG_PROOF)
         )
-        sizes.append((proof, other))
+        sizes.append((len(proof), other, _proof_parts(IntegrityProof.from_bytes(proof, backend))))
     if sizes[0] != sizes[1]:
         raise AssertionError(
             f"(proof, other) bytes vary with d ({sizes}); cannot extrapolate"
         )
-    proof_bytes, other_bytes = sizes[0]
+    proof_bytes, other_bytes, proof_parts = sizes[0]
 
     return CommReport(
         d=d,
@@ -151,4 +155,13 @@ def measure_communication(d: int, k: int, n: int = 8, m: int = 1, seed: int = 11
         bundle_bytes=bundle_bytes,
         proof_bytes=proof_bytes,
         other_bytes=other_bytes,
+        proof_parts=proof_parts,
     )
+
+
+def _proof_parts(proof: IntegrityProof) -> dict[str, int]:
+    points = sum(POINT_BYTES * len(getattr(proof, f)) for f in ("e_star", "o", "o_prime"))
+    return {
+        "e_star+o+o_prime": points,
+        **{f: len(getattr(proof, f).to_bytes()) for f in ("rho", "tau", "sigma", "mu")},
+    }

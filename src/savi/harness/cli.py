@@ -113,9 +113,10 @@ def bench(sweep, k_fixed, d_fixed, comm) -> None:
         click.echo(f"{d:>10} {k:>6} {cells}")
         if comm:
             rep = measure_communication(d, k)
+            parts = ", ".join(f"{name} {n}" for name, n in rep.proof_parts.items())
             click.echo(
                 f"{'':>17} bytes/client: {rep.total_bytes} "
-                f"(commit {rep.bundle_bytes}, proof {rep.proof_bytes}; "
+                f"(commit {rep.bundle_bytes}, proof {rep.proof_bytes} = {parts}; "
                 f"{rep.overhead_ratio:.3f}x of d*32)"
             )
 

@@ -16,7 +16,7 @@ from ..rng import Rng
 from ..sampling import CheckParameters, SampleMatrix, derive_seed, sample_matrix
 from ..vsss import CheckString, Share, ss_share, ss_verify
 from ..zkp import IntegrityProof, gen_integrity_proof
-from ..zkp.vercrt import ver_crt
+from ..zkp.vercrt import crt_weights, ver_crt
 from .errors import AbortServerMaliciousError
 from .pairwise import keygen, open_share, pairwise_key, seal_share
 
@@ -163,7 +163,7 @@ class Client:
         the server's h matches it, then prove the norm check."""
         seed = derive_seed(server_nonce, self.ordered_pks)
         matrix = sample_matrix(seed, self.params.k, self.params.d, self.params.M)
-        if not ver_crt(self.gens.w, h, matrix, self.rng):
+        if not ver_crt(self.gens.w, h, *crt_weights(matrix, self.rng)):
             raise AbortServerMaliciousError("server h vector inconsistent with seed")
         proof = self._prove(matrix, h)
         self._advance("proved")

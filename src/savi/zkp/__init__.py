@@ -15,7 +15,7 @@ from .sigma import (
     ver_prf_wf,
 )
 from .transcript import Transcript
-from .vercrt import ExponentMatrix, ver_crt
+from .vercrt import ExponentMatrix, crt_weights, ver_crt
 
 __all__ = [
     "BoundExceededError",
@@ -25,6 +25,7 @@ __all__ = [
     "SquareProof",
     "Transcript",
     "WellFormedProof",
+    "crt_weights",
     "gen_integrity_proof",
     "gen_prf_sq",
     "gen_prf_wf",

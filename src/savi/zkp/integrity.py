@@ -24,9 +24,11 @@ for the projections and b_max for the slack.
 All four sub-proofs draw their challenges from one transcript bound to
 the check parameters, the round and the client's commitments.
 Verification reports which sub-check failed so the simulator can
-attribute rejections.  The proofs of a round are verified as one batch:
-after the per-client checks, every client's range proofs share one
-weighted multiexp, which is bisected on failure to name the cheaters.
+attribute rejections.  The two sigma proofs are checked exactly, one
+client at a time.  The rest of a round's proofs is verified in batches:
+one weight vector tests every client's e_star against its y, and every
+client's range proofs share one weighted multiexp, which is bisected on
+failure to name the cheaters.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .sigma import (
     ver_prf_wf,
 )
 from .transcript import Transcript
-from .vercrt import ver_crt
+from .vercrt import crt_weights, ver_crt
 
 if TYPE_CHECKING:
     from ..sampling import CheckParameters, SampleMatrix
@@ -245,18 +247,28 @@ def ver_integrity_proofs(
 
     Every weight comes from the child stream ``verify/<round_no>``, so
     ``rng`` draws nothing and no proof moves the caller's later draws.
-    The per-client checks (shape, ver_crt, the two sigma proofs) run in
-    client-id order.  The range proofs of every client that passes them
-    are then verified as one weighted multiexp, bisected on failure
-    down to single clients, each named by its first failing range proof.
+    That stream feeds two things only.  First, k+1 nonzero weights b and
+    their combination c = b·A, computed once for the round: each client's
+    consistency check tests sum_t b_t e_t == sum_l c_l y_l against them.
+    They are drawn after every proof is in, so a client whose e_star
+    does not open its y passes with probability 1/p, whatever the other
+    clients sent; over n clients, some wrong e_star passes with
+    probability at most n/p.  Second, the weights of the range batch.
+
+    The per-client checks (shape, consistency, the two sigma proofs,
+    which are exact) run in client-id order.  The range proofs of every
+    client that passes them are then verified as one weighted multiexp,
+    bisected on failure down to single clients, each named by its first
+    failing range proof.
     """
     weights = rng.child(f"verify/{round_no}")
+    crt = crt_weights(matrix, weights)
     verdicts: dict[int, str | None] = {}
     batch: dict[int, tuple[RangeTerms, RangeTerms]] = {}
     for client_id in sorted(proofs):
         z, y, proof = proofs[client_id]
         checked = _cheap_checks(
-            params, gens, matrix, h, z, y, proof, round_no, client_id, weights
+            params, gens, matrix, h, z, y, proof, round_no, client_id, crt, weights
         )
         if isinstance(checked, str):
             verdicts[client_id] = checked
@@ -270,10 +282,11 @@ def ver_integrity_proofs(
 def _cheap_checks(
     params: "CheckParameters", gens: GeneratorSet, matrix: "SampleMatrix",
     h: Sequence[Point], z: Point, y: Sequence[Point], proof: IntegrityProof,
-    round_no: int, client_id: int, weights: Rng,
+    round_no: int, client_id: int, crt: tuple[list[int], list[int]], weights: Rng,
 ) -> str | tuple[RangeTerms, RangeTerms]:
     """Everything but the range proofs' identities: the failed-check
-    label, or the terms of the sigma and mu range proofs."""
+    label, or the terms of the sigma and mu range proofs.  ``crt`` is
+    the round's consistency weights and their combination."""
     k = params.k
     if (
         len(proof.e_star) != k + 1
@@ -285,12 +298,12 @@ def _cheap_checks(
         return "malformed"
     g, q = gens.g, gens.q
 
-    if not ver_crt(y, proof.e_star, matrix, weights):
+    if not ver_crt(y, proof.e_star, *crt):
         return "consistency"
     tr = _transcript(params, matrix, round_no, client_id, y, z)
-    if not ver_prf_wf(g, q, h, z, proof.e_star, proof.o, proof.rho, weights, tr):
+    if not ver_prf_wf(g, q, h, z, proof.e_star, proof.o, proof.rho, tr):
         return "wellformed"
-    if not ver_prf_sq(g, q, proof.o, proof.o_prime, proof.tau, weights, tr):
+    if not ver_prf_sq(g, q, proof.o, proof.o_prime, proof.tau, tr):
         return "square"
 
     sigma = range_terms(gens, params.b_ip, _shifted(params, gens, proof.o), proof.sigma, tr)

@@ -10,10 +10,13 @@ Two statements are proven about vectors of Pedersen-style commitments
   o_i = v_i g + s_i q (i in 1..k), prove a single r ties z to every e_i
   and that e_i, o_i hide the same v_i.
 
-Verification is batched: one random linear combination collapses all
-per-index equations into a single multiexp equality.  Fresh weights are
-drawn per call from the verifier's rng, so a proof that cheats on any
-index fails except with probability ~1/p.
+A proof is sent in the (c, s) form of Schnorr signatures: the challenge
+and the responses, not the announcements.  The verifier recomputes each
+announcement as response·base + c·statement, absorbs them in the
+prover's order and accepts only if the challenge it derives equals c.
+The check is exact, so verification draws no randomness.  All products
+of one verification run as one flat run on the thread pool
+(``group.pool``), and so do the sums that make the announcements.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..group.base import GROUP_ORDER, Point
+from ..group.base import GROUP_ORDER, GroupBackend, Point
 from ..group.multiexp import multiexp
+from ..group.pool import map_chunks
 from ..rng import Rng
 from ..serial import Message
 from .transcript import Transcript
@@ -30,10 +34,29 @@ from .transcript import Transcript
 _Q = GROUP_ORDER
 
 
+def _announcements(
+    products: list[tuple[int, Point]], sums: list[tuple[int, ...]], backend: GroupBackend
+) -> list[Point]:
+    """For each index tuple in ``sums``, the sum of those entries of
+    ``products``: every product s·P is computed once, however many
+    announcements share it."""
+    points = map_chunks(lambda run: [s * p for s, p in run], products, backend)
+
+    def add_up(groups: Sequence[tuple[int, ...]]) -> list[Point]:
+        out = []
+        for first, *rest in groups:
+            acc = points[first]
+            for j in rest:
+                acc = acc + points[j]
+            out.append(acc)
+        return out
+
+    return map_chunks(add_up, sums, backend)
+
+
 @dataclass(frozen=True)
 class SquareProof(Message):
-    t1: tuple[Point, ...]
-    t2: tuple[Point, ...]
+    c: int
     s1: tuple[int, ...]
     s2: tuple[int, ...]
     s3: tuple[int, ...]
@@ -75,7 +98,7 @@ def gen_prf_sq(
     s1 = tuple((v1[i] - c * x[i]) % _Q for i in range(k))
     s2 = tuple((v2[i] - c * r1[i]) % _Q for i in range(k))
     s3 = tuple((v3[i] - c * (r2[i] - r1[i] * x[i])) % _Q for i in range(k))
-    return SquareProof(t1=t1, t2=t2, s1=s1, s2=s2, s3=s3)
+    return SquareProof(c=c, s1=s1, s2=s2, s3=s3)
 
 
 def ver_prf_sq(
@@ -84,54 +107,32 @@ def ver_prf_sq(
     y1: Sequence[Point],
     y2: Sequence[Point],
     proof: SquareProof,
-    rng: Rng,
     tr: Transcript,
 ) -> bool:
     k = len(y1)
-    if not (
-        len(y2) == k
-        and len(proof.t1) == len(proof.t2) == k
-        and len(proof.s1) == len(proof.s2) == len(proof.s3) == k
-    ):
+    if not (len(y2) == len(proof.s1) == len(proof.s2) == len(proof.s3) == k):
         return False
-    c = _square_challenge(tr, g, h, y1, y2, proof.t1, proof.t2)
-    alpha = [rng.nonzero_scalar() for _ in range(k)]
-    beta = [rng.nonzero_scalar() for _ in range(k)]
-
-    # Per index the two equations are
-    #   t1_i == s1_i g + s2_i h + c y1_i
-    #   t2_i == s3_i h + s1_i y1_i + c y2_i
-    # Collapse: sum_i alpha_i t1_i + beta_i t2_i - (...) == 0.
-    points: list[Point] = []
-    scalars: list[int] = []
-    g_coef = 0
-    h_coef = 0
+    c = proof.c
+    # t1_i = s1_i g + s2_i h + c y1_i and t2_i = s1_i y1_i + s3_i h + c y2_i,
+    # the six products of index i at 6i .. 6i+5
+    products = []
     for i in range(k):
-        points.append(proof.t1[i])
-        scalars.append(alpha[i])
-        points.append(proof.t2[i])
-        scalars.append(beta[i])
-        g_coef += alpha[i] * proof.s1[i]
-        h_coef += alpha[i] * proof.s2[i] + beta[i] * proof.s3[i]
-        points.append(y1[i])
-        scalars.append(-(alpha[i] * c + beta[i] * proof.s1[i]) % _Q)
-        points.append(y2[i])
-        scalars.append(-(beta[i] * c) % _Q)
-    points.append(g)
-    scalars.append(-g_coef % _Q)
-    points.append(h)
-    scalars.append(-h_coef % _Q)
-    return multiexp(points, scalars, backend=g.backend).is_identity()
+        products += [
+            (proof.s1[i], g), (proof.s2[i], h), (c, y1[i]),
+            (proof.s1[i], y1[i]), (proof.s3[i], h), (c, y2[i]),
+        ]
+    t1_t2 = _announcements(
+        products, [(j, j + 1, j + 2) for j in range(0, 6 * k, 3)], g.backend
+    )
+    return c == _square_challenge(tr, g, h, y1, y2, t1_t2[0::2], t1_t2[1::2])
 
 
 @dataclass(frozen=True)
 class WellFormedProof(Message):
-    u: Point
-    t: tuple[Point, ...]       # one per e_i, i in 0..k
-    t_star: tuple[Point, ...]  # one per o_i, i in 1..k
+    c: int
     y: int
-    y_vec: tuple[int, ...]
-    y_star: tuple[int, ...]
+    y_vec: tuple[int, ...]   # one per e_i, i in 0..k
+    y_star: tuple[int, ...]  # one per o_i, i in 1..k
 
 
 def _wellformed_challenge(
@@ -181,7 +182,7 @@ def gen_prf_wf(
     y = (w_nonce - c * r) % _Q
     y_vec = tuple((xs[i] - c * v[i]) % _Q for i in range(k + 1))
     y_star = tuple((x_star[i] - c * s[i]) % _Q for i in range(k))
-    return WellFormedProof(u=u, t=t, t_star=t_star, y=y, y_vec=y_vec, y_star=y_star)
+    return WellFormedProof(c=c, y=y, y_vec=y_vec, y_star=y_star)
 
 
 def ver_prf_wf(
@@ -192,51 +193,27 @@ def ver_prf_wf(
     e: Sequence[Point],
     o: Sequence[Point],
     proof: WellFormedProof,
-    rng: Rng,
     tr: Transcript,
 ) -> bool:
     k = len(o)
-    if not (
-        len(e) == k + 1
-        and len(h) == k + 1
-        and len(proof.t) == k + 1
-        and len(proof.t_star) == k
-        and len(proof.y_vec) == k + 1
-        and len(proof.y_star) == k
-    ):
+    n = k + 1
+    if not (len(e) == len(h) == len(proof.y_vec) == n and len(proof.y_star) == k):
         return False
-    c = _wellformed_challenge(tr, g, q, h, z, e, o, proof.u, proof.t, proof.t_star)
-    alpha = rng.nonzero_scalar()
-    beta = [rng.nonzero_scalar() for _ in range(k + 1)]
-    gamma = [rng.nonzero_scalar() for _ in range(k)]
-
-    # Per-equation checks being batched:
-    #   u      == y g + c z
-    #   t_i    == y_i g + y h_i + c e_i        (i in 0..k)
-    #   t*_i   == y_i g + y*_i q + c o_i       (i in 1..k)
-    points: list[Point] = [proof.u]
-    scalars: list[int] = [alpha]
-    g_coef = alpha * proof.y
-    q_coef = 0
-    for i in range(k + 1):
-        points.append(proof.t[i])
-        scalars.append(beta[i])
-        g_coef += beta[i] * proof.y_vec[i]
-        points.append(h[i])
-        scalars.append(-(beta[i] * proof.y) % _Q)
-        points.append(e[i])
-        scalars.append(-(beta[i] * c) % _Q)
+    c, y = proof.c, proof.y
+    # The announcements are
+    #   u    = y g + c z
+    #   t_i  = y_i g + y h_i + c e_i       (i in 0..k)
+    #   t*_i = y_i g + y*_i q + c o_i      (i in 1..k)
+    # so y_i g (at index i) serves both t_i and t*_i.
+    products = [(y_i, g) for y_i in proof.y_vec] + [(y, g), (c, z)]
+    for i in range(n):
+        products += [(y, h[i]), (c, e[i])]      # at n + 2 + 2i
     for i in range(k):
-        points.append(proof.t_star[i])
-        scalars.append(gamma[i])
-        g_coef += gamma[i] * proof.y_vec[i + 1]
-        q_coef += gamma[i] * proof.y_star[i]
-        points.append(o[i])
-        scalars.append(-(gamma[i] * c) % _Q)
-    points.append(z)
-    scalars.append(-(alpha * c) % _Q)
-    points.append(g)
-    scalars.append(-g_coef % _Q)
-    points.append(q)
-    scalars.append(-q_coef % _Q)
-    return multiexp(points, scalars, backend=g.backend).is_identity()
+        products += [(proof.y_star[i], q), (c, o[i])]  # at 3n + 2 + 2i
+    sums = (
+        [(n, n + 1)]
+        + [(i, n + 2 + 2 * i, n + 3 + 2 * i) for i in range(n)]
+        + [(i + 1, 3 * n + 2 + 2 * i, 3 * n + 3 + 2 * i) for i in range(k)]
+    )
+    u, *t = _announcements(products, sums, g.backend)
+    return c == _wellformed_challenge(tr, g, q, h, z, e, o, u, t[:n], t[n:])

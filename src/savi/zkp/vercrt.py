@@ -3,14 +3,15 @@
 Given bases w (length d), claimed points h_t (length k+1) and a public
 exponent matrix A ((k+1) x d), verify h_t == sum_l A[t,l] * w_l for all
 t at the cost of two multiexps: draw random weights b, form the
-combined exponent row c = b·A, and test
+combined exponent row c = b·A (``crt_weights``), and test
 
     sum_t b_t * h_t  ==  sum_l c_l * w_l.
 
 Any single wrong h_t escapes detection with probability 1/p.  The same
 check also validates a client's projection commitments e_t against its
 coordinate commitments y_l, since both sides then equal the projected
-commitment of the same update.
+commitment of the same update.  One pair (b, c) may serve many checks
+against one matrix, if it is drawn after all of their claims are fixed.
 """
 
 from __future__ import annotations
@@ -35,17 +36,21 @@ class ExponentMatrix(Protocol):
         ...
 
 
+def crt_weights(matrix: ExponentMatrix, rng: Rng) -> tuple[list[int], list[int]]:
+    """k+1 nonzero weights b drawn from ``rng``, and their combination b·A."""
+    weights = [rng.nonzero_scalar() for _ in range(matrix.num_projections + 1)]
+    return weights, matrix.weighted_combination(weights)
+
+
 def ver_crt(
     bases: Sequence[Point],
     claimed: Sequence[Point],
-    matrix: ExponentMatrix,
-    rng: Rng,
+    weights: Sequence[int],
+    combined: Sequence[int],
 ) -> bool:
-    if len(claimed) != matrix.num_projections + 1:
-        return False
-    weights = [rng.nonzero_scalar() for _ in range(len(claimed))]
-    combined = matrix.weighted_combination(weights)
-    if len(combined) != len(bases):
+    """Test sum_t b_t claimed_t == sum_l c_l bases_l for the weights b
+    and their combination c = b·A (``crt_weights``)."""
+    if len(claimed) != len(weights) or len(combined) != len(bases):
         return False
     lhs = multiexp(claimed, weights, backend=claimed[0].backend)
     rhs = multiexp(bases, combined, backend=claimed[0].backend)

@@ -38,6 +38,7 @@ from savi.vsss import Share, combine_check_strings, ss_recover, ss_share, ss_ver
 from savi.zkp.rangeproof import slot_shape
 from savi.zkp import (
     Transcript,
+    crt_weights,
     gen_integrity_proof,
     gen_prf_sq,
     gen_prf_wf,
@@ -49,6 +50,7 @@ from savi.zkp import (
     ver_prf_wf,
     ver_range_proof,
 )
+from sigma_reference import ref_ver_prf_sq, ref_ver_prf_wf
 
 Q = GROUP_ORDER
 mock = make_backend("mock")
@@ -190,7 +192,8 @@ def _mutations(proof, g):
         rep(proof, o=(proof.o[0] + g,) + proof.o[1:]),
         rep(proof, o_prime=proof.o_prime[:-1] + (proof.o_prime[-1] + g,)),
         rep(proof, rho=rep(proof.rho, y=(proof.rho.y + 1) % Q)),
-        rep(proof, rho=rep(proof.rho, u=proof.rho.u + g)),
+        rep(proof, rho=rep(proof.rho, c=(proof.rho.c + 1) % Q)),
+        rep(proof, tau=rep(proof.tau, c=(proof.tau.c + 1) % Q)),
         rep(proof, tau=rep(proof.tau, s1=((proof.tau.s1[0] + 1) % Q,) + proof.tau.s1[1:])),
         rep(proof, sigma=rep(proof.sigma, t_hat=(proof.sigma.t_hat + 1) % Q)),
         rep(proof, mu=rep(proof.mu, mu=(proof.mu.mu + 1) % Q)),
@@ -233,40 +236,6 @@ def test_criterion_06_zkp_roundtrip_and_tamper_matrix():
 
 
 # -- 7. batch-verifier equivalence ------------------------------------------------
-
-
-def _naive_sq(g, q, o, o_prime, proof, tr):
-    from savi.zkp.sigma import _square_challenge
-
-    k = len(o)
-    if not (len(proof.t1) == len(proof.t2) == len(proof.s1) == len(proof.s2) == len(proof.s3) == k):
-        return False
-    c = _square_challenge(tr, g, q, o, o_prime, proof.t1, proof.t2)
-    for t in range(k):
-        # t1 = s1 g + s2 q + c o ; t2 = s1 o + s3 q + c o' (responses use x - c w).
-        if proof.t1[t] != multiexp([g, q, o[t]], [proof.s1[t], proof.s2[t], c]):
-            return False
-        if proof.t2[t] != multiexp([o[t], q, o_prime[t]], [proof.s1[t], proof.s3[t], c]):
-            return False
-    return True
-
-
-def _naive_wf(g, q, h, z, e, o, proof, tr):
-    from savi.zkp.sigma import _wellformed_challenge
-
-    k = len(o)
-    if len(e) != k + 1 or len(proof.t) != k + 1 or len(proof.t_star) != k:
-        return False
-    c = _wellformed_challenge(tr, g, q, h, z, e, o, proof.u, proof.t, proof.t_star)
-    if proof.u != multiexp([g, z], [proof.y, c]):
-        return False
-    for t in range(k + 1):
-        if proof.t[t] != multiexp([g, h[t], e[t]], [proof.y_vec[t], proof.y, c]):
-            return False
-    for t in range(k):
-        if proof.t_star[t] != multiexp([g, q, o[t]], [proof.y_vec[1 + t], proof.y_star[t], c]):
-            return False
-    return True
 
 
 def _naive_range(gens, n_bits, comms, proof, tr):
@@ -345,7 +314,7 @@ def test_criterion_07_batch_equals_naive():
         tau = gen_prf_sq(g, q, o, o_p, [x % Q for x in v], s, s_p, rng, tr())
         if tamper:
             tau = dataclasses.replace(tau, s2=((tau.s2[0] + 1) % Q,) + tau.s2[1:])
-        assert ver_prf_sq(g, q, o, o_p, tau, rng, tr()) == _naive_sq(g, q, o, o_p, tau, tr())
+        assert ver_prf_sq(g, q, o, o_p, tau, tr()) == ref_ver_prf_sq(g, q, o, o_p, tau, tr())
         sq_agree += 1
 
         # wellformed proof instance
@@ -363,7 +332,7 @@ def test_criterion_07_batch_equals_naive():
         rho = gen_prf_wf(g, q, h, z := r * g, e, o2, r, vm, s, rng, tr())
         if tamper:
             rho = dataclasses.replace(rho, y=(rho.y + 1) % Q)
-        assert ver_prf_wf(g, q, h, z, e, o2, rho, rng, tr()) == _naive_wf(
+        assert ver_prf_wf(g, q, h, z, e, o2, rho, tr()) == ref_ver_prf_wf(
             g, q, h, z, e, o2, rho, tr()
         )
         wf_agree += 1
@@ -375,7 +344,7 @@ def test_criterion_07_batch_equals_naive():
         naive = all(
             claimed[t] == multiexp(gens.w, rows[t]) for t in range(k + 1)
         )
-        assert ver_crt(gens.w, claimed, matrix, rng) == naive
+        assert ver_crt(gens.w, claimed, *crt_weights(matrix, rng)) == naive
         crt_agree += 1
 
         # range proof instance: 8 = 1 * 2^3, 20 = 5 * 2^2, 24 = 3 * 2^3 or

@@ -87,12 +87,14 @@ def test_deterministic_given_seed():
 
 # The uplink of a fixed-seed round, proofs included, is pinned byte for
 # byte.  Changing these bytes changes the wire format or the proofs, and
-# requires a bump of the transcript domain (savi/vN/transcript).
+# requires a bump of the transcript domain (savi/vN/transcript).  Last
+# re-pinned at savi/v5: domain bump and layout (the sigma proofs send
+# their challenges instead of their announcements).
 _PINNED_ROUNDS = [
     (
         dict(n=5, m=2, d=16, k=4, M=16, b_ip=32, b_max=64, epsilon_log2=-16, seed=3,
              attack=AttackSpec("oversized_norm", scale=10.0, malicious_ids=(2, 4))),
-        "8071f73d550ff1dc6963a7569342be21123b6d3916fec3788a215372c40a098e",
+        "98e109fc25d636c07526b7f49b88c5aabec4a46b90f63fddb4651235d3dd1061",
         (1, 3, 5),
         {2: "proof_wellformed", 4: "proof_wellformed"},
     ),
@@ -100,7 +102,7 @@ _PINNED_ROUNDS = [
         dict(n=3, m=1, d=4, k=1, M=1, b_ip=16, b_max=32, epsilon_log2=-16, seed=3,
              backend="ristretto255",
              attack=AttackSpec("oversized_norm", scale=10.0, malicious_ids=(3,))),
-        "3ce0deea9e007b72a5c7f2a667034d25b37460dbbd2469e655391244f57648fb",
+        "0a759f1752839ba74c31c86eb3fb4a26563cd5430a0faeceb2f37a0910cbbb0d",
         (1, 2),
         {3: "proof_wellformed"},
     ),
@@ -162,9 +164,23 @@ def test_two_round_uplink_pinned():
     uplink = b"".join(
         payload for rep in reps for _, _, payload in sorted(rep.messages, key=lambda m: m[1])
     )
+    # re-pinned at savi/v5: domain bump and layout
     assert hashlib.sha256(uplink).hexdigest() == (
-        "0d07a17958a0d8d4653199ca9c1def4301b163022a4738855b2c600835eb6cd2"
+        "17a59a4f3c18b4566ad30563c0cf3a6a2d597cc666fa264e477443654f482bc9"
     )
+
+
+def test_crowd_attack_verdicts_pinned():
+    # crowd_attack's shape on the mock: the exact sigma verifiers and the
+    # round's one consistency weight vector keep the verdicts and reasons
+    # of the batched verifiers (one weight vector per client) before them
+    attack = AttackSpec("oversized_norm", scale=40.0, malicious_ids=(4, 9, 11))
+    (rep,) = run_simulation(
+        SimulationConfig(n=12, m=3, d=64, k=8, seed=1, backend="mock", attack=attack)
+    )
+    assert rep.honest == (1, 2, 3, 5, 6, 7, 8, 10, 12)
+    assert rep.excluded == {i: "proof_wellformed" for i in (4, 9, 11)}
+    assert rep.aggregate_ok
 
 
 def test_no_proof_moves_a_later_nonce():
@@ -185,10 +201,13 @@ def test_no_proof_moves_a_later_nonce():
 def test_proof_verification_op_count_pinned():
     # every client's range proofs share one multiexp over the slot bases;
     # checked one proof at a time this round cost 14,930 muls, and at
-    # power-of-two widths (512 + 128 slots, not 320 + 64) 3,077
+    # power-of-two widths (512 + 128 slots, not 320 + 64) 3,077.  The
+    # sigma proofs are checked exactly, recomputing their announcements:
+    # 11k+5 muls and 8k+3 adds a proof, where their batched check of the
+    # announcements cost 9k+9 muls and 9k+7 adds (2,613 muls, 2,712 adds)
     (rep,) = run_simulation(SimulationConfig(n=10, m=4, d=64, k=8, seed=1, backend="mock"))
     assert rep.honest == tuple(range(1, 11))
-    assert rep.group_ops["proof_ver"] == {"mul": 2613, "add": 2712, "from_hash": 0}
+    assert rep.group_ops["proof_ver"] == {"mul": 2733, "add": 2592, "from_hash": 0}
     assert rep.group_ops["proof_ver"]["mul"] <= 4000
 
 
@@ -373,7 +392,7 @@ def test_message_log_replay(tmp_path):
     reports = run_simulation(cfg)
     log = emit_message_log(reports, cfg, tmp_path)
     header, records = parse_message_log(log)
-    assert header.domain == "savi/v4"
+    assert header.domain == "savi/v5"
     assert header.params == cfg.check_parameters()
     per_client = {}
     kinds = set()
@@ -488,6 +507,16 @@ def test_comm_probe_equals_bytes_a_client_sends():
     (rep,) = run_simulation(deployment_preset(**fields, backend="mock", seed=11))
     assert rep.honest == (1, 2, 3, 4, 5)
     assert set(rep.bytes_sent.values()) == {probe.total_bytes}
+
+
+def test_comm_probe_proof_parts_add_up():
+    # the seven fields of a proof, each behind a 4-byte count or length
+    rep = measure_communication(d=64, k=4)
+    assert list(rep.proof_parts) == ["e_star+o+o_prime", "rho", "tau", "sigma", "mu"]
+    assert sum(rep.proof_parts.values()) + 7 * 4 == rep.proof_bytes
+    # k+1 + 2k points; the sigma proofs in their (c, s) form
+    assert rep.proof_parts["e_star+o+o_prime"] == 32 * (3 * 4 + 1)
+    assert (rep.proof_parts["rho"], rep.proof_parts["tau"]) == (104 + 64 * 4, 44 + 96 * 4)
 
 
 def test_proof_cost_grows_with_k():

@@ -9,7 +9,7 @@ from savi.group import GROUP_ORDER, GeneratorSet, make_backend
 from savi.group.multiexp import multiexp
 from savi.harness.attacks import forge_integrity_proof
 from savi.rng import DeterministicRng
-from savi.sampling import CheckParameters, plaintext_check, sample_matrix
+from savi.sampling import CheckParameters, SampleMatrix, plaintext_check, sample_matrix
 from savi.zkp import (
     BoundExceededError,
     Transcript,
@@ -17,9 +17,11 @@ from savi.zkp import (
     gen_range_proof,
     range_terms,
     ver_integrity_proof,
+    ver_integrity_proofs,
     ver_range_proof,
 )
 from savi.zkp.integrity import _shifted
+from sigma_reference import each_bump
 
 Q = GROUP_ORDER
 
@@ -33,9 +35,9 @@ def _params(k, d, B=4.0):
     )
 
 
-def _instance(params, u, seed=b"itest"):
+def _instance(params, u, seed=b"itest", b=backend):
     """Commit u, publish h, return everything both sides hold."""
-    gens = GeneratorSet.derive(backend, params.d, params.range_slots)
+    gens = GeneratorSet.derive(b, params.d, params.range_slots)
     matrix = sample_matrix(seed, params.k, params.d, params.M)
     rows = [[a % Q for a in matrix.a0]] + [
         [int(x) % Q for x in row] for row in matrix.rows
@@ -167,6 +169,55 @@ def test_each_tampered_component_names_its_check():
     h_bad = [h[0] + g] + list(h[1:])
     ok, reason = verdict(proof, h_=h_bad)
     assert (ok, reason) == (False, "wellformed")
+
+
+@pytest.mark.parametrize("backend_name", ["mock", "ristretto255"])
+def test_each_sigma_scalar_names_its_check(backend_name):
+    # a sigma proof sends c and its responses; changing any one of them,
+    # at any index, changes an announcement the verifier recomputes, so
+    # the challenge it derives no longer matches
+    params = _params(k=3, d=8)
+    u = [1, 0, -2, 1, 0, 0, 3, -1]
+    gens, matrix, h, y, z, r, rng = _instance(params, u, b=make_backend(backend_name))
+    proof = gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
+    assert ver_integrity_proof(params, gens, matrix, h, z, y, proof, 1, 1, rng) == (True, None)
+    tampered = [
+        *[(dataclasses.replace(proof, rho=rho), "wellformed") for rho in each_bump(proof.rho)],
+        *[(dataclasses.replace(proof, tau=tau), "square") for tau in each_bump(proof.tau)],
+    ]
+    # rho: c, y, k+1 entries of y_vec and k of y_star; tau: c and 3k
+    assert len(tampered) == (2 * params.k + 3) + (1 + 3 * params.k)
+    for bad, label in tampered:
+        verdict = ver_integrity_proof(params, gens, matrix, h, z, y, bad, 1, 1, rng)
+        assert verdict == (False, label)
+
+
+def test_one_weight_vector_per_round(monkeypatch):
+    # the round's consistency checks share one b and one c = b·A, drawn
+    # after every proof is in; each client's wrong e_star is still caught
+    params = _params(k=4, d=8)
+    gens, matrix, h, _, _, _, rng = _instance(params, [0] * params.d)
+    proofs = {}
+    for client_id in range(1, 6):
+        u = [(client_id * (l + 1)) % 5 - 2 for l in range(params.d)]
+        r = rng.scalar()
+        y, z = commit_update(u, r, gens), r * gens.g
+        proof = gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, client_id, rng)
+        if client_id in (2, 5):
+            e_star = (proof.e_star[0],) + (proof.e_star[1] + gens.g,) + proof.e_star[2:]
+            proof = dataclasses.replace(proof, e_star=e_star)
+        proofs[client_id] = (z, y, proof)
+    calls = []
+    combine = SampleMatrix.weighted_combination
+
+    def spy(matrix, weights):
+        calls.append(len(weights))
+        return combine(matrix, weights)
+
+    monkeypatch.setattr(SampleMatrix, "weighted_combination", spy)
+    verdicts = ver_integrity_proofs(params, gens, matrix, h, proofs, 1, DeterministicRng(b"v"))
+    assert verdicts == {1: None, 2: "consistency", 3: None, 4: None, 5: "consistency"}
+    assert calls == [params.k + 1]
 
 
 def test_tampering_o_flips_wellformed_then_square():

@@ -16,7 +16,8 @@ from savi.harness.simulate import MSG_BLIND_SHARE, MSG_BUNDLE, MSG_PROOF, Simula
 from savi.protocol.pairwise import seal_share
 from savi.serial import U32, Message, decode, encode
 from savi.vsss import CheckString, Share
-from savi.zkp import IntegrityProof
+from savi.rng import DeterministicRng
+from savi.zkp import IntegrityProof, Transcript, gen_prf_sq, gen_prf_wf
 
 
 def _legacy_flag_report(report):
@@ -61,8 +62,8 @@ def test_wire_surface_is_pinned():
     assert fields == {
         "CommitmentBundle": ["y", "encrypted_shares", "check_string"],
         "IntegrityProof": ["e_star", "o", "o_prime", "rho", "tau", "sigma", "mu"],
-        "WellFormedProof": ["u", "t", "t_star", "y", "y_vec", "y_star"],
-        "SquareProof": ["t1", "t2", "s1", "s2", "s3"],
+        "WellFormedProof": ["c", "y", "y_vec", "y_star"],
+        "SquareProof": ["c", "s1", "s2", "s3"],
         "RangeProof": ["a_commit", "s_commit", "t1_commit", "t2_commit", "tau_x", "mu",
                        "t_hat", "ls", "rs", "a", "b"],
         "Share": ["index", "value"],
@@ -72,6 +73,25 @@ def test_wire_surface_is_pinned():
     # is the receiver, bound by the nonce
     for value in (0, GROUP_ORDER - 1):
         assert len(seal_share(b"k" * 32, 1, 1, 2, value)) == 48
+
+
+@pytest.mark.parametrize("k", [1, 8, 32])
+def test_sigma_proof_sizes_are_pinned(k):
+    # the (c, s) form sends scalars only: c, y and the two counted runs
+    # y_vec (k+1) and y_star (k) for rho; c and three runs of k for tau
+    b = make_backend("mock")
+    g, q = b.base(), b.from_uniform(bytes(64))
+    rng = DeterministicRng(f"sizes/{k}".encode())
+    h = [b.from_uniform(rng.take(64)) for _ in range(k + 1)]
+    v = [rng.scalar() for _ in range(k + 1)]
+    s, s2, r = [rng.scalar() for _ in range(k)], [rng.scalar() for _ in range(k)], rng.scalar()
+    e = [v[i] * g + r * h[i] for i in range(k + 1)]
+    o = [v[i + 1] * g + s[i] * q for i in range(k)]
+    o2 = [v[i + 1] ** 2 * g + s2[i] * q for i in range(k)]
+    rho = gen_prf_wf(g, q, h, r * g, e, o, r, v, s, rng, Transcript("sizes"))
+    tau = gen_prf_sq(g, q, o, o2, v[1:], s, s2, rng, Transcript("sizes"))
+    assert len(rho.to_bytes()) == 104 + 64 * k
+    assert len(tau.to_bytes()) == 44 + 96 * k
 
 
 @functools.cache

@@ -5,7 +5,7 @@ from savi.group.generators import derive_generators
 from savi.group.multiexp import multiexp
 from savi.rng import DeterministicRng
 from savi.zkp import Transcript, gen_prf_sq, gen_prf_wf, ver_prf_sq, ver_prf_wf
-from savi.zkp.sigma import _square_challenge, _wellformed_challenge
+from sigma_reference import bumped, each_bump, ref_ver_prf_sq, ref_ver_prf_wf
 
 Q = GROUP_ORDER
 
@@ -15,41 +15,71 @@ G = backend.base()
 
 
 def _tr():
-    """A fresh transcript: prover, verifier and naive check each replay
+    """A fresh transcript: prover, verifier and reference each replay
     the same state."""
     return Transcript("sigma-test")
 
 
-def _square_instance(rng, k):
+def _square_instance(rng, k, g=G, h=H):
     x = [rng.scalar() for _ in range(k)]
     r1 = [rng.scalar() for _ in range(k)]
     r2 = [rng.scalar() for _ in range(k)]
-    y1 = [multiexp([G, H], [x[i], r1[i]]) for i in range(k)]
-    y2 = [multiexp([G, H], [x[i] * x[i] % Q, r2[i]]) for i in range(k)]
+    y1 = [multiexp([g, h], [x[i], r1[i]]) for i in range(k)]
+    y2 = [multiexp([g, h], [x[i] * x[i] % Q, r2[i]]) for i in range(k)]
     return x, r1, r2, y1, y2
 
 
-def naive_ver_prf_sq(y1, y2, proof):
-    """Unbatched conjunction: both equations per index, no random
-    weights."""
-    k = len(y1)
-    c = _square_challenge(_tr(), G, H, y1, y2, proof.t1, proof.t2)
-    for i in range(k):
-        lhs1 = multiexp([G, H, y1[i]], [proof.s1[i], proof.s2[i], c])
-        if lhs1 != proof.t1[i]:
-            return False
-        lhs2 = multiexp([y1[i], H, y2[i]], [proof.s1[i], proof.s3[i], c])
-        if lhs2 != proof.t2[i]:
-            return False
-    return True
+def _wf_instance(rng, k, g=G, q=H):
+    h = list(derive_generators("wf-h", k + 1, g.backend))
+    r = rng.scalar()
+    v = [rng.scalar() for _ in range(k + 1)]
+    s = [rng.scalar() for _ in range(k)]
+    z = r * g
+    e = [multiexp([g, h[i]], [v[i], r]) for i in range(k + 1)]
+    o = [multiexp([g, q], [v[i + 1], s[i]]) for i in range(k)]
+    return h, z, e, o, r, v, s
+
+
+@pytest.mark.parametrize("backend_name", ["mock", "ristretto255"])
+@pytest.mark.parametrize("k", [0, 1, 3, 8])
+def test_honest_proofs_verify(backend_name, k):
+    b = make_backend(backend_name)
+    g, (q,) = b.base(), derive_generators("sigma-h", 1, b)
+    rng = DeterministicRng(f"honest/{k}".encode())
+    x, r1, r2, y1, y2 = _square_instance(rng, k, g, q)
+    tau = gen_prf_sq(g, q, y1, y2, x, r1, r2, rng, _tr())
+    assert ver_prf_sq(g, q, y1, y2, tau, _tr())
+    assert ref_ver_prf_sq(g, q, y1, y2, tau, _tr())
+    h, z, e, o, r, v, s = _wf_instance(rng, k, g, q)
+    rho = gen_prf_wf(g, q, h, z, e, o, r, v, s, rng, _tr())
+    assert ver_prf_wf(g, q, h, z, e, o, rho, _tr())
+    assert ref_ver_prf_wf(g, q, h, z, e, o, rho, _tr())
+
+
+@pytest.mark.parametrize("backend_name", ["mock", "ristretto255"])
+def test_noncanonical_challenge_fails_to_decode(backend_name):
+    b = make_backend(backend_name)
+    g, (q,) = b.base(), derive_generators("sigma-h", 1, b)
+    rng = DeterministicRng(b"noncanonical")
+    x, r1, r2, y1, y2 = _square_instance(rng, 2, g, q)
+    tau = gen_prf_sq(g, q, y1, y2, x, r1, r2, rng, _tr())
+    h, z, e, o, r, v, s = _wf_instance(rng, 2, g, q)
+    rho = gen_prf_wf(g, q, h, z, e, o, r, v, s, rng, _tr())
+    # c is the first field of both: 32 bytes, then the responses
+    for proof in (tau, rho):
+        raw = proof.to_bytes()
+        assert type(proof).from_bytes(raw, b) == proof
+        for c in (Q, Q + proof.c, 2**256 - 1):
+            with pytest.raises(ValueError):
+                type(proof).from_bytes(c.to_bytes(32, "little") + raw[32:], b)
 
 
 def test_square_roundtrip_k3():
     rng = DeterministicRng(b"sq-k3")
     x, r1, r2, y1, y2 = _square_instance(rng, 3)
     proof = gen_prf_sq(G, H, y1, y2, x, r1, r2, rng, _tr())
-    assert ver_prf_sq(G, H, y1, y2, proof, rng, _tr())
-    assert naive_ver_prf_sq(y1, y2, proof)
+    assert ver_prf_sq(G, H, y1, y2, proof, _tr())
+    assert ref_ver_prf_sq(G, H, y1, y2, proof, _tr())
 
 
 def test_square_rejects_shifted_square():
@@ -59,41 +89,22 @@ def test_square_rejects_shifted_square():
         x, r1, r2, y1, y2 = _square_instance(rng, 1)
         y2_bad = [y2[0] + G]
         proof = gen_prf_sq(G, H, y1, y2_bad, x, r1, r2, rng, _tr())
-        assert not ver_prf_sq(G, H, y1, y2_bad, proof, rng, _tr())
+        assert not ver_prf_sq(G, H, y1, y2_bad, proof, _tr())
 
 
 def test_square_tamper_each_component():
+    # c, and each response at each index
     rng = DeterministicRng(b"sq-tamper")
     x, r1, r2, y1, y2 = _square_instance(rng, 2)
     proof = gen_prf_sq(G, H, y1, y2, x, r1, r2, rng, _tr())
-    mutations = [
-        proof.__class__(
-            t1=(proof.t1[0] + G, proof.t1[1]), t2=proof.t2,
-            s1=proof.s1, s2=proof.s2, s3=proof.s3,
-        ),
-        proof.__class__(
-            t1=proof.t1, t2=(proof.t2[0], proof.t2[1] + G),
-            s1=proof.s1, s2=proof.s2, s3=proof.s3,
-        ),
-        proof.__class__(
-            t1=proof.t1, t2=proof.t2,
-            s1=((proof.s1[0] + 1) % Q, proof.s1[1]), s2=proof.s2, s3=proof.s3,
-        ),
-        proof.__class__(
-            t1=proof.t1, t2=proof.t2,
-            s1=proof.s1, s2=(proof.s2[0], (proof.s2[1] + 1) % Q), s3=proof.s3,
-        ),
-        proof.__class__(
-            t1=proof.t1, t2=proof.t2,
-            s1=proof.s1, s2=proof.s2, s3=((proof.s3[0] + 1) % Q, proof.s3[1]),
-        ),
-    ]
+    mutations = list(each_bump(proof))
+    assert len(mutations) == 1 + 3 * 2
     for bad in mutations:
-        assert not ver_prf_sq(G, H, y1, y2, bad, rng, _tr())
-        assert not naive_ver_prf_sq(y1, y2, bad)
+        assert not ver_prf_sq(G, H, y1, y2, bad, _tr())
+        assert not ref_ver_prf_sq(G, H, y1, y2, bad, _tr())
 
 
-def test_square_batch_equals_naive_conjunction():
+def test_square_verifier_equals_reference():
     rng = DeterministicRng(b"sq-batch")
     for trial in range(100):
         k = 1 + rng.below(4)
@@ -103,36 +114,11 @@ def test_square_batch_equals_naive_conjunction():
             i = rng.below(k)
             y1 = list(y1)
             y1[i] = y1[i] + G
-        assert ver_prf_sq(G, H, y1, y2, proof, rng, _tr()) == naive_ver_prf_sq(
-            y1, y2, proof
-        )
-
-
-def _wf_instance(rng, k):
-    h = list(derive_generators("wf-h", k + 1, backend))
-    r = rng.scalar()
-    v = [rng.scalar() for _ in range(k + 1)]
-    s = [rng.scalar() for _ in range(k)]
-    z = r * G
-    e = [multiexp([G, h[i]], [v[i], r]) for i in range(k + 1)]
-    o = [multiexp([G, H], [v[i + 1], s[i]]) for i in range(k)]
-    return h, z, e, o, r, v, s
-
-
-def naive_ver_prf_wf(h, z, e, o, proof):
-    k = len(o)
-    c = _wellformed_challenge(_tr(), G, H, h, z, e, o, proof.u, proof.t, proof.t_star)
-    if proof.u != multiexp([G, z], [proof.y, c]):
-        return False
-    for i in range(k + 1):
-        if proof.t[i] != multiexp([G, h[i], e[i]], [proof.y_vec[i], proof.y, c]):
-            return False
-    for i in range(k):
-        if proof.t_star[i] != multiexp(
-            [G, H, o[i]], [proof.y_vec[i + 1], proof.y_star[i], c]
-        ):
-            return False
-    return True
+        elif trial % 3 == 1:  # or one random response
+            proof = bumped(proof, ("s1", "s2", "s3")[rng.below(3)], rng.below(k))
+        assert ver_prf_sq(G, H, y1, y2, proof, _tr()) == ref_ver_prf_sq(
+            G, H, y1, y2, proof, _tr()
+        ) == (trial % 3 == 2)
 
 
 def test_wellformed_k0_degenerate():
@@ -140,15 +126,15 @@ def test_wellformed_k0_degenerate():
     rng = DeterministicRng(b"wf-k0")
     h, z, e, o, r, v, s = _wf_instance(rng, 0)
     proof = gen_prf_wf(G, H, h, z, e, o, r, v, s, rng, _tr())
-    assert ver_prf_wf(G, H, h, z, e, o, proof, rng, _tr())
+    assert ver_prf_wf(G, H, h, z, e, o, proof, _tr())
 
 
 def test_wellformed_roundtrip():
     rng = DeterministicRng(b"wf-rt")
     h, z, e, o, r, v, s = _wf_instance(rng, 4)
     proof = gen_prf_wf(G, H, h, z, e, o, r, v, s, rng, _tr())
-    assert ver_prf_wf(G, H, h, z, e, o, proof, rng, _tr())
-    assert naive_ver_prf_wf(h, z, e, o, proof)
+    assert ver_prf_wf(G, H, h, z, e, o, proof, _tr())
+    assert ref_ver_prf_wf(G, H, h, z, e, o, proof, _tr())
 
 
 def test_wellformed_detects_e_o_mismatch():
@@ -158,10 +144,22 @@ def test_wellformed_detects_e_o_mismatch():
     o = list(o)
     o[0] = o[0] + G
     proof = gen_prf_wf(G, H, h, z, e, o, r, v, s, rng, _tr())
-    assert not ver_prf_wf(G, H, h, z, e, o, proof, rng, _tr())
+    assert not ver_prf_wf(G, H, h, z, e, o, proof, _tr())
 
 
-def test_wellformed_batch_equals_naive_conjunction():
+def test_wellformed_tamper_each_component():
+    # c, y, and each response at each index
+    rng = DeterministicRng(b"wf-tamper")
+    h, z, e, o, r, v, s = _wf_instance(rng, 3)
+    proof = gen_prf_wf(G, H, h, z, e, o, r, v, s, rng, _tr())
+    mutations = list(each_bump(proof))
+    assert len(mutations) == 2 + 4 + 3
+    for bad in mutations:
+        assert not ver_prf_wf(G, H, h, z, e, o, bad, _tr())
+        assert not ref_ver_prf_wf(G, H, h, z, e, o, bad, _tr())
+
+
+def test_wellformed_verifier_equals_reference():
     rng = DeterministicRng(b"wf-batch")
     for trial in range(100):
         k = rng.below(4)
@@ -171,9 +169,11 @@ def test_wellformed_batch_equals_naive_conjunction():
             e = list(e)
             i = rng.below(k + 1)
             e[i] = e[i] + G
-        assert ver_prf_wf(G, H, h, z, e, o, proof, rng, _tr()) == naive_ver_prf_wf(
-            h, z, e, o, proof
-        )
+        elif trial % 3 == 2:
+            proof = bumped(proof, "y_vec", rng.below(k + 1))
+        assert ver_prf_wf(G, H, h, z, e, o, proof, _tr()) == ref_ver_prf_wf(
+            G, H, h, z, e, o, proof, _tr()
+        ) == (trial % 3 == 0)
 
 
 def test_transcript_context_separation():
@@ -226,15 +226,15 @@ def test_transcript_fuzz_no_cross_context_collisions():
 
 
 def test_proof_components_vary_between_reproofs():
-    # fresh nonces every proof: commitments must not repeat, and their
-    # encodings should spread over the group (coarse uniformity)
+    # fresh nonces every proof: responses must not repeat, and their
+    # encodings should spread over the scalars (coarse uniformity)
     rng = DeterministicRng(b"zk-structural")
     x, r1, r2, y1, y2 = _square_instance(rng, 1)
     first_bytes = []
     seen = set()
     for _ in range(200):
         proof = gen_prf_sq(G, H, y1, y2, x, r1, r2, rng, _tr())
-        enc = proof.t1[0].encode()
+        enc = proof.s1[0].to_bytes(32, "little")
         assert enc not in seen
         seen.add(enc)
         first_bytes.append(enc[0])

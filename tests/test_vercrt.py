@@ -2,7 +2,7 @@ from savi.group import GROUP_ORDER, GeneratorSet, make_backend
 from savi.group.multiexp import multiexp
 from savi.rng import DeterministicRng
 from savi.sampling import sample_matrix
-from savi.zkp import ver_crt
+from savi.zkp import crt_weights, ver_crt
 
 Q = GROUP_ORDER
 
@@ -19,7 +19,7 @@ def _setup(k, d, seed=b"vercrt"):
 
 def test_honest_claim_accepted():
     gens, matrix, claimed = _setup(k=4, d=8)
-    assert ver_crt(gens.w, claimed, matrix, DeterministicRng(b"a"))
+    assert ver_crt(gens.w, claimed, *crt_weights(matrix, DeterministicRng(b"a")))
 
 
 def test_naive_per_row_oracle_agrees():
@@ -31,7 +31,7 @@ def test_naive_per_row_oracle_agrees():
     bad = list(claimed)
     bad[2] = bad[2] + gens.g
     assert bad[2] != multiexp(gens.w, [e % Q for e in rows[2]])
-    assert not ver_crt(gens.w, bad, matrix, DeterministicRng(b"b"))
+    assert not ver_crt(gens.w, bad, *crt_weights(matrix, DeterministicRng(b"b")))
 
 
 def test_single_tampered_row_caught_repeatedly():
@@ -42,7 +42,7 @@ def test_single_tampered_row_caught_repeatedly():
         bad = list(claimed)
         slot = i % len(bad)
         bad[slot] = bad[slot] + gens.g
-        assert not ver_crt(gens.w, bad, matrix, root.child(str(i)))
+        assert not ver_crt(gens.w, bad, *crt_weights(matrix, root.child(str(i))))
 
 
 def test_compensating_tampers_still_caught():
@@ -53,13 +53,13 @@ def test_compensating_tampers_still_caught():
         bad = list(claimed)
         bad[0] = bad[0] + gens.g
         bad[1] = bad[1] + (Q - 1) * gens.g
-        assert not ver_crt(gens.w, bad, matrix, root.child(str(i)))
+        assert not ver_crt(gens.w, bad, *crt_weights(matrix, root.child(str(i))))
 
 
 def test_wrong_claim_count_rejected():
     gens, matrix, claimed = _setup(k=4, d=8)
-    assert not ver_crt(gens.w, claimed[:-1], matrix, DeterministicRng(b"c"))
-    assert not ver_crt(gens.w, claimed + [gens.g], matrix, DeterministicRng(b"d"))
+    assert not ver_crt(gens.w, claimed[:-1], *crt_weights(matrix, DeterministicRng(b"c")))
+    assert not ver_crt(gens.w, claimed + [gens.g], *crt_weights(matrix, DeterministicRng(b"d")))
 
 
 def test_duck_typed_matrix():
@@ -78,9 +78,9 @@ def test_duck_typed_matrix():
             ]
 
     claimed = [multiexp(gens.w, row) for row in rows]
-    assert ver_crt(gens.w, claimed, Plain(), DeterministicRng(b"e"))
+    assert ver_crt(gens.w, claimed, *crt_weights(Plain(), DeterministicRng(b"e")))
     claimed[1] = claimed[1] + gens.g
-    assert not ver_crt(gens.w, claimed, Plain(), DeterministicRng(b"f"))
+    assert not ver_crt(gens.w, claimed, *crt_weights(Plain(), DeterministicRng(b"f")))
 
 
 def test_projection_commitment_use():
@@ -100,7 +100,7 @@ def test_projection_commitment_use():
         multiexp(y, [int(e) % Q for e in row])
         for row in [list(matrix.a0)] + [[int(x) for x in rr] for rr in matrix.rows]
     ]
-    assert ver_crt(y, claimed, matrix, DeterministicRng(b"g"))
+    assert ver_crt(y, claimed, *crt_weights(matrix, DeterministicRng(b"g")))
     assert claimed[1] != claimed[2]
     # sanity: claimed[t] really opens to v_t in the g-component
     assert v[0] % Q != v[1] % Q
