@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .group.base import GROUP_ORDER, Point
 from .group.generators import GeneratorSet
-from .group.multiexp import sum_points
+from .group.multiexp import multiexps
 from .group.pool import map_chunks
 from .serial import Message
 from .vsss import CheckString
@@ -66,13 +66,7 @@ def aggregate_commitments(
         raise ValueError("commitment vector length mismatch")
     if not vectors:
         return [gens.backend.identity() for _ in range(d)]
-    # each coordinate's sum starts from the first vector: adding it to
-    # identities would count d additions that ristretto255 short-circuits
-    return map_chunks(
-        lambda columns: [sum_points(column) for column in columns],
-        list(zip(*vectors)),
-        gens.backend,
-    )
+    return multiexps([[(p, 1) for p in column] for column in zip(*vectors)], gens.backend)
 
 
 @dataclass(frozen=True)

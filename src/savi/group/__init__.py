@@ -5,7 +5,7 @@ from .dlog import BabyStepTable, DlogNotFoundError, dlog_bounded
 from .encoding import quantize_vector, round_half_up
 from .generators import GeneratorSet, RangeGenerators, derive_generators
 from .mock import MockBackend
-from .multiexp import multiexp, sum_points
+from .multiexp import multiexp, multiexps, sum_points
 from .scalars import inv, reduce_wide, scalar_from_bytes, scalar_to_bytes
 from .sodium import RistrettoBackend
 
@@ -37,6 +37,7 @@ __all__ = [
     "derive_generators",
     "MockBackend",
     "multiexp",
+    "multiexps",
     "sum_points",
     "inv",
     "reduce_wide",

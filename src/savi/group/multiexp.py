@@ -1,10 +1,13 @@
 """Multi-scalar multiplication.
 
-One naive per-term loop serves both backends.  A long multiexp runs
-that loop on consecutive slices of its terms at once, on the thread pool
-of ``group.pool``, and adds up the slices' partial sums.  The terms whose
-scalar is -1 are subtracted last however the terms were cut, so a
-multiexp costs the same muls and additions on one core as on many.  On
+One naive per-term loop serves both backends, and one path runs it:
+``multiexps`` cuts the terms of a batch of rows, each a linear
+combination sum_j s_j P_j, into consecutive slices of one run, runs
+them at once on the thread pool of ``group.pool`` and adds up each
+row's partial sums; ``multiexp`` is the batch of one row.  The terms
+whose scalar is -1 are summed in their slice and the sums subtracted
+last however the run was cut, so a row costs the same muls and
+additions on one core as on many, and in a batch as alone.  On
 libsodium a point addition costs almost as much as a scalar
 multiplication (both pay the ristretto decode/encode), so bucketing
 methods cannot amortize.
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import threading
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .base import GROUP_ORDER, GroupBackend, Point
 from .pool import map_chunks
@@ -56,49 +59,67 @@ def multiexp(
     scalars: Sequence[int],
     backend: GroupBackend | None = None,
 ) -> Point:
-    """Compute sum_i scalars[i] * points[i].
-
-    Zero scalars and identity points contribute nothing and are skipped;
-    a scalar of 1 or -1 costs at most one addition and no multiplication.
-    """
+    """Compute sum_i scalars[i] * points[i]: ``multiexps`` of one row."""
     if len(points) != len(scalars):
         raise ValueError("multiexp needs equally many points and scalars")
     if backend is None:
         if not points:
             raise ValueError("multiexp of empty sequence needs an explicit backend")
         backend = points[0].backend
+    return multiexps([zip(points, scalars)], backend)[0]
 
+
+def multiexps(rows: Iterable[Iterable[tuple[Point, int]]], backend: GroupBackend) -> list[Point]:
+    """For each row of (point, scalar) terms, the sum of scalar·point;
+    zero scalars and identity points are skipped."""
+    terms: list = []
+    for row in rows:
+        terms += row
+        terms.append(None)  # ends the row
+    if not terms:
+        return []
+    terms.pop()  # the run's end ends the last row
+    pieces = map_chunks(functools.partial(_partial_sum, backend), terms, backend)
     ident = backend.identity_data()
-    acc = None
-    negated = []  # subtracted last, so a leading -1 finds a point to subtract from
-    partials = map_chunks(
-        functools.partial(_partial_sum, backend), list(zip(points, scalars)), backend
-    )
-    for part, part_negated in partials:
+    out = []
+    acc, negated = None, []  # subtracted last, so a leading -1 finds a point to subtract from
+    for part, part_negated, ends_row in pieces + [(None, None, True)]:
         if part is not None:
             acc = part if acc is None else backend.add_data(acc, part)
-        negated += part_negated
-    for data in negated:
-        acc = backend.sub_data(ident if acc is None else acc, data)
-    return backend.identity() if acc is None else Point(backend, acc)
+        if part_negated is not None:
+            negated.append(part_negated)
+        if ends_row:
+            for data in negated:
+                acc = backend.sub_data(ident if acc is None else acc, data)
+            out.append(backend.identity() if acc is None else Point(backend, acc))
+            acc, negated = None, []
+    return out
 
 
 def _partial_sum(backend: GroupBackend, terms) -> list[tuple]:
-    """[(sum of the terms whose scalar is not -1, or None if there are
-    none; the points whose scalar is -1)] for one slice of a multiexp."""
+    """[(sum of the terms whose scalar is not -1; sum of the points whose
+    scalar is -1; whether a None term ended it)] for each piece of a row
+    in one slice of a ``multiexps`` run, each sum None if it is empty."""
     ident = backend.identity_data()
-    acc = None
-    negated = []
-    for p, s in terms:
+    out = []
+    acc = negated = None
+    for term in terms:
+        if term is None:
+            out.append((acc, negated, True))
+            acc = negated = None
+            continue
+        p, s = term
         s %= GROUP_ORDER
         if s == 0 or p.data == ident:
             continue
         if s == _MINUS_ONE:
-            negated.append(p.data)
+            # summed here, then subtracted once: as many additions, on this core
+            negated = p.data if negated is None else backend.add_data(negated, p.data)
             continue
         term = p.data if s == 1 else backend.mul_data(p.data, s)
         acc = term if acc is None else backend.add_data(acc, term)
-    return [(acc, negated)]
+    out.append((acc, negated, False))
+    return out
 
 
 class RadixTable:

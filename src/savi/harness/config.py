@@ -146,8 +146,9 @@ def _reject_unknown_keys(raw: dict[Any, Any], cls: type, what: str) -> None:
 
 
 def desk_preset(**overrides: Any) -> SimulationConfig:
-    """Defaults sized for a desk: one mock round takes 9-10 s on one core
-    of a 2-vCPU VM, nearly all of it proof generation and verification."""
+    """Defaults sized for a desk: one mock round's stages take 5-8 s on
+    one core of a shared 2-vCPU VM, nearly all of it proof generation
+    and verification."""
     return replace(SimulationConfig(), **overrides) if overrides else SimulationConfig()
 
 

@@ -14,8 +14,7 @@ from ..commit import CommitmentBundle, aggregate_commitments
 from ..group.base import GROUP_ORDER, Point
 from ..group.dlog import BabyStepTable, DlogNotFoundError, dlog_bounded
 from ..group.generators import GeneratorSet
-from ..group.multiexp import bucket_multiexp, multiexp
-from ..group.pool import map_chunks
+from ..group.multiexp import bucket_multiexp, multiexp, multiexps
 from ..rng import Rng
 from ..sampling import CheckParameters, SampleMatrix, derive_seed, sample_matrix
 from ..vsss import (
@@ -259,9 +258,8 @@ class Server:
         )
         bound = len(self.honest) * ((1 << (p.b_coord - 1)) - 1)
         table = BabyStepTable.for_bound(self.gens.g, bound)
-        targets = map_chunks(
-            lambda pairs: [y_l - blind * w_l for y_l, w_l in pairs],
-            list(zip(totals, self.gens.w)),
+        targets = multiexps(
+            [[(y_l, 1), (w_l, -blind)] for y_l, w_l in zip(totals, self.gens.w)],
             self.gens.backend,
         )
         out = []

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .group.base import GROUP_ORDER, Point
-from .group.multiexp import multiexp
+from .group.multiexp import multiexp, multiexps
 from .rng import Rng
 from .serial import U32
 
@@ -123,7 +123,6 @@ def combine_check_strings(checks: Sequence[CheckString]) -> CheckString:
     t = len(checks[0].points)
     if any(len(c.points) != t for c in checks):
         raise ValueError("check strings have different thresholds")
-    points = list(checks[0].points)
-    for c in checks[1:]:
-        points = [acc + p for acc, p in zip(points, c.points)]
+    columns = zip(*(c.points for c in checks))
+    points = multiexps([[(p, 1) for p in col] for col in columns], checks[0].points[0].backend)
     return CheckString(points=tuple(points))

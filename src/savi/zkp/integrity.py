@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..group.base import GROUP_ORDER, Point
 from ..group.generators import GeneratorSet
-from ..group.multiexp import multiexp, sum_points
+from ..group.multiexp import multiexps, sum_points
 from ..rng import Rng
 from ..serial import Message
 from .rangeproof import (
@@ -169,9 +169,13 @@ def _prove(
     claims_mod = [x % _Q for x in claims]
     s = [rng.scalar() for _ in range(k)]
     s_prime = [rng.scalar() for _ in range(k)]
-    e_star = [multiexp([g, h[t]], [v_mod[t], r]) for t in range(k + 1)]
-    o = [multiexp([g, q], [claims_mod[t], s[t]]) for t in range(k)]
-    o_prime = [multiexp([g, q], [c * c % _Q, sp]) for c, sp in zip(claims, s_prime)]
+    points = multiexps(
+        [[(g, v_mod[t]), (h[t], r)] for t in range(k + 1)]
+        + [[(g, claims_mod[t]), (q, s[t])] for t in range(k)]
+        + [[(g, c * c % _Q), (q, sp)] for c, sp in zip(claims, s_prime)],
+        gens.backend,
+    )
+    e_star, o, o_prime = points[: k + 1], points[k + 1 : 2 * k + 1], points[2 * k + 1 :]
 
     rho = gen_prf_wf(g, q, h, z, e_star, o, r, [v[0]] + claims_mod, s, rng, tr)
     tau = gen_prf_sq(g, q, o, o_prime, claims_mod, s, s_prime, rng, tr)

@@ -38,8 +38,7 @@ from typing import Sequence
 
 from ..group.base import GROUP_ORDER, Point
 from ..group.generators import GeneratorSet
-from ..group.multiexp import multiexp
-from ..group.pool import map_chunks
+from ..group.multiexp import multiexp, multiexps
 from ..group.scalars import inv
 from ..rng import Rng
 from ..serial import Message
@@ -171,8 +170,7 @@ def gen_range_proof(
     t1 = (_ip(l0, r1) + _ip(l1, r0)) % _Q
     t2 = _ip(l1, r1)
     tau1, tau2 = rng.scalar(), rng.scalar()
-    t1_commit = multiexp([g, q], [t1, tau1])
-    t2_commit = multiexp([g, q], [t2, tau2])
+    t1_commit, t2_commit = multiexps([[(g, t1), (q, tau1)], [(g, t2), (q, tau2)]], gens.backend)
     tr.absorb_point("T1", t1_commit)
     tr.absorb_point("T2", t2_commit)
     x = tr.nonzero_challenge("x")
@@ -233,12 +231,12 @@ def gen_range_proof(
             break  # the last round's folded bases would never be read
         g_hi = x_r * x_r % _Q
         h_hi = x_r_inv * x_r_inv * y_inv_pow[half] % _Q
-        pg = map_chunks(
-            lambda idx: [pg[i] + g_hi * pg[half + i] for i in idx], range(half), gens.backend
+        brackets = multiexps(
+            [[(pg[i], 1), (pg[half + i], g_hi)] for i in range(half)]
+            + [[(ph[i], 1), (ph[half + i], h_hi)] for i in range(half)],
+            gens.backend,
         )
-        ph = map_chunks(
-            lambda idx: [ph[i] + h_hi * ph[half + i] for i in idx], range(half), gens.backend
-        )
+        pg, ph = brackets[:half], brackets[half:]
         f_g = f_g * x_r_inv % _Q
         f_h = [f * x_r % _Q for f in f_h[:half]]
 

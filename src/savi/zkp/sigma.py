@@ -14,9 +14,10 @@ A proof is sent in the (c, s) form of Schnorr signatures: the challenge
 and the responses, not the announcements.  The verifier recomputes each
 announcement as response·base + c·statement, absorbs them in the
 prover's order and accepts only if the challenge it derives equals c.
-The check is exact, so verification draws no randomness.  All products
-of one verification run as one flat run on the thread pool
-(``group.pool``), and so do the sums that make the announcements.
+The check is exact, so verification draws no randomness.  Each side
+computes a proof's announcements as one ``multiexps`` batch, one row
+per announcement, after a batch of the x_i g (or y_i g) that t_i and
+t*_i share.
 """
 
 from __future__ import annotations
@@ -24,34 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..group.base import GROUP_ORDER, GroupBackend, Point
-from ..group.multiexp import multiexp
-from ..group.pool import map_chunks
+from ..group.base import GROUP_ORDER, Point
+from ..group.multiexp import multiexps
 from ..rng import Rng
 from ..serial import Message
 from .transcript import Transcript
 
 _Q = GROUP_ORDER
-
-
-def _announcements(
-    products: list[tuple[int, Point]], sums: list[tuple[int, ...]], backend: GroupBackend
-) -> list[Point]:
-    """For each index tuple in ``sums``, the sum of those entries of
-    ``products``: every product s·P is computed once, however many
-    announcements share it."""
-    points = map_chunks(lambda run: [s * p for s, p in run], products, backend)
-
-    def add_up(groups: Sequence[tuple[int, ...]]) -> list[Point]:
-        out = []
-        for first, *rest in groups:
-            acc = points[first]
-            for j in rest:
-                acc = acc + points[j]
-            out.append(acc)
-        return out
-
-    return map_chunks(add_up, sums, backend)
 
 
 @dataclass(frozen=True)
@@ -92,9 +72,12 @@ def gen_prf_sq(
     v1 = [rng.scalar() for _ in range(k)]
     v2 = [rng.scalar() for _ in range(k)]
     v3 = [rng.scalar() for _ in range(k)]
-    t1 = tuple(multiexp([g, h], [v1[i], v2[i]]) for i in range(k))
-    t2 = tuple(multiexp([y1[i], h], [v1[i], v3[i]]) for i in range(k))
-    c = _square_challenge(tr, g, h, y1, y2, t1, t2)
+    t1_t2 = multiexps(
+        [[(g, v1[i]), (h, v2[i])] for i in range(k)]
+        + [[(y1[i], v1[i]), (h, v3[i])] for i in range(k)],
+        g.backend,
+    )
+    c = _square_challenge(tr, g, h, y1, y2, t1_t2[:k], t1_t2[k:])
     s1 = tuple((v1[i] - c * x[i]) % _Q for i in range(k))
     s2 = tuple((v2[i] - c * r1[i]) % _Q for i in range(k))
     s3 = tuple((v3[i] - c * (r2[i] - r1[i] * x[i])) % _Q for i in range(k))
@@ -112,19 +95,13 @@ def ver_prf_sq(
     k = len(y1)
     if not (len(y2) == len(proof.s1) == len(proof.s2) == len(proof.s3) == k):
         return False
-    c = proof.c
-    # t1_i = s1_i g + s2_i h + c y1_i and t2_i = s1_i y1_i + s3_i h + c y2_i,
-    # the six products of index i at 6i .. 6i+5
-    products = []
-    for i in range(k):
-        products += [
-            (proof.s1[i], g), (proof.s2[i], h), (c, y1[i]),
-            (proof.s1[i], y1[i]), (proof.s3[i], h), (c, y2[i]),
-        ]
-    t1_t2 = _announcements(
-        products, [(j, j + 1, j + 2) for j in range(0, 6 * k, 3)], g.backend
+    c, s1, s2, s3 = proof.c, proof.s1, proof.s2, proof.s3
+    t1_t2 = multiexps(
+        [[(g, s1[i]), (h, s2[i]), (y1[i], c)] for i in range(k)]
+        + [[(y1[i], s1[i]), (h, s3[i]), (y2[i], c)] for i in range(k)],
+        g.backend,
     )
-    return c == _square_challenge(tr, g, h, y1, y2, t1_t2[0::2], t1_t2[1::2])
+    return c == _square_challenge(tr, g, h, y1, y2, t1_t2[:k], t1_t2[k:])
 
 
 @dataclass(frozen=True)
@@ -175,10 +152,14 @@ def gen_prf_wf(
     w_nonce = rng.scalar()
     xs = [rng.scalar() for _ in range(k + 1)]
     x_star = [rng.scalar() for _ in range(k)]
-    u = w_nonce * g
-    t = tuple(multiexp([g, h[i]], [xs[i], w_nonce]) for i in range(k + 1))
-    t_star = tuple(multiexp([g, q], [xs[i + 1], x_star[i]]) for i in range(k))
-    c = _wellformed_challenge(tr, g, q, h, z, e, o, u, t, t_star)
+    # x_i g serves both t_i and t*_i, so it is computed once
+    u, *xg = multiexps([[(g, w_nonce)]] + [[(g, x)] for x in xs], g.backend)
+    t_t_star = multiexps(
+        [[(xg[i], 1), (h[i], w_nonce)] for i in range(k + 1)]
+        + [[(xg[i + 1], 1), (q, x_star[i])] for i in range(k)],
+        g.backend,
+    )
+    c = _wellformed_challenge(tr, g, q, h, z, e, o, u, t_t_star[: k + 1], t_t_star[k + 1 :])
     y = (w_nonce - c * r) % _Q
     y_vec = tuple((xs[i] - c * v[i]) % _Q for i in range(k + 1))
     y_star = tuple((x_star[i] - c * s[i]) % _Q for i in range(k))
@@ -204,16 +185,12 @@ def ver_prf_wf(
     #   u    = y g + c z
     #   t_i  = y_i g + y h_i + c e_i       (i in 0..k)
     #   t*_i = y_i g + y*_i q + c o_i      (i in 1..k)
-    # so y_i g (at index i) serves both t_i and t*_i.
-    products = [(y_i, g) for y_i in proof.y_vec] + [(y, g), (c, z)]
-    for i in range(n):
-        products += [(y, h[i]), (c, e[i])]      # at n + 2 + 2i
-    for i in range(k):
-        products += [(proof.y_star[i], q), (c, o[i])]  # at 3n + 2 + 2i
-    sums = (
-        [(n, n + 1)]
-        + [(i, n + 2 + 2 * i, n + 3 + 2 * i) for i in range(n)]
-        + [(i + 1, 3 * n + 2 + 2 * i, 3 * n + 3 + 2 * i) for i in range(k)]
+    # so y_i g is computed once and serves both t_i and t*_i.
+    yg = multiexps([[(g, y_i)] for y_i in proof.y_vec], g.backend)
+    u, *t = multiexps(
+        [[(g, y), (z, c)]]
+        + [[(yg[i], 1), (h[i], y), (e[i], c)] for i in range(n)]
+        + [[(yg[i + 1], 1), (q, proof.y_star[i]), (o[i], c)] for i in range(k)],
+        g.backend,
     )
-    u, *t = _announcements(products, sums, g.backend)
     return c == _wellformed_challenge(tr, g, q, h, z, e, o, u, t[:n], t[n:])

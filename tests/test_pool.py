@@ -1,5 +1,6 @@
-"""The process-wide pool: a multiexp cut into slices equals the serial
-loop, point and op counts alike, and op counts survive threads."""
+"""The process-wide pool: a multiexp or a batch of them cut into slices
+equals the serial loop, point and op counts alike, and op counts
+survive threads."""
 
 import dataclasses
 import importlib
@@ -8,11 +9,12 @@ import threading
 
 import pytest
 
-from savi.group import GROUP_ORDER, MockBackend, make_backend, pool
-from savi.group.multiexp import multiexp
+from savi.group import GROUP_ORDER, MockBackend, derive_generators, make_backend, pool
+from savi.group.multiexp import multiexp, multiexps
 from savi.harness import desk_preset, run_simulation
 from savi.harness.attacks import AttackSpec
 from savi.rng import DeterministicRng
+from savi.zkp import Transcript, gen_prf_wf, ver_prf_wf
 
 Q = GROUP_ORDER
 
@@ -64,8 +66,8 @@ def _terms(backend, size, label):
     return points, scalars
 
 
-def _check_against_serial(backend, points, scalars):
-    """multiexp's point and op counts against the serial formula."""
+def _serial(backend, points, scalars):
+    """(sum of the terms, muls, adds) by the serial loop and formula."""
     ident = backend.identity()
     expected = backend.identity()
     npos = nneg = muls = 0
@@ -79,12 +81,21 @@ def _check_against_serial(backend, points, scalars):
         else:
             npos += 1
             muls += s != 1
+    return expected, muls, max(npos - 1, 0) + nneg
+
+
+def _ops(backend, fn):
+    """(fn's result, the muls and adds it counted)."""
     before = backend.counter.snapshot()
-    got = multiexp(points, scalars, backend=backend)
+    got = fn()
     after = backend.counter.snapshot()
-    assert got == expected
-    assert after["mul"] - before["mul"] == muls
-    assert after["add"] - before["add"] == max(npos - 1, 0) + nneg
+    return got, after["mul"] - before["mul"], after["add"] - before["add"]
+
+
+def _check_against_serial(backend, points, scalars):
+    """multiexp's point and op counts against the serial formula."""
+    expected = _serial(backend, points, scalars)
+    assert _ops(backend, lambda: multiexp(points, scalars, backend=backend)) == expected
 
 
 @pytest.mark.parametrize(
@@ -113,6 +124,85 @@ def test_all_negated_multiexp_equals_serial_loop(backend, three_cores, slice_siz
     points[0] = backend.identity() if first == "identity" else backend.base()
     _check_against_serial(backend, points, [Q - 1] * len(points))
     assert len(slice_sizes) == 3
+
+
+def _row(backend, size, kind, label):
+    """A row of ``size`` terms: "mixed" as ``_terms``, or all -1
+    ("negated", the first point the identity when "from-identity")."""
+    points, scalars = _terms(backend, size, label)
+    if kind != "mixed":
+        scalars = [Q - 1] * size
+        if kind == "from-identity" and size:
+            points[0] = backend.identity()
+    return list(zip(points, scalars))
+
+
+@pytest.mark.parametrize(
+    "spec, slices",
+    [
+        # a run holds the terms and one row end between each two rows:
+        # 50 + 5 items cut 18 | 18 | 19, so the 19-term row spans the
+        # first cut and the 13-term row the second
+        ([(7, "mixed"), (0, "mixed"), (19, "mixed"), (1, "mixed"), (13, "mixed"), (10, "mixed")],
+         [18, 18, 19]),
+        # rows of -1 only, each spanning a cut of 16 | 17 | 17
+        ([(20, "negated"), (20, "from-identity"), (8, "mixed")], [16, 17, 17]),
+        # the prover's shape: many two-term rows, more rows than slices
+        ([(2, "mixed")] * 40, [39, 40, 40]),
+        # empty rows around one row, too short together to cut
+        ([(0, "mixed"), (SPLIT - 3, "mixed"), (0, "negated")], [SPLIT - 1]),
+        # no row at all: nothing runs
+        ([], []),
+    ],
+)
+def test_sliced_multiexps_equals_per_row_serial_loop(
+    backend, three_cores, slice_sizes, spec, slices
+):
+    rows = [
+        _row(backend, size, kind, b"pool-rows-%d-%d" % (j, size))
+        for j, (size, kind) in enumerate(spec)
+    ]
+    expected = [
+        _serial(backend, [p for p, _ in row], [s for _, s in row]) for row in rows
+    ]
+    got, muls, adds = _ops(backend, lambda: multiexps(rows, backend))
+    assert got == [point for point, _, _ in expected]
+    assert muls == sum(m for _, m, _ in expected)
+    assert adds == sum(a for _, _, a in expected)
+    assert sorted(slice_sizes) == sorted(slices)
+
+
+def test_well_formedness_prover_cuts_its_announcements_across_cores(three_cores, slice_sizes):
+    # the 2k + 2 announcements of k = 32 run as two batches, each cut
+    # into slices of at least MIN_CHUNK terms; as one two-term multiexp
+    # each, they made 65 runs that were too short to cut
+    backend = make_backend("mock")
+    k = 32
+    g = backend.base()
+    q, *h = derive_generators("pool-wf", k + 2, backend)
+    rng = DeterministicRng(b"pool-wf")
+    r = rng.scalar()
+    v = [rng.scalar() for _ in range(k + 1)]
+    s = [rng.scalar() for _ in range(k)]
+    e = [v[i] * g + r * h[i] for i in range(k + 1)]
+    o = [v[i + 1] * g + s[i] * q for i in range(k)]
+    proof = gen_prf_wf(g, q, h, r * g, e, o, r, v, s, rng, Transcript("pool-wf"))
+    assert 0 < len(slice_sizes) <= 2 * pool.CORES
+    assert min(slice_sizes) >= pool.MIN_CHUNK
+    assert ver_prf_wf(g, q, h, r * g, e, o, proof, Transcript("pool-wf"))
+
+
+def test_only_the_multiexp_generators_and_commit_modules_cut_runs():
+    # every other batch of group operations goes through multiexps, so
+    # how a run is cut across cores is decided in one place
+    holders = {
+        name
+        for name, module in list(sys.modules.items())
+        if name.startswith("savi") and getattr(module, "map_chunks", None) is pool.map_chunks
+    }
+    assert holders == {
+        "savi.group.pool", "savi.group.multiexp", "savi.group.generators", "savi.commit"
+    }
 
 
 def test_a_failing_slice_raises_in_the_caller(three_cores):
