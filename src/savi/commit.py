@@ -9,11 +9,12 @@ blind, which is what lets the server aggregate only the surviving clients.
 u_l g is never a scalar multiplication.  A precomputed table of g's
 small multiples (Lim and Lee, "More flexible exponentiation with
 precomputation", CRYPTO 1994), ``GeneratorSet.g_multiples``, holds
-j 256^i g for every radix-256 digit j, so u_l g is one table entry per
-nonzero digit of |u_l|, negated for a negative u_l.  A coordinate below
-2^16 in magnitude then costs one or two additions on top of r w_l, and
-a commitment costs d muls, whatever the update.  libsodium takes no such
-table for the w_l, each of which is used once per commitment.
+j 256^i g for every radix-256 digit j.  y_l is one ``multiexps`` row:
+r w_l and one table entry per nonzero digit of |u_l|, each with scalar
+1, or -1 for a negative u_l.  A coordinate below 2^16 in magnitude then
+costs one or two additions on top of r w_l, and a commitment costs d
+muls, whatever the update.  libsodium takes no such table for the w_l,
+each of which is used once per commitment.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import Sequence
 from .group.base import GROUP_ORDER, Point
 from .group.generators import GeneratorSet
 from .group.multiexp import multiexps
-from .group.pool import map_chunks
 from .serial import Message
 from .vsss import CheckString
 
@@ -37,20 +37,13 @@ def commit_update(u: Sequence[int], r: int, gens: GeneratorSet) -> list[Point]:
     if len(u) != len(gens.w):
         raise ValueError(f"update has {len(u)} coordinates, generators {len(gens.w)}")
     table = gens.g_multiples
-
-    def commit_coordinates(pairs) -> list[Point]:
-        y = []
-        for u_l, w_l in pairs:
-            y_l = r * w_l
-            s = u_l % GROUP_ORDER
-            if s > GROUP_ORDER // 2:
-                y_l = y_l - table.multiple(GROUP_ORDER - s)
-            elif s:
-                y_l = y_l + table.multiple(s)
-            y.append(y_l)
-        return y
-
-    return map_chunks(commit_coordinates, list(zip(u, gens.w)), gens.backend)
+    rows = []
+    for u_l, w_l in zip(u, gens.w):
+        s = u_l % GROUP_ORDER
+        sign = -1 if s > GROUP_ORDER // 2 else 1
+        # min(s, order - s) is |u_l| for u_l's signed representative
+        rows.append([(w_l, r)] + [(p, sign) for p in table.digits(min(s, GROUP_ORDER - s))])
+    return multiexps(rows, gens.backend)
 
 
 def aggregate_commitments(

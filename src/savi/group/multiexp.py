@@ -1,16 +1,17 @@
 """Multi-scalar multiplication.
 
 One naive per-term loop serves both backends, and one path runs it:
-``multiexps`` cuts the terms of a batch of rows, each a linear
-combination sum_j s_j P_j, into consecutive slices of one run, runs
-them at once on the thread pool of ``group.pool`` and adds up each
-row's partial sums; ``multiexp`` is the batch of one row.  The terms
+every sum of scalar·point terms in a round is a row of ``multiexps``,
+which cuts the terms of a batch of rows, each a linear combination
+sum_j s_j P_j, into consecutive slices of one run, runs them at once on
+the thread pool of ``group.pool`` and adds up each row's partial sums;
+``multiexp`` and ``sum_points`` are batches of one row.  The terms
 whose scalar is -1 are summed in their slice and the sums subtracted
-last however the run was cut, so a row costs the same muls and
-additions on one core as on many, and in a batch as alone.  On
-libsodium a point addition costs almost as much as a scalar
-multiplication (both pay the ristretto decode/encode), so bucketing
-methods cannot amortize.
+last however the run was cut (in the slice, when it holds the whole
+row), so a row costs the same muls and additions on one core as on
+many, and in a batch as alone.  On libsodium a point addition costs
+almost as much as a scalar multiplication (both pay the ristretto
+decode/encode), so bucketing methods cannot amortize.
 
 The one exception is ``bucket_multiexp``: small public scalars on fixed
 bases that are decoded once (the server's ``h``, see
@@ -20,14 +21,16 @@ scalar needs a few additions per base instead of one 253-bit mul.
 
 A term whose scalar is 1 is added and one whose scalar is order - 1 is
 subtracted, with no scalar multiplication: a range proof's bit commitment
-A and a Feldman check's constant term are made of such terms.  The mock
-backend runs the same loop, so its op counts stay equal to the work
-ristretto255 does.
+A, a commitment's table entries and a Feldman check's constant term are
+made of such terms.  The mock backend runs the same loop, so its op
+counts stay equal to the work ristretto255 does.
 
 ``RadixTable`` is the fixed-base case: a table of a base's small
 multiples (Lim and Lee, "More flexible exponentiation with
-precomputation", CRYPTO 1994), so a multiple of g whose radix-256 digits
-are few costs one addition per nonzero digit instead of a 253-bit mul.
+precomputation", CRYPTO 1994).  ``RadixTable.digits`` lists the entries
+that make up a multiple of g, which a row takes as terms of scalar 1
+(or -1), so a multiple whose radix-256 digits are few costs one
+addition per nonzero digit instead of a 253-bit mul.
 """
 
 from __future__ import annotations
@@ -43,15 +46,13 @@ _MINUS_ONE = GROUP_ORDER - 1
 
 
 def sum_points(points: Sequence[Point], backend: GroupBackend | None = None) -> Point:
-    """Sum of a sequence of points (identity if empty)."""
-    if not points:
-        if backend is None:
+    """Sum of a sequence of points (identity if empty): ``multiexps`` of
+    one row whose scalars are all 1."""
+    if backend is None:
+        if not points:
             raise ValueError("sum_points of empty sequence needs an explicit backend")
-        return backend.identity()
-    acc = points[0]
-    for p in points[1:]:
-        acc = acc + p
-    return acc
+        backend = points[0].backend
+    return multiexps([[(p, 1) for p in points]], backend)[0]
 
 
 def multiexp(
@@ -99,14 +100,21 @@ def multiexps(rows: Iterable[Iterable[tuple[Point, int]]], backend: GroupBackend
 def _partial_sum(backend: GroupBackend, terms) -> list[tuple]:
     """[(sum of the terms whose scalar is not -1; sum of the points whose
     scalar is -1; whether a None term ended it)] for each piece of a row
-    in one slice of a ``multiexps`` run, each sum None if it is empty."""
+    in one slice of a ``multiexps`` run, each sum None if it is empty.
+    A piece between two None terms is a whole row, so its -1 sum is
+    subtracted here, as the caller would, and comes back None."""
     ident = backend.identity_data()
     out = []
     acc = negated = None
+    whole = False  # the first piece may continue a row of the slice before
     for term in terms:
         if term is None:
+            if whole and negated is not None:
+                acc = backend.sub_data(ident if acc is None else acc, negated)
+                negated = None
             out.append((acc, negated, True))
             acc = negated = None
+            whole = True
             continue
         p, s = term
         s %= GROUP_ORDER
@@ -149,21 +157,12 @@ class RadixTable:
                     self._levels.append(level)  # whole, so readers never see a partial level
         return self._levels[i]
 
-    def multiple(self, m: int) -> Point:
-        """m * base for m >= 1: one table entry per nonzero radix-256
-        digit of m, summed with one addition fewer than there are."""
-        if m < 1:
-            raise ValueError("RadixTable.multiple needs m >= 1")
-        acc = None
-        i = 0
-        while m:
-            digit = m & 255
-            m >>= 8
-            if digit:
-                term = self._level(i)[digit - 1]
-                acc = term if acc is None else acc + term
-            i += 1
-        return acc
+    def digits(self, m: int) -> list[Point]:
+        """The table entries that sum to m * base for m >= 0: one per
+        nonzero radix-256 digit of m, as a ``multiexps`` row takes them
+        with scalar 1 (or -1 for -m * base)."""
+        raw = m.to_bytes((m.bit_length() + 7) // 8, "little")  # OverflowError if m < 0
+        return [self._level(i)[digit - 1] for i, digit in enumerate(raw) if digit]
 
 
 def _window_bits(terms: int, bits: int) -> int:

@@ -3,16 +3,16 @@ group operations.
 
 ctypes releases the interpreter lock for the length of each libsodium
 call, so threads overlap the scalar multiplications and additions that
-make up most of a round.  Every batch of linear combinations is one
-run of ``multiexps``, so a prover's many short rows are cut as one long
-row is; generator derivation and the commitment's table lookups are the
-other runs.  ``map_chunks`` cuts a run into one slice per core, hands
-all slices but the first to the pool and runs the first in the caller.
-It runs the whole run in the caller when the backend's operations hold
-the interpreter lock (the mock group), when a slice would hold fewer
-than ``MIN_CHUNK`` items, when the process may use one core only, and
-when the caller is itself a pool thread (so pool work never waits on
-pool work).  Results come back in order and every operation is counted
+make up most of a round.  Every batch of linear combinations, the
+commitment's table lookups among them, is one run of ``multiexps``, so
+a prover's many short rows are cut as one long row is; generator
+derivation is the only other run.  ``map_chunks`` cuts a run into one
+slice per core, hands all slices but the first to the pool and runs
+the first in the caller.  It runs the whole run in the caller when the
+backend's operations hold the interpreter lock (the mock group), when
+a slice would hold fewer than ``MIN_CHUNK`` items, when the process may
+use one core only, and when the caller is itself a pool thread (so
+pool work never waits on pool work).  Results come back in order and every operation is counted
 by the thread that does it (``OpCounter``), so nothing a caller
 computes or counts depends on scheduling.
 

@@ -65,7 +65,7 @@ def probe_costs(d: int, k: int, backend_name: str = "mock", seed: int = 7) -> Co
     u = [0] * d
     u[0] = 1 << params.frac_bits
     r = rng.scalar()
-    gens.g_multiples.multiple(max(map(abs, u)))  # the table levels, unmetered: see above
+    gens.g_multiples.digits(max(map(abs, u)))  # the table levels, unmetered: see above
     # y and z = r g, which a client sends as its check string's first point
     y, z = meter.run("commit", lambda: (commit_update(u, r, gens), r * gens.g))
     matrix = sample_matrix(rng.take(32), k, d, params.M)

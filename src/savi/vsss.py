@@ -6,6 +6,9 @@ anyone verify a share against it:
 
     value * g  ==  sum_j (index^j) * check.points[j]
 
+The check string is one batch of one-term ``multiexps`` rows, and
+``ss_verify`` computes both sides of that equation as one two-row batch.
+
 Check strings and shares are both additively homomorphic, which is what
 lets the server verify sums of shares against products of check strings
 during aggregation.
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .group.base import GROUP_ORDER, Point
-from .group.multiexp import multiexp, multiexps
+from .group.multiexp import multiexps
 from .rng import Rng
 from .serial import U32
 
@@ -60,7 +63,7 @@ def share_with_polynomial(
         for c in reversed(coeffs):  # Horner
             acc = (acc * x + c) % GROUP_ORDER
         shares.append(Share(index=x, value=acc))
-    check = CheckString(points=tuple(c * g for c in coeffs))
+    check = CheckString(points=tuple(multiexps([[(g, c)] for c in coeffs], g.backend)))
     return shares, check
 
 
@@ -77,13 +80,9 @@ def ss_share(
 def ss_verify(share: Share, check: CheckString) -> bool:
     """Authenticate one share against a check string."""
     g = check.points[0].backend.base()
-    powers = []
-    x_pow = 1
-    for _ in check.points:
-        powers.append(x_pow)
-        x_pow = x_pow * share.index % GROUP_ORDER
-    expected = multiexp(check.points, powers)
-    return share.value * g == expected
+    powers = [pow(share.index, j, GROUP_ORDER) for j in range(len(check.points))]
+    lhs, rhs = multiexps([[(g, share.value)], zip(check.points, powers)], g.backend)
+    return lhs == rhs
 
 
 def lagrange_at_zero(indices: Sequence[int]) -> list[int]:

@@ -98,7 +98,7 @@ def _shifted(params: "CheckParameters", gens: GeneratorSet, o: Sequence[Point]) 
     padded with identity points to k_padded."""
     shift = (1 << (params.b_ip - 1)) * gens.g
     pad = [gens.backend.identity()] * (params.k_padded - len(o))
-    return [shift + o_t for o_t in o] + pad
+    return multiexps([[(shift, 1), (o_t, 1)] for o_t in o], gens.backend) + pad
 
 
 def _slack(params: "CheckParameters", gens: GeneratorSet, o_prime: Sequence[Point]) -> Point:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Protocol, Sequence
 
 from ..group.base import Point
-from ..group.multiexp import multiexp
+from ..group.multiexp import multiexps
 from ..rng import Rng
 
 
@@ -52,6 +52,5 @@ def ver_crt(
     and their combination c = b·A (``crt_weights``)."""
     if len(claimed) != len(weights) or len(combined) != len(bases):
         return False
-    lhs = multiexp(claimed, weights, backend=claimed[0].backend)
-    rhs = multiexp(bases, combined, backend=claimed[0].backend)
+    lhs, rhs = multiexps([zip(claimed, weights), zip(bases, combined)], claimed[0].backend)
     return lhs == rhs

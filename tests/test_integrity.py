@@ -20,7 +20,9 @@ from savi.zkp import (
     ver_integrity_proofs,
     ver_range_proof,
 )
+from savi.zkp import integrity
 from savi.zkp.integrity import _shifted
+from savi.zkp.vercrt import crt_weights
 from sigma_reference import each_bump
 
 Q = GROUP_ORDER
@@ -399,3 +401,35 @@ def test_extreme_projections_at_the_integrity_shift():
             gens, params.b_ip, low_bits, blinds, comms, rng, Transcript("extremes")
         )
         assert not verifies(proof, comms), x
+
+
+@pytest.mark.parametrize("backend_name", ["mock", "ristretto255"])
+def test_square_root_of_minus_one_cheater_is_rejected(backend_name, monkeypatch):
+    # u = i·s with i² ≡ -1 mod p makes each v_t = i·<a_t, s> and the sum
+    # of squares -S, so the slack B0 + S is small and its proof honest;
+    # only the projection range proof can catch the cheater
+    params = _params(k=4, d=16)
+    s = [3, -1, 2, 0] * 4
+    i = next(x for x in (pow(a, (Q - 1) // 4, Q) for a in range(2, 100)) if x * x % Q == Q - 1)
+    u = [i * x % Q for x in s]
+    gens, matrix, h, y, z, r, rng = _instance(params, u, b=make_backend(backend_name))
+    claims = [i * x % Q for x in matrix.row_inner(s)[1:]]
+    stripped = integrity.gen_range_proof
+
+    def unguarded(gens, n_bits, values, *rest):
+        # the range guard an attacker strips: values taken mod p, then
+        # cut to the proof's width
+        return stripped(gens, n_bits, [x % Q % (1 << n_bits) for x in values], *rest)
+
+    monkeypatch.setattr(integrity, "gen_range_proof", unguarded)
+    proof = integrity._prove(
+        params, gens, matrix, h, z, y, r, matrix.row_inner(u), claims, 1, 1, rng
+    )
+    assert ver_integrity_proof(params, gens, matrix, h, z, y, proof, 1, 1, rng) == (
+        False, "range_ip"
+    )
+    weights = DeterministicRng(b"i-s-cheater")
+    crt = crt_weights(matrix, weights)
+    sigma, mu = integrity._cheap_checks(params, gens, matrix, h, z, y, proof, 1, 1, crt, weights)
+    assert ver_range_proof(gens, [mu], weights)
+    assert not ver_range_proof(gens, [sigma], weights)

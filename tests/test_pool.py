@@ -9,7 +9,8 @@ import threading
 
 import pytest
 
-from savi.group import GROUP_ORDER, MockBackend, derive_generators, make_backend, pool
+from savi.commit import commit_update
+from savi.group import GROUP_ORDER, GeneratorSet, MockBackend, derive_generators, make_backend, pool
 from savi.group.multiexp import multiexp, multiexps
 from savi.harness import desk_preset, run_simulation
 from savi.harness.attacks import AttackSpec
@@ -192,17 +193,37 @@ def test_well_formedness_prover_cuts_its_announcements_across_cores(three_cores,
     assert ver_prf_wf(g, q, h, r * g, e, o, proof, Transcript("pool-wf"))
 
 
-def test_only_the_multiexp_generators_and_commit_modules_cut_runs():
-    # every other batch of group operations goes through multiexps, so
-    # how a run is cut across cores is decided in one place
+# coordinates at the edges of g's radix-256 digits
+_DIGIT_EDGES = [0, 1, -1, 255, -255, 256, -256, 65_535, -65_535]
+
+
+def test_sliced_commit_equals_per_coordinate_serial_commit(backend, three_cores, slice_sizes):
+    # each coordinate is a row of r w_l and its table entries; rows span
+    # the cuts, and each still costs one mul and one addition per
+    # nonzero digit of |u_l|
+    d = 72
+    gens = GeneratorSet.derive(backend, d, 1)
+    u = [_DIGIT_EDGES[l % len(_DIGIT_EDGES)] for l in range(d)]
+    r = DeterministicRng(b"pool-commit").scalar()
+    expected = [(u_l % Q) * gens.g + r * w_l for u_l, w_l in zip(u, gens.w)]
+    gens.g_multiples.digits(65_535)  # build levels 0 and 1 outside the count
+    got, muls, adds = _ops(backend, lambda: commit_update(u, r, gens))
+    assert got == expected
+    assert muls == d
+    assert adds == sum((abs(x) & 255 != 0) + (abs(x) >> 8 != 0) for x in u)
+    assert len(slice_sizes) == pool.CORES
+
+
+def test_only_the_multiexp_and_generators_modules_cut_runs():
+    # every batch of group operations but generator derivation goes
+    # through multiexps, so how a run is cut across cores is decided in
+    # one place
     holders = {
         name
         for name, module in list(sys.modules.items())
         if name.startswith("savi") and getattr(module, "map_chunks", None) is pool.map_chunks
     }
-    assert holders == {
-        "savi.group.pool", "savi.group.multiexp", "savi.group.generators", "savi.commit"
-    }
+    assert holders == {"savi.group.pool", "savi.group.multiexp", "savi.group.generators"}
 
 
 def test_a_failing_slice_raises_in_the_caller(three_cores):

@@ -17,7 +17,7 @@ from savi.protocol.pairwise import seal_share
 from savi.serial import U32, Message, decode, encode
 from savi.vsss import CheckString, Share
 from savi.rng import DeterministicRng
-from savi.zkp import IntegrityProof, Transcript, gen_prf_sq, gen_prf_wf
+from savi.zkp import IntegrityProof, Transcript, gen_prf_sq, gen_prf_wf, ver_integrity_proofs
 
 
 def _legacy_flag_report(report):
@@ -95,12 +95,19 @@ def test_sigma_proof_sizes_are_pinned(k):
 
 
 @functools.cache
-def _payloads(backend_name):
-    """(wire type, real payload) for every decoded message kind."""
+def _first_round(backend_name):
+    """A simulation after its first round, and that round's messages."""
     cfg = desk_preset(n=3, m=0, d=8, k=4, epsilon_log2=-16, M=16, b_ip=32, b_max=64,
                       seed=3, backend=backend_name)
+    sim = Simulation(cfg)
+    return sim, sim.run_round(1).messages
+
+
+@functools.cache
+def _payloads(backend_name):
+    """(wire type, real payload) for every decoded message kind."""
     first = {}
-    for kind, _, payload in Simulation(cfg).run_round(1).messages:
+    for kind, _, payload in _first_round(backend_name)[1]:
         first.setdefault(kind, payload)
     shares = (Share(index=2, value=GROUP_ORDER - 5), Share(index=3, value=1))
     return {
@@ -146,3 +153,23 @@ def test_decode_mutated_payload_returns_or_raises_value_error(backend_name, kind
         return
     # whatever parses is canonical: it re-encodes to the bytes it came from
     assert encode(tp, value) == data
+    if kind == "proof":
+        # and a proof that parses is verified against its round's real
+        # statement, which names the check it fails
+        assert _proof_verdict(backend_name, value) in _REJECTIONS
+
+
+_REJECTIONS = {"malformed", "consistency", "wellformed", "square", "range_ip", "range_sum"}
+
+
+def _proof_verdict(backend_name, proof):
+    """The verifier's label for ``proof`` sent in place of the first
+    proof of ``_first_round``."""
+    sim, messages = _first_round(backend_name)
+    sender = next(sender for kind, sender, _ in messages if kind == MSG_PROOF)
+    server, bundle = sim.server, sim.server.bundles[sender]
+    verdicts = ver_integrity_proofs(
+        server.params, server.gens, server.matrix, server.h,
+        {sender: (bundle.z, bundle.y, proof)}, 1, DeterministicRng(b"mutated-proof"),
+    )
+    return verdicts[sender]
