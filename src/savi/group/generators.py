@@ -76,10 +76,6 @@ class GeneratorSet:
     def backend(self) -> GroupBackend:
         return self.g.backend
 
-    @property
-    def dimension(self) -> int:
-        return len(self.w)
-
     @cached_property
     def lifted_w(self) -> tuple:
         """``w`` in the backend's lifted form, for ``bucket_multiexp``.

@@ -65,6 +65,8 @@ def simulate(config_path, seed, rounds, out_dir, deployment_scale, write_log) ->
     """Run aggregation rounds and write per-round reports."""
     from dataclasses import replace
 
+    if config_path and deployment_scale:
+        raise click.UsageError("--config and --deployment-scale are exclusive: pick one")
     try:
         if config_path:
             config = SimulationConfig.from_yaml(config_path)
@@ -80,10 +82,9 @@ def simulate(config_path, seed, rounds, out_dir, deployment_scale, write_log) ->
         raise click.UsageError(str(err)) from None
 
     reports = run_simulation(config)
-    target = config.resolved_out_dir()
-    written = emit_report(reports, config, target)
+    written = emit_report(reports, config, config.out_dir)
     if write_log:
-        written.append(emit_message_log(reports, config, target))
+        written.append(emit_message_log(reports, config, config.out_dir))
 
     summary = summary_row([report_row(r) for r in reports])
     click.echo(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numbers
-import os
 import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -13,11 +12,6 @@ import yaml
 
 from ..sampling import CheckParameters
 from .attacks import AttackSpec
-
-# Only the output directory may come from the environment; everything
-# else must be pinned in the config file so runs stay reproducible.
-OUT_DIR_ENV = "SAVI_OUT_DIR"
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -81,9 +75,6 @@ class SimulationConfig:
             frac_bits=self.frac_bits,
             b_coord=self.b_coord,
         )
-
-    def resolved_out_dir(self) -> Path:
-        return Path(os.environ.get(OUT_DIR_ENV, self.out_dir))
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "SimulationConfig":

@@ -98,7 +98,7 @@ def emit_report(
         writer.writeheader()
         writer.writerows(rows)
     json_path = out_dir / "simulation.json"
-    doc = {"config": _config_doc(config), "rounds": rows[:-1], "summary": rows[-1]}
+    doc = {"config": asdict(config), "rounds": rows[:-1], "summary": rows[-1]}
     with open(json_path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -182,10 +182,3 @@ def parse_message_log(path: str | Path) -> tuple[LogHeader, list[tuple[int, int,
             records.append((kind, round_no, sender, payload))
             frame = fh.read(_RECORD.size)
     return header, records
-
-
-def _config_doc(config: SimulationConfig) -> dict:
-    doc = asdict(config)
-    doc["attack"] = asdict(config.attack)
-    doc["attack"]["malicious_ids"] = list(config.attack.malicious_ids)
-    return doc

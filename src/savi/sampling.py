@@ -28,6 +28,9 @@ _Q = GROUP_ORDER
 
 _LIMB_BITS = 16
 _NUM_LIMBS = 16  # 16 x 16 = 256 bits, covers any scalar
+# Box-Muller on 53-bit uniforms gives |z| <= sqrt(106 ln 2) < 8.572, so a
+# rounded row entry is at most 8.572 M + 0.5 in magnitude.
+_MAX_ABS_Z = 8.572
 
 
 def derive_seed(s: bytes, pks: Sequence[Union[Point, bytes]]) -> bytes:
@@ -291,6 +294,11 @@ class CheckParameters:
             raise ValueError("epsilon must be in (0, 1)")
         if self.M < 1 or self.B <= 0:
             raise ValueError("M and B must be positive")
+        if self.k * (math.ceil(_MAX_ABS_Z * self.M) + 1) << _LIMB_BITS >= 1 << 62:
+            raise ValueError(
+                f"k={self.k} rows at M={self.M} overflow the int64 limb products "
+                "of weighted_combination: lower M"
+            )
         if self.B * (1 << self.frac_bits) + 0.5 >= 1 << (self.b_coord - 1):
             raise ValueError("bound B does not fit the b_coord fixed-point window")
         needs = {"b_ip": 1 + (self.b0.bit_length() + 1) // 2, "b_max": self.b0.bit_length()}

@@ -43,10 +43,6 @@ class Share:
 class CheckString:
     points: tuple[Point, ...]
 
-    @property
-    def threshold(self) -> int:
-        return len(self.points)
-
 
 def share_with_polynomial(
     coeffs: Sequence[int], n: int, g: Point

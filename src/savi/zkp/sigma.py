@@ -1,23 +1,33 @@
 """Sigma protocols for the commitment relations, Fiat–Shamir transformed
 on the caller's transcript (the challenge binds all absorbed before it).
 
-Two statements are proven about vectors of Pedersen-style commitments
-(written additively; g is the value base):
+One protocol proves knowledge of a witness vector w satisfying a list of
+linear equations, each target = sum_j base_j · w[index_j] (Maurer,
+"Unifying zero-knowledge proofs of knowledge", AFRICACRYPT 2009;
+Camenisch and Stadler, CRYPTO 1997).  It serves two statements about
+vectors of Pedersen-style commitments (written additively; g is the
+value base):
 
-* square relation — given y1_i = x_i g + r1_i h and y2_i = x2_i g + r2_i h,
-  prove x2_i = x_i^2.  Uses the identity y2_i = x_i y1_i + (r2_i - r1_i x_i) h.
 * well-formedness — given z = r g, e_i = v_i g + r h_i (i in 0..k) and
   o_i = v_i g + s_i q (i in 1..k), prove a single r ties z to every e_i
-  and that e_i, o_i hide the same v_i.
+  and that e_i, o_i hide the same v_i.  The witness is
+  (r, v_0..v_k, s_1..s_k).
+* square relation — given y1_i = x_i g + r1_i h and y2_i = x2_i g + r2_i h,
+  prove x2_i = x_i^2 through y2_i = x_i y1_i + (r2_i - r1_i x_i) h.  The
+  witness is (x, r1, r2 - r1 x).
 
-A proof is sent in the (c, s) form of Schnorr signatures: the challenge
-and the responses, not the announcements.  The verifier recomputes each
-announcement as response·base + c·statement, absorbs them in the
-prover's order and accepts only if the challenge it derives equals c.
-The check is exact, so verification draws no randomness.  Each side
-computes a proof's announcements as one ``multiexps`` batch, one row
-per announcement, after a batch of the x_i g (or y_i g) that t_i and
-t*_i share.
+A statement is the labelled points it absorbs, then labelled blocks of
+equations, each a target and its (base, witness index) terms.  The
+prover draws one nonce per witness entry in witness order, announces
+each equation at the nonces and sends the challenge c with the
+responses nonce - c·witness: the (c, s) form of Schnorr signatures.
+The verifier recomputes each announcement as the equation at the
+responses plus c·target, absorbs the statement and then each block's
+announcements under its label, as the prover did, and accepts only if
+the challenge it derives equals c.  The check is exact, so verification
+draws no randomness.  Each side computes every distinct (base, index)
+product once, as one ``multiexps`` batch, then sums each equation as a
+second, so v_i g serves both e_i and o_i.
 """
 
 from __future__ import annotations
@@ -33,6 +43,40 @@ from .transcript import Transcript
 
 _Q = GROUP_ORDER
 
+Equation = tuple[Point, list[tuple[Point, int]]]  # target, (base, witness index) terms
+Statement = tuple[list[tuple[str, Sequence[Point]]], list[tuple[str, list[Equation]]]]
+
+
+def _challenge(statement: Statement, scalars: Sequence[int], c: int, tr: Transcript) -> int:
+    """The challenge over the statement and its announcements: each
+    equation at ``scalars``, plus c times its target (0 for the prover)."""
+    absorbed, blocks = statement
+    backend = absorbed[0][1][0].backend  # of g, absorbed first
+    equations = [eq for _, block in blocks for eq in block]
+    products = list(dict.fromkeys(term for _, terms in equations for term in terms))
+    value = dict(zip(products, multiexps([[(b, scalars[j])] for b, j in products], backend)))
+    announced = iter(multiexps(
+        [[(value[term], 1) for term in terms] + [(target, c)] for target, terms in equations],
+        backend,
+    ))
+    for label, points in absorbed:
+        tr.absorb_points(label, points)
+    for label, block in blocks:
+        tr.absorb_points(label, [next(announced) for _ in block])
+    return tr.challenge("c")
+
+
+def _prove(
+    statement: Statement, witness: Sequence[int], rng: Rng, tr: Transcript
+) -> tuple[int, list[int]]:
+    nonces = [rng.scalar() for _ in witness]
+    c = _challenge(statement, nonces, 0, tr)
+    return c, [(n - c * w) % _Q for n, w in zip(nonces, witness)]
+
+
+def _verify(statement: Statement, c: int, responses: Sequence[int], tr: Transcript) -> bool:
+    return c == _challenge(statement, responses, c, tr)
+
 
 @dataclass(frozen=True)
 class SquareProof(Message):
@@ -42,17 +86,16 @@ class SquareProof(Message):
     s3: tuple[int, ...]
 
 
-def _square_challenge(
-    tr: Transcript, g: Point, h: Point, y1: Sequence[Point], y2: Sequence[Point],
-    t1: Sequence[Point], t2: Sequence[Point],
-) -> int:
-    tr.absorb_point("g", g)
-    tr.absorb_point("h", h)
-    tr.absorb_points("y1", y1)
-    tr.absorb_points("y2", y2)
-    tr.absorb_points("t1", t1)
-    tr.absorb_points("t2", t2)
-    return tr.challenge("c")
+def _square(g: Point, h: Point, y1: Sequence[Point], y2: Sequence[Point]) -> Statement:
+    k = len(y1)
+    X, R1, RHO = 0, k, 2 * k  # x_i, r1_i, rho_i = r2_i - r1_i x_i
+    return (
+        [("g", [g]), ("h", [h]), ("y1", y1), ("y2", y2)],
+        [
+            ("t1", [(y1[i], [(g, X + i), (h, R1 + i)]) for i in range(k)]),
+            ("t2", [(y2[i], [(y1[i], X + i), (h, RHO + i)]) for i in range(k)]),
+        ],
+    )
 
 
 def gen_prf_sq(
@@ -69,19 +112,9 @@ def gen_prf_sq(
     k = len(x)
     if not (len(y1) == len(y2) == len(r1) == len(r2) == k):
         raise ValueError("square proof inputs must share one length")
-    v1 = [rng.scalar() for _ in range(k)]
-    v2 = [rng.scalar() for _ in range(k)]
-    v3 = [rng.scalar() for _ in range(k)]
-    t1_t2 = multiexps(
-        [[(g, v1[i]), (h, v2[i])] for i in range(k)]
-        + [[(y1[i], v1[i]), (h, v3[i])] for i in range(k)],
-        g.backend,
-    )
-    c = _square_challenge(tr, g, h, y1, y2, t1_t2[:k], t1_t2[k:])
-    s1 = tuple((v1[i] - c * x[i]) % _Q for i in range(k))
-    s2 = tuple((v2[i] - c * r1[i]) % _Q for i in range(k))
-    s3 = tuple((v3[i] - c * (r2[i] - r1[i] * x[i])) % _Q for i in range(k))
-    return SquareProof(c=c, s1=s1, s2=s2, s3=s3)
+    witness = [*x, *r1, *(r2_i - r1_i * x_i for x_i, r1_i, r2_i in zip(x, r1, r2))]
+    c, s = _prove(_square(g, h, y1, y2), witness, rng, tr)
+    return SquareProof(c=c, s1=tuple(s[:k]), s2=tuple(s[k : 2 * k]), s3=tuple(s[2 * k :]))
 
 
 def ver_prf_sq(
@@ -95,13 +128,7 @@ def ver_prf_sq(
     k = len(y1)
     if not (len(y2) == len(proof.s1) == len(proof.s2) == len(proof.s3) == k):
         return False
-    c, s1, s2, s3 = proof.c, proof.s1, proof.s2, proof.s3
-    t1_t2 = multiexps(
-        [[(g, s1[i]), (h, s2[i]), (y1[i], c)] for i in range(k)]
-        + [[(y1[i], s1[i]), (h, s3[i]), (y2[i], c)] for i in range(k)],
-        g.backend,
-    )
-    return c == _square_challenge(tr, g, h, y1, y2, t1_t2[:k], t1_t2[k:])
+    return _verify(_square(g, h, y1, y2), proof.c, proof.s1 + proof.s2 + proof.s3, tr)
 
 
 @dataclass(frozen=True)
@@ -112,21 +139,19 @@ class WellFormedProof(Message):
     y_star: tuple[int, ...]  # one per o_i, i in 1..k
 
 
-def _wellformed_challenge(
-    tr: Transcript, g: Point, q: Point, h: Sequence[Point], z: Point,
-    e: Sequence[Point], o: Sequence[Point],
-    u: Point, t: Sequence[Point], t_star: Sequence[Point],
-) -> int:
-    tr.absorb_point("g", g)
-    tr.absorb_point("q", q)
-    tr.absorb_points("h", h)
-    tr.absorb_point("z", z)
-    tr.absorb_points("e", e)
-    tr.absorb_points("o", o)
-    tr.absorb_point("u", u)
-    tr.absorb_points("t", t)
-    tr.absorb_points("t*", t_star)
-    return tr.challenge("c")
+def _wellformed(
+    g: Point, q: Point, h: Sequence[Point], z: Point, e: Sequence[Point], o: Sequence[Point]
+) -> Statement:
+    k = len(o)
+    R, V, S = 0, 1, k + 1  # r, v_i at V + i (i in 0..k), s_i at S + i (i in 1..k)
+    return (
+        [("g", [g]), ("q", [q]), ("h", h), ("z", [z]), ("e", e), ("o", o)],
+        [
+            ("u", [(z, [(g, R)])]),
+            ("t", [(e[i], [(g, V + i), (h[i], R)]) for i in range(k + 1)]),
+            ("t*", [(o[i - 1], [(g, V + i), (q, S + i)]) for i in range(1, k + 1)]),
+        ],
+    )
 
 
 def gen_prf_wf(
@@ -149,21 +174,8 @@ def gen_prf_wf(
     k = len(o)
     if not (len(e) == k + 1 == len(v) and len(h) == k + 1 and len(s) == k):
         raise ValueError("inconsistent well-formedness statement lengths")
-    w_nonce = rng.scalar()
-    xs = [rng.scalar() for _ in range(k + 1)]
-    x_star = [rng.scalar() for _ in range(k)]
-    # x_i g serves both t_i and t*_i, so it is computed once
-    u, *xg = multiexps([[(g, w_nonce)]] + [[(g, x)] for x in xs], g.backend)
-    t_t_star = multiexps(
-        [[(xg[i], 1), (h[i], w_nonce)] for i in range(k + 1)]
-        + [[(xg[i + 1], 1), (q, x_star[i])] for i in range(k)],
-        g.backend,
-    )
-    c = _wellformed_challenge(tr, g, q, h, z, e, o, u, t_t_star[: k + 1], t_t_star[k + 1 :])
-    y = (w_nonce - c * r) % _Q
-    y_vec = tuple((xs[i] - c * v[i]) % _Q for i in range(k + 1))
-    y_star = tuple((x_star[i] - c * s[i]) % _Q for i in range(k))
-    return WellFormedProof(c=c, y=y, y_vec=y_vec, y_star=y_star)
+    c, y = _prove(_wellformed(g, q, h, z, e, o), [r, *v, *s], rng, tr)
+    return WellFormedProof(c=c, y=y[0], y_vec=tuple(y[1 : k + 2]), y_star=tuple(y[k + 2 :]))
 
 
 def ver_prf_wf(
@@ -177,20 +189,7 @@ def ver_prf_wf(
     tr: Transcript,
 ) -> bool:
     k = len(o)
-    n = k + 1
-    if not (len(e) == len(h) == len(proof.y_vec) == n and len(proof.y_star) == k):
+    if not (len(e) == len(h) == len(proof.y_vec) == k + 1 and len(proof.y_star) == k):
         return False
-    c, y = proof.c, proof.y
-    # The announcements are
-    #   u    = y g + c z
-    #   t_i  = y_i g + y h_i + c e_i       (i in 0..k)
-    #   t*_i = y_i g + y*_i q + c o_i      (i in 1..k)
-    # so y_i g is computed once and serves both t_i and t*_i.
-    yg = multiexps([[(g, y_i)] for y_i in proof.y_vec], g.backend)
-    u, *t = multiexps(
-        [[(g, y), (z, c)]]
-        + [[(yg[i], 1), (h[i], y), (e[i], c)] for i in range(n)]
-        + [[(yg[i + 1], 1), (q, proof.y_star[i]), (o[i], c)] for i in range(k)],
-        g.backend,
-    )
-    return c == _wellformed_challenge(tr, g, q, h, z, e, o, u, t[:n], t[n:])
+    responses = (proof.y,) + proof.y_vec + proof.y_star
+    return _verify(_wellformed(g, q, h, z, e, o), proof.c, responses, tr)

@@ -603,15 +603,9 @@ def test_config_validation_errors():
         _tiny(m=1, attack=AttackSpec("oversized_norm", scale=200.0, malicious_ids=(1,)))
 
 
-def test_out_dir_env_override(tmp_path, monkeypatch):
-    cfg = _tiny(out_dir="somewhere/else")
-    monkeypatch.setenv("SAVI_OUT_DIR", str(tmp_path / "redirected"))
-    assert cfg.resolved_out_dir() == tmp_path / "redirected"
-    monkeypatch.delenv("SAVI_OUT_DIR")
-    assert str(cfg.resolved_out_dir()) == "somewhere/else"
-
-
 # -- command line -----------------------------------------------------------------
+
+_TINY_YAML = "n: 4\nm: 0\nd: 8\nk: 16\nepsilon_log2: -16\nM: 16\nb_ip: 32\nb_max: 64\n"
 
 
 def test_option_surface_is_pinned():
@@ -639,7 +633,7 @@ def test_option_surface_is_pinned():
 def test_cli_simulate_writes_artifacts(tmp_path):
     runner = CliRunner()
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("n: 4\nm: 0\nd: 8\nk: 16\nepsilon_log2: -16\nM: 16\nb_ip: 32\nb_max: 64\n")
+    cfg.write_text(_TINY_YAML)
     out = tmp_path / "out"
     res = runner.invoke(
         cli_main,
@@ -651,6 +645,26 @@ def test_cli_simulate_writes_artifacts(tmp_path):
     assert "simulation.csv" in names and "simulation.json" in names
     assert "messages.log" in names
     assert "aggregate_ok" in res.output or "ok" in res.output.lower()
+
+
+def test_cli_out_flag_overrides_config_out_dir(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(_TINY_YAML + f"out_dir: {tmp_path / 'from_config'}\n")
+    out = tmp_path / "from_flag"
+    res = CliRunner().invoke(cli_main, ["simulate", "--config", str(cfg), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert {p.name for p in out.iterdir()} == {"simulation.csv", "simulation.json"}
+    assert not (tmp_path / "from_config").exists()
+
+
+def test_cli_config_excludes_deployment_scale(tmp_path):
+    # the flag would lose to the file's n and d, so the pair is refused
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(_TINY_YAML)
+    res = CliRunner().invoke(cli_main, ["simulate", "--config", str(cfg), "--deployment-scale"])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "--deployment-scale" in res.output
 
 
 def test_cli_bench_sweep(tmp_path):

@@ -8,6 +8,7 @@ from scipy import stats
 
 from savi.group import GROUP_ORDER
 from savi.group.encoding import quantize_vector
+from savi.harness.config import SimulationConfig, deployment_preset
 from savi.sampling import (
     CheckParameters,
     chi_square_quantile,
@@ -418,3 +419,18 @@ def test_widths_derived_from_b0():
 def test_explicit_widths_rejected(widths, match):
     with pytest.raises(ValueError, match=match):
         _widths(**widths)
+
+
+def test_m_beyond_limb_products_rejected_at_construction():
+    # |a_tl| <= 8.572 M + 0.5, and weighted_combination needs
+    # k |a_tl| 2^16 < 2^62: at k = 64 that allows 2^36 but not 2^37
+    with pytest.raises(ValueError, match=f"k=64 rows at M={1 << 37}"):
+        _widths(d=64, k=64, M=1 << 37)
+    with pytest.raises(ValueError, match="k=64"):
+        SimulationConfig(n=3, m=1, d=64, k=64, M=1 << 40)
+    fits = _widths(d=64, k=64, M=1 << 36)
+    matrix = sample_matrix(b"wide-M", fits.k, fits.d, fits.M)
+    assert len(matrix.weighted_combination([Q - 1] * (fits.k + 1))) == fits.d
+    # the deployment preset and the README's `savi params` sample still fit
+    deployment_preset()
+    _widths(d=1_000_000, k=1_000, epsilon=2.0**-128, M=1 << 24)

@@ -1,0 +1,22 @@
+"""Each benchmark workload, one round on the mock group: the oracle
+passes and the uplink matches the bytes the benchmark reports for
+ristretto255 (message sizes do not depend on the backend), so a change
+of bytes or a wrong aggregate shows here before a perfbench run."""
+
+from dataclasses import replace
+
+import pytest
+
+from savi.harness import Simulation
+from test_perfbench import _load
+
+UPLINK = {"proof_heavy": 18_572, "wide_update": 134_092, "crowd_attack": 6_688}
+
+
+@pytest.mark.parametrize("name", sorted(UPLINK))
+def test_workload_round_on_mock(name):
+    workloads = _load("workloads")
+    cfg = replace(workloads.make_config(workloads.SHAPES[name], 1), backend="mock")
+    report = Simulation(cfg).run_round(1)
+    assert workloads.oracle_failures(cfg, 1, report) == []
+    assert max(report.bytes_sent.values()) == UPLINK[name]
