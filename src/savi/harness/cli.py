@@ -126,21 +126,25 @@ def bench(sweep, k_fixed, d_fixed, comm) -> None:
 @click.option("--k", type=int, required=True, help="Projection count.")
 @click.option("--epsilon-log2", type=int, required=True, help="log2 of tail bound.")
 @click.option("--d", type=int, required=True, help="Update dimension.")
-@click.option("--M", "m_log2", type=int, required=True, help="log2 of scale M.")
+@click.option(
+    "--M", "m_log2", type=int, default=None, help="log2 of scale M [default: derived]."
+)
 @click.option("--B", "bound", type=float, default=1.0, show_default=True)
 @click.option("--frac-bits", type=int, default=8, show_default=True)
 def params(k, epsilon_log2, d, m_log2, bound, frac_bits) -> None:
-    """Derived check parameters: gamma, B0, range widths and proof shapes,
-    pass-rate table, worst damage."""
+    """Derived check parameters: gamma, M, B0, range widths and proof
+    shapes, pass-rate table, worst damage."""
     epsilon = 2.0**epsilon_log2
-    M = 1 << m_log2
     try:
         p = CheckParameters(
-            n=1, m=0, d=d, k=k, epsilon=epsilon, M=M, B=bound, frac_bits=frac_bits
+            n=1, m=0, d=d, k=k, epsilon=epsilon, B=bound, frac_bits=frac_bits,
+            M=None if m_log2 is None else 1 << m_log2,
         )
     except ValueError as err:
         raise click.UsageError(str(err)) from None
-    click.echo(f"k={k}  epsilon=2^{epsilon_log2}  d={d}  M=2^{m_log2}")
+    M = p.M
+    derived = " (derived)" if m_log2 is None else ""
+    click.echo(f"k={k}  epsilon=2^{epsilon_log2}  d={d}  M=2^{M.bit_length() - 1}{derived}")
     click.echo(f"gamma  = {p.gamma:.6g}")
     click.echo(f"B0     = {p.b0}  ({p.b0.bit_length()} bits; b_enc={p.b_enc})")
     click.echo(f"b_ip   = {p.b_ip}  b_max = {p.b_max}  (derived from B0)")

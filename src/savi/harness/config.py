@@ -20,7 +20,7 @@ class SimulationConfig:
     d: int = 256
     k: int = 256
     epsilon_log2: int = -40
-    M: int = 1 << 20
+    M: int | None = None  # None: derived from its rounding slack (see CheckParameters)
     B: float = 1.0
     b_ip: int | None = None  # None: derived from B0 (see CheckParameters)
     b_max: int | None = None
@@ -137,21 +137,25 @@ def _reject_unknown_keys(raw: dict[Any, Any], cls: type, what: str) -> None:
 
 
 def desk_preset(**overrides: Any) -> SimulationConfig:
-    """Defaults sized for a desk: one mock round's stages take 5-8 s on
-    one core of a shared 2-vCPU VM, nearly all of it proof generation
-    and verification."""
+    """Defaults sized for a desk: one mock round's stages take 4.5-5.5 s
+    on one core of a shared 2-vCPU VM, nearly all of it proof generation
+    and verification.  M is derived (2^13: b_ip = 28, b_max = 56 and
+    7,168 projection range slots per proof)."""
     return replace(SimulationConfig(), **overrides) if overrides else SimulationConfig()
 
 
 def deployment_preset(**overrides: Any) -> SimulationConfig:
-    """Deployment-scale parameters; expect long runtimes on one core."""
+    """Deployment-scale parameters; expect long runtimes on one core.
+
+    M is derived from its rounding slack, as in every preset: 2^16 here,
+    so b_ip = 32, b_max = 64 and the projections' range proof has 32,768
+    slots."""
     base = SimulationConfig(
         n=100,
         m=1,
         d=10_000,
         k=1_000,
         epsilon_log2=-128,
-        M=1 << 24,
         backend="ristretto255",
     )
     return replace(base, **overrides) if overrides else base

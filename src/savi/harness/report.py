@@ -98,7 +98,13 @@ def emit_report(
         writer.writeheader()
         writer.writerows(rows)
     json_path = out_dir / "simulation.json"
-    doc = {"config": asdict(config), "rounds": rows[:-1], "summary": rows[-1]}
+    # params holds what the config leaves to derivation: M, b_ip, b_max
+    doc = {
+        "config": asdict(config),
+        "params": asdict(config.check_parameters()),
+        "rounds": rows[:-1],
+        "summary": rows[-1],
+    }
     with open(json_path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -31,6 +31,8 @@ _NUM_LIMBS = 16  # 16 x 16 = 256 bits, covers any scalar
 # Box-Muller on 53-bit uniforms gives |z| <= sqrt(106 ln 2) < 8.572, so a
 # rounded row entry is at most 8.572 M + 0.5 in magnitude.
 _MAX_ABS_Z = 8.572
+# A derived M keeps the rounding term within this fraction of sqrt(gamma).
+_ROUNDING_SLACK = 2.0**-10
 
 
 def derive_seed(s: bytes, pks: Sequence[Union[Point, bytes]]) -> bytes:
@@ -176,6 +178,20 @@ def encoded_bound(B: float, frac_bits: int, d: int) -> int:
     return math.ceil(B * (1 << frac_bits) + math.sqrt(d) / 2.0)
 
 
+def rounding_scale(k: int, d: int, gamma: float) -> int:
+    """The smallest power of two M whose rounding term sqrt(kd)/(2M), in
+    ``compute_b0`` and ``pass_rate_F``, is at most 2^-10 of sqrt(gamma).
+
+    M buys only that precision, yet it also sets the projections' size
+    (v_t ~ M |u|), and with it the range widths and the digits of the
+    server's h.
+    """
+    M = 1
+    while math.sqrt(k * d) / (2.0 * M) > _ROUNDING_SLACK * math.sqrt(gamma):
+        M <<= 1
+    return M
+
+
 def compute_b0(b_enc: int, M: int, k: int, d: int, epsilon: float) -> int:
     """Integer threshold for the rounded check: sum_t <a_t,u>^2 <= B0.
 
@@ -264,6 +280,9 @@ class CheckParameters:
     b_max bounds the slack B0 - sum of squares, b_coord is the signed
     fixed-point width of one update coordinate.
 
+    Left as None, the Gaussian scale M is derived first, by
+    ``rounding_scale``: its rounding slack is at most 2^-10 of sqrt(gamma).
+
     Left as None, b_ip and b_max are derived from B0 by ``range_width``:
     the smallest widths B0 needs (B0 < 2^(2(b_ip-1)) and B0 < 2^b_max)
     whose odd part is at most 7, so that b_ip * k_padded and b_max are
@@ -276,8 +295,8 @@ class CheckParameters:
     d: int
     k: int
     epsilon: float
-    M: int
     B: float
+    M: int | None = None
     b_ip: int | None = None
     b_max: int | None = None
     frac_bits: int = 8
@@ -292,12 +311,14 @@ class CheckParameters:
             raise ValueError("d and k must be positive")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
+        if self.M is None:
+            object.__setattr__(self, "M", rounding_scale(self.k, self.d, self.gamma))
         if self.M < 1 or self.B <= 0:
             raise ValueError("M and B must be positive")
         if self.k * (math.ceil(_MAX_ABS_Z * self.M) + 1) << _LIMB_BITS >= 1 << 62:
             raise ValueError(
                 f"k={self.k} rows at M={self.M} overflow the int64 limb products "
-                "of weighted_combination: lower M"
+                "of weighted_combination: leave M unset to derive it"
             )
         if self.B * (1 << self.frac_bits) + 0.5 >= 1 << (self.b_coord - 1):
             raise ValueError("bound B does not fit the b_coord fixed-point window")

@@ -146,6 +146,43 @@ def test_criterion_03_pass_rate_curve(k):
         )
 
 
+@pytest.mark.parametrize("k", [256, 1000])
+def test_pass_rate_curve_at_derived_m(k):
+    # criterion 3's check at the M that CheckParameters derives (2^12 for
+    # both k), where the rounding term r = sqrt(kd)/(2M) is 0.62 and 0.77
+    # of the most the rule allows, 2^-10 sqrt(gamma); criterion 3's
+    # M = 2^24 makes it under 2^-12 of that.  B0 counts r once, pass_rate_F
+    # three times, so F bounds the pass rate from above and the rate B0
+    # sets is the chi-square CDF at (sqrt(gamma) + r)^2 / c^2.  At k=1000,
+    # c=1.3 the two are 0.607 and 0.581, further apart than the 3 sigma
+    # of 1,000 trials, so F is checked only as a bound here.
+    d, eps = 64, 2.0**-128
+    params = CheckParameters(n=1, m=0, d=d, k=k, epsilon=eps, B=1.0)
+    M = params.M
+    assert M == 1 << 12
+    r = math.sqrt(k * d) / (2 * M)
+    b_enc = 1 << 20
+    b0 = compute_b0(b_enc, M, k, d, eps)
+    trials = 1000
+    cs = (1.1, 1.3, 1.5, 2.0)
+    passes = {c: 0 for c in cs}
+    for i in range(trials):
+        matrix = sample_matrix(f"derived-m/{k}/{i}".encode(), k, d, M)
+        col = matrix.rows[:, 0].astype(np.int64)
+        for c in cs:
+            total = int(np.sum((col * round(c * b_enc)).astype(object) ** 2))
+            passes[c] += total <= b0
+    for c in cs:
+        f = pass_rate_F(c, k, eps, d, M)
+        rate = float(stats.chi2.cdf((math.sqrt(params.gamma) + r) ** 2 / (c * c), k))
+        sigma = math.sqrt(max(rate * (1 - rate), 1e-12) / trials)
+        observed = passes[c] / trials
+        assert abs(observed - rate) <= 3 * sigma + 2e-3, (
+            f"k={k} c={c} M={M}: observed {observed}, rate {rate}"
+        )
+        assert observed <= f + 3 * sigma + 2e-3, f"k={k} c={c}: {observed} above F {f}"
+
+
 # -- 4. damage ratios ----------------------------------------------------------
 
 

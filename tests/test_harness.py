@@ -204,10 +204,12 @@ def test_proof_verification_op_count_pinned():
     # power-of-two widths (512 + 128 slots, not 320 + 64) 3,077.  The
     # sigma proofs are checked exactly, recomputing their announcements:
     # 11k+5 muls and 8k+3 adds a proof, where their batched check of the
-    # announcements cost 9k+9 muls and 9k+7 adds (2,613 muls, 2,712 adds)
+    # announcements cost 9k+9 muls and 9k+7 adds (2,613 muls, 2,712 adds).
+    # M is derived (2^11: 192 + 48 slots); at M = 2^20 (320 + 64 slots)
+    # this round cost 2,733 muls and 2,592 adds
     (rep,) = run_simulation(SimulationConfig(n=10, m=4, d=64, k=8, seed=1, backend="mock"))
     assert rep.honest == tuple(range(1, 11))
-    assert rep.group_ops["proof_ver"] == {"mul": 2733, "add": 2592, "from_hash": 0}
+    assert rep.group_ops["proof_ver"] == {"mul": 2437, "add": 2296, "from_hash": 0}
     assert rep.group_ops["proof_ver"]["mul"] <= 4000
 
 
@@ -217,10 +219,12 @@ def test_proof_generation_op_count_pinned():
     # 58,900 adds, and at power-of-two widths (512 + 128 slots, not
     # 320 + 64) 53,580 muls and 58,860 adds.  The well-formedness prover
     # computes each x_i g once for t_i and t*_i; computing it for both
-    # cost k muls more a proof (32,540 muls)
+    # cost k muls more a proof (32,540 muls).  M is derived (2^11: 192 +
+    # 48 slots); at M = 2^20 (320 + 64 slots) this round cost 32,460 muls
+    # and 35,570 adds
     (rep,) = run_simulation(SimulationConfig(n=10, m=4, d=64, k=8, seed=1, backend="mock"))
     assert rep.honest == tuple(range(1, 11))
-    assert rep.group_ops["proof_gen"] == {"mul": 32460, "add": 35570, "from_hash": 0}
+    assert rep.group_ops["proof_gen"] == {"mul": 20900, "add": 22610, "from_hash": 0}
     assert rep.group_ops["proof_gen"]["mul"] <= 56_000
     # the sum of the honest commitments starts from the first vector, not
     # from d identities (this stage counted 9,976 adds when it did), and
@@ -380,6 +384,7 @@ def test_report_rows_and_files(tmp_path):
 
     doc = json.loads(by_ext[".json"].read_text())
     assert doc["config"]["n"] == 5
+    assert doc["params"] == dataclasses.asdict(cfg.check_parameters())
     assert len(doc["rounds"]) == 2
     # identical data through both formats
     assert str(doc["rounds"][0]["bytes_total"]) == rows_csv[0]["bytes_total"]
@@ -493,14 +498,16 @@ def test_mock_op_counts_equal_ristretto(d, k):
 
 
 def test_client_proof_probe_op_count_pinned():
-    # the probe runs the deployment preset's check parameters: B0 has 72
-    # bits here, so b_ip=40 and b_max=80 (640 + 80 slots).  At that
-    # preset, the power-of-two widths 64 and 128 cost 9,784 muls.  (The
+    # the probe runs the deployment preset's check parameters: M is
+    # derived (2^12) and B0 has 48 bits here, so b_ip=28 and b_max=48
+    # (448 + 48 slots).  At M = 2^24, B0 had 72 bits, so b_ip=40 and
+    # b_max=80 (640 + 80 slots), and this probe cost 6,204 muls and 6,821
+    # adds; the power-of-two widths 64 and 128 cost 9,784 muls.  (The
     # probe's former private widths 32 and 64 cost 5,140 muls, and with
     # explicit folding and one mul per bit of A, 7,476; with x_i g
     # computed twice in the well-formedness proof, 6,220.)
     ops = probe_costs(256, 16).ops["client_proof"]
-    assert ops == {"mul": 6204, "add": 6821, "from_hash": 0}
+    assert ops == {"mul": 4410, "add": 4805, "from_hash": 0}
     assert ops["mul"] <= 6_700
 
 

@@ -424,13 +424,72 @@ def test_explicit_widths_rejected(widths, match):
 def test_m_beyond_limb_products_rejected_at_construction():
     # |a_tl| <= 8.572 M + 0.5, and weighted_combination needs
     # k |a_tl| 2^16 < 2^62: at k = 64 that allows 2^36 but not 2^37
-    with pytest.raises(ValueError, match=f"k=64 rows at M={1 << 37}"):
+    with pytest.raises(ValueError, match=f"k=64 rows at M={1 << 37}.*leave M unset"):
         _widths(d=64, k=64, M=1 << 37)
     with pytest.raises(ValueError, match="k=64"):
         SimulationConfig(n=3, m=1, d=64, k=64, M=1 << 40)
     fits = _widths(d=64, k=64, M=1 << 36)
     matrix = sample_matrix(b"wide-M", fits.k, fits.d, fits.M)
     assert len(matrix.weighted_combination([Q - 1] * (fits.k + 1))) == fits.d
-    # the deployment preset and the README's `savi params` sample still fit
+    # the deployment preset and M = 2^24 at k = 1000, d = 10^6 still fit
     deployment_preset()
     _widths(d=1_000_000, k=1_000, epsilon=2.0**-128, M=1 << 24)
+
+
+# -- the derived scale M -------------------------------------------------------
+
+# The benchmark workloads' shapes at the default epsilon 2^-40 and the
+# deployment preset: the derived log2 M, the widths (b_ip, b_max) and
+# range slots it gives, and the M these shapes ran at before M was derived.
+_DERIVED_M = {
+    "proof_heavy": (dict(d=256, k=32), 13, (28, 56, 896), 1 << 20),
+    "wide_update": (dict(d=4096, k=4), 14, (28, 56, 112), 1 << 20),
+    "crowd_attack": (dict(n=12, m=3, d=64, k=8), 11, (24, 48, 192), 1 << 20),
+    "deployment": (None, 16, (32, 64, 32_768), 1 << 24),
+}
+
+
+def _derived(name, **overrides):
+    shape = _DERIVED_M[name][0]
+    if shape is None:
+        return deployment_preset(**overrides).check_parameters()
+    return SimulationConfig(**shape, **overrides).check_parameters()
+
+
+@pytest.mark.parametrize("name", sorted(_DERIVED_M))
+def test_derived_m_is_the_smallest_power_of_two_within_the_slack(name):
+    p = _derived(name)
+
+    def rounding_term(M):
+        return math.sqrt(p.k * p.d) / (2 * M)
+
+    assert p.M & (p.M - 1) == 0
+    assert rounding_term(p.M) <= 2.0**-10 * math.sqrt(p.gamma)
+    assert rounding_term(p.M / 2) > 2.0**-10 * math.sqrt(p.gamma)
+
+
+@pytest.mark.parametrize("name", sorted(_DERIVED_M))
+def test_derived_m_pinned(name):
+    _, log2_m, widths, _ = _DERIVED_M[name]
+    p = _derived(name)
+    assert p.M == 1 << log2_m
+    assert (p.b_ip, p.b_max, p.range_slots) == widths
+
+
+def test_explicit_m_kept():
+    p = _derived("proof_heavy", M=1 << 20)
+    assert p.M == 1 << 20
+    assert (p.b_ip, p.b_max, p.range_slots) == (40, 64, 1280)
+    assert _widths(M=12_345).M == 12_345  # not even a power of two
+    assert SimulationConfig().M is None  # derived by check_parameters, not stored
+
+
+@pytest.mark.parametrize("name", sorted(_DERIVED_M))
+def test_derived_m_keeps_the_damage_within_half_a_percent(name):
+    # measured: +0.148%, +0.146%, +0.193% on the workloads, +0.17% at the
+    # deployment preset, against the M they ran at before
+    old_m = _DERIVED_M[name][3]
+    p = _derived(name)
+    _, derived = max_expected_damage(p.k, p.epsilon, p.d, p.M)
+    _, before = max_expected_damage(p.k, p.epsilon, p.d, old_m)
+    assert 0 < derived / before - 1 < 0.005

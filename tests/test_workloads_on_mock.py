@@ -10,7 +10,10 @@ import pytest
 from savi.harness import Simulation
 from test_perfbench import _load
 
-UPLINK = {"proof_heavy": 18_572, "wide_update": 134_092, "crowd_attack": 6_688}
+# With M derived from its rounding slack (2^13, 2^14, 2^11); at M = 2^20
+# these were 18,572, 134,092 and 6,688.  The slack proof's b_max = 56
+# ends on 7-scalar vectors, so two workloads grow although their slots fall.
+UPLINK = {"proof_heavy": 18_828, "wide_update": 134_348, "crowd_attack": 6_560}
 
 
 @pytest.mark.parametrize("name", sorted(UPLINK))
