@@ -43,7 +43,6 @@ class RangeGenerators:
 
     gs: tuple[Point, ...]
     hs: tuple[Point, ...]
-    u: Point
 
     def slots(self) -> int:
         return len(self.gs)
@@ -91,5 +90,4 @@ class GeneratorSet:
         w = tuple(derive_generators("w", dimension, backend))
         gs = tuple(derive_generators("range-g", range_slots, backend))
         hs = tuple(derive_generators("range-h", range_slots, backend))
-        (u,) = derive_generators("range-u", 1, backend)
-        return GeneratorSet(g=g, q=q, w=w, range_gens=RangeGenerators(gs, hs, u))
+        return GeneratorSet(g=g, q=q, w=w, range_gens=RangeGenerators(gs, hs))

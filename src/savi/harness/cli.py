@@ -133,7 +133,7 @@ def bench(sweep, k_fixed, d_fixed, comm) -> None:
 @click.option("--frac-bits", type=int, default=8, show_default=True)
 def params(k, epsilon_log2, d, m_log2, bound, frac_bits) -> None:
     """Derived check parameters: gamma, M, B0, range widths and proof
-    shapes, pass-rate table, worst damage."""
+    shapes, the pass-rate bound table, the worst damage it allows."""
     epsilon = 2.0**epsilon_log2
     try:
         p = CheckParameters(
@@ -151,11 +151,11 @@ def params(k, epsilon_log2, d, m_log2, bound, frac_bits) -> None:
     click.echo(
         f"range slots: sigma {_slots(p.b_ip * p.k_padded)}, mu {_slots(p.b_max)}"
     )
-    click.echo("pass rate F(c):")
+    click.echo("pass-rate upper bound F(c):")
     for c in (1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 2.0):
         click.echo(f"  c={c:<4} F={pass_rate_F(c, k, epsilon, d, M):.3e}")
     c_star, damage = max_expected_damage(k, epsilon, d, M)
-    click.echo(f"max expected damage: {damage:.4f} * B at c* = {c_star:.4f}")
+    click.echo(f"max expected damage (bound): {damage:.4f} * B at c* = {c_star:.4f}")
 
 
 if __name__ == "__main__":

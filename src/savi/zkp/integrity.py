@@ -17,18 +17,22 @@ blind commitment z shows, without revealing u:
     k_padded 2^(2(b_ip-1)) + 2^b_max below the group order, so the sum
     of squares cannot wrap around it.
 
-Both range widths follow from B0 (``CheckParameters``), and each range
-proof's slot count is c * 2^r with c odd and at most 7: b_ip * k_padded
-for the projections and b_max for the slack.
+Both range proofs are Bulletproofs+ (``zkp.rangeproof``).  Their widths
+follow from B0 (``CheckParameters``), and each one's slot count is
+c * 2^r with c odd and at most 7: b_ip * k_padded for the projections
+and b_max for the slack.
 
 All four sub-proofs draw their challenges from one transcript bound to
 the check parameters, the round and the client's commitments.
 Verification reports which sub-check failed so the simulator can
 attribute rejections.  The two sigma proofs are checked exactly, one
 client at a time.  The rest of a round's proofs is verified in batches:
-one weight vector tests every client's e_star against its y, and every
-client's range proofs share one weighted multiexp, which is bisected on
-failure to name the cheaters.
+one weight vector tests every client's e_star against its y, and the
+range proofs of every client, each replayed into one identity over the
+shared slot bases (``range_terms``), are checked as one weighted
+multiexp, which is bisected on failure to name the cheaters: a client
+whose sigma identity fails gets "range_ip", one whose mu identity fails
+"range_sum".
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ from ..group.multiexp import multiexps, sum_points
 from ..rng import Rng
 from ..serial import Message
 from .rangeproof import (
+    Identity,
     RangeProof,
-    RangeTerms,
     gen_range_proof,
     range_terms,
     ver_range_proof,
@@ -268,7 +272,7 @@ def ver_integrity_proofs(
     weights = rng.child(f"verify/{round_no}")
     crt = crt_weights(matrix, weights)
     verdicts: dict[int, str | None] = {}
-    batch: dict[int, tuple[RangeTerms, RangeTerms]] = {}
+    batch: dict[int, tuple[Identity, Identity]] = {}
     for client_id in sorted(proofs):
         z, y, proof = proofs[client_id]
         checked = _cheap_checks(
@@ -287,9 +291,9 @@ def _cheap_checks(
     params: "CheckParameters", gens: GeneratorSet, matrix: "SampleMatrix",
     h: Sequence[Point], z: Point, y: Sequence[Point], proof: IntegrityProof,
     round_no: int, client_id: int, crt: tuple[list[int], list[int]], weights: Rng,
-) -> str | tuple[RangeTerms, RangeTerms]:
+) -> str | tuple[Identity, Identity]:
     """Everything but the range proofs' identities: the failed-check
-    label, or the terms of the sigma and mu range proofs.  ``crt`` is
+    label, or the identities of the sigma and mu range proofs.  ``crt`` is
     the round's consistency weights and their combination."""
     k = params.k
     if (
@@ -324,7 +328,7 @@ def _cheap_checks(
 def _bisect(
     gens: GeneratorSet,
     ids: list[int],
-    batch: Mapping[int, tuple[RangeTerms, RangeTerms]],
+    batch: Mapping[int, tuple[Identity, Identity]],
     weights: Rng,
     verdicts: dict[int, str | None],
 ) -> None:

@@ -1,30 +1,79 @@
-"""Aggregated range proof with a logarithmic inner-product argument.
+"""Aggregated range proof: Bulletproofs+ with an odd-length final step.
 
 Proves that each of m Pedersen commitments V_j = v_j g + gamma_j q
-hides a value in [0, 2^n) (Bünz et al., "Bulletproofs", IEEE S&P 2018,
-§3–4).  The N = m*n bit slots must have the shape N = c * 2^r with c
-odd and at most ``MAX_ODD_PART``.  The inner-product argument folds
-while the vectors have even length, r rounds, and then sends the two
-c-vectors in the clear, as the recursion of Bootle et al. (EUROCRYPT
-2016) ends; Bünz et al. fold on to length 1.  A proof carries 2r points
-plus 2c scalars and a constant number of elements.  ``range_width``
-picks the widths of this shape.
+hides a value in [0, 2^n) (Chung, Han, Ju, Kim and Seo, "Bulletproofs+",
+ASIACRYPT 2022).  The N = m*n bit slots must have the shape N = c * 2^r
+with c odd and at most ``MAX_ODD_PART``; ``range_width`` picks the
+widths of this shape.
 
-Verification replays a proof's transcript into two identities, a
-polynomial one of length m and the unrolled inner-product argument of
-length N, as scalar terms (``range_terms``); ``ver_range_proof`` checks
-the identities of any number of proofs together in one weighted
-multiexp whose G_i/H_i part is shared by all of them.
+The relation.  The prover commits to the bits a_L of the values and to
+a_R = a_L - 1 as A = alpha q + <a_L, G> + <a_R, H>.  Challenges y and z
+turn the m range statements into one weighted inner-product statement
 
-The prover costs about 8N scalar multiplications, with the paper's
-arithmetic reordered and its points unchanged, so proofs are byte for
-byte those of a prover that folds its bases explicitly.  The bit
-commitment A has only scalars 1 and -1 on G_i and H_i, which
-``multiexp`` turns into additions.  The inner-product argument carries
-each base's scalar factor into the L and R scalars instead of
-multiplying it in: H is never rescaled by y^{-i}, a fold stores one
-bracket per pair (one multiplication), and the last round folds no
-bases, since nothing reads them.
+    P = A - z <1, G> + <z 1 + d o y^(N+1-i), H> + y^(N+1) sum_j z^(2j) V_j + zeta g
+      = <a, G> + <b, H> + (a .y b) g + alpha' q,
+
+where u .y v = sum_i u_i v_i y^i (i = 1..N) is the weighted inner
+product, d_i = z^(2j) 2^t for slot i = bit t of value j, a = a_L - z 1,
+b = a_R + z 1 + d o y^(N+1-i), alpha' = alpha + y^(N+1) sum_j z^(2j) gamma_j
+and zeta = (z - z^2) sum_i y^i - z y^(N+1) <1, d>.  Then
+a .y b = zeta + y^(N+1) sum_j z^(2j) v_j, a polynomial identity in y
+and z that holds only when a_L is a bit vector whose j-th block is v_j.
+
+The weighted inner-product argument folds while the vectors have even
+length.  A round of half-length h sends
+
+    L = <a_1 y^-h, G_2> + <b_2, H_1> + (a_1 .y b_2) g + d_L q
+    R = <a_2 y^h, G_1> + <b_1, H_2> + (y^h a_2 .y b_1) g + d_R q
+
+and folds under its challenge e: G' = e^-1 G_1 + e y^-h G_2,
+H' = e H_1 + e^-1 H_2, a' = e a_1 + e^-1 y^h a_2, b' = e^-1 b_1 + e b_2
+and P' = e^2 L + P + e^-2 R, with alpha' = alpha + e^2 d_L + e^-2 d_R.
+BP+ folds on to length 1; here it stops at the odd length c, where the
+prover draws c-vectors r, s and scalars delta, eta, sends
+
+    A1 = <r, G> + <s, H> + (r .y b + s .y a) g + delta q
+    B1 = (r .y s) g + eta q,
+
+and answers the challenge e with r' = r + e a, s' = s + e b and
+delta' = eta + e delta + e^2 alpha.  The verifier checks
+
+    e^2 P + e A1 + B1 == e <r', G> + e <s', H> + (r' .y s') g + delta' q,
+
+which holds because (e a + r) .y (e b + s) = e^2 a .y b
++ e (r .y b + s .y a) + r .y s.  At c = 1 this is BP+'s last step.
+
+Soundness, sketched.  Three accepting answers to distinct final
+challenges interpolate the check, a degree-2 polynomial in e, into an
+opening (a, b, alpha) of P whose g term is a .y b, unless they give a
+discrete-log relation among g, q, G and H.  Answers to several
+challenges of a folding round turn openings of the folded statement into
+one of the statement before it, as in BP+.  An opening of the first
+statement satisfies the identity above, which for random y and z forces
+bit vectors with the committed values.  Zero knowledge, sketched: alpha
+hides A, d_L and d_R hide each L and R, delta hides A1, and r', s' and
+delta' are uniform because r, s and eta are; a simulator draws all of
+these and solves the check for B1.
+
+A proof carries A, the r pairs L, R, then A1 and B1: 2r + 3 points;
+and r', s' and delta': 2c + 1 scalars.
+
+The prover carries each base's scalar factor instead of multiplying it
+in: G_i = f_g PG_i and H_i = f_h PH_i with one f_g and one f_h for all
+slots, so a fold G' = e^-1 (G_1 + e^2 y^-h G_2), H' = e (H_1 + e^-2 H_2)
+stores one bracket per pair (one mul) and moves e^-1 and e into the
+factors, which the L, R and A1 scalars take.  A has only scalars 1 and
+-1 on G_i and H_i, which ``multiexp`` turns into additions.  So the
+prover costs 6N - 4c + 4r + 5 muls and 7N - 4c + 2r + 2 additions: A
+costs one mul, a round of length n costs 2n + 4 muls for L and R and n
+for the brackets, and A1 and B1 cost 2c + 4.  Its proofs are byte for byte those of a
+prover that folds its bases explicitly.
+
+Verification replays a proof's transcript into the final check with P
+and the folds unrolled, one identity in 2N + 2r + m + 3 points plus g
+and q (``range_terms``); ``ver_range_proof`` checks the identities of
+any number of proofs together in one weighted multiexp whose G_i/H_i
+part is shared by all of them.
 
 The caller passes the value commitments it already holds, and pads the
 value count with zero-valued, zero-blinded commitments (the identity
@@ -50,20 +99,13 @@ _Q = GROUP_ORDER
 @dataclass(frozen=True)
 class RangeProof(Message):
     a_commit: Point
-    s_commit: Point
-    t1_commit: Point
-    t2_commit: Point
-    tau_x: int
-    mu: int
-    t_hat: int
     ls: tuple[Point, ...]
     rs: tuple[Point, ...]
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-
-
-def _ip(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b)) % _Q
+    a1_commit: Point
+    b1_commit: Point
+    r: tuple[int, ...]
+    s: tuple[int, ...]
+    delta: int
 
 
 def _powers(y: int, n: int) -> list[int]:
@@ -71,6 +113,19 @@ def _powers(y: int, n: int) -> list[int]:
     for i in range(1, n):
         out[i] = out[i - 1] * y % _Q
     return out
+
+
+def _wip(a: Sequence[int], b: Sequence[int], y_pow: Sequence[int]) -> int:
+    """The weighted inner product sum_i a_i b_i y^(i+1), 0-indexed."""
+    return sum(x * w * p for x, w, p in zip(a, b, y_pow[1:])) % _Q
+
+
+def _statement(n_bits: int, m: int, y_pow: Sequence[int], z: int) -> tuple[list[int], list[int]]:
+    """(z^(2j) for each value j, d_i y^(N-i) for each 0-indexed slot i):
+    the value weights and the slot terms of P's H_i scalars, less z."""
+    nm = n_bits * m
+    zz = _powers(z * z % _Q, m + 1)[1:]
+    return zz, [zz[i // n_bits] * (1 << (i % n_bits)) * y_pow[nm - i] % _Q for i in range(nm)]
 
 
 # The largest odd length at which the inner-product argument stops.  The
@@ -131,149 +186,117 @@ def gen_range_proof(
         if not 0 <= v < (1 << n_bits):
             raise ValueError(f"value {v} outside [0, 2^{n_bits})")
 
-    g, q = gens.g, gens.q
+    g, q, backend = gens.g, gens.q, gens.backend
     gs = list(gens.range_gens.gs[:nm])
     hs = list(gens.range_gens.hs[:nm])
     tr.absorb_u64("bits", n_bits)
     tr.absorb_u64("values", m)
     tr.absorb_points("V", commitments)
 
-    a_l = [0] * nm
-    for j, v in enumerate(values):
-        for i in range(n_bits):
-            a_l[j * n_bits + i] = (v >> i) & 1
+    a_l = [(values[i // n_bits] >> (i % n_bits)) & 1 for i in range(nm)]
     a_r = [(bit - 1) % _Q for bit in a_l]
-
     alpha = rng.scalar()
     a_commit = multiexp([q] + gs + hs, [alpha] + a_l + a_r)
-    s_l = [rng.scalar() for _ in range(nm)]
-    s_r = [rng.scalar() for _ in range(nm)]
-    rho = rng.scalar()
-    s_commit = multiexp([q] + gs + hs, [rho] + s_l + s_r)
-
     tr.absorb_point("A", a_commit)
-    tr.absorb_point("S", s_commit)
     y = tr.nonzero_challenge("y")
     z = tr.nonzero_challenge("z")
 
-    y_pow = _powers(y, nm)
-    zz = _powers(z, m + 2)[2:]  # z^2, z^3, ... z^{m+1}
+    y_pow = _powers(y, nm + 2)
+    zz, dy = _statement(n_bits, m, y_pow, z)
+    a = [(bit - z) % _Q for bit in a_l]
+    b = [(a_r[i] + z + dy[i]) % _Q for i in range(nm)]
+    alpha = (alpha + y_pow[nm + 1] * sum(w * gamma for w, gamma in zip(zz, blinds))) % _Q
 
-    l0 = [(a_l[i] - z) % _Q for i in range(nm)]
-    l1 = s_l
-    r0 = [
-        (y_pow[i] * (a_r[i] + z) + zz[i // n_bits] * (1 << (i % n_bits))) % _Q
-        for i in range(nm)
-    ]
-    r1 = [y_pow[i] * s_r[i] % _Q for i in range(nm)]
-
-    t1 = (_ip(l0, r1) + _ip(l1, r0)) % _Q
-    t2 = _ip(l1, r1)
-    tau1, tau2 = rng.scalar(), rng.scalar()
-    t1_commit, t2_commit = multiexps([[(g, t1), (q, tau1)], [(g, t2), (q, tau2)]], gens.backend)
-    tr.absorb_point("T1", t1_commit)
-    tr.absorb_point("T2", t2_commit)
-    x = tr.nonzero_challenge("x")
-
-    l_vec = [(l0[i] + x * l1[i]) % _Q for i in range(nm)]
-    r_vec = [(r0[i] + x * r1[i]) % _Q for i in range(nm)]
-    t_hat = _ip(l_vec, r_vec)
-    tau_x = (tau2 * x * x + tau1 * x + sum(zz[j] * blinds[j] for j in range(m))) % _Q
-    mu = (alpha + rho * x) % _Q
-    tr.absorb_scalar("tau_x", tau_x)
-    tr.absorb_scalar("mu", mu)
-    tr.absorb_scalar("t_hat", t_hat)
-    w = tr.nonzero_challenge("w")
-    u_pt = w * gens.range_gens.u
-
-    # The inner product runs over G_i and y^{-i} H_i.  Neither is ever
-    # built: bases are kept as f_g PG_i and f_h[i] PH_i, with f_g one
-    # scalar for every slot and f_h[i] = c y^{-i} for one c per round, and
-    # the factors are carried into the L and R scalars.  Folding
-    #   G'_i = x^-1 G_i + x G_{half+i} = x^-1 f_g (PG_i + x^2 PG_{half+i})
-    #   H'_i = x H_i + x^-1 H_{half+i}
-    #        = x f_h[i] (PH_i + x^-2 y^-half PH_{half+i})
-    # stores only the brackets (one mul and one add per pair) and moves
-    # x^-1 and x into the factors.
-    y_inv_pow = _powers(inv(y), nm)
+    # The bases are kept as f_g PG_i and f_h PH_i, one f_g and one f_h for
+    # every slot, and the factors are carried into the L, R and A1
+    # scalars.  A fold stores only the brackets PG_1 + e^2 y^-h PG_2 and
+    # PH_1 + e^-2 PH_2 (one mul and one add per pair) and moves e^-1 and
+    # e into f_g and f_h.  Scalars stay unreduced: multiexps reduces them.
+    y_inv = inv(y)
     pg, ph = gs, hs
-    f_g, f_h = 1, y_inv_pow
-
+    f_g = f_h = 1
     ls: list[Point] = []
     rs: list[Point] = []
-    a_cur, b_cur = l_vec, r_vec
-    while len(a_cur) % 2 == 0:
-        half = len(a_cur) // 2
-        c_l = _ip(a_cur[:half], b_cur[half:])
-        c_r = _ip(a_cur[half:], b_cur[:half])
-        # scalars stay unreduced: multiexp reduces every scalar
-        left = multiexp(
-            pg[half:] + ph[:half] + [u_pt],
-            [a * f_g for a in a_cur[:half]]
-            + [b * f for b, f in zip(b_cur[half:], f_h)]
-            + [c_l],
-        )
-        right = multiexp(
-            pg[:half] + ph[half:] + [u_pt],
-            [a * f_g for a in a_cur[half:]]
-            + [b * f for b, f in zip(b_cur[:half], f_h[half:])]
-            + [c_r],
+    while len(a) % 2 == 0:
+        h = len(a) // 2
+        y_h, y_h_inv = y_pow[h], pow(y_inv, h, _Q)
+        c_l = _wip(a[:h], b[h:], y_pow)
+        c_r = y_h * _wip(a[h:], b[:h], y_pow)
+        d_l, d_r = rng.scalar(), rng.scalar()
+        g_l, g_r = f_g * y_h_inv % _Q, f_g * y_h % _Q
+        left, right = multiexps(
+            [
+                [(pg[h + i], a[i] * g_l) for i in range(h)]
+                + [(ph[i], b[h + i] * f_h) for i in range(h)]
+                + [(g, c_l), (q, d_l)],
+                [(pg[i], a[h + i] * g_r) for i in range(h)]
+                + [(ph[h + i], b[i] * f_h) for i in range(h)]
+                + [(g, c_r), (q, d_r)],
+            ],
+            backend,
         )
         ls.append(left)
         rs.append(right)
         tr.absorb_point("L", left)
         tr.absorb_point("R", right)
-        x_r = tr.nonzero_challenge("x-fold")
-        x_r_inv = inv(x_r)
-        a_cur = [(a_cur[i] * x_r + a_cur[half + i] * x_r_inv) % _Q for i in range(half)]
-        b_cur = [(b_cur[i] * x_r_inv + b_cur[half + i] * x_r) % _Q for i in range(half)]
-        if half % 2:
-            break  # the last round's folded bases would never be read
-        g_hi = x_r * x_r % _Q
-        h_hi = x_r_inv * x_r_inv * y_inv_pow[half] % _Q
+        e = tr.nonzero_challenge("e")
+        e_inv = inv(e)
+        e2, e2_inv = e * e % _Q, e_inv * e_inv % _Q
+        a = [(a[i] * e + a[h + i] * y_h * e_inv) % _Q for i in range(h)]
+        b = [(b[i] * e_inv + b[h + i] * e) % _Q for i in range(h)]
+        alpha = (alpha + e2 * d_l + e2_inv * d_r) % _Q
+        g_hi = e2 * y_h_inv % _Q
         brackets = multiexps(
-            [[(pg[i], 1), (pg[half + i], g_hi)] for i in range(half)]
-            + [[(ph[i], 1), (ph[half + i], h_hi)] for i in range(half)],
-            gens.backend,
+            [[(pg[i], 1), (pg[h + i], g_hi)] for i in range(h)]
+            + [[(ph[i], 1), (ph[h + i], e2_inv)] for i in range(h)],
+            backend,
         )
-        pg, ph = brackets[:half], brackets[half:]
-        f_g = f_g * x_r_inv % _Q
-        f_h = [f * x_r % _Q for f in f_h[:half]]
+        pg, ph = brackets[:h], brackets[h:]
+        f_g, f_h = f_g * e_inv % _Q, f_h * e % _Q
 
+    c = len(a)
+    r = [rng.scalar() for _ in range(c)]
+    s = [rng.scalar() for _ in range(c)]
+    delta, eta = rng.scalar(), rng.scalar()
+    a1_commit, b1_commit = multiexps(
+        [
+            [(pg[t], r[t] * f_g) for t in range(c)]
+            + [(ph[t], s[t] * f_h) for t in range(c)]
+            + [(g, _wip(r, b, y_pow) + _wip(s, a, y_pow)), (q, delta)],
+            [(g, _wip(r, s, y_pow)), (q, eta)],
+        ],
+        backend,
+    )
+    tr.absorb_point("A1", a1_commit)
+    tr.absorb_point("B1", b1_commit)
+    e = tr.nonzero_challenge("e")
     return RangeProof(
         a_commit=a_commit,
-        s_commit=s_commit,
-        t1_commit=t1_commit,
-        t2_commit=t2_commit,
-        tau_x=tau_x,
-        mu=mu,
-        t_hat=t_hat,
         ls=tuple(ls),
         rs=tuple(rs),
-        a=tuple(a_cur),
-        b=tuple(b_cur),
+        a1_commit=a1_commit,
+        b1_commit=b1_commit,
+        r=tuple((r[t] + e * a[t]) % _Q for t in range(c)),
+        s=tuple((s[t] + e * b[t]) % _Q for t in range(c)),
+        delta=(eta + e * delta + e * e * alpha) % _Q,
     )
 
 
 @dataclass(frozen=True)
 class Identity:
-    """One verification identity as scalar terms: it holds exactly when
+    """One proof's verification identity as scalar terms: it holds exactly when
 
-        fixed[0] g + fixed[1] q + fixed[2] u
-          + sum_i gs[i] G_i + sum_i hs[i] H_i + sum_j scalars[j] points[j]
+        fixed[0] g + fixed[1] q + sum_i gs[i] G_i + sum_i hs[i] H_i
+          + sum_j scalars[j] points[j]
 
-    is the identity point, where G_i, H_i, u are the range generators.
+    is the identity point, where G_i, H_i are the range generators.
     """
 
-    fixed: tuple[int, int, int]
+    fixed: tuple[int, int]
     gs: list[int]
     hs: list[int]
     points: list[Point]
     scalars: list[int]
-
-
-# A proof's polynomial identity and its unrolled inner-product argument.
-RangeTerms = tuple[Identity, Identity]
 
 
 def range_terms(
@@ -282,8 +305,8 @@ def range_terms(
     commitments: Sequence[Point],
     proof: RangeProof,
     tr: Transcript,
-) -> RangeTerms | None:
-    """Replay the proof's transcript into the terms of its two identities.
+) -> Identity | None:
+    """Replay the proof's transcript into the terms of its identity.
 
     Returns None for a proof whose shape does not fit the statement (a
     slot count not of the shape c * 2^r, too few range generators, other
@@ -296,115 +319,93 @@ def range_terms(
     except ValueError:
         return None
     c, rounds = slot_shape(nm)
-    if not len(proof.ls) == len(proof.rs) == rounds or not len(proof.a) == len(proof.b) == c:
+    if not len(proof.ls) == len(proof.rs) == rounds or not len(proof.r) == len(proof.s) == c:
         return None
 
     tr.absorb_u64("bits", n_bits)
     tr.absorb_u64("values", m)
     tr.absorb_points("V", commitments)
     tr.absorb_point("A", proof.a_commit)
-    tr.absorb_point("S", proof.s_commit)
     y = tr.nonzero_challenge("y")
     z = tr.nonzero_challenge("z")
-    tr.absorb_point("T1", proof.t1_commit)
-    tr.absorb_point("T2", proof.t2_commit)
-    x = tr.nonzero_challenge("x")
-    tr.absorb_scalar("tau_x", proof.tau_x)
-    tr.absorb_scalar("mu", proof.mu)
-    tr.absorb_scalar("t_hat", proof.t_hat)
-    w = tr.nonzero_challenge("w")
     challenges = []
     for j in range(rounds):
         tr.absorb_point("L", proof.ls[j])
         tr.absorb_point("R", proof.rs[j])
-        challenges.append(tr.nonzero_challenge("x-fold"))
-    challenges_inv = [inv(c) for c in challenges]
+        challenges.append(tr.nonzero_challenge("e"))
+    tr.absorb_point("A1", proof.a1_commit)
+    tr.absorb_point("B1", proof.b1_commit)
+    e = tr.nonzero_challenge("e")
+    e2 = e * e % _Q
 
-    y_pow = _powers(y, nm)
-    zz = _powers(z, m + 2)[2:]
+    y_pow = _powers(y, nm + 2)
+    zz, dy = _statement(n_bits, m, y_pow, z)
+    ones_d = sum(zz) * ((1 << n_bits) - 1)  # <1, d>
+    zeta = ((z - z * z) * sum(y_pow[1 : nm + 1]) - z * y_pow[nm + 1] * ones_d) % _Q
 
-    # Polynomial identity at the challenge point:
-    #   t_hat g + tau_x q == delta(y,z) g + sum_j z^{2+j} V_j + x T1 + x^2 T2
-    delta = ((z - z * z % _Q) * sum(y_pow)) % _Q
-    two_n = ((1 << n_bits) - 1) % _Q
-    delta = (delta - sum(zz[j] * z for j in range(m)) % _Q * two_n) % _Q
-    poly = Identity(
-        fixed=((delta - proof.t_hat) % _Q, -proof.tau_x % _Q, 0),
-        gs=[],
-        hs=[],
-        points=[proof.t1_commit, proof.t2_commit] + list(commitments),
-        scalars=[x, x * x % _Q] + zz,
-    )
-
-    # Inner-product argument check, unrolled.  Slot i = t + c*j ends in
-    # entry t of the final vectors, its base scaled by the fold product
-    # s_j over the r rounds.
+    # The final check with P and the folds unrolled:
+    #   e^2 (P + sum_j e_j^2 L_j + e_j^-2 R_j) + e A1 + B1
+    #     - e <r', G~> - e <s', H~> - (r' .y s') g - delta' q == 0,
+    # with G~ and H~ the folded bases.  Slot i = t + c k ends in entry t
+    # of the final vectors.  Its G base is scaled by y^(-c k) and the
+    # product fold[k] of e_j or e_j^-1 over the r rounds, its H base by
+    # fold[k]^-1, which is the mirrored product fold[2^r - 1 - k].
+    challenges_inv = [inv(e_j) for e_j in challenges]
     folds = 1 << rounds
-    s = [0] * folds
-    s[0] = 1
-    for x_inv in challenges_inv:
-        s[0] = s[0] * x_inv % _Q
-    for j in range(1, folds):
-        lg = j.bit_length() - 1
-        s[j] = s[j - (1 << lg)] * challenges[rounds - 1 - lg] ** 2 % _Q
-    y_inv_pow = _powers(inv(y), nm)
-
-    gs = [(-z - proof.a[i % c] * s[i // c]) % _Q for i in range(nm)]
-    # s_j^{-1} equals the mirrored product s_{folds-1-j}
+    fold = [1] * folds
+    for e_inv in challenges_inv:
+        fold[0] = fold[0] * e_inv % _Q
+    for k in range(1, folds):
+        lg = k.bit_length() - 1
+        fold[k] = fold[k - (1 << lg)] * challenges[rounds - 1 - lg] ** 2 % _Q
+    y_ck = _powers(pow(inv(y), c, _Q), folds)
+    gs = [(-e2 * z - e * proof.r[i % c] * fold[i // c] * y_ck[i // c]) % _Q for i in range(nm)]
     hs = [
-        (
-            z * y_pow[i]
-            + zz[i // n_bits] * (1 << (i % n_bits))
-            - proof.b[i % c] * s[folds - 1 - i // c]
-        )
-        * y_inv_pow[i]
-        % _Q
+        (e2 * (z + dy[i]) - e * proof.s[i % c] * fold[folds - 1 - i // c]) % _Q
         for i in range(nm)
     ]
-    points = [proof.a_commit, proof.s_commit]
-    scalars = [1, x]
+    points = [proof.a_commit, proof.a1_commit, proof.b1_commit] + list(commitments)
+    scalars = [e2, e, 1] + [e2 * w * y_pow[nm + 1] % _Q for w in zz]
     for j in range(rounds):
         points += [proof.ls[j], proof.rs[j]]
-        scalars += [challenges[j] ** 2 % _Q, challenges_inv[j] ** 2 % _Q]
-    ipa = Identity(
-        fixed=(0, -proof.mu % _Q, w * (proof.t_hat - _ip(proof.a, proof.b)) % _Q),
+        scalars += [e2 * challenges[j] ** 2 % _Q, e2 * challenges_inv[j] ** 2 % _Q]
+    return Identity(
+        fixed=((e2 * zeta - _wip(proof.r, proof.s, y_pow)) % _Q, -proof.delta % _Q),
         gs=gs,
         hs=hs,
         points=points,
         scalars=scalars,
     )
-    return poly, ipa
 
 
 def ver_range_proof(
-    gens: GeneratorSet, statements: Sequence[RangeTerms], rng: Rng
+    gens: GeneratorSet, statements: Sequence[Identity], rng: Rng
 ) -> bool:
-    """Check every identity of every statement in one multiexp.
+    """Check the identity of every statement in one multiexp.
 
     Each identity is weighted by a fresh nonzero scalar from ``rng``, the
     G_i and H_i scalars are summed slot by slot (a narrower proof uses a
-    prefix of the same range generators) and the g, q, u terms merged.
+    prefix of the same range generators) and the g, q terms merged.
     A batch holding a false identity passes only if the weights happen
     to cancel it (probability about 1/order), so the result is the AND
     of the proofs' own verdicts; a single proof is a batch of one.
     """
     rg = gens.range_gens
-    width = max((len(ipa.gs) for _, ipa in statements), default=0)
-    fixed = [0, 0, 0]
+    width = max((len(ident.gs) for ident in statements), default=0)
+    fixed = [0, 0]
     gs = [0] * width
     hs = [0] * width
     points: list[Point] = []
     scalars: list[int] = []
     # sums stay unreduced: multiexp reduces every scalar
-    for terms in statements:
-        for ident in terms:
-            c = rng.nonzero_scalar()
-            for j in range(3):
-                fixed[j] += c * ident.fixed[j]
-            for i, (sg, sh) in enumerate(zip(ident.gs, ident.hs)):
-                gs[i] += c * sg
-                hs[i] += c * sh
-            points += ident.points
-            scalars += [c * sc for sc in ident.scalars]
-    bases = [gens.g, gens.q, rg.u] + list(rg.gs[:width]) + list(rg.hs[:width]) + points
+    for ident in statements:
+        w = rng.nonzero_scalar()
+        for j in range(2):
+            fixed[j] += w * ident.fixed[j]
+        for i, (sg, sh) in enumerate(zip(ident.gs, ident.hs)):
+            gs[i] += w * sg
+            hs[i] += w * sh
+        points += ident.points
+        scalars += [w * sc for sc in ident.scalars]
+    bases = [gens.g, gens.q] + list(rg.gs[:width]) + list(rg.hs[:width]) + points
     return multiexp(bases, fixed + gs + hs + scalars, backend=gens.backend).is_identity()

@@ -15,7 +15,7 @@ from typing import Iterable
 from ..group.base import GROUP_ORDER, Point
 from ..group.scalars import scalar_to_bytes
 
-DOMAIN = "savi/v5"
+DOMAIN = "savi/v6"
 """Version of the wire format: bumped whenever proof or message bytes change."""
 
 

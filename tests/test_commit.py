@@ -15,12 +15,11 @@ def _tiny_gens(backend, w_scalars):
     commitments can be checked against pencil-and-paper exponents."""
     g = backend.base()
     (q,) = derive_generators("q", 1, backend)
-    (u,) = derive_generators("range-u", 1, backend)
     return GeneratorSet(
         g=g,
         q=q,
         w=tuple(s * g for s in w_scalars),
-        range_gens=RangeGenerators(gs=(), hs=(), u=u),
+        range_gens=RangeGenerators(gs=(), hs=()),
     )
 
 

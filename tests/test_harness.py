@@ -88,13 +88,15 @@ def test_deterministic_given_seed():
 # The uplink of a fixed-seed round, proofs included, is pinned byte for
 # byte.  Changing these bytes changes the wire format or the proofs, and
 # requires a bump of the transcript domain (savi/vN/transcript).  Last
-# re-pinned at savi/v5: domain bump and layout (the sigma proofs send
-# their challenges instead of their announcements).
+# re-pinned at savi/v6: domain bump and layout (Bulletproofs+ range
+# proofs); at savi/v5 these read
+# 98e109fc25d636c07526b7f49b88c5aabec4a46b90f63fddb4651235d3dd1061 and
+# 0a759f1752839ba74c31c86eb3fb4a26563cd5430a0faeceb2f37a0910cbbb0d.
 _PINNED_ROUNDS = [
     (
         dict(n=5, m=2, d=16, k=4, M=16, b_ip=32, b_max=64, epsilon_log2=-16, seed=3,
              attack=AttackSpec("oversized_norm", scale=10.0, malicious_ids=(2, 4))),
-        "98e109fc25d636c07526b7f49b88c5aabec4a46b90f63fddb4651235d3dd1061",
+        "f8967d49431fb959dac56045f052a7584af2ab56ab468c2b161ed05093573351",
         (1, 3, 5),
         {2: "proof_wellformed", 4: "proof_wellformed"},
     ),
@@ -102,7 +104,7 @@ _PINNED_ROUNDS = [
         dict(n=3, m=1, d=4, k=1, M=1, b_ip=16, b_max=32, epsilon_log2=-16, seed=3,
              backend="ristretto255",
              attack=AttackSpec("oversized_norm", scale=10.0, malicious_ids=(3,))),
-        "0a759f1752839ba74c31c86eb3fb4a26563cd5430a0faeceb2f37a0910cbbb0d",
+        "ddf787c9673feec0043fe559aa6a26068f6a2d4874a90eba35518deb39e27419",
         (1, 2),
         {3: "proof_wellformed"},
     ),
@@ -164,9 +166,10 @@ def test_two_round_uplink_pinned():
     uplink = b"".join(
         payload for rep in reps for _, _, payload in sorted(rep.messages, key=lambda m: m[1])
     )
-    # re-pinned at savi/v5: domain bump and layout
+    # re-pinned at savi/v6: domain bump and layout (Bulletproofs+); at
+    # savi/v5 17a59a4f3c18b4566ad30563c0cf3a6a2d597cc666fa264e477443654f482bc9
     assert hashlib.sha256(uplink).hexdigest() == (
-        "17a59a4f3c18b4566ad30563c0cf3a6a2d597cc666fa264e477443654f482bc9"
+        "871bdb65fd8236122c4bd69c42036bbbdad5ca1ba07b3b626d336280fb5b46ce"
     )
 
 
@@ -206,10 +209,12 @@ def test_proof_verification_op_count_pinned():
     # 11k+5 muls and 8k+3 adds a proof, where their batched check of the
     # announcements cost 9k+9 muls and 9k+7 adds (2,613 muls, 2,712 adds).
     # M is derived (2^11: 192 + 48 slots); at M = 2^20 (320 + 64 slots)
-    # this round cost 2,733 muls and 2,592 adds
+    # this round cost 2,733 muls and 2,592 adds.  Bulletproofs' two
+    # identities a proof (u, S, T1 and T2 where Bulletproofs+ has A1 and
+    # B1) cost 2,437 muls and 2,296 adds
     (rep,) = run_simulation(SimulationConfig(n=10, m=4, d=64, k=8, seed=1, backend="mock"))
     assert rep.honest == tuple(range(1, 11))
-    assert rep.group_ops["proof_ver"] == {"mul": 2437, "add": 2296, "from_hash": 0}
+    assert rep.group_ops["proof_ver"] == {"mul": 2416, "add": 2275, "from_hash": 0}
     assert rep.group_ops["proof_ver"]["mul"] <= 4000
 
 
@@ -221,10 +226,11 @@ def test_proof_generation_op_count_pinned():
     # computes each x_i g once for t_i and t*_i; computing it for both
     # cost k muls more a proof (32,540 muls).  M is derived (2^11: 192 +
     # 48 slots); at M = 2^20 (320 + 64 slots) this round cost 32,460 muls
-    # and 35,570 adds
+    # and 35,570 adds.  The Bulletproofs prover, with S, T1 and T2, cost
+    # 20,900 muls and 22,610 adds
     (rep,) = run_simulation(SimulationConfig(n=10, m=4, d=64, k=8, seed=1, backend="mock"))
     assert rep.honest == tuple(range(1, 11))
-    assert rep.group_ops["proof_gen"] == {"mul": 20900, "add": 22610, "from_hash": 0}
+    assert rep.group_ops["proof_gen"] == {"mul": 16500, "add": 18250, "from_hash": 0}
     assert rep.group_ops["proof_gen"]["mul"] <= 56_000
     # the sum of the honest commitments starts from the first vector, not
     # from d identities (this stage counted 9,976 adds when it did), and
@@ -399,7 +405,7 @@ def test_message_log_replay(tmp_path):
     reports = run_simulation(cfg)
     log = emit_message_log(reports, cfg, tmp_path)
     header, records = parse_message_log(log)
-    assert header.domain == "savi/v5"
+    assert header.domain == "savi/v6"  # savi/v5 until Bulletproofs+
     assert header.params == cfg.check_parameters()
     per_client = {}
     kinds = set()
@@ -505,10 +511,14 @@ def test_client_proof_probe_op_count_pinned():
     # adds; the power-of-two widths 64 and 128 cost 9,784 muls.  (The
     # probe's former private widths 32 and 64 cost 5,140 muls, and with
     # explicit folding and one mul per bit of A, 7,476; with x_i g
-    # computed twice in the well-formedness proof, 6,220.)
+    # computed twice in the well-formedness proof, 6,220; with the
+    # Bulletproofs prover, 4,410 muls and 4,805 adds.)
     ops = probe_costs(256, 16).ops["client_proof"]
-    assert ops == {"mul": 4410, "add": 4805, "from_hash": 0}
+    assert ops == {"mul": 3474, "add": 3873, "from_hash": 0}
     assert ops["mul"] <= 6_700
+    # proof_heavy's shape (896 + 56 slots); 8,250 muls and 9,037 adds
+    # with the Bulletproofs prover
+    assert probe_costs(256, 32).ops["client_proof"] == {"mul": 6418, "add": 7209, "from_hash": 0}
 
 
 def test_comm_probe_equals_bytes_a_client_sends():

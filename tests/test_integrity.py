@@ -144,7 +144,7 @@ def test_each_tampered_component_names_its_check():
             dataclasses.replace(
                 proof,
                 sigma=dataclasses.replace(
-                    proof.sigma, a=((proof.sigma.a[0] + 1) % Q,) + proof.sigma.a[1:]
+                    proof.sigma, r=((proof.sigma.r[0] + 1) % Q,) + proof.sigma.r[1:]
                 ),
             ),
             "range_ip",
@@ -152,7 +152,7 @@ def test_each_tampered_component_names_its_check():
         (
             dataclasses.replace(
                 proof,
-                mu=dataclasses.replace(proof.mu, b=((proof.mu.b[0] + 1) % Q,) + proof.mu.b[1:]),
+                mu=dataclasses.replace(proof.mu, s=((proof.mu.s[0] + 1) % Q,) + proof.mu.s[1:]),
             ),
             "range_sum",
         ),

@@ -3,12 +3,14 @@ methods by string; these tests fail when a rename or deletion in the
 package would break ``perfbench/run.py --trace 1``."""
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
 from savi.harness import SimulationConfig
 from savi.protocol import Client, Server
+from savi.zkp import gen_range_proof
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -37,3 +39,10 @@ def test_every_workload_builds_a_valid_config():
     workloads = _load("workloads")
     for shape in [*workloads.SHAPES.values(), workloads.WARMUP_SHAPE]:
         assert isinstance(workloads.make_config(shape, 1), SimulationConfig)
+
+
+def test_range_prover_leads_with_what_the_slot_note_reads():
+    # the ``zkp.gen_range_proof.slots`` note reads args[1] * len(args[2]),
+    # so a reordering would corrupt the metric without an error
+    params = list(inspect.signature(gen_range_proof).parameters)
+    assert params[:3] == ["gens", "n_bits", "values"]

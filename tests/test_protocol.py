@@ -560,18 +560,18 @@ def _bump(rp, field):
     return replace(rp, **{field: (getattr(rp, field) + 1) % GROUP_ORDER})
 
 
-def _bump_a(rp):
-    return replace(rp, a=((rp.a[0] + 1) % GROUP_ORDER,) + rp.a[1:])
+def _bump_r(rp):
+    return replace(rp, r=((rp.r[0] + 1) % GROUP_ORDER,) + rp.r[1:])
 
 
 # range-proof-only cheats, with the label each must be named by
 _RANGE_CHEATS = [
-    (lambda p: replace(p, sigma=_bump(p.sigma, "t_hat")), "range_ip"),
-    (lambda p: replace(p, mu=_bump_a(p.mu)), "range_sum"),
+    (lambda p: replace(p, sigma=_bump(p.sigma, "delta")), "range_ip"),
+    (lambda p: replace(p, mu=_bump_r(p.mu)), "range_sum"),
     (lambda p: replace(p, sigma=_short_ls(p.sigma)), "range_ip"),
     (lambda p: replace(p, mu=_short_ls(p.mu)), "range_sum"),
     # a bad sigma proof is named before a malformed mu proof
-    (lambda p: replace(p, sigma=_bump(p.sigma, "t_hat"), mu=_short_ls(p.mu)), "range_ip"),
+    (lambda p: replace(p, sigma=_bump(p.sigma, "delta"), mu=_short_ls(p.mu)), "range_ip"),
 ]
 
 

@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from savi.group import GROUP_ORDER, GeneratorSet, make_backend
 from savi.group.multiexp import multiexp
-from savi.group.scalars import inv
 from savi.rng import DeterministicRng
 from savi.zkp import Transcript, gen_range_proof, range_terms, ver_range_proof
 from savi.zkp.rangeproof import RangeProof, slot_shape
+
+from rangeproof_reference import ref_gen_range_proof, ref_ver_range_proof
 
 Q = GROUP_ORDER
 
@@ -88,29 +91,28 @@ def test_tamper_matrix_every_component():
     comms = [_commit(v, b) for v, b in zip(values, blinds)]
     assert ver_range_proof(GENS, [range_terms(GENS, 8, comms, proof, _tr())], _WEIGHTS)
 
-    def mutated(**kw):
-        fields = {f: getattr(proof, f) for f in (
-            "a_commit", "s_commit", "t1_commit", "t2_commit",
-            "tau_x", "mu", "t_hat", "ls", "rs", "a", "b",
-        )}
-        fields.update(kw)
-        return RangeProof(**fields)
+    def bumped_point(field, j=None):
+        old = getattr(proof, field)
+        if j is None:
+            return replace(proof, **{field: old + GENS.g})
+        return replace(proof, **{field: old[:j] + (old[j] + GENS.g,) + old[j + 1:]})
 
-    bads = [
-        mutated(a_commit=proof.a_commit + GENS.g),
-        mutated(s_commit=proof.s_commit + GENS.g),
-        mutated(t1_commit=proof.t1_commit + GENS.g),
-        mutated(t2_commit=proof.t2_commit + GENS.g),
-        mutated(tau_x=(proof.tau_x + 1) % Q),
-        mutated(mu=(proof.mu + 1) % Q),
-        mutated(t_hat=(proof.t_hat + 1) % Q),
-        mutated(ls=(proof.ls[0] + GENS.g,) + tuple(proof.ls[1:])),
-        mutated(rs=tuple(proof.rs[:-1]) + (proof.rs[-1] + GENS.g,)),
-        mutated(a=((proof.a[0] + 1) % Q,)),
-        mutated(b=((proof.b[0] + 1) % Q,)),
+    # every point and scalar the proof sends; the final vectors' entries
+    # are bumped one by one in test_tampered_final_vectors_rejected
+    bads = [bumped_point("a_commit"), bumped_point("a1_commit"), bumped_point("b1_commit")]
+    bads += [bumped_point(f, j) for f in ("ls", "rs") for j in range(len(proof.ls))]
+    bads += [
+        replace(proof, delta=(proof.delta + 1) % Q),
+        replace(proof, r=((proof.r[0] + 1) % Q,)),
+        replace(proof, s=((proof.s[0] + 1) % Q,)),
     ]
     for bad in bads:
         assert not ver_range_proof(GENS, [range_terms(GENS, 8, comms, bad, _tr())], _WEIGHTS)
+    # a resized vector is a misshapen proof
+    for field in ("ls", "rs", "r", "s"):
+        vec = getattr(proof, field)
+        for resized in (vec[:-1], vec + vec[:1]):
+            assert range_terms(GENS, 8, comms, replace(proof, **{field: resized}), _tr()) is None
 
 
 def test_label_domain_separation():
@@ -140,6 +142,9 @@ def test_proof_size_logarithmic_in_slots():
     assert len(p64.ls) == 6
     # fold vectors grow by 3 entries while slot count grows 8x
     assert len(p64.to_bytes()) - len(p8.to_bytes()) == 6 * 32
+    # A, A1, B1, delta, the counted runs r' and s' of length 1 and L and
+    # R of length 3 (a Bulletproofs proof of 8 slots was 496 bytes)
+    assert len(p8.to_bytes()) == 4 * 32 + 2 * (4 + 32) + 2 * (4 + 3 * 32) == 400
 
 
 def test_batch_weights_stop_errors_cancelling():
@@ -148,8 +153,8 @@ def test_batch_weights_stop_errors_cancelling():
     values, blinds = [5, 6], [7, 8]
     proof = _prove(values, blinds, 8)
     comms = [_commit(v, b) for v, b in zip(values, blinds)]
-    up = RangeProof(**{**proof.__dict__, "a": ((proof.a[0] + 1) % Q,)})
-    down = RangeProof(**{**proof.__dict__, "a": ((proof.a[0] - 1) % Q,)})
+    up = replace(proof, r=((proof.r[0] + 1) % Q,))
+    down = replace(proof, r=((proof.r[0] - 1) % Q,))
     batch = [range_terms(GENS, 8, comms, p, _tr()) for p in (up, down)]
     assert not ver_range_proof(GENS, batch, _WEIGHTS)
     honest = [range_terms(GENS, 8, comms, proof, _tr()) for _ in range(2)]
@@ -171,7 +176,7 @@ def test_batch_of_two_widths_verifies():
 def test_misshapen_proof_has_no_terms():
     proof = _prove([9], [3], 8)
     comm = [_commit(9, 3)]
-    short = RangeProof(**{**proof.__dict__, "ls": proof.ls[:-1]})
+    short = replace(proof, ls=proof.ls[:-1])
     assert range_terms(GENS, 8, comm, short, _tr()) is None
     # 24 = 3 * 2^3 slots: three rounds, but final vectors of length 3
     assert range_terms(GENS, 8, comm * 3, proof, _tr()) is None
@@ -179,142 +184,14 @@ def test_misshapen_proof_has_no_terms():
     assert range_terms(GENS, 128, comm, proof, _tr()) is None  # too few generators
 
 
-# -- reference prover and verifier ----------------------------------------------
-
-
-def _naive_msm(points, scalars):
-    """sum s*P with one scalar multiplication per term, even for s = +-1."""
-    acc = points[0].backend.identity()
-    for pt, sc in zip(points, scalars):
-        acc = acc + sc * pt
-    return acc
-
-
-def _ip(a, b):
-    return sum(x * w for x, w in zip(a, b)) % Q
-
-
-def _reference_prove(gens, n_bits, values, blinds, rng, tr):
-    """The textbook prover: A with one mul per slot, H rescaled by y^-i,
-    both bases folded explicitly in every round, the last one included,
-    down to the odd length c of nm = c * 2^r."""
-    m, nm = len(values), n_bits * len(values)
-    g, q, u = gens.g, gens.q, gens.range_gens.u
-    gs, hs = list(gens.range_gens.gs[:nm]), list(gens.range_gens.hs[:nm])
-    commitments = [_naive_msm([g, q], [v, gamma]) for v, gamma in zip(values, blinds)]
-    tr.absorb_u64("bits", n_bits)
-    tr.absorb_u64("values", m)
-    tr.absorb_points("V", commitments)
-    a_l = [(values[i // n_bits] >> (i % n_bits)) & 1 for i in range(nm)]
-    a_r = [(bit - 1) % Q for bit in a_l]
-    alpha = rng.scalar()
-    a_commit = _naive_msm([q] + gs + hs, [alpha] + a_l + a_r)
-    s_l = [rng.scalar() for _ in range(nm)]
-    s_r = [rng.scalar() for _ in range(nm)]
-    rho = rng.scalar()
-    s_commit = _naive_msm([q] + gs + hs, [rho] + s_l + s_r)
-    tr.absorb_point("A", a_commit)
-    tr.absorb_point("S", s_commit)
-    y, z = tr.nonzero_challenge("y"), tr.nonzero_challenge("z")
-    y_pow = [pow(y, i, Q) for i in range(nm)]
-    zz = [pow(z, 2 + j, Q) for j in range(m)]
-    two = [zz[i // n_bits] * (1 << (i % n_bits)) for i in range(nm)]
-    l0 = [(a_l[i] - z) % Q for i in range(nm)]
-    r0 = [(y_pow[i] * (a_r[i] + z) + two[i]) % Q for i in range(nm)]
-    r1 = [y_pow[i] * s_r[i] % Q for i in range(nm)]
-
-    tau1, tau2 = rng.scalar(), rng.scalar()
-    t1_commit = _naive_msm([g, q], [(_ip(l0, r1) + _ip(s_l, r0)) % Q, tau1])
-    t2_commit = _naive_msm([g, q], [_ip(s_l, r1), tau2])
-    tr.absorb_point("T1", t1_commit)
-    tr.absorb_point("T2", t2_commit)
-    x = tr.nonzero_challenge("x")
-    a_cur = [(l0[i] + x * s_l[i]) % Q for i in range(nm)]
-    b_cur = [(r0[i] + x * r1[i]) % Q for i in range(nm)]
-    t_hat = _ip(a_cur, b_cur)
-    tau_x = (tau2 * x * x + tau1 * x + sum(c * b for c, b in zip(zz, blinds))) % Q
-    mu = (alpha + rho * x) % Q
-    tr.absorb_scalar("tau_x", tau_x)
-    tr.absorb_scalar("mu", mu)
-    tr.absorb_scalar("t_hat", t_hat)
-    u_pt = tr.nonzero_challenge("w") * u
-    h_cur = [pow(inv(y), i, Q) * hs[i] for i in range(nm)]
-    g_cur, ls, rs = gs, [], []
-    while len(a_cur) % 2 == 0:
-        half = len(a_cur) // 2
-        ls.append(_naive_msm(
-            g_cur[half:] + h_cur[:half] + [u_pt],
-            a_cur[:half] + b_cur[half:] + [_ip(a_cur[:half], b_cur[half:])],
-        ))
-        rs.append(_naive_msm(
-            g_cur[:half] + h_cur[half:] + [u_pt],
-            a_cur[half:] + b_cur[:half] + [_ip(a_cur[half:], b_cur[:half])],
-        ))
-        tr.absorb_point("L", ls[-1])
-        tr.absorb_point("R", rs[-1])
-        c = tr.nonzero_challenge("x-fold")
-        ci = inv(c)
-        a_cur = [(a_cur[i] * c + a_cur[half + i] * ci) % Q for i in range(half)]
-        b_cur = [(b_cur[i] * ci + b_cur[half + i] * c) % Q for i in range(half)]
-        g_cur = [ci * g_cur[i] + c * g_cur[half + i] for i in range(half)]
-        h_cur = [c * h_cur[i] + ci * h_cur[half + i] for i in range(half)]
-    return RangeProof(
-        a_commit, s_commit, t1_commit, t2_commit, tau_x, mu, t_hat,
-        tuple(ls), tuple(rs), tuple(a_cur), tuple(b_cur),
-    )
-
-
-def _reference_verify(gens, n_bits, comms, proof, tr):
-    """The textbook verifier: both identities as points, the bases folded
-    explicitly down to the length of the final vectors."""
-    m, nm = len(comms), n_bits * len(comms)
-    g, q, rg = gens.g, gens.q, gens.range_gens
-    tr.absorb_u64("bits", n_bits)
-    tr.absorb_u64("values", m)
-    tr.absorb_points("V", comms)
-    tr.absorb_point("A", proof.a_commit)
-    tr.absorb_point("S", proof.s_commit)
-    y, z = tr.nonzero_challenge("y"), tr.nonzero_challenge("z")
-    tr.absorb_point("T1", proof.t1_commit)
-    tr.absorb_point("T2", proof.t2_commit)
-    x = tr.nonzero_challenge("x")
-    for label in ("tau_x", "mu", "t_hat"):
-        tr.absorb_scalar(label, getattr(proof, label))
-    u_pt = tr.nonzero_challenge("w") * rg.u
-    y_pow = [pow(y, i, Q) for i in range(nm)]
-    zz = [pow(z, 2 + j, Q) for j in range(m)]
-    delta = ((z - z * z) * sum(y_pow) - z * sum(zz) * ((1 << n_bits) - 1)) % Q
-    if _naive_msm([g, q], [proof.t_hat, proof.tau_x]) != _naive_msm(
-        [g] + list(comms) + [proof.t1_commit, proof.t2_commit], [delta] + zz + [x, x * x]
-    ):
-        return False
-    gs = list(rg.gs[:nm])
-    hs = [inv(y_pow[i]) * rg.hs[i] for i in range(nm)]
-    p_pt = _naive_msm(
-        [proof.a_commit, proof.s_commit, q, u_pt] + gs + hs,
-        [1, x, -proof.mu, proof.t_hat] + [-z] * nm
-        + [z * y_pow[i] + zz[i // n_bits] * (1 << (i % n_bits)) for i in range(nm)],
-    )
-    for left, right in zip(proof.ls, proof.rs):
-        tr.absorb_point("L", left)
-        tr.absorb_point("R", right)
-        c = tr.nonzero_challenge("x-fold")
-        ci, half = inv(c), len(gs) // 2
-        p_pt = c * c * left + p_pt + ci * ci * right
-        gs = [ci * gs[i] + c * gs[half + i] for i in range(half)]
-        hs = [c * hs[i] + ci * hs[half + i] for i in range(half)]
-    if len(gs) != len(proof.a) or len(hs) != len(proof.b):
-        return False
-    return p_pt == _naive_msm(
-        gs + hs + [u_pt], list(proof.a) + list(proof.b) + [_ip(proof.a, proof.b)]
-    )
+# -- the reference prover and verifier (rangeproof_reference.py) -------------------
 
 
 def _assert_matches_reference(gens, n_bits, values, seed):
     blinds = [DeterministicRng(seed).child(f"blind/{j}").scalar() for j in range(len(values))]
-    comms = [_naive_msm([gens.g, gens.q], [v, b]) for v, b in zip(values, blinds)]
+    comms = [multiexp([gens.g, gens.q], [v, b]) for v, b in zip(values, blinds)]
     fast = gen_range_proof(gens, n_bits, values, blinds, comms, DeterministicRng(seed), _tr())
-    slow = _reference_prove(gens, n_bits, values, blinds, DeterministicRng(seed), _tr())
+    slow = ref_gen_range_proof(gens, n_bits, values, blinds, DeterministicRng(seed), _tr())
     assert fast.to_bytes() == slow.to_bytes()
 
 
@@ -369,11 +246,13 @@ def test_every_odd_part_proves_and_batch_equals_naive(gens_factory, backend_name
         comms = [multiexp([gens.g, gens.q], [v, b]) for v, b in zip(values, blinds)]
         proof = gen_range_proof(gens, n_bits, values, blinds, comms, rng, _tr())
         c, r = slot_shape(n_bits * m)
-        assert len(proof.a) == len(proof.b) == c and len(proof.ls) == len(proof.rs) == r
+        # byte for byte the textbook prover's proof, at every odd part
+        _assert_matches_reference(gens, n_bits, values, f"{c}/{r}".encode())
+        assert len(proof.r) == len(proof.s) == c and len(proof.ls) == len(proof.rs) == r
         # a wrong commitment makes the same proof a false statement
         for vs in (comms, [comms[0] + gens.g] + comms[1:]):
             terms = range_terms(gens, n_bits, vs, proof, _tr())
-            naive = _reference_verify(gens, n_bits, vs, proof, _tr())
+            naive = ref_ver_range_proof(gens, n_bits, vs, proof, _tr())
             assert ver_range_proof(gens, [terms], rng) == naive == (vs is comms)
             statements.append(terms)
             verdicts.append(naive)
@@ -386,15 +265,100 @@ def test_tampered_final_vectors_rejected():
     values, blinds = [3, 60, 17, 0], [1, 2, 3, 4]  # 4 * 6 = 24 = 3 * 2^3 slots
     proof = _prove(values, blinds, 6)
     comms = [_commit(v, b) for v, b in zip(values, blinds)]
-    assert len(proof.a) == 3
+    assert len(proof.r) == 3
     assert ver_range_proof(GENS, [range_terms(GENS, 6, comms, proof, _tr())], _WEIGHTS)
-    for field in ("a", "b"):
+    for field in ("r", "s"):
         vec = getattr(proof, field)
         for t in range(len(vec)):
             bumped = vec[:t] + ((vec[t] + 1) % Q,) + vec[t + 1:]
-            bad = RangeProof(**{**proof.__dict__, field: bumped})
-            terms = range_terms(GENS, 6, comms, bad, _tr())
+            terms = range_terms(GENS, 6, comms, replace(proof, **{field: bumped}), _tr())
             assert not ver_range_proof(GENS, [terms], _WEIGHTS), (field, t)
         for resized in (vec[:-1], vec + (0,), vec[:1]):
-            bad = RangeProof(**{**proof.__dict__, field: resized})
-            assert range_terms(GENS, 6, comms, bad, _tr()) is None
+            assert range_terms(GENS, 6, comms, replace(proof, **{field: resized}), _tr()) is None
+
+
+class _Draws:
+    """An rng that hands out the given scalars in order, and no more."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def scalar(self):
+        return next(self._draws)
+
+
+@pytest.mark.parametrize("backend_name", ["mock", "ristretto255"])
+def test_zero_knowledge_blinds_are_live(gens_factory, backend_name):
+    # no soundness test catches a dropped blind, so each is checked here
+    gens = gens_factory(backend_name, 1, 64)
+    values, blinds = [5, 0, 63, 17], [1, 2, 3, 4]  # 24 = 3 * 2^3 slots
+    comms = [multiexp([gens.g, gens.q], [v, b]) for v, b in zip(values, blinds)]
+
+    def prove(rng):
+        return gen_range_proof(gens, 6, values, blinds, comms, rng, _tr())
+
+    # under two rng seeds, every point and scalar the proof sends differs
+    one, two = prove(DeterministicRng(b"zk/1")), prove(DeterministicRng(b"zk/2"))
+    sent = lambda p: [p.a_commit, *p.ls, *p.rs, p.a1_commit, p.b1_commit, *p.r, *p.s, p.delta]
+    assert len(sent(one)) == 1 + 3 + 3 + 2 + 3 + 3 + 1
+    assert all(first != second for first, second in zip(sent(one), sent(two)))
+
+    # A seed changes every challenge, so it would not show one dropped
+    # blind.  Change each draw alone instead: the point it blinds (alpha
+    # A, d_L and d_R their round's L and R, r, s and delta A1, eta B1)
+    # changes, and every point sent before it stays.
+    points = lambda p: [p.a_commit, *(pt for lr in zip(p.ls, p.rs) for pt in lr),
+                        p.a1_commit, p.b1_commit]
+    rounds, c = 3, 3
+    blinded = [0] + [1 + i for i in range(2 * rounds)] + [1 + 2 * rounds] * (2 * c + 1) + [
+        2 + 2 * rounds
+    ]
+    rng = DeterministicRng(b"zk/draws")
+    draws = [rng.scalar() for _ in blinded]
+    base = points(prove(_Draws(draws)))
+    for k, at in enumerate(blinded):
+        changed = points(prove(_Draws(draws[:k] + [rng.scalar()] + draws[k + 1:])))
+        assert changed[:at] == base[:at] and changed[at] != base[at], k
+
+
+def _ops(fn):
+    before = backend.counter.snapshot()
+    out = fn()
+    after = backend.counter.snapshot()
+    return out, after["mul"] - before["mul"], after["add"] - before["add"]
+
+
+@pytest.mark.parametrize("c", [1, 3, 5, 7])
+@pytest.mark.parametrize("r", [0, 1, 3])
+def test_prover_cost_closed_form(c, r):
+    # A costs alpha q plus one addition per slot; a round of length n
+    # costs 2n + 4 muls and 2n + 2 additions for L and R, and n of each for
+    # the brackets; A1 and B1 cost 2c + 4 muls and 2c + 2 additions.  A
+    # fold factor multiplied into the bases would cost n muls more a round.
+    # Bulletproofs cost 8N - 8c + 2r + 7 muls for r >= 1 (405 at N = 56).
+    n = c << r
+    rng = DeterministicRng(f"cost/{c}/{r}".encode())
+    values, blinds = [rng.below(1 << n)], [rng.scalar()]
+    comms = [_commit(values[0], blinds[0])]
+    _, muls, adds = _ops(lambda: gen_range_proof(GENS, n, values, blinds, comms, rng, _tr()))
+    assert (muls, adds) == (6 * n - 4 * c + 4 * r + 5, 7 * n - 4 * c + 2 * r + 2)
+
+
+def test_batch_verifier_cost_pinned():
+    # one multiexp over g, q, the widest proof's 2N bases and each proof's
+    # A, A1, B1, L_j, R_j and values: 2 + 2N + sum(3 + 2r + m) muls
+    rng = DeterministicRng(b"verify-cost")
+    shapes = [(14, 4), (8, 1), (5, 2)]  # 56 = 7 * 2^3, 8 = 2^3, 10 = 5 * 2
+    terms = []
+    for n_bits, m in shapes:
+        values = [rng.below(1 << n_bits) for _ in range(m)]
+        blinds = [rng.scalar() for _ in range(m)]
+        comms = [_commit(v, b) for v, b in zip(values, blinds)]
+        proof = gen_range_proof(GENS, n_bits, values, blinds, comms, rng, _tr())
+        terms.append(range_terms(GENS, n_bits, comms, proof, _tr()))
+    # Bulletproofs' two identities a proof cost 129 and 148 muls here:
+    # the base u, and A, S, T1, T2 in place of A, A1, B1
+    ok, muls, adds = _ops(lambda: ver_range_proof(GENS, terms[:1], rng))
+    assert ok and (muls, adds) == (127, 126) == (2 + 112 + 13, 127 - 1)
+    ok, muls, adds = _ops(lambda: ver_range_proof(GENS, terms, rng))
+    assert ok and (muls, adds) == (144, 143) == (2 + 112 + 13 + 10 + 7, 144 - 1)

@@ -64,8 +64,9 @@ def test_wire_surface_is_pinned():
         "IntegrityProof": ["e_star", "o", "o_prime", "rho", "tau", "sigma", "mu"],
         "WellFormedProof": ["c", "y", "y_vec", "y_star"],
         "SquareProof": ["c", "s1", "s2", "s3"],
-        "RangeProof": ["a_commit", "s_commit", "t1_commit", "t2_commit", "tau_x", "mu",
-                       "t_hat", "ls", "rs", "a", "b"],
+        # savi/v6, Bulletproofs+; at savi/v5 ["a_commit", "s_commit",
+        # "t1_commit", "t2_commit", "tau_x", "mu", "t_hat", "ls", "rs", "a", "b"]
+        "RangeProof": ["a_commit", "ls", "rs", "a1_commit", "b1_commit", "r", "s", "delta"],
         "Share": ["index", "value"],
         "CheckString": ["points"],
     }
