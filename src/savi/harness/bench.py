@@ -26,7 +26,7 @@ from ..zkp.vercrt import crt_weights, ver_crt
 from .config import deployment_preset
 from .simulate import MSG_BUNDLE, MSG_PROOF, Simulation, _StageMeter
 
-PROBE_STAGES = ("commit", "server_prep", "client_proof", "server_verify")
+PROBE_STAGES = ("commit", "server_prep", "client_check_h", "client_proof", "server_verify")
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,12 @@ def probe_costs(d: int, k: int, backend_name: str = "mock", seed: int = 7) -> Co
     needs.  A deployment builds those once, in its first round, and they
     cost about 510 additions whatever d is; counted here, they would
     swamp the d-linear cost at small d.  The probe builds them first,
-    outside the metered stages."""
+    outside the metered stages.
+
+    A client checks the server's h (``ver_crt``) before it proves; that
+    check is its own row, "client_check_h", since it costs one mul and
+    one addition per coordinate whatever the proof costs, so
+    "client_proof" is the proof alone."""
     params = deployment_preset(n=2, m=0, d=d, k=k).check_parameters()
     backend = make_backend(backend_name)
     gens = GeneratorSet.derive(backend, d, params.range_slots)
@@ -71,12 +76,12 @@ def probe_costs(d: int, k: int, backend_name: str = "mock", seed: int = 7) -> Co
     matrix = sample_matrix(rng.take(32), k, d, params.M)
     h = meter.run("server_prep", lambda: compute_h(matrix, gens))
 
-    def prove():
-        if not ver_crt(gens.w, h, *crt_weights(matrix, rng)):
-            raise AssertionError("h inconsistent in bench probe")
-        return gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
-
-    proof = meter.run("client_proof", prove)
+    if not meter.run("client_check_h", lambda: ver_crt(gens.w, h, *crt_weights(matrix, rng))):
+        raise AssertionError("h inconsistent in bench probe")
+    proof = meter.run(
+        "client_proof",
+        lambda: gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng),
+    )
     ok, reason = meter.run(
         "server_verify",
         lambda: ver_integrity_proof(params, gens, matrix, h, z, y, proof, 1, 1, rng),

@@ -475,16 +475,11 @@ def test_criterion_09_exhaustive_adversarial_flagging():
 
 def test_criterion_10a_proof_cost_sublinear_in_d():
     rows = [probe_costs(d, k=16) for d in (256, 1024, 4096)]
-    # the stage also holds the client's check of h (ver_crt), one mul
-    # and one addition per coordinate of w, which is linear in d by design
-    proof_ops = [r.stage_total("client_proof") - 2 * r.d for r in rows]
+    proof_ops = [r.stage_total("client_proof") for r in rows]
     commit_ops = [r.stage_total("commit") for r in rows]
-    # d grows 16x; proof work may creep (the range widths follow M, which
-    # follows k d) but must stay far from linear, while commitment work
-    # tracks d.  (The bound on the whole stage was proof_ops[2] < 2.0
-    # proof_ops[0]; with Bulletproofs+ it reads 15,093 against 7,347, as
-    # the h check's 2d grew to half of it, and 6,901 against 6,835 here.)
-    assert proof_ops[2] < 1.2 * proof_ops[0]
+    # d grows 16x; proof work may creep (dlog-free h terms) but must
+    # stay far from linear, while commitment work tracks d
+    assert proof_ops[2] < 2.0 * proof_ops[0]
     assert commit_ops[2] > 10.0 * commit_ops[0]
 
 

@@ -483,7 +483,9 @@ def test_no_clear_share_traffic_without_flags():
 def test_probe_costs_stage_structure():
     row = probe_costs(d=64, k=8)
     assert row.d == 64 and row.k == 8
-    assert set(row.ops) == {"commit", "server_prep", "client_proof", "server_verify"}
+    assert set(row.ops) == {
+        "commit", "server_prep", "client_check_h", "client_proof", "server_verify"
+    }
     assert all(row.stage_total(s) > 0 for s in row.ops)
 
 
@@ -512,13 +514,18 @@ def test_client_proof_probe_op_count_pinned():
     # probe's former private widths 32 and 64 cost 5,140 muls, and with
     # explicit folding and one mul per bit of A, 7,476; with x_i g
     # computed twice in the well-formedness proof, 6,220; with the
-    # Bulletproofs prover, 4,410 muls and 4,805 adds.)
-    ops = probe_costs(256, 16).ops["client_proof"]
-    assert ops == {"mul": 3474, "add": 3873, "from_hash": 0}
-    assert ops["mul"] <= 6_700
-    # proof_heavy's shape (896 + 56 slots); 8,250 muls and 9,037 adds
-    # with the Bulletproofs prover
-    assert probe_costs(256, 32).ops["client_proof"] == {"mul": 6418, "add": 7209, "from_hash": 0}
+    # Bulletproofs prover, 4,410 muls and 4,805 adds.)  Every figure above
+    # also counts the client's check of h, which now has its own row:
+    # the proof and the check together cost 3,474 muls and 3,873 adds.
+    ops = probe_costs(256, 16).ops
+    assert ops["client_check_h"] == {"mul": 273, "add": 271, "from_hash": 0}
+    assert ops["client_proof"] == {"mul": 3201, "add": 3602, "from_hash": 0}
+    assert ops["client_check_h"]["mul"] + ops["client_proof"]["mul"] <= 6_700
+    # proof_heavy's shape (896 + 56 slots); with the check of h, 6,418 muls
+    # and 7,209 adds, and 8,250 and 9,037 with the Bulletproofs prover
+    ops = probe_costs(256, 32).ops
+    assert ops["client_check_h"] == {"mul": 289, "add": 287, "from_hash": 0}
+    assert ops["client_proof"] == {"mul": 6129, "add": 6922, "from_hash": 0}
 
 
 def test_comm_probe_equals_bytes_a_client_sends():
@@ -691,7 +698,7 @@ def test_cli_bench_sweep(tmp_path):
     lines = [ln.split() for ln in res.output.strip().splitlines()]
     assert lines[0][:2] == ["d", "k"]
     assert [ln[0] for ln in lines[1:]] == ["64", "128"]
-    assert all(len(ln) == 6 for ln in lines[1:])
+    assert all(len(ln) == 7 for ln in lines[1:])
 
 
 def test_cli_params_table():

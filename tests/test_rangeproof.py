@@ -143,7 +143,7 @@ def test_proof_size_logarithmic_in_slots():
     # fold vectors grow by 3 entries while slot count grows 8x
     assert len(p64.to_bytes()) - len(p8.to_bytes()) == 6 * 32
     # A, A1, B1, delta, the counted runs r' and s' of length 1 and L and
-    # R of length 3 (a Bulletproofs proof of 8 slots was 496 bytes)
+    # R of length 3
     assert len(p8.to_bytes()) == 4 * 32 + 2 * (4 + 32) + 2 * (4 + 3 * 32) == 400
 
 
@@ -335,7 +335,6 @@ def test_prover_cost_closed_form(c, r):
     # costs 2n + 4 muls and 2n + 2 additions for L and R, and n of each for
     # the brackets; A1 and B1 cost 2c + 4 muls and 2c + 2 additions.  A
     # fold factor multiplied into the bases would cost n muls more a round.
-    # Bulletproofs cost 8N - 8c + 2r + 7 muls for r >= 1 (405 at N = 56).
     n = c << r
     rng = DeterministicRng(f"cost/{c}/{r}".encode())
     values, blinds = [rng.below(1 << n)], [rng.scalar()]
@@ -356,8 +355,6 @@ def test_batch_verifier_cost_pinned():
         comms = [_commit(v, b) for v, b in zip(values, blinds)]
         proof = gen_range_proof(GENS, n_bits, values, blinds, comms, rng, _tr())
         terms.append(range_terms(GENS, n_bits, comms, proof, _tr()))
-    # Bulletproofs' two identities a proof cost 129 and 148 muls here:
-    # the base u, and A, S, T1, T2 in place of A, A1, B1
     ok, muls, adds = _ops(lambda: ver_range_proof(GENS, terms[:1], rng))
     assert ok and (muls, adds) == (127, 126) == (2 + 112 + 13, 127 - 1)
     ok, muls, adds = _ops(lambda: ver_range_proof(GENS, terms, rng))
