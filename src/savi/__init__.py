@@ -40,6 +40,7 @@ from .zkp import (
     ver_crt,
     ver_integrity_proof,
     ver_integrity_proofs,
+    ver_integrity_set,
     ver_prf_sq,
     ver_prf_wf,
     ver_range_proof,
@@ -81,6 +82,7 @@ __all__ = [
     "ver_crt",
     "ver_integrity_proof",
     "ver_integrity_proofs",
+    "ver_integrity_set",
     "ver_prf_sq",
     "ver_prf_wf",
     "ver_range_proof",

@@ -47,19 +47,26 @@ def commit_update(u: Sequence[int], r: int, gens: GeneratorSet) -> list[Point]:
 
 
 def aggregate_commitments(
-    vectors: Sequence[Sequence[Point]], gens: GeneratorSet
+    vectors: Sequence[Sequence[Point]],
+    gens: GeneratorSet,
+    minus: Sequence[Sequence[Point]] = (),
 ) -> list[Point]:
-    """Coordinate-wise sum over a set of commitment vectors.
+    """Coordinate-wise sum over a set of equally long commitment vectors,
+    less the sum over ``minus``.  The vectors are y, or y followed by
+    e_star, which the server's consistency check sums
+    (``zkp.integrity``).
 
-    An empty set yields the identity vector (callers flag that case in
-    their reports rather than treating it as an error).
+    An empty set yields the identity vector of length d (callers flag
+    that case in their reports rather than treating it as an error).
     """
-    d = len(gens.w)
-    if any(len(vec) != d for vec in vectors):
+    if len({len(vec) for vec in (*vectors, *minus)}) > 1:
         raise ValueError("commitment vector length mismatch")
     if not vectors:
-        return [gens.backend.identity() for _ in range(d)]
-    return multiexps([[(p, 1) for p in column] for column in zip(*vectors)], gens.backend)
+        return [gens.backend.identity() for _ in gens.w]
+    rows = [[(p, 1) for p in column] for column in zip(*vectors)]
+    for row, column in zip(rows, zip(*minus)):
+        row += [(p, -1) for p in column]
+    return multiexps(rows, gens.backend)
 
 
 @dataclass(frozen=True)

@@ -124,8 +124,10 @@ def measure_communication(d: int, k: int, n: int = 8, m: int = 1, seed: int = 11
     The bundle is the one client 1 of an n-client deployment sends at
     full dimension.  The other payloads (flag report, proof, blind share)
     are the ones a client sends in a one-client round at d'=16 and at
-    d'=32; the probe asserts both rounds send equal lengths before
-    trusting them for dimension d.
+    d'=32, with M, b_ip and b_max fixed to the values derived at (d, k),
+    since the range proofs' widths would otherwise follow d'; the probe
+    asserts both rounds send equal lengths before trusting them for
+    dimension d.
     """
     backend = make_backend("mock")
     rng = DeterministicRng(seed).child("comm-probe")
@@ -140,7 +142,10 @@ def measure_communication(d: int, k: int, n: int = 8, m: int = 1, seed: int = 11
 
     sizes = []
     for d_small in (16, 32):
-        config = deployment_preset(n=1, m=0, d=d_small, k=k, backend="mock", seed=seed)
+        config = deployment_preset(
+            n=1, m=0, d=d_small, k=k, backend="mock", seed=seed,
+            M=params.M, b_ip=params.b_ip, b_max=params.b_max,
+        )
         messages = Simulation(config).run_round(1).messages
         (proof,) = [payload for kind, _, payload in messages if kind == MSG_PROOF]
         other = sum(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-from ..commit import CommitmentBundle, aggregate_commitments
+from ..commit import CommitmentBundle
 from ..group.base import GROUP_ORDER, Point
 from ..group.dlog import BabyStepTable, DlogNotFoundError, dlog_bounded
 from ..group.generators import GeneratorSet
@@ -24,7 +24,7 @@ from ..vsss import (
     ss_recover,
     ss_verify,
 )
-from ..zkp import IntegrityProof, ver_integrity_proofs
+from ..zkp import IntegrityProof, ver_integrity_set
 from .errors import DlogOutOfRangeError, ShareVerifyFailedError
 
 _Q = GROUP_ORDER
@@ -54,6 +54,7 @@ class Server:
         self.bundles: dict[int, CommitmentBundle] = {}
         self.malicious: dict[int, str] = {}
         self.honest: list[int] = []
+        self.y_sum: list[Point] = []  # the honest clients' y, summed by receive_proofs
         self.bad_blind_shares: list[int] = []
         self.seed: bytes = b""
         self.matrix: Optional[SampleMatrix] = None
@@ -183,17 +184,21 @@ class Server:
     ) -> list[int]:
         """Verify every surviving client's proof; build the honest set.
 
-        The proofs are verified as one batch (``ver_integrity_proofs``):
-        the range proofs of every client that passes its per-client
-        checks share one multiexp, bisected on failure to name the
-        clients whose range proofs fail."""
+        The proofs are verified as one batch (``ver_integrity_set``):
+        one consistency check covers the e_star of the whole accepted set,
+        so colluders whose errors cancel are not named, but their sum is
+        bounded and the aggregate stays exact.  The range proofs of every
+        client that passes its per-client checks share one multiexp.
+        Each batch is bisected on failure to name the clients that fail
+        it.  The check sums the accepted clients' y, and ``aggregate``
+        unblinds that sum."""
         assert self.matrix is not None, "proof_round must run first"
         submitted = {
             i: (self.bundles[i].z, self.bundles[i].y, proofs[i])
             for i in self.surviving
             if proofs.get(i) is not None
         }
-        verdicts = ver_integrity_proofs(
+        verdicts, self.y_sum = ver_integrity_set(
             self.params, self.gens, self.matrix, self.h, submitted, self.round_no, self.rng
         )
         honest = []
@@ -210,7 +215,8 @@ class Server:
     # -- stage 4 -------------------------------------------------------------
 
     def aggregate(self, r_primes: Mapping[int, Optional[int]]) -> list[int]:
-        """Open the sum of honest commitments.
+        """Open the sum of honest commitments, which ``receive_proofs``
+        computed for its consistency check.
 
         Each responding client i supplies r'_i = sum of its received
         shares over H, i.e. a share (at index i) of the combined blind;
@@ -253,13 +259,10 @@ class Server:
             )
         blind = ss_recover(valid, p.threshold)
 
-        totals = aggregate_commitments(
-            [self.bundles[i].y for i in self.honest], self.gens
-        )
         bound = len(self.honest) * ((1 << (p.b_coord - 1)) - 1)
         table = BabyStepTable.for_bound(self.gens.g, bound)
         targets = multiexps(
-            [[(y_l, 1), (w_l, -blind)] for y_l, w_l in zip(totals, self.gens.w)],
+            [[(y_l, 1), (w_l, -blind)] for y_l, w_l in zip(self.y_sum, self.gens.w)],
             self.gens.backend,
         )
         out = []

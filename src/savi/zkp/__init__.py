@@ -4,6 +4,7 @@ from .integrity import (
     gen_integrity_proof,
     ver_integrity_proof,
     ver_integrity_proofs,
+    ver_integrity_set,
 )
 from .rangeproof import RangeProof, gen_range_proof, range_terms, ver_range_proof
 from .sigma import (
@@ -34,6 +35,7 @@ __all__ = [
     "ver_crt",
     "ver_integrity_proof",
     "ver_integrity_proofs",
+    "ver_integrity_set",
     "ver_prf_sq",
     "ver_prf_wf",
     "ver_range_proof",

@@ -26,13 +26,50 @@ All four sub-proofs draw their challenges from one transcript bound to
 the check parameters, the round and the client's commitments.
 Verification reports which sub-check failed so the simulator can
 attribute rejections.  The two sigma proofs are checked exactly, one
-client at a time.  The rest of a round's proofs is verified in batches:
-one weight vector tests every client's e_star against its y, and the
-range proofs of every client, each replayed into one identity over the
-shared slot bases (``range_terms``), are checked as one weighted
+client at a time.  The rest of a round's proofs is verified in batches.
+The range proofs of every client, each replayed into one identity over
+the shared slot bases (``range_terms``), are checked as one weighted
 multiexp, which is bisected on failure to name the cheaters: a client
 whose sigma identity fails gets "range_ip", one whose mu identity fails
-"range_sum".
+"range_sum".  e_star is checked once for the whole set, not once per
+client, as follows.
+
+Consistency per set.  Client i's e_star is consistent when
+e_{i,t} = sum_l A_{t,l} y_{i,l} for every row t.  Let E_t and Y_l be the
+column sums of e_star and y over a set S of clients.  One ``ver_crt``
+tests sum_t b_t E_t == sum_l c_l Y_l, with the round's weights b and
+c = b·A: d + k + 1 muls for the set, where checking each client costs
+that much per client.  This is the small-exponent batch test of
+Bellare, Garay and Rabin (EUROCRYPT 1998).
+
+  * Which set.  The test runs on the well-shaped proofs, after
+    "malformed" and before "wellformed".  If it fails, it is bisected as
+    the range batch is, and a client that fails alone is named
+    "consistency".  The halves that pass need no further check, because
+    the test is linear: their union passes too.  If a later check drops
+    anyone, the sums of the final set are the first sums minus the
+    dropped clients' columns, and that set is checked once more, bisected
+    in the same way.  So the test always covers exactly the accepted
+    set, whose Y the server then unblinds.
+  * Failure bound.  b is drawn after every proof is in.  So a fixed
+    nonzero error sum over a subset passes with probability at most 1/p.
+    A round checks at most 4n subsets: two bisection trees of at most
+    2n - 1 nodes each.
+  * What a passing set still guarantees.  The sum of the accepted
+    clients' claimed projections opens A·sum_i u_i.  Honest clients'
+    claims are exact, so the malicious clients' sum u_M has
+    ||A·u_M|| <= |M|·sqrt(B0), since each of their claims passed the norm
+    check.  A is drawn after the commitments, so the bound applies to
+    u_M.  That is the bound on the aggregate that per-client checks give
+    through the triangle inequality.  The well-formedness proofs fix
+    the blind of each e_{i,0} to the r_i behind z_i.  The uniform row a_0
+    is drawn after the commitments too, so it forces Y's blind on every
+    coordinate to equal the sum of the r_i: colluders cannot make the
+    server's unblinding fail.
+  * What colluders get.  Clients whose e_star errors cancel in the sum
+    pass and are not named.  They may each send any update whose sum
+    meets the bound above; the aggregate stays exact.  A single client
+    with a bad e_star is still named "consistency" by the bisection.
 """
 
 from __future__ import annotations
@@ -40,6 +77,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from ..commit import aggregate_commitments
 from ..group.base import GROUP_ORDER, Point
 from ..group.generators import GeneratorSet
 from ..group.multiexp import multiexps, sum_points
@@ -246,37 +284,63 @@ def ver_integrity_proofs(
     round_no: int,
     rng: Rng,
 ) -> dict[int, str | None]:
+    """Check the proofs of a round: the verdicts of ``ver_integrity_set``."""
+    return ver_integrity_set(params, gens, matrix, h, proofs, round_no, rng)[0]
+
+
+def ver_integrity_set(
+    params: "CheckParameters",
+    gens: GeneratorSet,
+    matrix: "SampleMatrix",
+    h: Sequence[Point],
+    proofs: Mapping[int, tuple[Point, Sequence[Point], IntegrityProof]],
+    round_no: int,
+    rng: Rng,
+) -> tuple[dict[int, str | None], list[Point]]:
     """Check the proofs of a round, given as client id -> (z, y, proof).
 
     Returns client id -> the label of the first failed check, or None
-    for a proof that verifies.  The labels ("malformed", "consistency",
-    "wellformed", "square", "range_ip", "range_sum") feed the simulator's
-    rejection report.
+    for a proof that verifies, and Y: the column sums of y over the
+    accepted clients (d identities if none is).  The labels
+    ("malformed", "consistency", "wellformed", "square", "range_ip",
+    "range_sum") feed the simulator's rejection report.
 
     Every weight comes from the child stream ``verify/<round_no>``, so
     ``rng`` draws nothing and no proof moves the caller's later draws.
     That stream feeds two things only.  First, k+1 nonzero weights b and
-    their combination c = b·A, computed once for the round: each client's
-    consistency check tests sum_t b_t e_t == sum_l c_l y_l against them.
-    They are drawn after every proof is in, so a client whose e_star
-    does not open its y passes with probability 1/p, whatever the other
-    clients sent; over n clients, some wrong e_star passes with
-    probability at most n/p.  Second, the weights of the range batch.
+    their combination c = b·A, computed once for the round, for the
+    consistency check of the set (see the module docstring).  Second,
+    the weights of the range batch.
 
-    The per-client checks (shape, consistency, the two sigma proofs,
-    which are exact) run in client-id order.  The range proofs of every
-    client that passes them are then verified as one weighted multiexp,
-    bisected on failure down to single clients, each named by its first
-    failing range proof.
+    The checks run in this order: shape, per client; consistency, for
+    the well-shaped set; the two sigma proofs, which are exact, per
+    client in client-id order; and the range proofs of every client that
+    passes them, as one weighted multiexp, bisected on failure down to
+    single clients, each named by its first failing range proof.  If the
+    last two drop anyone, the accepted set's consistency is checked
+    again.
     """
     weights = rng.child(f"verify/{round_no}")
     crt = crt_weights(matrix, weights)
     verdicts: dict[int, str | None] = {}
-    batch: dict[int, tuple[Identity, Identity]] = {}
+    columns: dict[int, tuple[Point, ...]] = {}  # y then e_star: what the set check sums
     for client_id in sorted(proofs):
+        _, y, proof = proofs[client_id]
+        if _well_shaped(params, h, y, proof):
+            columns[client_id] = (*y, *proof.e_star)
+        else:
+            verdicts[client_id] = "malformed"
+    ids = sorted(columns)
+    sums = aggregate_commitments([columns[i] for i in ids], gens)
+    _bisect_consistency(params.d, gens, ids, sums, columns, crt, verdicts)
+
+    batch: dict[int, tuple[Identity, Identity]] = {}
+    for client_id in ids:
+        if client_id in verdicts:
+            continue
         z, y, proof = proofs[client_id]
         checked = _cheap_checks(
-            params, gens, matrix, h, z, y, proof, round_no, client_id, crt, weights
+            params, gens, matrix, h, z, y, proof, round_no, client_id, weights
         )
         if isinstance(checked, str):
             verdicts[client_id] = checked
@@ -284,30 +348,72 @@ def ver_integrity_proofs(
             verdicts[client_id] = None
             batch[client_id] = checked
     _bisect(gens, sorted(batch), batch, weights, verdicts)
-    return verdicts
+
+    accepted = [i for i in ids if verdicts[i] is None]
+    if not accepted:
+        return verdicts, [gens.backend.identity()] * params.d
+    dropped = [i for i in ids if verdicts[i] is not None]
+    if dropped:
+        sums = aggregate_commitments([sums], gens, [columns[i] for i in dropped])
+    if any(verdicts[i] != "consistency" for i in dropped):
+        named = _bisect_consistency(params.d, gens, accepted, sums, columns, crt, verdicts)
+        if named:
+            sums = aggregate_commitments([sums], gens, [columns[i] for i in named])
+    return verdicts, sums[: params.d]
+
+
+def _well_shaped(
+    params: "CheckParameters", h: Sequence[Point], y: Sequence[Point], proof: IntegrityProof
+) -> bool:
+    """Whether every vector has the length the checks index it by."""
+    k = params.k
+    return (
+        len(proof.e_star) == k + 1
+        and len(proof.o) == k
+        and len(proof.o_prime) == k
+        and len(h) == k + 1
+        and len(y) == params.d
+    )
+
+
+def _bisect_consistency(
+    d: int,
+    gens: GeneratorSet,
+    ids: list[int],
+    sums: Sequence[Point],
+    columns: Mapping[int, Sequence[Point]],
+    crt: tuple[list[int], list[int]],
+    verdicts: dict[int, str | None],
+) -> list[int]:
+    """Name "consistency" the clients in ``ids`` whose e_star fails,
+    given the column sums of their y and e_star: check them together,
+    and on failure recheck each half, down to one client.  Returns the
+    clients it names."""
+    if not ids or ver_crt(sums[:d], sums[d:], *crt):
+        return []
+    if len(ids) == 1:
+        verdicts[ids[0]] = "consistency"
+        return ids
+    half = len(ids) // 2
+    return [
+        i
+        for part in (ids[:half], ids[half:])
+        for i in _bisect_consistency(
+            d, gens, part, aggregate_commitments([columns[j] for j in part], gens), columns, crt,
+            verdicts,
+        )
+    ]
 
 
 def _cheap_checks(
     params: "CheckParameters", gens: GeneratorSet, matrix: "SampleMatrix",
     h: Sequence[Point], z: Point, y: Sequence[Point], proof: IntegrityProof,
-    round_no: int, client_id: int, crt: tuple[list[int], list[int]], weights: Rng,
+    round_no: int, client_id: int, weights: Rng,
 ) -> str | tuple[Identity, Identity]:
-    """Everything but the range proofs' identities: the failed-check
-    label, or the identities of the sigma and mu range proofs.  ``crt`` is
-    the round's consistency weights and their combination."""
-    k = params.k
-    if (
-        len(proof.e_star) != k + 1
-        or len(proof.o) != k
-        or len(proof.o_prime) != k
-        or len(h) != k + 1
-        or len(y) != params.d
-    ):
-        return "malformed"
+    """The checks of a well-shaped, consistent proof but the range
+    proofs' identities: the failed-check label, or the identities of the
+    sigma and mu range proofs."""
     g, q = gens.g, gens.q
-
-    if not ver_crt(y, proof.e_star, *crt):
-        return "consistency"
     tr = _transcript(params, matrix, round_no, client_id, y, z)
     if not ver_prf_wf(g, q, h, z, proof.e_star, proof.o, proof.rho, tr):
         return "wellformed"

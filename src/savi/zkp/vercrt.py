@@ -8,10 +8,13 @@ combined exponent row c = b·A (``crt_weights``), and test
     sum_t b_t * h_t  ==  sum_l c_l * w_l.
 
 Any single wrong h_t escapes detection with probability 1/p.  The same
-check also validates a client's projection commitments e_t against its
-coordinate commitments y_l, since both sides then equal the projected
-commitment of the same update.  One pair (b, c) may serve many checks
-against one matrix, if it is drawn after all of their claims are fixed.
+check also validates projection commitments e_t against coordinate
+commitments y_l, since both sides then equal the projected commitment of
+the same update.  The test is linear, so it holds for sums: the server
+runs it once on the column sums of a whole set's e_star and y
+(``zkp.integrity``), not once per client.  One pair (b, c) may serve many
+checks against one matrix, if it is drawn after all of their claims are
+fixed.
 """
 
 from __future__ import annotations

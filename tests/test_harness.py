@@ -39,6 +39,7 @@ from savi.group import make_backend
 from savi.sampling import SampleMatrix, pass_rate_F, sample_matrix
 from savi.serial import U32, decode, encode
 from savi.zkp import IntegrityProof
+from savi.zkp import IntegrityProof
 
 
 def _tiny(**overrides):
@@ -211,10 +212,13 @@ def test_proof_verification_op_count_pinned():
     # M is derived (2^11: 192 + 48 slots); at M = 2^20 (320 + 64 slots)
     # this round cost 2,733 muls and 2,592 adds.  Bulletproofs' two
     # identities a proof (u, S, T1 and T2 where Bulletproofs+ has A1 and
-    # B1) cost 2,437 muls and 2,296 adds
+    # B1) cost 2,437 muls and 2,296 adds.  One consistency check covers
+    # the set, and its sums are the y and e_star columns: checked per
+    # client, e_star cost d + k + 1 = 73 muls more for each of the other
+    # nine clients (2,416 muls and 2,275 adds)
     (rep,) = run_simulation(SimulationConfig(n=10, m=4, d=64, k=8, seed=1, backend="mock"))
     assert rep.honest == tuple(range(1, 11))
-    assert rep.group_ops["proof_ver"] == {"mul": 2416, "add": 2275, "from_hash": 0}
+    assert rep.group_ops["proof_ver"] == {"mul": 1759, "add": 2293, "from_hash": 0}
     assert rep.group_ops["proof_ver"]["mul"] <= 4000
 
 
@@ -236,8 +240,10 @@ def test_proof_generation_op_count_pinned():
     # from d identities (this stage counted 9,976 adds when it did), and
     # each dlog starts its search at 0 (from -bound: 112 muls, 9,912 adds)
     # over a table of sqrt(2*bound) entries (sized for targets spread over
-    # the whole bound: 111 muls, 5,304 adds)
-    assert rep.group_ops["aggregate"] == {"mul": 110, "add": 1534, "from_hash": 0}
+    # the whole bound: 111 muls, 5,304 adds).  The sum of the honest
+    # commitments comes from the consistency check of stage 3; summed
+    # here, it cost d = 64 adds for each of nine clients (1,534 adds)
+    assert rep.group_ops["aggregate"] == {"mul": 110, "add": 958, "from_hash": 0}
 
 
 def test_commit_op_count_pinned():
@@ -544,6 +550,25 @@ def test_comm_probe_proof_parts_add_up():
     # k+1 + 2k points; the sigma proofs in their (c, s) form
     assert rep.proof_parts["e_star+o+o_prime"] == 32 * (3 * 4 + 1)
     assert (rep.proof_parts["rho"], rep.proof_parts["tau"]) == (104 + 64 * 4, 44 + 96 * 4)
+
+
+def test_comm_probe_measures_the_widths_of_d():
+    # at d=1024, k=16 the range widths derived from B0 (b_ip 28, b_max 56)
+    # are not those of the probe's small rounds at d'=16 (24 and 48), so
+    # those rounds run with the widths of d, as a proof made at d has them
+    fields = dict(d=1024, k=16)
+    wide, small = (deployment_preset(**fields).check_parameters(),
+                   deployment_preset(d=16, k=16).check_parameters())
+    assert (wide.b_ip, wide.b_max) != (small.b_ip, small.b_max)
+    probe = measure_communication(**fields, seed=11)
+    (rep,) = run_simulation(deployment_preset(n=1, m=0, **fields, backend="mock", seed=11))
+    (payload,) = [p for kind, _, p in rep.messages if kind == MSG_PROOF]
+    proof = IntegrityProof.from_bytes(payload, make_backend("mock"))
+    assert probe.proof_bytes == len(payload)
+    assert probe.proof_parts == {
+        "e_star+o+o_prime": 32 * (len(proof.e_star) + len(proof.o) + len(proof.o_prime)),
+        **{part: len(getattr(proof, part).to_bytes()) for part in ("rho", "tau", "sigma", "mu")},
+    }
 
 
 def test_proof_cost_grows_with_k():

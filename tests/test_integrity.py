@@ -22,7 +22,6 @@ from savi.zkp import (
 )
 from savi.zkp import integrity
 from savi.zkp.integrity import _shifted
-from savi.zkp.vercrt import crt_weights
 from sigma_reference import each_bump
 
 Q = GROUP_ORDER
@@ -429,7 +428,50 @@ def test_square_root_of_minus_one_cheater_is_rejected(backend_name, monkeypatch)
         False, "range_ip"
     )
     weights = DeterministicRng(b"i-s-cheater")
-    crt = crt_weights(matrix, weights)
-    sigma, mu = integrity._cheap_checks(params, gens, matrix, h, z, y, proof, 1, 1, crt, weights)
+    sigma, mu = integrity._cheap_checks(params, gens, matrix, h, z, y, proof, 1, 1, weights)
+    assert ver_range_proof(gens, [mu], weights)
+    assert not ver_range_proof(gens, [sigma], weights)
+
+
+@pytest.mark.parametrize("backend_name", ["mock", "ristretto255"])
+def test_half_cheater_is_rejected(backend_name, monkeypatch):
+    # u = 2⁻¹·w mod p makes each v_t = 2⁻¹·<a_t, w>: small where <a_t, w>
+    # is even, near p/2 where it is odd.  With a positive multiple of 4
+    # odd <a_t, w>, S = sum <a_t, w>² ≡ 0 mod 4, so the sum of squares
+    # 4⁻¹·S is the integer S/4, the slack B0 - S/4 is in range and its proof
+    # honest; only the projection range proof can catch the cheater
+    params = _params(k=4, d=16)
+    matrix = sample_matrix(b"itest", params.k, params.d, params.M)  # as _instance draws it
+
+    def odd_projections(w):
+        return sum(x % 2 for x in matrix.row_inner(w)[1:])
+
+    w = next(
+        w
+        for w in ([int(x) for x in np.random.default_rng(seed).integers(-2, 3, params.d)]
+                  for seed in range(1000))
+        if odd_projections(w) and odd_projections(w) % 4 == 0
+    )
+    assert sum(x * x for x in matrix.row_inner(w)[1:]) // 4 <= params.b0
+    half = pow(2, -1, Q)
+    u = [half * x % Q for x in w]
+    gens, matrix, h, y, z, r, rng = _instance(params, u, b=make_backend(backend_name))
+    claims = [half * x % Q for x in matrix.row_inner(w)[1:]]
+    stripped = integrity.gen_range_proof
+
+    def unguarded(gens, n_bits, values, *rest):
+        # the range guard an attacker strips: values taken mod p, then
+        # cut to the proof's width
+        return stripped(gens, n_bits, [x % Q % (1 << n_bits) for x in values], *rest)
+
+    monkeypatch.setattr(integrity, "gen_range_proof", unguarded)
+    proof = integrity._prove(
+        params, gens, matrix, h, z, y, r, matrix.row_inner(u), claims, 1, 1, rng
+    )
+    assert ver_integrity_proof(params, gens, matrix, h, z, y, proof, 1, 1, rng) == (
+        False, "range_ip"
+    )
+    weights = DeterministicRng(b"half-cheater")
+    sigma, mu = integrity._cheap_checks(params, gens, matrix, h, z, y, proof, 1, 1, weights)
     assert ver_range_proof(gens, [mu], weights)
     assert not ver_range_proof(gens, [sigma], weights)

@@ -21,7 +21,7 @@ from savi.protocol.server import compute_h
 from savi.rng import DeterministicRng
 from savi.sampling import CheckParameters, SampleMatrix, sample_matrix
 from savi.vsss import CheckString, InsufficientSharesError, Share
-from savi.zkp import ver_integrity_proof
+from savi.zkp import integrity, ver_integrity_proof
 
 mock = make_backend("mock")
 
@@ -607,6 +607,92 @@ def test_batch_names_exactly_the_range_proof_cheaters(cheaters):
     honest = server.receive_proofs(proofs)
     assert honest == [i for i in clients if i not in expected]
     assert server.malicious == {i: f"proof_{r}" for i, r in expected.items()}
+
+
+# -- consistency of the accepted set -------------------------------------------------
+
+
+def _colluding(monkeypatch, shifts, range_cheats=()):
+    """Make the clients in ``shifts`` claim their projections shifted by
+    it and build e_star on the shifted claims, so each one's sigma proofs
+    hold but its e_star misses its y by shift·g; those in
+    ``range_cheats`` also send a bad sigma range proof."""
+    honest_prove = Client._prove
+
+    def prove(self, matrix, h):
+        if self.id not in shifts:
+            return honest_prove(self, matrix, h)
+        v = matrix.row_inner(self.u)
+        claims = [x + shift for x, shift in zip(v[1:], shifts[self.id])]
+        proof = integrity._prove(
+            self.params, self.gens, matrix, h, self.z, self.y, self.r, [v[0]] + claims,
+            claims, self.round_no, self.id, self.rng,
+        )
+        return _RANGE_CHEATS[0][0](proof) if self.id in range_cheats else proof
+
+    monkeypatch.setattr(Client, "_prove", prove)
+
+
+_CANCELLING = {2: [1, 0, -2, 0], 3: [-1, 0, 2, 0]}
+
+
+def test_colluders_whose_errors_cancel_are_accepted(monkeypatch):
+    # each colluder alone fails consistency, but the set's sums pass, and
+    # the aggregate of the y they committed is exact
+    params = _params(n=5, m=2)
+    server, clients = _network(params, seed=b"collude")
+    updates = _small_updates(params, seed=21)
+    _colluding(monkeypatch, _CANCELLING)
+    alone = []
+    verify = server.receive_proofs
+
+    def receive_proofs(proofs):
+        for i in _CANCELLING:
+            bundle = server.bundles[i]
+            alone.append(ver_integrity_proof(
+                params, server.gens, server.matrix, server.h, bundle.z, bundle.y,
+                proofs[i], 1, i, DeterministicRng(b"alone"),
+            ))
+        return verify(proofs)
+
+    monkeypatch.setattr(server, "receive_proofs", receive_proofs)
+    total, honest = _run_round(server, clients, updates)
+    assert alone == [(False, "consistency")] * 2
+    assert honest == [1, 2, 3, 4, 5]
+    assert total == [sum(updates[i][l] for i in honest) for l in range(params.d)]
+
+
+def test_dropping_one_colluder_names_the_other(monkeypatch):
+    # client 3's bad range proof drops it after the set check passed, so
+    # the final set is checked again and client 2's error shows
+    params = _params(n=5, m=2)
+    server, clients = _network(params, seed=b"collude")
+    updates = _small_updates(params, seed=21)
+    _colluding(monkeypatch, _CANCELLING, range_cheats={3})
+    total, honest = _run_round(server, clients, updates)
+    assert server.malicious == {2: "proof_consistency", 3: "proof_range_ip"}
+    assert honest == [1, 4, 5]
+    assert total == [sum(updates[i][l] for i in honest) for l in range(params.d)]
+
+
+def test_honest_round_sums_y_once(monkeypatch):
+    # the consistency check sums the columns of the whole set once, and
+    # the aggregate unblinds that sum instead of adding y up again
+    params = _params(n=5, m=2)
+    server, clients = _network(params, seed=b"sum-once")
+    updates = _small_updates(params, seed=22)
+    sums = []
+    aggregate_commitments = integrity.aggregate_commitments
+
+    def counted(vectors, gens, minus=()):
+        sums.append((len(vectors), len(minus)))
+        return aggregate_commitments(vectors, gens, minus)
+
+    monkeypatch.setattr(integrity, "aggregate_commitments", counted)
+    total, honest = _run_round(server, clients, updates)
+    assert honest == [1, 2, 3, 4, 5]
+    assert total == [sum(updates[i][l] for i in honest) for l in range(params.d)]
+    assert sums == [(5, 0)]
 
 
 # -- stage machine ---------------------------------------------------------------

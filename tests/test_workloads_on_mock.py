@@ -25,3 +25,24 @@ def test_workload_round_on_mock(name):
     report = Simulation(cfg).run_round(1)
     assert workloads.oracle_failures(cfg, 1, report) == []
     assert max(report.bytes_sent.values()) == UPLINK[name]
+
+
+# round 1's mock muls in the two server stages after the proofs.  e_star
+# is checked once for the accepted set, so proof_ver runs one ver_crt of
+# d + k + 1 muls on the all-honest shapes, and two on crowd_attack, whose
+# forgers drop out after the first; checked per client, proof_ver cost
+# 3,915, 12,757 and 2,567 muls
+VERIFY_MULS = {
+    "proof_heavy": {"proof_ver": 3_337, "aggregate": 261},
+    "wide_update": {"proof_ver": 4_555, "aggregate": 4_101},
+    "crowd_attack": {"proof_ver": 1_837, "aggregate": 97},
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_MULS))
+def test_workload_verification_muls_pinned(name):
+    workloads = _load("workloads")
+    cfg = replace(workloads.make_config(workloads.SHAPES[name], 1), backend="mock")
+    report = Simulation(cfg).run_round(1)
+    muls = {stage: report.group_ops[stage]["mul"] for stage in VERIFY_MULS[name]}
+    assert muls == VERIFY_MULS[name]
