@@ -18,6 +18,10 @@ from .pool import map_chunks
 
 _DOMAIN = b"savi/v1/generators"
 
+LAMBDA = 128
+"""The proof of smallness' security parameter (``zkp.integrity``): its
+masks, the rows of its challenge matrix and its generators G_j."""
+
 
 def derive_generators(tag: str, count: int, backend: GroupBackend) -> list[Point]:
     """Derive ``count`` independent generators under ``tag``.
@@ -56,6 +60,7 @@ class GeneratorSet:
     q      blind base for the auxiliary commitments
     w      per-coordinate blind bases of the vector commitment
     range_gens  bit-slot bases for range proofs
+    smallness   the LAMBDA bases G_j of the proof of smallness
 
     ``g_multiples`` is g's radix-256 table for ``commit_update``.  It
     starts empty and builds a level the first time a commitment needs
@@ -66,6 +71,7 @@ class GeneratorSet:
     q: Point
     w: tuple[Point, ...]
     range_gens: RangeGenerators
+    smallness: tuple[Point, ...]
     g_multiples: RadixTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -90,4 +96,7 @@ class GeneratorSet:
         w = tuple(derive_generators("w", dimension, backend))
         gs = tuple(derive_generators("range-g", range_slots, backend))
         hs = tuple(derive_generators("range-h", range_slots, backend))
-        return GeneratorSet(g=g, q=q, w=w, range_gens=RangeGenerators(gs, hs))
+        smallness = tuple(derive_generators("smallness", LAMBDA, backend))
+        return GeneratorSet(
+            g=g, q=q, w=w, range_gens=RangeGenerators(gs, hs), smallness=smallness
+        )

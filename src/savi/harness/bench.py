@@ -6,13 +6,13 @@ backend, not from formulas.  The communication probe measures the
 messages a real client sends: the bundle a client commits at full
 dimension, and the flag report, proof and blind share a client sends in
 a simulated round.  It exploits one structural fact (asserted, not
-assumed): those three depend on k and the range widths but not on d, so
-that round runs at a small d.
+assumed): those three depend on k and the proofs' widths but not on d,
+so that round runs at a small d.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..commit import commit_update
 from ..group import POINT_BYTES, make_backend
@@ -21,6 +21,7 @@ from ..protocol import Client
 from ..protocol.server import compute_h
 from ..rng import DeterministicRng
 from ..sampling import sample_matrix
+from ..serial import Window, encode
 from ..zkp import IntegrityProof, gen_integrity_proof, ver_integrity_proof
 from ..zkp.vercrt import crt_weights, ver_crt
 from .config import deployment_preset
@@ -42,7 +43,7 @@ class CostRow:
 def probe_costs(d: int, k: int, backend_name: str = "mock", seed: int = 7) -> CostRow:
     """Run one client's commit/prove cycle and the server's prep/verify
     against an op-counted backend, at the deployment preset's check
-    parameters (with its derived range widths) for dimension d and k
+    parameters (with its derived widths) for dimension d and k
     projections.
 
     The cycle is built by hand rather than run through ``Simulation``: a
@@ -100,8 +101,9 @@ class CommReport:
     proof_bytes: int
     other_bytes: int  # the flag report and the blind share
     # each part of the proof, without the 4-byte count or length in
-    # front of each of its seven fields: "e_star+o+o_prime", "rho",
-    # "tau", "sigma" and "mu"
+    # front of each field: "e_star+o+o_prime", "Y+z" (the proof of
+    # smallness' commitment and its encoded answers, their bound and
+    # count included), "rho", "tau" and "mu"
     proof_parts: dict[str, int]
 
     @property
@@ -124,8 +126,11 @@ def measure_communication(d: int, k: int, n: int = 8, m: int = 1, seed: int = 11
     The bundle is the one client 1 of an n-client deployment sends at
     full dimension.  The other payloads (flag report, proof, blind share)
     are the ones a client sends in a one-client round at d'=16 and at
-    d'=32, with M, b_ip and b_max fixed to the values derived at (d, k),
-    since the range proofs' widths would otherwise follow d'; the probe
+    d'=32, with M and b_max fixed to the values derived at (d, k), since
+    the proofs' widths would otherwise follow d'.  The window T of the
+    proof of smallness follows B0, which follows d, so each proof's
+    answers are re-encoded in the window of (d, k), as a proof made at d
+    sends them (its bytes depend on T's bit width alone); the probe
     asserts both rounds send equal lengths before trusting them for
     dimension d.
     """
@@ -144,14 +149,16 @@ def measure_communication(d: int, k: int, n: int = 8, m: int = 1, seed: int = 11
     for d_small in (16, 32):
         config = deployment_preset(
             n=1, m=0, d=d_small, k=k, backend="mock", seed=seed,
-            M=params.M, b_ip=params.b_ip, b_max=params.b_max,
+            M=params.M, b_max=params.b_max,
         )
         messages = Simulation(config).run_round(1).messages
-        (proof,) = [payload for kind, _, payload in messages if kind == MSG_PROOF]
+        (payload,) = [payload for kind, _, payload in messages if kind == MSG_PROOF]
+        proof = IntegrityProof.from_bytes(payload, backend)
+        proof = replace(proof, z=Window(params.z_bound, proof.z.values))
         other = sum(
             len(payload) for kind, _, payload in messages if kind not in (MSG_BUNDLE, MSG_PROOF)
         )
-        sizes.append((len(proof), other, _proof_parts(IntegrityProof.from_bytes(proof, backend))))
+        sizes.append((len(proof.to_bytes()), other, _proof_parts(proof)))
     if sizes[0] != sizes[1]:
         raise AssertionError(
             f"(proof, other) bytes vary with d ({sizes}); cannot extrapolate"
@@ -173,5 +180,6 @@ def _proof_parts(proof: IntegrityProof) -> dict[str, int]:
     points = sum(POINT_BYTES * len(getattr(proof, f)) for f in ("e_star", "o", "o_prime"))
     return {
         "e_star+o+o_prime": points,
-        **{f: len(getattr(proof, f).to_bytes()) for f in ("rho", "tau", "sigma", "mu")},
+        "Y+z": POINT_BYTES + len(encode(Window, proof.z)),
+        **{f: len(getattr(proof, f).to_bytes()) for f in ("rho", "tau", "mu")},
     }

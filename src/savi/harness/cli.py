@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import click
 
+from ..group.generators import LAMBDA
 from ..sampling import CheckParameters, max_expected_damage, pass_rate_F
 from ..zkp.rangeproof import slot_shape
 from .bench import PROBE_STAGES, measure_communication, probe_costs
@@ -132,7 +133,7 @@ def bench(sweep, k_fixed, d_fixed, comm) -> None:
 @click.option("--B", "bound", type=float, default=1.0, show_default=True)
 @click.option("--frac-bits", type=int, default=8, show_default=True)
 def params(k, epsilon_log2, d, m_log2, bound, frac_bits) -> None:
-    """Derived check parameters: gamma, M, B0, range widths and proof
+    """Derived check parameters: gamma, M, B0, the proofs' widths and
     shapes, the pass-rate bound table, the worst damage it allows."""
     epsilon = 2.0**epsilon_log2
     try:
@@ -147,9 +148,11 @@ def params(k, epsilon_log2, d, m_log2, bound, frac_bits) -> None:
     click.echo(f"k={k}  epsilon=2^{epsilon_log2}  d={d}  M=2^{M.bit_length() - 1}{derived}")
     click.echo(f"gamma  = {p.gamma:.6g}")
     click.echo(f"B0     = {p.b0}  ({p.b0.bit_length()} bits; b_enc={p.b_enc})")
-    click.echo(f"b_ip   = {p.b_ip}  b_max = {p.b_max}  (derived from B0)")
+    T = p.z_bound
+    click.echo(f"b_max  = {p.b_max}  (derived from B0); range slots: mu {_slots(p.b_max)}")
     click.echo(
-        f"range slots: sigma {_slots(p.b_ip * p.k_padded)}, mu {_slots(p.b_max)}"
+        f"smallness: lambda = {LAMBDA}  T = 2^8·W = {T} (W = {p.mask_slack})  "
+        f"z width = {(2 * T).bit_length()} bits"
     )
     click.echo("pass-rate upper bound F(c):")
     for c in (1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 2.0):

@@ -98,7 +98,7 @@ def emit_report(
         writer.writeheader()
         writer.writerows(rows)
     json_path = out_dir / "simulation.json"
-    # params holds what the config leaves to derivation: M, b_ip, b_max
+    # params holds what the config leaves to derivation: M, b_max
     doc = {
         "config": asdict(config),
         "params": asdict(config.check_parameters()),

@@ -278,26 +278,23 @@ def plaintext_check(
     return total <= B * B * M * M * gamma
 
 
-def _next_power_of_two(x: int) -> int:
-    return 1 if x <= 1 else 1 << (x - 1).bit_length()
-
-
 @dataclass(frozen=True)
 class CheckParameters:
     """Everything both sides must agree on for one deployment.
 
-    b_ip bounds each projection <a_t, u> (via a shifted range proof),
     b_max bounds the slack B0 - sum of squares, b_coord is the signed
-    fixed-point width of one update coordinate.
+    fixed-point width of one update coordinate.  Each projection
+    <a_t, u> is bounded by the proof of smallness (``zkp.integrity``),
+    whose window T = 2^8 W, W = ceil(sqrt(k B0)), follows from B0.
 
     Left as None, the Gaussian scale M is derived first, by
     ``rounding_scale``: its rounding slack is at most 2^-10 of sqrt(gamma).
 
-    Left as None, b_ip and b_max are derived from B0 by ``range_width``:
-    the smallest widths B0 needs (B0 < 2^(2(b_ip-1)) and B0 < 2^b_max)
-    whose odd part is at most 7, so that b_ip * k_padded and b_max are
-    slot counts the range proof accepts.  An explicit width must meet
-    the same conditions.
+    Left as None, b_max is derived from B0 by ``range_width``: the
+    smallest width B0 needs (B0 < 2^b_max) whose odd part is at most 7,
+    a slot count the range proof accepts.  An explicit width must meet
+    the same conditions.  k (2T)^2 + 2^b_max must stay below the group
+    order, so that the sum of squares cannot wrap around it.
     """
 
     n: int
@@ -307,7 +304,6 @@ class CheckParameters:
     epsilon: float
     B: float
     M: int | None = None
-    b_ip: int | None = None
     b_max: int | None = None
     frac_bits: int = 8
     b_coord: int = 16
@@ -332,19 +328,16 @@ class CheckParameters:
             )
         if self.B * (1 << self.frac_bits) + 0.5 >= 1 << (self.b_coord - 1):
             raise ValueError("bound B does not fit the b_coord fixed-point window")
-        needs = {"b_ip": 1 + (self.b0.bit_length() + 1) // 2, "b_max": self.b0.bit_length()}
-        for name, need in needs.items():
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, range_width(need))
-            width = getattr(self, name)
-            if width < 1 or slot_shape(width)[0] > MAX_ODD_PART:
-                raise ValueError(f"{name}={width} needs an odd part of at most {MAX_ODD_PART}")
+        if self.b_max is None:
+            object.__setattr__(self, "b_max", range_width(self.b0.bit_length()))
+        if self.b_max < 1 or slot_shape(self.b_max)[0] > MAX_ODD_PART:
+            raise ValueError(f"b_max={self.b_max} needs an odd part of at most {MAX_ODD_PART}")
         if self.b0 >= 1 << self.b_max:
             raise ValueError("B0 overflows b_max bits")
-        if self.b0 >= 1 << (2 * (self.b_ip - 1)):
-            raise ValueError("b_ip too narrow: a passing projection may overflow it")
-        if (self.k_padded << (2 * (self.b_ip - 1))) + (1 << self.b_max) >= _Q:
-            raise ValueError("k_padded 2^(2(b_ip-1)) + 2^b_max wraps the group order")
+        if self.z_bound >= 1 << 64:
+            raise ValueError("the smallness window T does not fit its 64-bit wire field")
+        if self.k * (2 * self.z_bound) ** 2 + (1 << self.b_max) >= _Q:
+            raise ValueError("k (2T)^2 + 2^b_max wraps the group order")
 
     @property
     def threshold(self) -> int:
@@ -363,14 +356,20 @@ class CheckParameters:
     def b0(self) -> int:
         return compute_b0(self.b_enc, self.M, self.k, self.d, self.epsilon)
 
+    @cached_property
+    def mask_slack(self) -> int:
+        """W = ceil(sqrt(k B0)), which bounds |sum_t R_t v_t| for any 0/1
+        vector R and any claim that passes B0 (Cauchy–Schwarz)."""
+        return math.isqrt(max(self.k * self.b0 - 1, 0)) + 1
+
     @property
-    def k_padded(self) -> int:
-        """Range-proof value count: k padded up to a power of two."""
-        return _next_power_of_two(self.k)
+    def z_bound(self) -> int:
+        """T = 2^8 W: the window of the proof of smallness' answers."""
+        return self.mask_slack << 8
 
     @property
     def range_slots(self) -> int:
-        return max(self.b_ip * self.k_padded, self.b_max)
+        return self.b_max
 
     @classmethod
     def from_epsilon_log2(cls, epsilon_log2: int, **kwargs) -> "CheckParameters":

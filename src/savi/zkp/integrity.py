@@ -8,29 +8,71 @@ blind commitment z shows, without revealing u:
   * o_t / o_prime_t commit to v_t and v_t^2 under the auxiliary base q
     (same v_t as e_t via the well-formedness proof, squares via the
     square proof);
-  * each shifted v_t + 2^(b_ip-1) lies in [0, 2^b_ip) (one range proof
-    on the 2^(b_ip-1) g + o_t, padded with identity points to k_padded
-    values), so |v_t| < 2^(b_ip-1) and v_t^2 <= 2^(2(b_ip-1));
-  * B0 - sum v_t^2 lies in [0, 2^b_max) (range proof on
-    B0 g - sum o_prime_t, which the verifier derives), i.e. the projected
-    norm is bounded.  ``CheckParameters`` keeps
-    k_padded 2^(2(b_ip-1)) + 2^b_max below the group order, so the sum
-    of squares cannot wrap around it.
+  * every |v_t| is at most 2T, by an approximate proof of smallness
+    (below), so v_t^2 <= (2T)^2;
+  * B0 - sum v_t^2 lies in [0, 2^b_max) (a Bulletproofs+ range proof,
+    ``zkp.rangeproof``, on B0 g - sum o_prime_t, which the verifier
+    derives), i.e. the projected norm is bounded.  ``CheckParameters``
+    keeps k (2T)^2 + 2^b_max below the group order, so the sum of squares
+    cannot wrap around it.
 
-Both range proofs are Bulletproofs+ (``zkp.rangeproof``).  Their widths
-follow from B0 (``CheckParameters``), and each one's slot count is
-c * 2^r with c odd and at most 7: b_ip * k_padded for the projections
-and b_max for the slack.
+The proof of smallness is that of Gentry, Halevi and Lyubashevsky
+(EUROCRYPT 2022), as ACORN (Bell et al., USENIX Security 2023) uses it
+for the inputs of a secure aggregation.  Let W = ceil(sqrt(k B0)): by
+Cauchy–Schwarz, |sum_t R_t v_t| <= W for any 0/1 vector R and any claim
+that passes B0.  Let T = 2^8 W and lambda = ``LAMBDA`` = 128.
 
-All four sub-proofs draw their challenges from one transcript bound to
+  * The prover draws masks y_j uniform in [-(T + W), T + W] for j in
+    1..lambda and a blind sigma, and commits to all of them in one point,
+    Y = sum_j y_j G_j + sigma q, over the generators G_j
+    (``GeneratorSet.smallness``).  It absorbs Y, reads R in
+    {0,1}^(lambda x k) from the transcript, and computes
+    z_j = y_j + sum_t R_jt v_t.  If any |z_j| > T, it discards the try
+    and starts again from the transcript before Y (Fiat–Shamir with
+    aborts, Lyubashevsky, ASIACRYPT 2009).  A row passes with
+    probability (2T + 1)/(2T + 2W + 1), about 1/(1 + 2^-8), so all
+    lambda pass with probability about 0.61: 1.65 tries on average.
+    After ``MAX_TRIES`` tries the prover sends its last one, which the
+    verifier rejects; an honest prover gets there with probability
+    below 2^-86.
+  * The z_j are absorbed, and the well-formedness proof carries one
+    more equation over its v_t and the witness sigma (``zkp.sigma``):
+    sum_j z_j G_j - Y = sum_t v_t G'_t - sigma q, G'_t = sum_j R_jt G_j.
+  * The verifier checks that every |z_j| <= T and that equation, whose
+    identity it batches with the range proofs'.
+
+Soundness.  Y is absorbed before R, so the y_j it binds are fixed
+before R is drawn: the equation opens Y to y_j = z_j - sum_t R_jt v_t
+with the v_t that the well-formedness proof extracts, unless the prover
+knows a discrete-log relation among the G_j and q.  Take two accepting
+R that differ only in R_jt: then v_t = +-(z_j - z'_j) mod p, whose
+centred value is at most 2T.  So if some v_t has a centred value above
+2T, for each row j at most one of R_jt's two values lets the row pass,
+and all lambda rows pass with probability at most 2^-lambda per
+extraction.  The extracted v_t are then integers with |v_t| <= 2T, so
+sum v_t^2 <= k (2T)^2, and with the slack in [0, 2^b_max) the sum of
+squares does not wrap: k (2T)^2 + 2^b_max < p.  The binary challenges
+are what make each v_t an integer rather than, say, half of one: a proof
+that only showed gamma v_t small for some small gamma would accept
+u = 2^-1 w.
+
+Zero knowledge.  Y is a Pedersen vector commitment under the uniform
+blind sigma, so it hides the masks.  For any shift |s| <= W,
+y_j + s is uniform on a range that covers [-T, T], so an accepted z_j
+is uniform on [-T, T] whatever v is (rejection sampling), and a
+rejected try is never sent.  The link's announcement and responses are
+a sigma protocol's, which a simulator draws in the usual way.
+
+All sub-proofs draw their challenges from one transcript bound to
 the check parameters, the round and the client's commitments.
 Verification reports which sub-check failed so the simulator can
 attribute rejections.  The two sigma proofs are checked exactly, one
-client at a time.  The rest of a round's proofs is verified in batches.
-The range proofs of every client, each replayed into one identity over
-the shared slot bases (``range_terms``), are checked as one weighted
-multiexp, which is bisected on failure to name the cheaters: a client
-whose sigma identity fails gets "range_ip", one whose mu identity fails
+client at a time, but for the link.  The rest of a round's proofs is
+verified in batches.  The link identity and the slack range proof of
+every client (``range_terms``) are checked as one weighted multiexp
+over the shared G_j and range generators, which is bisected on failure
+to name the cheaters: a client whose z lies outside [-T, T] or whose
+link identity fails gets "range_ip", one whose slack identity fails
 "range_sum".  e_star is checked once for the whole set, not once per
 client, as follows.
 
@@ -77,24 +119,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+import numpy as np
+
 from ..commit import aggregate_commitments
 from ..group.base import GROUP_ORDER, Point
-from ..group.generators import GeneratorSet
-from ..group.multiexp import multiexps, sum_points
+from ..group.generators import LAMBDA, GeneratorSet
+from ..group.multiexp import multiexp, multiexps, sum_points
+from ..group.scalars import scalar_to_bytes
 from ..rng import Rng
-from ..serial import Message
-from .rangeproof import (
-    Identity,
-    RangeProof,
-    gen_range_proof,
-    range_terms,
-    ver_range_proof,
-)
+from ..serial import Message, Window
+from .rangeproof import Identity, RangeProof, gen_range_proof, range_terms, ver_range_proof
 from .sigma import (
+    Link,
     SquareProof,
     WellFormedProof,
     gen_prf_sq,
     gen_prf_wf,
+    row_sums,
     ver_prf_sq,
     ver_prf_wf,
 )
@@ -105,6 +146,9 @@ if TYPE_CHECKING:
     from ..sampling import CheckParameters, SampleMatrix
 
 _Q = GROUP_ORDER
+
+MAX_TRIES = 64
+"""Tries of the proof of smallness before the prover sends its last one."""
 
 
 class BoundExceededError(Exception):
@@ -125,22 +169,11 @@ class IntegrityProof(Message):
     e_star: tuple[Point, ...]
     o: tuple[Point, ...]
     o_prime: tuple[Point, ...]
+    masks: Point  # Y, the commitment to the proof of smallness' masks
+    z: Window     # its answers z_j, in [-T, T]
     rho: WellFormedProof
     tau: SquareProof
-    sigma: RangeProof
     mu: RangeProof
-
-
-def _padded(values: list[int], pad_to: int) -> list[int]:
-    return values + [0] * (pad_to - len(values))
-
-
-def _shifted(params: "CheckParameters", gens: GeneratorSet, o: Sequence[Point]) -> list[Point]:
-    """The sigma range proof's value commitments 2^(b_ip-1) g + o_t,
-    padded with identity points to k_padded."""
-    shift = (1 << (params.b_ip - 1)) * gens.g
-    pad = [gens.backend.identity()] * (params.k_padded - len(o))
-    return multiexps([[(shift, 1), (o_t, 1)] for o_t in o], gens.backend) + pad
 
 
 def _slack(params: "CheckParameters", gens: GeneratorSet, o_prime: Sequence[Point]) -> Point:
@@ -154,7 +187,7 @@ def _transcript(
 ) -> Transcript:
     """The one Fiat–Shamir transcript of a client's proof in a round."""
     tr = Transcript("integrity-proof")
-    for label in ("d", "k", "M", "b_ip", "b_max"):
+    for label in ("d", "k", "M", "b_max"):
         tr.absorb_u64(label, getattr(params, label))
     tr.absorb_bytes("B0", params.b0.to_bytes((params.b_max + 7) // 8, "little"))
     tr.absorb_bytes("seed", matrix.seed)
@@ -163,6 +196,38 @@ def _transcript(
     tr.absorb_points("y", y)
     tr.absorb_point("z", z)
     return tr
+
+
+def _challenge_rows(tr: Transcript, y_commit: Point, k: int) -> list[list[int]]:
+    """Absorb Y, then read R: LAMBDA rows of k bits."""
+    tr.absorb_point("Y", y_commit)
+    raw = np.frombuffer(tr.challenge_bytes("R", LAMBDA * k // 8), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little").reshape(LAMBDA, k).tolist()
+
+
+def _absorb_answers(tr: Transcript, z: Sequence[int]) -> None:
+    tr.absorb_bytes("z_j", b"".join(scalar_to_bytes(x % _Q) for x in z))
+
+
+def _smallness(
+    params: "CheckParameters", gens: GeneratorSet, claims: Sequence[int], rng: Rng,
+    tr: Transcript,
+) -> tuple[Link, int, Transcript]:
+    """Commit to the masks and answer R, with up to ``MAX_TRIES`` tries
+    (see the module docstring).  Returns the link of the try it sends,
+    its blind sigma and the transcript after its R, before its answers;
+    ``tr`` is left as the tries found it."""
+    bound, spread = params.z_bound, params.z_bound + params.mask_slack
+    for _ in range(MAX_TRIES):
+        masks = [rng.below(2 * spread + 1) - spread for _ in range(LAMBDA)]
+        sigma = rng.scalar()
+        y_commit = multiexp([*gens.smallness, gens.q], [*masks, sigma])
+        attempt = tr.fork()
+        rows = _challenge_rows(attempt, y_commit, params.k)
+        z = [m + x for m, x in zip(masks, row_sums(rows, claims))]
+        if all(abs(x) <= bound for x in z):
+            break
+    return Link(gens.smallness, rows, y_commit, z), sigma, attempt
 
 
 def gen_integrity_proof(
@@ -219,19 +284,10 @@ def _prove(
     )
     e_star, o, o_prime = points[: k + 1], points[k + 1 : 2 * k + 1], points[2 * k + 1 :]
 
-    rho = gen_prf_wf(g, q, h, z, e_star, o, r, [v[0]] + claims_mod, s, rng, tr)
+    link, sigma, tr = _smallness(params, gens, claims, rng, tr)
+    _absorb_answers(tr, link.z)
+    rho = gen_prf_wf(g, q, h, z, e_star, o, link, r, [v[0]] + claims_mod, s, sigma, rng, tr)
     tau = gen_prf_sq(g, q, o, o_prime, claims_mod, s, s_prime, rng, tr)
-
-    shift = 1 << (params.b_ip - 1)
-    sigma = gen_range_proof(
-        gens,
-        params.b_ip,
-        _padded([x + shift for x in claims], params.k_padded),
-        _padded(s, params.k_padded),
-        _shifted(params, gens, o),
-        rng,
-        tr,
-    )
     mu = gen_range_proof(
         gens,
         params.b_max,
@@ -245,9 +301,10 @@ def _prove(
         e_star=tuple(e_star),
         o=tuple(o),
         o_prime=tuple(o_prime),
+        masks=link.y_commit,
+        z=Window(params.z_bound, tuple(link.z)),
         rho=rho,
         tau=tau,
-        sigma=sigma,
         mu=mu,
     )
 
@@ -312,13 +369,14 @@ def ver_integrity_set(
     consistency check of the set (see the module docstring).  Second,
     the weights of the range batch.
 
-    The checks run in this order: shape, per client; consistency, for
-    the well-shaped set; the two sigma proofs, which are exact, per
-    client in client-id order; and the range proofs of every client that
-    passes them, as one weighted multiexp, bisected on failure down to
-    single clients, each named by its first failing range proof.  If the
-    last two drop anyone, the accepted set's consistency is checked
-    again.
+    The checks run in this order: shape (the z window's bound and count
+    included), per client; consistency, for the well-shaped set; the two
+    sigma proofs, which are exact but for the link, and the z window, per
+    client in client-id order; and the link and slack identities of every
+    client that passes them, as one weighted multiexp, bisected on
+    failure down to single clients, each named by its first failing
+    identity.  If the last two drop anyone, the accepted set's
+    consistency is checked again.
     """
     weights = rng.child(f"verify/{round_no}")
     crt = crt_weights(matrix, weights)
@@ -371,6 +429,8 @@ def _well_shaped(
         len(proof.e_star) == k + 1
         and len(proof.o) == k
         and len(proof.o_prime) == k
+        and proof.z.bound == params.z_bound
+        and len(proof.z.values) == LAMBDA
         and len(h) == k + 1
         and len(y) == params.d
     )
@@ -410,25 +470,27 @@ def _cheap_checks(
     h: Sequence[Point], z: Point, y: Sequence[Point], proof: IntegrityProof,
     round_no: int, client_id: int, weights: Rng,
 ) -> str | tuple[Identity, Identity]:
-    """The checks of a well-shaped, consistent proof but the range
-    proofs' identities: the failed-check label, or the identities of the
-    sigma and mu range proofs."""
+    """The checks of a well-shaped, consistent proof but the batched
+    identities: the failed-check label, or the identities of the link
+    and of the mu range proof."""
     g, q = gens.g, gens.q
     tr = _transcript(params, matrix, round_no, client_id, y, z)
-    if not ver_prf_wf(g, q, h, z, proof.e_star, proof.o, proof.rho, tr):
+    rows = _challenge_rows(tr, proof.masks, params.k)
+    _absorb_answers(tr, proof.z.values)
+    link = Link(gens.smallness, rows, proof.masks, proof.z.values)
+    small = ver_prf_wf(g, q, h, z, proof.e_star, proof.o, link, proof.rho, tr)
+    if small is None:
         return "wellformed"
     if not ver_prf_sq(g, q, proof.o, proof.o_prime, proof.tau, tr):
         return "square"
-
-    sigma = range_terms(gens, params.b_ip, _shifted(params, gens, proof.o), proof.sigma, tr)
-    if sigma is None:
+    if not proof.z.contains():
         return "range_ip"
 
     mu = range_terms(gens, params.b_max, [_slack(params, gens, proof.o_prime)], proof.mu, tr)
     if mu is None:
-        # a bad sigma proof is still the first failure
-        return "range_sum" if ver_range_proof(gens, [sigma], weights) else "range_ip"
-    return sigma, mu
+        # a bad link is still the first failure
+        return "range_sum" if ver_range_proof(gens, [small], weights) else "range_ip"
+    return small, mu
 
 
 def _bisect(
@@ -438,8 +500,8 @@ def _bisect(
     weights: Rng,
     verdicts: dict[int, str | None],
 ) -> None:
-    """Name the clients in ``ids`` whose range proofs fail: check them
-    together, and on failure recheck each half, down to one client."""
+    """Name the clients in ``ids`` whose batched identities fail: check
+    them together, and on failure recheck each half, down to one client."""
     if ver_range_proof(gens, [terms for i in ids for terms in batch[i]], weights):
         return
     if len(ids) > 1:
@@ -447,8 +509,8 @@ def _bisect(
         _bisect(gens, ids[:half], batch, weights, verdicts)
         _bisect(gens, ids[half:], batch, weights, verdicts)
         return
-    sigma, mu = batch[ids[0]]
-    if not ver_range_proof(gens, [sigma], weights):
+    small, mu = batch[ids[0]]
+    if not ver_range_proof(gens, [small], weights):
         verdicts[ids[0]] = "range_ip"
     elif not ver_range_proof(gens, [mu], weights):
         verdicts[ids[0]] = "range_sum"

@@ -82,7 +82,7 @@ point) when it needs a slot count of the right shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..group.base import GROUP_ORDER, Point
@@ -287,9 +287,10 @@ class Identity:
     """One proof's verification identity as scalar terms: it holds exactly when
 
         fixed[0] g + fixed[1] q + sum_i gs[i] G_i + sum_i hs[i] H_i
-          + sum_j scalars[j] points[j]
+          + sum_j smallness[j] J_j + sum_j scalars[j] points[j]
 
-    is the identity point, where G_i, H_i are the range generators.
+    is the identity point, where G_i, H_i are the range generators and
+    J_j the smallness generators (``GeneratorSet.smallness``).
     """
 
     fixed: tuple[int, int]
@@ -297,6 +298,7 @@ class Identity:
     hs: list[int]
     points: list[Point]
     scalars: list[int]
+    smallness: list[int] = field(default_factory=list)
 
 
 def range_terms(
@@ -384,17 +386,19 @@ def ver_range_proof(
     """Check the identity of every statement in one multiexp.
 
     Each identity is weighted by a fresh nonzero scalar from ``rng``, the
-    G_i and H_i scalars are summed slot by slot (a narrower proof uses a
-    prefix of the same range generators) and the g, q terms merged.
+    G_i, H_i and J_j scalars are summed slot by slot (a narrower proof
+    uses a prefix of the same generators) and the g, q terms merged.
     A batch holding a false identity passes only if the weights happen
     to cancel it (probability about 1/order), so the result is the AND
     of the proofs' own verdicts; a single proof is a batch of one.
     """
     rg = gens.range_gens
     width = max((len(ident.gs) for ident in statements), default=0)
+    rows = max((len(ident.smallness) for ident in statements), default=0)
     fixed = [0, 0]
     gs = [0] * width
     hs = [0] * width
+    js = [0] * rows
     points: list[Point] = []
     scalars: list[int] = []
     # sums stay unreduced: multiexp reduces every scalar
@@ -405,7 +409,9 @@ def ver_range_proof(
         for i, (sg, sh) in enumerate(zip(ident.gs, ident.hs)):
             gs[i] += w * sg
             hs[i] += w * sh
+        for j, sj in enumerate(ident.smallness):
+            js[j] += w * sj
         points += ident.points
         scalars += [w * sc for sc in ident.scalars]
-    bases = [gens.g, gens.q] + list(rg.gs[:width]) + list(rg.hs[:width]) + points
-    return multiexp(bases, fixed + gs + hs + scalars, backend=gens.backend).is_identity()
+    bases = [gens.g, gens.q, *rg.gs[:width], *rg.hs[:width], *gens.smallness[:rows], *points]
+    return multiexp(bases, fixed + gs + hs + js + scalars, backend=gens.backend).is_identity()

@@ -28,17 +28,35 @@ the challenge it derives equals c.  The check is exact, so verification
 draws no randomness.  Each side computes every distinct (base, index)
 product once, as one ``multiexps`` batch, then sums each equation as a
 second, so v_i g serves both e_i and o_i.
+
+The well-formedness statement has one more equation, the link of the
+proof of smallness (``zkp.integrity``):
+
+    sum_j z_j G_j - Y = sum_t v_t G'_t - sigma q,  G'_t = sum_j R_jt G_j,
+
+over the same v_t (t in 1..k) and one more witness entry, -sigma.  R is
+a 0/1 matrix, so the equation at scalars s is
+sum_j (sum_t R_jt s_t) G_j + s_sigma q: neither side forms G'_t.  The
+prover sends this equation's announcement, which joins the challenge
+after the others.  The statement does not absorb Y, R or the z_j: the
+caller binds them in the transcript first (``zkp.integrity`` absorbs Y,
+reads R from the transcript, then absorbs the z_j).  The verifier does not recompute it: ``ver_prf_wf``
+returns the equation's check as an ``Identity``, which the caller
+batches with the range proofs' identities, so the G_j are paid once a
+batch.  A proof holds when the challenge matches and that identity holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import compress
+from typing import Callable, Sequence
 
 from ..group.base import GROUP_ORDER, Point
-from ..group.multiexp import multiexps
+from ..group.multiexp import multiexp, multiexps
 from ..rng import Rng
 from ..serial import Message
+from .rangeproof import Identity
 from .transcript import Transcript
 
 _Q = GROUP_ORDER
@@ -47,9 +65,13 @@ Equation = tuple[Point, list[tuple[Point, int]]]  # target, (base, witness index
 Statement = tuple[list[tuple[str, Sequence[Point]]], list[tuple[str, list[Equation]]]]
 
 
-def _challenge(statement: Statement, scalars: Sequence[int], c: int, tr: Transcript) -> int:
+def _challenge(
+    statement: Statement, scalars: Sequence[int], c: int, tr: Transcript,
+    sent: Point | None = None,
+) -> int:
     """The challenge over the statement and its announcements: each
-    equation at ``scalars``, plus c times its target (0 for the prover)."""
+    equation at ``scalars``, plus c times its target (0 for the prover),
+    then the link's announcement ``sent``, if the statement has a link."""
     absorbed, blocks = statement
     backend = absorbed[0][1][0].backend  # of g, absorbed first
     equations = [eq for _, block in blocks for eq in block]
@@ -63,19 +85,30 @@ def _challenge(statement: Statement, scalars: Sequence[int], c: int, tr: Transcr
         tr.absorb_points(label, points)
     for label, block in blocks:
         tr.absorb_points(label, [next(announced) for _ in block])
+    if sent is not None:
+        tr.absorb_point("link", sent)
     return tr.challenge("c")
 
 
 def _prove(
-    statement: Statement, witness: Sequence[int], rng: Rng, tr: Transcript
-) -> tuple[int, list[int]]:
+    statement: Statement,
+    witness: Sequence[int],
+    rng: Rng,
+    tr: Transcript,
+    announce: Callable[[Sequence[int]], Point] | None = None,
+) -> tuple[int, list[int], Point | None]:
+    """(c, the responses, the link's announcement ``announce(nonces)``)."""
     nonces = [rng.scalar() for _ in witness]
-    c = _challenge(statement, nonces, 0, tr)
-    return c, [(n - c * w) % _Q for n, w in zip(nonces, witness)]
+    sent = None if announce is None else announce(nonces)
+    c = _challenge(statement, nonces, 0, tr, sent)
+    return c, [(n - c * w) % _Q for n, w in zip(nonces, witness)], sent
 
 
-def _verify(statement: Statement, c: int, responses: Sequence[int], tr: Transcript) -> bool:
-    return c == _challenge(statement, responses, c, tr)
+def _verify(
+    statement: Statement, c: int, responses: Sequence[int], tr: Transcript,
+    sent: Point | None = None,
+) -> bool:
+    return c == _challenge(statement, responses, c, tr, sent)
 
 
 @dataclass(frozen=True)
@@ -113,7 +146,7 @@ def gen_prf_sq(
     if not (len(y1) == len(y2) == len(r1) == len(r2) == k):
         raise ValueError("square proof inputs must share one length")
     witness = [*x, *r1, *(r2_i - r1_i * x_i for x_i, r1_i, r2_i in zip(x, r1, r2))]
-    c, s = _prove(_square(g, h, y1, y2), witness, rng, tr)
+    c, s, _ = _prove(_square(g, h, y1, y2), witness, rng, tr)
     return SquareProof(c=c, s1=tuple(s[:k]), s2=tuple(s[k : 2 * k]), s3=tuple(s[2 * k :]))
 
 
@@ -137,6 +170,24 @@ class WellFormedProof(Message):
     y: int
     y_vec: tuple[int, ...]   # one per e_i, i in 0..k
     y_star: tuple[int, ...]  # one per o_i, i in 1..k
+    y_sigma: int             # the link's witness -sigma
+    t_link: Point            # the link's announcement
+
+
+@dataclass(frozen=True)
+class Link:
+    """The link equation's public part: the bases G_j, R as one row of k
+    bits per G_j, Y and the z_j."""
+
+    gs: Sequence[Point]
+    rows: Sequence[Sequence[int]]
+    y_commit: Point
+    z: Sequence[int]
+
+
+def row_sums(rows: Sequence[Sequence[int]], scalars: Sequence[int]) -> list[int]:
+    """sum_t R_jt scalars[t] for each 0/1 row R_j, unreduced."""
+    return [sum(compress(scalars, row)) for row in rows]
 
 
 def _wellformed(
@@ -151,6 +202,15 @@ def _wellformed(
             ("t", [(e[i], [(g, V + i), (h[i], R)]) for i in range(k + 1)]),
             ("t*", [(o[i - 1], [(g, V + i), (q, S + i)]) for i in range(1, k + 1)]),
         ],
+    )  # and -sigma at S + k + 1, which only the link reads
+
+
+def _shapes_fit(h: Sequence, e: Sequence, o: Sequence, link: Link) -> bool:
+    k = len(o)
+    return (
+        len(e) == len(h) == k + 1
+        and len(link.rows) == len(link.gs) == len(link.z)
+        and all(len(row) == k for row in link.rows)
     )
 
 
@@ -161,21 +221,33 @@ def gen_prf_wf(
     z: Point,
     e: Sequence[Point],
     o: Sequence[Point],
+    link: Link,
     r: int,
     v: Sequence[int],
     s: Sequence[int],
+    sigma: int,
     rng: Rng,
     tr: Transcript,
 ) -> WellFormedProof:
-    """Prove z, e_0..e_k, o_1..o_k are well formed over secrets (r, v, s).
+    """Prove z, e_0..e_k, o_1..o_k and the link are well formed over
+    secrets (r, v, s, sigma).
 
     ``v`` has length k+1 (v_0 included); ``s`` has length k.
     """
     k = len(o)
-    if not (len(e) == k + 1 == len(v) and len(h) == k + 1 and len(s) == k):
+    if not (_shapes_fit(h, e, o, link) and len(v) == k + 1 and len(s) == k):
         raise ValueError("inconsistent well-formedness statement lengths")
-    c, y = _prove(_wellformed(g, q, h, z, e, o), [r, *v, *s], rng, tr)
-    return WellFormedProof(c=c, y=y[0], y_vec=tuple(y[1 : k + 2]), y_star=tuple(y[k + 2 :]))
+
+    def announce(nonces: Sequence[int]) -> Point:
+        return multiexp([*link.gs, q], [*row_sums(link.rows, nonces[2 : k + 2]), nonces[-1]])
+
+    c, y, t_link = _prove(
+        _wellformed(g, q, h, z, e, o), [r, *v, *s, -sigma % _Q], rng, tr, announce
+    )
+    return WellFormedProof(
+        c=c, y=y[0], y_vec=tuple(y[1 : k + 2]), y_star=tuple(y[k + 2 : 2 * k + 2]),
+        y_sigma=y[-1], t_link=t_link,
+    )
 
 
 def ver_prf_wf(
@@ -185,11 +257,32 @@ def ver_prf_wf(
     z: Point,
     e: Sequence[Point],
     o: Sequence[Point],
+    link: Link,
     proof: WellFormedProof,
     tr: Transcript,
-) -> bool:
+) -> Identity | None:
+    """None if the challenge fails, else the link's check: the proof
+    holds when this identity holds over g, q and the G_j, which must be
+    the generator set's smallness generators where it is batched.
+
+    The identity is the announcement recomputed at the responses, minus
+    the one sent:
+    sum_j (sum_t R_jt y_t + c z_j) G_j + y_sigma q - c Y - t_link.
+    """
     k = len(o)
-    if not (len(e) == len(h) == len(proof.y_vec) == k + 1 and len(proof.y_star) == k):
-        return False
-    responses = (proof.y,) + proof.y_vec + proof.y_star
-    return _verify(_wellformed(g, q, h, z, e, o), proof.c, responses, tr)
+    if not (_shapes_fit(h, e, o, link) and len(proof.y_vec) == k + 1 and len(proof.y_star) == k):
+        return None
+    responses = (proof.y,) + proof.y_vec + proof.y_star + (proof.y_sigma,)
+    if not _verify(_wellformed(g, q, h, z, e, o), proof.c, responses, tr, proof.t_link):
+        return None
+    c = proof.c
+    return Identity(
+        fixed=(0, proof.y_sigma),
+        gs=[],
+        hs=[],
+        points=[link.y_commit, proof.t_link],
+        scalars=[-c % _Q, _Q - 1],
+        smallness=[
+            (s_j + c * z_j) % _Q for s_j, z_j in zip(row_sums(link.rows, proof.y_vec[1:]), link.z)
+        ],
+    )

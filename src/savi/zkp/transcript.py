@@ -13,9 +13,8 @@ import struct
 from typing import Iterable
 
 from ..group.base import GROUP_ORDER, Point
-from ..group.scalars import scalar_to_bytes
 
-DOMAIN = "savi/v6"
+DOMAIN = "savi/v7"
 """Version of the wire format: bumped whenever proof or message bytes change."""
 
 
@@ -36,22 +35,33 @@ class Transcript:
     def absorb_u64(self, label: str, v: int) -> None:
         self._absorb_frame(label.encode(), struct.pack("<Q", v))
 
-    def absorb_scalar(self, label: str, x: int) -> None:
-        self._absorb_frame(label.encode(), scalar_to_bytes(x))
-
     def absorb_point(self, label: str, p: Point) -> None:
         self._absorb_frame(label.encode(), p.encode())
 
     def absorb_points(self, label: str, ps: Iterable[Point]) -> None:
         self._absorb_frame(label.encode(), b"".join(p.encode() for p in ps))
 
-    def challenge(self, label: str) -> int:
-        """Derive a scalar challenge and ratchet the transcript."""
+    def fork(self) -> "Transcript":
+        """An independent copy of this transcript's state."""
+        other = Transcript.__new__(Transcript)
+        other._h = self._h.copy()
+        return other
+
+    def _digest(self, label: str) -> bytes:
+        """The hash of the state under ``label``; ratchets the transcript."""
         fork = self._h.copy()
         fork.update(b"/challenge:" + label.encode())
-        digest = fork.digest()
         self._absorb_frame(b"challenge-consumed", label.encode())
-        return int.from_bytes(digest, "little") % GROUP_ORDER
+        return fork.digest()
+
+    def challenge(self, label: str) -> int:
+        """Derive a scalar challenge and ratchet the transcript."""
+        return int.from_bytes(self._digest(label), "little") % GROUP_ORDER
+
+    def challenge_bytes(self, label: str, n: int) -> bytes:
+        """Derive n challenge bytes (SHAKE-256 of the state's hash) and
+        ratchet the transcript."""
+        return hashlib.shake_256(self._digest(label)).digest(n)
 
     def nonzero_challenge(self, label: str) -> int:
         c = self.challenge(label)

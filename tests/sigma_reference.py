@@ -4,13 +4,38 @@
 Each announcement is recomputed on its own, as one multiexp of its
 response·base and c·statement terms, and the challenge is derived from
 the transcript with the labels of the wire format.  A proof passes when
-that challenge is the c it carries.
+that challenge is the c it carries, and, for the well-formedness proof,
+when the link's announcement it sends is the one recomputed with every
+G'_t formed.
 """
 
 import dataclasses
 
 from savi.group import GROUP_ORDER
+from savi.group.generators import GeneratorSet, RangeGenerators
 from savi.group.multiexp import multiexp
+from savi.rng import DeterministicRng
+from savi.zkp import ver_prf_wf, ver_range_proof
+from savi.zkp.sigma import Link
+
+
+def make_link(rng, gs, q, claims):
+    """A link over the generators ``gs`` for the claims v_1..v_k, with
+    masks, sigma and R drawn from ``rng``; -> (link, sigma)."""
+    masks, sigma = [rng.scalar() for _ in gs], rng.scalar()
+    rows = [[rng.below(2) for _ in claims] for _ in gs]
+    y_commit = multiexp([*gs, q], [*masks, sigma])
+    answers = [(y + sum(b * x for b, x in zip(row, claims))) % GROUP_ORDER
+               for y, row in zip(masks, rows)]
+    return Link(gs, rows, y_commit, answers), sigma
+
+
+def wf_holds(g, q, h, z, e, o, link, proof, tr):
+    """``ver_prf_wf``'s verdict: its challenge matches and the link
+    identity it returns holds."""
+    small = ver_prf_wf(g, q, h, z, e, o, link, proof, tr)
+    gens = GeneratorSet(g=g, q=q, w=(), range_gens=RangeGenerators((), ()), smallness=link.gs)
+    return small is not None and ver_range_proof(gens, [small], DeterministicRng(b"weights"))
 
 
 def bumped(proof, field, i=None):
@@ -32,7 +57,7 @@ def each_bump(proof):
         if isinstance(value, tuple):
             for i in range(len(value)):
                 yield bumped(proof, f.name, i)
-        else:
+        elif isinstance(value, int):
             yield bumped(proof, f.name)
 
 
@@ -50,11 +75,22 @@ def ref_ver_prf_sq(g, h, y1, y2, proof, tr):
     return tr.challenge("c") == c
 
 
-def ref_ver_prf_wf(g, q, h, z, e, o, proof, tr):
+def ref_ver_prf_wf(g, q, h, z, e, o, link, proof, tr):
     k = len(o)
     if not (len(e) == len(h) == len(proof.y_vec) == k + 1 and len(proof.y_star) == k):
         return False
     c, y = proof.c, proof.y
+    # the link's announcement, with each G'_t = sum_j R_jt G_j formed
+    g_prime = [
+        multiexp(link.gs, [row[t] for row in link.rows], g.backend) for t in range(k)
+    ]
+    t_link = multiexp(
+        [*g_prime, q, *link.gs, link.y_commit],
+        [*proof.y_vec[1:], proof.y_sigma, *(c * z_j for z_j in link.z), -c],
+        g.backend,
+    )
+    if t_link != proof.t_link:
+        return False
     u = multiexp([g, z], [y, c])
     t = [multiexp([g, h[i], e[i]], [proof.y_vec[i], y, c]) for i in range(k + 1)]
     t_star = [
@@ -69,4 +105,5 @@ def ref_ver_prf_wf(g, q, h, z, e, o, proof, tr):
     tr.absorb_point("u", u)
     tr.absorb_points("t", t)
     tr.absorb_points("t*", t_star)
+    tr.absorb_point("link", t_link)
     return tr.challenge("c") == c

@@ -46,11 +46,10 @@ from savi.zkp import (
     ver_crt,
     ver_integrity_proof,
     ver_prf_sq,
-    ver_prf_wf,
     ver_range_proof,
 )
 from rangeproof_reference import ref_ver_range_proof
-from sigma_reference import ref_ver_prf_sq, ref_ver_prf_wf
+from sigma_reference import make_link, ref_ver_prf_sq, ref_ver_prf_wf, wf_holds
 
 Q = GROUP_ORDER
 mock = make_backend("mock")
@@ -76,7 +75,7 @@ def test_criterion_01_exact_aggregation_200_runs():
             attack = AttackSpec()
         cfg = desk_preset(
             n=n, m=m, d=d, k=k, epsilon_log2=-14, M=16, B=1.0,
-            b_ip=16, b_max=32, frac_bits=2, b_coord=16,
+            b_max=32, frac_bits=2, b_coord=16,
             seed=10_000 + i, attack=attack,
         )
         rep = run_simulation(cfg)[0]
@@ -103,7 +102,7 @@ def test_criterion_02_honest_completeness_1000_rounds():
 
     cfg = desk_preset(
         n=2, m=0, d=4, k=2, epsilon_log2=-14, M=16, B=1.0,
-        b_ip=16, b_max=32, frac_bits=2, b_coord=16, seed=271828,
+        b_max=32, frac_bits=2, b_coord=16, seed=271828,
     )
     sim = Simulation(cfg)
     for round_no in range(1, 1001):
@@ -232,7 +231,9 @@ def _mutations(proof, g):
         rep(proof, rho=rep(proof.rho, c=(proof.rho.c + 1) % Q)),
         rep(proof, tau=rep(proof.tau, c=(proof.tau.c + 1) % Q)),
         rep(proof, tau=rep(proof.tau, s1=((proof.tau.s1[0] + 1) % Q,) + proof.tau.s1[1:])),
-        rep(proof, sigma=rep(proof.sigma, delta=(proof.sigma.delta + 1) % Q)),
+        # the proof of smallness (at savi/v6, a bumped sigma range proof)
+        rep(proof, masks=proof.masks + g),
+        rep(proof, rho=rep(proof.rho, y_sigma=(proof.rho.y_sigma + 1) % Q)),
         rep(proof, mu=rep(proof.mu, b1_commit=proof.mu.b1_commit + g)),
     ]
 
@@ -240,7 +241,7 @@ def _mutations(proof, g):
 def test_criterion_06_zkp_roundtrip_and_tamper_matrix():
     params = CheckParameters.from_epsilon_log2(
         -16, n=2, m=0, d=8, k=4, M=16, B=4.0,
-        b_ip=16, b_max=32, frac_bits=2, b_coord=16,
+        b_max=32, frac_bits=2, b_coord=16,
     )
     outer = np.random.default_rng(606)
     honest_ok = 0
@@ -315,12 +316,14 @@ def test_criterion_07_batch_equals_naive():
         vm = [vm[0]] + [x % Q for x in vm[1:]]
         e = [multiexp([g, h[t]], [vm[t], r]) for t in range(k + 1)]
         o2 = [multiexp([g, q], [vm[1 + t], s[t]]) for t in range(k)]
-        rho = gen_prf_wf(g, q, h, z := r * g, e, o2, r, vm, s, rng, tr())
+        link, sigma = make_link(rng, gens.smallness, q, vm[1:])
+        rho = gen_prf_wf(g, q, h, z := r * g, e, o2, link, r, vm, s, sigma, rng, tr())
         if tamper:
-            rho = dataclasses.replace(rho, y=(rho.y + 1) % Q)
-        assert ver_prf_wf(g, q, h, z, e, o2, rho, tr()) == ref_ver_prf_wf(
-            g, q, h, z, e, o2, rho, tr()
-        )
+            field = ("y", "y_sigma")[(i // 3) % 2]
+            rho = dataclasses.replace(rho, **{field: (getattr(rho, field) + 1) % Q})
+        assert wf_holds(g, q, h, z, e, o2, link, rho, tr()) == ref_ver_prf_wf(
+            g, q, h, z, e, o2, link, rho, tr()
+        ) == (not tamper)
         wf_agree += 1
 
         # consistency batch
@@ -413,7 +416,7 @@ def test_criterion_09_exhaustive_adversarial_flagging():
 
     params = CheckParameters.from_epsilon_log2(
         -14, n=7, m=2, d=4, k=2, M=16, B=1.0,
-        b_ip=16, b_max=32, frac_bits=2, b_coord=16,
+        b_max=32, frac_bits=2, b_coord=16,
     )
     gens = GeneratorSet.derive(mock, params.d, params.range_slots)
     root = DeterministicRng(b"flags-exhaustive")

@@ -20,6 +20,7 @@ def _tiny_gens(backend, w_scalars):
         q=q,
         w=tuple(s * g for s in w_scalars),
         range_gens=RangeGenerators(gs=(), hs=()),
+        smallness=(),
     )
 
 

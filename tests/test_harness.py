@@ -37,14 +37,13 @@ from savi.harness.simulate import (
 from savi.commit import CommitmentBundle
 from savi.group import make_backend
 from savi.sampling import SampleMatrix, pass_rate_F, sample_matrix
-from savi.serial import U32, decode, encode
-from savi.zkp import IntegrityProof
-from savi.zkp import IntegrityProof
+from savi.serial import U32, Window, decode, encode
+from savi.zkp import IntegrityProof, Transcript, integrity
 
 
 def _tiny(**overrides):
     base = dict(n=5, m=0, d=8, k=16, epsilon_log2=-16, M=16, B=1.0,
-                b_ip=32, b_max=64, frac_bits=8, b_coord=16, seed=3)
+                b_max=64, frac_bits=8, b_coord=16, seed=3)
     base.update(overrides)
     return desk_preset(**base)
 
@@ -89,23 +88,26 @@ def test_deterministic_given_seed():
 # The uplink of a fixed-seed round, proofs included, is pinned byte for
 # byte.  Changing these bytes changes the wire format or the proofs, and
 # requires a bump of the transcript domain (savi/vN/transcript).  Last
-# re-pinned at savi/v6: domain bump and layout (Bulletproofs+ range
-# proofs); at savi/v5 these read
+# re-pinned at savi/v7: domain bump and layout (the proof of smallness in
+# place of the projections' range proof); at savi/v6 these read
+# f8967d49431fb959dac56045f052a7584af2ab56ab468c2b161ed05093573351 and
+# ddf787c9673feec0043fe559aa6a26068f6a2d4874a90eba35518deb39e27419, and
+# at savi/v5
 # 98e109fc25d636c07526b7f49b88c5aabec4a46b90f63fddb4651235d3dd1061 and
 # 0a759f1752839ba74c31c86eb3fb4a26563cd5430a0faeceb2f37a0910cbbb0d.
 _PINNED_ROUNDS = [
     (
-        dict(n=5, m=2, d=16, k=4, M=16, b_ip=32, b_max=64, epsilon_log2=-16, seed=3,
+        dict(n=5, m=2, d=16, k=4, M=16, b_max=64, epsilon_log2=-16, seed=3,
              attack=AttackSpec("oversized_norm", scale=10.0, malicious_ids=(2, 4))),
-        "f8967d49431fb959dac56045f052a7584af2ab56ab468c2b161ed05093573351",
+        "c663debaf1efdf5444739452ec581c13533c5f9beaa2f7e8e5aab6022152288c",
         (1, 3, 5),
         {2: "proof_wellformed", 4: "proof_wellformed"},
     ),
     (
-        dict(n=3, m=1, d=4, k=1, M=1, b_ip=16, b_max=32, epsilon_log2=-16, seed=3,
+        dict(n=3, m=1, d=4, k=1, M=1, b_max=32, epsilon_log2=-16, seed=3,
              backend="ristretto255",
              attack=AttackSpec("oversized_norm", scale=10.0, malicious_ids=(3,))),
-        "ddf787c9673feec0043fe559aa6a26068f6a2d4874a90eba35518deb39e27419",
+        "5d7f8b0cb0d66bdfa80ff56aec25b2b049cbab02430d7909edb5a266bb823714",
         (1, 2),
         {3: "proof_wellformed"},
     ),
@@ -167,10 +169,12 @@ def test_two_round_uplink_pinned():
     uplink = b"".join(
         payload for rep in reps for _, _, payload in sorted(rep.messages, key=lambda m: m[1])
     )
-    # re-pinned at savi/v6: domain bump and layout (Bulletproofs+); at
+    # re-pinned at savi/v7: domain bump and layout (the proof of
+    # smallness); at savi/v6
+    # 871bdb65fd8236122c4bd69c42036bbbdad5ca1ba07b3b626d336280fb5b46ce, at
     # savi/v5 17a59a4f3c18b4566ad30563c0cf3a6a2d597cc666fa264e477443654f482bc9
     assert hashlib.sha256(uplink).hexdigest() == (
-        "871bdb65fd8236122c4bd69c42036bbbdad5ca1ba07b3b626d336280fb5b46ce"
+        "e953a188bd16f51ba2e7700dc1fc389868c599231d0c31056678a6b361110e5d"
     )
 
 
@@ -215,10 +219,13 @@ def test_proof_verification_op_count_pinned():
     # B1) cost 2,437 muls and 2,296 adds.  One consistency check covers
     # the set, and its sums are the y and e_star columns: checked per
     # client, e_star cost d + k + 1 = 73 muls more for each of the other
-    # nine clients (2,416 muls and 2,275 adds)
+    # nine clients (2,416 muls and 2,275 adds).  The links of the proofs
+    # of smallness share the 128 G_j, and each adds Y and t_link to the
+    # batch; with the projections' range proofs (192 slots) in the batch
+    # this round cost 1,759 muls and 2,293 adds
     (rep,) = run_simulation(SimulationConfig(n=10, m=4, d=64, k=8, seed=1, backend="mock"))
     assert rep.honest == tuple(range(1, 11))
-    assert rep.group_ops["proof_ver"] == {"mul": 1759, "add": 2293, "from_hash": 0}
+    assert rep.group_ops["proof_ver"] == {"mul": 1379, "add": 1843, "from_hash": 0}
     assert rep.group_ops["proof_ver"]["mul"] <= 4000
 
 
@@ -231,10 +238,12 @@ def test_proof_generation_op_count_pinned():
     # cost k muls more a proof (32,540 muls).  M is derived (2^11: 192 +
     # 48 slots); at M = 2^20 (320 + 64 slots) this round cost 32,460 muls
     # and 35,570 adds.  The Bulletproofs prover, with S, T1 and T2, cost
-    # 20,900 muls and 22,610 adds
+    # 20,900 muls and 22,610 adds, and the Bulletproofs+ range proof on
+    # the projections 16,500 muls and 18,250 adds, where the proof of
+    # smallness costs 129 muls a try and 129 for its announcement
     (rep,) = run_simulation(SimulationConfig(n=10, m=4, d=64, k=8, seed=1, backend="mock"))
     assert rep.honest == tuple(range(1, 11))
-    assert rep.group_ops["proof_gen"] == {"mul": 16500, "add": 18250, "from_hash": 0}
+    assert rep.group_ops["proof_gen"] == {"mul": 7765, "add": 7652, "from_hash": 0}
     assert rep.group_ops["proof_gen"]["mul"] <= 56_000
     # the sum of the honest commitments starts from the first vector, not
     # from d identities (this stage counted 9,976 adds when it did), and
@@ -411,7 +420,8 @@ def test_message_log_replay(tmp_path):
     reports = run_simulation(cfg)
     log = emit_message_log(reports, cfg, tmp_path)
     header, records = parse_message_log(log)
-    assert header.domain == "savi/v6"  # savi/v5 until Bulletproofs+
+    # savi/v6 until the proof of smallness, savi/v5 until Bulletproofs+
+    assert header.domain == "savi/v7"
     assert header.params == cfg.check_parameters()
     per_client = {}
     kinds = set()
@@ -505,9 +515,14 @@ def test_commit_linear_proof_sublinear_in_d():
 
 
 @pytest.mark.parametrize("d,k", [(32, 2), (64, 4)])
-def test_mock_op_counts_equal_ristretto(d, k):
+def test_mock_op_counts_equal_ristretto(d, k, monkeypatch):
     # both backends run the same multiexp loop, so mock counts are the
-    # work ristretto255 does
+    # work ristretto255 does.  The proof of smallness' R is the one input
+    # that differs: it hashes point encodings, and sets the number of
+    # tries and which rows of the link's announcement are zero.  So R is
+    # fixed here, the same on both backends.
+    fixed = integrity._challenge_rows(Transcript("fixed-R"), make_backend("mock").base(), k)
+    monkeypatch.setattr(integrity, "_challenge_rows", lambda tr, y_commit, k_: fixed)
     assert probe_costs(d, k, "mock").ops == probe_costs(d, k, "ristretto255").ops
 
 
@@ -523,15 +538,20 @@ def test_client_proof_probe_op_count_pinned():
     # Bulletproofs prover, 4,410 muls and 4,805 adds.)  Every figure above
     # also counts the client's check of h, which now has its own row:
     # the proof and the check together cost 3,474 muls and 3,873 adds.
+    # With the Bulletproofs+ range proof on the projections in place of
+    # the proof of smallness, the proof alone cost 3,201 muls and 3,602
+    # adds here
     ops = probe_costs(256, 16).ops
     assert ops["client_check_h"] == {"mul": 273, "add": 271, "from_hash": 0}
-    assert ops["client_proof"] == {"mul": 3201, "add": 3602, "from_hash": 0}
+    assert ops["client_proof"] == {"mul": 898, "add": 848, "from_hash": 0}
     assert ops["client_check_h"]["mul"] + ops["client_proof"]["mul"] <= 6_700
-    # proof_heavy's shape (896 + 56 slots); with the check of h, 6,418 muls
-    # and 7,209 adds, and 8,250 and 9,037 with the Bulletproofs prover
+    # proof_heavy's shape (b_max = 56); with the check of h, 6,418 muls
+    # and 7,209 adds with the projections' range proof (896 slots, 6,129
+    # muls and 6,922 adds for the proof alone), and 8,250 and 9,037 with
+    # the Bulletproofs prover
     ops = probe_costs(256, 32).ops
     assert ops["client_check_h"] == {"mul": 289, "add": 287, "from_hash": 0}
-    assert ops["client_proof"] == {"mul": 6129, "add": 6922, "from_hash": 0}
+    assert ops["client_proof"] == {"mul": 1005, "add": 886, "from_hash": 0}
 
 
 def test_comm_probe_equals_bytes_a_client_sends():
@@ -543,23 +563,29 @@ def test_comm_probe_equals_bytes_a_client_sends():
 
 
 def test_comm_probe_proof_parts_add_up():
-    # the seven fields of a proof, each behind a 4-byte count or length
+    # the eight fields of a proof: six behind a 4-byte count or length,
+    # Y bare, and z's bound and count inside its part (at savi/v6, seven
+    # fields each behind one, with "sigma" where "Y+z" is)
     rep = measure_communication(d=64, k=4)
-    assert list(rep.proof_parts) == ["e_star+o+o_prime", "rho", "tau", "sigma", "mu"]
-    assert sum(rep.proof_parts.values()) + 7 * 4 == rep.proof_bytes
-    # k+1 + 2k points; the sigma proofs in their (c, s) form
+    assert list(rep.proof_parts) == ["e_star+o+o_prime", "Y+z", "rho", "tau", "mu"]
+    assert sum(rep.proof_parts.values()) + 6 * 4 == rep.proof_bytes
+    # k+1 + 2k points; the sigma proofs in their (c, s) form, rho with the
+    # link's y_sigma and t_link (104 + 64k bytes before)
     assert rep.proof_parts["e_star+o+o_prime"] == 32 * (3 * 4 + 1)
-    assert (rep.proof_parts["rho"], rep.proof_parts["tau"]) == (104 + 64 * 4, 44 + 96 * 4)
+    assert (rep.proof_parts["rho"], rep.proof_parts["tau"]) == (168 + 64 * 4, 44 + 96 * 4)
+    # Y, then z: 8 bytes of bound, a 4-byte count and 128 packed answers
+    params = deployment_preset(d=64, k=4).check_parameters()
+    assert rep.proof_parts["Y+z"] == 32 + 12 + 128 * (2 * params.z_bound).bit_length() // 8
 
 
 def test_comm_probe_measures_the_widths_of_d():
-    # at d=1024, k=16 the range widths derived from B0 (b_ip 28, b_max 56)
-    # are not those of the probe's small rounds at d'=16 (24 and 48), so
-    # those rounds run with the widths of d, as a proof made at d has them
+    # at d=1024, k=16 the widths derived from B0 (b_max 56 and T) are not
+    # those of the probe's small rounds at d'=16 (b_max 48), so those
+    # rounds run with the widths of d, as a proof made at d has them
     fields = dict(d=1024, k=16)
     wide, small = (deployment_preset(**fields).check_parameters(),
                    deployment_preset(d=16, k=16).check_parameters())
-    assert (wide.b_ip, wide.b_max) != (small.b_ip, small.b_max)
+    assert (wide.b_max, wide.z_bound) != (small.b_max, small.z_bound)
     probe = measure_communication(**fields, seed=11)
     (rep,) = run_simulation(deployment_preset(n=1, m=0, **fields, backend="mock", seed=11))
     (payload,) = [p for kind, _, p in rep.messages if kind == MSG_PROOF]
@@ -567,7 +593,8 @@ def test_comm_probe_measures_the_widths_of_d():
     assert probe.proof_bytes == len(payload)
     assert probe.proof_parts == {
         "e_star+o+o_prime": 32 * (len(proof.e_star) + len(proof.o) + len(proof.o_prime)),
-        **{part: len(getattr(proof, part).to_bytes()) for part in ("rho", "tau", "sigma", "mu")},
+        "Y+z": 32 + len(encode(Window, proof.z)),
+        **{part: len(getattr(proof, part).to_bytes()) for part in ("rho", "tau", "mu")},
     }
 
 
@@ -582,7 +609,7 @@ def test_proof_cost_grows_with_k():
 def test_config_yaml_roundtrip(tmp_path):
     path = tmp_path / "sim.yaml"
     path.write_text(
-        "n: 4\nm: 1\nd: 8\nk: 16\nepsilon_log2: -16\nM: 16\nb_ip: 32\nb_max: 64\n"
+        "n: 4\nm: 1\nd: 8\nk: 16\nepsilon_log2: -16\nM: 16\nb_max: 64\n"
         "seed: 9\nrounds: 2\n"
         "attack:\n  kind: scaling\n  scale: 2.0\n  malicious_ids: [2]\n"
     )
@@ -633,6 +660,16 @@ def test_config_accepts_declared_types():
     assert cfg.check_parameters().b_max == 64
 
 
+def test_b_ip_is_accepted_and_ignored():
+    # the benchmark's warm-up shape still sets b_ip, which sized the
+    # projections' range proof; the proof of smallness needs no width
+    fields = dict(n=3, m=1, d=4, k=1, M=1, b_max=32)
+    assert (
+        SimulationConfig(**fields, b_ip=16).check_parameters()
+        == SimulationConfig(**fields).check_parameters()
+    )
+
+
 def test_config_validation_errors():
     with pytest.raises(ValueError):
         _tiny(rounds=0)
@@ -654,7 +691,7 @@ def test_config_validation_errors():
 
 # -- command line -----------------------------------------------------------------
 
-_TINY_YAML = "n: 4\nm: 0\nd: 8\nk: 16\nepsilon_log2: -16\nM: 16\nb_ip: 32\nb_max: 64\n"
+_TINY_YAML = "n: 4\nm: 0\nd: 8\nk: 16\nepsilon_log2: -16\nM: 16\nb_max: 64\n"
 
 
 def test_option_surface_is_pinned():
@@ -742,12 +779,14 @@ def test_cli_params_table():
 @pytest.mark.parametrize(
     "args,widths,slots",
     [
-        # proof_heavy's check parameters: B0 has 64 bits
+        # proof_heavy's check parameters: B0 has 64 bits (b_ip was 40, and
+        # the projections' range proof had 1,280 = 5·2^8 slots)
         (["--k", "32", "--epsilon-log2", "-40", "--d", "256", "--M", "20"],
-         "b_ip   = 40  b_max = 64", "sigma 1280 = 5·2^8, mu 64 = 1·2^6"),
-        # deployment: B0 has 76 bits
+         "b_max  = 64", "mu 64 = 1·2^6"),
+        # deployment: B0 has 76 bits (b_ip was 40, and the projections'
+        # range proof had 40,960 = 5·2^13 slots)
         (["--k", "1000", "--epsilon-log2", "-128", "--d", "10000", "--M", "24"],
-         "b_ip   = 40  b_max = 80", "sigma 40960 = 5·2^13, mu 80 = 5·2^4"),
+         "b_max  = 80", "mu 80 = 5·2^4"),
     ],
 )
 def test_cli_params_shows_range_proof_shape(args, widths, slots):
@@ -755,6 +794,7 @@ def test_cli_params_shows_range_proof_shape(args, widths, slots):
     assert res.exit_code == 0, res.output
     assert widths in res.output
     assert f"range slots: {slots}" in res.output
+    assert "smallness: lambda = 128  T = 2^8·W = " in res.output
 
 
 def test_cli_rejects_bad_sweep():

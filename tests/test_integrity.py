@@ -14,14 +14,14 @@ from savi.zkp import (
     BoundExceededError,
     Transcript,
     gen_integrity_proof,
-    gen_range_proof,
-    range_terms,
     ver_integrity_proof,
     ver_integrity_proofs,
     ver_range_proof,
 )
+from savi.serial import Window
 from savi.zkp import integrity
-from savi.zkp.integrity import _shifted
+from savi.group.generators import LAMBDA
+from savi.zkp.integrity import MAX_TRIES
 from sigma_reference import each_bump
 
 Q = GROUP_ORDER
@@ -31,7 +31,7 @@ backend = make_backend("mock")
 
 def _params(k, d, B=4.0):
     return CheckParameters.from_epsilon_log2(
-        -16, n=2, m=0, d=d, k=k, M=16, B=B, b_ip=32, b_max=64,
+        -16, n=2, m=0, d=d, k=k, M=16, B=B, b_max=64,
         frac_bits=2, b_coord=16,
     )
 
@@ -139,12 +139,23 @@ def test_each_tampered_component_names_its_check():
             ),
             "square",
         ),
+        # the proof of smallness: its answers' window and count are
+        # checked with the shapes, Y and the z_j are in the transcript, and
+        # only the link identity reads y_sigma (at savi/v6 a bumped
+        # projection range proof was named range_ip)
+        (dataclasses.replace(proof, z=Window(proof.z.bound + 1, proof.z.values)), "malformed"),
+        (dataclasses.replace(proof, z=Window(proof.z.bound, proof.z.values[:-1])), "malformed"),
+        (dataclasses.replace(proof, masks=proof.masks + g), "wellformed"),
+        (
+            dataclasses.replace(
+                proof, z=Window(proof.z.bound, (proof.z.values[0] ^ 1,) + proof.z.values[1:])
+            ),
+            "wellformed",
+        ),
         (
             dataclasses.replace(
                 proof,
-                sigma=dataclasses.replace(
-                    proof.sigma, r=((proof.sigma.r[0] + 1) % Q,) + proof.sigma.r[1:]
-                ),
+                rho=dataclasses.replace(proof.rho, y_sigma=(proof.rho.y_sigma + 1) % Q),
             ),
             "range_ip",
         ),
@@ -186,8 +197,11 @@ def test_each_sigma_scalar_names_its_check(backend_name):
         *[(dataclasses.replace(proof, rho=rho), "wellformed") for rho in each_bump(proof.rho)],
         *[(dataclasses.replace(proof, tau=tau), "square") for tau in each_bump(proof.tau)],
     ]
-    # rho: c, y, k+1 entries of y_vec and k of y_star; tau: c and 3k
-    assert len(tampered) == (2 * params.k + 3) + (1 + 3 * params.k)
+    # rho: c, y, k+1 entries of y_vec, k of y_star and y_sigma, which
+    # only the batched link identity reads; tau: c and 3k
+    assert len(tampered) == (2 * params.k + 4) + (1 + 3 * params.k)
+    assert tampered[2 * params.k + 3][0].rho.y_sigma != proof.rho.y_sigma
+    tampered[2 * params.k + 3] = (tampered[2 * params.k + 3][0], "range_ip")
     for bad, label in tampered:
         verdict = ver_integrity_proof(params, gens, matrix, h, z, y, bad, 1, 1, rng)
         assert verdict == (False, label)
@@ -363,74 +377,115 @@ def test_b0_matches_norm_scaling():
 
 
 def test_extreme_projections_at_the_integrity_shift():
-    # the sigma range proof's statement as the integrity proof makes it,
-    # at derived widths: claim x at index 0 (others 0) proves x + 2^(b_ip-1)
-    # in [0, 2^b_ip) under 2^(b_ip-1) g + o_0
-    params = CheckParameters.from_epsilon_log2(
-        -16, n=2, m=0, d=8, k=4, M=16, B=4.0, frac_bits=2, b_coord=16
-    )
-    gens = GeneratorSet.derive(backend, params.d, params.range_slots)
-    half = 1 << (params.b_ip - 1)
+    # a claim at either end that B0 allows (x^2 <= B0 at index 0, others
+    # 0) passes every per-client check: e_star is built on the claims, so
+    # only the set's consistency check could object.  At savi/v6 this
+    # pinned the shifted range proof on x + 2^(b_ip-1), which the proof of
+    # smallness replaced.
+    params = _params(k=4, d=8)
+    gens, matrix, h, y, z, r, rng = _instance(params, [0] * params.d)
+    v0 = matrix.row_inner([0] * params.d)[0]
     root = math.isqrt(params.b0)
-    rng = DeterministicRng(b"extremes")
-
-    def statement(x):
+    for x in (root, -root):
         claims = [x] + [0] * (params.k - 1)
-        values = [c + half for c in claims] + [0] * (params.k_padded - params.k)
-        blinds = [rng.scalar() for _ in claims] + [0] * (params.k_padded - params.k)
-        o = [multiexp([gens.g, gens.q], [c % Q, s]) for c, s in zip(claims, blinds)]
-        return values, blinds, _shifted(params, gens, o)
-
-    def verifies(proof, comms):
-        terms = range_terms(gens, params.b_ip, comms, proof, Transcript("extremes"))
-        return ver_range_proof(gens, [terms], rng)
-
-    for x in (-half, half - 1, root, -root):
-        values, blinds, comms = statement(x)
-        proof = gen_range_proof(
-            gens, params.b_ip, values, blinds, comms, rng, Transcript("extremes")
+        proof = integrity._prove(
+            params, gens, matrix, h, z, y, r, [v0] + claims, claims, 1, 1, rng
         )
-        assert verifies(proof, comms), x
-    for x in (half, -half - 1):
-        values, blinds, comms = statement(x)
-        with pytest.raises(ValueError):
-            gen_range_proof(gens, params.b_ip, values, blinds, comms, rng, Transcript("extremes"))
-        low_bits = [v % (1 << params.b_ip) for v in values]
-        proof = gen_range_proof(
-            gens, params.b_ip, low_bits, blinds, comms, rng, Transcript("extremes")
-        )
-        assert not verifies(proof, comms), x
+        assert max(abs(a) for a in proof.z.values) <= params.z_bound
+        weights = DeterministicRng(b"extremes")
+        small, mu = integrity._cheap_checks(params, gens, matrix, h, z, y, proof, 1, 1, weights)
+        assert ver_range_proof(gens, [small, mu], weights), x
+
+
+def _honest_proof(params, seed):
+    u = _scaled_update(params, 0.5, np.random.default_rng(seed))
+    gens, matrix, h, y, z, r, rng = _instance(params, u, seed=f"edge/{seed}".encode())
+    proof = gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
+    return proof, (gens, matrix, h, z, y)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_answers_at_the_window_edge_pass_and_one_past_fail(sign, monkeypatch):
+    # the verifier takes |z_j| <= T and nothing more.  T is moved to the
+    # largest |z_j| of an honest proof whose extreme answer has the given
+    # sign: there every answer passes, with one at +-T; at T - 1 that
+    # answer is one past the window.  T is not in the transcript, so the
+    # proof's other checks still hold.
+    params = _params(k=4, d=8)
+    proof, (gens, matrix, h, z, y) = next(
+        (p, inst)
+        for p, inst in (_honest_proof(params, seed) for seed in range(40))
+        if sign * max(p.z.values, key=abs) > 0
+    )
+    edge = max(abs(a) for a in proof.z.values)
+    assert sign * edge in proof.z.values
+
+    def verdict(bound):
+        monkeypatch.setattr(type(params), "z_bound", property(lambda self: bound))
+        moved = dataclasses.replace(proof, z=Window(bound, proof.z.values))
+        return ver_integrity_proof(params, gens, matrix, h, z, y, moved, 1, 1, DeterministicRng(b"e"))
+
+    assert verdict(edge) == (True, None)
+    assert verdict(edge - 1) == (False, "range_ip")
+
+
+def _cheater_rejected(params, gens, matrix, h, y, z, r, u, claims, rng, monkeypatch):
+    """A cheater's proof of ``claims``, with the slack proof's range
+    guard stripped (values taken mod p, then cut to the proof's width),
+    as the honest prover makes it and with its answers cut into the
+    window: both are named "range_ip", and only the proof of smallness
+    catches them."""
+    stripped, smallness, rows = integrity.gen_range_proof, integrity._smallness, integrity._challenge_rows
+
+    def unguarded(gens, n_bits, values, *rest):
+        return stripped(gens, n_bits, [x % Q % (1 << n_bits) for x in values], *rest)
+
+    monkeypatch.setattr(integrity, "gen_range_proof", unguarded)
+    tries = []
+    monkeypatch.setattr(integrity, "_challenge_rows", lambda *a: tries.append(1) or rows(*a))
+    proof = integrity._prove(
+        params, gens, matrix, h, z, y, r, matrix.row_inner(u), claims, 1, 1, rng
+    )
+    # its answers never fall in the window: the prover gives up and sends
+    # its last try, which fails the window check
+    assert len(tries) == MAX_TRIES
+    assert not proof.z.contains()
+    assert ver_integrity_proof(params, gens, matrix, h, z, y, proof, 1, 1, rng) == (
+        False, "range_ip"
+    )
+
+    bound = params.z_bound
+
+    def cut(*args):  # the window guard an attacker strips
+        link, sigma, tr = smallness(*args)
+        return dataclasses.replace(link, z=[(x + bound) % (2 * bound + 1) - bound for x in link.z]), sigma, tr
+
+    monkeypatch.setattr(integrity, "_smallness", cut)
+    proof = integrity._prove(
+        params, gens, matrix, h, z, y, r, matrix.row_inner(u), claims, 1, 1, rng
+    )
+    assert proof.z.contains()
+    assert ver_integrity_proof(params, gens, matrix, h, z, y, proof, 1, 1, rng) == (
+        False, "range_ip"
+    )
+    weights = DeterministicRng(b"cheater")
+    small, mu = integrity._cheap_checks(params, gens, matrix, h, z, y, proof, 1, 1, weights)
+    assert ver_range_proof(gens, [mu], weights)
+    assert not ver_range_proof(gens, [small], weights)
 
 
 @pytest.mark.parametrize("backend_name", ["mock", "ristretto255"])
 def test_square_root_of_minus_one_cheater_is_rejected(backend_name, monkeypatch):
     # u = i·s with i² ≡ -1 mod p makes each v_t = i·<a_t, s> and the sum
     # of squares -S, so the slack B0 + S is small and its proof honest;
-    # only the projection range proof can catch the cheater
+    # only the proof of smallness can catch the cheater
     params = _params(k=4, d=16)
     s = [3, -1, 2, 0] * 4
     i = next(x for x in (pow(a, (Q - 1) // 4, Q) for a in range(2, 100)) if x * x % Q == Q - 1)
     u = [i * x % Q for x in s]
     gens, matrix, h, y, z, r, rng = _instance(params, u, b=make_backend(backend_name))
     claims = [i * x % Q for x in matrix.row_inner(s)[1:]]
-    stripped = integrity.gen_range_proof
-
-    def unguarded(gens, n_bits, values, *rest):
-        # the range guard an attacker strips: values taken mod p, then
-        # cut to the proof's width
-        return stripped(gens, n_bits, [x % Q % (1 << n_bits) for x in values], *rest)
-
-    monkeypatch.setattr(integrity, "gen_range_proof", unguarded)
-    proof = integrity._prove(
-        params, gens, matrix, h, z, y, r, matrix.row_inner(u), claims, 1, 1, rng
-    )
-    assert ver_integrity_proof(params, gens, matrix, h, z, y, proof, 1, 1, rng) == (
-        False, "range_ip"
-    )
-    weights = DeterministicRng(b"i-s-cheater")
-    sigma, mu = integrity._cheap_checks(params, gens, matrix, h, z, y, proof, 1, 1, weights)
-    assert ver_range_proof(gens, [mu], weights)
-    assert not ver_range_proof(gens, [sigma], weights)
+    _cheater_rejected(params, gens, matrix, h, y, z, r, u, claims, rng, monkeypatch)
 
 
 @pytest.mark.parametrize("backend_name", ["mock", "ristretto255"])
@@ -439,7 +494,8 @@ def test_half_cheater_is_rejected(backend_name, monkeypatch):
     # is even, near p/2 where it is odd.  With a positive multiple of 4
     # odd <a_t, w>, S = sum <a_t, w>² ≡ 0 mod 4, so the sum of squares
     # 4⁻¹·S is the integer S/4, the slack B0 - S/4 is in range and its proof
-    # honest; only the projection range proof can catch the cheater
+    # honest; only the proof of smallness, whose binary challenges make
+    # each extracted v_t an integer, can catch the cheater
     params = _params(k=4, d=16)
     matrix = sample_matrix(b"itest", params.k, params.d, params.M)  # as _instance draws it
 
@@ -457,21 +513,82 @@ def test_half_cheater_is_rejected(backend_name, monkeypatch):
     u = [half * x % Q for x in w]
     gens, matrix, h, y, z, r, rng = _instance(params, u, b=make_backend(backend_name))
     claims = [half * x % Q for x in matrix.row_inner(w)[1:]]
-    stripped = integrity.gen_range_proof
+    _cheater_rejected(params, gens, matrix, h, y, z, r, u, claims, rng, monkeypatch)
 
-    def unguarded(gens, n_bits, values, *rest):
-        # the range guard an attacker strips: values taken mod p, then
-        # cut to the proof's width
-        return stripped(gens, n_bits, [x % Q % (1 << n_bits) for x in values], *rest)
 
-    monkeypatch.setattr(integrity, "gen_range_proof", unguarded)
-    proof = integrity._prove(
-        params, gens, matrix, h, z, y, r, matrix.row_inner(u), claims, 1, 1, rng
-    )
-    assert ver_integrity_proof(params, gens, matrix, h, z, y, proof, 1, 1, rng) == (
-        False, "range_ip"
-    )
-    weights = DeterministicRng(b"half-cheater")
-    sigma, mu = integrity._cheap_checks(params, gens, matrix, h, z, y, proof, 1, 1, weights)
-    assert ver_range_proof(gens, [mu], weights)
-    assert not ver_range_proof(gens, [sigma], weights)
+def _smallness_tries(params, gens, claims, seed, monkeypatch):
+    rows = integrity._challenge_rows
+    tries = []
+    monkeypatch.setattr(integrity, "_challenge_rows", lambda *a: tries.append(1) or rows(*a))
+    integrity._smallness(params, gens, claims, DeterministicRng(seed), Transcript("tries"))
+    monkeypatch.setattr(integrity, "_challenge_rows", rows)
+    return len(tries)
+
+
+def test_mean_tries_near_one_over_0_61(monkeypatch):
+    # each row passes with probability (2T + 1)/(2T + 2W + 1), about
+    # 1/(1 + 2^-8), so all 128 with about 0.61: 1/0.61 tries on average
+    params = _params(k=4, d=8)
+    gens, matrix, *_ = _instance(params, [0] * params.d)
+    u = _scaled_update(params, 0.9, np.random.default_rng(3))
+    claims = matrix.row_inner(u)[1:]
+    tries = [_smallness_tries(params, gens, claims, f"tries/{i}", monkeypatch) for i in range(200)]
+    assert abs(sum(tries) / len(tries) * 0.61 - 1) <= 0.15
+    assert max(tries) < MAX_TRIES
+
+
+def test_smallness_prover_cost_closed_form(monkeypatch):
+    # each try commits to the LAMBDA masks and sigma in one multiexp:
+    # LAMBDA + 1 muls and LAMBDA additions.  (The link's announcement in
+    # the well-formedness proof is one more multiexp of that shape.)
+    params = _params(k=4, d=8)
+    gens, matrix, h, y, z, r, rng = _instance(params, [1, 0, -2, 1, 0, 0, 3, -1])
+    claims = matrix.row_inner([1, 0, -2, 1, 0, 0, 3, -1])[1:]
+    for seed in range(4):
+        tries = _smallness_tries(params, gens, claims, f"cost/{seed}", monkeypatch)
+        before = backend.counter.snapshot()
+        integrity._smallness(params, gens, claims, DeterministicRng(f"cost/{seed}"), Transcript("tries"))
+        after = backend.counter.snapshot()
+        assert (after["mul"] - before["mul"], after["add"] - before["add"]) == (
+            tries * (LAMBDA + 1), tries * LAMBDA
+        )
+
+
+class _Draws:
+    """An rng that hands out the given masks and scalars in order."""
+
+    def __init__(self, masks, scalars):
+        self._masks, self._scalars = iter(masks), iter(scalars)
+
+    def below(self, n):
+        return next(self._masks)
+
+    def scalar(self):
+        return next(self._scalars)
+
+
+def test_zero_knowledge_blinds_are_live():
+    # no soundness test catches a dropped blind: each mask y_j and sigma
+    # must change Y, and each y_j its own z_j alone.  The zero claims keep
+    # every z_j = y_j in the window, so the first try is sent.
+    params = _params(k=4, d=8)
+    gens, *_ = _instance(params, [0] * params.d)
+    spread = params.z_bound + params.mask_slack
+    rng = DeterministicRng(b"zk/masks")
+    draws = [spread + rng.below(params.z_bound) for _ in range(LAMBDA)]
+
+    def prove(masks, sigma):
+        link, _, _ = integrity._smallness(
+            params, gens, [0] * params.k, _Draws(masks, [sigma]), Transcript("zk")
+        )
+        return link.y_commit, list(link.z)
+
+    y_commit, z = prove(draws, 7)
+    assert z == [x - spread for x in draws]
+    other_y, other_z = prove(draws, 8)
+    assert other_y != y_commit and other_z == z
+    for j in (0, 1, LAMBDA - 1):
+        changed = draws[:j] + [draws[j] + 1] + draws[j + 1:]
+        other_y, other_z = prove(changed, 7)
+        assert other_y != y_commit
+        assert [b - a for a, b in zip(z, other_z)] == [int(i == j) for i in range(LAMBDA)]

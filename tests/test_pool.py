@@ -15,7 +15,9 @@ from savi.group.multiexp import multiexp, multiexps
 from savi.harness import desk_preset, run_simulation
 from savi.harness.attacks import AttackSpec
 from savi.rng import DeterministicRng
-from savi.zkp import Transcript, gen_prf_wf, ver_prf_wf
+from savi.group.generators import LAMBDA
+from savi.zkp import Transcript, gen_prf_wf
+from sigma_reference import make_link, wf_holds
 
 Q = GROUP_ORDER
 
@@ -174,9 +176,11 @@ def test_sliced_multiexps_equals_per_row_serial_loop(
 
 
 def test_well_formedness_prover_cuts_its_announcements_across_cores(three_cores, slice_sizes):
-    # the 2k + 2 announcements of k = 32 run as two batches, each cut
-    # into slices of at least MIN_CHUNK terms; as one two-term multiexp
-    # each, they made 65 runs that were too short to cut
+    # the 2k + 2 announcements of k = 32 run as two batches and the link's
+    # announcement over LAMBDA generators as a third, each cut into slices
+    # of at least MIN_CHUNK terms (before the link, at most 2 CORES
+    # slices); as one two-term multiexp each, the 2k + 2 made 65 runs that
+    # were too short to cut
     backend = make_backend("mock")
     k = 32
     g = backend.base()
@@ -187,10 +191,12 @@ def test_well_formedness_prover_cuts_its_announcements_across_cores(three_cores,
     s = [rng.scalar() for _ in range(k)]
     e = [v[i] * g + r * h[i] for i in range(k + 1)]
     o = [v[i + 1] * g + s[i] * q for i in range(k)]
-    proof = gen_prf_wf(g, q, h, r * g, e, o, r, v, s, rng, Transcript("pool-wf"))
-    assert 0 < len(slice_sizes) <= 2 * pool.CORES
+    link, sigma = make_link(rng, derive_generators("pool-link", LAMBDA, backend), q, v[1:])
+    slice_sizes.clear()
+    proof = gen_prf_wf(g, q, h, r * g, e, o, link, r, v, s, sigma, rng, Transcript("pool-wf"))
+    assert 0 < len(slice_sizes) <= 3 * pool.CORES
     assert min(slice_sizes) >= pool.MIN_CHUNK
-    assert ver_prf_wf(g, q, h, r * g, e, o, proof, Transcript("pool-wf"))
+    assert wf_holds(g, q, h, r * g, e, o, link, proof, Transcript("pool-wf"))
 
 
 # coordinates at the edges of g's radix-256 digits

@@ -28,7 +28,7 @@ mock = make_backend("mock")
 
 def _params(n=5, m=2, d=8, k=4, B=4.0):
     return CheckParameters.from_epsilon_log2(
-        -16, n=n, m=m, d=d, k=k, M=16, B=B, b_ip=32, b_max=64,
+        -16, n=n, m=m, d=d, k=k, M=16, B=B, b_max=64,
         frac_bits=2, b_coord=16,
     )
 
@@ -556,22 +556,26 @@ def _short_ls(rp):
     return replace(rp, ls=rp.ls[:-1])
 
 
-def _bump(rp, field):
-    return replace(rp, **{field: (getattr(rp, field) + 1) % GROUP_ORDER})
-
-
 def _bump_r(rp):
     return replace(rp, r=((rp.r[0] + 1) % GROUP_ORDER,) + rp.r[1:])
 
 
-# range-proof-only cheats, with the label each must be named by
+def _link_response(p, value):
+    """``p`` with the link's response -sigma set to ``value``: only the
+    batched link identity reads it."""
+    return replace(p, rho=replace(p.rho, y_sigma=value % GROUP_ORDER))
+
+
+# batched-identity-only cheats, with the label each must be named by;
+# at savi/v6 the range_ip cheats bumped or shortened the projections'
+# range proof, which the proof of smallness replaced
 _RANGE_CHEATS = [
-    (lambda p: replace(p, sigma=_bump(p.sigma, "delta")), "range_ip"),
+    (lambda p: _link_response(p, p.rho.y_sigma + 1), "range_ip"),
     (lambda p: replace(p, mu=_bump_r(p.mu)), "range_sum"),
-    (lambda p: replace(p, sigma=_short_ls(p.sigma)), "range_ip"),
+    (lambda p: _link_response(p, -p.rho.y_sigma), "range_ip"),
     (lambda p: replace(p, mu=_short_ls(p.mu)), "range_sum"),
-    # a bad sigma proof is named before a malformed mu proof
-    (lambda p: replace(p, sigma=_bump(p.sigma, "delta"), mu=_short_ls(p.mu)), "range_ip"),
+    # a bad link is named before a malformed mu proof
+    (lambda p: replace(_link_response(p, p.rho.y_sigma + 1), mu=_short_ls(p.mu)), "range_ip"),
 ]
 
 
@@ -616,7 +620,7 @@ def _colluding(monkeypatch, shifts, range_cheats=()):
     """Make the clients in ``shifts`` claim their projections shifted by
     it and build e_star on the shifted claims, so each one's sigma proofs
     hold but its e_star misses its y by shift·g; those in
-    ``range_cheats`` also send a bad sigma range proof."""
+    ``range_cheats`` also send a bad link response."""
     honest_prove = Client._prove
 
     def prove(self, matrix, h):
@@ -663,7 +667,7 @@ def test_colluders_whose_errors_cancel_are_accepted(monkeypatch):
 
 
 def test_dropping_one_colluder_names_the_other(monkeypatch):
-    # client 3's bad range proof drops it after the set check passed, so
+    # client 3's bad link drops it after the set check passed, so
     # the final set is checked again and client 2's error shows
     params = _params(n=5, m=2)
     server, clients = _network(params, seed=b"collude")

@@ -260,7 +260,7 @@ def test_plaintext_check_honest_rate():
     # honest norms <= B fail with probability <= eps = 0.01
     params = CheckParameters(
         n=2, m=0, d=16, k=32, epsilon=0.01, M=1 << 10, B=4.0,
-        b_ip=32, b_max=64, frac_bits=4, b_coord=16,
+        b_max=64, frac_bits=4, b_coord=16,
     )
     rng = np.random.default_rng(77)
     fails = 0
@@ -279,7 +279,7 @@ def test_plaintext_check_honest_rate():
 def test_plaintext_check_double_norm_rejected():
     params = CheckParameters(
         n=2, m=0, d=16, k=1000, epsilon=2.0**-40, M=1 << 20, B=4.0,
-        b_ip=64, b_max=128, frac_bits=4, b_coord=16,
+        b_max=128, frac_bits=4, b_coord=16,
     )
     rng = np.random.default_rng(78)
     f2 = pass_rate_F(2.0, params.k, params.epsilon, params.d, params.M)
@@ -314,7 +314,7 @@ def test_quantization_norm_slack():
     # encoded norm <= B*2^fb + sqrt(d)/2 <= b_enc for any float input
     params = CheckParameters(
         n=2, m=0, d=64, k=4, epsilon=0.01, M=1 << 10, B=2.0,
-        b_ip=32, b_max=64, frac_bits=6, b_coord=16,
+        b_max=64, frac_bits=6, b_coord=16,
     )
     rng = np.random.default_rng(5)
     worst = 0.0
@@ -353,27 +353,30 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         CheckParameters(  # B too wide for the coordinate window
             n=2, m=0, d=4, k=4, epsilon=0.01, M=16, B=300.0,
-            b_ip=32, b_max=64, frac_bits=8, b_coord=16,
+            b_max=64, frac_bits=8, b_coord=16,
         )
     with pytest.raises(ValueError):
-        CheckParameters(  # b_ip = 9 * 2: odd part above 7
+        CheckParameters(  # b_max = 9 * 8: odd part above 7 (was b_ip = 9 * 2)
             n=2, m=0, d=4, k=4, epsilon=0.01, M=16, B=1.0,
-            b_ip=18, b_max=64, frac_bits=8, b_coord=16,
+            b_max=72, frac_bits=8, b_coord=16,
         )
     with pytest.raises(ValueError):
         CheckParameters.from_epsilon_log2(
-            16, n=2, m=0, d=4, k=4, M=16, B=1.0, b_ip=32, b_max=64
+            16, n=2, m=0, d=4, k=4, M=16, B=1.0, b_max=64
         )
 
 
 def test_check_parameters_derived_fields():
     p = CheckParameters(
         n=10, m=2, d=100, k=24, epsilon=2.0**-20, M=1 << 16, B=1.0,
-        b_ip=32, b_max=64, frac_bits=8, b_coord=16,
+        b_max=64, frac_bits=8, b_coord=16,
     )
     assert p.threshold == 3
-    assert p.k_padded == 32
-    assert p.range_slots == 32 * 32
+    # one slack range proof of b_max slots (was b_ip * k_padded = 32 * 32)
+    assert p.range_slots == 64
+    # W = ceil(sqrt(k B0)) and T = 2^8 W
+    assert (p.mask_slack - 1) ** 2 < p.k * p.b0 <= p.mask_slack**2
+    assert p.z_bound == 256 * p.mask_slack
     assert p.b_enc == math.ceil(256 + 5.0)
     assert p.b0 == compute_b0(p.b_enc, p.M, p.k, p.d, p.epsilon)
 
@@ -393,27 +396,29 @@ def _widths(**overrides):
 def test_widths_derived_from_b0():
     p = _widths()  # proof_heavy's shape: B0 has 64 bits
     assert p.b0.bit_length() == 64
-    assert (p.b_ip, p.b_max, p.k_padded) == (40, 64, 32)
-    assert p.range_slots == 1280 == 5 << 8
-    # deployment: B0 has 76 bits, so b_ip=39 and b_max=76 are needed
+    # the range slots were b_ip * k_padded = 40 * 32 = 1,280 at savi/v6
+    assert (p.b_max, p.range_slots) == (64, 64)
+    # deployment: B0 has 76 bits, so b_max=76 is needed (and b_ip was 40)
     deploy = _widths(d=10_000, k=1_000, epsilon=2.0**-128, M=1 << 24)
     assert deploy.b0.bit_length() == 76
-    assert (deploy.b_ip, deploy.b_max, deploy.range_slots) == (40, 80, 40 * 1024)
-    # explicit widths that meet the need and the shape are kept
-    explicit = _widths(b_ip=48, b_max=96)
-    assert (explicit.b_ip, explicit.b_max) == (48, 96)
+    assert (deploy.b_max, deploy.range_slots) == (80, 80)
+    # an explicit width that meets the need and the shape is kept
+    assert _widths(b_max=96).b_max == 96
 
 
 @pytest.mark.parametrize(
     "widths,match",
     [
-        (dict(b_ip=32), "b_ip too narrow"),  # B0 < 2^62 fails at 64 bits
+        # B0 has 108 bits, so T = 2^8 ceil(sqrt(k B0)) has 66 (this case
+        # was (b_ip=32) "b_ip too narrow", and the b_max=36, b_max=0 and
+        # b_max=320 cases below were (b_ip=36), (b_ip=0) and (b_ip=128))
+        (dict(d=64, k=64, M=1 << 36, B=100.0), "64-bit"),
         (dict(b_max=56), "overflows b_max"),  # 7 * 8, but B0 has 64 bits
-        (dict(b_ip=36), "odd part"),  # 9 * 4
+        (dict(b_max=36), "odd part"),  # 9 * 4
         (dict(b_max=72), "odd part"),  # 9 * 8
-        (dict(b_ip=0), "odd part"),
+        (dict(b_max=0), "odd part"),
         (dict(b_max=256), "wraps"),  # 2^256 alone exceeds the order
-        (dict(b_ip=128), "wraps"),  # 32 * 2^254
+        (dict(b_max=320), "wraps"),  # 5 * 2^6
     ],
 )
 def test_explicit_widths_rejected(widths, match):
@@ -439,13 +444,15 @@ def test_m_beyond_limb_products_rejected_at_construction():
 # -- the derived scale M -------------------------------------------------------
 
 # The benchmark workloads' shapes at the default epsilon 2^-40 and the
-# deployment preset: the derived log2 M, the widths (b_ip, b_max) and
-# range slots it gives, and the M these shapes ran at before M was derived.
+# deployment preset: the derived log2 M, the width b_max, the range slots
+# and the bit width of a z_j it gives, and the M these shapes ran at before
+# M was derived.  At savi/v6 (b_ip, b_max, range slots) were (28, 56, 896),
+# (28, 56, 112), (24, 48, 192) and (32, 64, 32,768).
 _DERIVED_M = {
-    "proof_heavy": (dict(d=256, k=32), 13, (28, 56, 896), 1 << 20),
-    "wide_update": (dict(d=4096, k=4), 14, (28, 56, 112), 1 << 20),
-    "crowd_attack": (dict(n=12, m=3, d=64, k=8), 11, (24, 48, 192), 1 << 20),
-    "deployment": (None, 16, (32, 64, 32_768), 1 << 24),
+    "proof_heavy": (dict(d=256, k=32), 13, (56, 56, 37), 1 << 20),
+    "wide_update": (dict(d=4096, k=4), 14, (56, 56, 36), 1 << 20),
+    "crowd_attack": (dict(n=12, m=3, d=64, k=8), 11, (48, 48, 33), 1 << 20),
+    "deployment": (None, 16, (64, 64, 44), 1 << 24),
 }
 
 
@@ -473,13 +480,13 @@ def test_derived_m_pinned(name):
     _, log2_m, widths, _ = _DERIVED_M[name]
     p = _derived(name)
     assert p.M == 1 << log2_m
-    assert (p.b_ip, p.b_max, p.range_slots) == widths
+    assert (p.b_max, p.range_slots, (2 * p.z_bound).bit_length()) == widths
 
 
 def test_explicit_m_kept():
     p = _derived("proof_heavy", M=1 << 20)
     assert p.M == 1 << 20
-    assert (p.b_ip, p.b_max, p.range_slots) == (40, 64, 1280)
+    assert (p.b_max, p.range_slots) == (64, 64)  # (b_ip, b_max, slots) were (40, 64, 1280)
     assert _widths(M=12_345).M == 12_345  # not even a power of two
     assert SimulationConfig().M is None  # derived by check_parameters, not stored
 

@@ -14,10 +14,11 @@ from savi.group import GROUP_ORDER, make_backend
 from savi.harness import desk_preset
 from savi.harness.simulate import MSG_BLIND_SHARE, MSG_BUNDLE, MSG_PROOF, Simulation
 from savi.protocol.pairwise import seal_share
-from savi.serial import U32, Message, decode, encode
+from savi.serial import U32, Message, Window, decode, encode
 from savi.vsss import CheckString, Share
 from savi.rng import DeterministicRng
 from savi.zkp import IntegrityProof, Transcript, gen_prf_sq, gen_prf_wf, ver_integrity_proofs
+from savi.zkp.sigma import Link
 
 
 def _legacy_flag_report(report):
@@ -61,8 +62,11 @@ def test_wire_surface_is_pinned():
     }
     assert fields == {
         "CommitmentBundle": ["y", "encrypted_shares", "check_string"],
-        "IntegrityProof": ["e_star", "o", "o_prime", "rho", "tau", "sigma", "mu"],
-        "WellFormedProof": ["c", "y", "y_vec", "y_star"],
+        # savi/v7, the proof of smallness; at savi/v6 ["e_star", "o",
+        # "o_prime", "rho", "tau", "sigma", "mu"] and ["c", "y", "y_vec",
+        # "y_star"]
+        "IntegrityProof": ["e_star", "o", "o_prime", "masks", "z", "rho", "tau", "mu"],
+        "WellFormedProof": ["c", "y", "y_vec", "y_star", "y_sigma", "t_link"],
         "SquareProof": ["c", "s1", "s2", "s3"],
         # savi/v6, Bulletproofs+; at savi/v5 ["a_commit", "s_commit",
         # "t1_commit", "t2_commit", "tau_x", "mu", "t_hat", "ls", "rs", "a", "b"]
@@ -78,8 +82,10 @@ def test_wire_surface_is_pinned():
 
 @pytest.mark.parametrize("k", [1, 8, 32])
 def test_sigma_proof_sizes_are_pinned(k):
-    # the (c, s) form sends scalars only: c, y and the two counted runs
-    # y_vec (k+1) and y_star (k) for rho; c and three runs of k for tau
+    # the (c, s) form sends scalars only, but for the link's announcement:
+    # c, y, the two counted runs y_vec (k+1) and y_star (k), y_sigma and
+    # t_link for rho (104 + 64k before the link); c and three runs of k
+    # for tau
     b = make_backend("mock")
     g, q = b.base(), b.from_uniform(bytes(64))
     rng = DeterministicRng(f"sizes/{k}".encode())
@@ -89,16 +95,47 @@ def test_sigma_proof_sizes_are_pinned(k):
     e = [v[i] * g + r * h[i] for i in range(k + 1)]
     o = [v[i + 1] * g + s[i] * q for i in range(k)]
     o2 = [v[i + 1] ** 2 * g + s2[i] * q for i in range(k)]
-    rho = gen_prf_wf(g, q, h, r * g, e, o, r, v, s, rng, Transcript("sizes"))
+    gs = [b.from_uniform(rng.take(64)) for _ in range(2)]
+    link = Link(gs, [[1] * k, [0] * k], gs[0] + q, [1 + sum(v[1:]), 1])  # y = (1, 1), sigma 1
+    rho = gen_prf_wf(g, q, h, r * g, e, o, link, r, v, s, 1, rng, Transcript("sizes"))
     tau = gen_prf_sq(g, q, o, o2, v[1:], s, s2, rng, Transcript("sizes"))
-    assert len(rho.to_bytes()) == 104 + 64 * k
+    assert len(rho.to_bytes()) == 168 + 64 * k
     assert len(tau.to_bytes()) == 44 + 96 * k
+
+
+@pytest.mark.parametrize("bound", [1, 5, 2**40 + 3])
+def test_window_codec_keeps_the_window(bound):
+    # each value + bound in (2 bound).bit_length() bits: -bound and bound
+    # are the window's ends, and one step past either has no encoding
+    width = (2 * bound).bit_length()
+    ends = Window(bound, (-bound, bound, 0, 1 - bound))
+    raw = encode(Window, ends)
+    assert raw[:12] == bound.to_bytes(8, "little") + (4).to_bytes(4, "little")
+    assert len(raw) == 12 + (4 * width + 7) // 8
+    assert decode(Window, raw) == ends
+    for past in (bound + 1, -bound - 1):
+        with pytest.raises(ValueError):
+            encode(Window, Window(bound, (past,)))
+    # a packed value above 2 bound, nonzero padding bits, a short or long
+    # run and a zero bound are all rejected
+    above = bound.to_bytes(8, "little") + (1).to_bytes(4, "little")
+    above += (2 * bound + 1).to_bytes((width + 7) // 8, "little")
+    if (2 * bound + 1).bit_length() == width:
+        with pytest.raises(ValueError, match="above twice"):
+            decode(Window, above)
+    one = encode(Window, Window(bound, (0,)))
+    if width % 8:
+        with pytest.raises(ValueError, match="padding"):
+            decode(Window, one[:-1] + bytes([one[-1] | 0x80]))
+    for bad in (raw[:-1], raw + b"\0", bytes(8) + raw[8:]):
+        with pytest.raises(ValueError):
+            decode(Window, bad)
 
 
 @functools.cache
 def _first_round(backend_name):
     """A simulation after its first round, and that round's messages."""
-    cfg = desk_preset(n=3, m=0, d=8, k=4, epsilon_log2=-16, M=16, b_ip=32, b_max=64,
+    cfg = desk_preset(n=3, m=0, d=8, k=4, epsilon_log2=-16, M=16, b_max=64,
                       seed=3, backend=backend_name)
     sim = Simulation(cfg)
     return sim, sim.run_round(1).messages
@@ -174,3 +211,32 @@ def _proof_verdict(backend_name, proof):
         {sender: (bundle.z, bundle.y, proof)}, 1, DeterministicRng(b"mutated-proof"),
     )
     return verdicts[sender]
+
+
+def _smallness_offsets(backend_name):
+    """The byte offsets of the first proof's smallness fields: Y and z
+    (one run), then rho's y_sigma and t_link (its last 64 bytes)."""
+    payload = _payloads(backend_name)["proof"][1]
+    proof = decode(IntegrityProof, payload, make_backend(backend_name))
+    start = sum(4 + 32 * len(getattr(proof, f)) for f in ("e_star", "o", "o_prime"))
+    z_end = start + 32 + len(encode(Window, proof.z))
+    rho_end = z_end + 4 + len(proof.rho.to_bytes())
+    return [*range(start, z_end), *range(rho_end - 64, rho_end)]
+
+
+@pytest.mark.parametrize("backend_name", ["mock", "ristretto255"])
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(where=st.floats(0, 1, exclude_max=True), flip=st.integers(1, 255))
+def test_mutated_smallness_field_raises_or_is_rejected(backend_name, where, flip):
+    # one byte of Y, of z (its bound, count or packed values), of y_sigma
+    # or of t_link flipped: the proof fails to parse or fails a check
+    payload = _payloads(backend_name)["proof"][1]
+    offsets = _smallness_offsets(backend_name)
+    pos = offsets[int(where * len(offsets))]
+    data = payload[:pos] + bytes([payload[pos] ^ flip]) + payload[pos + 1:]
+    try:
+        value = decode(IntegrityProof, data, make_backend(backend_name))
+    except ValueError:
+        return
+    assert encode(IntegrityProof, value) == data
+    assert _proof_verdict(backend_name, value) in _REJECTIONS

@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import pytest
 
 from savi.group import GROUP_ORDER, make_backend
 from savi.group.generators import derive_generators
 from savi.group.multiexp import multiexp
 from savi.rng import DeterministicRng
-from savi.zkp import Transcript, gen_prf_sq, gen_prf_wf, ver_prf_sq, ver_prf_wf
-from sigma_reference import bumped, each_bump, ref_ver_prf_sq, ref_ver_prf_wf
+from savi.zkp import Transcript, gen_prf_sq, gen_prf_wf, ver_prf_sq
+from sigma_reference import (
+    bumped, each_bump, make_link, ref_ver_prf_sq, ref_ver_prf_wf, wf_holds
+)
 
 Q = GROUP_ORDER
 
@@ -29,7 +33,13 @@ def _square_instance(rng, k, g=G, h=H):
     return x, r1, r2, y1, y2
 
 
+_ROWS = 4  # the link's rows here; a client proof has LAMBDA of them
+
+
 def _wf_instance(rng, k, g=G, q=H):
+    """A well-formedness statement with its link (over _ROWS generators
+    G_j, masks y_j and a 0/1 matrix R) and its witness; -> (h, z, e, o,
+    link, r, v, s, sigma)."""
     h = list(derive_generators("wf-h", k + 1, g.backend))
     r = rng.scalar()
     v = [rng.scalar() for _ in range(k + 1)]
@@ -37,7 +47,12 @@ def _wf_instance(rng, k, g=G, q=H):
     z = r * g
     e = [multiexp([g, h[i]], [v[i], r]) for i in range(k + 1)]
     o = [multiexp([g, q], [v[i + 1], s[i]]) for i in range(k)]
-    return h, z, e, o, r, v, s
+    link, sigma = make_link(rng, derive_generators("wf-link", _ROWS, g.backend), q, v[1:])
+    return h, z, e, o, link, r, v, s, sigma
+
+
+def _wf_holds(g, q, h, z, e, o, link, proof):
+    return wf_holds(g, q, h, z, e, o, link, proof, _tr())
 
 
 @pytest.mark.parametrize("backend_name", ["mock", "ristretto255"])
@@ -50,10 +65,10 @@ def test_honest_proofs_verify(backend_name, k):
     tau = gen_prf_sq(g, q, y1, y2, x, r1, r2, rng, _tr())
     assert ver_prf_sq(g, q, y1, y2, tau, _tr())
     assert ref_ver_prf_sq(g, q, y1, y2, tau, _tr())
-    h, z, e, o, r, v, s = _wf_instance(rng, k, g, q)
-    rho = gen_prf_wf(g, q, h, z, e, o, r, v, s, rng, _tr())
-    assert ver_prf_wf(g, q, h, z, e, o, rho, _tr())
-    assert ref_ver_prf_wf(g, q, h, z, e, o, rho, _tr())
+    h, z, e, o, link, r, v, s, sigma = _wf_instance(rng, k, g, q)
+    rho = gen_prf_wf(g, q, h, z, e, o, link, r, v, s, sigma, rng, _tr())
+    assert _wf_holds(g, q, h, z, e, o, link, rho)
+    assert ref_ver_prf_wf(g, q, h, z, e, o, link, rho, _tr())
 
 
 @pytest.mark.parametrize("backend_name", ["mock", "ristretto255"])
@@ -63,8 +78,8 @@ def test_noncanonical_challenge_fails_to_decode(backend_name):
     rng = DeterministicRng(b"noncanonical")
     x, r1, r2, y1, y2 = _square_instance(rng, 2, g, q)
     tau = gen_prf_sq(g, q, y1, y2, x, r1, r2, rng, _tr())
-    h, z, e, o, r, v, s = _wf_instance(rng, 2, g, q)
-    rho = gen_prf_wf(g, q, h, z, e, o, r, v, s, rng, _tr())
+    h, z, e, o, link, r, v, s, sigma = _wf_instance(rng, 2, g, q)
+    rho = gen_prf_wf(g, q, h, z, e, o, link, r, v, s, sigma, rng, _tr())
     # c is the first field of both: 32 bytes, then the responses
     for proof in (tau, rho):
         raw = proof.to_bytes()
@@ -124,55 +139,63 @@ def test_square_verifier_equals_reference():
 def test_wellformed_k0_degenerate():
     # no projections: the statement collapses to knowledge of (v0, r)
     rng = DeterministicRng(b"wf-k0")
-    h, z, e, o, r, v, s = _wf_instance(rng, 0)
-    proof = gen_prf_wf(G, H, h, z, e, o, r, v, s, rng, _tr())
-    assert ver_prf_wf(G, H, h, z, e, o, proof, _tr())
+    h, z, e, o, link, r, v, s, sigma = _wf_instance(rng, 0)
+    proof = gen_prf_wf(G, H, h, z, e, o, link, r, v, s, sigma, rng, _tr())
+    assert _wf_holds(G, H, h, z, e, o, link, proof)
 
 
 def test_wellformed_roundtrip():
     rng = DeterministicRng(b"wf-rt")
-    h, z, e, o, r, v, s = _wf_instance(rng, 4)
-    proof = gen_prf_wf(G, H, h, z, e, o, r, v, s, rng, _tr())
-    assert ver_prf_wf(G, H, h, z, e, o, proof, _tr())
-    assert ref_ver_prf_wf(G, H, h, z, e, o, proof, _tr())
+    h, z, e, o, link, r, v, s, sigma = _wf_instance(rng, 4)
+    proof = gen_prf_wf(G, H, h, z, e, o, link, r, v, s, sigma, rng, _tr())
+    assert _wf_holds(G, H, h, z, e, o, link, proof)
+    assert ref_ver_prf_wf(G, H, h, z, e, o, link, proof, _tr())
 
 
 def test_wellformed_detects_e_o_mismatch():
     # e_1 commits v_1 but o_1 commits v_1 + 1
     rng = DeterministicRng(b"wf-mismatch")
-    h, z, e, o, r, v, s = _wf_instance(rng, 3)
+    h, z, e, o, link, r, v, s, sigma = _wf_instance(rng, 3)
     o = list(o)
     o[0] = o[0] + G
-    proof = gen_prf_wf(G, H, h, z, e, o, r, v, s, rng, _tr())
-    assert not ver_prf_wf(G, H, h, z, e, o, proof, _tr())
+    proof = gen_prf_wf(G, H, h, z, e, o, link, r, v, s, sigma, rng, _tr())
+    assert not _wf_holds(G, H, h, z, e, o, link, proof)
 
 
 def test_wellformed_tamper_each_component():
-    # c, y, and each response at each index
+    # c, y, each response at each index, y_sigma and the link's announcement
     rng = DeterministicRng(b"wf-tamper")
-    h, z, e, o, r, v, s = _wf_instance(rng, 3)
-    proof = gen_prf_wf(G, H, h, z, e, o, r, v, s, rng, _tr())
-    mutations = list(each_bump(proof))
-    assert len(mutations) == 2 + 4 + 3
+    h, z, e, o, link, r, v, s, sigma = _wf_instance(rng, 3)
+    proof = gen_prf_wf(G, H, h, z, e, o, link, r, v, s, sigma, rng, _tr())
+    mutations = list(each_bump(proof)) + [replace(proof, t_link=proof.t_link + G)]
+    assert len(mutations) == 2 + 4 + 3 + 1 + 1
     for bad in mutations:
-        assert not ver_prf_wf(G, H, h, z, e, o, bad, _tr())
-        assert not ref_ver_prf_wf(G, H, h, z, e, o, bad, _tr())
+        assert not _wf_holds(G, H, h, z, e, o, link, bad)
+        assert not ref_ver_prf_wf(G, H, h, z, e, o, link, bad, _tr())
+    # and each public part of the link: Y, one z_j, one bit of R
+    for bad in (
+        replace(link, y_commit=link.y_commit + G),
+        replace(link, z=[(link.z[0] + 1) % Q, *link.z[1:]]),
+        replace(link, rows=[[1 - link.rows[0][0], *link.rows[0][1:]], *link.rows[1:]]),
+    ):
+        assert not _wf_holds(G, H, h, z, e, o, bad, proof)
+        assert not ref_ver_prf_wf(G, H, h, z, e, o, bad, proof, _tr())
 
 
 def test_wellformed_verifier_equals_reference():
     rng = DeterministicRng(b"wf-batch")
     for trial in range(100):
         k = rng.below(4)
-        h, z, e, o, r, v, s = _wf_instance(rng, k)
-        proof = gen_prf_wf(G, H, h, z, e, o, r, v, s, rng, _tr())
+        h, z, e, o, link, r, v, s, sigma = _wf_instance(rng, k)
+        proof = gen_prf_wf(G, H, h, z, e, o, link, r, v, s, sigma, rng, _tr())
         if trial % 3 == 1:
             e = list(e)
             i = rng.below(k + 1)
             e[i] = e[i] + G
         elif trial % 3 == 2:
             proof = bumped(proof, "y_vec", rng.below(k + 1))
-        assert ver_prf_wf(G, H, h, z, e, o, proof, _tr()) == ref_ver_prf_wf(
-            G, H, h, z, e, o, proof, _tr()
+        assert _wf_holds(G, H, h, z, e, o, link, proof) == ref_ver_prf_wf(
+            G, H, h, z, e, o, link, proof, _tr()
         ) == (trial % 3 == 0)
 
 
@@ -180,7 +203,7 @@ def test_transcript_context_separation():
     a = Transcript("context-a")
     b = Transcript("context-b")
     for t in (a, b):
-        t.absorb_scalar("x", 7)
+        t.absorb_bytes("x", (7).to_bytes(32, "little"))
     assert a.challenge("c") != b.challenge("c")
 
 
@@ -203,7 +226,7 @@ def test_transcript_label_and_order_sensitivity():
 
 def test_transcript_challenges_ratchet():
     t = Transcript("ratchet")
-    t.absorb_scalar("x", 1)
+    t.absorb_bytes("x", (1).to_bytes(32, "little"))
     c1 = t.challenge("c")
     c2 = t.challenge("c")
     assert c1 != c2

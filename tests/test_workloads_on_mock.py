@@ -14,8 +14,10 @@ from test_perfbench import _load
 # these were 18,572, 134,092 and 6,688.  The slack proof's b_max = 56
 # ends on 7-scalar vectors, so two workloads grow although their slots fall.
 # Bulletproofs+ range proofs are 96 bytes shorter each, two per client;
-# with Bulletproofs these were 18,828, 134,348 and 6,560.
-UPLINK = {"proof_heavy": 18_636, "wide_update": 134_156, "crowd_attack": 6_368}
+# with Bulletproofs these were 18,828, 134,348 and 6,560.  The proof of
+# smallness (Y, 128 bit-packed answers, y_sigma and t_link) replaced the
+# projections' range proof: with it these were 18,636, 134,156 and 6,368.
+UPLINK = {"proof_heavy": 18_292, "wide_update": 133_988, "crowd_attack": 6_280}
 
 
 @pytest.mark.parametrize("name", sorted(UPLINK))
@@ -31,11 +33,14 @@ def test_workload_round_on_mock(name):
 # is checked once for the accepted set, so proof_ver runs one ver_crt of
 # d + k + 1 muls on the all-honest shapes, and two on crowd_attack, whose
 # forgers drop out after the first; checked per client, proof_ver cost
-# 3,915, 12,757 and 2,567 muls
+# 3,915, 12,757 and 2,567 muls.  The batch's shared bases are the slack
+# proof's 2 b_max range generators and the 128 G_j of the links; with the
+# projections' range proof in the batch, proof_ver cost 3,337, 4,555 and
+# 1,837 muls
 VERIFY_MULS = {
-    "proof_heavy": {"proof_ver": 3_337, "aggregate": 261},
-    "wide_update": {"proof_ver": 4_555, "aggregate": 4_101},
-    "crowd_attack": {"proof_ver": 1_837, "aggregate": 97},
+    "proof_heavy": {"proof_ver": 1_641, "aggregate": 261},
+    "wide_update": {"proof_ver": 4_529, "aggregate": 4_101},
+    "crowd_attack": {"proof_ver": 1_479, "aggregate": 97},
 }
 
 
