@@ -16,12 +16,11 @@ from dataclasses import dataclass, replace
 
 from ..commit import commit_update
 from ..group import POINT_BYTES, make_backend
-from ..group.generators import GeneratorSet
+from ..group.generators import LAMBDA, GeneratorSet
 from ..protocol import Client
 from ..protocol.server import compute_h
 from ..rng import DeterministicRng
 from ..sampling import sample_matrix
-from ..serial import Window, encode
 from ..zkp import IntegrityProof, gen_integrity_proof, ver_integrity_proof
 from ..zkp.vercrt import crt_weights, ver_crt
 from .config import deployment_preset
@@ -102,8 +101,8 @@ class CommReport:
     other_bytes: int  # the flag report and the blind share
     # each part of the proof, without the 4-byte count or length in
     # front of each field: "e_star+o+o_prime", "Y+z" (the proof of
-    # smallness' commitment and its encoded answers, their bound and
-    # count included), "rho", "tau" and "mu"
+    # smallness' commitment and its packed answers), "rho", "tau" and
+    # "mu"
     proof_parts: dict[str, int]
 
     @property
@@ -129,8 +128,8 @@ def measure_communication(d: int, k: int, n: int = 8, m: int = 1, seed: int = 11
     d'=32, with M and b_max fixed to the values derived at (d, k), since
     the proofs' widths would otherwise follow d'.  The window T of the
     proof of smallness follows B0, which follows d, so each proof's
-    answers are re-encoded in the window of (d, k), as a proof made at d
-    sends them (its bytes depend on T's bit width alone); the probe
+    answers are replaced by as many bytes as a proof made at d packs
+    them in (they depend on T's bit width alone); the probe
     asserts both rounds send equal lengths before trusting them for
     dimension d.
     """
@@ -154,7 +153,7 @@ def measure_communication(d: int, k: int, n: int = 8, m: int = 1, seed: int = 11
         messages = Simulation(config).run_round(1).messages
         (payload,) = [payload for kind, _, payload in messages if kind == MSG_PROOF]
         proof = IntegrityProof.from_bytes(payload, backend)
-        proof = replace(proof, z=Window(params.z_bound, proof.z.values))
+        proof = replace(proof, z=bytes(LAMBDA * params.z_width // 8))  # T follows B0, so d
         other = sum(
             len(payload) for kind, _, payload in messages if kind not in (MSG_BUNDLE, MSG_PROOF)
         )
@@ -180,6 +179,6 @@ def _proof_parts(proof: IntegrityProof) -> dict[str, int]:
     points = sum(POINT_BYTES * len(getattr(proof, f)) for f in ("e_star", "o", "o_prime"))
     return {
         "e_star+o+o_prime": points,
-        "Y+z": POINT_BYTES + len(encode(Window, proof.z)),
+        "Y+z": POINT_BYTES + len(proof.z),
         **{f: len(getattr(proof, f).to_bytes()) for f in ("rho", "tau", "mu")},
     }

@@ -152,7 +152,7 @@ def params(k, epsilon_log2, d, m_log2, bound, frac_bits) -> None:
     click.echo(f"b_max  = {p.b_max}  (derived from B0); range slots: mu {_slots(p.b_max)}")
     click.echo(
         f"smallness: lambda = {LAMBDA}  T = 2^8·W = {T} (W = {p.mask_slack})  "
-        f"z width = {(2 * T).bit_length()} bits"
+        f"z width = {p.z_width} bits"
     )
     click.echo("pass-rate upper bound F(c):")
     for c in (1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 2.0):

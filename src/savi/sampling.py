@@ -334,8 +334,6 @@ class CheckParameters:
             raise ValueError(f"b_max={self.b_max} needs an odd part of at most {MAX_ODD_PART}")
         if self.b0 >= 1 << self.b_max:
             raise ValueError("B0 overflows b_max bits")
-        if self.z_bound >= 1 << 64:
-            raise ValueError("the smallness window T does not fit its 64-bit wire field")
         if self.k * (2 * self.z_bound) ** 2 + (1 << self.b_max) >= _Q:
             raise ValueError("k (2T)^2 + 2^b_max wraps the group order")
 
@@ -366,6 +364,11 @@ class CheckParameters:
     def z_bound(self) -> int:
         """T = 2^8 W: the window of the proof of smallness' answers."""
         return self.mask_slack << 8
+
+    @property
+    def z_width(self) -> int:
+        """w = (2T).bit_length(): the bits of one packed answer z_j + T."""
+        return (2 * self.z_bound).bit_length()
 
     @property
     def range_slots(self) -> int:

@@ -7,7 +7,6 @@ type of each field sets its encoding:
   Point            32-byte encoding
   int              32-byte canonical scalar
   U32              4-byte little-endian count or index
-  Window           integers in [-bound, bound], bit-packed (see ``Window``)
   bytes            u32 length, then the bytes
   tuple[X, ...]    u32 count, then the items
   a ``Message``    u32 length, then its bytes
@@ -30,28 +29,6 @@ from .group.scalars import scalar_from_bytes, scalar_to_bytes
 
 U32 = NewType("U32", int)
 """Field marker for counts and indices: 4 bytes on the wire, not 32."""
-
-
-@dataclasses.dataclass(frozen=True)
-class Window:
-    """Integers in [-bound, bound], sent bit-packed.
-
-    On the wire: the bound (8 bytes), a u32 count, then each value plus
-    the bound in w = (2 bound).bit_length() bits, little-endian, in
-    ceil(count w / 8) bytes.  The bound is positive and below 2^64.
-    Encoding a value outside the window raises ``ValueError``; so does
-    decoding one above 2 bound, a zero bound or a nonzero padding bit, so
-    the encoding stays canonical."""
-
-    bound: int
-    values: tuple[int, ...]
-
-    @property
-    def width(self) -> int:
-        return (2 * self.bound).bit_length()
-
-    def contains(self) -> bool:
-        return all(-self.bound <= x <= self.bound for x in self.values)
 
 
 def _u32(v: int) -> bytes:
@@ -80,12 +57,6 @@ def _write(tp: Any, value: Any, out: list[bytes]) -> None:
         out.append(value.encode())
     elif tp is U32:
         out.append(_u32(value))
-    elif tp is Window:
-        if not 0 < value.bound < 1 << 64 or not value.contains():
-            raise ValueError("a value outside its window has no encoding")
-        packed = sum((x + value.bound) << (i * value.width) for i, x in enumerate(value.values))
-        size = (len(value.values) * value.width + 7) // 8
-        out += (value.bound.to_bytes(8, "little"), _u32(len(value.values)), packed.to_bytes(size, "little"))
     elif tp is int:
         out.append(scalar_to_bytes(value))
     elif tp is bytes:
@@ -132,26 +103,6 @@ def _read(tp: Any, data: bytes, pos: int, backend: Optional[GroupBackend]) -> tu
     if tp is int:
         raw, pos = _take(data, pos, 32)
         return scalar_from_bytes(raw), pos
-    if tp is Window:
-        raw, pos = _take(data, pos, 8)
-        bound = int.from_bytes(raw, "little")
-        if not bound:
-            raise ValueError("a window needs a positive bound")
-        n, pos = _read(U32, data, pos, backend)
-        width = (2 * bound).bit_length()
-        raw, pos = _take(data, pos, (n * width + 7) // 8)
-        if n * width % 8 and raw[-1] >> (n * width % 8):
-            raise ValueError("nonzero padding bits after the packed values")
-        mask = (1 << width) - 1
-        # each value from its own bytes, so a hostile count costs linear time
-        shifted = [
-            int.from_bytes(raw[i * width // 8 : ((i + 1) * width + 7) // 8], "little")
-            >> (i * width % 8) & mask
-            for i in range(n)
-        ]
-        if any(x > 2 * bound for x in shifted):
-            raise ValueError("a packed value lies above twice its bound")
-        return Window(bound, tuple(x - bound for x in shifted)), pos
     if tp is bytes:
         n, pos = _read(U32, data, pos, backend)
         return _take(data, pos, n)

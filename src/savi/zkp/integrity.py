@@ -32,24 +32,32 @@ that passes B0.  Let T = 2^8 W and lambda = ``LAMBDA`` = 128.
     aborts, Lyubashevsky, ASIACRYPT 2009).  A row passes with
     probability (2T + 1)/(2T + 2W + 1), about 1/(1 + 2^-8), so all
     lambda pass with probability about 0.61: 1.65 tries on average.
-    After ``MAX_TRIES`` tries the prover sends its last one, which the
-    verifier rejects; an honest prover gets there with probability
-    below 2^-86.
+    After ``MAX_TRIES`` tries the prover sends its last one with each
+    z_j cut into [-T, T]: a proof that encodes but whose link fails, so
+    the verifier names it "range_ip".  An honest prover gets there with
+    probability below 2^-86.
+  * The z_j travel packed: each z_j + T in w = (2T).bit_length() bits
+    (``CheckParameters.z_width``), 16 w bytes for the lambda of them.
+    The verifier knows T, so the bytes carry neither T nor a count.
   * The z_j are absorbed, and the well-formedness proof carries one
     more equation over its v_t and the witness sigma (``zkp.sigma``):
     sum_j z_j G_j - Y = sum_t v_t G'_t - sigma q, G'_t = sum_j R_jt G_j.
   * The verifier checks that every |z_j| <= T and that equation, whose
     identity it batches with the range proofs'.
 
-Soundness.  Y is absorbed before R, so the y_j it binds are fixed
-before R is drawn: the equation opens Y to y_j = z_j - sum_t R_jt v_t
-with the v_t that the well-formedness proof extracts, unless the prover
-knows a discrete-log relation among the G_j and q.  Take two accepting
-R that differ only in R_jt: then v_t = +-(z_j - z'_j) mod p, whose
-centred value is at most 2T.  So if some v_t has a centred value above
-2T, for each row j at most one of R_jt's two values lets the row pass,
-and all lambda rows pass with probability at most 2^-lambda per
-extraction.  The extracted v_t are then integers with |v_t| <= 2T, so
+Soundness.  The transcript absorbs e_star and o, then Y, and only then
+draws R, so the claims and the y_j are both fixed before R: the v_t
+that the well-formedness proof extracts are those o commits to, and the
+equation opens Y to y_j = z_j - sum_t R_jt v_t with them, unless the
+prover knows a discrete-log relation among the G_j and q.  (Were o
+absorbed after R, a prover could pick claims against a known R, such
+as a large offset in the kernel of R that also keeps the sum of squares
+in range mod p.  o_prime may follow R: the square proof fixes it to
+the squares of the v_t in o.)  Take two accepting R that differ only in
+R_jt: then v_t = +-(z_j - z'_j) mod p, whose centred value is at most
+2T.  So if some v_t has a centred value above 2T, for each row j at
+most one of R_jt's two values lets the row pass, and all lambda rows
+pass with probability at most 2^-lambda per extraction.  The extracted v_t are then integers with |v_t| <= 2T, so
 sum v_t^2 <= k (2T)^2, and with the slack in [0, 2^b_max) the sum of
 squares does not wrap: k (2T)^2 + 2^b_max < p.  The binary challenges
 are what make each v_t an integer rather than, say, half of one: a proof
@@ -127,7 +135,7 @@ from ..group.generators import LAMBDA, GeneratorSet
 from ..group.multiexp import multiexp, multiexps, sum_points
 from ..group.scalars import scalar_to_bytes
 from ..rng import Rng
-from ..serial import Message, Window
+from ..serial import Message
 from .rangeproof import Identity, RangeProof, gen_range_proof, range_terms, ver_range_proof
 from .sigma import (
     Link,
@@ -170,7 +178,7 @@ class IntegrityProof(Message):
     o: tuple[Point, ...]
     o_prime: tuple[Point, ...]
     masks: Point  # Y, the commitment to the proof of smallness' masks
-    z: Window     # its answers z_j, in [-T, T]
+    z: bytes      # its answers z_j, packed (``_pack``)
     rho: WellFormedProof
     tau: SquareProof
     mu: RangeProof
@@ -183,9 +191,10 @@ def _slack(params: "CheckParameters", gens: GeneratorSet, o_prime: Sequence[Poin
 
 def _transcript(
     params: "CheckParameters", matrix: "SampleMatrix", round_no: int, client_id: int,
-    y: Sequence[Point], z: Point,
+    y: Sequence[Point], z: Point, e_star: Sequence[Point], o: Sequence[Point],
 ) -> Transcript:
-    """The one Fiat–Shamir transcript of a client's proof in a round."""
+    """The one Fiat–Shamir transcript of a client's proof in a round,
+    bound to e_star and o before any challenge is drawn."""
     tr = Transcript("integrity-proof")
     for label in ("d", "k", "M", "b_max"):
         tr.absorb_u64(label, getattr(params, label))
@@ -195,6 +204,8 @@ def _transcript(
     tr.absorb_u64("client", client_id)
     tr.absorb_points("y", y)
     tr.absorb_point("z", z)
+    tr.absorb_points("e_star", e_star)
+    tr.absorb_points("o", o)
     return tr
 
 
@@ -209,6 +220,21 @@ def _absorb_answers(tr: Transcript, z: Sequence[int]) -> None:
     tr.absorb_bytes("z_j", b"".join(scalar_to_bytes(x % _Q) for x in z))
 
 
+def _pack(params: "CheckParameters", z: Sequence[int]) -> bytes:
+    """The answers, each z_j + T in ``z_width`` bits, little-endian."""
+    width, bound = params.z_width, params.z_bound
+    packed = sum((x + bound) << (j * width) for j, x in enumerate(z))
+    return packed.to_bytes(LAMBDA * width // 8, "little")  # LAMBDA is a multiple of 8
+
+
+def _unpack(params: "CheckParameters", raw: bytes) -> list[int]:
+    """The answers in ``_pack``'s bytes, of the length it writes: each
+    at least -T, and above T where the field holds more than 2T."""
+    width, bound = params.z_width, params.z_bound
+    packed, mask = int.from_bytes(raw, "little"), (1 << width) - 1
+    return [(packed >> (j * width) & mask) - bound for j in range(LAMBDA)]
+
+
 def _smallness(
     params: "CheckParameters", gens: GeneratorSet, claims: Sequence[int], rng: Rng,
     tr: Transcript,
@@ -216,7 +242,8 @@ def _smallness(
     """Commit to the masks and answer R, with up to ``MAX_TRIES`` tries
     (see the module docstring).  Returns the link of the try it sends,
     its blind sigma and the transcript after its R, before its answers;
-    ``tr`` is left as the tries found it."""
+    ``tr`` is left as the tries found it.  The answers sent are in
+    [-T, T] whether or not a try passed."""
     bound, spread = params.z_bound, params.z_bound + params.mask_slack
     for _ in range(MAX_TRIES):
         masks = [rng.below(2 * spread + 1) - spread for _ in range(LAMBDA)]
@@ -227,6 +254,8 @@ def _smallness(
         z = [m + x for m, x in zip(masks, row_sums(rows, claims))]
         if all(abs(x) <= bound for x in z):
             break
+    else:  # no try passed: cut the last one's answers, so its link fails
+        z = [max(-bound, min(bound, x)) for x in z]
     return Link(gens.smallness, rows, y_commit, z), sigma, attempt
 
 
@@ -270,8 +299,6 @@ def _prove(
     check.  Only an honest claim yields a proof that verifies."""
     k = params.k
     g, q = gens.g, gens.q
-    tr = _transcript(params, matrix, round_no, client_id, y, z)
-
     v_mod = [v[0]] + [x % _Q for x in v[1:]]
     claims_mod = [x % _Q for x in claims]
     s = [rng.scalar() for _ in range(k)]
@@ -284,6 +311,7 @@ def _prove(
     )
     e_star, o, o_prime = points[: k + 1], points[k + 1 : 2 * k + 1], points[2 * k + 1 :]
 
+    tr = _transcript(params, matrix, round_no, client_id, y, z, e_star, o)
     link, sigma, tr = _smallness(params, gens, claims, rng, tr)
     _absorb_answers(tr, link.z)
     rho = gen_prf_wf(g, q, h, z, e_star, o, link, r, [v[0]] + claims_mod, s, sigma, rng, tr)
@@ -302,7 +330,7 @@ def _prove(
         o=tuple(o),
         o_prime=tuple(o_prime),
         masks=link.y_commit,
-        z=Window(params.z_bound, tuple(link.z)),
+        z=_pack(params, link.z),
         rho=rho,
         tau=tau,
         mu=mu,
@@ -369,7 +397,7 @@ def ver_integrity_set(
     consistency check of the set (see the module docstring).  Second,
     the weights of the range batch.
 
-    The checks run in this order: shape (the z window's bound and count
+    The checks run in this order: shape (the packed answers' length
     included), per client; consistency, for the well-shaped set; the two
     sigma proofs, which are exact but for the link, and the z window, per
     client in client-id order; and the link and slack identities of every
@@ -429,8 +457,7 @@ def _well_shaped(
         len(proof.e_star) == k + 1
         and len(proof.o) == k
         and len(proof.o_prime) == k
-        and proof.z.bound == params.z_bound
-        and len(proof.z.values) == LAMBDA
+        and len(proof.z) == LAMBDA * params.z_width // 8
         and len(h) == k + 1
         and len(y) == params.d
     )
@@ -474,16 +501,17 @@ def _cheap_checks(
     identities: the failed-check label, or the identities of the link
     and of the mu range proof."""
     g, q = gens.g, gens.q
-    tr = _transcript(params, matrix, round_no, client_id, y, z)
+    tr = _transcript(params, matrix, round_no, client_id, y, z, proof.e_star, proof.o)
     rows = _challenge_rows(tr, proof.masks, params.k)
-    _absorb_answers(tr, proof.z.values)
-    link = Link(gens.smallness, rows, proof.masks, proof.z.values)
+    answers = _unpack(params, proof.z)
+    _absorb_answers(tr, answers)
+    link = Link(gens.smallness, rows, proof.masks, answers)
     small = ver_prf_wf(g, q, h, z, proof.e_star, proof.o, link, proof.rho, tr)
     if small is None:
         return "wellformed"
     if not ver_prf_sq(g, q, proof.o, proof.o_prime, proof.tau, tr):
         return "square"
-    if not proof.z.contains():
+    if max(answers) > params.z_bound:
         return "range_ip"
 
     mu = range_terms(gens, params.b_max, [_slack(params, gens, proof.o_prime)], proof.mu, tr)

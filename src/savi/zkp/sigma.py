@@ -39,8 +39,8 @@ a 0/1 matrix, so the equation at scalars s is
 sum_j (sum_t R_jt s_t) G_j + s_sigma q: neither side forms G'_t.  The
 prover sends this equation's announcement, which joins the challenge
 after the others.  The statement does not absorb Y, R or the z_j: the
-caller binds them in the transcript first (``zkp.integrity`` absorbs Y,
-reads R from the transcript, then absorbs the z_j).  The verifier does not recompute it: ``ver_prf_wf``
+caller binds them in the transcript first (``zkp.integrity`` absorbs
+e and o, then Y, reads R from the transcript, then absorbs the z_j).  The verifier does not recompute the announcement: ``ver_prf_wf``
 returns the equation's check as an ``Identity``, which the caller
 batches with the range proofs' identities, so the G_j are paid once a
 batch.  A proof holds when the challenge matches and that identity holds.

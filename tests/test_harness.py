@@ -37,7 +37,7 @@ from savi.harness.simulate import (
 from savi.commit import CommitmentBundle
 from savi.group import make_backend
 from savi.sampling import SampleMatrix, pass_rate_F, sample_matrix
-from savi.serial import U32, Window, decode, encode
+from savi.serial import U32, decode, encode
 from savi.zkp import IntegrityProof, Transcript, integrity
 
 
@@ -99,7 +99,7 @@ _PINNED_ROUNDS = [
     (
         dict(n=5, m=2, d=16, k=4, M=16, b_max=64, epsilon_log2=-16, seed=3,
              attack=AttackSpec("oversized_norm", scale=10.0, malicious_ids=(2, 4))),
-        "c663debaf1efdf5444739452ec581c13533c5f9beaa2f7e8e5aab6022152288c",
+        "9de84b3c78454f00e28335e692fa920df92f67fad14f23361c07af11a157264b",
         (1, 3, 5),
         {2: "proof_wellformed", 4: "proof_wellformed"},
     ),
@@ -107,7 +107,7 @@ _PINNED_ROUNDS = [
         dict(n=3, m=1, d=4, k=1, M=1, b_max=32, epsilon_log2=-16, seed=3,
              backend="ristretto255",
              attack=AttackSpec("oversized_norm", scale=10.0, malicious_ids=(3,))),
-        "5d7f8b0cb0d66bdfa80ff56aec25b2b049cbab02430d7909edb5a266bb823714",
+        "f71a87a36c008b3e0c4063ebfa4e460e5e3d89e373212fa75c576a22ea459932",
         (1, 2),
         {3: "proof_wellformed"},
     ),
@@ -174,7 +174,7 @@ def test_two_round_uplink_pinned():
     # 871bdb65fd8236122c4bd69c42036bbbdad5ca1ba07b3b626d336280fb5b46ce, at
     # savi/v5 17a59a4f3c18b4566ad30563c0cf3a6a2d597cc666fa264e477443654f482bc9
     assert hashlib.sha256(uplink).hexdigest() == (
-        "e953a188bd16f51ba2e7700dc1fc389868c599231d0c31056678a6b361110e5d"
+        "323109a807be5d5694fa4b60a167e44bf84a224f4e4fdc8848d652381ac53d60"
     )
 
 
@@ -563,19 +563,19 @@ def test_comm_probe_equals_bytes_a_client_sends():
 
 
 def test_comm_probe_proof_parts_add_up():
-    # the eight fields of a proof: six behind a 4-byte count or length,
-    # Y bare, and z's bound and count inside its part (at savi/v6, seven
-    # fields each behind one, with "sigma" where "Y+z" is)
+    # the eight fields of a proof: seven behind a 4-byte count or length,
+    # Y bare (at savi/v6, seven fields each behind one, with "sigma" where
+    # "Y+z" is)
     rep = measure_communication(d=64, k=4)
     assert list(rep.proof_parts) == ["e_star+o+o_prime", "Y+z", "rho", "tau", "mu"]
-    assert sum(rep.proof_parts.values()) + 6 * 4 == rep.proof_bytes
+    assert sum(rep.proof_parts.values()) + 7 * 4 == rep.proof_bytes
     # k+1 + 2k points; the sigma proofs in their (c, s) form, rho with the
     # link's y_sigma and t_link (104 + 64k bytes before)
     assert rep.proof_parts["e_star+o+o_prime"] == 32 * (3 * 4 + 1)
     assert (rep.proof_parts["rho"], rep.proof_parts["tau"]) == (168 + 64 * 4, 44 + 96 * 4)
-    # Y, then z: 8 bytes of bound, a 4-byte count and 128 packed answers
+    # Y, then z: 128 packed answers of w = (2T).bit_length() bits each
     params = deployment_preset(d=64, k=4).check_parameters()
-    assert rep.proof_parts["Y+z"] == 32 + 12 + 128 * (2 * params.z_bound).bit_length() // 8
+    assert rep.proof_parts["Y+z"] == 32 + 128 * params.z_width // 8
 
 
 def test_comm_probe_measures_the_widths_of_d():
@@ -593,7 +593,7 @@ def test_comm_probe_measures_the_widths_of_d():
     assert probe.proof_bytes == len(payload)
     assert probe.proof_parts == {
         "e_star+o+o_prime": 32 * (len(proof.e_star) + len(proof.o) + len(proof.o_prime)),
-        "Y+z": 32 + len(encode(Window, proof.z)),
+        "Y+z": 32 + len(proof.z),
         **{part: len(getattr(proof, part).to_bytes()) for part in ("rho", "tau", "mu")},
     }
 

@@ -12,13 +12,13 @@ from savi.rng import DeterministicRng
 from savi.sampling import CheckParameters, SampleMatrix, plaintext_check, sample_matrix
 from savi.zkp import (
     BoundExceededError,
+    IntegrityProof,
     Transcript,
     gen_integrity_proof,
     ver_integrity_proof,
     ver_integrity_proofs,
     ver_range_proof,
 )
-from savi.serial import Window
 from savi.zkp import integrity
 from savi.group.generators import LAMBDA
 from savi.zkp.integrity import MAX_TRIES
@@ -139,19 +139,14 @@ def test_each_tampered_component_names_its_check():
             ),
             "square",
         ),
-        # the proof of smallness: its answers' window and count are
-        # checked with the shapes, Y and the z_j are in the transcript, and
-        # only the link identity reads y_sigma (at savi/v6 a bumped
-        # projection range proof was named range_ip)
-        (dataclasses.replace(proof, z=Window(proof.z.bound + 1, proof.z.values)), "malformed"),
-        (dataclasses.replace(proof, z=Window(proof.z.bound, proof.z.values[:-1])), "malformed"),
+        # the proof of smallness: its packed answers' length is checked
+        # with the shapes, Y and the z_j are in the transcript, and only the
+        # link identity reads y_sigma (at savi/v6 a bumped projection range
+        # proof was named range_ip)
+        (dataclasses.replace(proof, z=proof.z + b"\0"), "malformed"),
+        (dataclasses.replace(proof, z=proof.z[:-1]), "malformed"),
         (dataclasses.replace(proof, masks=proof.masks + g), "wellformed"),
-        (
-            dataclasses.replace(
-                proof, z=Window(proof.z.bound, (proof.z.values[0] ^ 1,) + proof.z.values[1:])
-            ),
-            "wellformed",
-        ),
+        (dataclasses.replace(proof, z=bytes([proof.z[0] ^ 1]) + proof.z[1:]), "wellformed"),
         (
             dataclasses.replace(
                 proof,
@@ -391,7 +386,7 @@ def test_extreme_projections_at_the_integrity_shift():
         proof = integrity._prove(
             params, gens, matrix, h, z, y, r, [v0] + claims, claims, 1, 1, rng
         )
-        assert max(abs(a) for a in proof.z.values) <= params.z_bound
+        assert max(abs(a) for a in integrity._unpack(params, proof.z)) <= params.z_bound
         weights = DeterministicRng(b"extremes")
         small, mu = integrity._cheap_checks(params, gens, matrix, h, z, y, proof, 1, 1, weights)
         assert ver_range_proof(gens, [small, mu], weights), x
@@ -404,38 +399,79 @@ def _honest_proof(params, seed):
     return proof, (gens, matrix, h, z, y)
 
 
+def test_challenge_rows_bind_the_claims():
+    # R is drawn after e_star and o are absorbed, so a prover cannot
+    # choose its claims against a known R: one point of either changed
+    # changes R
+    params = _params(k=4, d=8)
+    proof, (gens, matrix, h, z, y) = _honest_proof(params, 0)
+
+    def rows(**changed):
+        parts = {f: getattr(proof, f) for f in ("e_star", "o")} | changed
+        tr = integrity._transcript(params, matrix, 1, 1, y, z, *parts.values())
+        return integrity._challenge_rows(tr, proof.masks, params.k)
+
+    first = rows()
+    for field in ("e_star", "o"):
+        points = getattr(proof, field)
+        for t in range(len(points)):
+            bumped = points[:t] + (points[t] + gens.g,) + points[t + 1:]
+            assert rows(**{field: bumped}) != first, (field, t)
+
+
+def test_answers_pack_at_the_width_of_2t():
+    # each z_j + T in w = (2T).bit_length() bits: -T and T are the
+    # window's ends, the 128 answers fill 16 w bytes, and the field can
+    # hold values above T (up to 2^w - 1 - T) but none below -T
+    params = _params(k=4, d=8)
+    bound, width = params.z_bound, params.z_width
+    ends = [-bound, bound, 0, 1 - bound] * (LAMBDA // 4)
+    raw = integrity._pack(params, ends)
+    assert len(raw) == 16 * width
+    assert integrity._unpack(params, raw) == ends
+    assert integrity._unpack(params, bytes(len(raw))) == [-bound] * LAMBDA
+    assert integrity._unpack(params, b"\xff" * len(raw)) == [(1 << width) - 1 - bound] * LAMBDA
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_answers_at_the_window_edge_pass_and_one_past_fail(sign, monkeypatch):
     # the verifier takes |z_j| <= T and nothing more.  T is moved to the
     # largest |z_j| of an honest proof whose extreme answer has the given
-    # sign: there every answer passes, with one at +-T; at T - 1 that
-    # answer is one past the window.  T is not in the transcript, so the
-    # proof's other checks still hold.
+    # sign: there every answer passes, with one at +-T.  At T - 1 that
+    # answer is one past the window: T + 1 packs, and is named range_ip;
+    # -(T + 1) has no packing, as the least packed answer is -T.  T is not
+    # in the transcript, so the proof's other checks still hold.
     params = _params(k=4, d=8)
     proof, (gens, matrix, h, z, y) = next(
         (p, inst)
         for p, inst in (_honest_proof(params, seed) for seed in range(40))
-        if sign * max(p.z.values, key=abs) > 0
+        if sign * max(integrity._unpack(params, p.z), key=abs) > 0
     )
-    edge = max(abs(a) for a in proof.z.values)
-    assert sign * edge in proof.z.values
+    answers = integrity._unpack(params, proof.z)
+    edge = max(abs(a) for a in answers)
+    assert sign * edge in answers
 
     def verdict(bound):
         monkeypatch.setattr(type(params), "z_bound", property(lambda self: bound))
-        moved = dataclasses.replace(proof, z=Window(bound, proof.z.values))
+        moved = IntegrityProof.from_bytes(
+            dataclasses.replace(proof, z=integrity._pack(params, answers)).to_bytes(), gens.backend
+        )
         return ver_integrity_proof(params, gens, matrix, h, z, y, moved, 1, 1, DeterministicRng(b"e"))
 
     assert verdict(edge) == (True, None)
-    assert verdict(edge - 1) == (False, "range_ip")
+    if sign > 0:
+        assert verdict(edge - 1) == (False, "range_ip")
+    else:
+        monkeypatch.setattr(type(params), "z_bound", property(lambda self: edge - 1))
+        assert min(integrity._unpack(params, bytes(16 * params.z_width))) == 1 - edge
 
 
 def _cheater_rejected(params, gens, matrix, h, y, z, r, u, claims, rng, monkeypatch):
     """A cheater's proof of ``claims``, with the slack proof's range
     guard stripped (values taken mod p, then cut to the proof's width),
-    as the honest prover makes it and with its answers cut into the
-    window: both are named "range_ip", and only the proof of smallness
-    catches them."""
-    stripped, smallness, rows = integrity.gen_range_proof, integrity._smallness, integrity._challenge_rows
+    as the honest prover makes it: it is named "range_ip" after a trip
+    through the wire, and only the proof of smallness catches it."""
+    stripped, rows = integrity.gen_range_proof, integrity._challenge_rows
 
     def unguarded(gens, n_bits, values, *rest):
         return stripped(gens, n_bits, [x % Q % (1 << n_bits) for x in values], *rest)
@@ -447,24 +483,9 @@ def _cheater_rejected(params, gens, matrix, h, y, z, r, u, claims, rng, monkeypa
         params, gens, matrix, h, z, y, r, matrix.row_inner(u), claims, 1, 1, rng
     )
     # its answers never fall in the window: the prover gives up and sends
-    # its last try, which fails the window check
+    # its last try cut into the window, which encodes and fails the link
     assert len(tries) == MAX_TRIES
-    assert not proof.z.contains()
-    assert ver_integrity_proof(params, gens, matrix, h, z, y, proof, 1, 1, rng) == (
-        False, "range_ip"
-    )
-
-    bound = params.z_bound
-
-    def cut(*args):  # the window guard an attacker strips
-        link, sigma, tr = smallness(*args)
-        return dataclasses.replace(link, z=[(x + bound) % (2 * bound + 1) - bound for x in link.z]), sigma, tr
-
-    monkeypatch.setattr(integrity, "_smallness", cut)
-    proof = integrity._prove(
-        params, gens, matrix, h, z, y, r, matrix.row_inner(u), claims, 1, 1, rng
-    )
-    assert proof.z.contains()
+    proof = IntegrityProof.from_bytes(proof.to_bytes(), gens.backend)
     assert ver_integrity_proof(params, gens, matrix, h, z, y, proof, 1, 1, rng) == (
         False, "range_ip"
     )

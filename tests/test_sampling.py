@@ -409,10 +409,10 @@ def test_widths_derived_from_b0():
 @pytest.mark.parametrize(
     "widths,match",
     [
-        # B0 has 108 bits, so T = 2^8 ceil(sqrt(k B0)) has 66 (this case
-        # was (b_ip=32) "b_ip too narrow", and the b_max=36, b_max=0 and
-        # b_max=320 cases below were (b_ip=36), (b_ip=0) and (b_ip=128))
-        (dict(d=64, k=64, M=1 << 36, B=100.0), "64-bit"),
+        # (this case was (b_ip=32) "b_ip too narrow", and the b_max=36,
+        # b_max=0 and b_max=320 cases below were (b_ip=36), (b_ip=0) and
+        # (b_ip=128))
+        (dict(b_max=48), "overflows b_max"),  # 3 * 16, but B0 has 64 bits
         (dict(b_max=56), "overflows b_max"),  # 7 * 8, but B0 has 64 bits
         (dict(b_max=36), "odd part"),  # 9 * 4
         (dict(b_max=72), "odd part"),  # 9 * 8
@@ -480,7 +480,7 @@ def test_derived_m_pinned(name):
     _, log2_m, widths, _ = _DERIVED_M[name]
     p = _derived(name)
     assert p.M == 1 << log2_m
-    assert (p.b_max, p.range_slots, (2 * p.z_bound).bit_length()) == widths
+    assert (p.b_max, p.range_slots, p.z_width) == widths
 
 
 def test_explicit_m_kept():

@@ -14,7 +14,7 @@ from savi.group import GROUP_ORDER, make_backend
 from savi.harness import desk_preset
 from savi.harness.simulate import MSG_BLIND_SHARE, MSG_BUNDLE, MSG_PROOF, Simulation
 from savi.protocol.pairwise import seal_share
-from savi.serial import U32, Message, Window, decode, encode
+from savi.serial import U32, Message, decode, encode
 from savi.vsss import CheckString, Share
 from savi.rng import DeterministicRng
 from savi.zkp import IntegrityProof, Transcript, gen_prf_sq, gen_prf_wf, ver_integrity_proofs
@@ -101,35 +101,6 @@ def test_sigma_proof_sizes_are_pinned(k):
     tau = gen_prf_sq(g, q, o, o2, v[1:], s, s2, rng, Transcript("sizes"))
     assert len(rho.to_bytes()) == 168 + 64 * k
     assert len(tau.to_bytes()) == 44 + 96 * k
-
-
-@pytest.mark.parametrize("bound", [1, 5, 2**40 + 3])
-def test_window_codec_keeps_the_window(bound):
-    # each value + bound in (2 bound).bit_length() bits: -bound and bound
-    # are the window's ends, and one step past either has no encoding
-    width = (2 * bound).bit_length()
-    ends = Window(bound, (-bound, bound, 0, 1 - bound))
-    raw = encode(Window, ends)
-    assert raw[:12] == bound.to_bytes(8, "little") + (4).to_bytes(4, "little")
-    assert len(raw) == 12 + (4 * width + 7) // 8
-    assert decode(Window, raw) == ends
-    for past in (bound + 1, -bound - 1):
-        with pytest.raises(ValueError):
-            encode(Window, Window(bound, (past,)))
-    # a packed value above 2 bound, nonzero padding bits, a short or long
-    # run and a zero bound are all rejected
-    above = bound.to_bytes(8, "little") + (1).to_bytes(4, "little")
-    above += (2 * bound + 1).to_bytes((width + 7) // 8, "little")
-    if (2 * bound + 1).bit_length() == width:
-        with pytest.raises(ValueError, match="above twice"):
-            decode(Window, above)
-    one = encode(Window, Window(bound, (0,)))
-    if width % 8:
-        with pytest.raises(ValueError, match="padding"):
-            decode(Window, one[:-1] + bytes([one[-1] | 0x80]))
-    for bad in (raw[:-1], raw + b"\0", bytes(8) + raw[8:]):
-        with pytest.raises(ValueError):
-            decode(Window, bad)
 
 
 @functools.cache
@@ -219,7 +190,7 @@ def _smallness_offsets(backend_name):
     payload = _payloads(backend_name)["proof"][1]
     proof = decode(IntegrityProof, payload, make_backend(backend_name))
     start = sum(4 + 32 * len(getattr(proof, f)) for f in ("e_star", "o", "o_prime"))
-    z_end = start + 32 + len(encode(Window, proof.z))
+    z_end = start + 32 + 4 + len(proof.z)
     rho_end = z_end + 4 + len(proof.rho.to_bytes())
     return [*range(start, z_end), *range(rho_end - 64, rho_end)]
 
@@ -228,7 +199,7 @@ def _smallness_offsets(backend_name):
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(where=st.floats(0, 1, exclude_max=True), flip=st.integers(1, 255))
 def test_mutated_smallness_field_raises_or_is_rejected(backend_name, where, flip):
-    # one byte of Y, of z (its bound, count or packed values), of y_sigma
+    # one byte of Y, of z (its length or packed values), of y_sigma
     # or of t_link flipped: the proof fails to parse or fails a check
     payload = _payloads(backend_name)["proof"][1]
     offsets = _smallness_offsets(backend_name)

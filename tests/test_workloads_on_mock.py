@@ -15,9 +15,9 @@ from test_perfbench import _load
 # ends on 7-scalar vectors, so two workloads grow although their slots fall.
 # Bulletproofs+ range proofs are 96 bytes shorter each, two per client;
 # with Bulletproofs these were 18,828, 134,348 and 6,560.  The proof of
-# smallness (Y, 128 bit-packed answers, y_sigma and t_link) replaced the
+# smallness (Y, 128 packed answers, y_sigma and t_link) replaced the
 # projections' range proof: with it these were 18,636, 134,156 and 6,368.
-UPLINK = {"proof_heavy": 18_292, "wide_update": 133_988, "crowd_attack": 6_280}
+UPLINK = {"proof_heavy": 18_284, "wide_update": 133_980, "crowd_attack": 6_272}
 
 
 @pytest.mark.parametrize("name", sorted(UPLINK))
