@@ -132,13 +132,15 @@ class GroupBackend(ABC):
 
     # -- Lifted form: what ``bucket_multiexp`` adds ---------------------
     #
-    # A point decoded once into a form that Python adds cheaply.  These
-    # operations are not counted here; ``bucket_multiexp`` counts its
-    # additions on both backends alike.
+    # A point decoded once into a form that Python adds cheaply, and a
+    # fixed base also into an addend form that adds to a lifted point
+    # more cheaply still.  These operations are pure Python and are not
+    # counted here; ``bucket_multiexp`` counts its additions on both
+    # backends alike.
 
     @abstractmethod
     def lift_data(self, p):
-        """The lifted form of a point."""
+        """A fixed base as the pair (lifted point, addend form)."""
 
     @abstractmethod
     def lower_data(self, lifted):
@@ -148,6 +150,12 @@ class GroupBackend(ABC):
     @abstractmethod
     def lifted_add(a, b):
         """a + b on lifted points; also doubles (a is b)."""
+
+    @staticmethod
+    @abstractmethod
+    def lifted_add_base(a, addend, negate: bool):
+        """a + base, or a - base if ``negate``, for a lifted point a and
+        a base's addend form."""
 
     @staticmethod
     @abstractmethod

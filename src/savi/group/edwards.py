@@ -9,8 +9,15 @@ encode only the result.
 
 * ``decode`` and ``encode`` follow RFC 9496, section 4.3.
 * ``add`` is the extended addition of Hisil, Wong, Carter and Dawson
-  (Asiacrypt 2008) for a = -1.  With a square and d a non-square it is
-  complete, so it also doubles and adds the identity.
+  (Asiacrypt 2008) for a = -1, 9 multiplications.  With a square and d a
+  non-square it is complete, so it also doubles and adds the identity.
+* ``niels`` is the affine Niels form (y + x, y - x, 2d·xy) of a point
+  with Z = 1, which ``decode`` returns, so it needs no inversion.
+  ``add_niels`` adds such a point to an extended one in 7
+  multiplications (the mixed addition of the same paper): Z2 = 1 drops
+  one and the precomputed 2d·xy another.  Negating a Niels point swaps
+  its first two coordinates and negates the third, so ``add_niels``
+  also subtracts at the same cost.
 
 Nothing here runs in constant time: it is for public points only.
 """
@@ -94,6 +101,31 @@ def add(p: tuple[int, int, int, int], q: tuple[int, int, int, int]) -> tuple[int
     b = (y1 + x1) * (y2 + x2) % P
     c = t1 * t2 % P * D2 % P
     d = 2 * z1 * z2 % P
+    e, f, g, h = b - a, d - c, d + c, b + a
+    return (e * f % P, g * h % P, f * g % P, e * h % P)
+
+
+def niels(p: tuple[int, int, int, int]) -> tuple[int, int, int]:
+    """The affine Niels form of a point with Z = 1."""
+    x, y, z, t = p
+    assert z == 1, "the Niels form here is affine"
+    return ((y + x) % P, (y - x) % P, t * D2 % P)
+
+
+def add_niels(
+    p: tuple[int, int, int, int], q: tuple[int, int, int], negate: bool = False
+) -> tuple[int, int, int, int]:
+    """p + q, or p - q if ``negate``, for q in affine Niels form."""
+    if negate:
+        y_minus_x, y_plus_x, xy2d = q
+        xy2d = -xy2d
+    else:
+        y_plus_x, y_minus_x, xy2d = q
+    x1, y1, z1, t1 = p
+    a = (y1 - x1) * y_minus_x % P
+    b = (y1 + x1) * y_plus_x % P
+    c = t1 * xy2d % P
+    d = 2 * z1
     e, f, g, h = b - a, d - c, d + c, b + a
     return (e * f % P, g * h % P, f * g % P, e * h % P)
 

@@ -83,10 +83,15 @@ class GeneratorSet:
 
     @cached_property
     def lifted_w(self) -> tuple:
-        """``w`` in the backend's lifted form, for ``bucket_multiexp``.
+        """``w`` in the backend's lifted form, for ``bucket_multiexp``:
+        each base as the pair (lifted point, addend form), on
+        ristretto255 its extended coordinates (Z = 1) and its affine
+        Niels form.
 
         Decoded on first use, by the server's first ``h``: clients and
-        ``derive`` never pay for it (about 0.2 ms a point on ristretto255)."""
+        ``derive`` never pay for it (about 0.2 ms a point on
+        ristretto255).  ``compute_h`` builds it before it forks any
+        worker process, so the workers inherit it."""
         return tuple(self.backend.lift_data(p.data) for p in self.w)
 
     @staticmethod

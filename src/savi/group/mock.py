@@ -62,8 +62,8 @@ class MockBackend(GroupBackend):
         self.counter.local.cell.from_hash += 1
         return int.from_bytes(raw64, "little") % GROUP_ORDER
 
-    def lift_data(self, p: int) -> int:
-        return p
+    def lift_data(self, p: int) -> tuple[int, int]:
+        return p, p
 
     def lower_data(self, lifted: int) -> int:
         return lifted
@@ -71,6 +71,10 @@ class MockBackend(GroupBackend):
     @staticmethod
     def lifted_add(a: int, b: int) -> int:
         return (a + b) % GROUP_ORDER
+
+    @staticmethod
+    def lifted_add_base(a: int, addend: int, negate: bool) -> int:
+        return (a - addend if negate else a + addend) % GROUP_ORDER
 
     @staticmethod
     def lifted_neg(a: int) -> int:

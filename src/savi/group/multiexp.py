@@ -17,7 +17,9 @@ The one exception is ``bucket_multiexp``: small public scalars on fixed
 bases that are decoded once (the server's ``h``, see
 ``GeneratorSet.lifted_w``).  There a Python addition over decoded
 coordinates costs about a twentieth of a libsodium mul, and a 24-bit
-scalar needs a few additions per base instead of one 253-bit mul.
+scalar needs a few additions per base instead of one 253-bit mul.  The
+additions hold the interpreter lock, so ``compute_h`` spreads its rows
+over worker processes (``pool.map_forked``), not threads.
 
 A term whose scalar is 1 is added and one whose scalar is order - 1 is
 subtracted, with no scalar multiplication: a range proof's bit commitment
@@ -175,22 +177,30 @@ def _window_bits(terms: int, bits: int) -> int:
     return min(range(1, bits + 1), key=lambda c: -(-bits // c) * (terms + (1 << c)))
 
 
-def bucket_multiexp(bases: Sequence, scalars: Sequence[int], backend: GroupBackend) -> Point:
-    """Compute sum_i scalars[i] * bases[i] for small signed int scalars.
+def bucket_multiexp(bases: Sequence, scalars: Sequence[int], backend: GroupBackend) -> tuple:
+    """(the canonical data of sum_i scalars[i] * bases[i], the additions
+    it took) for small signed int scalars.
 
-    ``bases`` are in the backend's lifted form (``GroupBackend.lift_data``),
-    and every addition runs on lifted points: Pippenger's bucket method
-    with signed digits in (-2^(c-1), 2^(c-1)].  Each addition counts as
-    one ``add`` on both backends, so mock counts stay equal to
-    ristretto255's.  The scalars must be exact ints, not reduced mod the
-    order: a reduced negative scalar is 253 bits wide.
+    ``bases`` are fixed bases in the backend's lifted form
+    (``GroupBackend.lift_data``): Pippenger's bucket method with signed
+    digits in (-2^(c-1), 2^(c-1)].  A digit puts its base in a bucket
+    with ``lifted_add_base`` (on ristretto255 a 7-multiplication mixed
+    addition of the base's Niels form, which also subtracts it), or as
+    the bucket's first point; the bucket sums and doublings use
+    ``lifted_add``.  Each addition counts as one: on both backends alike,
+    so mock counts stay equal to ristretto255's.  The scalars must be
+    exact ints, not reduced mod the order: a reduced negative scalar is
+    253 bits wide.
+
+    It runs Python arithmetic only, no libsodium, lock or counter, so a
+    forked worker process can run it; the caller counts the additions.
     """
     if len(bases) != len(scalars):
         raise ValueError("bucket_multiexp needs equally many bases and scalars")
     bits = max(map(abs, scalars), default=0).bit_length()
     if not bits:
-        return backend.identity()
-    add, neg = backend.lifted_add, backend.lifted_neg
+        return backend.identity_data(), 0
+    add, add_base, neg = backend.lifted_add, backend.lifted_add_base, backend.lifted_neg
     adds = 0
 
     def plus(a, b):  # None is the empty sum
@@ -203,24 +213,24 @@ def bucket_multiexp(bases: Sequence, scalars: Sequence[int], backend: GroupBacke
     c = _window_bits(len(bases), bits)
     half, full = 1 << (c - 1), 1 << c
     buckets = [[None] * (half + 1) for _ in range(bits // c + 1)]
-    for base, s in zip(bases, scalars):
+    for (point, addend), s in zip(bases, scalars):
         m = abs(s)
-        negated = None
         j = 0
         while m:
             v = m & (full - 1)
             m >>= c
-            if v > half:
-                v, m = v - full, m + 1
+            if v > half:  # the digit v - full: subtract, carry one
+                v, m, negate = full - v, m + 1, s > 0
+            else:
+                negate = s < 0
             if v:
-                if (v < 0) != (s < 0):
-                    if negated is None:
-                        negated = neg(base)
-                    term = negated
-                else:
-                    term = base
                 row = buckets[j]
-                row[abs(v)] = plus(row[abs(v)], term)
+                bucket = row[v]
+                if bucket is None:
+                    row[v] = neg(point) if negate else point
+                else:
+                    row[v] = add_base(bucket, addend, negate)
+                    adds += 1
             j += 1
     acc = None
     for row in reversed(buckets):
@@ -231,5 +241,4 @@ def bucket_multiexp(bases: Sequence, scalars: Sequence[int], backend: GroupBacke
             running = plus(running, b)
             total = plus(total, running)
         acc = plus(acc, total)
-    backend.counter.local.cell.add += adds
-    return Point(backend, backend.lower_data(acc))
+    return backend.lower_data(acc), adds

@@ -123,11 +123,13 @@ class RistrettoBackend(GroupBackend):
         self._lib.crypto_core_ristretto255_from_hash(buf, raw64)
         return buf.raw
 
-    def lift_data(self, p: bytes) -> tuple[int, int, int, int]:
-        return edwards.decode(p)
+    def lift_data(self, p: bytes) -> tuple[tuple[int, int, int, int], tuple[int, int, int]]:
+        point = edwards.decode(p)
+        return point, edwards.niels(point)
 
     def lower_data(self, lifted: tuple[int, int, int, int]) -> bytes:
         return edwards.encode(lifted)
 
     lifted_add = staticmethod(edwards.add)
+    lifted_add_base = staticmethod(edwards.add_niels)
     lifted_neg = staticmethod(edwards.neg)

@@ -15,6 +15,7 @@ from ..group.base import GROUP_ORDER, Point
 from ..group.dlog import BabyStepTable, DlogNotFoundError, dlog_bounded
 from ..group.generators import GeneratorSet
 from ..group.multiexp import bucket_multiexp, multiexp, multiexps
+from ..group.pool import map_forked
 from ..rng import Rng
 from ..sampling import CheckParameters, SampleMatrix, derive_seed, sample_matrix
 from ..vsss import (
@@ -33,12 +34,27 @@ _Q = GROUP_ORDER
 def compute_h(matrix: SampleMatrix, gens: GeneratorSet) -> list[Point]:
     """h = A w, the points the server publishes in stage 3.
 
-    a_0's full-width scalars go through ``multiexp``.  The k rounded
-    Gaussian rows are small public ints, so they go through
-    ``bucket_multiexp`` over the once-decoded ``gens.lifted_w``.
+    a_0's full-width scalars go through ``multiexp``, on the thread pool.
+    The k rounded Gaussian rows are small public ints, so they go through
+    ``bucket_multiexp`` over the once-decoded ``gens.lifted_w``, cut over
+    worker processes (``pool.map_forked``) that inherit those bases: the
+    rows are sent first, then the caller runs a_0 and its own slice.  Each
+    row's additions come back with it and are counted here, so ``h``
+    costs the same counted ops however its rows were cut.
     """
-    rows = [bucket_multiexp(gens.lifted_w, row, gens.backend) for row in matrix.rows.tolist()]
-    return [multiexp(gens.w, matrix.a0)] + rows
+    gens.lifted_w  # decoded before any worker forks, so the workers inherit it
+    backend = gens.backend
+    a0, rows = map_forked(
+        _h_rows, gens, matrix.rows.tolist(), matrix.d, lambda: multiexp(gens.w, matrix.a0)
+    )
+    backend.counter.local.cell.add += sum(adds for _, adds in rows)
+    return [a0] + [Point(backend, data) for data, _ in rows]
+
+
+def _h_rows(gens: GeneratorSet, rows: list[list[int]]) -> list[tuple]:
+    """``bucket_multiexp`` of each row over ``gens.lifted_w``: pure
+    Python, so a worker process runs it."""
+    return [bucket_multiexp(gens.lifted_w, row, gens.backend) for row in rows]
 
 
 class Server:

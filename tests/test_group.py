@@ -287,6 +287,55 @@ def test_edwards_add_and_neg_match_libsodium():
         assert edwards.encode(edwards.neg(lq)) == (-q).data
 
 
+def _same_edwards_point(p, q):
+    """Whether two extended points are the same point of edwards25519
+    (not just of ristretto255), and each is consistent (XY = ZT)."""
+    (x1, y1, z1, t1), (x2, y2, z2, t2) = p, q
+    P = edwards.P
+    return (
+        (x1 * z2 - x2 * z1) % P == 0
+        and (y1 * z2 - y2 * z1) % P == 0
+        and (x1 * y1 - z1 * t1) % P == 0
+        and (x2 * y2 - z2 * t2) % P == 0
+    )
+
+
+_EDWARDS_SCALARS = st.integers(0, Q - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_EDWARDS_SCALARS, b=_EDWARDS_SCALARS, c=_EDWARDS_SCALARS, case=st.sampled_from(
+    ["random", "identity + q", "p + identity", "double", "inverse"]
+))
+def test_niels_mixed_addition_equals_extended_addition(a, b, c, case):
+    # p is an extended point with Z != 1 (a sum), q a decoded one (Z = 1)
+    # in Niels form: p + q and p - q by the mixed addition equal them by
+    # the extended one, on random points, with the identity on either
+    # side, and on p + p and p + (-p)
+    sodium = make_backend("ristretto255")
+    g = sodium.base()
+    q_point = sodium.identity() if case == "p + identity" else c * g
+    q = edwards.decode(q_point.data)
+    one = edwards.decode(bytes(32))
+    p = {
+        "random": edwards.add(edwards.decode((a * g).data), edwards.decode((b * g).data)),
+        "identity + q": edwards.add(one, one),  # the identity, with Z = 2
+        "p + identity": edwards.add(edwards.decode((a * g).data), one),
+        "double": edwards.add(q, one),  # q again, with Z = 2
+        "inverse": edwards.add(edwards.neg(q), one),
+    }[case]
+    assert p[2] != 1
+    niels = edwards.niels(q)
+    assert _same_edwards_point(edwards.add_niels(p, niels), edwards.add(p, q))
+    assert _same_edwards_point(edwards.add_niels(p, niels, True), edwards.add(p, edwards.neg(q)))
+    # the Niels form's swap and sign is edwards.neg's negation
+    y_plus_x, y_minus_x, xy2d = niels
+    assert edwards.niels(edwards.neg(q)) == (y_minus_x, y_plus_x, -xy2d % edwards.P)
+    assert edwards.encode(edwards.add_niels(p, niels)) == (
+        sodium.decode(edwards.encode(p)) + q_point
+    ).data
+
+
 @pytest.mark.parametrize(
     "s", [edwards.P, edwards.P + 2, 2**255 - 2, 2**256 - 2, 1, 3, edwards.P - 2]
 )

@@ -4,9 +4,15 @@ survive threads."""
 
 import dataclasses
 import importlib
+import multiprocessing
+import os
+import subprocess
 import sys
 import threading
+import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from savi.commit import commit_update
@@ -16,6 +22,9 @@ from savi.harness import desk_preset, run_simulation
 from savi.harness.attacks import AttackSpec
 from savi.rng import DeterministicRng
 from savi.group.generators import LAMBDA
+from savi.harness import Simulation
+from savi.protocol.server import compute_h
+from savi.sampling import SampleMatrix
 from savi.zkp import Transcript, gen_prf_wf
 from sigma_reference import make_link, wf_holds
 
@@ -55,6 +64,26 @@ def slice_sizes(monkeypatch):
 
     monkeypatch.setattr(multiexp_module, "_partial_sum", recorded)
     return sizes
+
+
+@pytest.fixture()
+def worker_slices(monkeypatch):
+    """For each run split over worker processes, the number of items
+    each worker answered."""
+    runs = []
+    collect = pool._collect
+
+    def recorded(workers):
+        answers = collect(workers)
+        runs.append([len(answer) for answer in answers])
+        return answers
+
+    monkeypatch.setattr(pool, "_collect", recorded)
+    return runs
+
+
+def _workers_alive():
+    return [p for p in multiprocessing.active_children() if p.name == "savi-worker"]
 
 
 def _terms(backend, size, label):
@@ -277,9 +306,10 @@ def test_counter_counts_every_thread_exactly():
     assert backend.counter.snapshot() == {"mul": 20_000, "add": 0, "from_hash": 0}
 
 
-def test_round_is_the_same_at_one_and_three_workers(three_cores):
+def test_round_is_the_same_at_one_and_three_workers(three_cores, worker_slices):
     # d = 64 cuts commitments, unblindings and the aggregate's additions
-    # into slices; client 4 is rejected, so verdicts are not all "honest"
+    # into slices, and h's k = 16 rows of 64 terms over the worker
+    # processes; client 4 is rejected, so verdicts are not all "honest"
     config = desk_preset(
         n=6, m=1, d=64, k=16, epsilon_log2=-16, M=16, seed=5, rounds=2,
         attack=AttackSpec(kind="oversized_norm", scale=40.0, malicious_ids=(4,)),
@@ -292,3 +322,105 @@ def test_round_is_the_same_at_one_and_three_workers(three_cores):
         assert (a.honest, a.excluded, a.proof_reasons) == (b.honest, b.excluded, b.proof_reasons)
         assert a.aggregate == b.aggregate
     assert 4 in serial[0].excluded and serial[0].aggregate_ok
+    # every round's h was cut into 5 + 5 + 6 rows: both workers answered
+    assert worker_slices == [[5, 6]] * 4
+
+
+# -- h's rows on worker processes ---------------------------------------------
+
+
+def _h_matrix(d, k, label):
+    """A matrix of k rows of small signed entries (the second row all
+    zero) and a full-width a_0."""
+    rng = DeterministicRng(label)
+    rows = np.array(
+        [[0 if j == 1 else rng.below(4097) - 2048 for _ in range(d)] for j in range(k)],
+        dtype=np.int64,
+    ).reshape(k, d)
+    return SampleMatrix(seed=label, M=1, a0=tuple(rng.scalar() for _ in range(d)), rows=rows)
+
+
+@pytest.mark.parametrize("k, split", [(1, []), (2, [[1]]), (5, [[2, 2]])])
+def test_split_h_equals_h_in_the_caller(
+    backend, gens_factory, monkeypatch, three_cores, worker_slices, k, split
+):
+    # one row runs in the caller; two, fewer than the cores, make two
+    # slices; five cut 1 + 2 + 2 over three cores
+    gens = gens_factory(backend.name, 256, 1)
+    matrix = _h_matrix(256, k, b"pool-h-%d" % k)
+    split_h, muls, adds = _ops(gens.backend, lambda: compute_h(matrix, gens))
+    assert worker_slices == split
+    monkeypatch.setattr(pool, "CORES", 1)
+    assert _ops(gens.backend, lambda: compute_h(matrix, gens)) == (split_h, muls, adds)
+    assert worker_slices == split  # nothing was cut on one core
+    if k > 1:
+        assert split_h[2] == gens.backend.identity()  # the zero row
+
+
+def test_a_new_generator_set_replaces_the_workers(three_cores):
+    first = GeneratorSet.derive(make_backend("mock"), 256, 1)
+    second = GeneratorSet.derive(make_backend("mock"), 256, 1)
+    matrix = _h_matrix(256, 6, b"pool-replace")
+    compute_h(matrix, first)
+    before = {p.pid for p in _workers_alive()}
+    assert len(before) == pool.CORES - 1
+    compute_h(matrix, second)
+    after = {p.pid for p in _workers_alive()}
+    assert len(after) == pool.CORES - 1 and not before & after
+
+
+def test_simulation_set_up_forks_nothing():
+    pool.shutdown_workers()
+    Simulation(desk_preset(n=3, m=1, d=256, k=32, seed=1))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failing_worker_raises_in_the_caller(three_cores, monkeypatch):
+    # the bad entry is in the last row, which a worker runs; the workers
+    # answer the next h as before
+    gens = GeneratorSet.derive(make_backend("mock"), 256, 1)
+    matrix = _h_matrix(256, 6, b"pool-bad-row")
+    bad_rows = matrix.rows.astype(object)
+    bad_rows[-1, 7] = "not a scalar"
+    with pytest.raises(TypeError):
+        compute_h(dataclasses.replace(matrix, rows=bad_rows), gens)
+    assert len(_workers_alive()) == pool.CORES - 1
+    split_h = compute_h(matrix, gens)
+    monkeypatch.setattr(pool, "CORES", 1)
+    assert compute_h(matrix, gens) == split_h
+
+
+_SPLIT_ROUND = """
+import multiprocessing, sys
+from savi.group import pool
+from savi.harness import Simulation, desk_preset
+pool.CORES = 3
+sim = Simulation(desk_preset(n=3, m=1, d=64, k=16, seed=1, backend="ristretto255"))
+assert sim.run_round(1).aggregate_ok
+print(" ".join(str(p.pid) for p in multiprocessing.active_children()))
+"""
+
+
+def test_a_process_that_split_h_exits_cleanly():
+    # the workers are shut down at exit: the run's exit code is 0, it
+    # writes nothing to stderr, and its workers are gone
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", _SPLIT_ROUND], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    pids = [int(pid) for pid in run.stdout.split()]
+    assert len(pids) == 2
+    deadline = time.monotonic() + 5
+    while pids and time.monotonic() < deadline:
+        pids = [pid for pid in pids if _alive(pid)]
+        time.sleep(0.1)
+    assert pids == []
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
