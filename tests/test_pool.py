@@ -1,6 +1,7 @@
 """The process-wide pool: a multiexp or a batch of them cut into slices
 equals the serial loop, point and op counts alike, and op counts
-survive threads."""
+survive threads; h's rows cut over worker processes equal h in the
+caller, and the workers live and die as the pool module says."""
 
 import dataclasses
 import importlib
@@ -18,11 +19,10 @@ import pytest
 from savi.commit import commit_update
 from savi.group import GROUP_ORDER, GeneratorSet, MockBackend, derive_generators, make_backend, pool
 from savi.group.multiexp import multiexp, multiexps
-from savi.harness import desk_preset, run_simulation
+from savi.harness import Simulation, desk_preset, run_simulation
 from savi.harness.attacks import AttackSpec
 from savi.rng import DeterministicRng
 from savi.group.generators import LAMBDA
-from savi.harness import Simulation
 from savi.protocol.server import compute_h
 from savi.sampling import SampleMatrix
 from savi.zkp import Transcript, gen_prf_wf
