@@ -39,7 +39,6 @@ from .zkp import (
     range_terms,
     ver_crt,
     ver_integrity_proof,
-    ver_integrity_proofs,
     ver_integrity_set,
     ver_prf_sq,
     ver_prf_wf,
@@ -81,7 +80,6 @@ __all__ = [
     "ss_verify",
     "ver_crt",
     "ver_integrity_proof",
-    "ver_integrity_proofs",
     "ver_integrity_set",
     "ver_prf_sq",
     "ver_prf_wf",

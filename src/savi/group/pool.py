@@ -1,45 +1,50 @@
 """Process-wide parallelism for a party's long runs of group operations:
 threads for libsodium runs, processes for the server's ``h``.
 
+One routine runs every split run on a ``concurrent.futures`` executor:
+it cuts the run into slices, submits all slices but the first, runs the
+caller's own work and the first slice in the caller, waits for every
+slice and concatenates the results in order.  A failure, the caller's
+or a slice's, is raised once every slice has finished, so no slice
+still runs, and counts operations, when the caller sees it.
+
 Threads.  ctypes releases the interpreter lock for the length of each
 libsodium call, so threads overlap the scalar multiplications and
 additions that make up most of a round.  Every batch of linear
 combinations, the commitment's table lookups among them, is one run of
 ``multiexps``, so a prover's many short rows are cut as one long row is;
 generator derivation is the only other run.  ``map_chunks`` cuts a run
-into one slice per core, hands all slices but the first to the pool and
-runs the first in the caller.  It runs the whole run in the caller when
-the backend's operations hold the interpreter lock (the mock group),
-when a slice would hold fewer than ``MIN_CHUNK`` items, when the process
-may use one core only, and when the caller is itself a pool thread (so
-pool work never waits on pool work).  Results come back in order and
-every operation is counted by the thread that does it (``OpCounter``),
-so nothing a caller computes or counts depends on scheduling.  The pool
-has one thread per core but one, and is created the first time a run is
-split.
+into one slice per core on a thread pool.  It runs the whole run in the
+caller when the backend's operations hold the interpreter lock (the
+mock group), when a slice would hold fewer than ``MIN_CHUNK`` items,
+when the process may use one core only, and when the caller is itself a
+pool thread (so pool work never waits on pool work).  Every operation
+is counted by the thread that does it (``OpCounter``), so nothing a
+caller computes or counts depends on scheduling.  The pool has one
+thread per core but one, and is created the first time a run is split.
 
 Processes.  Pure-Python arithmetic holds the interpreter lock, so
 threads cannot share the additions of the server's ``h``
-(``bucket_multiexp`` over the lifted bases).  ``map_forked`` sends all
-slices of such a run but the caller's to ``CORES - 1`` worker
-processes.  They are forked the first time a run is worth splitting,
-after the state they work on exists, so they inherit it and only the
-slices and their answers cross a pipe.  A run on other state replaces
-them, so no more than ``CORES - 1`` are ever alive, and they are shut
-down at exit.  The process that forks them already runs threads, so a
-worker touches Python arithmetic only: no libsodium, no lock, no
-thread.  Both backends take the same path, and the work a worker does
-comes back in its answer for the caller to count.
+(``bucket_multiexp`` over the lifted bases).  ``map_forked`` cuts such a
+run over a ``ProcessPoolExecutor`` of ``CORES - 1`` forked workers.
+They are forked the first time a run is worth splitting, after the
+state they work on exists, so they inherit it and only the slices and
+their answers are pickled.  A run on other state, or a pool that lost a
+worker, shuts them down and forks new ones, so no more than
+``CORES - 1`` are ever alive; the executor joins them at exit.  The
+process that forks them already runs threads, so a worker touches
+Python arithmetic only: no libsodium, no lock, no thread.  Both
+backends take the same path, and the work a worker does comes back in
+its answer for the caller to count.
 """
 
 from __future__ import annotations
 
-import atexit
 import multiprocessing
 import os
 import signal
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor, wait
 from typing import Callable, Sequence, TypeVar
 
 from .base import GroupBackend
@@ -54,11 +59,42 @@ F = TypeVar("F")
 MIN_CHUNK = 16
 
 # The fewest terms worth a worker process's slice: a slice and its
-# answer cross a pipe in about a tenth of a millisecond, and each term
-# of h's rows costs a Python addition or more, about 5 microseconds.
+# answer pass through the executor's queues in about half a millisecond,
+# and each term of h's rows costs a Python addition or more, about 5
+# microseconds, so the smallest slice holds about 1.3 ms of work.
 MIN_FORKED_TERMS = 256
 
 CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _split(
+    executor: Executor,
+    fn: Callable[[Sequence[T]], list[R]],
+    items: Sequence[T],
+    slices: int,
+    first: Callable[[], F],
+) -> tuple[F, list[R]]:
+    """(``first()``, ``fn(items)``), ``fn`` run over ``slices``
+    consecutive slices of ``items`` and the lists it returns concatenated
+    in order.
+
+    All slices but the first go to ``executor`` before the caller runs
+    ``first()`` (its own work, such as a libsodium run) and then the
+    first slice, so no core waits.
+    """
+    cuts = [len(items) * i // slices for i in range(slices + 1)]
+    futures = []
+    try:
+        for a, b in zip(cuts[1:-1], cuts[2:]):
+            futures.append(executor.submit(fn, items[a:b]))
+        head = first()
+        out = fn(items[: cuts[1]])
+    finally:
+        wait(futures)  # every slice finishes, even when the caller's own work raised
+    for future in futures:
+        out += future.result()
+    return head, out
+
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -91,111 +127,51 @@ def map_chunks(
     slices = min(CORES, len(items) // MIN_CHUNK)
     if not backend.releases_gil or slices <= 1 or getattr(_in_pool, "active", False):
         return fn(items)
-    cuts = [len(items) * i // slices for i in range(slices + 1)]
-    pool = _executor()
-    futures = [pool.submit(fn, items[a:b]) for a, b in zip(cuts[1:-1], cuts[2:])]
-    try:
-        out = fn(items[: cuts[1]])
-    finally:
-        # wait for every slice, even when the caller's own slice raised
-        rest = [future.result() for future in futures]
-    for part in rest:
-        out += part
-    return out
+    return _split(_executor(), fn, items, slices, lambda: None)[1]
 
 
-class _Worker:
-    """A forked process that answers ``fn(state, items)`` for each list
-    of items it is sent."""
-
-    def __init__(self, fn: Callable, state: object, older: list["_Worker"]) -> None:
-        context = multiprocessing.get_context("fork")
-        self.conn, child = context.Pipe()
-        self.process = context.Process(
-            target=_serve,
-            args=(child, fn, state, [self.conn] + [w.conn for w in older]),
-            name="savi-worker",
-            daemon=True,
-        )
-        self.process.start()
-        child.close()
-
-
-def _serve(conn, fn: Callable, state: object, inherited: list) -> None:
-    """A worker's loop, until the parent closes its end of the pipe."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles an interrupt
-    for other in inherited:
-        other.close()  # the parent's ends, so each worker sees its parent close
-    while True:
-        try:
-            items = conn.recv()
-        except (EOFError, OSError):
-            return
-        try:
-            reply = (True, fn(state, items))
-        except Exception as exc:
-            reply = (False, exc)
-        try:
-            conn.send(reply)
-        except (EOFError, OSError):
-            return
-
-
-_workers: list[_Worker] = []
-_workers_run: tuple = ()  # the (fn, state) the live workers were forked with
+_workers: ProcessPoolExecutor | None = None
+_run: tuple = ()  # the (fn, state) the workers were forked with, and inherited
 _workers_lock = threading.Lock()
 
 
-def _forked(fn: Callable, state: object) -> list[_Worker]:
-    """``CORES - 1`` live workers forked with (fn, state), forked now
-    unless the live ones were."""
-    global _workers_run
-    if (
-        _workers_run
-        and _workers_run[0] is fn
-        and _workers_run[1] is state
-        and len(_workers) == CORES - 1
-        and all(w.process.is_alive() for w in _workers)
-    ):
+def _ignore_interrupt() -> None:
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles an interrupt
+
+
+def _run_slice(items: Sequence) -> list:
+    """``fn(state, items)`` for the run's (fn, state), in the caller or
+    in a worker that inherited them."""
+    fn, state = _run
+    return fn(state, items)
+
+
+def _intact(workers: ProcessPoolExecutor) -> bool:
+    """Whether every worker is alive: the executor breaks when one dies
+    and refuses the next run.  It has no public test of either."""
+    return not workers._broken and all(p.is_alive() for p in workers._processes.values())
+
+
+def _forked(fn: Callable, state: object) -> ProcessPoolExecutor:
+    """The workers for (fn, state), forked anew unless the live ones
+    were forked with the same two objects and are intact."""
+    global _workers, _run
+    if _workers is not None and _run[0] is fn and _run[1] is state and _intact(_workers):
         return _workers
     shutdown_workers()
-    for _ in range(CORES - 1):
-        _workers.append(_Worker(fn, state, _workers))
-    _workers_run = (fn, state)
+    _run = (fn, state)
+    _workers = ProcessPoolExecutor(
+        CORES - 1, mp_context=multiprocessing.get_context("fork"), initializer=_ignore_interrupt
+    )
     return _workers
 
 
 def shutdown_workers() -> None:
     """Stop the worker processes; the next split run forks new ones."""
-    global _workers_run
-    _workers_run = ()
-    for worker in _workers:
-        worker.conn.close()  # the worker reads the end of its pipe and exits
-    for worker in _workers:
-        worker.process.join(timeout=5)
-        if worker.process.is_alive():  # still busy on a slice nobody will read
-            worker.process.terminate()
-            worker.process.join()
-    _workers.clear()
-
-
-atexit.register(shutdown_workers)
-
-
-def _collect(workers: list[_Worker]) -> list:
-    """Each worker's answer to the slice it was sent, in order; raises
-    the first failure once every worker has answered."""
-    replies = []
-    try:
-        for worker in workers:
-            replies.append(worker.conn.recv())
-    except BaseException:  # a worker died, or the caller was interrupted
-        shutdown_workers()  # so no later run reads a stale answer
-        raise
-    for ok, value in replies:
-        if not ok:
-            raise value
-    return [value for _, value in replies]
+    global _workers, _run
+    if _workers is not None:
+        _workers.shutdown()
+    _workers, _run = None, ()
 
 
 def map_forked(
@@ -208,9 +184,8 @@ def map_forked(
     """(``first()``, ``fn(state, items)``), ``fn`` run over consecutive
     slices of ``items`` and the lists it returns concatenated in order.
 
-    All slices but the first go to the worker processes, sent before
-    the caller runs ``first()`` (its own work, such as a libsodium run)
-    and then the first slice, so no core waits.  The workers are forked
+    All slices but the first go to the worker processes, and the caller
+    runs ``first()`` and then the first slice.  The workers are forked
     with ``fn`` and ``state`` and serve later runs that bring the same
     two objects; another ``state`` forks them again.  ``fn`` must run
     Python arithmetic only and, called on all of ``items`` at once, give
@@ -225,20 +200,6 @@ def map_forked(
     if slices <= 1 or not _workers_lock.acquire(blocking=False):
         return first(), fn(state, items)
     try:
-        workers = _forked(fn, state)
-        cuts = [len(items) * i // slices for i in range(slices + 1)]
-        sent = []
-        try:
-            for worker, a, b in zip(workers, cuts[1:-1], cuts[2:]):
-                worker.conn.send(items[a:b])
-                sent.append(worker)
-            head = first()
-            out = fn(state, items[: cuts[1]])
-        finally:
-            # wait for every slice, even when the caller's own work raised
-            rest = _collect(sent)
-        for part in rest:
-            out += part
-        return head, out
+        return _split(_forked(fn, state), _run_slice, items, slices, first)
     finally:
         _workers_lock.release()

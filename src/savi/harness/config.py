@@ -139,9 +139,10 @@ def _reject_unknown_keys(raw: dict[Any, Any], cls: type, what: str) -> None:
 
 
 def desk_preset(**overrides: Any) -> SimulationConfig:
-    """Defaults sized for a desk: one mock round's stages take 4.5-5.5 s
-    on one core of a shared 2-vCPU VM, nearly all of it proof generation
-    and verification.  M is derived (2^13: b_max = 56)."""
+    """Defaults sized for a desk: one mock round's stages take 0.5-0.8 s
+    on a shared 2-vCPU VM, on one core or two, most of it proof
+    generation (0.3-0.5 s) and verification (0.14-0.26 s).  M is derived
+    (2^13: b_max = 56)."""
     return replace(SimulationConfig(), **overrides) if overrides else SimulationConfig()
 
 

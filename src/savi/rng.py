@@ -34,9 +34,6 @@ class DeterministicRng:
         self._counter += 1
         return block.digest(n)
 
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
     def scalar(self) -> int:
         """Near-uniform scalar via wide reduction of 64 bytes."""
         return int.from_bytes(self.take(64), "little") % GROUP_ORDER

@@ -88,10 +88,6 @@ class SampleMatrix:
     def d(self) -> int:
         return int(self.rows.shape[1])
 
-    @property
-    def num_projections(self) -> int:
-        return self.k
-
     def gaussian_rows(self) -> np.ndarray:
         """Regenerate the unrounded rows (tests compare against these)."""
         return _gaussian_rows(self.seed, self.k, self.d, self.M)

@@ -3,7 +3,6 @@ from .integrity import (
     IntegrityProof,
     gen_integrity_proof,
     ver_integrity_proof,
-    ver_integrity_proofs,
     ver_integrity_set,
 )
 from .rangeproof import RangeProof, gen_range_proof, range_terms, ver_range_proof
@@ -34,7 +33,6 @@ __all__ = [
     "range_terms",
     "ver_crt",
     "ver_integrity_proof",
-    "ver_integrity_proofs",
     "ver_integrity_set",
     "ver_prf_sq",
     "ver_prf_wf",

@@ -351,26 +351,13 @@ def ver_integrity_proof(
 ) -> tuple[bool, str | None]:
     """Check one client's proof; returns (verdict, failed-check label).
 
-    A batch of one for ``ver_integrity_proofs``, which documents the
+    A batch of one for ``ver_integrity_set``, which documents the
     labels; honest proofs return (True, None).
     """
-    reason = ver_integrity_proofs(
+    reason = ver_integrity_set(
         params, gens, matrix, h, {client_id: (z, y, proof)}, round_no, rng
-    )[client_id]
+    )[0][client_id]
     return reason is None, reason
-
-
-def ver_integrity_proofs(
-    params: "CheckParameters",
-    gens: GeneratorSet,
-    matrix: "SampleMatrix",
-    h: Sequence[Point],
-    proofs: Mapping[int, tuple[Point, Sequence[Point], IntegrityProof]],
-    round_no: int,
-    rng: Rng,
-) -> dict[int, str | None]:
-    """Check the proofs of a round: the verdicts of ``ver_integrity_set``."""
-    return ver_integrity_set(params, gens, matrix, h, proofs, round_no, rng)[0]
 
 
 def ver_integrity_set(

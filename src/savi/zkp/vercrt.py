@@ -30,7 +30,7 @@ class ExponentMatrix(Protocol):
     """What ver_crt needs from a matrix: k+1 rows combinable mod p."""
 
     @property
-    def num_projections(self) -> int:
+    def k(self) -> int:
         """k; the matrix has k+1 rows (one uniform row plus k sampled)."""
         ...
 
@@ -41,7 +41,7 @@ class ExponentMatrix(Protocol):
 
 def crt_weights(matrix: ExponentMatrix, rng: Rng) -> tuple[list[int], list[int]]:
     """k+1 nonzero weights b drawn from ``rng``, and their combination b·A."""
-    weights = [rng.nonzero_scalar() for _ in range(matrix.num_projections + 1)]
+    weights = [rng.nonzero_scalar() for _ in range(matrix.k + 1)]
     return weights, matrix.weighted_combination(weights)
 
 

@@ -16,7 +16,7 @@ from savi.zkp import (
     Transcript,
     gen_integrity_proof,
     ver_integrity_proof,
-    ver_integrity_proofs,
+    ver_integrity_set,
     ver_range_proof,
 )
 from savi.zkp import integrity
@@ -225,7 +225,7 @@ def test_one_weight_vector_per_round(monkeypatch):
         return combine(matrix, weights)
 
     monkeypatch.setattr(SampleMatrix, "weighted_combination", spy)
-    verdicts = ver_integrity_proofs(params, gens, matrix, h, proofs, 1, DeterministicRng(b"v"))
+    verdicts = ver_integrity_set(params, gens, matrix, h, proofs, 1, DeterministicRng(b"v"))[0]
     assert verdicts == {1: None, 2: "consistency", 3: None, 4: None, 5: "consistency"}
     assert calls == [params.k + 1]
 

@@ -7,11 +7,14 @@ import dataclasses
 import importlib
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -71,19 +74,28 @@ def worker_slices(monkeypatch):
     """For each run split over worker processes, the number of items
     each worker answered."""
     runs = []
-    collect = pool._collect
+    split = pool._split
 
-    def recorded(workers):
-        answers = collect(workers)
-        runs.append([len(answer) for answer in answers])
-        return answers
+    def recorded(executor, fn, items, slices, first):
+        if not isinstance(executor, ProcessPoolExecutor):
+            return split(executor, fn, items, slices, first)
+        futures = []
 
-    monkeypatch.setattr(pool, "_collect", recorded)
+        def submit(fn, part):  # the process pool's, keeping each slice's future
+            futures.append(executor.submit(fn, part))
+            return futures[-1]
+
+        out = split(SimpleNamespace(submit=submit), fn, items, slices, first)
+        runs.append([len(future.result()) for future in futures])
+        return out
+
+    monkeypatch.setattr(pool, "_split", recorded)
     return runs
 
 
 def _workers_alive():
-    return [p for p in multiprocessing.active_children() if p.name == "savi-worker"]
+    # the pool's worker processes are this process's only children
+    return multiprocessing.active_children()
 
 
 def _terms(backend, size, label):
@@ -281,6 +293,26 @@ def test_a_failing_slice_raises_in_the_caller(three_cores):
     assert pool.map_chunks(fail_on(-1), items, backend) == [x * 2 for x in items]
 
 
+def test_a_failing_slice_raises_once_every_slice_has_finished(three_cores):
+    # the second slice fails at once while the third still runs: the
+    # caller sees the failure only after the third has finished
+    backend = make_backend("ristretto255")
+    items = list(range(3 * pool.MIN_CHUNK))
+    finished = []
+
+    def fn(part):
+        if part[0] == pool.MIN_CHUNK:
+            raise ValueError("second slice")
+        if part[0] == 2 * pool.MIN_CHUNK:
+            time.sleep(0.3)
+        finished.append(part[0])
+        return part
+
+    with pytest.raises(ValueError, match="second slice"):
+        pool.map_chunks(fn, items, backend)
+    assert sorted(finished) == [0, 2 * pool.MIN_CHUNK]
+
+
 def test_counter_counts_every_thread_exactly():
     backend = make_backend("mock")
     p = backend.base()
@@ -386,6 +418,25 @@ def test_a_failing_worker_raises_in_the_caller(three_cores, monkeypatch):
         compute_h(dataclasses.replace(matrix, rows=bad_rows), gens)
     assert len(_workers_alive()) == pool.CORES - 1
     split_h = compute_h(matrix, gens)
+    monkeypatch.setattr(pool, "CORES", 1)
+    assert compute_h(matrix, gens) == split_h
+
+
+def test_a_dead_worker_is_replaced(three_cores, monkeypatch):
+    # a worker killed between two runs is replaced, and the next h is
+    # the one-core h
+    gens = GeneratorSet.derive(make_backend("mock"), 256, 1)
+    matrix = _h_matrix(256, 6, b"pool-dead-worker")
+    compute_h(matrix, gens)
+    victim = _workers_alive()[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    deadline = time.monotonic() + 5
+    while victim.is_alive() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not victim.is_alive()
+    split_h = compute_h(matrix, gens)
+    alive = {p.pid for p in _workers_alive()}
+    assert len(alive) == pool.CORES - 1 and victim.pid not in alive
     monkeypatch.setattr(pool, "CORES", 1)
     assert compute_h(matrix, gens) == split_h
 

@@ -17,7 +17,7 @@ from savi.protocol.pairwise import seal_share
 from savi.serial import U32, Message, decode, encode
 from savi.vsss import CheckString, Share
 from savi.rng import DeterministicRng
-from savi.zkp import IntegrityProof, Transcript, gen_prf_sq, gen_prf_wf, ver_integrity_proofs
+from savi.zkp import IntegrityProof, Transcript, gen_prf_sq, gen_prf_wf, ver_integrity_set
 from savi.zkp.sigma import Link
 
 
@@ -177,10 +177,10 @@ def _proof_verdict(backend_name, proof):
     sim, messages = _first_round(backend_name)
     sender = next(sender for kind, sender, _ in messages if kind == MSG_PROOF)
     server, bundle = sim.server, sim.server.bundles[sender]
-    verdicts = ver_integrity_proofs(
+    verdicts = ver_integrity_set(
         server.params, server.gens, server.matrix, server.h,
         {sender: (bundle.z, bundle.y, proof)}, 1, DeterministicRng(b"mutated-proof"),
-    )
+    )[0]
     return verdicts[sender]
 
 

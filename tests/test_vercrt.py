@@ -63,13 +63,13 @@ def test_wrong_claim_count_rejected():
 
 
 def test_duck_typed_matrix():
-    # anything exposing num_projections + weighted_combination works
+    # anything exposing k + weighted_combination works
     d = 5
     gens = GeneratorSet.derive(backend, d, 4)
     rows = [[1, 2, 3, 4, 5], [7, 0, 0, 0, 1], [0, 0, 9, 0, 0]]
 
     class Plain:
-        num_projections = len(rows) - 1
+        k = len(rows) - 1
 
         def weighted_combination(self, weights):
             return [
