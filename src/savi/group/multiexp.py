@@ -48,13 +48,9 @@ _MINUS_ONE = GROUP_ORDER - 1
 
 
 def sum_points(points: Sequence[Point], backend: GroupBackend | None = None) -> Point:
-    """Sum of a sequence of points (identity if empty): ``multiexps`` of
-    one row whose scalars are all 1."""
-    if backend is None:
-        if not points:
-            raise ValueError("sum_points of empty sequence needs an explicit backend")
-        backend = points[0].backend
-    return multiexps([[(p, 1) for p in points]], backend)[0]
+    """Sum of a sequence of points (identity if empty): ``multiexp``
+    with every scalar 1."""
+    return multiexp(points, [1] * len(points), backend)
 
 
 def multiexp(

@@ -78,11 +78,15 @@ attribute rejections.  The two sigma proofs are checked exactly, one
 client at a time, but for the link.  The rest of a round's proofs is
 verified in batches.  The link identity and the slack range proof of
 every client (``range_terms``) are checked as one weighted multiexp
-over the shared G_j and range generators, which is bisected on failure
-to name the cheaters: a client whose z lies outside [-T, T] or whose
-link identity fails gets "range_ip", one whose slack identity fails
-"range_sum".  e_star is checked once for the whole set, not once per
-client, as follows.
+over the shared G_j and range generators.  A batch that fails is
+bisected (``_failing``): each half is checked, down to the clients that
+fail alone, so a set of n clients costs at most 2n - 1 checks.  A
+client whose z lies outside [-T, T] gets "range_ip" before the batch.
+One that fails alone gets "range_ip" if its link identity fails alone,
+and "range_sum" if not, with no check of its slack identity alone: a
+weighted sum of two identities that both hold always holds, so when
+the pair fails and the link holds, the slack fails.  e_star is checked
+once for the whole set, not once per client, as follows.
 
 Consistency per set.  Client i's e_star is consistent when
 e_{i,t} = sum_l A_{t,l} y_{i,l} for every row t.  Let E_t and Y_l be the
@@ -93,11 +97,11 @@ that much per client.  This is the small-exponent batch test of
 Bellare, Garay and Rabin (EUROCRYPT 1998).
 
   * Which set.  The test runs on the well-shaped proofs, after
-    "malformed" and before "wellformed".  If it fails, it is bisected as
-    the range batch is, and a client that fails alone is named
-    "consistency".  The halves that pass need no further check, because
-    the test is linear: their union passes too.  If a later check drops
-    anyone, the sums of the final set are the first sums minus the
+    "malformed" and before "wellformed".  If it fails, it is bisected by
+    the same routine as the range batch, and a client that fails alone
+    is named "consistency".  The halves that pass need no further check,
+    because the test is linear: their union passes too.  If a later check
+    drops anyone, the sums of the final set are the first sums minus the
     dropped clients' columns, and that set is checked once more, bisected
     in the same way.  So the test always covers exactly the accepted
     set, whose Y the server then unblinds.
@@ -125,7 +129,7 @@ Bellare, Garay and Rabin (EUROCRYPT 1998).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -389,12 +393,16 @@ def ver_integrity_set(
     sigma proofs, which are exact but for the link, and the z window, per
     client in client-id order; and the link and slack identities of every
     client that passes them, as one weighted multiexp, bisected on
-    failure down to single clients, each named by its first failing
-    identity.  If the last two drop anyone, the accepted set's
-    consistency is checked again.
+    failure down to single clients (``_failing``).  A client that fails
+    alone is named "range_ip" if its link fails alone, else "range_sum":
+    the slack needs no check of its own, since two identities that both
+    hold cannot fail together.  If the last two drop anyone, the
+    accepted set's consistency is checked again, bisected in the same
+    way.
     """
     weights = rng.child(f"verify/{round_no}")
     crt = crt_weights(matrix, weights)
+    d = params.d
     verdicts: dict[int, str | None] = {}
     columns: dict[int, tuple[Point, ...]] = {}  # y then e_star: what the set check sums
     for client_id in sorted(proofs):
@@ -403,9 +411,19 @@ def ver_integrity_set(
             columns[client_id] = (*y, *proof.e_star)
         else:
             verdicts[client_id] = "malformed"
+
+    def consistent(part: list[int], whole: list[int], whole_sums: Sequence[Point]) -> bool:
+        # the whole set's sums are at hand; a part of it sums its own
+        if part == whole:
+            at = whole_sums
+        else:
+            at = aggregate_commitments([columns[i] for i in part], gens)
+        return ver_crt(at[:d], at[d:], *crt)
+
     ids = sorted(columns)
     sums = aggregate_commitments([columns[i] for i in ids], gens)
-    _bisect_consistency(params.d, gens, ids, sums, columns, crt, verdicts)
+    for client_id in _failing(ids, lambda part: consistent(part, ids, sums)):
+        verdicts[client_id] = "consistency"
 
     batch: dict[int, tuple[Identity, Identity]] = {}
     for client_id in ids:
@@ -420,19 +438,26 @@ def ver_integrity_set(
         else:
             verdicts[client_id] = None
             batch[client_id] = checked
-    _bisect(gens, sorted(batch), batch, weights, verdicts)
+
+    def identities_hold(part: list[int]) -> bool:
+        return ver_range_proof(gens, [terms for i in part for terms in batch[i]], weights)
+
+    for client_id in _failing(sorted(batch), identities_hold):
+        verdicts[client_id] = _identity_failure(gens, batch[client_id][0], weights)
 
     accepted = [i for i in ids if verdicts[i] is None]
     if not accepted:
-        return verdicts, [gens.backend.identity()] * params.d
+        return verdicts, [gens.backend.identity()] * d
     dropped = [i for i in ids if verdicts[i] is not None]
     if dropped:
         sums = aggregate_commitments([sums], gens, [columns[i] for i in dropped])
     if any(verdicts[i] != "consistency" for i in dropped):
-        named = _bisect_consistency(params.d, gens, accepted, sums, columns, crt, verdicts)
+        named = _failing(accepted, lambda part: consistent(part, accepted, sums))
+        for client_id in named:
+            verdicts[client_id] = "consistency"
         if named:
             sums = aggregate_commitments([sums], gens, [columns[i] for i in named])
-    return verdicts, sums[: params.d]
+    return verdicts, sums[:d]
 
 
 def _well_shaped(
@@ -448,35 +473,6 @@ def _well_shaped(
         and len(h) == k + 1
         and len(y) == params.d
     )
-
-
-def _bisect_consistency(
-    d: int,
-    gens: GeneratorSet,
-    ids: list[int],
-    sums: Sequence[Point],
-    columns: Mapping[int, Sequence[Point]],
-    crt: tuple[list[int], list[int]],
-    verdicts: dict[int, str | None],
-) -> list[int]:
-    """Name "consistency" the clients in ``ids`` whose e_star fails,
-    given the column sums of their y and e_star: check them together,
-    and on failure recheck each half, down to one client.  Returns the
-    clients it names."""
-    if not ids or ver_crt(sums[:d], sums[d:], *crt):
-        return []
-    if len(ids) == 1:
-        verdicts[ids[0]] = "consistency"
-        return ids
-    half = len(ids) // 2
-    return [
-        i
-        for part in (ids[:half], ids[half:])
-        for i in _bisect_consistency(
-            d, gens, part, aggregate_commitments([columns[j] for j in part], gens), columns, crt,
-            verdicts,
-        )
-    ]
 
 
 def _cheap_checks(
@@ -503,29 +499,24 @@ def _cheap_checks(
 
     mu = range_terms(gens, params.b_max, [_slack(params, gens, proof.o_prime)], proof.mu, tr)
     if mu is None:
-        # a bad link is still the first failure
-        return "range_sum" if ver_range_proof(gens, [small], weights) else "range_ip"
+        return _identity_failure(gens, small, weights)
     return small, mu
 
 
-def _bisect(
-    gens: GeneratorSet,
-    ids: list[int],
-    batch: Mapping[int, tuple[Identity, Identity]],
-    weights: Rng,
-    verdicts: dict[int, str | None],
-) -> None:
-    """Name the clients in ``ids`` whose batched identities fail: check
-    them together, and on failure recheck each half, down to one client."""
-    if ver_range_proof(gens, [terms for i in ids for terms in batch[i]], weights):
-        return
-    if len(ids) > 1:
-        half = len(ids) // 2
-        _bisect(gens, ids[:half], batch, weights, verdicts)
-        _bisect(gens, ids[half:], batch, weights, verdicts)
-        return
-    small, mu = batch[ids[0]]
-    if not ver_range_proof(gens, [small], weights):
-        verdicts[ids[0]] = "range_ip"
-    elif not ver_range_proof(gens, [mu], weights):
-        verdicts[ids[0]] = "range_sum"
+def _identity_failure(gens: GeneratorSet, small: Identity, weights: Rng) -> str:
+    """The label of a client whose link or slack identity fails:
+    "range_ip" if its link fails alone, else "range_sum"."""
+    return "range_sum" if ver_range_proof(gens, [small], weights) else "range_ip"
+
+
+def _failing(ids: list[int], holds: Callable[[list[int]], bool]) -> list[int]:
+    """The clients in ``ids`` that fail ``holds`` alone: check them
+    together and, on failure, each half, down to single clients.  A set
+    that holds is not split, so ``holds`` runs on at most 2 len(ids) - 1
+    sets."""
+    if not ids or holds(ids):
+        return []
+    if len(ids) == 1:
+        return ids
+    half = len(ids) // 2
+    return _failing(ids[:half], holds) + _failing(ids[half:], holds)

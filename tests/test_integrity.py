@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from savi.commit import commit_update
 from savi.group import GROUP_ORDER, GeneratorSet, make_backend
@@ -613,3 +615,34 @@ def test_zero_knowledge_blinds_are_live():
         other_y, other_z = prove(changed, 7)
         assert other_y != y_commit
         assert [b - a for a, b in zip(z, other_z)] == [int(i == j) for i in range(LAMBDA)]
+
+
+def _linear_holds(errors, calls):
+    """A set holds when its clients' errors sum to 0, as a batch of
+    linear checks does; ``calls`` records each set checked."""
+    def holds(part):
+        calls.append(part)
+        return sum(errors[i] for i in part) == 0
+    return holds
+
+
+@given(st.lists(st.integers(min_value=0, max_value=3), max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_failing_names_exactly_the_clients_that_fail_alone(errors):
+    # errors of one sign cannot cancel, so a set fails exactly when it
+    # holds a failing client, and bisection finds each of them
+    ids = [i + 1 for i in range(len(errors))]
+    by_id = dict(zip(ids, errors))
+    calls = []
+    assert integrity._failing(ids, _linear_holds(by_id, calls)) == [
+        i for i in ids if by_id[i]
+    ]
+    # the tree of at most 2n - 1 sets behind "at most 4n subsets a round"
+    assert len(calls) <= max(2 * len(ids) - 1, 0)
+
+
+def test_failing_names_nobody_when_the_errors_cancel():
+    calls = []
+    holds = _linear_holds({1: 2, 2: 0, 3: -5, 4: 3, 5: 0}, calls)
+    assert integrity._failing([1, 2, 3, 4, 5], holds) == []
+    assert calls == [[1, 2, 3, 4, 5]]

@@ -613,6 +613,41 @@ def test_batch_names_exactly_the_range_proof_cheaters(cheaters):
     assert server.malicious == {i: f"proof_{r}" for i, r in expected.items()}
 
 
+def test_range_sum_leaf_checks_the_link_alone(monkeypatch):
+    # a failing leaf whose link holds is named "range_sum" with no check
+    # of the slack alone: the pair failed, so the slack must.  Checking
+    # it as well cost this round one more call (7) and 146 muls (2,059)
+    params = _params(n=5, m=2)
+    server, clients = _network(params, seed=b"batch")
+    updates = _small_updates(params, seed=5)
+    server.begin_round(1)
+    bundles = {i: c.commit_round(1, updates[i]) for i, c in clients.items()}
+    server.receive_bundles(bundles)
+    server.resolve_flags({
+        i: c.verify_shares({j: b for j, b in bundles.items() if j != i})
+        for i, c in clients.items()
+    })
+    nonce, h = server.proof_round()
+    proofs = {i: c.proof_round(nonce, h) for i, c in clients.items()}
+    cheat, reason = _RANGE_CHEATS[1]
+    proofs[2] = cheat(proofs[2])
+    calls = []
+    checked = integrity.ver_range_proof
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return checked(*args)
+
+    monkeypatch.setattr(integrity, "ver_range_proof", counted)
+    before = mock.counter.mul
+    assert server.receive_proofs(proofs) == [1, 3, 4, 5]
+    assert server.malicious == {2: f"proof_{reason}"}
+    # two identities a client: the batch, [1, 2], [1], [2], [3, 4, 5],
+    # then client 2's link alone
+    assert calls == [10, 4, 2, 2, 6, 1]
+    assert mock.counter.mul - before == 1913
+
+
 # -- consistency of the accepted set -------------------------------------------------
 
 
