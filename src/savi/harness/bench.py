@@ -34,9 +34,24 @@ class CostRow:
     d: int
     k: int
     ops: dict[str, dict[str, int]]  # stage -> {mul, add, from_hash}
+    # tries of the proof of smallness in "client_proof", each LAMBDA + 1
+    # muls whatever the shape: the count varies with the seed
+    tries: int
 
     def stage_total(self, stage: str) -> int:
         return sum(self.ops[stage].values())
+
+
+class _MaskCounter(DeterministicRng):
+    """The probe's rng: it counts ``below`` draws, LAMBDA a try of the
+    proof of smallness (its masks), and nothing else the probe runs draws
+    with it."""
+
+    draws = 0
+
+    def below(self, n: int) -> int:
+        self.draws += 1
+        return super().below(n)
 
 
 def probe_costs(d: int, k: int, backend_name: str = "mock", seed: int = 7) -> CostRow:
@@ -60,11 +75,13 @@ def probe_costs(d: int, k: int, backend_name: str = "mock", seed: int = 7) -> Co
     A client checks the server's h (``ver_crt``) before it proves; that
     check is its own row, "client_check_h", since it costs one mul and
     one addition per coordinate whatever the proof costs, so
-    "client_proof" is the proof alone."""
+    "client_proof" is the proof alone.  Its proof of smallness takes a
+    number of tries that varies with the seed, which ``CostRow.tries``
+    reports."""
     params = deployment_preset(n=2, m=0, d=d, k=k).check_parameters()
     backend = make_backend(backend_name)
     gens = GeneratorSet.derive(backend, d, params.range_slots)
-    rng = DeterministicRng(seed).child("bench")
+    rng = _MaskCounter(seed).child("bench")
     meter = _StageMeter(backend)
 
     u = [0] * d
@@ -88,7 +105,10 @@ def probe_costs(d: int, k: int, backend_name: str = "mock", seed: int = 7) -> Co
     )
     if not ok:
         raise AssertionError(f"bench probe proof rejected: {reason}")
-    return CostRow(d=d, k=k, ops=meter.ops)
+    tries, rest = divmod(rng.draws, LAMBDA)
+    if rest:
+        raise AssertionError(f"{rng.draws} mask draws are not whole tries")
+    return CostRow(d=d, k=k, ops=meter.ops, tries=tries)
 
 
 @dataclass(frozen=True)

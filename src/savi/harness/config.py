@@ -142,15 +142,15 @@ def desk_preset(**overrides: Any) -> SimulationConfig:
     """Defaults sized for a desk: one mock round's stages take 0.5-0.8 s
     on a shared 2-vCPU VM, on one core or two, most of it proof
     generation (0.3-0.5 s) and verification (0.14-0.26 s).  M is derived
-    (2^13: b_max = 56)."""
+    (2^10: b_max = 48)."""
     return replace(SimulationConfig(), **overrides) if overrides else SimulationConfig()
 
 
 def deployment_preset(**overrides: Any) -> SimulationConfig:
     """Deployment-scale parameters; expect long runtimes on one core.
 
-    M is derived from its rounding slack, as in every preset: 2^16 here,
-    so b_max = 64."""
+    M is derived from its rounding slack, as in every preset: 2^10 here,
+    so b_max = 48."""
     base = SimulationConfig(
         n=100,
         m=1,

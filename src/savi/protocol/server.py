@@ -64,6 +64,8 @@ class Server:
         self.rng = rng
         self.client_pks: dict[int, Point] = {}
         self.round_no = 0
+        # baby steps for n clients' updates, built by the first aggregate
+        self._dlog_table: Optional[BabyStepTable] = None
         self._reset_round_state()
 
     def _reset_round_state(self) -> None:
@@ -244,8 +246,10 @@ class Server:
         Coordinates come back through a bounded discrete log whose bound
         allows |H| full-width updates: each coordinate is below
         2^(b_coord-1) in magnitude, as ``Client.commit_round`` enforces.
-        One table of about sqrt(2*bound) baby steps serves every
-        coordinate, and each search starts at 0.  Giant steps stay few
+        One table of about sqrt(2*bound) baby steps, for the bound of all
+        n clients, serves every coordinate of every round: the first
+        aggregate builds it.  Each search starts at 0 and covers this
+        round's bound only.  Giant steps stay few
         because every accepted update passed the norm check, so its L2
         norm is about ``b_enc`` at most: the |e_l| of the aggregate sum
         to at most |H| * sqrt(d) * b_enc, and the d solves together take
@@ -275,8 +279,10 @@ class Server:
             )
         blind = ss_recover(valid, p.threshold)
 
-        bound = len(self.honest) * ((1 << (p.b_coord - 1)) - 1)
-        table = BabyStepTable.for_bound(self.gens.g, bound)
+        coord_bound = (1 << (p.b_coord - 1)) - 1
+        if self._dlog_table is None:
+            self._dlog_table = BabyStepTable.for_bound(self.gens.g, p.n * coord_bound)
+        bound = len(self.honest) * coord_bound
         targets = multiexps(
             [[(y_l, 1), (w_l, -blind)] for y_l, w_l in zip(self.y_sum, self.gens.w)],
             self.gens.backend,
@@ -284,7 +290,7 @@ class Server:
         out = []
         for l, target in enumerate(targets):
             try:
-                out.append(dlog_bounded(target, self.gens.g, bound, table=table))
+                out.append(dlog_bounded(target, self.gens.g, bound, table=self._dlog_table))
             except DlogNotFoundError:
                 raise DlogOutOfRangeError(l) from None
         return out

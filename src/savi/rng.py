@@ -52,8 +52,9 @@ class DeterministicRng:
         return int.from_bytes(self.take(nbytes), "little") % n
 
     def child(self, label: str) -> "DeterministicRng":
-        """Independent stream derived from this seed and a label."""
-        return DeterministicRng(self._seed + b"|child|" + label.encode())
+        """Independent stream derived from this seed and a label, of the
+        same class."""
+        return type(self)(self._seed + b"|child|" + label.encode())
 
 
 # The rng type the protocol objects take.

@@ -7,6 +7,42 @@ seed, or the numerics that justify the threshold: the chi-square
 quantile gamma_{k,eps}, the rounding-slack-adjusted bound B0, an upper
 bound F on an attacker's pass rate, and the worst-case expected damage
 that F allows.
+
+The rounding term.  The rows are A = M G + E: G has independent N(0, 1)
+entries, and E is the rounding error.  Each entry of M G is rounded on
+its own, half away from zero, so each eps_tl lies in [-1/2, 1/2].  That
+rounding is odd (round(-y) = -round(y)) and G's entries are symmetric
+about 0, so each eps_tl is symmetric about 0 and has mean 0, and the
+eps_tl are independent.  The update u is fixed before A is drawn: A
+comes from the round's nonce, which the server picks after the
+commitments.  So each entry (E u)_t = sum_l eps_tl u_l is a sum of
+independent mean-zero terms, the l-th in an interval of width |u_l|, and
+is sub-Gaussian with variance proxy ||u||^2 / 4 (Hoeffding's lemma).
+The tail inequality for quadratic forms of sub-Gaussian vectors of Hsu,
+Kakade and Zhang (2012), applied to ||E u||^2 = ||(I_k (x) u^T) vec E||^2,
+then gives
+
+    ||E u||^2 <= (||u||^2 / 4) (k + 2 sqrt(k x) + 2 x)
+
+except with probability e^-x, whatever d is.  Here x = 128 ln 2, so
+e^-x = 2^-128, and rho(k) = sqrt(k + 2 sqrt(k x) + 2 x).  The worst case
+||E u|| <= ||E||_F ||u|| <= sqrt(kd) ||u|| / 2 always holds, and
+``rounding_norm`` takes the smaller of sqrt(kd) and rho(k): the worst case
+at tiny shapes (d < 30 at k = 8), rho(k) elsewhere.  The rounding term is
+rounding_norm(k, d) / (2M).
+
+Both directions use the bound through the triangle inequality,
+| ||A u|| - M ||G u|| | <= ||E u||, as they did with the worst case:
+
+  * completeness: an honest u with ||u|| <= b_enc has
+    ||G u||^2 <= gamma ||u||^2 except with probability eps, so
+    ||A u|| <= b_enc M (sqrt(gamma) + rounding_norm / (2M)), whose square
+    is B0 (``compute_b0``), except with probability eps + 2^-128;
+  * soundness: an update of norm c b_enc passes only if
+    M ||G u|| <= sqrt(B0) + ||E u||, that is, with r the rounding term,
+    ||G u|| / ||u|| <= (sqrt(gamma) + (1 + c) r) / c.  F (``pass_rate_F``)
+    is the chi-square CDF there, with 3 r for (1 + c) r (so for c <= 2),
+    plus 2^-128.
 """
 
 from __future__ import annotations
@@ -34,6 +70,10 @@ _NUM_LIMBS = 16  # 16 x 16 = 256 bits, covers any scalar
 _MAX_ABS_Z = 8.572
 # A derived M keeps the rounding term within this fraction of sqrt(gamma).
 _ROUNDING_SLACK = 2.0**-10
+# The rounding bound rho(k) fails with probability e^-x = 2^-_TAIL_LOG2
+# (see the module docstring); that probability is added to eps and to F.
+_TAIL_LOG2 = 128
+_TAIL = 2.0**-_TAIL_LOG2
 
 
 def derive_seed(s: bytes, pks: Sequence[Union[Point, bytes]]) -> bytes:
@@ -175,16 +215,25 @@ def encoded_bound(B: float, frac_bits: int, d: int) -> int:
     return math.ceil(B * (1 << frac_bits) + math.sqrt(d) / 2.0)
 
 
+def rounding_norm(k: int, d: int) -> float:
+    """min(sqrt(kd), rho(k)): 2 ||E u|| / ||u|| is at most this, except with
+    probability 2^-128 when rho(k) is the smaller (see the module
+    docstring).  The rounding term is rounding_norm(k, d) / (2M)."""
+    x = _TAIL_LOG2 * math.log(2)
+    return min(math.sqrt(k * d), math.sqrt(k + 2 * math.sqrt(k * x) + 2 * x))
+
+
 def rounding_scale(k: int, d: int, gamma: float) -> int:
-    """The smallest power of two M whose rounding term sqrt(kd)/(2M), in
-    ``compute_b0`` and ``pass_rate_F``, is at most 2^-10 of sqrt(gamma).
+    """The smallest power of two M whose rounding term
+    rounding_norm(k, d)/(2M), in ``compute_b0`` and ``pass_rate_F``, is at
+    most 2^-10 of sqrt(gamma).
 
     M buys only that precision, yet it also sets the projections' size
     (v_t ~ M |u|), and with it the range widths and the digits of the
     server's h.
     """
     M = 1
-    while math.sqrt(k * d) / (2.0 * M) > _ROUNDING_SLACK * math.sqrt(gamma):
+    while rounding_norm(k, d) / (2.0 * M) > _ROUNDING_SLACK * math.sqrt(gamma):
         M <<= 1
     return M
 
@@ -193,28 +242,35 @@ def compute_b0(b_enc: int, M: int, k: int, d: int, epsilon: float) -> int:
     """Integer threshold for the rounded check: sum_t <a_t,u>^2 <= B0.
 
     b_enc is the L2 bound already in integer (fixed-point encoded)
-    units.  The sqrt(kd)/(2M) term absorbs the worst-case rounding
-    drift of the matrix entries.
+    units.  The rounding_norm(k, d)/(2M) term absorbs the rounding drift
+    of the matrix entries, so an honest update fails with probability at
+    most epsilon + 2^-128 (module docstring).
     """
     gamma = chi_square_quantile(k, epsilon)
-    root = math.sqrt(gamma) + math.sqrt(k * d) / (2.0 * M)
+    root = math.sqrt(gamma) + rounding_norm(k, d) / (2.0 * M)
     return math.ceil(b_enc * b_enc * M * M * root * root)
+
+
+def _f_point(k: int, epsilon: float, d: int, M: int) -> float:
+    """c^2 times the chi-square point of F(c) (``pass_rate_F``)."""
+    gamma = chi_square_quantile(k, epsilon)
+    return (math.sqrt(gamma) + 3.0 * rounding_norm(k, d) / (2.0 * M)) ** 2
 
 
 def pass_rate_F(c: float, k: int, epsilon: float, d: int, M: int) -> float:
     """An upper bound on the probability that an update of norm c*B
     slips through the check.
 
-    F takes the rounding term 3 sqrt(kd)/(2M) on top of sqrt(gamma),
-    while B0 takes it once (``compute_b0``), so F is the chi-square CDF
-    at a larger point than the one B0 sets: at a derived M it reads
-    above the pass rate (0.607 against 0.581 at k=1000, d=64, c=1.3),
-    and at M = 2^24 the two agree to four digits."""
+    F takes the rounding term 3 rounding_norm(k, d)/(2M) on top of
+    sqrt(gamma), while B0 takes it once (``compute_b0``), so F is the
+    chi-square CDF at a larger point than the one B0 sets, plus the
+    2^-128 with which the rounding bound may fail (module docstring): at
+    a derived M it reads above the pass rate (0.594 against 0.576 from
+    B0's own point at k=1000, d=64, epsilon=2^-128, c=1.3, M = 2^10), and
+    at M = 2^24 the two agree to four digits."""
     if c <= 0:
         raise ValueError("norm ratio c must be positive")
-    gamma = chi_square_quantile(k, epsilon)
-    point = (math.sqrt(gamma) + 3.0 * math.sqrt(k * d) / (2.0 * M)) ** 2 / (c * c)
-    return float(stats.chi2.cdf(point, k))
+    return float(stats.chi2.cdf(_f_point(k, epsilon, d, M) / (c * c), k)) + _TAIL
 
 
 def max_expected_damage(
@@ -227,13 +283,13 @@ def max_expected_damage(
     (``pass_rate_F``); so the max bounds the damage from above.  The
     peak is unimodal but can be extremely narrow (F collapses within a
     few percent of c for large k), so a geometric grid brackets it
-    before a bounded Brent refinement.
+    before a bounded Brent refinement.  F's 2^-128 adds c 2^-128 to
+    c * F(c), which no float sees at any c the coordinate window allows.
     """
-    gamma = chi_square_quantile(k, epsilon)
-    point = (math.sqrt(gamma) + 3.0 * math.sqrt(k * d) / (2.0 * M)) ** 2
+    point = _f_point(k, epsilon, d, M)
 
     def neg_damage(c: float) -> float:
-        return -c * float(stats.chi2.cdf(point / (c * c), k))
+        return -c * (float(stats.chi2.cdf(point / (c * c), k)) + _TAIL)
 
     grid = np.geomspace(1.0 + 1e-9, 1e3, 4096)
     best = int(np.argmin([neg_damage(c) for c in grid]))
@@ -285,6 +341,9 @@ class CheckParameters:
 
     Left as None, the Gaussian scale M is derived first, by
     ``rounding_scale``: its rounding slack is at most 2^-10 of sqrt(gamma).
+    An honest update within B fails the check with probability at most
+    epsilon + 2^-128, the second term for the rounding bound (module
+    docstring).
 
     Left as None, b_max is derived from B0 by ``range_width``: the
     smallest width B0 needs (B0 < 2^b_max) whose odd part is at most 7,

@@ -165,9 +165,10 @@ MAX_TRIES = 64
 
 class BoundExceededError(Exception):
     """The projected squared norm exceeds B0 — an honest client's
-    update failed the probabilistic check (probability <= epsilon when
-    the norm is truly within B).  ``projections`` is the row_inner
-    vector the check computed, for a cheater that proves anyway."""
+    update failed the probabilistic check (probability <= epsilon +
+    2^-128 when the norm is truly within B, see ``sampling``).
+    ``projections`` is the row_inner vector the check computed, for a
+    cheater that proves anyway."""
 
     def __init__(self, total: int, b0: int, projections: list[int]) -> None:
         super().__init__(f"sum of squared projections {total} exceeds bound {b0}")

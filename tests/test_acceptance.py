@@ -147,19 +147,23 @@ def test_criterion_03_pass_rate_curve(k):
 
 @pytest.mark.parametrize("k", [256, 1000])
 def test_pass_rate_curve_at_derived_m(k):
-    # criterion 3's check at the M that CheckParameters derives (2^12 for
-    # both k), where the rounding term r = sqrt(kd)/(2M) is 0.62 and 0.77
+    # criterion 3's check at the M that CheckParameters derives (2^10 for
+    # both k), where the rounding term r = rho(k)/(2M), with
+    # rho(k) = sqrt(k + 2 sqrt(kx) + 2x) and x = 128 ln 2, is 0.52 and 0.51
     # of the most the rule allows, 2^-10 sqrt(gamma); criterion 3's
-    # M = 2^24 makes it under 2^-12 of that.  B0 counts r once, pass_rate_F
-    # three times, so F bounds the pass rate from above and the rate B0
-    # sets is the chi-square CDF at (sqrt(gamma) + r)^2 / c^2.  At k=1000,
-    # c=1.3 the two are 0.607 and 0.581, further apart than the 3 sigma
-    # of 1,000 trials, so F is checked only as a bound here.
+    # M = 2^24 makes it under 2^-12 of that.  (With r = sqrt(kd)/(2M), M
+    # was 2^12 and r 0.62 and 0.77 of the most.)  B0 counts r once,
+    # pass_rate_F three times, so F bounds the pass rate from above and
+    # the rate B0 sets is the chi-square CDF at (sqrt(gamma) + r)^2 / c^2.
+    # At k=1000, c=1.3 the two are 0.594 and 0.576 (0.607 and 0.581 at
+    # 2^12), further apart than the 3 sigma of 1,000 trials, so F is
+    # checked only as a bound here.
     d, eps = 64, 2.0**-128
     params = CheckParameters(n=1, m=0, d=d, k=k, epsilon=eps, B=1.0)
     M = params.M
-    assert M == 1 << 12
-    r = math.sqrt(k * d) / (2 * M)
+    assert M == 1 << 10
+    x = 128 * math.log(2)
+    r = math.sqrt(k + 2 * math.sqrt(k * x) + 2 * x) / (2 * M)
     b_enc = 1 << 20
     b0 = compute_b0(b_enc, M, k, d, eps)
     trials = 1000

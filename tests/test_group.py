@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import math
 
@@ -249,6 +250,19 @@ def test_dlog_bound_edges_and_table_size(backend, bound):
             dlog_bounded(e * g, g, bound, table=table)
 
 
+def test_dlog_table_for_a_wider_bound_searches_only_the_given_one(backend):
+    # a server keeps one table for n clients' updates and searches each
+    # round's own bound with it
+    g = backend.base()
+    bound = 1000
+    table = BabyStepTable.for_bound(g, 4 * bound)
+    for e in (-bound, -1, 0, 7, bound):
+        assert dlog_bounded(e * g, g, bound, table=table) == e
+    for e in (-2 * bound, -bound - 1, bound + 1, 3 * bound):
+        with pytest.raises(DlogNotFoundError):
+            dlog_bounded(e * g, g, bound, table=table)
+
+
 def test_dlog_giant_step_computed_once_per_table(backend):
     g = backend.base()
     bound = 1000
@@ -266,6 +280,28 @@ def test_dlog_giant_step_computed_once_per_table(backend):
 
 def _hashed_points(backend, count):
     return [backend.from_uniform(hashlib.sha512(b"edwards/%d" % i).digest()) for i in range(count)]
+
+
+_SODIUM = make_backend("ristretto255")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    e=st.one_of(
+        st.integers(-(2**256), 2**256),
+        st.sampled_from([0, 1, GROUP_ORDER - 1, GROUP_ORDER, 2 * GROUP_ORDER, -GROUP_ORDER]),
+    )
+)
+def test_base_point_mul_matches_the_variable_base_call(e):
+    # mul_data takes libsodium's fixed-base table for the base point: the
+    # bytes must be those of crypto_scalarmult_ristretto255 on it, whose -1
+    # for a zero scalar means the identity
+    base = _SODIUM.base_data()
+    buf = ctypes.create_string_buffer(32)
+    scalar = (e % GROUP_ORDER).to_bytes(32, "little")
+    ret = _SODIUM._lib.crypto_scalarmult_ristretto255(buf, scalar, base)
+    assert ret == (-1 if e % GROUP_ORDER == 0 else 0)
+    assert _SODIUM.mul_data(base, e) == (buf.raw if ret == 0 else bytes(32))
 
 
 def test_edwards_decode_encode_roundtrip():
