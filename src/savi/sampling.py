@@ -41,8 +41,7 @@ Both directions use the bound through the triangle inequality,
   * soundness: an update of norm c b_enc passes only if
     M ||G u|| <= sqrt(B0) + ||E u||, that is, with r the rounding term,
     ||G u|| / ||u|| <= (sqrt(gamma) + (1 + c) r) / c.  F (``pass_rate_F``)
-    is the chi-square CDF there, with 3 r for (1 + c) r (so for c <= 2),
-    plus 2^-128.
+    is the chi-square CDF there, plus 2^-128.
 """
 
 from __future__ import annotations
@@ -251,26 +250,28 @@ def compute_b0(b_enc: int, M: int, k: int, d: int, epsilon: float) -> int:
     return math.ceil(b_enc * b_enc * M * M * root * root)
 
 
-def _f_point(k: int, epsilon: float, d: int, M: int) -> float:
-    """c^2 times the chi-square point of F(c) (``pass_rate_F``)."""
+def _f_point(c: float, k: int, epsilon: float, d: int, M: int) -> float:
+    """The chi-square point of F(c) (``pass_rate_F``):
+    ((sqrt(gamma) + (1 + c) r) / c)^2, with r = rounding_norm(k, d)/(2M)."""
     gamma = chi_square_quantile(k, epsilon)
-    return (math.sqrt(gamma) + 3.0 * rounding_norm(k, d) / (2.0 * M)) ** 2
+    r = rounding_norm(k, d) / (2.0 * M)
+    return ((math.sqrt(gamma) + (1.0 + c) * r) / c) ** 2
 
 
 def pass_rate_F(c: float, k: int, epsilon: float, d: int, M: int) -> float:
     """An upper bound on the probability that an update of norm c*B
     slips through the check.
 
-    F takes the rounding term 3 rounding_norm(k, d)/(2M) on top of
-    sqrt(gamma), while B0 takes it once (``compute_b0``), so F is the
-    chi-square CDF at a larger point than the one B0 sets, plus the
+    F takes the rounding term r = rounding_norm(k, d)/(2M) (1 + c) times
+    on top of sqrt(gamma), while B0 takes it once (``compute_b0``), so F
+    is the chi-square CDF at a larger point than the one B0 sets, plus the
     2^-128 with which the rounding bound may fail (module docstring): at
-    a derived M it reads above the pass rate (0.594 against 0.576 from
+    a derived M it reads above the pass rate (0.588 against 0.576 from
     B0's own point at k=1000, d=64, epsilon=2^-128, c=1.3, M = 2^10), and
     at M = 2^24 the two agree to four digits."""
     if c <= 0:
         raise ValueError("norm ratio c must be positive")
-    return float(stats.chi2.cdf(_f_point(k, epsilon, d, M) / (c * c), k)) + _TAIL
+    return float(stats.chi2.cdf(_f_point(c, k, epsilon, d, M), k)) + _TAIL
 
 
 def max_expected_damage(
@@ -286,10 +287,9 @@ def max_expected_damage(
     before a bounded Brent refinement.  F's 2^-128 adds c 2^-128 to
     c * F(c), which no float sees at any c the coordinate window allows.
     """
-    point = _f_point(k, epsilon, d, M)
 
     def neg_damage(c: float) -> float:
-        return -c * (float(stats.chi2.cdf(point / (c * c), k)) + _TAIL)
+        return -c * (float(stats.chi2.cdf(_f_point(c, k, epsilon, d, M), k)) + _TAIL)
 
     grid = np.geomspace(1.0 + 1e-9, 1e3, 4096)
     best = int(np.argmin([neg_damage(c) for c in grid]))

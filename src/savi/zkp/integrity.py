@@ -96,19 +96,16 @@ c = b·A: d + k + 1 muls for the set, where checking each client costs
 that much per client.  This is the small-exponent batch test of
 Bellare, Garay and Rabin (EUROCRYPT 1998).
 
-  * Which set.  The test runs on the well-shaped proofs, after
-    "malformed" and before "wellformed".  If it fails, it is bisected by
-    the same routine as the range batch, and a client that fails alone
-    is named "consistency".  The halves that pass need no further check,
-    because the test is linear: their union passes too.  If a later check
-    drops anyone, the sums of the final set are the first sums minus the
-    dropped clients' columns, and that set is checked once more, bisected
-    in the same way.  So the test always covers exactly the accepted
-    set, whose Y the server then unblinds.
+  * Which set.  The test runs once, last, on the clients that pass
+    every other check: the accepted set, whose Y the server then
+    unblinds.  If it fails, it is bisected by the same routine as the
+    range batch, and a client that fails alone is named "consistency".
+    The halves that pass need no further check, because the test is
+    linear: their union passes too.  Y is then the set's sums less the
+    named clients' columns.
   * Failure bound.  b is drawn after every proof is in.  So a fixed
     nonzero error sum over a subset passes with probability at most 1/p.
-    A round checks at most 4n subsets: two bisection trees of at most
-    2n - 1 nodes each.
+    A round checks at most 2n - 1 subsets: one bisection tree.
   * What a passing set still guarantees.  The sum of the accepted
     clients' claimed projections opens A·sum_i u_i.  Honest clients'
     claims are exact, so the malicious clients' sum u_M has
@@ -389,48 +386,31 @@ def ver_integrity_set(
     consistency check of the set (see the module docstring).  Second,
     the weights of the range batch.
 
-    The checks run in this order: shape (the packed answers' length
-    included), per client; consistency, for the well-shaped set; the two
-    sigma proofs, which are exact but for the link, and the z window, per
-    client in client-id order; and the link and slack identities of every
-    client that passes them, as one weighted multiexp, bisected on
-    failure down to single clients (``_failing``).  A client that fails
-    alone is named "range_ip" if its link fails alone, else "range_sum":
-    the slack needs no check of its own, since two identities that both
-    hold cannot fail together.  If the last two drop anyone, the
-    accepted set's consistency is checked again, bisected in the same
-    way.
+    The checks run in one forward pass, and a proof is named by the
+    first it fails.  First, per client in client-id order: the shape (the
+    packed answers' length included), then the two sigma proofs, which
+    are exact but for the link, and the z window.  Second, the link and
+    slack identities of every client that passes them, as one weighted
+    multiexp, bisected on failure down to single clients (``_failing``).
+    A client that fails alone is named "range_ip" if its link fails
+    alone, else "range_sum": the slack needs no check of its own, since
+    two identities that both hold cannot fail together.  Last, one
+    consistency check of the clients still accepted, bisected in the
+    same way.  e_star and y are in each proof's transcript, so a proof
+    whose e_star or y changed after proving is named "wellformed";
+    "consistency" names a proof that is valid, but about projections
+    other than those of the committed update.
     """
     weights = rng.child(f"verify/{round_no}")
     crt = crt_weights(matrix, weights)
     d = params.d
     verdicts: dict[int, str | None] = {}
-    columns: dict[int, tuple[Point, ...]] = {}  # y then e_star: what the set check sums
-    for client_id in sorted(proofs):
-        _, y, proof = proofs[client_id]
-        if _well_shaped(params, h, y, proof):
-            columns[client_id] = (*y, *proof.e_star)
-        else:
-            verdicts[client_id] = "malformed"
-
-    def consistent(part: list[int], whole: list[int], whole_sums: Sequence[Point]) -> bool:
-        # the whole set's sums are at hand; a part of it sums its own
-        if part == whole:
-            at = whole_sums
-        else:
-            at = aggregate_commitments([columns[i] for i in part], gens)
-        return ver_crt(at[:d], at[d:], *crt)
-
-    ids = sorted(columns)
-    sums = aggregate_commitments([columns[i] for i in ids], gens)
-    for client_id in _failing(ids, lambda part: consistent(part, ids, sums)):
-        verdicts[client_id] = "consistency"
-
     batch: dict[int, tuple[Identity, Identity]] = {}
-    for client_id in ids:
-        if client_id in verdicts:
-            continue
+    for client_id in sorted(proofs):
         z, y, proof = proofs[client_id]
+        if not _well_shaped(params, h, y, proof):
+            verdicts[client_id] = "malformed"
+            continue
         checked = _cheap_checks(
             params, gens, matrix, h, z, y, proof, round_no, client_id, weights
         )
@@ -446,18 +426,19 @@ def ver_integrity_set(
     for client_id in _failing(sorted(batch), identities_hold):
         verdicts[client_id] = _identity_failure(gens, batch[client_id][0], weights)
 
-    accepted = [i for i in ids if verdicts[i] is None]
-    if not accepted:
-        return verdicts, [gens.backend.identity()] * d
-    dropped = [i for i in ids if verdicts[i] is not None]
-    if dropped:
-        sums = aggregate_commitments([sums], gens, [columns[i] for i in dropped])
-    if any(verdicts[i] != "consistency" for i in dropped):
-        named = _failing(accepted, lambda part: consistent(part, accepted, sums))
-        for client_id in named:
-            verdicts[client_id] = "consistency"
-        if named:
-            sums = aggregate_commitments([sums], gens, [columns[i] for i in named])
+    accepted = [i for i in sorted(batch) if verdicts[i] is None]
+    columns = {i: (*proofs[i][1], *proofs[i][2].e_star) for i in accepted}  # y then e_star
+    sums = aggregate_commitments(list(columns.values()), gens)
+
+    def consistent(part: list[int]) -> bool:
+        at = sums if part == accepted else aggregate_commitments([columns[i] for i in part], gens)
+        return ver_crt(at[:d], at[d:], *crt)
+
+    named = _failing(accepted, consistent)
+    for client_id in named:
+        verdicts[client_id] = "consistency"
+    if named:
+        sums = aggregate_commitments([sums], gens, [columns[i] for i in named])
     return verdicts, sums[:d]
 
 
@@ -481,9 +462,9 @@ def _cheap_checks(
     h: Sequence[Point], z: Point, y: Sequence[Point], proof: IntegrityProof,
     round_no: int, client_id: int, weights: Rng,
 ) -> str | tuple[Identity, Identity]:
-    """The checks of a well-shaped, consistent proof but the batched
-    identities: the failed-check label, or the identities of the link
-    and of the mu range proof."""
+    """The checks of a well-shaped proof but the batched identities and
+    the set's consistency: the failed-check label, or the identities of
+    the link and of the mu range proof."""
     g, q = gens.g, gens.q
     tr = _transcript(params, matrix, round_no, client_id, y, z, proof.e_star, proof.o)
     rows = _challenge_rows(tr, proof.masks, params.k)

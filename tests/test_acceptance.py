@@ -153,11 +153,11 @@ def test_pass_rate_curve_at_derived_m(k):
     # of the most the rule allows, 2^-10 sqrt(gamma); criterion 3's
     # M = 2^24 makes it under 2^-12 of that.  (With r = sqrt(kd)/(2M), M
     # was 2^12 and r 0.62 and 0.77 of the most.)  B0 counts r once,
-    # pass_rate_F three times, so F bounds the pass rate from above and
+    # pass_rate_F 1 + c times, so F bounds the pass rate from above and
     # the rate B0 sets is the chi-square CDF at (sqrt(gamma) + r)^2 / c^2.
-    # At k=1000, c=1.3 the two are 0.594 and 0.576 (0.607 and 0.581 at
-    # 2^12), further apart than the 3 sigma of 1,000 trials, so F is
-    # checked only as a bound here.
+    # At k=1000, c=1.3 the two are 0.588 and 0.576 (0.594 with r taken 3
+    # times; 0.607 and 0.581 at 2^12), further apart than the 3 sigma of
+    # 1,000 trials, so F is checked only as a bound here.
     d, eps = 64, 2.0**-128
     params = CheckParameters(n=1, m=0, d=d, k=k, epsilon=eps, B=1.0)
     M = params.M

@@ -98,6 +98,16 @@ def test_dimension_mismatch_refused():
         gen_integrity_proof(params, gens, matrix, h, z, y, r, u + [0], 1, 1, rng)
 
 
+def _lying_proof(params, gens, matrix, h, z, y, r, u, client_id, rng):
+    """A proof whose sigma proofs hold, with e_star built on the true
+    projections shifted by one in the first row: it misses y by g."""
+    v = matrix.row_inner(u)
+    claims = [v[1] + 1] + v[2:]
+    return integrity._prove(
+        params, gens, matrix, h, z, y, r, [v[0]] + claims, claims, 1, client_id, rng
+    )
+
+
 def test_each_tampered_component_names_its_check():
     params = _params(k=4, d=8)
     u = _scaled_update(params, 0.4, np.random.default_rng(7))
@@ -117,12 +127,14 @@ def test_each_tampered_component_names_its_check():
         (dataclasses.replace(proof, e_star=proof.e_star[:-1]), "malformed"),
         (dataclasses.replace(proof, o=proof.o + (g,)), "malformed"),
         (dataclasses.replace(proof, o_prime=proof.o_prime[:-1]), "malformed"),
-        # e_star no longer matches the committed coordinates
+        # e_star is in the transcript, so a bumped entry fails the
+        # wellformed proof first (it read "consistency" while the set's
+        # consistency check ran before the per-client checks)
         (
             dataclasses.replace(
                 proof, e_star=(proof.e_star[0] + g,) + proof.e_star[1:]
             ),
-            "consistency",
+            "wellformed",
         ),
         # sigma-proof inputs or transcripts off by one point/scalar
         (
@@ -169,10 +181,17 @@ def test_each_tampered_component_names_its_check():
         assert not ok
         assert reason == expected, f"expected {expected}, got {reason}"
 
-    # commitments swapped under the prover's feet -> consistency
+    # commitments swapped under the prover's feet: y is in the transcript
+    # too, so this reads "wellformed" (it read "consistency" before)
     y_swapped = [y[1], y[0]] + list(y[2:])
     ok, reason = verdict(proof, y_=y_swapped)
-    assert (ok, reason) == (False, "consistency")
+    assert (ok, reason) == (False, "wellformed")
+
+    # a valid proof about projections other than those of the committed
+    # update: e_star opens shifted claims, so only consistency objects
+    assert verdict(_lying_proof(params, gens, matrix, h, z, y, r, u, 1, rng)) == (
+        False, "consistency"
+    )
 
     # wrong published h: e_star was built against the real one
     h_bad = [h[0] + g] + list(h[1:])
@@ -214,10 +233,10 @@ def test_one_weight_vector_per_round(monkeypatch):
         u = [(client_id * (l + 1)) % 5 - 2 for l in range(params.d)]
         r = rng.scalar()
         y, z = commit_update(u, r, gens), r * gens.g
-        proof = gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, client_id, rng)
         if client_id in (2, 5):
-            e_star = (proof.e_star[0],) + (proof.e_star[1] + gens.g,) + proof.e_star[2:]
-            proof = dataclasses.replace(proof, e_star=e_star)
+            proof = _lying_proof(params, gens, matrix, h, z, y, r, u, client_id, rng)
+        else:
+            proof = gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, client_id, rng)
         proofs[client_id] = (z, y, proof)
     calls = []
     combine = SampleMatrix.weighted_combination

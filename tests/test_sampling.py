@@ -253,6 +253,20 @@ def test_pass_rate_against_monte_carlo():
     assert abs(hits / n - f) < 3 * sigma + 2e-3
 
 
+@pytest.mark.parametrize("c", [0.5, 1.3, 2.0, 3.0, 8.0])
+def test_pass_rate_takes_the_rounding_term_one_plus_c_times(c):
+    # an update of norm c b_enc passes only if M ||G u|| <= sqrt(B0) + ||E u||,
+    # so F is the chi-square CDF at ((sqrt(gamma) + (1 + c) r)/c)^2, plus
+    # 2^-128.  At M = 1 the rounding term r is large; F took it 3 times,
+    # which reads below this point for c > 2 and above it for c < 2
+    k, eps, d, M = 1, 0.5, 1, 1
+    r = 1 / (2 * M)  # sqrt(kd) = 1 is below rho(1)
+    root = math.sqrt(stats.chi2.isf(eps, k))
+    expected = stats.chi2.cdf(((root + (1 + c) * r) / c) ** 2, k) + 2.0**-128
+    assert 0.2 < expected < 0.999  # the point is not in a tail
+    assert pass_rate_F(c, k, eps, d, M) == pytest.approx(expected, rel=1e-9)
+
+
 def test_max_damage_against_grid():
     k, eps, d, M = 256, 2.0**-40, 10**4, 1 << 24
     c_star, peak = max_expected_damage(k, eps, d, M)

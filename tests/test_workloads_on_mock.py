@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from savi.harness import Simulation
+from savi.zkp import integrity
 from test_perfbench import _load
 
 # With M derived from its rounding slack by the bound rho(k) (2^10 on all
@@ -30,26 +31,34 @@ def test_workload_round_on_mock(name):
     assert max(report.bytes_sent.values()) == UPLINK[name]
 
 
-# round 1's mock muls in the two server stages after the proofs.  e_star
-# is checked once for the accepted set, so proof_ver runs one ver_crt of
-# d + k + 1 muls on the all-honest shapes, and two on crowd_attack, whose
-# forgers drop out after the first; checked per client, proof_ver cost
-# 3,915, 12,757 and 2,567 muls.  The batch's shared bases are the slack
-# proof's 2 b_max range generators and the 128 G_j of the links; with the
-# projections' range proof in the batch, proof_ver cost 3,337, 4,555 and
-# 1,837 muls.  With b_max = 56 (M = 2^13 and 2^14), proof_ver cost 1,641
-# and 4,529 muls on proof_heavy and wide_update
-VERIFY_MULS = {
-    "proof_heavy": {"proof_ver": 1_631, "aggregate": 261},
-    "wide_update": {"proof_ver": 4_519, "aggregate": 4_101},
-    "crowd_attack": {"proof_ver": 1_479, "aggregate": 97},
+# round 1's mock (muls, additions) in the two server stages after the
+# proofs.  e_star is checked once, for the accepted set only, so proof_ver
+# runs one ver_crt of d + k + 1 muls on every workload; on crowd_attack,
+# whose forgers are named "wellformed", checking the well-shaped set first
+# and the accepted set again cost two, and proof_ver (1,479, 2,295).
+# Checked per client, proof_ver cost 3,915, 12,757 and 2,567 muls.  The
+# batch's shared bases are the slack proof's 2 b_max range generators and
+# the 128 G_j of the links; with the projections' range proof in the batch,
+# proof_ver cost 3,337, 4,555 and 1,837 muls.  With b_max = 56 (M = 2^13
+# and 2^14), proof_ver cost 1,641 and 4,529 muls on proof_heavy and
+# wide_update
+VERIFY_OPS = {
+    "proof_heavy": {"proof_ver": (1_631, 2_005), "aggregate": (261, 706)},
+    "wide_update": {"proof_ver": (4_519, 12_685), "aggregate": (4_101, 4_546)},
+    "crowd_attack": {"proof_ver": (1_406, 1_786), "aggregate": (97, 1_009)},
 }
 
 
-@pytest.mark.parametrize("name", sorted(VERIFY_MULS))
-def test_workload_verification_muls_pinned(name):
+@pytest.mark.parametrize("name", sorted(VERIFY_OPS))
+def test_workload_verification_muls_pinned(name, monkeypatch):
     workloads = _load("workloads")
     cfg = replace(workloads.make_config(workloads.SHAPES[name], 1), backend="mock")
+    checks = []
+    ver_crt = integrity.ver_crt
+    monkeypatch.setattr(integrity, "ver_crt", lambda *args: checks.append(1) or ver_crt(*args))
     report = Simulation(cfg).run_round(1)
-    muls = {stage: report.group_ops[stage]["mul"] for stage in VERIFY_MULS[name]}
-    assert muls == VERIFY_MULS[name]
+    ops = report.group_ops
+    assert {stage: (ops[stage]["mul"], ops[stage]["add"]) for stage in VERIFY_OPS[name]} == (
+        VERIFY_OPS[name]
+    )
+    assert len(checks) == 1  # the server's consistency check; clients import their own
