@@ -20,17 +20,7 @@ from typing import Sequence
 from ..sampling import CheckParameters
 from ..zkp.transcript import DOMAIN
 from .config import SimulationConfig
-from .simulate import RoundReport
-
-STAGES = (
-    "commit",
-    "share_verify",
-    "flag_resolution",
-    "server_prep",
-    "proof_gen",
-    "proof_ver",
-    "aggregate",
-)
+from .simulate import STAGES, RoundReport
 
 _NUMERIC = (
     ["n_honest", "n_excluded", "aggregate_ok"]

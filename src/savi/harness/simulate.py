@@ -65,6 +65,18 @@ MSG_CLEAR_SHARES = 3
 MSG_PROOF = 4
 MSG_BLIND_SHARE = 5
 
+# The stages ``run_round`` meters, in the order it runs them: the keys of a
+# round's ``timings_s`` and ``group_ops``, and the report's time columns.
+STAGES = (
+    "commit",
+    "share_verify",
+    "flag_resolution",
+    "server_prep",
+    "proof_gen",
+    "proof_ver",
+    "aggregate",
+)
+
 
 class _StageMeter:
     """Accumulates wall time and group-op deltas per protocol stage."""
@@ -143,15 +155,16 @@ class Simulation:
         self.server.begin_round(round_no)
 
         # Stage 1: commitments and encrypted shares.
-        bundles = meter.run(
-            "commit",
-            lambda: self._client_map(
+        def commit():
+            bundles = self._client_map(
                 self.clients, lambda i: self.clients[i].commit_round(round_no, updates[i])
-            ),
-        )
-        for i, bundle in bundles.items():
-            record(MSG_BUNDLE, i, bundle.to_bytes())
-        self.server.receive_bundles(bundles)
+            )
+            for i, bundle in bundles.items():
+                record(MSG_BUNDLE, i, bundle.to_bytes())
+            self.server.receive_bundles(bundles)
+            return bundles
+
+        bundles = meter.run("commit", commit)
 
         # Stage 2: every client checks the shares addressed to it.
         def verify_one(i: int) -> list[int]:

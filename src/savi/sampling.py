@@ -62,8 +62,6 @@ from .zkp.rangeproof import MAX_ODD_PART, range_width, slot_shape
 
 _Q = GROUP_ORDER
 
-_LIMB_BITS = 16
-_NUM_LIMBS = 16  # 16 x 16 = 256 bits, covers any scalar
 # Box-Muller on 53-bit uniforms gives |z| <= sqrt(106 ln 2) < 8.572, so a
 # rounded row entry is at most 8.572 M + 0.5 in magnitude.
 _MAX_ABS_Z = 8.572
@@ -112,7 +110,11 @@ def _round_half_away(b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SampleMatrix:
-    """One full-width binding row a_0 plus k small rounded-Gaussian rows."""
+    """One full-width binding row a_0 plus k small rounded-Gaussian rows.
+
+    A u (``row_inner``) and b A (``weighted_combination``) are exact, from
+    ``_exact_products``: its int64 limbs are as wide as max|a_tl| and the
+    summed length (d or k) allow, and ``CheckParameters`` bounds M."""
 
     seed: bytes
     M: int
@@ -136,42 +138,43 @@ class SampleMatrix:
         if len(u) != self.d:
             raise ValueError("update dimension mismatch")
         v0 = sum(a * x for a, x in zip(self.a0, u)) % _Q
-        max_u = max((abs(int(x)) for x in u), default=0)
-        max_a = int(np.max(np.abs(self.rows))) if self.rows.size else 0
-        if max_u and max_a and max_u * max_a * self.d >= 1 << 62:
-            arr = self.rows.astype(object)
-            vs = [int(x) for x in arr @ np.array([int(x) for x in u], dtype=object)]
-        else:
-            vs = [int(x) for x in self.rows @ np.asarray(u, dtype=np.int64)]
-        return [v0] + vs
+        return [v0] + _exact_products(u, self.rows.T)
 
     def weighted_combination(self, weights: Sequence[int]) -> list[int]:
         """c_l = sum_t weights[t] * a_tl mod p, for the batch check.
 
-        The full-width weights are split into 16-bit limbs so the k x d
-        bulk runs as int64 matrix products; limbs are recombined (and
-        a_0's contribution added) in exact integer arithmetic.
+        The row weights, reduced mod p, go through ``_exact_products`` (7
+        limbs of 39 bits at the deployment shape), and a_0's part is added.
         """
         if len(weights) != self.k + 1:
             raise ValueError("need one weight per projection row plus a_0")
-        w0 = weights[0] % _Q
-        rest = [w % _Q for w in weights[1:]]
-        max_a = int(np.max(np.abs(self.rows))) if self.rows.size else 0
-        if self.k and max_a * self.k << _LIMB_BITS >= 1 << 62:
-            raise ValueError("row magnitudes too large for limb accumulation")
-        limbs = np.array(
-            [[(w >> (_LIMB_BITS * j)) & 0xFFFF for w in rest] for j in range(_NUM_LIMBS)],
-            dtype=np.int64,
-        )
-        partial = limbs @ self.rows  # (num_limbs, d)
-        cols = partial.T.tolist()
-        out = []
-        for l, col in enumerate(cols):
-            acc = w0 * self.a0[l]
-            for j, limb_val in enumerate(col):
-                acc += limb_val << (_LIMB_BITS * j)
-            out.append(acc % _Q)
-        return out
+        bulk = _exact_products([w % _Q for w in weights[1:]], self.rows)
+        return [(weights[0] * a + c) % _Q for a, c in zip(self.a0, bulk)]
+
+
+def _exact_products(xs: Sequence[int], matrix: np.ndarray) -> list[int]:
+    """The exact products xs . matrix, as Python ints, for any ints xs.
+
+    Each x is cut into signed limbs of w = 62 - bit_length(len(xs)
+    max|matrix|) bits, so a row of limbs times the matrix sums to below
+    2^62: one int64 matmul per limb, recombined with shifts.  When every
+    x fits one limb, as an update's coordinates do, that matmul is all.
+    """
+    peak = max(-int(matrix.min(initial=0)), int(matrix.max(initial=0)))
+    width = 62 - (len(xs) * peak).bit_length()
+    assert width > 0, "CheckParameters bounds M so that a limb has a bit"
+    top = max((abs(int(x)) for x in xs), default=0).bit_length()
+    if top <= width:
+        return (np.asarray(xs, dtype=np.int64) @ matrix).tolist()
+    big = np.array([int(x) for x in xs], dtype=object)
+    mags, signs = np.abs(big), np.where(big < 0, -1, 1)
+    cuts = [(mags >> (width * j)) & ((1 << width) - 1) for j in range(-(-top // width))]
+    # limbs @ matrix, in the loop order numpy's int64 matmul runs faster
+    partial = (matrix.T @ (np.array(cuts, dtype=np.int64) * signs).T).T.astype(object)
+    acc = partial[-1]
+    for row in partial[-2::-1]:
+        acc = (acc << width) + row
+    return acc.tolist()
 
 
 def sample_matrix(seed: bytes, k: int, d: int, M: int) -> SampleMatrix:
@@ -250,11 +253,9 @@ def compute_b0(b_enc: int, M: int, k: int, d: int, epsilon: float) -> int:
     return math.ceil(b_enc * b_enc * M * M * root * root)
 
 
-def _f_point(c: float, k: int, epsilon: float, d: int, M: int) -> float:
+def _f_point(c: float, gamma: float, r: float) -> float:
     """The chi-square point of F(c) (``pass_rate_F``):
     ((sqrt(gamma) + (1 + c) r) / c)^2, with r = rounding_norm(k, d)/(2M)."""
-    gamma = chi_square_quantile(k, epsilon)
-    r = rounding_norm(k, d) / (2.0 * M)
     return ((math.sqrt(gamma) + (1.0 + c) * r) / c) ** 2
 
 
@@ -271,7 +272,8 @@ def pass_rate_F(c: float, k: int, epsilon: float, d: int, M: int) -> float:
     at M = 2^24 the two agree to four digits."""
     if c <= 0:
         raise ValueError("norm ratio c must be positive")
-    return float(stats.chi2.cdf(_f_point(c, k, epsilon, d, M), k)) + _TAIL
+    point = _f_point(c, chi_square_quantile(k, epsilon), rounding_norm(k, d) / (2.0 * M))
+    return float(stats.chi2.cdf(point, k)) + _TAIL
 
 
 def max_expected_damage(
@@ -287,9 +289,10 @@ def max_expected_damage(
     before a bounded Brent refinement.  F's 2^-128 adds c 2^-128 to
     c * F(c), which no float sees at any c the coordinate window allows.
     """
+    gamma, r = chi_square_quantile(k, epsilon), rounding_norm(k, d) / (2.0 * M)
 
     def neg_damage(c: float) -> float:
-        return -c * (float(stats.chi2.cdf(_f_point(c, k, epsilon, d, M), k)) + _TAIL)
+        return -c * (float(stats.chi2.cdf(_f_point(c, gamma, r), k)) + _TAIL)
 
     grid = np.geomspace(1.0 + 1e-9, 1e3, 4096)
     best = int(np.argmin([neg_damage(c) for c in grid]))
@@ -303,7 +306,7 @@ def max_expected_damage(
 
 def plaintext_check(
     u: Sequence[int],
-    rows: Union[SampleMatrix, np.ndarray],
+    matrix: SampleMatrix,
     b0: int | None = None,
     B: float | None = None,
     M: int | None = None,
@@ -314,15 +317,7 @@ def plaintext_check(
     Pass b0 for the rounded integer check (exact arithmetic), or
     (B, M, gamma) for the idealized unrounded threshold B^2 M^2 gamma.
     """
-    mat = rows.rows if isinstance(rows, SampleMatrix) else np.asarray(rows)
-    u_ints = [int(x) for x in u]
-    max_u = max((abs(x) for x in u_ints), default=0)
-    max_a = int(np.max(np.abs(mat))) if mat.size else 0
-    if max_u and max_a and max_u * max_a * mat.shape[1] >= 1 << 62:
-        vs = (mat.astype(object) @ np.array(u_ints, dtype=object)).tolist()
-    else:
-        vs = (mat @ np.asarray(u_ints, dtype=np.int64)).tolist()
-    total = sum(int(v) ** 2 for v in vs)
+    total = sum(v * v for v in matrix.row_inner(u)[1:])
     if b0 is not None:
         return total <= b0
     if B is None or M is None or gamma is None:
@@ -344,6 +339,10 @@ class CheckParameters:
     An honest update within B fails the check with probability at most
     epsilon + 2^-128, the second term for the rounding bound (module
     docstring).
+
+    A row entry is at most 8.572 M + 1/2, so max(k, d) (ceil(8.572 M) + 1)
+    < 2^61 leaves ``_exact_products`` a limb of at least one bit for A u
+    and b A: M up to 2^51 at k = d = 64, 2^24 at k = 1,000, d = 10^6.
 
     Left as None, b_max is derived from B0 by ``range_width``: the
     smallest width B0 needs (B0 < 2^b_max) whose odd part is at most 7,
@@ -376,10 +375,10 @@ class CheckParameters:
             object.__setattr__(self, "M", rounding_scale(self.k, self.d, self.gamma))
         if self.M < 1 or self.B <= 0:
             raise ValueError("M and B must be positive")
-        if self.k * (math.ceil(_MAX_ABS_Z * self.M) + 1) << _LIMB_BITS >= 1 << 62:
+        if max(self.k, self.d) * (math.ceil(_MAX_ABS_Z * self.M) + 1) >= 1 << 61:
             raise ValueError(
-                f"k={self.k} rows at M={self.M} overflow the int64 limb products "
-                "of weighted_combination: leave M unset to derive it"
+                f"a {self.k} x {self.d} matrix at M={self.M} leaves no int64 limb "
+                "for its exact products: leave M unset to derive it"
             )
         if self.B * (1 << self.frac_bits) + 0.5 >= 1 << (self.b_coord - 1):
             raise ValueError("bound B does not fit the b_coord fixed-point window")

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -32,9 +33,11 @@ from savi.harness.simulate import (
     MSG_CLEAR_SHARES,
     MSG_FLAG_REPORT,
     MSG_PROOF,
+    STAGES,
     Simulation,
 )
 from savi.commit import CommitmentBundle
+from savi.protocol import Server
 from savi.group import make_backend
 from savi.group.dlog import BabyStepTable
 from savi.group.generators import LAMBDA
@@ -276,6 +279,21 @@ def test_commit_op_count_pinned():
     # the same muls on ristretto255 (n=3, d=4, t=2)
     (rep,) = run_simulation(SimulationConfig(**_PINNED_ROUNDS[1][0]))
     assert rep.group_ops["commit"]["mul"] == 3 * (4 + 2)
+
+
+def test_every_server_call_is_metered_under_a_named_stage(monkeypatch):
+    # the round's stages are exactly STAGES, in order, and the server's
+    # receipt of the bundles counts towards "commit"
+    receive = Server.receive_bundles
+
+    def slow(server, bundles):
+        time.sleep(0.05)
+        return receive(server, bundles)
+
+    monkeypatch.setattr(Server, "receive_bundles", slow)
+    (rep,) = run_simulation(SimulationConfig(n=3, m=1, d=8, k=4, seed=1, backend="mock"))
+    assert tuple(rep.timings_s) == tuple(rep.group_ops) == STAGES
+    assert rep.timings_s["commit"] >= 0.05
 
 
 def test_server_builds_the_dlog_table_once(monkeypatch):

@@ -10,9 +10,11 @@ from scipy import stats
 
 from savi.group import GROUP_ORDER
 from savi.group.encoding import quantize_vector
+from savi import sampling
 from savi.harness.config import SimulationConfig, deployment_preset
 from savi.sampling import (
     CheckParameters,
+    _exact_products,
     chi_square_quantile,
     compute_b0,
     derive_seed,
@@ -104,6 +106,34 @@ def test_row_inner_huge_coordinates_exact():
     v = m.row_inner(u)
     for t in range(4):
         assert v[1 + t] == sum(int(a) * x for a, x in zip(m.rows[t], u))
+
+
+_WIDE = st.one_of(
+    st.integers(-(1 << 300), 1 << 300),
+    # limb edges: +-(2^e - 1), +-2^e and +-(2^e + 1)
+    st.builds(lambda e, s, o: s * ((1 << e) + o), st.integers(0, 300),
+              st.sampled_from((-1, 1)), st.integers(-1, 1)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_exact_products_equal_python_sums(data):
+    # both orientations: xs A, as in b A, and u A^T, as in A u (A^T is a
+    # transposed view, as row_inner passes it); entries up to the largest
+    # that len max|a| < 2^61 allows, where a limb has one bit
+    n, m = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    edge = data.draw(st.booleans())
+    cap = ((1 << 61) - 1) // max(n, m) if edge else data.draw(st.integers(0, 1 << 20))
+    entries = st.lists(st.integers(-cap, cap), min_size=n * m, max_size=n * m)
+    a = np.array(data.draw(entries), dtype=np.int64).reshape(n, m)
+    if edge:
+        a[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, m - 1))] = -cap
+    for size, matrix in ((n, a), (m, a.T)):
+        zero = data.draw(st.booleans())
+        xs = [0] * size if zero else data.draw(st.lists(_WIDE, min_size=size, max_size=size))
+        want = [sum(x * int(matrix[t, l]) for t, x in enumerate(xs)) for l in range(matrix.shape[1])]
+        assert _exact_products(xs, matrix) == want
 
 
 def test_weighted_combination_matches_naive():
@@ -283,6 +313,19 @@ def test_max_damage_deployment_scale():
 
 
 # -- plaintext check ---------------------------------------------------------
+
+
+def test_max_expected_damage_derives_gamma_once(monkeypatch):
+    calls = []
+    quantile = sampling.chi_square_quantile
+
+    def counted(k, epsilon):
+        calls.append((k, epsilon))
+        return quantile(k, epsilon)
+
+    monkeypatch.setattr(sampling, "chi_square_quantile", counted)
+    max_expected_damage(8, 2.0**-40, 64, 1 << 10)
+    assert calls == [(8, 2.0**-40)]
 
 
 def test_plaintext_check_zero_update():
@@ -495,15 +538,21 @@ def test_explicit_widths_rejected(widths, match):
 
 
 def test_m_beyond_limb_products_rejected_at_construction():
-    # |a_tl| <= 8.572 M + 0.5, and weighted_combination needs
-    # k |a_tl| 2^16 < 2^62: at k = 64 that allows 2^36 but not 2^37
-    with pytest.raises(ValueError, match=f"k=64 rows at M={1 << 37}.*leave M unset"):
-        _widths(d=64, k=64, M=1 << 37)
-    with pytest.raises(ValueError, match="k=64"):
-        SimulationConfig(n=3, m=1, d=64, k=64, M=1 << 40)
-    fits = _widths(d=64, k=64, M=1 << 36)
+    # |a_tl| <= 8.572 M + 0.5, and _exact_products needs a limb of one bit
+    # at least: max(k, d) (ceil(8.572 M) + 1) < 2^61, so at k = d = 64 that
+    # allows 2^51 but not 2^52 (the 16-bit limbs of b A alone allowed 2^36
+    # but not 2^37)
+    with pytest.raises(ValueError, match=f"64 x 64 matrix at M={1 << 52}.*leave M unset"):
+        _widths(d=64, k=64, M=1 << 52)
+    with pytest.raises(ValueError, match="64 x 64 matrix"):
+        SimulationConfig(n=3, m=1, d=64, k=64, M=1 << 56)
+    fits = _widths(d=64, k=64, M=1 << 51)
     matrix = sample_matrix(b"wide-M", fits.k, fits.d, fits.M)
-    assert len(matrix.weighted_combination([Q - 1] * (fits.k + 1))) == fits.d
+    weights = [Q - 1 - t for t in range(fits.k + 1)]
+    rows = [list(matrix.a0)] + matrix.rows.tolist()
+    assert matrix.weighted_combination(weights) == [
+        sum(w * row[l] for w, row in zip(weights, rows)) % Q for l in range(fits.d)
+    ]
     # the deployment preset and M = 2^24 at k = 1000, d = 10^6 still fit
     deployment_preset()
     _widths(d=1_000_000, k=1_000, epsilon=2.0**-128, M=1 << 24)
