@@ -5,7 +5,7 @@ from __future__ import annotations
 import click
 
 from ..group.generators import LAMBDA
-from ..sampling import CheckParameters, max_expected_damage, pass_rate_F
+from ..sampling import DAMAGE_SEARCH_CAP, CheckParameters, max_expected_damage, pass_rate_F
 from ..zkp.rangeproof import slot_shape
 from .bench import PROBE_STAGES, measure_communication, probe_costs
 from .config import SimulationConfig, desk_preset, deployment_preset
@@ -159,6 +159,8 @@ def params(k, epsilon_log2, d, m_log2, bound, frac_bits) -> None:
         click.echo(f"  c={c:<4} F={pass_rate_F(c, k, epsilon, d, M):.3e}")
     c_star, damage = max_expected_damage(k, epsilon, d, M)
     click.echo(f"max expected damage (bound): {damage:.4f} * B at c* = {c_star:.4f}")
+    if c_star == DAMAGE_SEARCH_CAP:
+        click.echo("  (c·F(c) still rises at the search cap, so this is no maximum)")
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -845,6 +846,25 @@ def test_cli_params_table():
     assert "1.2278" in res.output  # peak expected damage
     assert "c=1.4  F=1.064e-03" in res.output
     assert "b_enc=756" in res.output
+
+
+def test_cli_params_notes_a_damage_search_that_ends_at_its_cap():
+    # at k = 1 c·F(c) still rises at c = 1000, so the "max" printed there
+    # is the value at the cap, and the output says so
+    args = ["params", "--k", "1", "--epsilon-log2", "-40", "--d", "64"]
+    res = CliRunner().invoke(cli_main, args)
+    assert res.exit_code == 0, res.output
+    last, note = res.output.splitlines()[-2:]
+    assert last == "max expected damage (bound): 8.8194 * B at c* = 1000.0000"
+    assert note == "  (c·F(c) still rises at the search cap, so this is no maximum)"
+    # the README's sample has a peak: its output ends on the sample's last
+    # line, byte for byte, with no note
+    command = "savi params --k 1000 --epsilon-log2 -128 --d 10000"
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sample = readme.split(command + "\n", 1)[1].split("```", 1)[0]
+    res = CliRunner().invoke(cli_main, command.split()[1:])
+    assert res.exit_code == 0, res.output
+    assert res.output.splitlines()[-1] == sample.splitlines()[-1].removeprefix("# ")
 
 
 @pytest.mark.parametrize(
