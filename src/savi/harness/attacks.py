@@ -106,11 +106,14 @@ def forge_integrity_proof(
 
     The e_star vector must stay consistent with the published
     commitments (the batch check would catch anything else), so the lie
-    goes into the o commitments: they open to zero projections, making
-    every other sub-proof internally valid.  The well-formedness check,
-    which ties e_star's secrets to o's, is where verification fails.
-    ``projections`` is ``matrix.row_inner(u)`` when the caller already
-    has it from a failed bound check.
+    goes into o_prime: it commits to the squares of zero projections, a
+    sum that passes B0, and the proof of smallness answers for zero
+    projections too.  The well-formedness proof's challenge and the
+    slack range proof then hold.  The square proof, which ties o_prime
+    to e_star's openings, is the first check that fails: the link,
+    which ties the answers to them, fails too, but is checked in the
+    batch after it.  ``projections`` is ``matrix.row_inner(u)`` when
+    the caller already has it from a failed bound check.
     """
     v = matrix.row_inner(u) if projections is None else projections
     claims = [0] * params.k

@@ -120,7 +120,7 @@ class CommReport:
     proof_bytes: int
     other_bytes: int  # the flag report and the blind share
     # each part of the proof, without the 4-byte count or length in
-    # front of each field: "e_star+o+o_prime", "Y+z" (the proof of
+    # front of each field: "e_star+o_prime", "Y+z" (the proof of
     # smallness' commitment and its packed answers), "rho", "tau" and
     # "mu"
     proof_parts: dict[str, int]
@@ -196,9 +196,8 @@ def measure_communication(d: int, k: int, n: int = 8, m: int = 1, seed: int = 11
 
 
 def _proof_parts(proof: IntegrityProof) -> dict[str, int]:
-    points = sum(POINT_BYTES * len(getattr(proof, f)) for f in ("e_star", "o", "o_prime"))
     return {
-        "e_star+o+o_prime": points,
+        "e_star+o_prime": POINT_BYTES * (len(proof.e_star) + 1),
         "Y+z": POINT_BYTES + len(proof.z),
         **{f: len(getattr(proof, f).to_bytes()) for f in ("rho", "tau", "mu")},
     }

@@ -5,16 +5,48 @@ blind commitment z shows, without revealing u:
 
   * e_star lists e_t = v_t g + r h_t where v_t = <a_t, u> — checkable
     against y and the projection matrix by a random linear combination;
-  * o_t / o_prime_t commit to v_t and v_t^2 under the auxiliary base q
-    (same v_t as e_t via the well-formedness proof, squares via the
-    square proof);
+    the well-formedness proof shows that one r, the one behind z, blinds
+    every e_t;
+  * o_prime = (sum_t v_t^2) g + x q commits to the sum of the squares of
+    the v_t that e_star opens, under the auxiliary base q and a blind x.
+    The square proof shows o_prime = sum_t v_t e_t - sum_t w_t h_t + x q
+    for some w_t (v_t r for an honest prover), over the same v_t as
+    e_t = v_t g + r h_t;
   * every |v_t| is at most 2T, by an approximate proof of smallness
     (below), so v_t^2 <= (2T)^2;
   * B0 - sum v_t^2 lies in [0, 2^b_max) (a Bulletproofs+ range proof,
-    ``zkp.rangeproof``, on B0 g - sum o_prime_t, which the verifier
-    derives), i.e. the projected norm is bounded.  ``CheckParameters``
-    keeps k (2T)^2 + 2^b_max below the group order, so the sum of squares
+    ``zkp.rangeproof``, on B0 g - o_prime, which the verifier derives),
+    i.e. the projected norm is bounded.  ``CheckParameters`` keeps
+    k (2T)^2 + 2^b_max below the group order, so the sum of squares
     cannot wrap around it.
+
+One commitment to the squares.  e_t already commits to v_t, under the
+blind r on the base h_t, so no second commitment to the projections is
+sent, and the k squares are summed in one point.  The argument, for
+extracted witnesses:
+
+  * Binding.  The well-formedness proof extracts (r, v_t) with
+    e_t = v_t g + r h_t, and the square proof (r', v'_t) with
+    e_t = v'_t g + r' h_t.  h_t = A_t·w is a known combination of the
+    commitment generators w_l, so two openings of e_t give a
+    discrete-log relation among g and the w_l unless v_t = v'_t and
+    r h_t = r' h_t: both proofs extract the same v_t, and the same r
+    wherever h_t is not the identity.
+  * The square equation.  With e_t substituted, the square proof's
+    equation reads
+    o_prime = (sum_t v_t^2) g + sum_t (v_t r - w_t) h_t + x q.
+  * The slack.  The range proof extracts an opening
+    B0 g - o_prime = s g + gamma q with s in [0, 2^b_max), over g and q
+    alone.  Subtracting the two representations gives
+    (sum_t v_t^2 + s - B0) g + sum_l c_l w_l + (x + gamma) q = 0, with
+    c_l = sum_t (v_t r - w_t) A_tl.  Unless every c_l is 0 this is a
+    discrete-log relation among g, q and the w_l.  A's rows are
+    independent (as for k <= d), so every v_t r - w_t = 0; where they are
+    not, c = 0 still cancels the h_t terms.  Either way
+    sum_t v_t^2 = B0 - s mod p.
+  * No wrap.  The proof of smallness bounds every |v_t| by 2T, so
+    sum_t v_t^2 + s <= k (2T)^2 + 2^b_max < p, and the congruence holds
+    over the integers: sum_t v_t^2 <= B0.
 
 The proof of smallness is that of Gentry, Halevi and Lyubashevsky
 (EUROCRYPT 2022), as ACORN (Bell et al., USENIX Security 2023) uses it
@@ -45,15 +77,15 @@ that passes B0.  Let T = 2^8 W and lambda = ``LAMBDA`` = 128.
   * The verifier checks that every |z_j| <= T and that equation, whose
     identity it batches with the range proofs'.
 
-Soundness.  The transcript absorbs e_star and o, then Y, and only then
-draws R, so the claims and the y_j are both fixed before R: the v_t
-that the well-formedness proof extracts are those o commits to, and the
+Soundness.  The transcript absorbs e_star, then Y, and only then draws
+R, so the claims and the y_j are both fixed before R: the v_t that the
+well-formedness proof extracts are those e_star commits to, and the
 equation opens Y to y_j = z_j - sum_t R_jt v_t with them, unless the
-prover knows a discrete-log relation among the G_j and q.  (Were o
+prover knows a discrete-log relation among the G_j and q.  (Were e_star
 absorbed after R, a prover could pick claims against a known R, such
 as a large offset in the kernel of R that also keeps the sum of squares
 in range mod p.  o_prime may follow R: the square proof fixes it to
-the squares of the v_t in o.)  Take two accepting R that differ only in
+the squares of the v_t in e_star.)  Take two accepting R that differ only in
 R_jt: then v_t = +-(z_j - z'_j) mod p, whose centred value is at most
 2T.  So if some v_t has a centred value above 2T, for each row j at
 most one of R_jt's two values lets the row pass, and all lambda rows
@@ -68,8 +100,10 @@ Zero knowledge.  Y is a Pedersen vector commitment under the uniform
 blind sigma, so it hides the masks.  For any shift |s| <= W,
 y_j + s is uniform on a range that covers [-T, T], so an accepted z_j
 is uniform on [-T, T] whatever v is (rejection sampling), and a
-rejected try is never sent.  The link's announcement and responses are
-a sigma protocol's, which a simulator draws in the usual way.
+rejected try is never sent.  o_prime is a Pedersen commitment under
+the uniform blind x, so it hides the sum of squares.  The link's
+announcement and the sigma proofs' responses are a sigma protocol's,
+which a simulator draws in the usual way.
 
 All sub-proofs draw their challenges from one transcript bound to
 the check parameters, the round and the client's commitments.
@@ -133,7 +167,7 @@ import numpy as np
 from ..commit import aggregate_commitments
 from ..group.base import GROUP_ORDER, Point
 from ..group.generators import LAMBDA, GeneratorSet
-from ..group.multiexp import multiexp, multiexps, sum_points
+from ..group.multiexp import multiexp, multiexps
 from ..group.scalars import scalar_to_bytes
 from ..rng import Rng
 from ..serial import Message
@@ -177,8 +211,7 @@ class BoundExceededError(Exception):
 @dataclass(frozen=True)
 class IntegrityProof(Message):
     e_star: tuple[Point, ...]
-    o: tuple[Point, ...]
-    o_prime: tuple[Point, ...]
+    o_prime: Point  # the commitment to the sum of squares
     masks: Point  # Y, the commitment to the proof of smallness' masks
     z: bytes      # its answers z_j, packed (``_pack``)
     rho: WellFormedProof
@@ -186,17 +219,17 @@ class IntegrityProof(Message):
     mu: RangeProof
 
 
-def _slack(params: "CheckParameters", gens: GeneratorSet, o_prime: Sequence[Point]) -> Point:
-    """The mu range proof's value commitment B0 g - sum o_prime_t."""
-    return (params.b0 % _Q) * gens.g - sum_points(o_prime, backend=gens.backend)
+def _slack(params: "CheckParameters", gens: GeneratorSet, o_prime: Point) -> Point:
+    """The mu range proof's value commitment B0 g - o_prime."""
+    return (params.b0 % _Q) * gens.g - o_prime
 
 
 def _transcript(
     params: "CheckParameters", matrix: "SampleMatrix", round_no: int, client_id: int,
-    y: Sequence[Point], z: Point, e_star: Sequence[Point], o: Sequence[Point],
+    y: Sequence[Point], z: Point, e_star: Sequence[Point],
 ) -> Transcript:
     """The one Fiat–Shamir transcript of a client's proof in a round,
-    bound to e_star and o before any challenge is drawn."""
+    bound to e_star before any challenge is drawn."""
     tr = Transcript("integrity-proof")
     for label in ("d", "k", "M", "b_max"):
         tr.absorb_u64(label, getattr(params, label))
@@ -207,7 +240,6 @@ def _transcript(
     tr.absorb_points("y", y)
     tr.absorb_point("z", z)
     tr.absorb_points("e_star", e_star)
-    tr.absorb_points("o", o)
     return tr
 
 
@@ -296,41 +328,38 @@ def _prove(
     h: Sequence[Point], z: Point, y: Sequence[Point], r: int, v: Sequence[int],
     claims: Sequence[int], round_no: int, client_id: int, rng: Rng,
 ) -> IntegrityProof:
-    """Prove that e_star opens the true projections v and that the
-    claimed projections (v[1:] for an honest client) pass the norm
-    check.  Only an honest claim yields a proof that verifies."""
+    """Prove that e_star opens the projections v, and that the claimed
+    projections (v[1:] for an honest client) pass the norm check: the
+    proof of smallness and o_prime are made on the claims, the sigma
+    proofs on v.  Only an honest claim yields a proof that verifies."""
     k = params.k
     g, q = gens.g, gens.q
-    v_mod = [v[0]] + [x % _Q for x in v[1:]]
-    claims_mod = [x % _Q for x in claims]
-    s = [rng.scalar() for _ in range(k)]
-    s_prime = [rng.scalar() for _ in range(k)]
-    points = multiexps(
-        [[(g, v_mod[t]), (h[t], r)] for t in range(k + 1)]
-        + [[(g, claims_mod[t]), (q, s[t])] for t in range(k)]
-        + [[(g, c * c % _Q), (q, sp)] for c, sp in zip(claims, s_prime)],
+    v_mod = [v[0]] + [t % _Q for t in v[1:]]
+    squares = sum(t * t for t in claims)
+    x = rng.scalar()
+    *e_star, o_prime = multiexps(
+        [[(g, v_mod[t]), (h[t], r)] for t in range(k + 1)] + [[(g, squares % _Q), (q, x)]],
         gens.backend,
     )
-    e_star, o, o_prime = points[: k + 1], points[k + 1 : 2 * k + 1], points[2 * k + 1 :]
 
-    tr = _transcript(params, matrix, round_no, client_id, y, z, e_star, o)
+    tr = _transcript(params, matrix, round_no, client_id, y, z, e_star)
     link, sigma, tr = _smallness(params, gens, claims, rng, tr)
     _absorb_answers(tr, link.z)
-    rho = gen_prf_wf(g, q, h, z, e_star, o, link, r, [v[0]] + claims_mod, s, sigma, rng, tr)
-    tau = gen_prf_sq(g, q, o, o_prime, claims_mod, s, s_prime, rng, tr)
+    rho = gen_prf_wf(g, q, h, z, e_star, link, r, v_mod, sigma, rng, tr)
+    w = [t * r % _Q for t in v_mod[1:]]
+    tau = gen_prf_sq(g, q, h[1:], e_star[1:], o_prime, r, v_mod[1:], w, x, rng, tr)
     mu = gen_range_proof(
         gens,
         params.b_max,
-        [params.b0 - sum(x * x for x in claims)],
-        [-sum(s_prime) % _Q],
+        [params.b0 - squares],
+        [-x % _Q],
         [_slack(params, gens, o_prime)],
         rng,
         tr,
     )
     return IntegrityProof(
         e_star=tuple(e_star),
-        o=tuple(o),
-        o_prime=tuple(o_prime),
+        o_prime=o_prime,
         masks=link.y_commit,
         z=_pack(params, link.z),
         rho=rho,
@@ -449,8 +478,6 @@ def _well_shaped(
     k = params.k
     return (
         len(proof.e_star) == k + 1
-        and len(proof.o) == k
-        and len(proof.o_prime) == k
         and len(proof.z) == LAMBDA * params.z_width // 8
         and len(h) == k + 1
         and len(y) == params.d
@@ -466,15 +493,15 @@ def _cheap_checks(
     the set's consistency: the failed-check label, or the identities of
     the link and of the mu range proof."""
     g, q = gens.g, gens.q
-    tr = _transcript(params, matrix, round_no, client_id, y, z, proof.e_star, proof.o)
+    tr = _transcript(params, matrix, round_no, client_id, y, z, proof.e_star)
     rows = _challenge_rows(tr, proof.masks, params.k)
     answers = _unpack(params, proof.z)
     _absorb_answers(tr, answers)
     link = Link(gens.smallness, rows, proof.masks, answers)
-    small = ver_prf_wf(g, q, h, z, proof.e_star, proof.o, link, proof.rho, tr)
+    small = ver_prf_wf(g, q, h, z, proof.e_star, link, proof.rho, tr)
     if small is None:
         return "wellformed"
-    if not ver_prf_sq(g, q, proof.o, proof.o_prime, proof.tau, tr):
+    if not ver_prf_sq(g, q, h[1:], proof.e_star[1:], proof.o_prime, proof.tau, tr):
         return "square"
     if max(answers) > params.z_bound:
         return "range_ip"

@@ -5,16 +5,17 @@ One protocol proves knowledge of a witness vector w satisfying a list of
 linear equations, each target = sum_j base_j · w[index_j] (Maurer,
 "Unifying zero-knowledge proofs of knowledge", AFRICACRYPT 2009;
 Camenisch and Stadler, CRYPTO 1997).  It serves two statements about
-vectors of Pedersen-style commitments (written additively; g is the
-value base):
+the projection commitments e_t = v_t g + r h_t (written additively; g is
+the value base, q the auxiliary one):
 
-* well-formedness — given z = r g, e_i = v_i g + r h_i (i in 0..k) and
-  o_i = v_i g + s_i q (i in 1..k), prove a single r ties z to every e_i
-  and that e_i, o_i hide the same v_i.  The witness is
-  (r, v_0..v_k, s_1..s_k).
-* square relation — given y1_i = x_i g + r1_i h and y2_i = x2_i g + r2_i h,
-  prove x2_i = x_i^2 through y2_i = x_i y1_i + (r2_i - r1_i x_i) h.  The
-  witness is (x, r1, r2 - r1 x).
+* well-formedness — given z = r g and e_t (t in 0..k), prove a single r
+  ties z to every e_t.  The witness is (r, v_0..v_k).
+* square relation — given e_t (t in 1..k) and one point o', prove
+  e_t = v_t g + r h_t and o' = sum_t v_t e_t - sum_t w_t h_t + x q.
+  The witness is (r, x, v_1..v_k, -w_1..-w_k); an honest prover has
+  w_t = v_t r, so o' = (sum_t v_t^2) g + x q.  The relation holds for
+  any w, and only the caller's range proof on B0 g - o' ties o' to the
+  squares (``zkp.integrity`` gives the argument).
 
 A statement is the labelled points it absorbs, then labelled blocks of
 equations, each a target and its (base, witness index) terms.  The
@@ -27,7 +28,7 @@ announcements under its label, as the prover did, and accepts only if
 the challenge it derives equals c.  The check is exact, so verification
 draws no randomness.  Each side computes every distinct (base, index)
 product once, as one ``multiexps`` batch, then sums each equation as a
-second, so v_i g serves both e_i and o_i.
+second.
 
 The well-formedness statement has one more equation, the link of the
 proof of smallness (``zkp.integrity``):
@@ -40,7 +41,8 @@ sum_j (sum_t R_jt s_t) G_j + s_sigma q: neither side forms G'_t.  The
 prover sends this equation's announcement, which joins the challenge
 after the others.  The statement does not absorb Y, R or the z_j: the
 caller binds them in the transcript first (``zkp.integrity`` absorbs
-e and o, then Y, reads R from the transcript, then absorbs the z_j).  The verifier does not recompute the announcement: ``ver_prf_wf``
+e, then Y, reads R from the transcript, then absorbs the z_j).  The
+verifier does not recompute the announcement: ``ver_prf_wf``
 returns the equation's check as an ``Identity``, which the caller
 batches with the range proofs' identities, so the G_j are paid once a
 batch.  A proof holds when the challenge matches and that identity holds.
@@ -114,62 +116,72 @@ def _verify(
 @dataclass(frozen=True)
 class SquareProof(Message):
     c: int
-    s1: tuple[int, ...]
-    s2: tuple[int, ...]
-    s3: tuple[int, ...]
+    y: int                   # for r
+    y_x: int                 # for x, the blind of o'
+    y_vec: tuple[int, ...]   # one per v_t, t in 1..k
+    y_w: tuple[int, ...]     # one per -w_t, t in 1..k
 
 
-def _square(g: Point, h: Point, y1: Sequence[Point], y2: Sequence[Point]) -> Statement:
-    k = len(y1)
-    X, R1, RHO = 0, k, 2 * k  # x_i, r1_i, rho_i = r2_i - r1_i x_i
+def _square(g: Point, q: Point, h: Sequence[Point], e: Sequence[Point], o_prime: Point) -> Statement:
+    k = len(e)
+    R, X, V, W = 0, 1, 2, k + 2  # r, x, v_t at V + t - 1, -w_t at W + t - 1 (t in 1..k)
     return (
-        [("g", [g]), ("h", [h]), ("y1", y1), ("y2", y2)],
+        [("g", [g]), ("q", [q]), ("h", h), ("e", e), ("o'", [o_prime])],
         [
-            ("t1", [(y1[i], [(g, X + i), (h, R1 + i)]) for i in range(k)]),
-            ("t2", [(y2[i], [(y1[i], X + i), (h, RHO + i)]) for i in range(k)]),
+            ("t1", [(e[i], [(g, V + i), (h[i], R)]) for i in range(k)]),
+            ("t2", [(o_prime, [*((e[i], V + i) for i in range(k)),
+                               *((h[i], W + i) for i in range(k)), (q, X)])]),
         ],
     )
 
 
 def gen_prf_sq(
     g: Point,
-    h: Point,
-    y1: Sequence[Point],
-    y2: Sequence[Point],
-    x: Sequence[int],
-    r1: Sequence[int],
-    r2: Sequence[int],
+    q: Point,
+    h: Sequence[Point],
+    e: Sequence[Point],
+    o_prime: Point,
+    r: int,
+    v: Sequence[int],
+    w: Sequence[int],
+    x: int,
     rng: Rng,
     tr: Transcript,
 ) -> SquareProof:
-    k = len(x)
-    if not (len(y1) == len(y2) == len(r1) == len(r2) == k):
+    """Prove e_1..e_k and o' are well formed over secrets (r, v, w, x).
+
+    ``h`` and ``e`` are h_1..h_k and e_1..e_k; ``v`` and ``w`` have
+    length k.
+    """
+    k = len(e)
+    if not (len(h) == len(v) == len(w) == k):
         raise ValueError("square proof inputs must share one length")
-    witness = [*x, *r1, *(r2_i - r1_i * x_i for x_i, r1_i, r2_i in zip(x, r1, r2))]
-    c, s, _ = _prove(_square(g, h, y1, y2), witness, rng, tr)
-    return SquareProof(c=c, s1=tuple(s[:k]), s2=tuple(s[k : 2 * k]), s3=tuple(s[2 * k :]))
+    witness = [r, x, *v, *(-w_t % _Q for w_t in w)]
+    c, s, _ = _prove(_square(g, q, h, e, o_prime), witness, rng, tr)
+    return SquareProof(c=c, y=s[0], y_x=s[1], y_vec=tuple(s[2 : k + 2]), y_w=tuple(s[k + 2 :]))
 
 
 def ver_prf_sq(
     g: Point,
-    h: Point,
-    y1: Sequence[Point],
-    y2: Sequence[Point],
+    q: Point,
+    h: Sequence[Point],
+    e: Sequence[Point],
+    o_prime: Point,
     proof: SquareProof,
     tr: Transcript,
 ) -> bool:
-    k = len(y1)
-    if not (len(y2) == len(proof.s1) == len(proof.s2) == len(proof.s3) == k):
+    k = len(e)
+    if not (len(h) == len(proof.y_vec) == len(proof.y_w) == k):
         return False
-    return _verify(_square(g, h, y1, y2), proof.c, proof.s1 + proof.s2 + proof.s3, tr)
+    responses = (proof.y, proof.y_x) + proof.y_vec + proof.y_w
+    return _verify(_square(g, q, h, e, o_prime), proof.c, responses, tr)
 
 
 @dataclass(frozen=True)
 class WellFormedProof(Message):
     c: int
     y: int
-    y_vec: tuple[int, ...]   # one per e_i, i in 0..k
-    y_star: tuple[int, ...]  # one per o_i, i in 1..k
+    y_vec: tuple[int, ...]   # one per e_t, t in 0..k
     y_sigma: int             # the link's witness -sigma
     t_link: Point            # the link's announcement
 
@@ -190,27 +202,22 @@ def row_sums(rows: Sequence[Sequence[int]], scalars: Sequence[int]) -> list[int]
     return [sum(compress(scalars, row)) for row in rows]
 
 
-def _wellformed(
-    g: Point, q: Point, h: Sequence[Point], z: Point, e: Sequence[Point], o: Sequence[Point]
-) -> Statement:
-    k = len(o)
-    R, V, S = 0, 1, k + 1  # r, v_i at V + i (i in 0..k), s_i at S + i (i in 1..k)
+def _wellformed(g: Point, q: Point, h: Sequence[Point], z: Point, e: Sequence[Point]) -> Statement:
+    R, V = 0, 1  # r, v_t at V + t (t in 0..k)
     return (
-        [("g", [g]), ("q", [q]), ("h", h), ("z", [z]), ("e", e), ("o", o)],
+        [("g", [g]), ("q", [q]), ("h", h), ("z", [z]), ("e", e)],
         [
             ("u", [(z, [(g, R)])]),
-            ("t", [(e[i], [(g, V + i), (h[i], R)]) for i in range(k + 1)]),
-            ("t*", [(o[i - 1], [(g, V + i), (q, S + i)]) for i in range(1, k + 1)]),
+            ("t", [(e[t], [(g, V + t), (h[t], R)]) for t in range(len(e))]),
         ],
-    )  # and -sigma at S + k + 1, which only the link reads
+    )  # and -sigma at V + k + 1, which only the link reads
 
 
-def _shapes_fit(h: Sequence, e: Sequence, o: Sequence, link: Link) -> bool:
-    k = len(o)
+def _shapes_fit(h: Sequence, e: Sequence, link: Link) -> bool:
     return (
-        len(e) == len(h) == k + 1
+        len(e) == len(h) >= 1
         and len(link.rows) == len(link.gs) == len(link.z)
-        and all(len(row) == k for row in link.rows)
+        and all(len(row) == len(e) - 1 for row in link.rows)
     )
 
 
@@ -220,34 +227,27 @@ def gen_prf_wf(
     h: Sequence[Point],
     z: Point,
     e: Sequence[Point],
-    o: Sequence[Point],
     link: Link,
     r: int,
     v: Sequence[int],
-    s: Sequence[int],
     sigma: int,
     rng: Rng,
     tr: Transcript,
 ) -> WellFormedProof:
-    """Prove z, e_0..e_k, o_1..o_k and the link are well formed over
-    secrets (r, v, s, sigma).
+    """Prove z, e_0..e_k and the link are well formed over secrets
+    (r, v, sigma).
 
-    ``v`` has length k+1 (v_0 included); ``s`` has length k.
+    ``v`` has length k+1 (v_0 included).
     """
-    k = len(o)
-    if not (_shapes_fit(h, e, o, link) and len(v) == k + 1 and len(s) == k):
+    k = len(e) - 1
+    if not (_shapes_fit(h, e, link) and len(v) == k + 1):
         raise ValueError("inconsistent well-formedness statement lengths")
 
     def announce(nonces: Sequence[int]) -> Point:
         return multiexp([*link.gs, q], [*row_sums(link.rows, nonces[2 : k + 2]), nonces[-1]])
 
-    c, y, t_link = _prove(
-        _wellformed(g, q, h, z, e, o), [r, *v, *s, -sigma % _Q], rng, tr, announce
-    )
-    return WellFormedProof(
-        c=c, y=y[0], y_vec=tuple(y[1 : k + 2]), y_star=tuple(y[k + 2 : 2 * k + 2]),
-        y_sigma=y[-1], t_link=t_link,
-    )
+    c, y, t_link = _prove(_wellformed(g, q, h, z, e), [r, *v, -sigma % _Q], rng, tr, announce)
+    return WellFormedProof(c=c, y=y[0], y_vec=tuple(y[1 : k + 2]), y_sigma=y[-1], t_link=t_link)
 
 
 def ver_prf_wf(
@@ -256,7 +256,6 @@ def ver_prf_wf(
     h: Sequence[Point],
     z: Point,
     e: Sequence[Point],
-    o: Sequence[Point],
     link: Link,
     proof: WellFormedProof,
     tr: Transcript,
@@ -269,11 +268,10 @@ def ver_prf_wf(
     the one sent:
     sum_j (sum_t R_jt y_t + c z_j) G_j + y_sigma q - c Y - t_link.
     """
-    k = len(o)
-    if not (_shapes_fit(h, e, o, link) and len(proof.y_vec) == k + 1 and len(proof.y_star) == k):
+    if not (_shapes_fit(h, e, link) and len(proof.y_vec) == len(e)):
         return None
-    responses = (proof.y,) + proof.y_vec + proof.y_star + (proof.y_sigma,)
-    if not _verify(_wellformed(g, q, h, z, e, o), proof.c, responses, tr, proof.t_link):
+    responses = (proof.y,) + proof.y_vec + (proof.y_sigma,)
+    if not _verify(_wellformed(g, q, h, z, e), proof.c, responses, tr, proof.t_link):
         return None
     c = proof.c
     return Identity(

@@ -14,7 +14,7 @@ from typing import Iterable
 
 from ..group.base import GROUP_ORDER, Point
 
-DOMAIN = "savi/v7"
+DOMAIN = "savi/v8"
 """Version of the wire format: bumped whenever proof or message bytes change."""
 
 

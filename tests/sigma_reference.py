@@ -30,10 +30,10 @@ def make_link(rng, gs, q, claims):
     return Link(gs, rows, y_commit, answers), sigma
 
 
-def wf_holds(g, q, h, z, e, o, link, proof, tr):
+def wf_holds(g, q, h, z, e, link, proof, tr):
     """``ver_prf_wf``'s verdict: its challenge matches and the link
     identity it returns holds."""
-    small = ver_prf_wf(g, q, h, z, e, o, link, proof, tr)
+    small = ver_prf_wf(g, q, h, z, e, link, proof, tr)
     gens = GeneratorSet(g=g, q=q, w=(), range_gens=RangeGenerators((), ()), smallness=link.gs)
     return small is not None and ver_range_proof(gens, [small], DeterministicRng(b"weights"))
 
@@ -56,28 +56,39 @@ def each_bump(proof):
         value = getattr(proof, f.name)
         if isinstance(value, tuple):
             for i in range(len(value)):
-                yield bumped(proof, f.name, i)
+                if isinstance(value[i], int):
+                    yield bumped(proof, f.name, i)
         elif isinstance(value, int):
             yield bumped(proof, f.name)
 
 
-def ref_ver_prf_sq(g, h, y1, y2, proof, tr):
-    k = len(y1)
-    if not (len(y2) == len(proof.s1) == len(proof.s2) == len(proof.s3) == k):
+def ref_ver_prf_sq(g, q, h, e, o_prime, proof, tr):
+    """e_t = v_t g + r h_t (t in 1..k) and
+    o' = sum_t v_t e_t - sum_t w_t h_t + x q, with the responses for
+    (r, x, v, -w)."""
+    k = len(e)
+    if not (len(h) == len(proof.y_vec) == len(proof.y_w) == k):
         return False
     c = proof.c
-    t1 = [multiexp([g, h, y1[i]], [proof.s1[i], proof.s2[i], c]) for i in range(k)]
-    t2 = [multiexp([y1[i], h, y2[i]], [proof.s1[i], proof.s3[i], c]) for i in range(k)]
+    t1 = [multiexp([g, h[t], e[t]], [proof.y_vec[t], proof.y, c]) for t in range(k)]
+    t2 = multiexp(
+        [*e, *h, q, o_prime], [*proof.y_vec, *proof.y_w, proof.y_x, c], g.backend
+    )
     tr.absorb_point("g", g)
-    tr.absorb_point("h", h)
-    for label, points in (("y1", y1), ("y2", y2), ("t1", t1), ("t2", t2)):
-        tr.absorb_points(label, points)
+    tr.absorb_point("q", q)
+    tr.absorb_points("h", h)
+    tr.absorb_points("e", e)
+    tr.absorb_point("o'", o_prime)
+    tr.absorb_points("t1", t1)
+    tr.absorb_point("t2", t2)
     return tr.challenge("c") == c
 
 
-def ref_ver_prf_wf(g, q, h, z, e, o, link, proof, tr):
-    k = len(o)
-    if not (len(e) == len(h) == len(proof.y_vec) == k + 1 and len(proof.y_star) == k):
+def ref_ver_prf_wf(g, q, h, z, e, link, proof, tr):
+    """z = r g and e_t = v_t g + r h_t (t in 0..k), with the link's
+    announcement over v_1..v_k and -sigma."""
+    k = len(e) - 1
+    if not (len(h) == len(proof.y_vec) == k + 1):
         return False
     c, y = proof.c, proof.y
     # the link's announcement, with each G'_t = sum_j R_jt G_j formed
@@ -93,17 +104,12 @@ def ref_ver_prf_wf(g, q, h, z, e, o, link, proof, tr):
         return False
     u = multiexp([g, z], [y, c])
     t = [multiexp([g, h[i], e[i]], [proof.y_vec[i], y, c]) for i in range(k + 1)]
-    t_star = [
-        multiexp([g, q, o[i]], [proof.y_vec[i + 1], proof.y_star[i], c]) for i in range(k)
-    ]
     tr.absorb_point("g", g)
     tr.absorb_point("q", q)
     tr.absorb_points("h", h)
     tr.absorb_point("z", z)
     tr.absorb_points("e", e)
-    tr.absorb_points("o", o)
     tr.absorb_point("u", u)
     tr.absorb_points("t", t)
-    tr.absorb_points("t*", t_star)
     tr.absorb_point("link", t_link)
     return tr.challenge("c") == c

@@ -229,12 +229,12 @@ def _mutations(proof, g):
     return [
         rep(proof, e_star=(proof.e_star[0] + g,) + proof.e_star[1:]),
         rep(proof, e_star=proof.e_star[:-1] + (proof.e_star[-1] + g,)),
-        rep(proof, o=(proof.o[0] + g,) + proof.o[1:]),
-        rep(proof, o_prime=proof.o_prime[:-1] + (proof.o_prime[-1] + g,)),
+        # one commitment to the squares (at savi/v7, o and o' bumped here)
+        rep(proof, o_prime=proof.o_prime + g),
         rep(proof, rho=rep(proof.rho, y=(proof.rho.y + 1) % Q)),
         rep(proof, rho=rep(proof.rho, c=(proof.rho.c + 1) % Q)),
         rep(proof, tau=rep(proof.tau, c=(proof.tau.c + 1) % Q)),
-        rep(proof, tau=rep(proof.tau, s1=((proof.tau.s1[0] + 1) % Q,) + proof.tau.s1[1:])),
+        rep(proof, tau=rep(proof.tau, y_w=((proof.tau.y_w[0] + 1) % Q,) + proof.tau.y_w[1:])),
         # the proof of smallness (at savi/v6, a bumped sigma range proof)
         rep(proof, masks=proof.masks + g),
         rep(proof, rho=rep(proof.rho, y_sigma=(proof.rho.y_sigma + 1) % Q)),
@@ -296,19 +296,8 @@ def test_criterion_07_batch_equals_naive():
         def tr():  # prover, batch and naive verifier replay one transcript state
             return Transcript(f"b7/{i}")
 
-        # square proof instance
-        v = [rng.scalar() % 97 - 48 for _ in range(k)]
-        s = [rng.scalar() for _ in range(k)]
-        s_p = [rng.scalar() for _ in range(k)]
-        o = [multiexp([g, q], [x % Q, si]) for x, si in zip(v, s)]
-        o_p = [multiexp([g, q], [x * x % Q, si]) for x, si in zip(v, s_p)]
-        tau = gen_prf_sq(g, q, o, o_p, [x % Q for x in v], s, s_p, rng, tr())
-        if tamper:
-            tau = dataclasses.replace(tau, s2=((tau.s2[0] + 1) % Q,) + tau.s2[1:])
-        assert ver_prf_sq(g, q, o, o_p, tau, tr()) == ref_ver_prf_sq(g, q, o, o_p, tau, tr())
-        sq_agree += 1
-
-        # wellformed proof instance
+        # the projection commitments of one update, which both sigma
+        # proofs are about
         matrix = sample_matrix(f"b7/{i}".encode(), k, d, 1 << 10)
         rows = [[a % Q for a in matrix.a0]] + [
             [int(x) % Q for x in row] for row in matrix.rows
@@ -317,16 +306,30 @@ def test_criterion_07_batch_equals_naive():
         r = rng.scalar()
         u = [rng.scalar() % 7 for _ in range(d)]
         vm = matrix.row_inner(u)
+        squares = sum(x * x for x in vm[1:])
         vm = [vm[0]] + [x % Q for x in vm[1:]]
         e = [multiexp([g, h[t]], [vm[t], r]) for t in range(k + 1)]
-        o2 = [multiexp([g, q], [vm[1 + t], s[t]]) for t in range(k)]
+
+        # square proof instance
+        x_blind = rng.scalar()
+        o_p = multiexp([g, q], [squares % Q, x_blind])
+        w = [x * r % Q for x in vm[1:]]
+        tau = gen_prf_sq(g, q, h[1:], e[1:], o_p, r, vm[1:], w, x_blind, rng, tr())
+        if tamper:
+            tau = dataclasses.replace(tau, y_w=((tau.y_w[0] + 1) % Q,) + tau.y_w[1:])
+        assert ver_prf_sq(g, q, h[1:], e[1:], o_p, tau, tr()) == ref_ver_prf_sq(
+            g, q, h[1:], e[1:], o_p, tau, tr()
+        ) == (not tamper)
+        sq_agree += 1
+
+        # wellformed proof instance
         link, sigma = make_link(rng, gens.smallness, q, vm[1:])
-        rho = gen_prf_wf(g, q, h, z := r * g, e, o2, link, r, vm, s, sigma, rng, tr())
+        rho = gen_prf_wf(g, q, h, z := r * g, e, link, r, vm, sigma, rng, tr())
         if tamper:
             field = ("y", "y_sigma")[(i // 3) % 2]
             rho = dataclasses.replace(rho, **{field: (getattr(rho, field) + 1) % Q})
-        assert wf_holds(g, q, h, z, e, o2, link, rho, tr()) == ref_ver_prf_wf(
-            g, q, h, z, e, o2, link, rho, tr()
+        assert wf_holds(g, q, h, z, e, link, rho, tr()) == ref_ver_prf_wf(
+            g, q, h, z, e, link, rho, tr()
         ) == (not tamper)
         wf_agree += 1
 

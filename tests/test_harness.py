@@ -94,8 +94,13 @@ def test_deterministic_given_seed():
 # The uplink of a fixed-seed round, proofs included, is pinned byte for
 # byte.  Changing these bytes changes the wire format or the proofs, and
 # requires a bump of the transcript domain (savi/vN/transcript).  Last
-# re-pinned at savi/v7: domain bump and layout (the proof of smallness in
-# place of the projections' range proof); at savi/v6 these read
+# re-pinned at savi/v8: domain bump and layout (one commitment o' to the
+# sum of squares, none to the projections), with the forgers named
+# "square"; at savi/v7 these read
+# 9de84b3c78454f00e28335e692fa920df92f67fad14f23361c07af11a157264b and
+# f71a87a36c008b3e0c4063ebfa4e460e5e3d89e373212fa75c576a22ea459932, with
+# the forgers named "wellformed" (the proof of smallness in place of the
+# projections' range proof); at savi/v6 these read
 # f8967d49431fb959dac56045f052a7584af2ab56ab468c2b161ed05093573351 and
 # ddf787c9673feec0043fe559aa6a26068f6a2d4874a90eba35518deb39e27419, and
 # at savi/v5
@@ -105,17 +110,17 @@ _PINNED_ROUNDS = [
     (
         dict(n=5, m=2, d=16, k=4, M=16, b_max=64, epsilon_log2=-16, seed=3,
              attack=AttackSpec("oversized_norm", scale=10.0, malicious_ids=(2, 4))),
-        "9de84b3c78454f00e28335e692fa920df92f67fad14f23361c07af11a157264b",
+        "acba85f1f9583db8cedcd02e0032575b2c0171cab888c7eb5cdd6ffab7605151",
         (1, 3, 5),
-        {2: "proof_wellformed", 4: "proof_wellformed"},
+        {2: "proof_square", 4: "proof_square"},
     ),
     (
         dict(n=3, m=1, d=4, k=1, M=1, b_max=32, epsilon_log2=-16, seed=3,
              backend="ristretto255",
              attack=AttackSpec("oversized_norm", scale=10.0, malicious_ids=(3,))),
-        "f71a87a36c008b3e0c4063ebfa4e460e5e3d89e373212fa75c576a22ea459932",
+        "0c9f25175d61760f082d4fd33ae9bdd4513b91e108476ed4fa40f86daea5fbe4",
         (1, 2),
-        {3: "proof_wellformed"},
+        {3: "proof_square"},
     ),
 ]
 
@@ -146,7 +151,7 @@ def test_round_with_forgers_samples_the_matrix_once_per_party(monkeypatch):
     sim = Simulation(SimulationConfig(**fields))
     assert {i for i, c in sim.clients.items() if isinstance(c, ForgingClient)} == {2, 4}
     rep = sim.run_round(1)
-    assert rep.excluded == {2: "proof_wellformed", 4: "proof_wellformed"}
+    assert rep.excluded == {2: "proof_square", 4: "proof_square"}
     assert len(calls) == fields["n"] + 1
 
 
@@ -161,7 +166,7 @@ def test_round_with_forgers_projects_each_update_once(monkeypatch):
     monkeypatch.setattr(SampleMatrix, "row_inner", counted)
     fields = _PINNED_ROUNDS[0][0]
     rep = Simulation(SimulationConfig(**fields)).run_round(1)
-    assert rep.excluded == {2: "proof_wellformed", 4: "proof_wellformed"}
+    assert rep.excluded == {2: "proof_square", 4: "proof_square"}
     # one call per client, each on the matrix that client sampled
     assert len(calls) == len({id(m) for m in calls}) == fields["n"]
 
@@ -175,25 +180,29 @@ def test_two_round_uplink_pinned():
     uplink = b"".join(
         payload for rep in reps for _, _, payload in sorted(rep.messages, key=lambda m: m[1])
     )
-    # re-pinned at savi/v7: domain bump and layout (the proof of
-    # smallness); at savi/v6
+    # re-pinned at savi/v8: domain bump and layout (one commitment to
+    # the squares); at savi/v7 (the proof of smallness)
+    # 323109a807be5d5694fa4b60a167e44bf84a224f4e4fdc8848d652381ac53d60, at
+    # savi/v6
     # 871bdb65fd8236122c4bd69c42036bbbdad5ca1ba07b3b626d336280fb5b46ce, at
     # savi/v5 17a59a4f3c18b4566ad30563c0cf3a6a2d597cc666fa264e477443654f482bc9
     assert hashlib.sha256(uplink).hexdigest() == (
-        "323109a807be5d5694fa4b60a167e44bf84a224f4e4fdc8848d652381ac53d60"
+        "22a2e4ffad541bac27a842bff5a55fce0c83570ddef00dd6f32fffb339876fd3"
     )
 
 
 def test_crowd_attack_verdicts_pinned():
     # crowd_attack's shape on the mock: the exact sigma verifiers and the
     # round's one consistency weight vector keep the verdicts and reasons
-    # of the batched verifiers (one weight vector per client) before them
+    # of the batched verifiers (one weight vector per client) before them.
+    # The forgers' lie is in o', so the square proof names them (at
+    # savi/v7 the well-formedness proof, which tied e_star to o)
     attack = AttackSpec("oversized_norm", scale=40.0, malicious_ids=(4, 9, 11))
     (rep,) = run_simulation(
         SimulationConfig(n=12, m=3, d=64, k=8, seed=1, backend="mock", attack=attack)
     )
     assert rep.honest == (1, 2, 3, 5, 6, 7, 8, 10, 12)
-    assert rep.excluded == {i: "proof_wellformed" for i in (4, 9, 11)}
+    assert rep.excluded == {i: "proof_square" for i in (4, 9, 11)}
     assert rep.aggregate_ok
 
 
@@ -228,10 +237,13 @@ def test_proof_verification_op_count_pinned():
     # nine clients (2,416 muls and 2,275 adds).  The links of the proofs
     # of smallness share the 128 G_j, and each adds Y and t_link to the
     # batch; with the projections' range proofs (192 slots) in the batch
-    # this round cost 1,759 muls and 2,293 adds
+    # this round cost 1,759 muls and 2,293 adds.  With commitments o and
+    # o'_t to the projections and their squares (savi/v7), the sigma
+    # proofs cost 11k + 5 muls a client, 3k - 2 more than 8k + 7 now (1,379
+    # muls and 1,843 adds)
     (rep,) = run_simulation(SimulationConfig(n=10, m=4, d=64, k=8, seed=1, backend="mock"))
     assert rep.honest == tuple(range(1, 11))
-    assert rep.group_ops["proof_ver"] == {"mul": 1379, "add": 1843, "from_hash": 0}
+    assert rep.group_ops["proof_ver"] == {"mul": 1159, "add": 1623, "from_hash": 0}
     assert rep.group_ops["proof_ver"]["mul"] <= 4000
 
 
@@ -249,10 +261,14 @@ def test_proof_generation_op_count_pinned():
     # smallness costs 129 muls a try and 129 for its announcement.  At
     # M = 2^11 (the rounding term sqrt(kd)/(2M), before rho(k)/(2M) gave
     # 2^10) this round cost 7,765 muls and 7,652 adds: b_max is 48 at
-    # both, and the transcripts, so the tries, differ
+    # both, and the transcripts, so the tries, differ.  With commitments o
+    # and o'_t (savi/v7) it cost 8,279 muls and 8,162 adds: a client's
+    # commitments and sigma announcements cost 13k + 5 muls there and
+    # 8k + 8 here, but the new transcripts draw ten more tries of the
+    # proof of smallness in all, 129 muls each (10 x 129 - 10 x 37 = 919)
     (rep,) = run_simulation(SimulationConfig(n=10, m=4, d=64, k=8, seed=1, backend="mock"))
     assert rep.honest == tuple(range(1, 11))
-    assert rep.group_ops["proof_gen"] == {"mul": 8279, "add": 8162, "from_hash": 0}
+    assert rep.group_ops["proof_gen"] == {"mul": 9198, "add": 9221, "from_hash": 0}
     assert rep.group_ops["proof_gen"]["mul"] <= 56_000
     # the sum of the honest commitments starts from the first vector, not
     # from d identities (this stage counted 9,976 adds when it did), and
@@ -386,10 +402,11 @@ def test_oversized_norm_attacker_rejected_in_full_round():
     p = cfg.check_parameters()
     assert pass_rate_F(5.0, p.k, p.epsilon, p.d, p.M) < 1e-12
     rep = run_simulation(cfg)[0]
-    assert rep.excluded == {2: "proof_wellformed"}
+    # its lie is in o' (at savi/v7 in o, and it was named "wellformed")
+    assert rep.excluded == {2: "proof_square"}
     assert rep.honest == (1, 3, 4)
     assert rep.aggregate_ok  # aggregate matches the honest-only sum
-    assert rep.proof_reasons == {2: "wellformed"}
+    assert rep.proof_reasons == {2: "square"}
 
 
 def test_scaling_attacker_rejected_in_full_round():
@@ -462,8 +479,9 @@ def test_message_log_replay(tmp_path):
     reports = run_simulation(cfg)
     log = emit_message_log(reports, cfg, tmp_path)
     header, records = parse_message_log(log)
-    # savi/v6 until the proof of smallness, savi/v5 until Bulletproofs+
-    assert header.domain == "savi/v7"
+    # savi/v7 until one commitment to the squares, savi/v6 until the
+    # proof of smallness, savi/v5 until Bulletproofs+
+    assert header.domain == "savi/v8"
     assert header.params == cfg.check_parameters()
     per_client = {}
     kinds = set()
@@ -584,36 +602,42 @@ def test_client_proof_probe_op_count_pinned():
     # With the Bulletproofs+ range proof on the projections in place of
     # the proof of smallness, the proof alone cost 3,201 muls and 3,602
     # adds here.  With M derived from sqrt(kd)/(2M) (2^12) the proof cost
-    # 898 muls and 848 adds in two tries; at M = 2^10 it takes one
+    # 898 muls and 848 adds in two tries; at M = 2^10 it takes one.  With
+    # commitments o and o'_t (savi/v7) it cost 769 muls and 720 adds, 5k - 3
+    # muls more
     row = probe_costs(256, 16)
     ops = row.ops
     assert row.tries == 1
     assert ops["client_check_h"] == {"mul": 273, "add": 271, "from_hash": 0}
-    assert ops["client_proof"] == {"mul": 769, "add": 720, "from_hash": 0}
+    assert ops["client_proof"] == {"mul": 692, "add": 674, "from_hash": 0}
     assert ops["client_check_h"]["mul"] + ops["client_proof"]["mul"] <= 6_700
     # proof_heavy's shape (b_max = 48; 1,005 muls and 886 adds at
     # b_max = 56, M = 2^12, in one try); with the check of h, 6,418 muls
     # and 7,209 adds with the projections' range proof (896 slots, 6,129
     # muls and 6,922 adds for the proof alone), and 8,250 and 9,037 with
-    # the Bulletproofs prover
+    # the Bulletproofs prover.  At savi/v7 (commitments o and o'_t) it
+    # took one try, for 977 muls and 848 adds; here it takes three, and
+    # one would cost 820 and 754
     row = probe_costs(256, 32)
     ops = row.ops
-    assert row.tries == 1
+    assert row.tries == 3
     assert ops["client_check_h"] == {"mul": 289, "add": 287, "from_hash": 0}
-    assert ops["client_proof"] == {"mul": 977, "add": 848, "from_hash": 0}
+    assert ops["client_proof"] == {"mul": 820 + 2 * 129, "add": 754 + 2 * 128, "from_hash": 0}
 
 
 def test_probe_reports_the_tries_of_the_proof_of_smallness():
-    # four seeds that take 1, 3, 2 and 4 tries: each try past the first
+    # four seeds that take 1, 4, 2 and 6 tries: each try past the first
     # costs LAMBDA + 1 muls (its masks' commitment Y) and LAMBDA adds, so
-    # the proofs cost the same once the tries are factored out
-    rows = [probe_costs(256, 16, seed=seed) for seed in (7, 8, 10, 11)]
-    assert [row.tries for row in rows] == [1, 3, 2, 4]
+    # the proofs cost the same once the tries are factored out (seeds 7,
+    # 8, 10 and 11 took 1, 3, 2 and 4 tries at savi/v7, for 769 muls and
+    # 720 adds)
+    rows = [probe_costs(256, 16, seed=seed) for seed in (7, 17, 18, 11)]
+    assert [row.tries for row in rows] == [1, 4, 2, 6]
     assert {
         (row.ops["client_proof"]["mul"] - (row.tries - 1) * (LAMBDA + 1),
          row.ops["client_proof"]["add"] - (row.tries - 1) * LAMBDA)
         for row in rows
-    } == {(769, 720)}
+    } == {(692, 674)}
 
 
 def test_comm_probe_equals_bytes_a_client_sends():
@@ -625,16 +649,18 @@ def test_comm_probe_equals_bytes_a_client_sends():
 
 
 def test_comm_probe_proof_parts_add_up():
-    # the eight fields of a proof: seven behind a 4-byte count or length,
-    # Y bare (at savi/v6, seven fields each behind one, with "sigma" where
-    # "Y+z" is)
+    # the seven fields of a proof: five behind a 4-byte count or length,
+    # o' and Y bare (at savi/v7, eight fields, seven behind one, with o
+    # and k points o'_t in "e_star+o+o_prime"; at savi/v6, seven fields
+    # each behind one, with "sigma" where "Y+z" is)
     rep = measure_communication(d=64, k=4)
-    assert list(rep.proof_parts) == ["e_star+o+o_prime", "Y+z", "rho", "tau", "mu"]
-    assert sum(rep.proof_parts.values()) + 7 * 4 == rep.proof_bytes
-    # k+1 + 2k points; the sigma proofs in their (c, s) form, rho with the
-    # link's y_sigma and t_link (104 + 64k bytes before)
-    assert rep.proof_parts["e_star+o+o_prime"] == 32 * (3 * 4 + 1)
-    assert (rep.proof_parts["rho"], rep.proof_parts["tau"]) == (168 + 64 * 4, 44 + 96 * 4)
+    assert list(rep.proof_parts) == ["e_star+o_prime", "Y+z", "rho", "tau", "mu"]
+    assert sum(rep.proof_parts.values()) + 5 * 4 == rep.proof_bytes
+    # k+1 + 1 points; the sigma proofs in their (c, s) form, rho with the
+    # link's y_sigma and t_link (3k + 1 points, and 168 + 64k and 44 + 96k
+    # bytes at savi/v7)
+    assert rep.proof_parts["e_star+o_prime"] == 32 * (4 + 2)
+    assert (rep.proof_parts["rho"], rep.proof_parts["tau"]) == (164 + 32 * 4, 104 + 64 * 4)
     # Y, then z: 128 packed answers of w = (2T).bit_length() bits each
     params = deployment_preset(d=64, k=4).check_parameters()
     assert rep.proof_parts["Y+z"] == 32 + 128 * params.z_width // 8
@@ -654,7 +680,7 @@ def test_comm_probe_measures_the_widths_of_d():
     proof = IntegrityProof.from_bytes(payload, make_backend("mock"))
     assert probe.proof_bytes == len(payload)
     assert probe.proof_parts == {
-        "e_star+o+o_prime": 32 * (len(proof.e_star) + len(proof.o) + len(proof.o_prime)),
+        "e_star+o_prime": 32 * (len(proof.e_star) + 1),
         "Y+z": 32 + len(proof.z),
         **{part: len(getattr(proof, part).to_bytes()) for part in ("rho", "tau", "mu")},
     }
@@ -664,14 +690,14 @@ def test_proof_cost_grows_with_k():
     # compared at one try of the proof of smallness each, since a try
     # costs LAMBDA + 1 muls whatever k is and the two probes draw 2 and 1
     # (the test compared 1.5x the totals, tries and all, which the tries
-    # decided).  e_star, o and o' are 3k + 1 points of two terms each, so
-    # they alone cost 6 muls more per unit of k
+    # decided).  A client's commitments and sigma announcements cost
+    # 8k + 8 muls (13k + 5 at savi/v7, with o and o'_t)
     small, big = probe_costs(d=64, k=8), probe_costs(d=64, k=32)
 
     def one_try(row):
         return row.ops["client_proof"]["mul"] - (row.tries - 1) * (LAMBDA + 1)
 
-    assert one_try(big) - one_try(small) >= 6 * (32 - 8)
+    assert one_try(big) - one_try(small) >= 8 * (32 - 8)
 
 
 # -- config ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ from savi.zkp import (
     ver_integrity_set,
     ver_range_proof,
 )
-from savi.zkp import integrity
+from savi.zkp import integrity, sigma
 from savi.group.generators import LAMBDA
 from savi.zkp.integrity import MAX_TRIES
 from sigma_reference import each_bump
@@ -125,8 +125,9 @@ def test_each_tampered_component_names_its_check():
     cases = [
         # structural damage is caught before any crypto runs
         (dataclasses.replace(proof, e_star=proof.e_star[:-1]), "malformed"),
-        (dataclasses.replace(proof, o=proof.o + (g,)), "malformed"),
-        (dataclasses.replace(proof, o_prime=proof.o_prime[:-1]), "malformed"),
+        (dataclasses.replace(proof, e_star=proof.e_star + (g,)), "malformed"),
+        # o_prime is in the square proof's statement alone
+        (dataclasses.replace(proof, o_prime=proof.o_prime + g), "square"),
         # e_star is in the transcript, so a bumped entry fails the
         # wellformed proof first (it read "consistency" while the set's
         # consistency check ran before the per-client checks)
@@ -148,7 +149,7 @@ def test_each_tampered_component_names_its_check():
             dataclasses.replace(
                 proof,
                 tau=dataclasses.replace(
-                    proof.tau, s1=tuple((x + 1) % Q for x in proof.tau.s1)
+                    proof.tau, y_vec=tuple((x + 1) % Q for x in proof.tau.y_vec)
                 ),
             ),
             "square",
@@ -213,14 +214,119 @@ def test_each_sigma_scalar_names_its_check(backend_name):
         *[(dataclasses.replace(proof, rho=rho), "wellformed") for rho in each_bump(proof.rho)],
         *[(dataclasses.replace(proof, tau=tau), "square") for tau in each_bump(proof.tau)],
     ]
-    # rho: c, y, k+1 entries of y_vec, k of y_star and y_sigma, which
-    # only the batched link identity reads; tau: c and 3k
-    assert len(tampered) == (2 * params.k + 4) + (1 + 3 * params.k)
-    assert tampered[2 * params.k + 3][0].rho.y_sigma != proof.rho.y_sigma
-    tampered[2 * params.k + 3] = (tampered[2 * params.k + 3][0], "range_ip")
+    # rho: c, y, k+1 entries of y_vec and y_sigma, which only the batched
+    # link identity reads; tau: c, y, y_x and k entries each of y_vec and
+    # y_w (at savi/v7, rho had k more, y_star, and tau c and 3k)
+    assert len(tampered) == (params.k + 4) + (2 * params.k + 3)
+    assert tampered[params.k + 3][0].rho.y_sigma != proof.rho.y_sigma
+    tampered[params.k + 3] = (tampered[params.k + 3][0], "range_ip")
     for bad, label in tampered:
         verdict = ver_integrity_proof(params, gens, matrix, h, z, y, bad, 1, 1, rng)
         assert verdict == (False, label)
+
+
+def _bumped_points(proof, g):
+    """(``proof`` with one point plus g, the check that names it), for
+    every point the proof sends."""
+    rep = dataclasses.replace
+    for t in range(len(proof.e_star)):
+        e_star = proof.e_star[:t] + (proof.e_star[t] + g,) + proof.e_star[t + 1:]
+        yield rep(proof, e_star=e_star), "wellformed"
+    yield rep(proof, o_prime=proof.o_prime + g), "square"
+    yield rep(proof, masks=proof.masks + g), "wellformed"
+    yield rep(proof, rho=rep(proof.rho, t_link=proof.rho.t_link + g)), "wellformed"
+    mu = proof.mu
+    for field in ("a_commit", "a1_commit", "b1_commit"):
+        yield rep(proof, mu=rep(mu, **{field: getattr(mu, field) + g})), "range_sum"
+    for field in ("ls", "rs"):
+        for i, point in enumerate(getattr(mu, field)):
+            points = getattr(mu, field)[:i] + (point + g,) + getattr(mu, field)[i + 1:]
+            yield rep(proof, mu=rep(mu, **{field: points})), "range_sum"
+
+
+@pytest.mark.parametrize("backend_name", ["mock", "ristretto255"])
+def test_every_scalar_and_point_of_the_proof_is_rejected(backend_name):
+    # each point, and each scalar of the slack range proof (the sigma
+    # proofs' scalars have their own test above), plus g: each check
+    # reads its part, so the verifier names the check it belongs to
+    params = _params(k=3, d=8)
+    u = [1, 0, -2, 1, 0, 0, 3, -1]
+    gens, matrix, h, y, z, r, rng = _instance(params, u, b=make_backend(backend_name))
+    proof = gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
+    tampered = [
+        *_bumped_points(proof, gens.g),
+        *[(dataclasses.replace(proof, mu=mu), "range_sum") for mu in each_bump(proof.mu)],
+    ]
+    # k+1 points of e_star, o_prime, Y, t_link; mu's 2r + 3 points and
+    # 2c + 1 scalars
+    r_, c_ = len(proof.mu.ls), len(proof.mu.r)
+    assert len(tampered) == (params.k + 1) + 3 + (2 * r_ + 3) + (2 * c_ + 1)
+    for bad, label in tampered:
+        verdict = ver_integrity_proof(params, gens, matrix, h, z, y, bad, 1, 1, rng)
+        assert verdict == (False, label)
+
+
+def _with_square_witness(params, gens, matrix, h, z, y, r, u, proof, shift):
+    """``proof`` with o_prime, tau and mu made again for a prover whose
+    w_t is v_t r plus ``shift[t]``: o_prime is what that witness opens,
+    (sum v_t^2) g - sum shift_t h_t + x q, so the square proof holds, and
+    the slack range proof is made on B0 - sum v_t^2 as an honest one."""
+    g, q = gens.g, gens.q
+    v = [x % Q for x in matrix.row_inner(u)]
+    squares = sum(x * x for x in matrix.row_inner(u)[1:])
+    # replay the transcript up to the square proof, as the verifier does
+    tr = integrity._transcript(params, matrix, 1, 1, y, z, proof.e_star)
+    rows = integrity._challenge_rows(tr, proof.masks, params.k)
+    answers = integrity._unpack(params, proof.z)
+    integrity._absorb_answers(tr, answers)
+    link = integrity.Link(gens.smallness, rows, proof.masks, answers)
+    assert integrity.ver_prf_wf(g, q, h, z, proof.e_star, link, proof.rho, tr) is not None
+    rng = DeterministicRng(b"square-witness")
+    x = rng.scalar()
+    w = [(v[t] * r + shift[t - 1]) % Q for t in range(1, params.k + 1)]
+    o_prime = multiexp([g, q, *h[1:]], [squares % Q, x, *(-s % Q for s in shift)])
+    tau = integrity.gen_prf_sq(g, q, h[1:], proof.e_star[1:], o_prime, r, v[1:], w, x, rng, tr)
+    mu = integrity.gen_range_proof(
+        gens, params.b_max, [params.b0 - squares], [-x % Q],
+        [integrity._slack(params, gens, o_prime)], rng, tr,
+    )
+    return dataclasses.replace(proof, o_prime=o_prime, tau=tau, mu=mu)
+
+
+@pytest.mark.parametrize("backend_name", ["mock", "ristretto255"])
+def test_square_witness_off_for_one_projection_is_rejected(backend_name):
+    # w_t = v_t r is what makes o_prime a commitment to the squares over
+    # g and q alone.  A prover with w_t off by one for one t leaves an h_t
+    # term in o_prime: its square proof holds, but the slack range proof
+    # cannot open B0 g - o_prime over g and q, so it is named range_sum
+    params = _params(k=3, d=8)
+    u = [1, 0, -2, 1, 0, 0, 3, -1]
+    gens, matrix, h, y, z, r, rng = _instance(params, u, b=make_backend(backend_name))
+    proof = gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
+    honest = _with_square_witness(params, gens, matrix, h, z, y, r, u, proof, [0, 0, 0])
+    assert ver_integrity_proof(params, gens, matrix, h, z, y, honest, 1, 1, rng) == (True, None)
+    for t in range(params.k):
+        shift = [int(i == t) for i in range(params.k)]
+        bad = _with_square_witness(params, gens, matrix, h, z, y, r, u, proof, shift)
+        verdict = ver_integrity_proof(params, gens, matrix, h, z, y, bad, 1, 1, rng)
+        assert verdict == (False, "range_sum"), t
+
+
+@pytest.mark.parametrize("k", [1, 8, 32])
+def test_proof_bytes_pinned(k):
+    # e_star (k+1 points), o_prime, Y, and the sigma proofs in their
+    # (c, s) form (rho 32k + 164 bytes, tau 64k + 104:
+    # tests/test_serial.py), each field of the proof behind a 4-byte
+    # count or length but o_prime and Y.  Then the packed answers (16 w
+    # bytes) and the slack range proof, which do not depend on k.  At
+    # savi/v7 (o and k points o'_t, rho 64k + 168, tau 96k + 44) this was
+    # 256k + 304 bytes plus the same: 128k - 80 more
+    params = _params(k=k, d=8)
+    u = [1, 0, -2, 1, 0, 0, 3, -1]
+    gens, matrix, h, y, z, r, rng = _instance(params, u)
+    proof = gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
+    fixed = 16 * params.z_width + len(proof.mu.to_bytes())
+    assert len(proof.to_bytes()) - fixed == 128 * k + 384
 
 
 def test_one_weight_vector_per_round(monkeypatch):
@@ -251,20 +357,51 @@ def test_one_weight_vector_per_round(monkeypatch):
     assert calls == [params.k + 1]
 
 
-def test_tampering_o_flips_wellformed_then_square():
-    # o appears in both rho and tau; rho is checked first
+@pytest.mark.parametrize("k", [3, 16])
+def test_sigma_and_commitment_muls_pinned(k, monkeypatch):
+    # the verifier's two sigma checks cost 3k + 5 and 5k + 2 muls, 8k + 7
+    # a client (11k + 5 at savi/v7, with o and o'_t).  The prover's e_star
+    # and o_prime cost 2k + 4, its announcements at the nonces 2k + 3 and
+    # 4k + 1: 8k + 8 (13k + 5 at savi/v7), plus the link's announcement
+    # (at most LAMBDA + 1), Y's tries and the slack range proof
+    params = _params(k=k, d=16)
+    u = [3, -1, 2, 0, 5, -4, 1, 1, -2, 0, 7, 1, -1, 2, 3, -3]
+    gens, matrix, h, y, z, r, rng = _instance(params, u)
+    assert all(matrix.row_inner(u)[1:])  # no zero projection, so no skipped term
+    muls = {}
+
+    def metered(name, fn):
+        def run(*args):
+            before = backend.counter.mul
+            out = fn(*args)
+            muls[name] = muls.get(name, 0) + backend.counter.mul - before
+            return out
+        return run
+
+    for name in ("multiexps", "gen_prf_wf", "gen_prf_sq", "ver_prf_wf", "ver_prf_sq"):
+        monkeypatch.setattr(integrity, name, metered(name, getattr(integrity, name)))
+    monkeypatch.setattr(sigma, "multiexp", metered("link", sigma.multiexp))
+    proof = gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
+    assert ver_integrity_proof(params, gens, matrix, h, z, y, proof, 1, 1, rng) == (True, None)
+    assert muls["ver_prf_wf"] + muls["ver_prf_sq"] == 8 * k + 7
+    assert (muls["multiexps"], muls["gen_prf_wf"] - muls["link"], muls["gen_prf_sq"]) == (
+        2 * k + 4, 2 * k + 3, 4 * k + 1
+    )
+    assert 0 < muls["link"] <= LAMBDA + 1
+
+
+def test_tampering_o_prime_names_square():
+    # o_prime is in the square proof's statement and no other: moved by
+    # g (one more square) or by q (another blind) it is named "square",
+    # although its slack proof is then the one that fails first alone
     params = _params(k=4, d=8)
     u = [1, 0, -2, 1, 0, 0, 3, -1]
     gens, matrix, h, y, z, r, rng = _instance(params, u)
     proof = gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
-    bad_o = dataclasses.replace(proof, o=(proof.o[0] + gens.g,) + proof.o[1:])
-    ok, reason = ver_integrity_proof(params, gens, matrix, h, z, y, bad_o, 1, 1, rng)
-    assert (ok, reason) == (False, "wellformed")
-    bad_op = dataclasses.replace(
-        proof, o_prime=(proof.o_prime[0] + gens.g,) + proof.o_prime[1:]
-    )
-    ok, reason = ver_integrity_proof(params, gens, matrix, h, z, y, bad_op, 1, 1, rng)
-    assert (ok, reason) == (False, "square")
+    for shift in (gens.g, gens.q, -gens.g):
+        bad = dataclasses.replace(proof, o_prime=proof.o_prime + shift)
+        ok, reason = ver_integrity_proof(params, gens, matrix, h, z, y, bad, 1, 1, rng)
+        assert (ok, reason) == (False, "square")
 
 
 def test_proof_bound_to_round_and_client():
@@ -338,8 +475,9 @@ def test_serialization_roundtrip():
 
 def test_forged_proof_for_oversized_update_rejected():
     # F(3) at k=64 is ~1e-58: the bound check always fires, the cheater
-    # must forge, and the forgery dies on the wellformed link -- the one
-    # equation that ties e_star's openings to o's.
+    # must forge, and the forgery dies on the square proof -- the one
+    # equation that ties o_prime to e_star's openings (at savi/v7 it died
+    # on the well-formedness proof, which tied them to o's).
     params = _params(k=64, d=32)
     outer = np.random.default_rng(99)
     for trial in range(10):
@@ -350,7 +488,7 @@ def test_forged_proof_for_oversized_update_rejected():
             gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
         forged = forge_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
         ok, reason = ver_integrity_proof(params, gens, matrix, h, z, y, forged, 1, 1, rng)
-        assert (ok, reason) == (False, "wellformed")
+        assert (ok, reason) == (False, "square")
 
 
 def test_zkp_agrees_with_plaintext_near_boundary():
@@ -421,23 +559,19 @@ def _honest_proof(params, seed):
 
 
 def test_challenge_rows_bind_the_claims():
-    # R is drawn after e_star and o are absorbed, so a prover cannot
-    # choose its claims against a known R: one point of either changed
-    # changes R
+    # R is drawn after e_star is absorbed, so a prover cannot choose its
+    # claims against a known R: any one of its points changed changes R
     params = _params(k=4, d=8)
     proof, (gens, matrix, h, z, y) = _honest_proof(params, 0)
 
-    def rows(**changed):
-        parts = {f: getattr(proof, f) for f in ("e_star", "o")} | changed
-        tr = integrity._transcript(params, matrix, 1, 1, y, z, *parts.values())
+    def rows(e_star):
+        tr = integrity._transcript(params, matrix, 1, 1, y, z, e_star)
         return integrity._challenge_rows(tr, proof.masks, params.k)
 
-    first = rows()
-    for field in ("e_star", "o"):
-        points = getattr(proof, field)
-        for t in range(len(points)):
-            bumped = points[:t] + (points[t] + gens.g,) + points[t + 1:]
-            assert rows(**{field: bumped}) != first, (field, t)
+    first = rows(proof.e_star)
+    points = proof.e_star
+    for t in range(len(points)):
+        assert rows(points[:t] + (points[t] + gens.g,) + points[t + 1:]) != first, t
 
 
 def test_answers_pack_at_the_width_of_2t():

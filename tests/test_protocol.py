@@ -619,7 +619,9 @@ def test_range_sum_leaf_checks_the_link_alone(monkeypatch):
     # it as well cost this round one more call (7) and 146 muls (2,059).
     # Consistency is checked once, on the accepted set: checking the
     # well-shaped set first and the accepted set again cost one more
-    # ver_crt of d + k + 1 = 13 muls (1,913)
+    # ver_crt of d + k + 1 = 13 muls (1,913).  With commitments o and o'_t
+    # to the projections and their squares (savi/v7), the sigma proofs
+    # cost 3k - 2 = 10 muls more a client (1,900)
     params = _params(n=5, m=2)
     server, clients = _network(params, seed=b"batch")
     updates = _small_updates(params, seed=5)
@@ -648,7 +650,7 @@ def test_range_sum_leaf_checks_the_link_alone(monkeypatch):
     # two identities a client: the batch, [1, 2], [1], [2], [3, 4, 5],
     # then client 2's link alone
     assert calls == [10, 4, 2, 2, 6, 1]
-    assert mock.counter.mul - before == 1900
+    assert mock.counter.mul - before == 1850
 
 
 # -- consistency of the accepted set -------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from savi.harness.cli import main
+from savi.zkp.transcript import DOMAIN
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -51,3 +52,11 @@ def test_library_quick_start_prints_its_comments(capsys):
         if line.startswith("print(")
     ]
     assert printed == shown
+
+
+def test_readme_names_the_transcript_domain_in_use():
+    # the messages.log header holds the domain; a bump of the wire format
+    # must not leave the README naming the one before it
+    named = re.findall(r"transcript\s+domain\s+`(savi/v\d+)`", README.read_text())
+    assert named
+    assert set(named) == {DOMAIN}

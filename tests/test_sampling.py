@@ -104,7 +104,10 @@ def test_row_inner_matches_numpy():
 
 
 def test_row_inner_huge_coordinates_exact():
-    # force the object-dtype fallback and compare against pure python
+    # coordinates of 40 to 42 bits, far above an update's, compared
+    # against pure python.  At this matrix's peak entry a limb holds 49
+    # bits, so they still take the one int64 matmul, near its edge;
+    # test_exact_products_equal_python_sums covers several limbs
     m = sample_matrix(b"big", 4, 4, 1 << 10)
     u = [1 << 40, -(1 << 41), 1 << 39, 3]
     v = m.row_inner(u)

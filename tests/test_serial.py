@@ -62,12 +62,14 @@ def test_wire_surface_is_pinned():
     }
     assert fields == {
         "CommitmentBundle": ["y", "encrypted_shares", "check_string"],
-        # savi/v7, the proof of smallness; at savi/v6 ["e_star", "o",
-        # "o_prime", "rho", "tau", "sigma", "mu"] and ["c", "y", "y_vec",
-        # "y_star"]
-        "IntegrityProof": ["e_star", "o", "o_prime", "masks", "z", "rho", "tau", "mu"],
-        "WellFormedProof": ["c", "y", "y_vec", "y_star", "y_sigma", "t_link"],
-        "SquareProof": ["c", "s1", "s2", "s3"],
+        # savi/v8, one commitment to the squares; at savi/v7 ["e_star",
+        # "o", "o_prime", "masks", "z", "rho", "tau", "mu"], ["c", "y",
+        # "y_vec", "y_star", "y_sigma", "t_link"] and ["c", "s1", "s2",
+        # "s3"]; at savi/v6 ["e_star", "o", "o_prime", "rho", "tau",
+        # "sigma", "mu"] and ["c", "y", "y_vec", "y_star"]
+        "IntegrityProof": ["e_star", "o_prime", "masks", "z", "rho", "tau", "mu"],
+        "WellFormedProof": ["c", "y", "y_vec", "y_sigma", "t_link"],
+        "SquareProof": ["c", "y", "y_x", "y_vec", "y_w"],
         # savi/v6, Bulletproofs+; at savi/v5 ["a_commit", "s_commit",
         # "t1_commit", "t2_commit", "tau_x", "mu", "t_hat", "ls", "rs", "a", "b"]
         "RangeProof": ["a_commit", "ls", "rs", "a1_commit", "b1_commit", "r", "s", "delta"],
@@ -83,24 +85,25 @@ def test_wire_surface_is_pinned():
 @pytest.mark.parametrize("k", [1, 8, 32])
 def test_sigma_proof_sizes_are_pinned(k):
     # the (c, s) form sends scalars only, but for the link's announcement:
-    # c, y, the two counted runs y_vec (k+1) and y_star (k), y_sigma and
-    # t_link for rho (104 + 64k before the link); c and three runs of k
-    # for tau
+    # c, y, the counted run y_vec (k+1), y_sigma and t_link for rho; c,
+    # y, y_x and the two counted runs y_vec and y_w (k each) for tau.  At
+    # savi/v7 rho also sent y_star (k), 168 + 64k bytes, and tau c and
+    # three runs of k, 44 + 96k (104 + 64k for rho before the link)
     b = make_backend("mock")
     g, q = b.base(), b.from_uniform(bytes(64))
     rng = DeterministicRng(f"sizes/{k}".encode())
     h = [b.from_uniform(rng.take(64)) for _ in range(k + 1)]
     v = [rng.scalar() for _ in range(k + 1)]
-    s, s2, r = [rng.scalar() for _ in range(k)], [rng.scalar() for _ in range(k)], rng.scalar()
+    r, x = rng.scalar(), rng.scalar()
     e = [v[i] * g + r * h[i] for i in range(k + 1)]
-    o = [v[i + 1] * g + s[i] * q for i in range(k)]
-    o2 = [v[i + 1] ** 2 * g + s2[i] * q for i in range(k)]
+    o_prime = sum(t * t for t in v[1:]) % GROUP_ORDER * g + x * q
     gs = [b.from_uniform(rng.take(64)) for _ in range(2)]
     link = Link(gs, [[1] * k, [0] * k], gs[0] + q, [1 + sum(v[1:]), 1])  # y = (1, 1), sigma 1
-    rho = gen_prf_wf(g, q, h, r * g, e, o, link, r, v, s, 1, rng, Transcript("sizes"))
-    tau = gen_prf_sq(g, q, o, o2, v[1:], s, s2, rng, Transcript("sizes"))
-    assert len(rho.to_bytes()) == 168 + 64 * k
-    assert len(tau.to_bytes()) == 44 + 96 * k
+    rho = gen_prf_wf(g, q, h, r * g, e, link, r, v, 1, rng, Transcript("sizes"))
+    w = [t * r % GROUP_ORDER for t in v[1:]]
+    tau = gen_prf_sq(g, q, h[1:], e[1:], o_prime, r, v[1:], w, x, rng, Transcript("sizes"))
+    assert len(rho.to_bytes()) == 164 + 32 * k
+    assert len(tau.to_bytes()) == 104 + 64 * k
 
 
 @functools.cache
@@ -189,7 +192,7 @@ def _smallness_offsets(backend_name):
     (one run), then rho's y_sigma and t_link (its last 64 bytes)."""
     payload = _payloads(backend_name)["proof"][1]
     proof = decode(IntegrityProof, payload, make_backend(backend_name))
-    start = sum(4 + 32 * len(getattr(proof, f)) for f in ("e_star", "o", "o_prime"))
+    start = 4 + 32 * len(proof.e_star) + 32  # after e_star and o_prime
     z_end = start + 32 + 4 + len(proof.z)
     rho_end = z_end + 4 + len(proof.rho.to_bytes())
     return [*range(start, z_end), *range(rho_end - 64, rho_end)]

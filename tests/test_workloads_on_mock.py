@@ -19,7 +19,10 @@ from test_perfbench import _load
 # with Bulletproofs these were 18,828, 134,348 and 6,560.  The proof of
 # smallness (Y, 128 packed answers, y_sigma and t_link) replaced the
 # projections' range proof: with it these were 18,636, 134,156 and 6,368.
-UPLINK = {"proof_heavy": 18_044, "wide_update": 133_724, "crowd_attack": 6_256}
+# One commitment o' to the sum of squares and none to the projections
+# (savi/v8) made each proof 128k - 80 bytes shorter: with commitments o
+# and o'_t (savi/v7) these were 18,044, 133,724 and 6,256.
+UPLINK = {"proof_heavy": 14_028, "wide_update": 133_292, "crowd_attack": 5_312}
 
 
 @pytest.mark.parametrize("name", sorted(UPLINK))
@@ -34,18 +37,22 @@ def test_workload_round_on_mock(name):
 # round 1's mock (muls, additions) in the two server stages after the
 # proofs.  e_star is checked once, for the accepted set only, so proof_ver
 # runs one ver_crt of d + k + 1 muls on every workload; on crowd_attack,
-# whose forgers are named "wellformed", checking the well-shaped set first
+# whose forgers were named "wellformed", checking the well-shaped set first
 # and the accepted set again cost two, and proof_ver (1,479, 2,295).
 # Checked per client, proof_ver cost 3,915, 12,757 and 2,567 muls.  The
 # batch's shared bases are the slack proof's 2 b_max range generators and
 # the 128 G_j of the links; with the projections' range proof in the batch,
 # proof_ver cost 3,337, 4,555 and 1,837 muls.  With b_max = 56 (M = 2^13
 # and 2^14), proof_ver cost 1,641 and 4,529 muls on proof_heavy and
-# wide_update
+# wide_update.  With commitments o and o'_t (savi/v7) the sigma proofs
+# cost 11k + 5 muls a client, 3k - 2 more than 8k + 7 now, and proof_ver
+# (1,631, 2,005), (4,519, 12,685) and (1,406, 1,786).  crowd_attack's
+# forgers are now named "square", so each pays both sigma checks, 8k + 7
+# muls where the "wellformed" check cost 5k + 5
 VERIFY_OPS = {
-    "proof_heavy": {"proof_ver": (1_631, 2_005), "aggregate": (261, 706)},
-    "wide_update": {"proof_ver": (4_519, 12_685), "aggregate": (4_101, 4_546)},
-    "crowd_attack": {"proof_ver": (1_406, 1_786), "aggregate": (97, 1_009)},
+    "proof_heavy": {"proof_ver": (1_349, 1_723), "aggregate": (261, 706)},
+    "wide_update": {"proof_ver": (4_489, 12_655), "aggregate": (4_101, 4_546)},
+    "crowd_attack": {"proof_ver": (1_286, 1_639), "aggregate": (97, 1_009)},
 }
 
 
