@@ -130,10 +130,6 @@ class SampleMatrix:
     def d(self) -> int:
         return int(self.rows.shape[1])
 
-    def gaussian_rows(self) -> np.ndarray:
-        """Regenerate the unrounded rows (tests compare against these)."""
-        return _gaussian_rows(self.seed, self.k, self.d, self.M)
-
     def row_inner(self, u: Sequence[int]) -> list[int]:
         """[<a_0,u> mod p, <a_1,u>, ..., <a_k,u>], the latter exact ints."""
         if len(u) != self.d:
@@ -301,27 +297,6 @@ def max_expected_damage(
         c_star, peak = grid[best], damage[best]
         grid = np.linspace(grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)], 4096)
     return float(c_star), float(peak)
-
-
-def plaintext_check(
-    u: Sequence[int],
-    matrix: SampleMatrix,
-    b0: int | None = None,
-    B: float | None = None,
-    M: int | None = None,
-    gamma: float | None = None,
-) -> bool:
-    """Reference verdict the zero-knowledge path must agree with.
-
-    Pass b0 for the rounded integer check (exact arithmetic), or
-    (B, M, gamma) for the idealized unrounded threshold B^2 M^2 gamma.
-    """
-    total = sum(v * v for v in matrix.row_inner(u)[1:])
-    if b0 is not None:
-        return total <= b0
-    if B is None or M is None or gamma is None:
-        raise ValueError("provide b0, or all of (B, M, gamma)")
-    return total <= B * B * M * M * gamma
 
 
 @dataclass(frozen=True)

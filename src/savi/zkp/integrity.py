@@ -110,17 +110,20 @@ the check parameters, the round and the client's commitments.
 Verification reports which sub-check failed so the simulator can
 attribute rejections.  The two sigma proofs are checked exactly, one
 client at a time, but for the link.  The rest of a round's proofs is
-verified in batches.  The link identity and the slack range proof of
-every client (``range_terms``) are checked as one weighted multiexp
-over the shared G_j and range generators.  A batch that fails is
-bisected (``_failing``): each half is checked, down to the clients that
-fail alone, so a set of n clients costs at most 2n - 1 checks.  A
-client whose z lies outside [-T, T] gets "range_ip" before the batch.
-One that fails alone gets "range_ip" if its link identity fails alone,
-and "range_sum" if not, with no check of its slack identity alone: a
-weighted sum of two identities that both hold always holds, so when
-the pair fails and the link holds, the slack fails.  e_star is checked
-once for the whole set, not once per client, as follows.
+verified in batches.  The link identity and the slack range proof's
+identity of every client (``range_terms``), each a list of (point,
+scalar) terms, are weighted and checked as one multiexp in which equal
+points merge: the G_j, the range generators, g and q cost one mul a
+batch (Bellare, Garay and Rabin's small-exponent test, as below).  A
+batch that fails is bisected (``_failing``): each half is checked, down
+to the clients that fail alone, so a set of n clients costs at most
+2n - 1 checks.  A client whose z lies outside [-T, T] gets "range_ip"
+before the batch.  One that fails alone gets "range_ip" if its link
+identity fails alone, and "range_sum" if not, with no check of its
+slack identity alone: a weighted sum of two identities that both hold
+always holds, so when the pair fails and the link holds, the slack
+fails.  e_star is checked once for the whole set, not once per client,
+as follows.
 
 Consistency per set.  Client i's e_star is consistent when
 e_{i,t} = sum_l A_{t,l} y_{i,l} for every row t.  Let E_t and Y_l be the
@@ -171,7 +174,7 @@ from ..group.multiexp import multiexp, multiexps
 from ..group.scalars import scalar_to_bytes
 from ..rng import Rng
 from ..serial import Message
-from .rangeproof import Identity, RangeProof, gen_range_proof, range_terms, ver_range_proof
+from .rangeproof import RangeProof, gen_range_proof, range_terms, ver_range_proof
 from .sigma import (
     Link,
     SquareProof,
@@ -189,6 +192,7 @@ if TYPE_CHECKING:
     from ..sampling import CheckParameters, SampleMatrix
 
 _Q = GROUP_ORDER
+_Terms = list[tuple[Point, int]]  # an identity: terms that sum to the identity point
 
 MAX_TRIES = 64
 """Tries of the proof of smallness before the prover sends its last one."""
@@ -413,7 +417,7 @@ def ver_integrity_set(
     That stream feeds two things only.  First, k+1 nonzero weights b and
     their combination c = b·A, computed once for the round, for the
     consistency check of the set (see the module docstring).  Second,
-    the weights of the range batch.
+    the weights of the batch of link and slack identities.
 
     The checks run in one forward pass, and a proof is named by the
     first it fails.  First, per client in client-id order: the shape (the
@@ -434,7 +438,7 @@ def ver_integrity_set(
     crt = crt_weights(matrix, weights)
     d = params.d
     verdicts: dict[int, str | None] = {}
-    batch: dict[int, tuple[Identity, Identity]] = {}
+    batch: dict[int, tuple[_Terms, _Terms]] = {}
     for client_id in sorted(proofs):
         z, y, proof = proofs[client_id]
         if not _well_shaped(params, h, y, proof):
@@ -488,7 +492,7 @@ def _cheap_checks(
     params: "CheckParameters", gens: GeneratorSet, matrix: "SampleMatrix",
     h: Sequence[Point], z: Point, y: Sequence[Point], proof: IntegrityProof,
     round_no: int, client_id: int, weights: Rng,
-) -> str | tuple[Identity, Identity]:
+) -> str | tuple[_Terms, _Terms]:
     """The checks of a well-shaped proof but the batched identities and
     the set's consistency: the failed-check label, or the identities of
     the link and of the mu range proof."""
@@ -512,7 +516,7 @@ def _cheap_checks(
     return small, mu
 
 
-def _identity_failure(gens: GeneratorSet, small: Identity, weights: Rng) -> str:
+def _identity_failure(gens: GeneratorSet, small: _Terms, weights: Rng) -> str:
     """The label of a client whose link or slack identity fails:
     "range_ip" if its link fails alone, else "range_sum"."""
     return "range_sum" if ver_range_proof(gens, [small], weights) else "range_ip"

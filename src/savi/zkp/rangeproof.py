@@ -70,10 +70,12 @@ for the brackets, and A1 and B1 cost 2c + 4.  Its proofs are byte for byte those
 prover that folds its bases explicitly.
 
 Verification replays a proof's transcript into the final check with P
-and the folds unrolled, one identity in 2N + 2r + m + 3 points plus g
-and q (``range_terms``); ``ver_range_proof`` checks the identities of
-any number of proofs together in one weighted multiexp whose G_i/H_i
-part is shared by all of them.
+and the folds unrolled, one identity of (point, scalar) terms over
+2N + 2r + m + 3 points plus g and q (``range_terms``).
+``ver_range_proof`` checks any number of such term lists together, the
+link identities of ``zkp.sigma`` among them, in one weighted multiexp
+in which equal points merge, so the G_i/H_i part is shared by all of
+them.
 
 The caller passes the value commitments it already holds, and pads the
 value count with zero-valued, zero-blinded commitments (the identity
@@ -82,7 +84,7 @@ point) when it needs a slot count of the right shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..group.base import GROUP_ORDER, Point
@@ -282,33 +284,15 @@ def gen_range_proof(
     )
 
 
-@dataclass(frozen=True)
-class Identity:
-    """One proof's verification identity as scalar terms: it holds exactly when
-
-        fixed[0] g + fixed[1] q + sum_i gs[i] G_i + sum_i hs[i] H_i
-          + sum_j smallness[j] J_j + sum_j scalars[j] points[j]
-
-    is the identity point, where G_i, H_i are the range generators and
-    J_j the smallness generators (``GeneratorSet.smallness``).
-    """
-
-    fixed: tuple[int, int]
-    gs: list[int]
-    hs: list[int]
-    points: list[Point]
-    scalars: list[int]
-    smallness: list[int] = field(default_factory=list)
-
-
 def range_terms(
     gens: GeneratorSet,
     n_bits: int,
     commitments: Sequence[Point],
     proof: RangeProof,
     tr: Transcript,
-) -> Identity | None:
-    """Replay the proof's transcript into the terms of its identity.
+) -> list[tuple[Point, int]] | None:
+    """Replay the proof's transcript into the terms of its identity: the
+    proof holds when the terms sum to the identity point.
 
     Returns None for a proof whose shape does not fit the statement (a
     slot count not of the shape c * 2^r, too few range generators, other
@@ -366,52 +350,43 @@ def range_terms(
         (e2 * (z + dy[i]) - e * proof.s[i % c] * fold[folds - 1 - i // c]) % _Q
         for i in range(nm)
     ]
-    points = [proof.a_commit, proof.a1_commit, proof.b1_commit] + list(commitments)
-    scalars = [e2, e, 1] + [e2 * w * y_pow[nm + 1] % _Q for w in zz]
+    terms = [
+        (gens.g, (e2 * zeta - _wip(proof.r, proof.s, y_pow)) % _Q),
+        (gens.q, -proof.delta % _Q),
+        *zip(gens.range_gens.gs[:nm], gs),
+        *zip(gens.range_gens.hs[:nm], hs),
+        (proof.a_commit, e2),
+        (proof.a1_commit, e),
+        (proof.b1_commit, 1),
+        *((v, e2 * w * y_pow[nm + 1] % _Q) for v, w in zip(commitments, zz)),
+    ]
     for j in range(rounds):
-        points += [proof.ls[j], proof.rs[j]]
-        scalars += [e2 * challenges[j] ** 2 % _Q, e2 * challenges_inv[j] ** 2 % _Q]
-    return Identity(
-        fixed=((e2 * zeta - _wip(proof.r, proof.s, y_pow)) % _Q, -proof.delta % _Q),
-        gs=gs,
-        hs=hs,
-        points=points,
-        scalars=scalars,
-    )
+        terms += [
+            (proof.ls[j], e2 * challenges[j] ** 2 % _Q),
+            (proof.rs[j], e2 * challenges_inv[j] ** 2 % _Q),
+        ]
+    return terms
 
 
 def ver_range_proof(
-    gens: GeneratorSet, statements: Sequence[Identity], rng: Rng
+    gens: GeneratorSet, statements: Sequence[Sequence[tuple[Point, int]]], rng: Rng
 ) -> bool:
-    """Check the identity of every statement in one multiexp.
+    """Check every statement's identity, a list of (point, scalar) terms
+    whose sum is the identity point, in one multiexp on ``gens``' backend.
 
-    Each identity is weighted by a fresh nonzero scalar from ``rng``, the
-    G_i, H_i and J_j scalars are summed slot by slot (a narrower proof
-    uses a prefix of the same generators) and the g, q terms merged.
-    A batch holding a false identity passes only if the weights happen
-    to cancel it (probability about 1/order), so the result is the AND
-    of the proofs' own verdicts; a single proof is a batch of one.
+    Each identity is weighted by a fresh nonzero scalar from ``rng``, and
+    the weighted scalars of equal points are summed, whichever identity
+    or role they come from: equal bases merge by encoding.  So g, q and
+    the generators that every proof shares cost one mul a batch (a
+    narrower proof uses a prefix of the same range generators).  A batch
+    holding a false identity passes only if the weights happen to cancel
+    it (probability about 1/order), so the result is the AND of the
+    identities' own verdicts; a single proof is a batch of one.
     """
-    rg = gens.range_gens
-    width = max((len(ident.gs) for ident in statements), default=0)
-    rows = max((len(ident.smallness) for ident in statements), default=0)
-    fixed = [0, 0]
-    gs = [0] * width
-    hs = [0] * width
-    js = [0] * rows
-    points: list[Point] = []
-    scalars: list[int] = []
+    merged: dict[Point, int] = {}
     # sums stay unreduced: multiexp reduces every scalar
-    for ident in statements:
+    for terms in statements:
         w = rng.nonzero_scalar()
-        for j in range(2):
-            fixed[j] += w * ident.fixed[j]
-        for i, (sg, sh) in enumerate(zip(ident.gs, ident.hs)):
-            gs[i] += w * sg
-            hs[i] += w * sh
-        for j, sj in enumerate(ident.smallness):
-            js[j] += w * sj
-        points += ident.points
-        scalars += [w * sc for sc in ident.scalars]
-    bases = [gens.g, gens.q, *rg.gs[:width], *rg.hs[:width], *gens.smallness[:rows], *points]
-    return multiexp(bases, fixed + gs + hs + js + scalars, backend=gens.backend).is_identity()
+        for point, scalar in terms:
+            merged[point] = merged.get(point, 0) + w * scalar
+    return multiexp(list(merged), list(merged.values()), gens.backend).is_identity()

@@ -42,10 +42,13 @@ prover sends this equation's announcement, which joins the challenge
 after the others.  The statement does not absorb Y, R or the z_j: the
 caller binds them in the transcript first (``zkp.integrity`` absorbs
 e, then Y, reads R from the transcript, then absorbs the z_j).  The
-verifier does not recompute the announcement: ``ver_prf_wf``
-returns the equation's check as an ``Identity``, which the caller
-batches with the range proofs' identities, so the G_j are paid once a
-batch.  A proof holds when the challenge matches and that identity holds.
+verifier does not recompute the announcement: ``ver_prf_wf`` returns
+the equation's check as (point, scalar) terms that must sum to the
+identity point.  Each term names its own base, so the caller can batch
+the list with any other (``zkp.integrity`` batches it with the range
+proofs'), and the G_j, like every base the lists share, are paid once
+a batch.  A proof holds when the challenge matches and its terms sum to
+the identity.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ from ..group.base import GROUP_ORDER, Point
 from ..group.multiexp import multiexp, multiexps
 from ..rng import Rng
 from ..serial import Message
-from .rangeproof import Identity
 from .transcript import Transcript
 
 _Q = GROUP_ORDER
@@ -259,12 +261,11 @@ def ver_prf_wf(
     link: Link,
     proof: WellFormedProof,
     tr: Transcript,
-) -> Identity | None:
+) -> list[tuple[Point, int]] | None:
     """None if the challenge fails, else the link's check: the proof
-    holds when this identity holds over g, q and the G_j, which must be
-    the generator set's smallness generators where it is batched.
+    holds when these (point, scalar) terms sum to the identity point.
 
-    The identity is the announcement recomputed at the responses, minus
+    The terms are the announcement recomputed at the responses, minus
     the one sent:
     sum_j (sum_t R_jt y_t + c z_j) G_j + y_sigma q - c Y - t_link.
     """
@@ -274,13 +275,10 @@ def ver_prf_wf(
     if not _verify(_wellformed(g, q, h, z, e), proof.c, responses, tr, proof.t_link):
         return None
     c = proof.c
-    return Identity(
-        fixed=(0, proof.y_sigma),
-        gs=[],
-        hs=[],
-        points=[link.y_commit, proof.t_link],
-        scalars=[-c % _Q, _Q - 1],
-        smallness=[
-            (s_j + c * z_j) % _Q for s_j, z_j in zip(row_sums(link.rows, proof.y_vec[1:]), link.z)
-        ],
-    )
+    sums = row_sums(link.rows, proof.y_vec[1:])
+    return [
+        (q, proof.y_sigma),
+        (link.y_commit, -c % _Q),
+        (proof.t_link, _Q - 1),
+        *((g_j, (s_j + c * z_j) % _Q) for g_j, s_j, z_j in zip(link.gs, sums, link.z)),
+    ]

@@ -11,7 +11,7 @@ from savi.group import GROUP_ORDER, GeneratorSet, make_backend
 from savi.group.multiexp import multiexp
 from savi.harness.attacks import forge_integrity_proof
 from savi.rng import DeterministicRng
-from savi.sampling import CheckParameters, SampleMatrix, plaintext_check, sample_matrix
+from savi.sampling import CheckParameters, SampleMatrix, sample_matrix
 from savi.zkp import (
     BoundExceededError,
     IntegrityProof,
@@ -24,6 +24,7 @@ from savi.zkp import (
 from savi.zkp import integrity, sigma
 from savi.group.generators import LAMBDA
 from savi.zkp.integrity import MAX_TRIES
+from norm_reference import plaintext_check
 from sigma_reference import each_bump
 
 Q = GROUP_ORDER

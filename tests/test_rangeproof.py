@@ -5,12 +5,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from savi.group import GROUP_ORDER, GeneratorSet, make_backend
-from savi.group.multiexp import multiexp
+from savi.group.generators import derive_generators
+from savi.group.multiexp import multiexp, multiexps
 from savi.rng import DeterministicRng
-from savi.zkp import Transcript, gen_range_proof, range_terms, ver_range_proof
+from savi.zkp import (
+    Transcript, gen_prf_wf, gen_range_proof, range_terms, ver_prf_wf, ver_range_proof
+)
 from savi.zkp.rangeproof import RangeProof, slot_shape
 
 from rangeproof_reference import ref_gen_range_proof, ref_ver_range_proof
+from sigma_reference import make_link
 
 Q = GROUP_ORDER
 
@@ -359,3 +363,87 @@ def test_batch_verifier_cost_pinned():
     assert ok and (muls, adds) == (127, 126) == (2 + 112 + 13, 127 - 1)
     ok, muls, adds = _ops(lambda: ver_range_proof(GENS, terms, rng))
     assert ok and (muls, adds) == (144, 143) == (2 + 112 + 13 + 10 + 7, 144 - 1)
+
+
+def test_shared_free_point_costs_one_mul():
+    # two proofs of one commitment share their value point V: the batch
+    # merges it, so the second proof adds A, A1, B1 and its L_j, R_j
+    # (3 + 2r muls at r = 3), and not V again
+    rng = DeterministicRng(b"shared-point")
+    comms = [_commit(200, 9)]
+    proofs = [gen_range_proof(GENS, 8, [200], [9], comms, rng, _tr()) for _ in range(2)]
+    terms = [range_terms(GENS, 8, comms, proof, _tr()) for proof in proofs]
+    ok, muls, adds = _ops(lambda: ver_range_proof(GENS, terms[:1], rng))
+    assert ok and (muls, adds) == (28, 27) == (2 + 16 + 3 + 6 + 1, 28 - 1)
+    ok, muls, adds = _ops(lambda: ver_range_proof(GENS, terms, rng))
+    assert ok and (muls, adds) == (37, 36) == (28 + 3 + 6, 37 - 1)
+
+
+# -- the batch on plain term lists ---------------------------------------------------
+
+_POOL = [
+    backend.identity(),
+    GENS.g,
+    GENS.q,
+    GENS.range_gens.gs[0],
+    GENS.smallness[0],
+    *derive_generators("batch-pool", 3, backend),
+]
+_SCALARS = st.one_of(st.sampled_from([0, 1, 2, Q - 1]), st.integers(0, Q - 1))
+
+
+@st.composite
+def _term_list(draw):
+    """Terms over a small pool, so points repeat within a list and across
+    lists, and, half the time, one more term that makes them sum to the
+    identity point."""
+    terms = draw(st.lists(st.tuples(st.sampled_from(_POOL), _SCALARS), max_size=6))
+    if draw(st.booleans()):
+        total = multiexps([terms], backend)[0]
+        terms.append((total, Q - 1))
+    return terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_term_list(), max_size=5), st.binary(min_size=1, max_size=8))
+def test_batch_equals_naive_on_term_lists(statements, seed):
+    naive = all(multiexps([terms], backend)[0].is_identity() for terms in statements)
+    assert ver_range_proof(GENS, statements, DeterministicRng(seed)) == naive
+
+
+def _honest_link(rng):
+    """The link terms of an honest well-formedness proof over the
+    generator set's smallness generators."""
+    k = 2
+    h = list(derive_generators("link-h", k + 1, backend))
+    r = rng.scalar()
+    v = [rng.below(1000) for _ in range(k + 1)]
+    z = r * GENS.g
+    e = [multiexp([GENS.g, h_t], [v_t, r]) for h_t, v_t in zip(h, v)]
+    link, sigma = make_link(rng, GENS.smallness, GENS.q, v[1:])
+    proof = gen_prf_wf(GENS.g, GENS.q, h, z, e, link, r, v, sigma, rng, _tr("link"))
+    terms = ver_prf_wf(GENS.g, GENS.q, h, z, e, link, proof, _tr("link"))
+    assert terms is not None
+    return terms
+
+
+@pytest.mark.parametrize("field", ["a_commit", "ls", "b1_commit"])
+@pytest.mark.parametrize("base", ["g", "q", "range_g0", "smallness0"])
+def test_free_point_equal_to_a_shared_base_is_rejected(field, base):
+    # a proof point replaced by a base the batch also holds merges into
+    # that base's scalar; the verdict is still the textbook verifier's
+    rng = DeterministicRng(b"collide")
+    comms = [_commit(77, 3)]
+    proof = gen_range_proof(GENS, 8, [77], [3], comms, rng, _tr())
+    link = _honest_link(rng)
+    assert ver_range_proof(GENS, [link, range_terms(GENS, 8, comms, proof, _tr())], rng)
+    point = {
+        "g": GENS.g, "q": GENS.q, "range_g0": GENS.range_gens.gs[0], "smallness0": GENS.smallness[0]
+    }[base]
+    value = (point,) + proof.ls[1:] if field == "ls" else point
+    forged = replace(proof, **{field: value})
+    terms = range_terms(GENS, 8, comms, forged, _tr())
+    assert not ref_ver_range_proof(GENS, 8, comms, forged, _tr())
+    assert not ver_range_proof(GENS, [terms], rng)
+    assert not ver_range_proof(GENS, [link, terms], rng)
+    assert not ver_range_proof(GENS, [terms, link], rng)

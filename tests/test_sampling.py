@@ -24,10 +24,10 @@ from savi.sampling import (
     derive_seed,
     max_expected_damage,
     pass_rate_F,
-    plaintext_check,
     sample_matrix,
 )
 from savi.zkp.rangeproof import range_width
+from norm_reference import plaintext_check
 
 Q = GROUP_ORDER
 X = 128 * math.log(2)  # the rounding bound fails with probability e^-X = 2^-128
@@ -64,7 +64,7 @@ def test_derive_seed_length_prefixing():
 
 def test_rows_are_rounded_gaussians():
     m = sample_matrix(b"stats", 1000, 100, 1 << 24)
-    unrounded = m.gaussian_rows()
+    unrounded = sampling._gaussian_rows(m.seed, m.k, m.d, m.M)
     assert np.all(np.abs(m.rows - unrounded) <= 0.5)
     flat = unrounded.ravel() / float(1 << 24)
     n = flat.size
@@ -484,7 +484,7 @@ def test_quantization_norm_slack():
 def test_matrix_rounding_projection_drift():
     # |<a_t,u> - <a~_t,u>| <= sqrt(d)/2 * ||u||_2, both directions live
     m = sample_matrix(b"drift", 32, 16, 1 << 6)  # tiny M: rounding matters
-    real = m.gaussian_rows()
+    real = sampling._gaussian_rows(m.seed, m.k, m.d, m.M)
     rng = np.random.default_rng(9)
     for _ in range(50):
         u = rng.integers(-50, 51, size=16)
@@ -510,7 +510,7 @@ def test_rounding_error_within_the_high_probability_bound(seed, k, M, data):
     )
     matrix = sample_matrix(seed, k, d, M)
     # exact in float64: the entries are below 2^8 and E's below 1/2
-    err = matrix.rows - matrix.gaussian_rows()
+    err = matrix.rows - sampling._gaussian_rows(matrix.seed, matrix.k, matrix.d, matrix.M)
     assert np.all(np.abs(err) <= 0.5)
     eu = err @ u
     assert float(eu @ eu) <= float(u @ u) / 4 * _rho(k) ** 2
