@@ -55,13 +55,14 @@ S = TypeVar("S")
 F = TypeVar("F")
 
 # The fewest items worth a slice: handing one to another thread costs
-# tens of microseconds, a libsodium mul 78-101 and an addition 22-24.
+# 26-40 microseconds, a libsodium mul 63-98 and an addition 19-23
+# (shared 2-vCPU VM).
 MIN_CHUNK = 16
 
 # The fewest terms worth a worker process's slice: a slice and its
-# answer pass through the executor's queues in about half a millisecond,
-# and each term of h's rows costs a Python addition or more, about 5
-# microseconds, so the smallest slice holds about 1.3 ms of work.
+# answer pass through the executor's queues in 0.33-0.38 ms (a two-item
+# run), and each term of h's rows costs a Python addition or more, 4-7
+# microseconds, so the smallest slice holds 1.1-1.8 ms of work.
 MIN_FORKED_TERMS = 256
 
 CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

@@ -139,10 +139,9 @@ def _reject_unknown_keys(raw: dict[Any, Any], cls: type, what: str) -> None:
 
 
 def desk_preset(**overrides: Any) -> SimulationConfig:
-    """Defaults sized for a desk: one mock round's stages take 0.5-0.8 s
-    on a shared 2-vCPU VM, on one core or two, most of it proof
-    generation (0.3-0.5 s) and verification (0.14-0.26 s).  M is derived
-    (2^10: b_max = 48)."""
+    """Defaults sized for a desk: one mock round's stages take 0.33-0.39 s
+    on a shared 2-vCPU VM, most of it proof generation (0.18-0.21 s) and
+    verification (0.07-0.08 s).  M is derived (2^10: b_max = 48)."""
     return replace(SimulationConfig(), **overrides) if overrides else SimulationConfig()
 
 

@@ -26,9 +26,8 @@ The verifier recomputes each announcement as the equation at the
 responses plus c·target, absorbs the statement and then each block's
 announcements under its label, as the prover did, and accepts only if
 the challenge it derives equals c.  The check is exact, so verification
-draws no randomness.  Each side computes every distinct (base, index)
-product once, as one ``multiexps`` batch, then sums each equation as a
-second.
+draws no randomness.  Each side computes all of a statement's
+announcements as one ``multiexps`` batch, one row per equation.
 
 The well-formedness statement has one more equation, the link of the
 proof of smallness (``zkp.integrity``):
@@ -78,11 +77,9 @@ def _challenge(
     then the link's announcement ``sent``, if the statement has a link."""
     absorbed, blocks = statement
     backend = absorbed[0][1][0].backend  # of g, absorbed first
-    equations = [eq for _, block in blocks for eq in block]
-    products = list(dict.fromkeys(term for _, terms in equations for term in terms))
-    value = dict(zip(products, multiexps([[(b, scalars[j])] for b, j in products], backend)))
     announced = iter(multiexps(
-        [[(value[term], 1) for term in terms] + [(target, c)] for target, terms in equations],
+        [[(base, scalars[j]) for base, j in terms] + [(target, c)]
+         for _, block in blocks for target, terms in block],
         backend,
     ))
     for label, points in absorbed:

@@ -217,11 +217,11 @@ def test_sliced_multiexps_equals_per_row_serial_loop(
 
 
 def test_well_formedness_prover_cuts_its_announcements_across_cores(three_cores, slice_sizes):
-    # the k + 2 announcements of k = 32 run as two batches and the link's
-    # announcement over LAMBDA generators as a third, each cut into slices
-    # of at least MIN_CHUNK terms (before the link, at most 2 CORES
-    # slices); as one two-term multiexp each, the 2k + 2 announcements of
-    # savi/v7 made 65 runs that were too short to cut
+    # the k + 2 announcements of k = 32 run as one batch and the link's
+    # announcement over LAMBDA generators as a second, each cut into
+    # slices of at least MIN_CHUNK terms; as one two-term multiexp each,
+    # the 2k + 2 announcements of savi/v7 made 65 runs that were too
+    # short to cut
     backend = make_backend("mock")
     k = 32
     g = backend.base()

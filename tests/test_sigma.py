@@ -6,7 +6,7 @@ from savi.group import GROUP_ORDER, make_backend
 from savi.group.generators import derive_generators
 from savi.group.multiexp import multiexp
 from savi.rng import DeterministicRng
-from savi.zkp import Transcript, gen_prf_sq, gen_prf_wf, ver_prf_sq, ver_prf_wf
+from savi.zkp import Transcript, gen_prf_sq, gen_prf_wf, sigma, ver_prf_sq, ver_prf_wf
 from sigma_reference import (
     bumped, each_bump, make_link, ref_ver_prf_sq, ref_ver_prf_wf, wf_holds
 )
@@ -24,11 +24,12 @@ def _tr():
     return Transcript("sigma-test")
 
 
-def _square_instance(rng, k, g=G, q=H, shift=None):
+def _square_instance(rng, k, g=G, q=H, shift=None, h=None):
     """A square statement over k projections and its witness; -> (h, e,
     o_prime, r, v, w, x).  ``shift`` moves each w_t off v_t r, and
-    o_prime with it, so the statement still holds."""
-    h = list(derive_generators("sq-h", k, g.backend))
+    o_prime with it, so the statement still holds.  ``h`` replaces the
+    derived h_t."""
+    h = list(h or derive_generators("sq-h", k, g.backend))
     r, x = rng.scalar(), rng.scalar()
     v = [rng.scalar() % 97 - 48 for _ in range(k)]
     shift = shift or [0] * k
@@ -46,11 +47,11 @@ def _sq(rng, h, e, o_prime, r, v, w, x, g=G, q=H):
 _ROWS = 4  # the link's rows here; a client proof has LAMBDA of them
 
 
-def _wf_instance(rng, k, g=G, q=H):
+def _wf_instance(rng, k, g=G, q=H, h=None):
     """A well-formedness statement with its link (over _ROWS generators
     G_j, masks y_j and a 0/1 matrix R) and its witness; -> (h, z, e,
-    link, r, v, sigma)."""
-    h = list(derive_generators("wf-h", k + 1, g.backend))
+    link, r, v, sigma).  ``h`` replaces the derived h_t."""
+    h = list(h or derive_generators("wf-h", k + 1, g.backend))
     r = rng.scalar()
     v = [rng.scalar() for _ in range(k + 1)]
     z = r * g
@@ -233,6 +234,63 @@ def test_wellformed_verifier_equals_reference():
         assert _wf_holds(G, H, h, z, e, link, proof) == ref_ver_prf_wf(
             G, H, h, z, e, link, proof, _tr()
         ) == (trial % 3 == 0)
+
+
+@pytest.mark.parametrize("k", [0, 3, 16])
+def test_each_statement_is_one_multiexps_batch(k, monkeypatch):
+    # every announcement of a statement is a row of one batch; the
+    # prover's link announcement is its own multiexp
+    calls = []
+
+    def counted(name, fn):
+        def run(*args):
+            calls.append(name)
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(sigma, "multiexps", counted("multiexps", sigma.multiexps))
+    monkeypatch.setattr(sigma, "multiexp", counted("link", sigma.multiexp))
+
+    def made(run):
+        calls.clear()
+        return run(), list(calls)
+
+    rng = DeterministicRng(f"one-batch/{k}".encode())
+    h, e, o_prime, *witness = _square_instance(rng, k)
+    h_wf, z, e_wf, link, r, v, sig = _wf_instance(rng, k)
+    tau, made_sq = made(lambda: _sq(rng, h, e, o_prime, *witness))
+    rho, made_wf = made(lambda: gen_prf_wf(G, H, h_wf, z, e_wf, link, r, v, sig, rng, _tr()))
+    assert (made_sq, made_wf) == (["multiexps"], ["link", "multiexps"])
+    assert made(lambda: ver_prf_sq(G, H, h, e, o_prime, tau, _tr())) == (True, ["multiexps"])
+    checked, made_ver_wf = made(lambda: ver_prf_wf(G, H, h_wf, z, e_wf, link, rho, _tr()))
+    assert checked is not None and made_ver_wf == ["multiexps"]
+
+
+@pytest.mark.parametrize("backend_name", ["mock", "ristretto255"])
+def test_repeated_and_identity_bases(backend_name):
+    # two equal h_t and one identity h_t: the only statements in which
+    # a (base, witness index) product is a term of two equations.  Every
+    # bumped response fails but y_w at the identity h_t, which multiplies
+    # only the identity, so the statement leaves that -w_t free
+    b = make_backend(backend_name)
+    g, (q, h0, h1) = b.base(), derive_generators("sigma-repeat", 3, b)
+    rng = DeterministicRng(f"repeat/{backend_name}".encode())
+    h = [h0, h1, h0, b.identity()]
+    h, e, o_prime, *witness = _square_instance(rng, 4, g, q, h=h)
+    tau = _sq(rng, h, e, o_prime, *witness, g=g, q=q)
+    assert ver_prf_sq(g, q, h, e, o_prime, tau, _tr())
+    assert ref_ver_prf_sq(g, q, h, e, o_prime, tau, _tr())
+    free = bumped(tau, "y_w", 3)
+    for bad in each_bump(tau):
+        verdict = ver_prf_sq(g, q, h, e, o_prime, bad, _tr())
+        assert verdict == ref_ver_prf_sq(g, q, h, e, o_prime, bad, _tr()) == (bad == free)
+    h, z, e, link, r, v, sig = _wf_instance(rng, 3, g, q, h=h)
+    rho = gen_prf_wf(g, q, h, z, e, link, r, v, sig, rng, _tr())
+    assert _wf_holds(g, q, h, z, e, link, rho)
+    assert ref_ver_prf_wf(g, q, h, z, e, link, rho, _tr())
+    for bad in each_bump(rho):
+        assert not _wf_holds(g, q, h, z, e, link, bad)
+        assert not ref_ver_prf_wf(g, q, h, z, e, link, bad, _tr())
 
 
 def test_transcript_context_separation():
