@@ -12,15 +12,17 @@ so that round runs at a small d.
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass, replace
 
 from ..commit import commit_update
-from ..group import POINT_BYTES, make_backend
+from ..group import make_backend
 from ..group.generators import LAMBDA, GeneratorSet
 from ..protocol import Client
 from ..protocol.server import compute_h
 from ..rng import DeterministicRng
 from ..sampling import sample_matrix
+from ..serial import encode
 from ..zkp import IntegrityProof, gen_integrity_proof, ver_integrity_proof
 from ..zkp.vercrt import crt_weights, ver_crt
 from .config import deployment_preset
@@ -119,10 +121,8 @@ class CommReport:
     bundle_bytes: int
     proof_bytes: int
     other_bytes: int  # the flag report and the blind share
-    # each part of the proof, without the 4-byte count or length in
-    # front of each field: "e_star+o_prime", "Y+z" (the proof of
-    # smallness' commitment and its packed answers), "rho", "tau" and
-    # "mu"
+    # the bytes of each of the proof's fields, by name, in wire order;
+    # they sum to proof_bytes
     proof_parts: dict[str, int]
 
     @property
@@ -197,7 +197,6 @@ def measure_communication(d: int, k: int, n: int = 8, m: int = 1, seed: int = 11
 
 def _proof_parts(proof: IntegrityProof) -> dict[str, int]:
     return {
-        "e_star+o_prime": POINT_BYTES * (len(proof.e_star) + 1),
-        "Y+z": POINT_BYTES + len(proof.z),
-        **{f: len(getattr(proof, f).to_bytes()) for f in ("rho", "tau", "mu")},
+        name: len(encode(tp, getattr(proof, name)))
+        for name, tp in typing.get_type_hints(IntegrityProof).items()
     }

@@ -22,7 +22,7 @@ def _parse_size(token: str) -> int:
             size = int(float(text[:-1]) * _SUFFIX[text[-1]])
         else:
             size = int(text)
-    except ValueError:
+    except (ValueError, OverflowError):  # "1x", or "infk" and "1e400k"
         raise click.BadParameter(f"{token!r} is not a size like 64, 1k or 2.5m") from None
     if size < 1:
         raise click.BadParameter(f"{token!r}: sizes must be positive")
@@ -128,22 +128,22 @@ def bench(sweep, k_fixed, d_fixed, comm) -> None:
 @click.option("--epsilon-log2", type=int, required=True, help="log2 of tail bound.")
 @click.option("--d", type=int, required=True, help="Update dimension.")
 @click.option(
-    "--M", "m_log2", type=int, default=None, help="log2 of scale M [default: derived]."
+    "--M", "m_log2", type=click.IntRange(min=0), default=None,
+    help="log2 of scale M [default: derived].",
 )
 @click.option("--B", "bound", type=float, default=1.0, show_default=True)
 @click.option("--frac-bits", type=int, default=8, show_default=True)
 def params(k, epsilon_log2, d, m_log2, bound, frac_bits) -> None:
     """Derived check parameters: gamma, M, B0, the proofs' widths and
     shapes, the pass-rate bound table, the worst damage it allows."""
-    epsilon = 2.0**epsilon_log2
     try:
-        p = CheckParameters(
-            n=1, m=0, d=d, k=k, epsilon=epsilon, B=bound, frac_bits=frac_bits,
+        p = CheckParameters.from_epsilon_log2(
+            epsilon_log2, n=1, m=0, d=d, k=k, B=bound, frac_bits=frac_bits,
             M=None if m_log2 is None else 1 << m_log2,
         )
     except ValueError as err:
         raise click.UsageError(str(err)) from None
-    M = p.M
+    M, epsilon = p.M, p.epsilon
     derived = " (derived)" if m_log2 is None else ""
     click.echo(f"k={k}  epsilon=2^{epsilon_log2}  d={d}  M=2^{M.bit_length() - 1}{derived}")
     click.echo(f"gamma  = {p.gamma:.6g}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numbers
+import sys
 import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -10,7 +11,7 @@ from typing import Any
 
 import yaml
 
-from ..sampling import CheckParameters
+from ..sampling import CheckParameters, fits_fixed_point
 from .attacks import AttackSpec
 
 @dataclass(frozen=True)
@@ -54,15 +55,17 @@ class SimulationConfig:
             raise ValueError("malicious ids must be client ids in 1..n")
         if len(ids) > self.m:
             raise ValueError(f"at most m={self.m} malicious clients allowed")
+        if self.attack.noise < 0:
+            raise ValueError(f"attack.noise must be non-negative, got {self.attack.noise!r}")
+        self.check_parameters()  # validate derived widths eagerly
         # Attacked coordinates still need to fit the fixed-point window,
         # otherwise the malicious client could not even encode its update.
         worst = self.attack.norm_ratio(self.B, self.d) * self.B
-        if worst * (1 << self.frac_bits) + 1 >= 1 << (self.b_coord - 1):
+        if not fits_fixed_point(worst, self.frac_bits, self.b_coord, 1):
             raise ValueError(
                 "attack pushes coordinates outside the b_coord window; "
                 "raise b_coord or lower the attack scale"
             )
-        self.check_parameters()  # validate derived widths eagerly
 
     def check_parameters(self) -> CheckParameters:
         return CheckParameters.from_epsilon_log2(
@@ -107,13 +110,14 @@ class SimulationConfig:
 
 def _fits(tp: Any, value: Any) -> bool:
     """Whether ``value`` has the declared type ``tp``: an int field takes
-    no bool, float or str, and a float field takes ints but no bool."""
+    no bool, float or str, and a float field takes a finite float or an
+    int that converts to one, but no bool."""
     if isinstance(value, bool):
         return tp is bool
     if tp is int:
         return isinstance(value, numbers.Integral)
     if tp is float:
-        return isinstance(value, numbers.Real)
+        return isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
     args = typing.get_args(tp)
     if typing.get_origin(tp) is tuple:
         return isinstance(value, tuple) and all(_fits(args[0], x) for x in value)
@@ -129,6 +133,8 @@ def _check_types(obj: Any, prefix: str) -> None:
         value = getattr(obj, name)
         if not _fits(tp, value):
             expected = tp.__name__ if isinstance(tp, type) else tp
+            if tp is float:
+                expected = "a finite float"
             raise ValueError(f"{prefix}{name} must be {expected}, got {value!r}")
 
 

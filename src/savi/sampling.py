@@ -49,6 +49,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
 
@@ -63,8 +64,9 @@ from .zkp.rangeproof import MAX_ODD_PART, range_width, slot_shape
 _Q = GROUP_ORDER
 
 # Box-Muller on 53-bit uniforms gives |z| <= sqrt(106 ln 2) < 8.572, so a
-# rounded row entry is at most 8.572 M + 0.5 in magnitude.
-_MAX_ABS_Z = 8.572
+# rounded row entry is at most 8.572 M + 0.5 in magnitude.  Exact, so the
+# width check holds for an M of any size.
+_MAX_ABS_Z = Fraction("8.572")
 # A derived M keeps the rounding term within this fraction of sqrt(gamma).
 _ROUNDING_SLACK = 2.0**-10
 # The rounding bound rho(k) fails with probability e^-x = 2^-_TAIL_LOG2
@@ -203,6 +205,13 @@ def chi_square_quantile(k: int, epsilon: float) -> float:
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be a probability in (0, 1)")
     return float(2.0 * special.gammainccinv(k / 2.0, epsilon))
+
+
+def fits_fixed_point(x: float, frac_bits: int, b_coord: int, slack: Fraction | int) -> bool:
+    """Whether x 2^frac_bits + slack < 2^(b_coord - 1), computed exactly,
+    so that no width overflows a float; False for an x that is not
+    finite."""
+    return math.isfinite(x) and Fraction(x) * (1 << frac_bits) + slack < 1 << (b_coord - 1)
 
 
 def encoded_bound(B: float, frac_bits: int, d: int) -> int:
@@ -347,15 +356,19 @@ class CheckParameters:
             raise ValueError("epsilon must be in (0, 1)")
         if self.M is None:
             object.__setattr__(self, "M", rounding_scale(self.k, self.d, self.gamma))
-        if self.M < 1 or self.B <= 0:
-            raise ValueError("M and B must be positive")
+        if self.M < 1:
+            raise ValueError("M must be positive")
+        if not 0 < self.B < math.inf:
+            raise ValueError(f"B must be positive and finite, got {self.B!r}")
+        if self.frac_bits < 0 or self.b_coord < 1:
+            raise ValueError("frac_bits must be at least 0 and b_coord at least 1")
         if max(self.k, self.d) * (math.ceil(_MAX_ABS_Z * self.M) + 1) >= 1 << 61:
             raise ValueError(
                 f"a {self.k} x {self.d} matrix at M={self.M} leaves no int64 limb "
                 "for its exact products: leave M unset to derive it"
             )
-        if self.B * (1 << self.frac_bits) + 0.5 >= 1 << (self.b_coord - 1):
-            raise ValueError("bound B does not fit the b_coord fixed-point window")
+        if not fits_fixed_point(self.B, self.frac_bits, self.b_coord, Fraction(1, 2)):
+            raise ValueError("B 2^frac_bits does not fit the b_coord fixed-point window")
         if self.b_max is None:
             object.__setattr__(self, "b_max", range_width(self.b0.bit_length()))
         if self.b_max < 1 or slot_shape(self.b_max)[0] > MAX_ODD_PART:

@@ -9,8 +9,11 @@ type of each field sets its encoding:
   U32              4-byte little-endian count or index
   bytes            u32 length, then the bytes
   tuple[X, ...]    u32 count, then the items
-  a ``Message``    u32 length, then its bytes
-  other dataclass  its fields inline
+  a dataclass      its fields inline, a ``Message`` nested in another too
+
+Every encoding delimits itself, so nothing is framed twice: a message's
+bytes are its fields' encodings, one after the other, wherever it is
+sent.
 
 Serialization is canonical — equal messages produce equal bytes — so
 transcript hashing and byte-count accounting can both use it.  A
@@ -41,14 +44,10 @@ def _fields(tp: type) -> tuple[tuple[str, Any], ...]:
     return tuple((f.name, hints[f.name]) for f in dataclasses.fields(tp))
 
 
-def _is_message(tp: Any) -> bool:
-    return isinstance(tp, type) and issubclass(tp, Message)
-
-
 def encode(tp: Any, value: Any) -> bytes:
-    """The bytes of ``value`` as a ``tp``; a message is its fields, unprefixed."""
+    """The bytes of ``value`` as a ``tp``."""
     out: list[bytes] = []
-    (_write_fields if _is_message(tp) else _write)(tp, value, out)
+    _write(tp, value, out)
     return b"".join(out)
 
 
@@ -66,21 +65,14 @@ def _write(tp: Any, value: Any, out: list[bytes]) -> None:
         out.append(_u32(len(value)))
         for x in value:
             _write(item, x, out)
-    elif _is_message(tp):
-        raw = encode(tp, value)
-        out += (_u32(len(raw)), raw)
     else:
-        _write_fields(tp, value, out)
-
-
-def _write_fields(tp: type, value: Any, out: list[bytes]) -> None:
-    for name, ftp in _fields(tp):
-        _write(ftp, getattr(value, name), out)
+        for name, ftp in _fields(tp):
+            _write(ftp, getattr(value, name), out)
 
 
 def decode(tp: Any, data: bytes, backend: Optional[GroupBackend] = None) -> Any:
     """Parse ``data`` as one ``tp``; it must be consumed exactly."""
-    value, end = (_read_fields if _is_message(tp) else _read)(tp, data, 0, backend)
+    value, end = _read(tp, data, 0, backend)
     if end != len(data):
         raise ValueError("trailing bytes after message")
     return value
@@ -114,13 +106,6 @@ def _read(tp: Any, data: bytes, pos: int, backend: Optional[GroupBackend]) -> tu
             x, pos = _read(item, data, pos, backend)
             items.append(x)
         return tuple(items), pos
-    if _is_message(tp):
-        raw, pos = _read(bytes, data, pos, backend)
-        return decode(tp, raw, backend), pos
-    return _read_fields(tp, data, pos, backend)
-
-
-def _read_fields(tp: type, data: bytes, pos: int, backend: Optional[GroupBackend]) -> tuple[Any, int]:
     fields = {}
     for name, ftp in _fields(tp):
         fields[name], pos = _read(ftp, data, pos, backend)
@@ -132,7 +117,7 @@ class Message:
 
     Field order is the wire order: reordering, adding or retyping a
     field changes the bytes.  Nested in another message, a message is
-    sent as u32 length, then its bytes."""
+    its fields inline, as any dataclass is."""
 
     def to_bytes(self) -> bytes:
         return encode(type(self), self)

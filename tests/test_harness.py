@@ -94,9 +94,13 @@ def test_deterministic_given_seed():
 # The uplink of a fixed-seed round, proofs included, is pinned byte for
 # byte.  Changing these bytes changes the wire format or the proofs, and
 # requires a bump of the transcript domain (savi/vN/transcript).  Last
-# re-pinned at savi/v8: domain bump and layout (one commitment o' to the
-# sum of squares, none to the projections), with the forgers named
-# "square"; at savi/v7 these read
+# re-pinned at savi/v9: domain bump and layout (rho, tau and mu inline,
+# with no length in front); at savi/v8 (one commitment o' to the sum of
+# squares, none to the projections, with the forgers named "square")
+# these read
+# acba85f1f9583db8cedcd02e0032575b2c0171cab888c7eb5cdd6ffab7605151 and
+# 0c9f25175d61760f082d4fd33ae9bdd4513b91e108476ed4fa40f86daea5fbe4; at
+# savi/v7 these read
 # 9de84b3c78454f00e28335e692fa920df92f67fad14f23361c07af11a157264b and
 # f71a87a36c008b3e0c4063ebfa4e460e5e3d89e373212fa75c576a22ea459932, with
 # the forgers named "wellformed" (the proof of smallness in place of the
@@ -110,7 +114,7 @@ _PINNED_ROUNDS = [
     (
         dict(n=5, m=2, d=16, k=4, M=16, b_max=64, epsilon_log2=-16, seed=3,
              attack=AttackSpec("oversized_norm", scale=10.0, malicious_ids=(2, 4))),
-        "acba85f1f9583db8cedcd02e0032575b2c0171cab888c7eb5cdd6ffab7605151",
+        "dd41e260b8b9a7329f9cdc8785e2ab9e5a15736af71b541db60bf4391c35f4f2",
         (1, 3, 5),
         {2: "proof_square", 4: "proof_square"},
     ),
@@ -118,7 +122,7 @@ _PINNED_ROUNDS = [
         dict(n=3, m=1, d=4, k=1, M=1, b_max=32, epsilon_log2=-16, seed=3,
              backend="ristretto255",
              attack=AttackSpec("oversized_norm", scale=10.0, malicious_ids=(3,))),
-        "0c9f25175d61760f082d4fd33ae9bdd4513b91e108476ed4fa40f86daea5fbe4",
+        "dc2ded15f4b50dffd4c00d612d06df36dd1ae3e7c0eff55246efa8dfa3c8ac6d",
         (1, 2),
         {3: "proof_square"},
     ),
@@ -180,14 +184,16 @@ def test_two_round_uplink_pinned():
     uplink = b"".join(
         payload for rep in reps for _, _, payload in sorted(rep.messages, key=lambda m: m[1])
     )
-    # re-pinned at savi/v8: domain bump and layout (one commitment to
-    # the squares); at savi/v7 (the proof of smallness)
+    # re-pinned at savi/v9: domain bump and layout (the sub-proofs
+    # inline); at savi/v8 (one commitment to the squares)
+    # 22a2e4ffad541bac27a842bff5a55fce0c83570ddef00dd6f32fffb339876fd3,
+    # at savi/v7 (the proof of smallness)
     # 323109a807be5d5694fa4b60a167e44bf84a224f4e4fdc8848d652381ac53d60, at
     # savi/v6
     # 871bdb65fd8236122c4bd69c42036bbbdad5ca1ba07b3b626d336280fb5b46ce, at
     # savi/v5 17a59a4f3c18b4566ad30563c0cf3a6a2d597cc666fa264e477443654f482bc9
     assert hashlib.sha256(uplink).hexdigest() == (
-        "22a2e4ffad541bac27a842bff5a55fce0c83570ddef00dd6f32fffb339876fd3"
+        "5eb9e23e03c5a8ebf16c68deb6eec7391fbd48945538d141e2d0c133f739892e"
     )
 
 
@@ -265,10 +271,14 @@ def test_proof_generation_op_count_pinned():
     # and o'_t (savi/v7) it cost 8,279 muls and 8,162 adds: a client's
     # commitments and sigma announcements cost 13k + 5 muls there and
     # 8k + 8 here, but the new transcripts draw ten more tries of the
-    # proof of smallness in all, 129 muls each (10 x 129 - 10 x 37 = 919)
+    # proof of smallness in all, 129 muls each (10 x 129 - 10 x 37 = 919).
+    # At savi/v8 it cost 9,198 muls and 9,221 adds: the new transcripts
+    # draw other challenges R, whose accepted tries hold three all-zero
+    # rows where they held five, and such a row gives the link's
+    # announcement a zero scalar, which costs no mul and no add
     (rep,) = run_simulation(SimulationConfig(n=10, m=4, d=64, k=8, seed=1, backend="mock"))
     assert rep.honest == tuple(range(1, 11))
-    assert rep.group_ops["proof_gen"] == {"mul": 9198, "add": 9221, "from_hash": 0}
+    assert rep.group_ops["proof_gen"] == {"mul": 9200, "add": 9223, "from_hash": 0}
     assert rep.group_ops["proof_gen"]["mul"] <= 56_000
     # the sum of the honest commitments starts from the first vector, not
     # from d identities (this stage counted 9,976 adds when it did), and
@@ -479,9 +489,10 @@ def test_message_log_replay(tmp_path):
     reports = run_simulation(cfg)
     log = emit_message_log(reports, cfg, tmp_path)
     header, records = parse_message_log(log)
-    # savi/v7 until one commitment to the squares, savi/v6 until the
-    # proof of smallness, savi/v5 until Bulletproofs+
-    assert header.domain == "savi/v8"
+    # savi/v8 until the sub-proofs went inline, savi/v7 until one
+    # commitment to the squares, savi/v6 until the proof of smallness,
+    # savi/v5 until Bulletproofs+
+    assert header.domain == "savi/v9"
     assert header.params == cfg.check_parameters()
     per_client = {}
     kinds = set()
@@ -649,21 +660,26 @@ def test_comm_probe_equals_bytes_a_client_sends():
 
 
 def test_comm_probe_proof_parts_add_up():
-    # the seven fields of a proof: five behind a 4-byte count or length,
-    # o' and Y bare (at savi/v7, eight fields, seven behind one, with o
-    # and k points o'_t in "e_star+o+o_prime"; at savi/v6, seven fields
-    # each behind one, with "sigma" where "Y+z" is)
+    # one part per field of the proof, in wire order, each its field's
+    # encoding, so they sum to the proof with no framing term (at savi/v8,
+    # five parts "e_star+o_prime", "Y+z", "rho", "tau" and "mu", none
+    # counting the 4-byte count or length in front of five of the seven
+    # fields; at savi/v7, eight fields, seven behind one, with o and k
+    # points o'_t in "e_star+o+o_prime"; at savi/v6, seven fields each
+    # behind one, with "sigma" where "Y+z" was)
     rep = measure_communication(d=64, k=4)
-    assert list(rep.proof_parts) == ["e_star+o_prime", "Y+z", "rho", "tau", "mu"]
-    assert sum(rep.proof_parts.values()) + 5 * 4 == rep.proof_bytes
-    # k+1 + 1 points; the sigma proofs in their (c, s) form, rho with the
-    # link's y_sigma and t_link (3k + 1 points, and 168 + 64k and 44 + 96k
-    # bytes at savi/v7)
-    assert rep.proof_parts["e_star+o_prime"] == 32 * (4 + 2)
-    assert (rep.proof_parts["rho"], rep.proof_parts["tau"]) == (164 + 32 * 4, 104 + 64 * 4)
-    # Y, then z: 128 packed answers of w = (2T).bit_length() bits each
+    parts = rep.proof_parts
+    assert list(parts) == ["e_star", "o_prime", "masks", "z", "rho", "tau", "mu"]
+    assert sum(parts.values()) == rep.proof_bytes
+    # a count, then k+1 points; o' and Y a point each
+    assert (parts["e_star"], parts["o_prime"], parts["masks"]) == (4 + 32 * (4 + 1), 32, 32)
+    # the sigma proofs in their (c, s) form, rho with the link's y_sigma
+    # and t_link (3k + 1 points, and 168 + 64k and 44 + 96k bytes at
+    # savi/v7), inline
+    assert (parts["rho"], parts["tau"]) == (164 + 32 * 4, 104 + 64 * 4)
+    # a length, then 128 packed answers of w = (2T).bit_length() bits each
     params = deployment_preset(d=64, k=4).check_parameters()
-    assert rep.proof_parts["Y+z"] == 32 + 128 * params.z_width // 8
+    assert parts["z"] == 4 + 128 * params.z_width // 8
 
 
 def test_comm_probe_measures_the_widths_of_d():
@@ -680,8 +696,10 @@ def test_comm_probe_measures_the_widths_of_d():
     proof = IntegrityProof.from_bytes(payload, make_backend("mock"))
     assert probe.proof_bytes == len(payload)
     assert probe.proof_parts == {
-        "e_star+o_prime": 32 * (len(proof.e_star) + 1),
-        "Y+z": 32 + len(proof.z),
+        "e_star": 4 + 32 * len(proof.e_star),
+        "o_prime": 32,
+        "masks": 32,
+        "z": 4 + len(proof.z),
         **{part: len(getattr(proof, part).to_bytes()) for part in ("rho", "tau", "mu")},
     }
 
@@ -741,6 +759,13 @@ def test_config_rejects_unknown_keys(tmp_path):
         ({"backend": 1}, "backend"),
         ({"attack": {"kind": "scaling", "scale": "big", "malicious_ids": [1]}}, "attack.scale"),
         ({"attack": {"kind": "scaling", "malicious_ids": [1, "x"]}}, "attack.malicious_ids"),
+        ({"attack": {"kind": "scaling", "scale": float("nan"), "malicious_ids": [1]}},
+         "attack.scale"),
+        ({"attack": {"kind": "additive_noise", "noise": float("nan"), "malicious_ids": [1]}},
+         "attack.noise"),
+        ({"B": float("nan")}, "B"),
+        ({"B": float("inf")}, "B"),
+        ({"B": 2**2000}, "B"),
     ],
 )
 def test_config_rejects_mistyped_values(raw, field):
@@ -784,6 +809,34 @@ def test_config_validation_errors():
         _tiny(m=1, attack=AttackSpec("scaling", scale=2.0, malicious_ids=(1, 2)))
     with pytest.raises(ValueError, match="b_coord window"):
         _tiny(m=1, attack=AttackSpec("oversized_norm", scale=200.0, malicious_ids=(1,)))
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        # each of these ended in a traceback: an OverflowError from a
+        # float conversion, or a round that died on a NaN or a negative
+        # scale in numpy
+        ("frac_bits: 2000", "B 2^frac_bits does not fit"),
+        (f"M: {2**2000}", "leaves no int64 limb"),
+        ("attack: {kind: scaling, scale: .nan, malicious_ids: [1]}",
+         "attack.scale must be a finite float, got nan"),
+        ("attack: {kind: additive_noise, noise: .nan, malicious_ids: [1]}",
+         "attack.noise must be a finite float, got nan"),
+        ("attack: {kind: additive_noise, noise: -1.0, malicious_ids: [1]}",
+         "attack.noise must be non-negative, got -1.0"),
+        ("B: .nan", "B must be a finite float, got nan"),
+        ("frac_bits: -1", "frac_bits must be at least 0"),
+    ],
+    ids=["frac_bits", "M", "scale_nan", "noise_nan", "noise_negative", "B_nan", "frac_bits_negative"],
+)
+def test_cli_config_that_would_crash_a_round_is_a_usage_error(tmp_path, lines, message):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("n: 4\nm: 1\nd: 8\nk: 4\n" + lines + "\n")
+    res = CliRunner().invoke(cli_main, ["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert message in res.output
 
 
 # -- command line -----------------------------------------------------------------
@@ -927,6 +980,14 @@ def test_cli_rejects_bad_sweep():
         (["bench", "--sweep", "d=0"], "'0': sizes must be positive"),
         (["bench", "--sweep", "d=64", "--k", "0"], "0 is not in the range"),
         (["simulate", "--rounds", "0"], "rounds must be positive"),
+        # sizes that overflow a float to int conversion
+        (["bench", "--sweep", "d=infk"], "'infk' is not a size"),
+        (["bench", "--sweep", "d=1e400k"], "'1e400k' is not a size"),
+        # 2^5000 overflows a float; M = 2^2000 overflows 8.572 M as one
+        (["params", "--k", "4", "--d", "16", "--epsilon-log2", "5000"],
+         "epsilon_log2 must be negative"),
+        (["params", "--k", "4", "--d", "16", "--epsilon-log2", "-40", "--M", "2000"],
+         "leaves no int64 limb"),
     ],
 )
 def test_cli_bad_input_is_a_usage_error(args, message):

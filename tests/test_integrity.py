@@ -315,19 +315,20 @@ def test_square_witness_off_for_one_projection_is_rejected(backend_name):
 
 @pytest.mark.parametrize("k", [1, 8, 32])
 def test_proof_bytes_pinned(k):
-    # e_star (k+1 points), o_prime, Y, and the sigma proofs in their
-    # (c, s) form (rho 32k + 164 bytes, tau 64k + 104:
-    # tests/test_serial.py), each field of the proof behind a 4-byte
-    # count or length but o_prime and Y.  Then the packed answers (16 w
-    # bytes) and the slack range proof, which do not depend on k.  At
-    # savi/v7 (o and k points o'_t, rho 64k + 168, tau 96k + 44) this was
-    # 256k + 304 bytes plus the same: 128k - 80 more
+    # e_star (a count, then k+1 points), o_prime, Y, the length of the
+    # packed answers, and the sigma proofs in their (c, s) form (rho
+    # 32k + 164 bytes, tau 64k + 104: tests/test_serial.py) inline.  Then
+    # the packed answers (16 w bytes) and the slack range proof, which do
+    # not depend on k.  At savi/v8, with a length in front of rho, tau and
+    # mu, this was 128k + 384 bytes plus the same: 12 more.  At savi/v7
+    # (o and k points o'_t, rho 64k + 168, tau 96k + 44) it was
+    # 256k + 304 bytes plus the same: 128k - 80 more than at savi/v8
     params = _params(k=k, d=8)
     u = [1, 0, -2, 1, 0, 0, 3, -1]
     gens, matrix, h, y, z, r, rng = _instance(params, u)
     proof = gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
     fixed = 16 * params.z_width + len(proof.mu.to_bytes())
-    assert len(proof.to_bytes()) - fixed == 128 * k + 384
+    assert len(proof.to_bytes()) - fixed == 128 * k + 372
 
 
 def test_one_weight_vector_per_round(monkeypatch):

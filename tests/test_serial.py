@@ -4,13 +4,14 @@ hostile-byte decoding."""
 import dataclasses
 import functools
 import struct
+import typing
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from savi.commit import CommitmentBundle
-from savi.group import GROUP_ORDER, make_backend
+from savi.group import GROUP_ORDER, Point, make_backend
 from savi.harness import desk_preset
 from savi.harness.simulate import MSG_BLIND_SHARE, MSG_BUNDLE, MSG_PROOF, Simulation
 from savi.protocol.pairwise import seal_share
@@ -62,7 +63,8 @@ def test_wire_surface_is_pinned():
     }
     assert fields == {
         "CommitmentBundle": ["y", "encrypted_shares", "check_string"],
-        # savi/v8, one commitment to the squares; at savi/v7 ["e_star",
+        # savi/v8, one commitment to the squares (savi/v9 sends rho, tau
+        # and mu inline, with no length in front); at savi/v7 ["e_star",
         # "o", "o_prime", "masks", "z", "rho", "tau", "mu"], ["c", "y",
         # "y_vec", "y_star", "y_sigma", "t_link"] and ["c", "s1", "s2",
         # "s3"]; at savi/v6 ["e_star", "o", "o_prime", "rho", "tau",
@@ -80,6 +82,39 @@ def test_wire_surface_is_pinned():
     # is the receiver, bound by the nonce
     for value in (0, GROUP_ORDER - 1):
         assert len(seal_share(b"k" * 32, 1, 1, 2, value)) == 48
+
+
+def _values(tp, points):
+    """A strategy for values of the wire type ``tp``."""
+    if tp is Point:
+        return points
+    if tp is U32:
+        return st.integers(0, 2**32 - 1)
+    if tp is int:
+        return st.integers(0, GROUP_ORDER - 1)
+    if tp is bytes:
+        return st.binary(max_size=40)
+    if typing.get_origin(tp) is tuple:
+        return st.lists(_values(typing.get_args(tp)[0], points), max_size=3).map(tuple)
+    fields = typing.get_type_hints(tp)
+    return st.builds(tp, **{name: _values(ftp, points) for name, ftp in fields.items()})
+
+
+@pytest.mark.parametrize("tp", list(_message_kinds()), ids=lambda tp: tp.__name__)
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_message_is_its_fields_inline(tp, data):
+    # a message's bytes are its fields' encodings, one after the other,
+    # a nested message's too: every encoding delimits itself, so none is
+    # framed twice (savi/v8 put a u32 length in front of a nested one)
+    backend = make_backend("mock")
+    points = st.binary(min_size=64, max_size=64).map(backend.from_uniform)
+    message = data.draw(_values(tp, points))
+    raw = message.to_bytes()
+    assert raw == b"".join(
+        encode(ftp, getattr(message, name)) for name, ftp in typing.get_type_hints(tp).items()
+    )
+    assert tp.from_bytes(raw, backend) == message
 
 
 @pytest.mark.parametrize("k", [1, 8, 32])
@@ -194,7 +229,7 @@ def _smallness_offsets(backend_name):
     proof = decode(IntegrityProof, payload, make_backend(backend_name))
     start = 4 + 32 * len(proof.e_star) + 32  # after e_star and o_prime
     z_end = start + 32 + 4 + len(proof.z)
-    rho_end = z_end + 4 + len(proof.rho.to_bytes())
+    rho_end = z_end + len(proof.rho.to_bytes())
     return [*range(start, z_end), *range(rho_end - 64, rho_end)]
 
 
