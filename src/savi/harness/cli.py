@@ -105,11 +105,15 @@ def simulate(config_path, seed, rounds, out_dir, deployment_scale, write_log) ->
 def bench(sweep, k_fixed, d_fixed, comm) -> None:
     """Group-operation counts per stage across a parameter sweep."""
     var, values = _parse_sweep(sweep)
+    shapes = [(v, k_fixed) if var == "d" else (d_fixed, v) for v in values]
+    try:
+        for d, k in shapes:  # the probes' check parameters, before any probe runs
+            deployment_preset(d=d, k=k)
+    except ValueError as err:
+        raise click.UsageError(str(err)) from None
     header = f"{'d':>10} {'k':>6} " + " ".join(f"{s:>16}" for s in PROBE_STAGES)
     click.echo(header)
-    for v in values:
-        d = v if var == "d" else d_fixed
-        k = v if var == "k" else k_fixed
+    for d, k in shapes:
         row = probe_costs(d, k)
         cells = " ".join(f"{row.stage_total(s):>16}" for s in PROBE_STAGES)
         click.echo(f"{d:>10} {k:>6} {cells}")

@@ -73,6 +73,12 @@ _ROUNDING_SLACK = 2.0**-10
 # (see the module docstring); that probability is added to eps and to F.
 _TAIL_LOG2 = 128
 _TAIL = 2.0**-_TAIL_LOG2
+# The largest d and k: past it no M >= 1 leaves ``_exact_products`` an
+# int64 limb, since a row entry may reach ceil(8.572) + 1 = 10 at M = 1.
+MAX_DIM = ((1 << 61) - 1) // (math.ceil(_MAX_ABS_Z) + 1)
+# The widest coordinate: the server's baby-step table grows as
+# 2^(b_coord / 2) (``CheckParameters``).
+MAX_B_COORD = 32
 DAMAGE_SEARCH_CAP = 1e3  # ``max_expected_damage`` searches c in (1, 1000]
 
 
@@ -326,6 +332,13 @@ class CheckParameters:
     A row entry is at most 8.572 M + 1/2, so max(k, d) (ceil(8.572 M) + 1)
     < 2^61 leaves ``_exact_products`` a limb of at least one bit for A u
     and b A: M up to 2^51 at k = d = 64, 2^24 at k = 1,000, d = 10^6.
+    d and k are at most ``MAX_DIM``, about 2^57.7, the bound at M = 1;
+    they are checked as ints before any float arithmetic uses them.
+
+    b_coord is at most ``MAX_B_COORD`` = 32.  The server solves each
+    aggregate coordinate, at most n (2^(b_coord-1) - 1) in magnitude,
+    with a baby-step table of about sqrt(2n) 2^((b_coord-1)/2) entries:
+    about 655,000 at n = 100 and b_coord = 32, and 2^32.5 at b_coord = 60.
 
     Left as None, b_max is derived from B0 by ``range_width``: the
     smallest width B0 needs (B0 < 2^b_max) whose odd part is at most 7,
@@ -352,6 +365,12 @@ class CheckParameters:
             raise ValueError("honest majority requires m < n/2")
         if self.d < 1 or self.k < 1:
             raise ValueError("d and k must be positive")
+        for name in ("d", "k"):
+            if getattr(self, name) > MAX_DIM:
+                raise ValueError(
+                    f"{name} must be at most {MAX_DIM}: no M leaves a larger one an int64 "
+                    "limb for its exact products"
+                )
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
         if self.M is None:
@@ -362,6 +381,11 @@ class CheckParameters:
             raise ValueError(f"B must be positive and finite, got {self.B!r}")
         if self.frac_bits < 0 or self.b_coord < 1:
             raise ValueError("frac_bits must be at least 0 and b_coord at least 1")
+        if self.b_coord > MAX_B_COORD:
+            raise ValueError(
+                f"b_coord must be at most {MAX_B_COORD}, got {self.b_coord}: the server's "
+                "dlog table grows as 2^(b_coord/2)"
+            )
         if max(self.k, self.d) * (math.ceil(_MAX_ABS_Z * self.M) + 1) >= 1 << 61:
             raise ValueError(
                 f"a {self.k} x {self.d} matrix at M={self.M} leaves no int64 limb "

@@ -9,9 +9,9 @@ blind commitment z shows, without revealing u:
     every e_t;
   * o_prime = (sum_t v_t^2) g + x q commits to the sum of the squares of
     the v_t that e_star opens, under the auxiliary base q and a blind x.
-    The square proof shows o_prime = sum_t v_t e_t - sum_t w_t h_t + x q
-    for some w_t (v_t r for an honest prover), over the same v_t as
-    e_t = v_t g + r h_t;
+    The square proof sends H = sum_t v_t h_t + rho q, under a fresh blind
+    rho, and shows H's equation and o_prime = sum_t v_t e_t - r H + x~ q
+    (x~ = x + r rho), over the same v_t and r as e_t = v_t g + r h_t;
   * every |v_t| is at most 2T, by an approximate proof of smallness
     (below), so v_t^2 <= (2T)^2;
   * B0 - sum v_t^2 lies in [0, 2^b_max) (a Bulletproofs+ range proof,
@@ -29,20 +29,18 @@ extracted witnesses:
     e_t = v_t g + r h_t, and the square proof (r', v'_t) with
     e_t = v'_t g + r' h_t.  h_t = A_t·w is a known combination of the
     commitment generators w_l, so two openings of e_t give a
-    discrete-log relation among g and the w_l unless v_t = v'_t and
-    r h_t = r' h_t: both proofs extract the same v_t, and the same r
-    wherever h_t is not the identity.
-  * The square equation.  With e_t substituted, the square proof's
-    equation reads
-    o_prime = (sum_t v_t^2) g + sum_t (v_t r - w_t) h_t + x q.
+    discrete-log relation among g and the w_l unless v_t = v'_t: both
+    proofs extract the same v_t.
+  * The square equation.  The square proof also extracts rho and x~ with
+    H = sum_t v_t h_t + rho q and o_prime = sum_t v_t e_t - r' H + x~ q.
+    Substituting e_t and H, the h_t terms cancel exactly:
+    o_prime = (sum_t v_t^2) g + (x~ - r' rho) q, an opening over g and
+    q alone, whatever A's rows are.
   * The slack.  The range proof extracts an opening
-    B0 g - o_prime = s g + gamma q with s in [0, 2^b_max), over g and q
-    alone.  Subtracting the two representations gives
-    (sum_t v_t^2 + s - B0) g + sum_l c_l w_l + (x + gamma) q = 0, with
-    c_l = sum_t (v_t r - w_t) A_tl.  Unless every c_l is 0 this is a
-    discrete-log relation among g, q and the w_l.  A's rows are
-    independent (as for k <= d), so every v_t r - w_t = 0; where they are
-    not, c = 0 still cancels the h_t terms.  Either way
+    B0 g - o_prime = s g + gamma q with s in [0, 2^b_max), over g and q.
+    Subtracting the two representations gives
+    (sum_t v_t^2 + s - B0) g + (x~ - r' rho + gamma) q = 0, a
+    discrete-log relation between g and q unless
     sum_t v_t^2 = B0 - s mod p.
   * No wrap.  The proof of smallness bounds every |v_t| by 2T, so
     sum_t v_t^2 + s <= k (2T)^2 + 2^b_max < p, and the congruence holds
@@ -101,9 +99,11 @@ blind sigma, so it hides the masks.  For any shift |s| <= W,
 y_j + s is uniform on a range that covers [-T, T], so an accepted z_j
 is uniform on [-T, T] whatever v is (rejection sampling), and a
 rejected try is never sent.  o_prime is a Pedersen commitment under
-the uniform blind x, so it hides the sum of squares.  The link's
-announcement and the sigma proofs' responses are a sigma protocol's,
-which a simulator draws in the usual way.
+the uniform blind x, so it hides the sum of squares, and H is one
+under the uniform blind rho, so it hides the v_t it combines.  x~ =
+x + r rho is a witness like any other.  The link's announcement and the
+sigma proofs' responses are a sigma protocol's, which a simulator draws
+in the usual way.
 
 All sub-proofs draw their challenges from one transcript bound to
 the check parameters, the round and the client's commitments.
@@ -340,9 +340,10 @@ def _prove(
     g, q = gens.g, gens.q
     v_mod = [v[0]] + [t % _Q for t in v[1:]]
     squares = sum(t * t for t in claims)
-    x = rng.scalar()
-    *e_star, o_prime = multiexps(
-        [[(g, v_mod[t]), (h[t], r)] for t in range(k + 1)] + [[(g, squares % _Q), (q, x)]],
+    x, x_h = rng.scalar(), rng.scalar()  # the blinds of o_prime and of H
+    *e_star, o_prime, h_commit = multiexps(
+        [[(g, v_mod[t]), (h[t], r)] for t in range(k + 1)]
+        + [[(g, squares % _Q), (q, x)], [*zip(h[1:], v_mod[1:]), (q, x_h)]],
         gens.backend,
     )
 
@@ -350,8 +351,7 @@ def _prove(
     link, sigma, tr = _smallness(params, gens, claims, rng, tr)
     _absorb_answers(tr, link.z)
     rho = gen_prf_wf(g, q, h, z, e_star, link, r, v_mod, sigma, rng, tr)
-    w = [t * r % _Q for t in v_mod[1:]]
-    tau = gen_prf_sq(g, q, h[1:], e_star[1:], o_prime, r, v_mod[1:], w, x, rng, tr)
+    tau = gen_prf_sq(g, q, h[1:], e_star[1:], o_prime, h_commit, r, v_mod[1:], x, x_h, rng, tr)
     mu = gen_range_proof(
         gens,
         params.b_max,

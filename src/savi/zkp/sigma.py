@@ -10,12 +10,13 @@ the value base, q the auxiliary one):
 
 * well-formedness — given z = r g and e_t (t in 0..k), prove a single r
   ties z to every e_t.  The witness is (r, v_0..v_k).
-* square relation — given e_t (t in 1..k) and one point o', prove
-  e_t = v_t g + r h_t and o' = sum_t v_t e_t - sum_t w_t h_t + x q.
-  The witness is (r, x, v_1..v_k, -w_1..-w_k); an honest prover has
-  w_t = v_t r, so o' = (sum_t v_t^2) g + x q.  The relation holds for
-  any w, and only the caller's range proof on B0 g - o' ties o' to the
-  squares (``zkp.integrity`` gives the argument).
+* square relation — given e_t (t in 1..k), one point o' and the
+  prover's H, prove e_t = v_t g + r h_t, H = sum_t v_t h_t + rho q and
+  o' = sum_t v_t e_t - r H + x~ q.  The witness is
+  (r, x~, rho, v_1..v_k), with x~ = x + r rho for the blind x of o'.
+  Substituting the first two equations into the third gives
+  o' = (sum_t v_t^2) g + x q: o' opens to the squares over g and q
+  alone (``zkp.integrity`` gives the argument).
 
 A statement is the labelled points it absorbs, then labelled blocks of
 equations, each a target and its (base, witness index) terms.  The
@@ -116,20 +117,23 @@ def _verify(
 class SquareProof(Message):
     c: int
     y: int                   # for r
-    y_x: int                 # for x, the blind of o'
+    y_x: int                 # for x~ = x + r rho, x the blind of o'
+    y_rho: int               # for rho, the blind of H
     y_vec: tuple[int, ...]   # one per v_t, t in 1..k
-    y_w: tuple[int, ...]     # one per -w_t, t in 1..k
+    h_commit: Point          # H = sum_t v_t h_t + rho q
 
 
-def _square(g: Point, q: Point, h: Sequence[Point], e: Sequence[Point], o_prime: Point) -> Statement:
+def _square(
+    g: Point, q: Point, h: Sequence[Point], e: Sequence[Point], o_prime: Point, h_commit: Point,
+) -> Statement:
     k = len(e)
-    R, X, V, W = 0, 1, 2, k + 2  # r, x, v_t at V + t - 1, -w_t at W + t - 1 (t in 1..k)
+    R, X, P, V = 0, 1, 2, 3  # r, x~, rho, v_t at V + t - 1 (t in 1..k)
     return (
-        [("g", [g]), ("q", [q]), ("h", h), ("e", e), ("o'", [o_prime])],
+        [("g", [g]), ("q", [q]), ("h", h), ("e", e), ("o'", [o_prime]), ("H", [h_commit])],
         [
             ("t1", [(e[i], [(g, V + i), (h[i], R)]) for i in range(k)]),
-            ("t2", [(o_prime, [*((e[i], V + i) for i in range(k)),
-                               *((h[i], W + i) for i in range(k)), (q, X)])]),
+            ("tH", [(h_commit, [*((h[i], V + i) for i in range(k)), (q, P)])]),
+            ("t2", [(o_prime, [*((e[i], V + i) for i in range(k)), (-h_commit, R), (q, X)])]),
         ],
     )
 
@@ -140,24 +144,25 @@ def gen_prf_sq(
     h: Sequence[Point],
     e: Sequence[Point],
     o_prime: Point,
+    h_commit: Point,
     r: int,
     v: Sequence[int],
-    w: Sequence[int],
     x: int,
+    rho: int,
     rng: Rng,
     tr: Transcript,
 ) -> SquareProof:
-    """Prove e_1..e_k and o' are well formed over secrets (r, v, w, x).
+    """Prove e_1..e_k, H = ``h_commit`` and o' are well formed over
+    secrets (r, v, x, rho): x is the blind of o', rho that of H.
 
-    ``h`` and ``e`` are h_1..h_k and e_1..e_k; ``v`` and ``w`` have
-    length k.
+    ``h`` and ``e`` are h_1..h_k and e_1..e_k; ``v`` has length k.
     """
     k = len(e)
-    if not (len(h) == len(v) == len(w) == k):
+    if not (len(h) == len(v) == k):
         raise ValueError("square proof inputs must share one length")
-    witness = [r, x, *v, *(-w_t % _Q for w_t in w)]
-    c, s, _ = _prove(_square(g, q, h, e, o_prime), witness, rng, tr)
-    return SquareProof(c=c, y=s[0], y_x=s[1], y_vec=tuple(s[2 : k + 2]), y_w=tuple(s[k + 2 :]))
+    witness = [r, (x + r * rho) % _Q, rho, *v]
+    c, s, _ = _prove(_square(g, q, h, e, o_prime, h_commit), witness, rng, tr)
+    return SquareProof(c=c, y=s[0], y_x=s[1], y_rho=s[2], y_vec=tuple(s[3:]), h_commit=h_commit)
 
 
 def ver_prf_sq(
@@ -169,11 +174,10 @@ def ver_prf_sq(
     proof: SquareProof,
     tr: Transcript,
 ) -> bool:
-    k = len(e)
-    if not (len(h) == len(proof.y_vec) == len(proof.y_w) == k):
+    if not (len(h) == len(proof.y_vec) == len(e)):
         return False
-    responses = (proof.y, proof.y_x) + proof.y_vec + proof.y_w
-    return _verify(_square(g, q, h, e, o_prime), proof.c, responses, tr)
+    responses = (proof.y, proof.y_x, proof.y_rho) + proof.y_vec
+    return _verify(_square(g, q, h, e, o_prime, proof.h_commit), proof.c, responses, tr)
 
 
 @dataclass(frozen=True)

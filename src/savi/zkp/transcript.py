@@ -14,7 +14,7 @@ from typing import Iterable
 
 from ..group.base import GROUP_ORDER, Point
 
-DOMAIN = "savi/v9"
+DOMAIN = "savi/v10"
 """Version of the wire format: bumped whenever proof or message bytes change."""
 
 

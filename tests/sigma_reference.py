@@ -63,23 +63,26 @@ def each_bump(proof):
 
 
 def ref_ver_prf_sq(g, q, h, e, o_prime, proof, tr):
-    """e_t = v_t g + r h_t (t in 1..k) and
-    o' = sum_t v_t e_t - sum_t w_t h_t + x q, with the responses for
-    (r, x, v, -w)."""
+    """e_t = v_t g + r h_t (t in 1..k), H = sum_t v_t h_t + rho q and
+    o' = sum_t v_t e_t - r H + x~ q, with the responses for
+    (r, x~, rho, v)."""
     k = len(e)
-    if not (len(h) == len(proof.y_vec) == len(proof.y_w) == k):
+    if not (len(h) == len(proof.y_vec) == k):
         return False
-    c = proof.c
+    c, big_h = proof.c, proof.h_commit
     t1 = [multiexp([g, h[t], e[t]], [proof.y_vec[t], proof.y, c]) for t in range(k)]
+    t_h = multiexp([*h, q, big_h], [*proof.y_vec, proof.y_rho, c], g.backend)
     t2 = multiexp(
-        [*e, *h, q, o_prime], [*proof.y_vec, *proof.y_w, proof.y_x, c], g.backend
+        [*e, big_h, q, o_prime], [*proof.y_vec, -proof.y % GROUP_ORDER, proof.y_x, c], g.backend
     )
     tr.absorb_point("g", g)
     tr.absorb_point("q", q)
     tr.absorb_points("h", h)
     tr.absorb_points("e", e)
     tr.absorb_point("o'", o_prime)
+    tr.absorb_point("H", big_h)
     tr.absorb_points("t1", t1)
+    tr.absorb_point("tH", t_h)
     tr.absorb_point("t2", t2)
     return tr.challenge("c") == c
 

@@ -235,7 +235,8 @@ def _mutations(proof, g):
         rep(proof, rho=rep(proof.rho, y=(proof.rho.y + 1) % Q)),
         rep(proof, rho=rep(proof.rho, c=(proof.rho.c + 1) % Q)),
         rep(proof, tau=rep(proof.tau, c=(proof.tau.c + 1) % Q)),
-        rep(proof, tau=rep(proof.tau, y_w=((proof.tau.y_w[0] + 1) % Q,) + proof.tau.y_w[1:])),
+        rep(proof, tau=rep(proof.tau, y_rho=(proof.tau.y_rho + 1) % Q)),
+        rep(proof, tau=rep(proof.tau, h_commit=proof.tau.h_commit + g)),
         # the proof of smallness (at savi/v6, a bumped sigma range proof)
         rep(proof, masks=proof.masks + g),
         rep(proof, rho=rep(proof.rho, y_sigma=(proof.rho.y_sigma + 1) % Q)),
@@ -312,12 +313,12 @@ def test_criterion_07_batch_equals_naive():
         e = [multiexp([g, h[t]], [vm[t], r]) for t in range(k + 1)]
 
         # square proof instance
-        x_blind = rng.scalar()
+        x_blind, x_h = rng.scalar(), rng.scalar()
         o_p = multiexp([g, q], [squares % Q, x_blind])
-        w = [x * r % Q for x in vm[1:]]
-        tau = gen_prf_sq(g, q, h[1:], e[1:], o_p, r, vm[1:], w, x_blind, rng, tr())
+        h_commit = multiexp([*h[1:], q], [*vm[1:], x_h])
+        tau = gen_prf_sq(g, q, h[1:], e[1:], o_p, h_commit, r, vm[1:], x_blind, x_h, rng, tr())
         if tamper:
-            tau = dataclasses.replace(tau, y_w=((tau.y_w[0] + 1) % Q,) + tau.y_w[1:])
+            tau = dataclasses.replace(tau, y_rho=(tau.y_rho + 1) % Q)
         assert ver_prf_sq(g, q, h[1:], e[1:], o_p, tau, tr()) == ref_ver_prf_sq(
             g, q, h[1:], e[1:], o_p, tau, tr()
         ) == (not tamper)

@@ -94,8 +94,12 @@ def test_deterministic_given_seed():
 # The uplink of a fixed-seed round, proofs included, is pinned byte for
 # byte.  Changing these bytes changes the wire format or the proofs, and
 # requires a bump of the transcript domain (savi/vN/transcript).  Last
-# re-pinned at savi/v9: domain bump and layout (rho, tau and mu inline,
-# with no length in front); at savi/v8 (one commitment o' to the sum of
+# re-pinned at savi/v10: domain bump and the square proof over H (with
+# y_rho and H in tau, and no y_w); at savi/v9 (rho, tau and mu inline,
+# with no length in front) these read
+# dd41e260b8b9a7329f9cdc8785e2ab9e5a15736af71b541db60bf4391c35f4f2 and
+# dc2ded15f4b50dffd4c00d612d06df36dd1ae3e7c0eff55246efa8dfa3c8ac6d; at
+# savi/v8 (one commitment o' to the sum of
 # squares, none to the projections, with the forgers named "square")
 # these read
 # acba85f1f9583db8cedcd02e0032575b2c0171cab888c7eb5cdd6ffab7605151 and
@@ -114,7 +118,7 @@ _PINNED_ROUNDS = [
     (
         dict(n=5, m=2, d=16, k=4, M=16, b_max=64, epsilon_log2=-16, seed=3,
              attack=AttackSpec("oversized_norm", scale=10.0, malicious_ids=(2, 4))),
-        "dd41e260b8b9a7329f9cdc8785e2ab9e5a15736af71b541db60bf4391c35f4f2",
+        "3a1b1cc71a8bbe720d0f3a773fc766d2cb4b91dd644fa4c222267fe4a917e899",
         (1, 3, 5),
         {2: "proof_square", 4: "proof_square"},
     ),
@@ -122,7 +126,7 @@ _PINNED_ROUNDS = [
         dict(n=3, m=1, d=4, k=1, M=1, b_max=32, epsilon_log2=-16, seed=3,
              backend="ristretto255",
              attack=AttackSpec("oversized_norm", scale=10.0, malicious_ids=(3,))),
-        "dc2ded15f4b50dffd4c00d612d06df36dd1ae3e7c0eff55246efa8dfa3c8ac6d",
+        "c81525f4d635fd4f2dbd29d37808b3b1459a5a8805eefc0fd985fcef2cfbe823",
         (1, 2),
         {3: "proof_square"},
     ),
@@ -184,8 +188,10 @@ def test_two_round_uplink_pinned():
     uplink = b"".join(
         payload for rep in reps for _, _, payload in sorted(rep.messages, key=lambda m: m[1])
     )
-    # re-pinned at savi/v9: domain bump and layout (the sub-proofs
-    # inline); at savi/v8 (one commitment to the squares)
+    # re-pinned at savi/v10: domain bump and the square proof over H; at
+    # savi/v9 (the sub-proofs inline)
+    # 5eb9e23e03c5a8ebf16c68deb6eec7391fbd48945538d141e2d0c133f739892e,
+    # at savi/v8 (one commitment to the squares)
     # 22a2e4ffad541bac27a842bff5a55fce0c83570ddef00dd6f32fffb339876fd3,
     # at savi/v7 (the proof of smallness)
     # 323109a807be5d5694fa4b60a167e44bf84a224f4e4fdc8848d652381ac53d60, at
@@ -193,7 +199,7 @@ def test_two_round_uplink_pinned():
     # 871bdb65fd8236122c4bd69c42036bbbdad5ca1ba07b3b626d336280fb5b46ce, at
     # savi/v5 17a59a4f3c18b4566ad30563c0cf3a6a2d597cc666fa264e477443654f482bc9
     assert hashlib.sha256(uplink).hexdigest() == (
-        "5eb9e23e03c5a8ebf16c68deb6eec7391fbd48945538d141e2d0c133f739892e"
+        "950283bd7624c0da1962a945f46dfc102c209556f0037a17bebd3607524f3a62"
     )
 
 
@@ -245,11 +251,13 @@ def test_proof_verification_op_count_pinned():
     # batch; with the projections' range proofs (192 slots) in the batch
     # this round cost 1,759 muls and 2,293 adds.  With commitments o and
     # o'_t to the projections and their squares (savi/v7), the sigma
-    # proofs cost 11k + 5 muls a client, 3k - 2 more than 8k + 7 now (1,379
-    # muls and 1,843 adds)
+    # proofs cost 11k + 5 muls a client, 3k - 5 more than 8k + 10 now (1,379
+    # muls and 1,843 adds).  Without H in the square proof (savi/v9) they
+    # cost 8k + 7 muls, 3 muls and 3 adds fewer a client (1,159 muls and
+    # 1,623 adds)
     (rep,) = run_simulation(SimulationConfig(n=10, m=4, d=64, k=8, seed=1, backend="mock"))
     assert rep.honest == tuple(range(1, 11))
-    assert rep.group_ops["proof_ver"] == {"mul": 1159, "add": 1623, "from_hash": 0}
+    assert rep.group_ops["proof_ver"] == {"mul": 1189, "add": 1653, "from_hash": 0}
     assert rep.group_ops["proof_ver"]["mul"] <= 4000
 
 
@@ -275,10 +283,14 @@ def test_proof_generation_op_count_pinned():
     # At savi/v8 it cost 9,198 muls and 9,221 adds: the new transcripts
     # draw other challenges R, whose accepted tries hold three all-zero
     # rows where they held five, and such a row gives the link's
-    # announcement a zero scalar, which costs no mul and no add
+    # announcement a zero scalar, which costs no mul and no add.  At
+    # savi/v9 it cost 9,200 muls and 9,223 adds: H costs k + 3 = 11 muls
+    # more a client, and the new transcripts leave two all-zero rows in
+    # the accepted tries where there were three (the tries, 27 in all,
+    # are the same)
     (rep,) = run_simulation(SimulationConfig(n=10, m=4, d=64, k=8, seed=1, backend="mock"))
     assert rep.honest == tuple(range(1, 11))
-    assert rep.group_ops["proof_gen"] == {"mul": 9200, "add": 9223, "from_hash": 0}
+    assert rep.group_ops["proof_gen"] == {"mul": 9311, "add": 9324, "from_hash": 0}
     assert rep.group_ops["proof_gen"]["mul"] <= 56_000
     # the sum of the honest commitments starts from the first vector, not
     # from d identities (this stage counted 9,976 adds when it did), and
@@ -489,10 +501,10 @@ def test_message_log_replay(tmp_path):
     reports = run_simulation(cfg)
     log = emit_message_log(reports, cfg, tmp_path)
     header, records = parse_message_log(log)
-    # savi/v8 until the sub-proofs went inline, savi/v7 until one
-    # commitment to the squares, savi/v6 until the proof of smallness,
-    # savi/v5 until Bulletproofs+
-    assert header.domain == "savi/v9"
+    # savi/v9 until the square proof over H, savi/v8 until the sub-proofs
+    # went inline, savi/v7 until one commitment to the squares, savi/v6
+    # until the proof of smallness, savi/v5 until Bulletproofs+
+    assert header.domain == "savi/v10"
     assert header.params == cfg.check_parameters()
     per_client = {}
     kinds = set()
@@ -615,12 +627,13 @@ def test_client_proof_probe_op_count_pinned():
     # adds here.  With M derived from sqrt(kd)/(2M) (2^12) the proof cost
     # 898 muls and 848 adds in two tries; at M = 2^10 it takes one.  With
     # commitments o and o'_t (savi/v7) it cost 769 muls and 720 adds, 5k - 3
-    # muls more
+    # muls more.  Without H (savi/v9) it cost 692 muls and 674 adds, k + 3
+    # muls and k + 2 adds fewer
     row = probe_costs(256, 16)
     ops = row.ops
     assert row.tries == 1
     assert ops["client_check_h"] == {"mul": 273, "add": 271, "from_hash": 0}
-    assert ops["client_proof"] == {"mul": 692, "add": 674, "from_hash": 0}
+    assert ops["client_proof"] == {"mul": 711, "add": 692, "from_hash": 0}
     assert ops["client_check_h"]["mul"] + ops["client_proof"]["mul"] <= 6_700
     # proof_heavy's shape (b_max = 48; 1,005 muls and 886 adds at
     # b_max = 56, M = 2^12, in one try); with the check of h, 6,418 muls
@@ -628,12 +641,12 @@ def test_client_proof_probe_op_count_pinned():
     # muls and 6,922 adds for the proof alone), and 8,250 and 9,037 with
     # the Bulletproofs prover.  At savi/v7 (commitments o and o'_t) it
     # took one try, for 977 muls and 848 adds; here it takes three, and
-    # one would cost 820 and 754
+    # one would cost 855 and 788 (820 and 754 without H, at savi/v9)
     row = probe_costs(256, 32)
     ops = row.ops
     assert row.tries == 3
     assert ops["client_check_h"] == {"mul": 289, "add": 287, "from_hash": 0}
-    assert ops["client_proof"] == {"mul": 820 + 2 * 129, "add": 754 + 2 * 128, "from_hash": 0}
+    assert ops["client_proof"] == {"mul": 855 + 2 * 129, "add": 788 + 2 * 128, "from_hash": 0}
 
 
 def test_probe_reports_the_tries_of_the_proof_of_smallness():
@@ -641,14 +654,14 @@ def test_probe_reports_the_tries_of_the_proof_of_smallness():
     # costs LAMBDA + 1 muls (its masks' commitment Y) and LAMBDA adds, so
     # the proofs cost the same once the tries are factored out (seeds 7,
     # 8, 10 and 11 took 1, 3, 2 and 4 tries at savi/v7, for 769 muls and
-    # 720 adds)
+    # 720 adds; these seeds' proofs cost 692 muls and 674 adds at savi/v9)
     rows = [probe_costs(256, 16, seed=seed) for seed in (7, 17, 18, 11)]
     assert [row.tries for row in rows] == [1, 4, 2, 6]
     assert {
         (row.ops["client_proof"]["mul"] - (row.tries - 1) * (LAMBDA + 1),
          row.ops["client_proof"]["add"] - (row.tries - 1) * LAMBDA)
         for row in rows
-    } == {(692, 674)}
+    } == {(711, 692)}
 
 
 def test_comm_probe_equals_bytes_a_client_sends():
@@ -674,9 +687,10 @@ def test_comm_probe_proof_parts_add_up():
     # a count, then k+1 points; o' and Y a point each
     assert (parts["e_star"], parts["o_prime"], parts["masks"]) == (4 + 32 * (4 + 1), 32, 32)
     # the sigma proofs in their (c, s) form, rho with the link's y_sigma
-    # and t_link (3k + 1 points, and 168 + 64k and 44 + 96k bytes at
+    # and t_link, tau with y_rho and H (tau 104 + 64k bytes at savi/v9,
+    # with y_w; 3k + 1 points, and 168 + 64k and 44 + 96k bytes at
     # savi/v7), inline
-    assert (parts["rho"], parts["tau"]) == (164 + 32 * 4, 104 + 64 * 4)
+    assert (parts["rho"], parts["tau"]) == (164 + 32 * 4, 164 + 32 * 4)
     # a length, then 128 packed answers of w = (2T).bit_length() bits each
     params = deployment_preset(d=64, k=4).check_parameters()
     assert parts["z"] == 4 + 128 * params.z_width // 8
@@ -709,13 +723,14 @@ def test_proof_cost_grows_with_k():
     # costs LAMBDA + 1 muls whatever k is and the two probes draw 2 and 1
     # (the test compared 1.5x the totals, tries and all, which the tries
     # decided).  A client's commitments and sigma announcements cost
-    # 8k + 8 muls (13k + 5 at savi/v7, with o and o'_t)
+    # 9k + 11 muls (8k + 8 at savi/v9, without H; 13k + 5 at savi/v7, with
+    # o and o'_t)
     small, big = probe_costs(d=64, k=8), probe_costs(d=64, k=32)
 
     def one_try(row):
         return row.ops["client_proof"]["mul"] - (row.tries - 1) * (LAMBDA + 1)
 
-    assert one_try(big) - one_try(small) >= 8 * (32 - 8)
+    assert one_try(big) - one_try(small) >= 9 * (32 - 8)
 
 
 # -- config ----------------------------------------------------------------------
@@ -827,8 +842,15 @@ def test_config_validation_errors():
          "attack.noise must be non-negative, got -1.0"),
         ("B: .nan", "B must be a finite float, got nan"),
         ("frac_bits: -1", "frac_bits must be at least 0"),
+        # a MemoryError from the server's dlog table, of about
+        # sqrt(2n) 2^((b_coord - 1)/2) entries
+        ("b_coord: 60", "b_coord must be at most 32, got 60"),
+        # an OverflowError from the float arithmetic on d (the later d
+        # replaces the 8 above)
+        (f"d: {10**400}", "d must be at most 230584300921369395"),
     ],
-    ids=["frac_bits", "M", "scale_nan", "noise_nan", "noise_negative", "B_nan", "frac_bits_negative"],
+    ids=["frac_bits", "M", "scale_nan", "noise_nan", "noise_negative", "B_nan", "frac_bits_negative",
+         "b_coord", "d"],
 )
 def test_cli_config_that_would_crash_a_round_is_a_usage_error(tmp_path, lines, message):
     cfg = tmp_path / "cfg.yaml"
@@ -837,6 +859,15 @@ def test_cli_config_that_would_crash_a_round_is_a_usage_error(tmp_path, lines, m
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
     assert message in res.output
+
+
+def test_cli_config_with_b_coord_16_runs(tmp_path):
+    # the default width, written out, is well inside the ceiling of 32
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("n: 4\nm: 1\nd: 8\nk: 4\nb_coord: 16\n")
+    res = CliRunner().invoke(cli_main, ["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert "aggregate ok in 1/1" in res.output
 
 
 # -- command line -----------------------------------------------------------------
@@ -988,6 +1019,9 @@ def test_cli_rejects_bad_sweep():
          "epsilon_log2 must be negative"),
         (["params", "--k", "4", "--d", "16", "--epsilon-log2", "-40", "--M", "2000"],
          "leaves no int64 limb"),
+        # a size that converts, but past what any M leaves an int64 limb
+        # (a ValueError traceback from the probe when it ran outside the try)
+        (["bench", "--sweep", "d=1e300k"], "d must be at most 230584300921369395"),
     ],
 )
 def test_cli_bad_input_is_a_usage_error(args, message):

@@ -216,9 +216,10 @@ def test_each_sigma_scalar_names_its_check(backend_name):
         *[(dataclasses.replace(proof, tau=tau), "square") for tau in each_bump(proof.tau)],
     ]
     # rho: c, y, k+1 entries of y_vec and y_sigma, which only the batched
-    # link identity reads; tau: c, y, y_x and k entries each of y_vec and
-    # y_w (at savi/v7, rho had k more, y_star, and tau c and 3k)
-    assert len(tampered) == (params.k + 4) + (2 * params.k + 3)
+    # link identity reads; tau: c, y, y_x, y_rho and k entries of y_vec
+    # (at savi/v9, tau had c, y, y_x and 2k, with y_w; at savi/v7, rho had
+    # k more, y_star, and tau c and 3k)
+    assert len(tampered) == (params.k + 4) + (params.k + 4)
     assert tampered[params.k + 3][0].rho.y_sigma != proof.rho.y_sigma
     tampered[params.k + 3] = (tampered[params.k + 3][0], "range_ip")
     for bad, label in tampered:
@@ -234,6 +235,7 @@ def _bumped_points(proof, g):
         e_star = proof.e_star[:t] + (proof.e_star[t] + g,) + proof.e_star[t + 1:]
         yield rep(proof, e_star=e_star), "wellformed"
     yield rep(proof, o_prime=proof.o_prime + g), "square"
+    yield rep(proof, tau=rep(proof.tau, h_commit=proof.tau.h_commit + g)), "square"
     yield rep(proof, masks=proof.masks + g), "wellformed"
     yield rep(proof, rho=rep(proof.rho, t_link=proof.rho.t_link + g)), "wellformed"
     mu = proof.mu
@@ -258,20 +260,20 @@ def test_every_scalar_and_point_of_the_proof_is_rejected(backend_name):
         *_bumped_points(proof, gens.g),
         *[(dataclasses.replace(proof, mu=mu), "range_sum") for mu in each_bump(proof.mu)],
     ]
-    # k+1 points of e_star, o_prime, Y, t_link; mu's 2r + 3 points and
-    # 2c + 1 scalars
+    # k+1 points of e_star, o_prime, H, Y, t_link; mu's 2r + 3 points and
+    # 2c + 1 scalars (H is new at savi/v10)
     r_, c_ = len(proof.mu.ls), len(proof.mu.r)
-    assert len(tampered) == (params.k + 1) + 3 + (2 * r_ + 3) + (2 * c_ + 1)
+    assert len(tampered) == (params.k + 1) + 4 + (2 * r_ + 3) + (2 * c_ + 1)
     for bad, label in tampered:
         verdict = ver_integrity_proof(params, gens, matrix, h, z, y, bad, 1, 1, rng)
         assert verdict == (False, label)
 
 
-def _with_square_witness(params, gens, matrix, h, z, y, r, u, proof, shift):
-    """``proof`` with o_prime, tau and mu made again for a prover whose
-    w_t is v_t r plus ``shift[t]``: o_prime is what that witness opens,
-    (sum v_t^2) g - sum shift_t h_t + x q, so the square proof holds, and
-    the slack range proof is made on B0 - sum v_t^2 as an honest one."""
+def _with_o_prime(params, gens, matrix, h, z, y, r, u, proof, shift):
+    """``proof`` with o_prime, tau and mu made again, o_prime moved by
+    the point ``shift`` off (sum v_t^2) g + x q: tau by the honest
+    witness, mu on B0 - sum v_t^2 - 1 when the shift is g, so that only
+    the square proof can object."""
     g, q = gens.g, gens.q
     v = [x % Q for x in matrix.row_inner(u)]
     squares = sum(x * x for x in matrix.row_inner(u)[1:])
@@ -282,45 +284,50 @@ def _with_square_witness(params, gens, matrix, h, z, y, r, u, proof, shift):
     integrity._absorb_answers(tr, answers)
     link = integrity.Link(gens.smallness, rows, proof.masks, answers)
     assert integrity.ver_prf_wf(g, q, h, z, proof.e_star, link, proof.rho, tr) is not None
-    rng = DeterministicRng(b"square-witness")
-    x = rng.scalar()
-    w = [(v[t] * r + shift[t - 1]) % Q for t in range(1, params.k + 1)]
-    o_prime = multiexp([g, q, *h[1:]], [squares % Q, x, *(-s % Q for s in shift)])
-    tau = integrity.gen_prf_sq(g, q, h[1:], proof.e_star[1:], o_prime, r, v[1:], w, x, rng, tr)
+    rng = DeterministicRng(b"o-prime")
+    x, rho = rng.scalar(), rng.scalar()
+    o_prime = multiexp([g, q], [squares % Q, x]) + shift
+    h_commit = multiexp([*h[1:], q], [*v[1:], rho])
+    tau = integrity.gen_prf_sq(
+        g, q, h[1:], proof.e_star[1:], o_prime, h_commit, r, v[1:], x, rho, rng, tr
+    )
     mu = integrity.gen_range_proof(
-        gens, params.b_max, [params.b0 - squares], [-x % Q],
+        gens, params.b_max, [params.b0 - squares - (shift == g)], [-x % Q],
         [integrity._slack(params, gens, o_prime)], rng, tr,
     )
     return dataclasses.replace(proof, o_prime=o_prime, tau=tau, mu=mu)
 
 
 @pytest.mark.parametrize("backend_name", ["mock", "ristretto255"])
-def test_square_witness_off_for_one_projection_is_rejected(backend_name):
-    # w_t = v_t r is what makes o_prime a commitment to the squares over
-    # g and q alone.  A prover with w_t off by one for one t leaves an h_t
-    # term in o_prime: its square proof holds, but the slack range proof
-    # cannot open B0 g - o_prime over g and q, so it is named range_sum
+def test_o_prime_off_the_squares_is_named_square(backend_name):
+    # o_prime = sum v_t e_t - r H + x~ q equals (sum v_t^2) g + x q for
+    # every witness, so an o_prime off it by one g (one more square) or by
+    # one h_t has no square proof that verifies.  This replaced a test
+    # that a w_t off v_t r by one passed the square proof and died on the
+    # slack range proof (savi/v9 proved o' = sum v_t e_t - sum w_t h_t + x q)
     params = _params(k=3, d=8)
     u = [1, 0, -2, 1, 0, 0, 3, -1]
     gens, matrix, h, y, z, r, rng = _instance(params, u, b=make_backend(backend_name))
     proof = gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
-    honest = _with_square_witness(params, gens, matrix, h, z, y, r, u, proof, [0, 0, 0])
+    identity = gens.g.backend.identity()
+    honest = _with_o_prime(params, gens, matrix, h, z, y, r, u, proof, identity)
     assert ver_integrity_proof(params, gens, matrix, h, z, y, honest, 1, 1, rng) == (True, None)
-    for t in range(params.k):
-        shift = [int(i == t) for i in range(params.k)]
-        bad = _with_square_witness(params, gens, matrix, h, z, y, r, u, proof, shift)
+    for shift in (gens.g, *h[1:]):
+        bad = _with_o_prime(params, gens, matrix, h, z, y, r, u, proof, shift)
         verdict = ver_integrity_proof(params, gens, matrix, h, z, y, bad, 1, 1, rng)
-        assert verdict == (False, "range_sum"), t
+        assert verdict == (False, "square")
 
 
 @pytest.mark.parametrize("k", [1, 8, 32])
 def test_proof_bytes_pinned(k):
     # e_star (a count, then k+1 points), o_prime, Y, the length of the
     # packed answers, and the sigma proofs in their (c, s) form (rho
-    # 32k + 164 bytes, tau 64k + 104: tests/test_serial.py) inline.  Then
-    # the packed answers (16 w bytes) and the slack range proof, which do
-    # not depend on k.  At savi/v8, with a length in front of rho, tau and
-    # mu, this was 128k + 384 bytes plus the same: 12 more.  At savi/v7
+    # 32k + 164 bytes, tau 32k + 164 with H: tests/test_serial.py) inline.
+    # Then the packed answers (16 w bytes) and the slack range proof,
+    # which do not depend on k.  At savi/v9, with the k responses y_w in
+    # tau (64k + 104) and no H, this was 128k + 372 bytes plus the same:
+    # 32k - 60 more.  At savi/v8, with a length in front of rho, tau and
+    # mu, it was 128k + 384 bytes plus the same: 12 more.  At savi/v7
     # (o and k points o'_t, rho 64k + 168, tau 96k + 44) it was
     # 256k + 304 bytes plus the same: 128k - 80 more than at savi/v8
     params = _params(k=k, d=8)
@@ -328,7 +335,7 @@ def test_proof_bytes_pinned(k):
     gens, matrix, h, y, z, r, rng = _instance(params, u)
     proof = gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
     fixed = 16 * params.z_width + len(proof.mu.to_bytes())
-    assert len(proof.to_bytes()) - fixed == 128 * k + 372
+    assert len(proof.to_bytes()) - fixed == 96 * k + 432
 
 
 def test_one_weight_vector_per_round(monkeypatch):
@@ -361,11 +368,13 @@ def test_one_weight_vector_per_round(monkeypatch):
 
 @pytest.mark.parametrize("k", [3, 16])
 def test_sigma_and_commitment_muls_pinned(k, monkeypatch):
-    # the verifier's two sigma checks cost 3k + 5 and 5k + 2 muls, 8k + 7
-    # a client (11k + 5 at savi/v7, with o and o'_t).  The prover's e_star
-    # and o_prime cost 2k + 4, its announcements at the nonces 2k + 3 and
-    # 4k + 1: 8k + 8 (13k + 5 at savi/v7), plus the link's announcement
-    # (at most LAMBDA + 1), Y's tries and the slack range proof
+    # the verifier's two sigma checks cost 3k + 5 and 5k + 5 muls, 8k + 10
+    # a client (8k + 7 at savi/v9, with no H; 11k + 5 at savi/v7, with o
+    # and o'_t).  The prover's e_star, o_prime and H cost 3k + 5, its
+    # announcements at the nonces 2k + 3 and 4k + 3: 9k + 11 (at savi/v9
+    # 2k + 4, 2k + 3 and 4k + 1, 8k + 8; 13k + 5 at savi/v7), plus the
+    # link's announcement (at most LAMBDA + 1), Y's tries and the slack
+    # range proof
     params = _params(k=k, d=16)
     u = [3, -1, 2, 0, 5, -4, 1, 1, -2, 0, 7, 1, -1, 2, 3, -3]
     gens, matrix, h, y, z, r, rng = _instance(params, u)
@@ -385,9 +394,9 @@ def test_sigma_and_commitment_muls_pinned(k, monkeypatch):
     monkeypatch.setattr(sigma, "multiexp", metered("link", sigma.multiexp))
     proof = gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, rng)
     assert ver_integrity_proof(params, gens, matrix, h, z, y, proof, 1, 1, rng) == (True, None)
-    assert muls["ver_prf_wf"] + muls["ver_prf_sq"] == 8 * k + 7
+    assert muls["ver_prf_wf"] + muls["ver_prf_sq"] == 8 * k + 10
     assert (muls["multiexps"], muls["gen_prf_wf"] - muls["link"], muls["gen_prf_sq"]) == (
-        2 * k + 4, 2 * k + 3, 4 * k + 1
+        3 * k + 5, 2 * k + 3, 4 * k + 3
     )
     assert 0 < muls["link"] <= LAMBDA + 1
 

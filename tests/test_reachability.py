@@ -23,7 +23,6 @@ UNREACHED = {
     "savi.group.base.OpCounter.add": "only perfbench and tests read it; rounds take snapshot()",
     "savi.group.base.OpCounter.from_hash": "only perfbench and tests read it",
     "savi.group.base.GroupBackend.identity": "edge paths only: an empty row, a zero commitment",
-    "savi.group.base.Point.__neg__": "operator for tests and callers; no round negates a point",
     "savi.group.base.Point.__repr__": "debugging aid",
     "savi.group.dlog.BabyStepTable._giant": "honest aggregates need no giant step",
     "savi.group.multiexp.sum_points": "perfbench wraps it by name; goes with the benchmark "

@@ -71,7 +71,9 @@ def test_wire_surface_is_pinned():
         # "sigma", "mu"] and ["c", "y", "y_vec", "y_star"]
         "IntegrityProof": ["e_star", "o_prime", "masks", "z", "rho", "tau", "mu"],
         "WellFormedProof": ["c", "y", "y_vec", "y_sigma", "t_link"],
-        "SquareProof": ["c", "y", "y_x", "y_vec", "y_w"],
+        # savi/v10, the square proof over H; at savi/v9 ["c", "y", "y_x",
+        # "y_vec", "y_w"]
+        "SquareProof": ["c", "y", "y_x", "y_rho", "y_vec", "h_commit"],
         # savi/v6, Bulletproofs+; at savi/v5 ["a_commit", "s_commit",
         # "t1_commit", "t2_commit", "tau_x", "mu", "t_hat", "ls", "rs", "a", "b"]
         "RangeProof": ["a_commit", "ls", "rs", "a1_commit", "b1_commit", "r", "s", "delta"],
@@ -119,11 +121,13 @@ def test_message_is_its_fields_inline(tp, data):
 
 @pytest.mark.parametrize("k", [1, 8, 32])
 def test_sigma_proof_sizes_are_pinned(k):
-    # the (c, s) form sends scalars only, but for the link's announcement:
-    # c, y, the counted run y_vec (k+1), y_sigma and t_link for rho; c,
-    # y, y_x and the two counted runs y_vec and y_w (k each) for tau.  At
-    # savi/v7 rho also sent y_star (k), 168 + 64k bytes, and tau c and
-    # three runs of k, 44 + 96k (104 + 64k for rho before the link)
+    # the (c, s) form sends scalars only, but for the link's announcement
+    # and H: c, y, the counted run y_vec (k+1), y_sigma and t_link for rho;
+    # c, y, y_x, y_rho, the counted run y_vec (k) and H for tau.  At
+    # savi/v9 tau sent c, y, y_x and the two counted runs y_vec and y_w,
+    # 104 + 64k bytes.  At savi/v7 rho also sent y_star (k), 168 + 64k
+    # bytes, and tau c and three runs of k, 44 + 96k (104 + 64k for rho
+    # before the link)
     b = make_backend("mock")
     g, q = b.base(), b.from_uniform(bytes(64))
     rng = DeterministicRng(f"sizes/{k}".encode())
@@ -135,10 +139,13 @@ def test_sigma_proof_sizes_are_pinned(k):
     gs = [b.from_uniform(rng.take(64)) for _ in range(2)]
     link = Link(gs, [[1] * k, [0] * k], gs[0] + q, [1 + sum(v[1:]), 1])  # y = (1, 1), sigma 1
     rho = gen_prf_wf(g, q, h, r * g, e, link, r, v, 1, rng, Transcript("sizes"))
-    w = [t * r % GROUP_ORDER for t in v[1:]]
-    tau = gen_prf_sq(g, q, h[1:], e[1:], o_prime, r, v[1:], w, x, rng, Transcript("sizes"))
+    x_h = rng.scalar()
+    h_commit = sum((t * h_t for t, h_t in zip(v[1:], h[1:])), x_h * q)
+    tau = gen_prf_sq(
+        g, q, h[1:], e[1:], o_prime, h_commit, r, v[1:], x, x_h, rng, Transcript("sizes")
+    )
     assert len(rho.to_bytes()) == 164 + 32 * k
-    assert len(tau.to_bytes()) == 104 + 64 * k
+    assert len(tau.to_bytes()) == 164 + 32 * k
 
 
 @functools.cache

@@ -24,24 +24,21 @@ def _tr():
     return Transcript("sigma-test")
 
 
-def _square_instance(rng, k, g=G, q=H, shift=None, h=None):
+def _square_instance(rng, k, g=G, q=H, h=None):
     """A square statement over k projections and its witness; -> (h, e,
-    o_prime, r, v, w, x).  ``shift`` moves each w_t off v_t r, and
-    o_prime with it, so the statement still holds.  ``h`` replaces the
-    derived h_t."""
+    o_prime, h_commit, r, v, x, rho).  ``h`` replaces the derived h_t."""
     h = list(h or derive_generators("sq-h", k, g.backend))
-    r, x = rng.scalar(), rng.scalar()
+    r, x, rho = rng.scalar(), rng.scalar(), rng.scalar()
     v = [rng.scalar() % 97 - 48 for _ in range(k)]
-    shift = shift or [0] * k
-    w = [(v_t * r + s) % Q for v_t, s in zip(v, shift)]
     e = [multiexp([g, h[t]], [v[t] % Q, r]) for t in range(k)]
-    o_prime = multiexp([g, q, *h], [sum(v_t * v_t for v_t in v) % Q, x, *(-s % Q for s in shift)],
-                       g.backend)
-    return h, e, o_prime, r, [v_t % Q for v_t in v], w, x
+    o_prime = multiexp([g, q], [sum(v_t * v_t for v_t in v) % Q, x])
+    v = [v_t % Q for v_t in v]
+    h_commit = multiexp([*h, q], [*v, rho], g.backend)
+    return h, e, o_prime, h_commit, r, v, x, rho
 
 
-def _sq(rng, h, e, o_prime, r, v, w, x, g=G, q=H):
-    return gen_prf_sq(g, q, h, e, o_prime, r, v, w, x, rng, _tr())
+def _sq(rng, h, e, o_prime, h_commit, r, v, x, rho, g=G, q=H):
+    return gen_prf_sq(g, q, h, e, o_prime, h_commit, r, v, x, rho, rng, _tr())
 
 
 _ROWS = 4  # the link's rows here; a client proof has LAMBDA of them
@@ -118,36 +115,24 @@ def test_square_rejects_shifted_square():
 
 def test_square_rejects_a_projection_other_than_e_opens():
     # the square proof's v_t must be the ones e opens: a prover whose o'
-    # holds the square of v_1 + 1 fails, whatever w it takes
+    # and H hold v_1 + 1 fails
     rng = DeterministicRng(b"sq-other-v")
-    h, e, o_prime, r, v, w, x = _square_instance(rng, 3)
+    h, e, o_prime, h_commit, r, v, x, rho = _square_instance(rng, 3)
     v_bad = [(v[0] + 1) % Q, *v[1:]]
     o_bad = multiexp([G, H], [sum(t * t for t in v_bad) % Q, x])
-    w_bad = [t * r % Q for t in v_bad]
-    proof = _sq(rng, h, e, o_bad, r, v_bad, w_bad, x)
+    h_bad = multiexp([*h, H], [*v_bad, rho])
+    proof = _sq(rng, h, e, o_bad, h_bad, r, v_bad, x, rho)
     assert not ver_prf_sq(G, H, h, e, o_bad, proof, _tr())
     assert not ref_ver_prf_sq(G, H, h, e, o_bad, proof, _tr())
 
 
-def test_square_relation_holds_for_any_w():
-    # the statement is linear in w: a w_t off v_t r, with the h_t term it
-    # leaves in o', is a true statement and verifies.  Only the slack
-    # range proof, which opens B0 g - o' over g and q alone, rules it out
-    # (tests/test_integrity.py)
-    rng = DeterministicRng(b"sq-any-w")
-    h, e, o_prime, *witness = _square_instance(rng, 3, shift=[0, 5, 0])
-    proof = _sq(rng, h, e, o_prime, *witness)
-    assert ver_prf_sq(G, H, h, e, o_prime, proof, _tr())
-    assert ref_ver_prf_sq(G, H, h, e, o_prime, proof, _tr())
-
-
 def test_square_tamper_each_component():
-    # c, y, y_x, and each response at each index
+    # c, y, y_x, y_rho, each response at each index, and H
     rng = DeterministicRng(b"sq-tamper")
     h, e, o_prime, *witness = _square_instance(rng, 2)
     proof = _sq(rng, h, e, o_prime, *witness)
-    mutations = list(each_bump(proof))
-    assert len(mutations) == 3 + 2 * 2
+    mutations = [*each_bump(proof), replace(proof, h_commit=proof.h_commit + G)]
+    assert len(mutations) == 4 + 2 + 1
     for bad in mutations:
         assert not ver_prf_sq(G, H, h, e, o_prime, bad, _tr())
         assert not ref_ver_prf_sq(G, H, h, e, o_prime, bad, _tr())
@@ -164,7 +149,7 @@ def test_square_verifier_equals_reference():
             e = list(e)
             e[i] = e[i] + G
         elif trial % 3 == 1:  # or one random response
-            proof = bumped(proof, ("y_vec", "y_w")[rng.below(2)], rng.below(k))
+            proof = bumped(proof, "y_vec", rng.below(k))
         assert ver_prf_sq(G, H, h, e, o_prime, proof, _tr()) == ref_ver_prf_sq(
             G, H, h, e, o_prime, proof, _tr()
         ) == (trial % 3 == 2)
@@ -270,8 +255,9 @@ def test_each_statement_is_one_multiexps_batch(k, monkeypatch):
 def test_repeated_and_identity_bases(backend_name):
     # two equal h_t and one identity h_t: the only statements in which
     # a (base, witness index) product is a term of two equations.  Every
-    # bumped response fails but y_w at the identity h_t, which multiplies
-    # only the identity, so the statement leaves that -w_t free
+    # bumped response fails: v_t at the identity h_t still multiplies g
+    # and e_t (at savi/v9, -w_t there multiplied only the identity, and a
+    # bumped one verified)
     b = make_backend(backend_name)
     g, (q, h0, h1) = b.base(), derive_generators("sigma-repeat", 3, b)
     rng = DeterministicRng(f"repeat/{backend_name}".encode())
@@ -280,10 +266,9 @@ def test_repeated_and_identity_bases(backend_name):
     tau = _sq(rng, h, e, o_prime, *witness, g=g, q=q)
     assert ver_prf_sq(g, q, h, e, o_prime, tau, _tr())
     assert ref_ver_prf_sq(g, q, h, e, o_prime, tau, _tr())
-    free = bumped(tau, "y_w", 3)
     for bad in each_bump(tau):
-        verdict = ver_prf_sq(g, q, h, e, o_prime, bad, _tr())
-        assert verdict == ref_ver_prf_sq(g, q, h, e, o_prime, bad, _tr()) == (bad == free)
+        assert not ver_prf_sq(g, q, h, e, o_prime, bad, _tr())
+        assert not ref_ver_prf_sq(g, q, h, e, o_prime, bad, _tr())
     h, z, e, link, r, v, sig = _wf_instance(rng, 3, g, q, h=h)
     rho = gen_prf_wf(g, q, h, z, e, link, r, v, sig, rng, _tr())
     assert _wf_holds(g, q, h, z, e, link, rho)

@@ -24,7 +24,10 @@ from test_perfbench import _load
 # and o'_t (savi/v7) these were 18,044, 133,724 and 6,256.  rho, tau and
 # mu written inline, with no u32 length in front (savi/v9), made each
 # proof 12 bytes shorter: at savi/v8 these were 14,028, 133,292 and 5,312.
-UPLINK = {"proof_heavy": 14_016, "wide_update": 133_280, "crowd_attack": 5_300}
+# The square proof over H (savi/v10) sends y_rho and H in place of the k
+# responses y_w, 32k - 60 bytes fewer a proof: at savi/v9 these were
+# 14,016, 133,280 and 5,300.
+UPLINK = {"proof_heavy": 13_052, "wide_update": 133_212, "crowd_attack": 5_104}
 
 
 @pytest.mark.parametrize("name", sorted(UPLINK))
@@ -49,12 +52,14 @@ def test_workload_round_on_mock(name):
 # wide_update.  With commitments o and o'_t (savi/v7) the sigma proofs
 # cost 11k + 5 muls a client, 3k - 2 more than 8k + 7 now, and proof_ver
 # (1,631, 2,005), (4,519, 12,685) and (1,406, 1,786).  crowd_attack's
-# forgers are now named "square", so each pays both sigma checks, 8k + 7
-# muls where the "wellformed" check cost 5k + 5
+# forgers are now named "square", so each pays both sigma checks, 8k + 10
+# muls where the "wellformed" check cost 5k + 5.  The square proof over H
+# (savi/v10) costs 3 muls and 3 adds more a client: without it proof_ver
+# cost (1,349, 1,723), (4,489, 12,655) and (1,286, 1,639)
 VERIFY_OPS = {
-    "proof_heavy": {"proof_ver": (1_349, 1_723), "aggregate": (261, 706)},
-    "wide_update": {"proof_ver": (4_489, 12_655), "aggregate": (4_101, 4_546)},
-    "crowd_attack": {"proof_ver": (1_286, 1_639), "aggregate": (97, 1_009)},
+    "proof_heavy": {"proof_ver": (1_358, 1_732), "aggregate": (261, 706)},
+    "wide_update": {"proof_ver": (4_498, 12_664), "aggregate": (4_101, 4_546)},
+    "crowd_attack": {"proof_ver": (1_322, 1_675), "aggregate": (97, 1_009)},
 }
 
 
