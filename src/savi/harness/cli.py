@@ -103,7 +103,8 @@ def simulate(config_path, seed, rounds, out_dir, deployment_scale, write_log) ->
 @click.option("--d", "d_fixed", type=click.IntRange(min=1), default=256, show_default=True)
 @click.option("--comm", is_flag=True, help="Also report exact per-client bytes.")
 def bench(sweep, k_fixed, d_fixed, comm) -> None:
-    """Group-operation counts per stage across a parameter sweep."""
+    """Group-operation counts per stage across a parameter sweep, and the
+    tries of the client's proof of smallness."""
     var, values = _parse_sweep(sweep)
     shapes = [(v, k_fixed) if var == "d" else (d_fixed, v) for v in values]
     try:
@@ -111,12 +112,12 @@ def bench(sweep, k_fixed, d_fixed, comm) -> None:
             deployment_preset(d=d, k=k)
     except ValueError as err:
         raise click.UsageError(str(err)) from None
-    header = f"{'d':>10} {'k':>6} " + " ".join(f"{s:>16}" for s in PROBE_STAGES)
+    header = f"{'d':>10} {'k':>6} " + " ".join(f"{s:>16}" for s in PROBE_STAGES) + "  tries"
     click.echo(header)
     for d, k in shapes:
         row = probe_costs(d, k)
         cells = " ".join(f"{row.stage_total(s):>16}" for s in PROBE_STAGES)
-        click.echo(f"{d:>10} {k:>6} {cells}")
+        click.echo(f"{d:>10} {k:>6} {cells} {row.tries:>6}")
         if comm:
             rep = measure_communication(d, k)
             parts = ", ".join(f"{name} {n}" for name, n in rep.proof_parts.items())

@@ -373,7 +373,8 @@ class CheckParameters:
                 )
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
-        if self.M is None:
+        derived = self.M is None
+        if derived:
             object.__setattr__(self, "M", rounding_scale(self.k, self.d, self.gamma))
         if self.M < 1:
             raise ValueError("M must be positive")
@@ -387,9 +388,10 @@ class CheckParameters:
                 "dlog table grows as 2^(b_coord/2)"
             )
         if max(self.k, self.d) * (math.ceil(_MAX_ABS_Z * self.M) + 1) >= 1 << 61:
+            hint = "" if derived else ": leave M unset to derive it"
             raise ValueError(
                 f"a {self.k} x {self.d} matrix at M={self.M} leaves no int64 limb "
-                "for its exact products: leave M unset to derive it"
+                f"for its exact products{hint}"
             )
         if not fits_fixed_point(self.B, self.frac_bits, self.b_coord, Fraction(1, 2)):
             raise ValueError("B 2^frac_bits does not fit the b_coord fixed-point window")
@@ -422,7 +424,9 @@ class CheckParameters:
     @cached_property
     def mask_slack(self) -> int:
         """W = ceil(sqrt(k B0)), which bounds |sum_t R_t v_t| for any 0/1
-        vector R and any claim that passes B0 (Cauchy–Schwarz)."""
+        vector R and any claim that passes B0 (Cauchy–Schwarz).  It caps
+        the reach W_v of the proof of smallness' masks, which the prover
+        sizes on its claims (``zkp.integrity``), and it sets T."""
         return math.isqrt(max(self.k * self.b0 - 1, 0)) + 1
 
     @property

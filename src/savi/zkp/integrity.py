@@ -52,20 +52,27 @@ for the inputs of a secure aggregation.  Let W = ceil(sqrt(k B0)): by
 Cauchy–Schwarz, |sum_t R_t v_t| <= W for any 0/1 vector R and any claim
 that passes B0.  Let T = 2^8 W and lambda = ``LAMBDA`` = 128.
 
-  * The prover draws masks y_j uniform in [-(T + W), T + W] for j in
-    1..lambda and a blind sigma, and commits to all of them in one point,
-    Y = sum_j y_j G_j + sigma q, over the generators G_j
+  * The prover sizes its masks on its claims.  Their reach
+    W_v = min(W, max(sum of the positive v_t, sum of the negative v_t's
+    sizes)) is the largest |sum_t R_t v_t| that any 0/1 vector R gives
+    for them (``_mask_reach``); the cap W binds only on claims that
+    fail B0.  It draws masks y_j uniform in [-(T + W_v), T + W_v] for j
+    in 1..lambda and a blind sigma, and commits to all of them in one
+    point, Y = sum_j y_j G_j + sigma q, over the generators G_j
     (``GeneratorSet.smallness``).  It absorbs Y, reads R in
     {0,1}^(lambda x k) from the transcript, and computes
     z_j = y_j + sum_t R_jt v_t.  If any |z_j| > T, it discards the try
     and starts again from the transcript before Y (Fiat–Shamir with
-    aborts, Lyubashevsky, ASIACRYPT 2009).  A row passes with
-    probability (2T + 1)/(2T + 2W + 1), about 1/(1 + 2^-8), so all
-    lambda pass with probability about 0.61: 1.65 tries on average.
-    After ``MAX_TRIES`` tries the prover sends its last one with each
-    z_j cut into [-T, T]: a proof that encodes but whose link fails, so
-    the verifier names it "range_ip".  An honest prover gets there with
-    probability below 2^-86.
+    aborts, Lyubashevsky, ASIACRYPT 2009).  A row's shift is at most
+    W_v, so it passes with probability (2T + 1)/(2T + 2 W_v + 1), and all
+    lambda pass with probability p(W_v) = ((2T + 1)/(2T + 2 W_v + 1))^lambda,
+    about exp(-W_v/(2W)): 1/p(W_v) tries on average, one for zero claims
+    and about 1/0.61 = 1.65 at the cap W_v = W.  Honest claims reach about
+    a tenth of W (``BENCH_claims_reach.json``), so a proof takes about
+    1.05 tries.  After ``MAX_TRIES`` tries the prover sends its last one
+    with each z_j cut into [-T, T]: a proof that encodes but whose link
+    fails, so the verifier names it "range_ip".  An honest prover gets
+    there with probability (1 - p(W_v))^64 <= (1 - p(W))^64 < 2^-86.
   * The z_j travel packed: each z_j + T in w = (2T).bit_length() bits
     (``CheckParameters.z_width``), 16 w bytes for the lambda of them.
     The verifier knows T, so the bytes carry neither T nor a count.
@@ -95,15 +102,18 @@ that only showed gamma v_t small for some small gamma would accept
 u = 2^-1 w.
 
 Zero knowledge.  Y is a Pedersen vector commitment under the uniform
-blind sigma, so it hides the masks.  For any shift |s| <= W,
-y_j + s is uniform on a range that covers [-T, T], so an accepted z_j
-is uniform on [-T, T] whatever v is (rejection sampling), and a
-rejected try is never sent.  o_prime is a Pedersen commitment under
-the uniform blind x, so it hides the sum of squares, and H is one
-under the uniform blind rho, so it hides the v_t it combines.  x~ =
-x + r rho is a witness like any other.  The link's announcement and the
-sigma proofs' responses are a sigma protocol's, which a simulator draws
-in the usual way.
+blind sigma, so it hides the masks.  Every row's shift
+s = sum_t R_jt v_t has |s| <= W_v <= W, so y_j + s is uniform on a
+range that covers [-T, T], and an accepted z_j is uniform on [-T, T]
+whatever v is (rejection sampling); a rejected try is never sent.  The
+number of tries is not sent either, but its distribution depends on
+W_v, so on the claims: like ``commit_update``'s additions, one per
+nonzero digit of u, it is a timing signal to whoever times the prover.
+o_prime is a Pedersen commitment under the uniform blind x, so it hides
+the sum of squares, and H is one under the uniform blind rho, so it
+hides the v_t it combines.  x~ = x + r rho is a witness like any other.
+The link's announcement and the sigma proofs' responses are a sigma
+protocol's, which a simulator draws in the usual way.
 
 All sub-proofs draw their challenges from one transcript bound to
 the check parameters, the round and the client's commitments.
@@ -273,6 +283,15 @@ def _unpack(params: "CheckParameters", raw: bytes) -> list[int]:
     return [(packed >> (j * width) & mask) - bound for j in range(LAMBDA)]
 
 
+def _mask_reach(params: "CheckParameters", claims: Sequence[int]) -> int:
+    """W_v = min(W, max(sum of the positive claims, sum of the negative
+    ones' sizes)): the largest |sum_t R_t v_t| of any 0/1 vector R, capped
+    at W, which only claims that fail B0 reach."""
+    up = sum(v for v in claims if v > 0)
+    down = -sum(v for v in claims if v < 0)
+    return min(params.mask_slack, max(up, down))
+
+
 def _smallness(
     params: "CheckParameters", gens: GeneratorSet, claims: Sequence[int], rng: Rng,
     tr: Transcript,
@@ -282,7 +301,8 @@ def _smallness(
     its blind sigma and the transcript after its R, before its answers;
     ``tr`` is left as the tries found it.  The answers sent are in
     [-T, T] whether or not a try passed."""
-    bound, spread = params.z_bound, params.z_bound + params.mask_slack
+    bound = params.z_bound
+    spread = bound + _mask_reach(params, claims)
     for _ in range(MAX_TRIES):
         masks = [rng.below(2 * spread + 1) - spread for _ in range(LAMBDA)]
         sigma = rng.scalar()

@@ -92,9 +92,16 @@ def test_deterministic_given_seed():
 
 
 # The uplink of a fixed-seed round, proofs included, is pinned byte for
-# byte.  Changing these bytes changes the wire format or the proofs, and
-# requires a bump of the transcript domain (savi/vN/transcript).  Last
-# re-pinned at savi/v10: domain bump and the square proof over H (with
+# byte.  Changing these bytes changes the wire format or the proofs.  A
+# change of the format requires a bump of the transcript domain
+# (savi/vN/transcript); a change of the prover's draws alone, whose
+# proofs the same verifier accepts, does not.  Last re-pinned at savi/v10
+# with the masks of the proof of smallness sized on the claims' reach W_v
+# (drawn from [-(T + W_v), T + W_v]) in place of W; with masks of reach W
+# these read
+# 3a1b1cc71a8bbe720d0f3a773fc766d2cb4b91dd644fa4c222267fe4a917e899 and
+# c81525f4d635fd4f2dbd29d37808b3b1459a5a8805eefc0fd985fcef2cfbe823.  At
+# savi/v10 before that: domain bump and the square proof over H (with
 # y_rho and H in tau, and no y_w); at savi/v9 (rho, tau and mu inline,
 # with no length in front) these read
 # dd41e260b8b9a7329f9cdc8785e2ab9e5a15736af71b541db60bf4391c35f4f2 and
@@ -118,7 +125,7 @@ _PINNED_ROUNDS = [
     (
         dict(n=5, m=2, d=16, k=4, M=16, b_max=64, epsilon_log2=-16, seed=3,
              attack=AttackSpec("oversized_norm", scale=10.0, malicious_ids=(2, 4))),
-        "3a1b1cc71a8bbe720d0f3a773fc766d2cb4b91dd644fa4c222267fe4a917e899",
+        "95281126f63a9bf456b5b87230e3d629e112659224d17ead31be1e35146a37a8",
         (1, 3, 5),
         {2: "proof_square", 4: "proof_square"},
     ),
@@ -126,7 +133,7 @@ _PINNED_ROUNDS = [
         dict(n=3, m=1, d=4, k=1, M=1, b_max=32, epsilon_log2=-16, seed=3,
              backend="ristretto255",
              attack=AttackSpec("oversized_norm", scale=10.0, malicious_ids=(3,))),
-        "c81525f4d635fd4f2dbd29d37808b3b1459a5a8805eefc0fd985fcef2cfbe823",
+        "2ef778ac7caa675b178255a3649a4b86c417e5963ef5483ece300dd025f35fd7",
         (1, 2),
         {3: "proof_square"},
     ),
@@ -188,8 +195,11 @@ def test_two_round_uplink_pinned():
     uplink = b"".join(
         payload for rep in reps for _, _, payload in sorted(rep.messages, key=lambda m: m[1])
     )
-    # re-pinned at savi/v10: domain bump and the square proof over H; at
-    # savi/v9 (the sub-proofs inline)
+    # re-pinned with the masks of the proof of smallness sized on the
+    # claims' reach (no format change); with masks of reach W
+    # 950283bd7624c0da1962a945f46dfc102c209556f0037a17bebd3607524f3a62,
+    # and at savi/v10 before that: domain bump and the square proof over
+    # H; at savi/v9 (the sub-proofs inline)
     # 5eb9e23e03c5a8ebf16c68deb6eec7391fbd48945538d141e2d0c133f739892e,
     # at savi/v8 (one commitment to the squares)
     # 22a2e4ffad541bac27a842bff5a55fce0c83570ddef00dd6f32fffb339876fd3,
@@ -199,7 +209,7 @@ def test_two_round_uplink_pinned():
     # 871bdb65fd8236122c4bd69c42036bbbdad5ca1ba07b3b626d336280fb5b46ce, at
     # savi/v5 17a59a4f3c18b4566ad30563c0cf3a6a2d597cc666fa264e477443654f482bc9
     assert hashlib.sha256(uplink).hexdigest() == (
-        "950283bd7624c0da1962a945f46dfc102c209556f0037a17bebd3607524f3a62"
+        "9fe368d1b3bccaa335401ee5ae41497e35001651736c2a8f1b1e8f8ab43c0d80"
     )
 
 
@@ -287,10 +297,14 @@ def test_proof_generation_op_count_pinned():
     # savi/v9 it cost 9,200 muls and 9,223 adds: H costs k + 3 = 11 muls
     # more a client, and the new transcripts leave two all-zero rows in
     # the accepted tries where there were three (the tries, 27 in all,
-    # are the same)
+    # are the same).  With the masks sized on W, not on the claims' reach,
+    # it cost 9,311 muls and 9,324 adds: 27 tries where there are now 10,
+    # one a client, and 2 all-zero rows in the accepted tries where there
+    # are now 7 (17 x 129 + 5 = 2,198 muls, 17 x 128 + 5 = 2,181 adds;
+    # counted in a run)
     (rep,) = run_simulation(SimulationConfig(n=10, m=4, d=64, k=8, seed=1, backend="mock"))
     assert rep.honest == tuple(range(1, 11))
-    assert rep.group_ops["proof_gen"] == {"mul": 9311, "add": 9324, "from_hash": 0}
+    assert rep.group_ops["proof_gen"] == {"mul": 7113, "add": 7143, "from_hash": 0}
     assert rep.group_ops["proof_gen"]["mul"] <= 56_000
     # the sum of the honest commitments starts from the first vector, not
     # from d identities (this stage counted 9,976 adds when it did), and
@@ -640,23 +654,29 @@ def test_client_proof_probe_op_count_pinned():
     # and 7,209 adds with the projections' range proof (896 slots, 6,129
     # muls and 6,922 adds for the proof alone), and 8,250 and 9,037 with
     # the Bulletproofs prover.  At savi/v7 (commitments o and o'_t) it
-    # took one try, for 977 muls and 848 adds; here it takes three, and
-    # one would cost 855 and 788 (820 and 754 without H, at savi/v9)
+    # took one try, for 977 muls and 848 adds; with the masks sized on W it
+    # took three (855 + 2 x 129 muls and 788 + 2 x 128 adds), and on the
+    # claims' reach it takes one (820 muls and 754 adds without H, at
+    # savi/v9)
     row = probe_costs(256, 32)
     ops = row.ops
-    assert row.tries == 3
+    assert row.tries == 1
     assert ops["client_check_h"] == {"mul": 289, "add": 287, "from_hash": 0}
-    assert ops["client_proof"] == {"mul": 855 + 2 * 129, "add": 788 + 2 * 128, "from_hash": 0}
+    assert ops["client_proof"] == {"mul": 855, "add": 788, "from_hash": 0}
 
 
 def test_probe_reports_the_tries_of_the_proof_of_smallness():
-    # four seeds that take 1, 4, 2 and 6 tries: each try past the first
+    # four seeds that take 1, 2, 3 and 2 tries: each try past the first
     # costs LAMBDA + 1 muls (its masks' commitment Y) and LAMBDA adds, so
-    # the proofs cost the same once the tries are factored out (seeds 7,
-    # 8, 10 and 11 took 1, 3, 2 and 4 tries at savi/v7, for 769 muls and
-    # 720 adds; these seeds' proofs cost 692 muls and 674 adds at savi/v9)
-    rows = [probe_costs(256, 16, seed=seed) for seed in (7, 17, 18, 11)]
-    assert [row.tries for row in rows] == [1, 4, 2, 6]
+    # the proofs cost the same once the tries are factored out.  The
+    # probe's claims reach about 0.1-0.2 W, so a proof retries about once
+    # in 20; seeds 1-1,499 hold three of 3 tries and none of more.  (Seeds
+    # 7, 17, 18 and 11 took 1, 4, 2 and 6 tries with the masks sized on W,
+    # and 1 try each on the claims' reach; seeds 7, 8, 10 and 11 took 1,
+    # 3, 2 and 4 tries at savi/v7, for 769 muls and 720 adds; these
+    # seeds' proofs cost 692 muls and 674 adds at savi/v9)
+    rows = [probe_costs(256, 16, seed=seed) for seed in (7, 57, 470, 78)]
+    assert [row.tries for row in rows] == [1, 2, 3, 2]
     assert {
         (row.ops["client_proof"]["mul"] - (row.tries - 1) * (LAMBDA + 1),
          row.ops["client_proof"]["add"] - (row.tries - 1) * LAMBDA)
@@ -720,9 +740,10 @@ def test_comm_probe_measures_the_widths_of_d():
 
 def test_proof_cost_grows_with_k():
     # compared at one try of the proof of smallness each, since a try
-    # costs LAMBDA + 1 muls whatever k is and the two probes draw 2 and 1
-    # (the test compared 1.5x the totals, tries and all, which the tries
-    # decided).  A client's commitments and sigma announcements cost
+    # costs LAMBDA + 1 muls whatever k is and the two probes may differ
+    # (they drew 2 and 1 with the masks sized on W, 1 each on the claims'
+    # reach; the test compared 1.5x the totals, tries and all, which the
+    # tries decided).  A client's commitments and sigma announcements cost
     # 9k + 11 muls (8k + 8 at savi/v9, without H; 13k + 5 at savi/v7, with
     # o and o'_t)
     small, big = probe_costs(d=64, k=8), probe_costs(d=64, k=32)
@@ -941,7 +962,11 @@ def test_cli_bench_sweep(tmp_path):
     lines = [ln.split() for ln in res.output.strip().splitlines()]
     assert lines[0][:2] == ["d", "k"]
     assert [ln[0] for ln in lines[1:]] == ["64", "128"]
-    assert all(len(ln) == 7 for ln in lines[1:])
+    # d, k, the five stages and the tries of the proof of smallness (7
+    # cells before the tries had a column)
+    assert lines[0][-1] == "tries"
+    assert all(len(ln) == 8 for ln in lines)
+    assert [int(ln[-1]) for ln in lines[1:]] == [probe_costs(d, 8).tries for d in (64, 128)]
 
 
 def test_cli_params_table():

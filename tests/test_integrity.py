@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+from itertools import compress, product
 
 import numpy as np
 import pytest
@@ -712,16 +714,115 @@ def _smallness_tries(params, gens, claims, seed, monkeypatch):
     return len(tries)
 
 
-def test_mean_tries_near_one_over_0_61(monkeypatch):
-    # each row passes with probability (2T + 1)/(2T + 2W + 1), about
-    # 1/(1 + 2^-8), so all 128 with about 0.61: 1/0.61 tries on average
+def _pass_rate(params, reach):
+    """p(W_v): the chance that all LAMBDA rows of a try land in [-T, T]."""
+    bound = params.z_bound
+    return ((2 * bound + 1) / (2 * bound + 2 * reach + 1)) ** LAMBDA
+
+
+def test_zero_claims_take_one_try(monkeypatch):
+    # W_v = 0: the masks are drawn from [-T, T] and z_j = y_j, so the first
+    # try always passes (a forger's zero claims never retry)
+    params = _params(k=4, d=8)
+    gens, *_ = _instance(params, [0] * params.d)
+    assert integrity._mask_reach(params, [0] * params.k) == 0
+    for i in range(100):
+        assert _smallness_tries(params, gens, [0] * params.k, f"zero/{i}", monkeypatch) == 1
+
+
+def test_worst_case_claims_take_one_over_0_61_tries(monkeypatch):
+    # all v_t equal and summing to at least W, so W_v = W: each row passes
+    # with probability (2T + 1)/(2T + 2W + 1), about 1/(1 + 2^-8), so all
+    # 128 with about 0.61: 1/0.61 tries on average, as every proof took
+    # when the masks were sized on W whatever the claims
+    params = _params(k=4, d=8)
+    gens, *_ = _instance(params, [0] * params.d)
+    claims = [-(-params.mask_slack // params.k)] * params.k
+    assert integrity._mask_reach(params, claims) == params.mask_slack
+    assert abs(_pass_rate(params, params.mask_slack) - 0.61) < 0.005
+    tries = [_smallness_tries(params, gens, claims, f"tries/{i}", monkeypatch) for i in range(200)]
+    assert abs(sum(tries) / len(tries) * 0.61 - 1) <= 0.15
+    assert max(tries) < MAX_TRIES
+
+
+def test_honest_mean_tries_near_one_over_p_of_the_reach(monkeypatch):
+    # an update at 0.9 B whose claims reach W_v = 0.52 W: p(W_v) = 0.77,
+    # between the zero claims' 1 and the worst case's 0.61, and the mean
+    # tries follow it
     params = _params(k=4, d=8)
     gens, matrix, *_ = _instance(params, [0] * params.d)
     u = _scaled_update(params, 0.9, np.random.default_rng(3))
     claims = matrix.row_inner(u)[1:]
-    tries = [_smallness_tries(params, gens, claims, f"tries/{i}", monkeypatch) for i in range(200)]
-    assert abs(sum(tries) / len(tries) * 0.61 - 1) <= 0.15
+    assert sum(x * x for x in claims) <= params.b0
+    reach = integrity._mask_reach(params, claims)
+    assert 0.4 < reach / params.mask_slack < 0.6
+    rate = _pass_rate(params, reach)
+    tries = [_smallness_tries(params, gens, claims, f"tries/{i}", monkeypatch) for i in range(300)]
+    assert abs(sum(tries) / len(tries) * rate - 1) <= 0.1
     assert max(tries) < MAX_TRIES
+
+
+class _Asks(DeterministicRng):
+    """A DeterministicRng that records the n of every ``below(n)``."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.asked = []
+
+    def below(self, n):
+        self.asked.append(n)
+        return super().below(n)
+
+
+@functools.cache
+def _reach_params(k):
+    return _params(k=k, d=8)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_masks_cover_the_shift_of_every_row(data):
+    # zero knowledge, which no soundness test checks: an accepted z_j is
+    # uniform on [-T, T] only if the masks' range [-(T + W_v), T + W_v]
+    # covers every shift sum_t R_t v_t that a 0/1 row R can give.  W_v is
+    # read off the prover's draws, below(2 (T + W_v) + 1), and must be at
+    # least every row's |shift| (and, on claims that pass B0, at most W
+    # and no wider than the widest shift)
+    k = data.draw(st.integers(min_value=1, max_value=10))
+    params = _reach_params(k)
+    cap = math.isqrt(params.b0 // k)  # so the claims pass B0
+    claims = data.draw(st.lists(st.integers(-cap, cap), min_size=k, max_size=k))
+    gens, *_ = _instance(params, [0] * params.d)
+    rng = _Asks(b"zk/reach")
+    integrity._smallness(params, gens, claims, rng, Transcript("reach"))
+    (n,) = set(rng.asked)  # one range, LAMBDA draws a try
+    assert len(rng.asked) % LAMBDA == 0 and n % 2 == 1
+    reach = (n - 1) // 2 - params.z_bound
+    shifts = [abs(sum(compress(claims, row))) for row in product((0, 1), repeat=k)]
+    assert reach == max(shifts) <= params.mask_slack
+
+
+def test_claims_that_fail_b0_take_masks_of_reach_w():
+    # a cheater's claims (here near p, or far past B0) reach the cap W
+    params = _params(k=4, d=8)
+    for claims in ([Q - 1] * params.k, [params.b0] * params.k, [-params.b0, 0, 0, 0]):
+        assert integrity._mask_reach(params, claims) == params.mask_slack
+
+
+@pytest.mark.parametrize("backend_name", ["mock", "ristretto255"])
+def test_proof_with_masks_of_reach_w_verifies(backend_name, monkeypatch):
+    # a proof whose masks reach W whatever the claims, as before they were
+    # sized on the claims, still verifies: the verifier reads no W_v, so
+    # the transcript's domain did not change with it
+    params = _params(k=4, d=8)
+    u = _scaled_update(params, 0.5, np.random.default_rng(1))
+    gens, matrix, h, y, z, r, rng = _instance(params, u, b=make_backend(backend_name))
+    monkeypatch.setattr(integrity, "_mask_reach", lambda params, claims: params.mask_slack)
+    asks = _Asks(b"zk/wide")
+    proof = gen_integrity_proof(params, gens, matrix, h, z, y, r, u, 1, 1, asks)
+    assert set(asks.asked) == {2 * (params.z_bound + params.mask_slack) + 1}
+    proof = IntegrityProof.from_bytes(proof.to_bytes(), gens.backend)
+    assert ver_integrity_proof(params, gens, matrix, h, z, y, proof, 1, 1, rng) == (True, None)
 
 
 def test_smallness_prover_cost_closed_form(monkeypatch):
@@ -760,7 +861,9 @@ def test_zero_knowledge_blinds_are_live():
     # every z_j = y_j in the window, so the first try is sent.
     params = _params(k=4, d=8)
     gens, *_ = _instance(params, [0] * params.d)
-    spread = params.z_bound + params.mask_slack
+    # T + W_v, and W_v = 0 for zero claims (T + W while the masks were
+    # sized on W whatever the claims)
+    spread = params.z_bound
     rng = DeterministicRng(b"zk/masks")
     draws = [spread + rng.below(params.z_bound) for _ in range(LAMBDA)]
 

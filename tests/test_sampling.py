@@ -632,6 +632,14 @@ def test_m_beyond_limb_products_rejected_at_construction():
     _widths(d=1_000_000, k=1_000, epsilon=2.0**-128, M=1 << 24)
 
 
+def test_derived_m_beyond_limb_products_gives_no_advice_to_derive_it():
+    # d = 2^57 is within MAX_DIM, but the derived M leaves no limb; the
+    # advice to leave M unset is for an explicit M only
+    with pytest.raises(ValueError, match="8 x 144115188075855872 matrix at M=") as err:
+        CheckParameters(n=1, m=0, d=2**57, k=8, epsilon=2**-16, B=1.0)
+    assert "leave M unset" not in str(err.value)
+
+
 # -- the derived scale M -------------------------------------------------------
 
 # The benchmark workloads' shapes at the default epsilon 2^-40 and the
